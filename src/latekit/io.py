@@ -55,21 +55,39 @@ def _parse_cell(raw: str, row: int, col: str, kind: str):
     return val
 
 
+def _read_header(reader) -> list[str]:
+    """The stripped header row; a repeated column name is an error."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError("empty input file")
+    named = [h for h in header if h]
+    for name in named:
+        if named.count(name) > 1:
+            raise ValueError(f"duplicate column {name!r} in header")
+    return header
+
+
+def _covariate_count(header: list[str]) -> int:
+    """K for covariate columns x1..xK; a gap in the numbering is an error."""
+    numbers = {int(h[1:]) for h in header
+               if h[:1] == "x" and h[1:].isdecimal() and h[1:2] != "0"}
+    for j in range(1, len(numbers) + 1):
+        if j not in numbers:
+            found = ", ".join(f"x{i}" for i in sorted(numbers))
+            raise ValueError(f"missing covariate column 'x{j}' (header has {found})")
+    return len(numbers)
+
+
 def read_records(path: str) -> list[StratumRecords]:
     """Parse an analysis CSV into per-stratum record groups (input order)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty input file")
-        header = [h.strip() for h in header]
+        header = _read_header(reader)
         for required in ("z", "w", "y"):
             if required not in header:
                 raise ValueError(f"missing required column {required!r}")
-        k = 0
-        while f"x{k + 1}" in header:
-            k += 1
+        k = _covariate_count(header)
         idx = {name: header.index(name) for name in header}
         has_stratum = "stratum" in header
         groups: dict[str, StratumRecords] = {}
@@ -257,12 +275,10 @@ def write_plot_data(rows: list[dict], path: str) -> None:
 
 def read_covariates(path: str) -> np.ndarray:
     """Covariate matrix (x1..xK columns) from a CSV, for design draws."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        k = 0
-        while f"x{k + 1}" in header:
-            k += 1
+        header = _read_header(reader)
+        k = _covariate_count(header)
         if k == 0:
             raise ValueError("no covariate columns x1..xK found")
         idx = [header.index(f"x{j + 1}") for j in range(k)]

@@ -234,6 +234,102 @@ def _isotonic_nonincreasing(values: np.ndarray) -> np.ndarray:
     return -out
 
 
+# Pilot draws and block size of the tail selection in _upper_quantiles; the
+# block buffers stay in cache, and a band of +-6 pilot standard errors
+# around the target holds both order statistics except with negligible
+# probability (the exact full quantile is the fallback).
+_PILOT = 1 << 14
+_PILOT_SIGMAS = 6.0
+_BLOCK = 1 << 16
+
+_draws_lock = threading.Lock()
+_shared_draws: tuple = (None, None, None)
+
+
+def _table_draws(params: MixtureParams, draw_count: int, seed: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The normal and component draws of a table, shared across alpha.
+
+    Tables with the same (k, a, draw_count, seed) draw identical samples, so
+    the most recent pair is kept (one entry, read-only) for the next table.
+    """
+    global _shared_draws
+    key = (params.k, params.a, draw_count, seed)
+    with _draws_lock:
+        if _shared_draws[0] != key:
+            _shared_draws = (None, None, None)  # release before drawing anew
+            rng = np.random.default_rng(seed)
+            eps0 = rng.standard_normal(draw_count)
+            comp = sample_truncated_component(params, rng, draw_count)
+            eps0.flags.writeable = False
+            comp.flags.writeable = False
+            _shared_draws = (key, eps0, comp)
+        return _shared_draws[1], _shared_draws[2]
+
+
+def _mixed_quantile(eps0: np.ndarray, comp: np.ndarray, rho: float,
+                    q: float) -> float:
+    """The q-quantile of the mixed draws by a full partition."""
+    return np.quantile(math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp, q)
+
+
+def _upper_quantiles(eps0: np.ndarray, comp: np.ndarray, rho_grid: np.ndarray,
+                     q: float) -> np.ndarray:
+    """``_mixed_quantile`` at every rho, bit for bit, from a band of values.
+
+    numpy's linear method interpolates the order statistics ``lo`` and
+    ``lo + 1`` at weight ``t``. Quantiles of a pilot prefix bracket them by a
+    band; the mixed values are computed block by block with the same
+    arithmetic, only those inside the band are kept, and the two order
+    statistics are read from the kept values once the count above the band
+    shows they lie inside it. Otherwise the full partition is used.
+    """
+    n = eps0.size
+    pos = (n - 1) * q
+    lo = math.floor(pos)
+    t = pos - lo
+    m = min(_PILOT, n)
+    f = (n - lo) / n
+    margin = _PILOT_SIGMAS * math.sqrt(f * (1.0 - f) / m) + 2.0 / m
+    j_lo = math.floor((1.0 - f - margin) * (m - 1))
+    j_hi = math.ceil((1.0 - f + margin) * (m - 1))
+    mixed = np.empty(min(_BLOCK, n))
+    part = np.empty_like(mixed)
+    in_band = np.empty(mixed.size, dtype=bool)
+    above = np.empty(mixed.size, dtype=bool)
+    raw = np.empty(rho_grid.size)
+    for i, rho in enumerate(rho_grid):
+        s_eps, s_comp = math.sqrt(1.0 - rho), math.sqrt(rho)
+        pilot = np.sort(s_eps * eps0[:m] + s_comp * comp[:m])
+        band_lo = pilot[j_lo] if j_lo >= 0 else -math.inf
+        band_hi = pilot[j_hi] if j_hi < m else math.inf
+        count_above = 0
+        kept = []
+        for start in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - start)
+            x, y = mixed[:size], part[:size]
+            inside, over = in_band[:size], above[:size]
+            np.multiply(s_eps, eps0[start:start + size], out=x)
+            np.multiply(s_comp, comp[start:start + size], out=y)
+            np.add(x, y, out=x)
+            np.greater_equal(x, band_lo, out=inside)
+            np.greater_equal(x, band_hi, out=over)
+            count_above += np.count_nonzero(over)
+            np.greater(inside, over, out=inside)  # at or above band_lo, below band_hi
+            kept.append(x[inside])
+        band = np.concatenate(kept)
+        # sorted position of band[0] in the full sample
+        j = lo - (n - count_above - band.size)
+        if j < 0 or j + 1 >= band.size:
+            raw[i] = _mixed_quantile(eps0, comp, rho, q)
+            continue
+        band.partition(j)
+        a, b = float(band[j]), float(band[j + 1:].min())
+        # numpy's _lerp, operation for operation
+        raw[i] = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+    return raw
+
+
 @dataclass(frozen=True)
 class MixtureQuantileTable:
     """Cached upper quantiles of the mixture over a rho grid in [0, 1].
@@ -255,15 +351,10 @@ class MixtureQuantileTable:
     def build(cls, params: MixtureParams, *, draw_count: int = _DEFAULT_DRAWS,
               seed: int = _TABLE_SEED, grid_size: int = _DEFAULT_RHO_GRID
               ) -> "MixtureQuantileTable":
-        rng = np.random.default_rng(seed)
-        eps0 = rng.standard_normal(draw_count)
-        comp = sample_truncated_component(params, rng, draw_count)
+        eps0, comp = _table_draws(params, draw_count, seed)
         rho_grid = np.linspace(0.0, 1.0, grid_size)
         q = 1.0 - params.alpha
-        raw = np.empty(grid_size)
-        for i, rho in enumerate(rho_grid):
-            mixed = math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp
-            raw[i] = np.quantile(mixed, q)
+        raw = _upper_quantiles(eps0, comp, rho_grid, q)
         z = normal_quantile(q)
         values = np.clip(_isotonic_nonincreasing(raw), 0.0, z)
         return cls(params=params, rho_grid=rho_grid, lambda_values=values,
@@ -280,15 +371,17 @@ _table_cache: dict[tuple, MixtureQuantileTable] = {}
 
 
 def quantile_table(params: MixtureParams) -> MixtureQuantileTable:
-    """Per-process cache of quantile tables, built at most once per key."""
+    """Per-process cache of quantile tables, built exactly once per key.
+
+    The lock is held through a build, so concurrent callers wait for the
+    table instead of building it again.
+    """
     key = (params.k, params.a, params.alpha)
     with _cache_lock:
         table = _table_cache.get(key)
-    if table is not None:
-        return table
-    built = MixtureQuantileTable.build(params)
-    with _cache_lock:
-        return _table_cache.setdefault(key, built)
+        if table is None:
+            table = _table_cache[key] = MixtureQuantileTable.build(params)
+    return table
 
 
 def lambda_quantile(params: MixtureParams, rho: float) -> float:

@@ -277,8 +277,10 @@ def _evaluate_draw(ds, z, truth, base_config: AnalysisConfig,
     far = far_set(regime, estimates, components, base_config)
     # draw-level efficiency ordering: any two-stage set (being one of the
     # two) then sits between them in length
-    if far.kind == "interval" and not far.degenerate:
-        assert wald_set.length <= far.length + 1e-9 * max(far.length, 1.0)
+    if (far.kind == "interval" and not far.degenerate
+            and wald_set.length > far.length + 1e-9 * max(far.length, 1.0)):
+        raise ArithmeticError(f"Wald interval length {wald_set.length!r} exceeds "
+                              f"the FAR interval length {far.length!r}")
 
     def rec(cset, strong=None, included=True):
         return ReplicationResult(estimate=est, length=cset.length,

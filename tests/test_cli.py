@@ -192,3 +192,62 @@ def test_read_records_row_errors(tmp_path):
     f.write_text("z,w,y\n1,0,1.0\n1,0\n")
     with pytest.raises(ValueError, match="row 3"):
         read_records(str(f))
+
+
+def _strata_rows(strata):
+    rows = []
+    for s in range(strata):
+        rows += [f"S{s},1,1,2.0,0.5", f"S{s},1,0,1.0,-0.5",
+                 f"S{s},0,0,0.5,0.25", f"S{s},0,1,1.5,-0.25"]
+    return rows
+
+
+def test_analyze_reads_utf8_bom_header(tmp_path):
+    f = tmp_path / "bom.csv"
+    f.write_bytes(("\ufeffstratum,z,w,y,x1\n" + "\n".join(_strata_rows(16))
+                   + "\n").encode("utf-8"))
+    out = tmp_path / "o.json"
+    assert main(["analyze", "--input", str(f), "--methods", "wald",
+                 "--out", str(out)]) == 0
+    strata = json.loads(out.read_text())["strata"]
+    assert [s["stratum"] for s in strata] == [f"S{s}" for s in range(16)]
+
+
+def test_design_reads_utf8_bom_header(tmp_path):
+    f = tmp_path / "bom.csv"
+    rows = [f"{0.1 * i:.1f},{(-1) ** i}" for i in range(10)]
+    f.write_bytes(("\ufeffx1,x2\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    out = tmp_path / "draw.txt"
+    assert main(["design", "--input", str(f), "--mode", "cre", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5 + 10
+
+
+@pytest.mark.parametrize("header, message", [
+    ("stratum,z,w,y,x1,w", "duplicate column 'w'"),
+    ("stratum,z,w,y,x1,x1", "duplicate column 'x1'"),
+    ("stratum,z,w,y,x1,x3", "missing covariate column 'x2' (header has x1, x3)"),
+    ("stratum,z,w,y,x2,x3", "missing covariate column 'x1' (header has x2, x3)"),
+])
+def test_analyze_rejects_ambiguous_header(tmp_path, capsys, header, message):
+    f = tmp_path / "bad.csv"
+    extra = header.count(",") - 3
+    rows = [r.rsplit(",", 1)[0] + ",0.5" * extra for r in _strata_rows(2)]
+    write_basic_csv(f, rows, header=header)
+    rc = main(["analyze", "--input", str(f), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("x1,x2,x1", "duplicate column 'x1'"),
+    ("x1,x3", "missing covariate column 'x2' (header has x1, x3)"),
+])
+def test_design_rejects_ambiguous_header(tmp_path, capsys, header, message):
+    f = tmp_path / "bad.csv"
+    width = header.count(",") + 1
+    write_basic_csv(f, [",".join(["0.5"] * width), ",".join(["-0.5"] * width)],
+                    header=header)
+    rc = main(["design", "--input", str(f), "--mode", "cre",
+               "--out", str(tmp_path / "d.txt")])
+    assert rc == 2
+    assert message in capsys.readouterr().err

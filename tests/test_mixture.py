@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+from latekit import mixture
 from latekit.mixture import (
     MixtureParams,
     MixtureQuantileTable,
@@ -167,3 +171,122 @@ def test_interpolation_between_grid_points():
     mid = lambda_quantile(MixtureParams(k=5, a=a, alpha=0.025), 0.505)
     lo, hi = table.lookup(0.50), table.lookup(0.51)
     assert min(lo, hi) - 1e-12 <= mid <= max(lo, hi) + 1e-12
+
+
+def reference_build(params, draw_count, seed, grid_size):
+    """The table build as a full np.quantile per rho: the oracle of the fast build."""
+    rng = np.random.default_rng(seed)
+    eps0 = rng.standard_normal(draw_count)
+    comp = sample_truncated_component(params, rng, draw_count)
+    q = 1.0 - params.alpha
+    raw = np.array([np.quantile(math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp, q)
+                    for rho in np.linspace(0.0, 1.0, grid_size)])
+    values = np.clip(mixture._isotonic_nonincreasing(raw), 0.0, normal_quantile(q))
+    return raw, values
+
+
+@pytest.fixture
+def fresh_draws(monkeypatch):
+    """Isolate the shared-draw entry and count full-partition fallbacks."""
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    fallbacks = []
+    full = mixture._mixed_quantile
+
+    def counting(eps0, comp, rho, q):
+        fallbacks.append(rho)
+        return full(eps0, comp, rho, q)
+
+    monkeypatch.setattr(mixture, "_mixed_quantile", counting)
+    return fallbacks
+
+
+def assert_matches_reference(params, draw_count, seed, grid_size):
+    table = MixtureQuantileTable.build(params, draw_count=draw_count, seed=seed,
+                                       grid_size=grid_size)
+    raw, values = reference_build(params, draw_count, seed, grid_size)
+    assert np.array_equal(table.raw_values, raw)
+    assert np.array_equal(table.lambda_values, values)
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.025, 0.075, 0.25, 0.49])
+@pytest.mark.parametrize("truncated", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fast_build_matches_full_quantile(k, truncated, alpha, fresh_draws):
+    a = threshold_from_pa(0.01, k) if truncated else math.inf
+    assert_matches_reference(MixtureParams(k=k, a=a, alpha=alpha), 20_000, 31, 11)
+    assert fresh_draws == []
+
+
+@pytest.mark.parametrize("draw_count, grid_size", [(200_000, 101), (200_000, 2),
+                                                   (20_000, 2), (20_000, 101)])
+@pytest.mark.parametrize("alpha", [0.025, 0.49])
+def test_fast_build_matches_full_quantile_sizes(draw_count, grid_size, alpha,
+                                                fresh_draws):
+    a = threshold_from_pa(0.01, 5)
+    assert_matches_reference(MixtureParams(k=5, a=a, alpha=alpha), draw_count, 47,
+                             grid_size)
+    assert fresh_draws == []
+
+
+def test_fast_build_fallback_matches_full_quantile(fresh_draws, monkeypatch):
+    # a negative band half-width leaves no value in the band, so every rho
+    # takes the full partition
+    monkeypatch.setattr(mixture, "_PILOT_SIGMAS", -6.0)
+    a = threshold_from_pa(0.05, 3)
+    assert_matches_reference(MixtureParams(k=3, a=a, alpha=0.025), 20_000, 5, 11)
+    assert len(fresh_draws) == 11
+
+
+def test_shared_draws_leave_tables_unchanged(fresh_draws, monkeypatch):
+    a = threshold_from_pa(0.01, 5)
+    table_a = MixtureParams(k=5, a=a, alpha=0.025)
+    table_b = MixtureParams(k=5, a=a, alpha=0.075)
+    build = dict(draw_count=50_000, seed=9, grid_size=21)
+    first = MixtureQuantileTable.build(table_a, **build)
+    key, eps0, comp = mixture._shared_draws
+    assert key == (5, a, 50_000, 9)
+    assert not eps0.flags.writeable and not comp.flags.writeable
+    eps0_before, comp_before = eps0.copy(), comp.copy()
+    MixtureQuantileTable.build(table_b, **build)
+    assert mixture._shared_draws[1] is eps0 and mixture._shared_draws[2] is comp
+    assert np.array_equal(eps0, eps0_before) and np.array_equal(comp, comp_before)
+    again = MixtureQuantileTable.build(table_a, **build)
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    redrawn = MixtureQuantileTable.build(table_a, **build)
+    for table in (again, redrawn):
+        assert table.raw_values.tobytes() == first.raw_values.tobytes()
+        assert table.lambda_values.tobytes() == first.lambda_values.tobytes()
+
+
+def test_quantile_table_builds_once_under_threads(monkeypatch):
+    monkeypatch.setattr(mixture, "_table_cache", {})
+    builds = []
+    real_build = MixtureQuantileTable.build.__func__
+
+    def counting_build(cls, params):
+        builds.append(params)
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return real_build(cls, params, draw_count=20_000, grid_size=11)
+
+    monkeypatch.setattr(MixtureQuantileTable, "build", classmethod(counting_build))
+    params = MixtureParams(k=3, a=1.5, alpha=0.1)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(i):
+        barrier.wait()
+        results[i] = quantile_table(params)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert all(r is results[0] for r in results)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from latekit import simulation
+from latekit.confidence_sets import ConfidenceSet
 from latekit.data_model import PotentialDataset, true_sample_late
 from latekit.exceptions import InfeasibleTargetError
 from latekit.simulation import (
@@ -157,3 +159,15 @@ def test_run_study_parallel_matches_serial():
     parallel = run_study(
         StudyConfig(**{**cfg.__dict__, "threads": 2}))
     assert serial.to_csv() == parallel.to_csv()
+
+
+def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
+    # the efficiency ordering is checked explicitly, so it holds under -O too
+    monkeypatch.setattr(simulation, "far_set",
+                        lambda *args: ConfidenceSet.interval(0.0, 1.0))
+    monkeypatch.setattr(simulation, "wald_ci",
+                        lambda *args: ConfidenceSet.interval(-1.0, 1.0))
+    cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=1, seed=99, k=2)
+    with pytest.raises(ArithmeticError,
+                       match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
+        run_study(cfg)
