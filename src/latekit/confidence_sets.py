@@ -6,12 +6,19 @@ whose sign pattern yields an interval, one or two rays, the whole line,
 or (as a roundoff guard) a single point. Whenever the first-stage estimate
 is nonzero the ratio point estimate belongs to the set, so a truly empty
 solution is impossible.
+
+``wald_intervals`` and ``solve_quadratic_sets`` compute the CRE Wald and
+inversion sets of many draws at once, as arrays, with the same arithmetic
+as the scalar functions.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .data_model import AnalysisConfig
 from .estimation import (
@@ -181,6 +188,117 @@ def _stable_roots(a: float, b: float, c: float, disc: float) -> tuple[float, flo
     r1 = q / a
     r2 = c / q if q != 0.0 else -b / a - r1
     return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+KINDS = ("interval", "point", "left_ray", "right_ray", "two_rays", "whole_line")
+_INTERVAL, _TWO_RAYS, _WHOLE_LINE = (KINDS.index(k) for k in
+                                     ("interval", "two_rays", "whole_line"))
+
+
+class SetArrays(NamedTuple):
+    """The confidence sets of many draws, one entry per draw.
+
+    ``kind`` indexes KINDS. ``lo``/``hi`` bound the set and are infinite on
+    an open side; for two_rays they are the inner endpoints hi_left and
+    lo_right. ``errors`` maps each draw whose scalar computation raises to
+    its exception; the other entries of such a draw mean nothing.
+    """
+
+    kind: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    degenerate: np.ndarray
+    errors: dict[int, Exception]
+
+    @staticmethod
+    def from_sets(sets: Sequence[ConfidenceSet]) -> "SetArrays":
+        entries = [_entry(cs) for cs in sets]
+        kind, lo, hi, degenerate = zip(*entries) if entries else ((),) * 4
+        return SetArrays(kind=np.array(kind, dtype=np.int8), lo=np.array(lo, dtype=float),
+                         hi=np.array(hi, dtype=float),
+                         degenerate=np.array(degenerate, dtype=bool), errors={})
+
+    @property
+    def length(self) -> np.ndarray:
+        """ConfidenceSet.length of every draw."""
+        return np.where(self.kind == _TWO_RAYS, _INF, self.hi - self.lo)
+
+    def contains(self, value: float) -> np.ndarray:
+        """ConfidenceSet.contains(value) of every draw."""
+        inside = (self.lo <= value) & (value <= self.hi)
+        return np.where(self.kind == _TWO_RAYS, (value <= self.lo) | (value >= self.hi),
+                        inside)
+
+
+def _entry(cs: ConfidenceSet) -> tuple[int, float, float, bool]:
+    if cs.kind == "two_rays":
+        return _TWO_RAYS, cs.hi_left, cs.lo_right, cs.degenerate
+    return KINDS.index(cs.kind), cs.lo, cs.hi, cs.degenerate
+
+
+def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit: float, q_y: np.ndarray,
+                   q_c: np.ndarray, q_w: np.ndarray) -> SetArrays:
+    """wald_ci of the CRE regime for every draw: effect estimates (b_y, b_w)
+    and the plain variance family (q_y, q_c, q_w), one entry per draw."""
+    defined = b_w != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = b_y / b_w
+        value = q_y - 2.0 * tau * q_c + tau * tau * q_w
+        scale = (np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w))
+                 * np.maximum(1.0, tau * tau))
+        negative = defined & (value < -1e-9 * np.maximum(scale, 1e-300))
+        radius = crit * np.sqrt(np.maximum(value, 0.0)) / np.abs(b_w)
+        lo = np.where(defined, tau - radius, -_INF)
+        hi = np.where(defined, tau + radius, _INF)
+    errors = {int(i): ArithmeticError(
+        f"plain variance quadratic is negative: {float(value[i])}")
+        for i in np.flatnonzero(negative)}
+    return SetArrays(kind=np.where(defined, _INTERVAL, _WHOLE_LINE).astype(np.int8),
+                     lo=lo, hi=hi, degenerate=~defined, errors=errors)
+
+
+def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit: float,
+                         q_y: np.ndarray, q_c: np.ndarray, q_w: np.ndarray
+                         ) -> SetArrays:
+    """solve_quadratic_set for every draw, one entry per draw.
+
+    Intervals, two rays and whole lines are computed as arrays. The rare
+    rest (|a| within tolerance, a negative discriminant, roots that do not
+    order) goes through solve_quadratic_set one draw at a time, and what it
+    raises is kept in ``errors``.
+    """
+    crit2 = crit * crit
+    a = b_w * b_w - crit2 * q_w
+    b = -2.0 * (b_y * b_w - crit2 * q_c)
+    c = b_y * b_y - crit2 * q_y
+    tol_a = 1e-12 * np.maximum(b_w * b_w, np.abs(crit2 * q_w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(disc)
+        q = -(b + np.copysign(sq, b)) / 2.0
+        r1, r2, r = q / a, c / q, sq / (2.0 * np.abs(a))
+        swap = ~(r1 <= r2)
+        lo = np.where(b == 0.0, -r, np.where(swap, r2, r1))
+        hi = np.where(b == 0.0, r, np.where(swap, r1, r2))
+        interval = (a > tol_a) & (disc >= 0.0)
+        two_rays = (a < -tol_a) & (disc > 0.0) & (lo < hi)
+        whole_line = (a < -tol_a) & ~(disc > 0.0)
+        rest = ~(interval | two_rays | whole_line) | ((b != 0.0) & (q == 0.0))
+    kind = np.where(interval, _INTERVAL,
+                    np.where(two_rays, _TWO_RAYS, _WHOLE_LINE)).astype(np.int8)
+    lo = np.where(whole_line | rest, -_INF, lo)
+    hi = np.where(whole_line | rest, _INF, hi)
+    degenerate = np.zeros(len(kind), dtype=bool)
+    errors: dict[int, Exception] = {}
+    for i in np.flatnonzero(rest):
+        try:
+            cs = solve_quadratic_set(float(b_y[i]), float(b_w[i]), crit,
+                                     float(q_y[i]), float(q_c[i]), float(q_w[i]))
+        except (NoIdentificationError, ValueError) as exc:
+            errors[int(i)] = exc
+            continue
+        kind[i], lo[i], hi[i], degenerate[i] = _entry(cs)
+    return SetArrays(kind=kind, lo=lo, hi=hi, degenerate=degenerate, errors=errors)
 
 
 def fieller_endpoints(b_y: float, b_w: float, crit: float,

@@ -137,7 +137,7 @@ def r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:
 
 
 def _real_roots(coeffs: list[float], scale: float) -> list[float]:
-    """Real roots of a polynomial of degree <= 3, highest power first.
+    """Real roots of a polynomial of degree <= 2, highest power first.
 
     Leading coefficients below 1e-12 * scale are dropped (degree fallback);
     roots get two Newton polish steps.
@@ -151,7 +151,7 @@ def _real_roots(coeffs: list[float], scale: float) -> list[float]:
         return []
     if deg == 1:
         roots = [-c[1] / c[0]]
-    elif deg == 2:
+    else:
         a, b, cc = c
         disc = b * b - 4.0 * a * cc
         if disc < 0:
@@ -163,25 +163,6 @@ def _real_roots(coeffs: list[float], scale: float) -> list[float]:
             roots.append(cc / q)
         elif disc > 0:
             roots.append(-b / a - roots[0])
-    else:
-        a, b, cc, d = c
-        # depressed cubic t^3 + pt + q with x = t - b/(3a)
-        p = (3.0 * a * cc - b * b) / (3.0 * a * a)
-        q = (2.0 * b ** 3 - 9.0 * a * b * cc + 27.0 * a * a * d) / (27.0 * a ** 3)
-        shift = -b / (3.0 * a)
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        if disc > 0:
-            s = math.sqrt(disc)
-            u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-            v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-            roots = [u + v + shift]
-        elif p == 0.0 and q == 0.0:
-            roots = [shift]
-        else:
-            r = math.sqrt(-p ** 3 / 27.0)
-            phi = math.acos(min(max(-q / (2.0 * r), -1.0), 1.0))
-            m = 2.0 * math.sqrt(-p / 3.0)
-            roots = [m * math.cos((phi + 2.0 * math.pi * j) / 3.0) + shift for j in range(3)]
 
     def poly(x):
         return sum(ci * x ** (deg - i) for i, ci in enumerate(c))
@@ -224,11 +205,10 @@ def r2_star(components: VarianceComponents) -> R2Value:
         return R2Value(0.0, degenerate=True)
     # numerator of d/dt [(p0 - 2p1 t + p2 t^2)/(q0 - 2q1 t + q2 t^2)], expanded:
     # the t^3 terms cancel identically, leaving a quadratic.
-    cubic = [0.0,
-             2.0 * (p1 * q2 - p2 * q1),
-             2.0 * (p2 * q0 - p0 * q2),
-             2.0 * (p0 * q1 - p1 * q0)]
-    candidates = _real_roots(cubic, scale * scale)
+    stationary = [2.0 * (p1 * q2 - p2 * q1),
+                  2.0 * (p2 * q0 - p0 * q2),
+                  2.0 * (p0 * q1 - p1 * q0)]
+    candidates = _real_roots(stationary, scale * scale)
     candidates += _real_roots([p2, -2.0 * p1, p0], scale)
     best = min(max(p2 / q2, 0.0), 1.0)  # value at +-infinity
     for tau in candidates:

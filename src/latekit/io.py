@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,11 +231,9 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
         entry.update(analyze_stratum(ds, methods, config))
         return entry
 
-    if len(strata) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(strata))) as pool:
-            entries = list(pool.map(run_one, strata))
-    else:
-        entries = [run_one(strata[0])]
+    # strata run one after another: the per-stratum work holds the
+    # interpreter lock, so threads would only wait on each other
+    entries = [run_one(records) for records in strata]
     return {
         "settings": {"methods": list(methods), "adjustment": adjustment,
                      "design": design, "p_a": p_a, "alpha": alpha,

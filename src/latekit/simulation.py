@@ -5,6 +5,11 @@ redrawn across replications, matching the finite-population view in which
 potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
+
+Unadjusted CRE cells are scored in one array pass over all of a cell's
+draws (``_score_cre``); the other regimes score each draw with the scalar
+``_evaluate_draw``, which stays the reference the batched pass reproduces
+bit for bit.
 """
 from __future__ import annotations
 
@@ -12,16 +17,26 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import far_set, wald_ci
+from .confidence_sets import (
+    KINDS,
+    ConfidenceSet,
+    SetArrays,
+    far_set,
+    solve_quadratic_sets,
+    wald_ci,
+    wald_intervals,
+)
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import draw_assignment
 from .estimation import Estimates, variance_components, wald
 from .exceptions import InfeasibleTargetError
+from .mixture import normal_quantile
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
-from .two_stage import f_screen, first_stage_test
+from .two_stage import F_THRESHOLD, f_screen, first_stage_test
 
 _POP_RETRIES = 1000
 
@@ -153,8 +168,7 @@ class ReplicationResult:
     """Per-method outcome of a single assignment draw."""
 
     estimate: float
-    length: float
-    covered: bool
+    set: ConfidenceSet
     strong: bool | None = None
     included: bool = True
 
@@ -178,10 +192,11 @@ class StudyConfig:
     threads: int = 1
 
     def methods(self) -> list[str]:
-        out = ["wald", "far"]
-        out += [_gamma_method(g) for g in self.gamma]
-        out += ["ts_f10", "wald_f10"]
-        return out
+        return _method_names(self.gamma)
+
+
+def _method_names(gammas: tuple[float, ...]) -> list[str]:
+    return ["wald", "far", *(_gamma_method(g) for g in gammas), "ts_f10", "wald_f10"]
 
 
 def _gamma_method(gamma: float) -> str:
@@ -202,6 +217,8 @@ class PerformanceRow:
     coverage: float
     median_length: float
     strong_prop: float | None
+    set_kinds: dict[str, int]  # table.json only: geometry counts over included reps
+    degenerate: int
 
 
 @dataclass
@@ -270,7 +287,6 @@ def _evaluate_draw(ds, z, truth, base_config: AnalysisConfig,
         estimates = Estimates(summary.tau_y, summary.tau_w)
         components = variance_components(summary)
         point = wald(estimates.tau_y, estimates.tau_w)
-    err = abs(point.tau_hat - truth) if point.defined else math.inf
     est = point.tau_hat if point.defined else math.nan
 
     wald_set = wald_ci(regime, estimates, components, base_config)
@@ -279,13 +295,10 @@ def _evaluate_draw(ds, z, truth, base_config: AnalysisConfig,
     # two) then sits between them in length
     if (far.kind == "interval" and not far.degenerate
             and wald_set.length > far.length + 1e-9 * max(far.length, 1.0)):
-        raise ArithmeticError(f"Wald interval length {wald_set.length!r} exceeds "
-                              f"the FAR interval length {far.length!r}")
+        raise ArithmeticError(_longer_wald_message(wald_set.length, far.length))
 
     def rec(cset, strong=None, included=True):
-        return ReplicationResult(estimate=est, length=cset.length,
-                                 covered=cset.contains(truth), strong=strong,
-                                 included=included)
+        return ReplicationResult(estimate=est, set=cset, strong=strong, included=included)
 
     out = {"wald": rec(wald_set), "far": rec(far)}
     for g in gammas:
@@ -296,6 +309,114 @@ def _evaluate_draw(ds, z, truth, base_config: AnalysisConfig,
     out["ts_f10"] = rec(wald_set if fscr.strong else far, strong=fscr.strong)
     out["wald_f10"] = rec(wald_set, strong=fscr.strong, included=fscr.strong)
     return out
+
+
+def _longer_wald_message(wald_length: float, far_length: float) -> str:
+    return (f"Wald interval length {wald_length!r} exceeds "
+            f"the FAR interval length {far_length!r}")
+
+
+class MethodScores(NamedTuple):
+    """One method's sets over a cell's draws; ``strong`` is None for methods
+    without a first-stage decision."""
+
+    sets: SetArrays
+    strong: np.ndarray | None
+    included: np.ndarray
+
+
+def _score_draws(pop: PotentialDataset, zs: np.ndarray, truth: float,
+                 base: AnalysisConfig, gammas: tuple[float, ...]
+                 ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """Per-draw estimates and every method's scores, one _evaluate_draw call
+    per assignment row of ``zs``."""
+    draws = [_evaluate_draw(pop.reveal(z), z, truth, base, gammas) for z in zs]
+    estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
+    scores = {}
+    for m in _method_names(gammas):
+        recs = [d[m] for d in draws]
+        strong = (np.array([r.strong for r in recs], dtype=bool)
+                  if recs and recs[0].strong is not None else None)
+        scores[m] = MethodScores(SetArrays.from_sets([r.set for r in recs]), strong,
+                                 np.array([r.included for r in recs], dtype=bool))
+    return estimates, scores
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row i, one BLAS dot per row as for one draw."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ArmMoments' y_mean, w_mean, s2_y, s2_w and s_yw for every row of
+    ``idx``, the arm's unit indices of one draw in ascending order."""
+    ys, ws = y[idx], w[idx].astype(float)
+    y_mean, w_mean = ys.mean(axis=1), ws.mean(axis=1)
+    yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
+    d = idx.shape[1] - 1
+    return y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d, _row_dot(yc, wc) / d
+
+
+def _cre_moments(pop: PotentialDataset, zs: np.ndarray, n1: int
+                 ) -> tuple[np.ndarray, ...]:
+    """Effect estimates (tau_y, tau_w) and the plain variance family
+    (v_y, c_yw, v_w) of every assignment row, in the summation order that
+    summarize and variance_components use for one draw, so the bits agree."""
+    reps, n = zs.shape
+    n0 = n - n1
+    if reps and min(n1, n0) < 2:
+        raise ValueError("each arm needs at least 2 units")
+    # a stable sort puts the treated units first, each arm in index order
+    order = np.argsort(1 - zs, axis=1, kind="stable")
+    y1, w1, s2y1, s2w1, syw1 = _arm_moments(order[:, :n1], pop.y1, pop.w1)
+    y0, w0, s2y0, s2w0, syw0 = _arm_moments(order[:, n1:], pop.y0, pop.w0)
+    return (y1 - y0, w1 - w0, s2y1 / n1 + s2y0 / n0, syw1 / n1 + syw0 / n0,
+            s2w1 / n1 + s2w0 / n0)
+
+
+def _score_cre(pop: PotentialDataset, zs: np.ndarray, truth: float,
+               base: AnalysisConfig, gammas: tuple[float, ...]
+               ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """What _score_draws returns for an unadjusted CRE cell, computed for
+    all assignment rows of ``zs`` at once."""
+    tau_y, tau_w, v_y, c_yw, v_w = _cre_moments(pop, zs, base.design.n1)
+    crit = normal_quantile(1.0 - base.alpha / 2.0)
+    wald_sets = wald_intervals(tau_y, tau_w, crit, v_y, c_yw, v_w)
+    far = solve_quadratic_sets(tau_y, tau_w, crit, v_y, c_yw, v_w)
+    wald_len, far_len = wald_sets.length, far.length
+    longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
+              & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
+    # the scalar path raises the first failing draw's first failure
+    failed = {int(i): ArithmeticError(_longer_wald_message(float(wald_len[i]),
+                                                           float(far_len[i])))
+              for i in np.flatnonzero(longer)}
+    failed.update(far.errors)
+    failed.update(wald_sets.errors)
+    if failed:
+        raise failed[min(failed)]
+
+    def pick(strong: np.ndarray) -> SetArrays:
+        # the Wald set where the first stage is strong, else the FAR set,
+        # field by field over the four per-draw arrays
+        return SetArrays(*(np.where(strong, u, v) for u, v in zip(wald_sets[:4], far[:4])),
+                         errors={})
+
+    positive = v_w > 0.0  # a nonpositive variance makes the first stage weak
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = (tau_w - base.p_plus) / np.sqrt(v_w)
+        f_stat = tau_w ** 2 / v_w
+    every = np.ones(len(zs), dtype=bool)
+    scores = {"wald": MethodScores(wald_sets, None, every),
+              "far": MethodScores(far, None, every)}
+    for g in gammas:
+        strong = positive & (t_stat > normal_quantile(1.0 - g))
+        scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
+    f_strong = positive & (f_stat > F_THRESHOLD)
+    scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
+    scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
+    return estimates, scores
 
 
 def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> PotentialDataset:
@@ -310,43 +431,54 @@ def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> Potential
         f"no feasible population for tau_w={tau_w} in {_POP_RETRIES} attempts")
 
 
-def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
+def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
+                ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray]:
+    """A cell's population, analysis config, true effect and assignment
+    rows, each row drawn from its own seeded stream."""
     pop = _population_for_cell(cfg, cell, tau_w)
     design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
               if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
     base = AnalysisConfig(alpha=cfg.alpha, gamma=cfg.gamma[0], p_plus=cfg.p_plus,
                           adjustment=cfg.adjustment, design=design)
-    truth = true_sample_late(pop)
-    methods = cfg.methods()
-    results: dict[str, list[ReplicationResult]] = {m: [] for m in methods}
+    zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
     for rep in range(cfg.reps):
         rng = np.random.default_rng((cfg.seed, cell, 1 + rep))
-        z = draw_assignment(design, pop.x, rng).z
-        ds = pop.reveal(z)
-        for m, r in _evaluate_draw(ds, z, truth, base, cfg.gamma).items():
-            results[m].append(r)
+        zs[rep] = draw_assignment(design, pop.x, rng).z
+    return pop, base, true_sample_late(pop), zs
+
+
+def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
+    pop, base, truth, zs = _cell_draws(cfg, cell, tau_w)
+    score = _score_cre if base.regime == "cre" else _score_draws
+    return _rows(cfg, tau_w, truth, *score(pop, zs, truth, base, cfg.gamma))
+
+
+def _rows(cfg: StudyConfig, tau_w: float, truth: float, estimates: np.ndarray,
+          scores: dict[str, MethodScores]) -> list[PerformanceRow]:
+    """One performance row per method, reduced over the included draws."""
     rows = []
-    for m in methods:
-        recs = results[m]
-        strong_vals = [r.strong for r in recs if r.strong is not None]
-        strong_prop = (sum(strong_vals) / len(strong_vals)) if strong_vals else None
-        kept = [r for r in recs if r.included]
-        if kept:
-            errors = np.array([abs(r.estimate - truth) if math.isfinite(r.estimate)
-                               else math.inf for r in kept])
-            lengths = np.array([r.length for r in kept])
-            covered = np.array([r.covered for r in kept])
+    for m, s in scores.items():
+        strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
+                       if s.strong is not None and len(s.strong) else None)
+        kept = s.included
+        n_kept = int(np.count_nonzero(kept))
+        if n_kept:
+            est = estimates[kept]
+            errors = np.where(np.isfinite(est), np.abs(est - truth), math.inf)
             med_err = median_extended(errors)
             mean_err = float(np.mean(errors))
-            cov = float(np.mean(covered))
-            med_len = median_extended(lengths)
+            cov = float(np.mean(s.sets.contains(truth)[kept]))
+            med_len = median_extended(s.sets.length[kept])
         else:
             med_err = mean_err = cov = med_len = math.nan
+        kinds = s.sets.kind[kept]
         rows.append(PerformanceRow(
             method=m, design=cfg.design, adjustment=cfg.adjustment, n=cfg.n,
-            tau_w=tau_w, reps=cfg.reps, n_included=len(kept),
+            tau_w=tau_w, reps=cfg.reps, n_included=n_kept,
             median_abs_error=med_err, mean_abs_error=mean_err, coverage=cov,
-            median_length=med_len, strong_prop=strong_prop))
+            median_length=med_len, strong_prop=strong_prop,
+            set_kinds={k: int(np.count_nonzero(kinds == i)) for i, k in enumerate(KINDS)},
+            degenerate=int(np.count_nonzero(s.sets.degenerate[kept]))))
     return rows
 
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from latekit import simulation
-from latekit.confidence_sets import ConfidenceSet
-from latekit.data_model import PotentialDataset, true_sample_late
-from latekit.exceptions import InfeasibleTargetError
+from latekit.confidence_sets import (
+    KINDS,
+    ConfidenceSet,
+    SetArrays,
+    solve_quadratic_set,
+    solve_quadratic_sets,
+)
+from latekit.data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
+from latekit.design import draw_assignment
+from latekit.exceptions import InfeasibleTargetError, NoIdentificationError
 from latekit.simulation import (
     DgpConfig,
+    PerformanceTable,
     StudyConfig,
     generate_population,
     median_extended,
@@ -167,7 +175,152 @@ def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
                         lambda *args: ConfidenceSet.interval(0.0, 1.0))
     monkeypatch.setattr(simulation, "wald_ci",
                         lambda *args: ConfidenceSet.interval(-1.0, 1.0))
+    cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment="ehw", reps=1,
+                      seed=99, k=2)
+    with pytest.raises(ArithmeticError,
+                       match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
+        run_study(cfg)
+
+
+def _interval_arrays(lo, hi, errors=None):
+    """Stand-in for a batched set function: every draw gets [lo, hi]."""
+    def sets(b_y, *args):
+        return SetArrays(kind=np.zeros(len(b_y), dtype=np.int8), lo=np.full(len(b_y), lo),
+                         hi=np.full(len(b_y), hi), degenerate=np.zeros(len(b_y), dtype=bool),
+                         errors=dict(errors or {}))
+    return sets
+
+
+def test_wald_longer_than_far_interval_is_an_error_batched(monkeypatch):
+    # the batched CRE pass checks the same ordering with the same message
+    monkeypatch.setattr(simulation, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
+    monkeypatch.setattr(simulation, "wald_intervals", _interval_arrays(-1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=1, seed=99, k=2)
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
         run_study(cfg)
+
+
+def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
+    # as the scalar loop would: draw 1 fails in FAR before draw 2's Wald
+    # interval or draw 3's ordering check, and draw 1's Wald check comes first
+    far_errors = {1: NoIdentificationError("far at 1"), 2: NoIdentificationError("far at 2")}
+    monkeypatch.setattr(simulation, "solve_quadratic_sets",
+                        _interval_arrays(0.0, 1.0, far_errors))
+    monkeypatch.setattr(simulation, "wald_intervals",
+                        _interval_arrays(0.25, 0.75, {2: ArithmeticError("wald at 2")}))
+    cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=4, seed=99, k=2)
+    with pytest.raises(NoIdentificationError, match="far at 1"):
+        run_study(cfg)
+    monkeypatch.setattr(simulation, "wald_intervals",
+                        _interval_arrays(0.25, 0.75, {1: ArithmeticError("wald at 1")}))
+    with pytest.raises(ArithmeticError, match="wald at 1"):
+        run_study(cfg)
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+
+def _endpoints(cs):
+    if cs.kind == "two_rays":
+        return cs.hi_left, cs.lo_right
+    return cs.lo, cs.hi
+
+
+def _assert_batched_matches_scalar(pop, base, truth, zs, gammas):
+    """Compare _score_cre with _evaluate_draw draw by draw and method by
+    method; return the number of draws with a zero first stage."""
+    estimates, scores = simulation._score_cre(pop, zs, truth, base, gammas)
+    assert list(scores) == simulation._method_names(gammas)
+    zero_first_stage = 0
+    for i, z in enumerate(zs):
+        scalar = simulation._evaluate_draw(pop.reveal(z), z, truth, base, gammas)
+        est = scalar["wald"].estimate
+        assert (math.isnan(est) and math.isnan(estimates[i])) or est == estimates[i]
+        zero_first_stage += math.isnan(est)
+        for m, r in scalar.items():
+            s = scores[m]
+            assert KINDS[s.sets.kind[i]] == r.set.kind, (i, m)
+            lo, hi = _endpoints(r.set)
+            assert _close(s.sets.lo[i], lo) and _close(s.sets.hi[i], hi), (i, m)
+            assert _close(s.sets.length[i], r.set.length), (i, m)
+            assert s.sets.contains(truth)[i] == r.set.contains(truth), (i, m)
+            assert s.sets.degenerate[i] == r.set.degenerate, (i, m)
+            assert (s.strong is None) == (r.strong is None), (i, m)
+            if r.strong is not None:
+                assert s.strong[i] == r.strong, (i, m)
+            assert s.included[i] == r.included, (i, m)
+    return zero_first_stage
+
+
+@pytest.mark.parametrize("n,k,tau_w", [(60, 2, 1 / 60), (60, 2, 0.5),
+                                       (200, 5, 0.005), (200, 5, 0.5)])
+@pytest.mark.parametrize("seed", [20240901, 777])
+@pytest.mark.parametrize("reps", [0, 1, 40])
+def test_batched_cre_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
+    cfg = StudyConfig(n=n, tau_w=(tau_w,), design="cre", reps=reps, seed=seed, k=k)
+    pop, base, truth, zs = simulation._cell_draws(cfg, 0, tau_w)
+    assert zs.shape == (reps, n)
+    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma)
+    if tau_w == 0.005 and reps == 40:
+        assert zero_first_stage > 0  # the undefined-ratio Wald branch is exercised
+    batched = PerformanceTable(simulation._rows(
+        cfg, tau_w, truth, *simulation._score_cre(pop, zs, truth, base, cfg.gamma)))
+    scalar = PerformanceTable(simulation._rows(
+        cfg, tau_w, truth, *simulation._score_draws(pop, zs, truth, base, cfg.gamma)))
+    assert batched.to_csv() == scalar.to_csv()
+    assert batched.to_json_dict() == scalar.to_json_dict()
+    if reps == 0:
+        assert all(r.n_included == 0 and math.isnan(r.coverage) for r in batched.rows)
+
+
+def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
+    # every unit is a complier: receipt equals assignment, the first-stage
+    # variance is zero, and both first-stage tests must call it weak
+    n = 20
+    y0 = rng.standard_normal(n)
+    pop = PotentialDataset(w0=np.zeros(n, dtype=int), w1=np.ones(n, dtype=int),
+                           y0=y0, y1=y0 + 1.0 + rng.standard_normal(n),
+                           x=rng.standard_normal((n, 2)))
+    base = AnalysisConfig(design=DesignSpec.cre(n // 2))
+    zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(5)])
+    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025))
+    _, scores = simulation._score_cre(pop, zs, true_sample_late(pop), base, (0.075,))
+    assert not scores["ts_gamma_0.075"].strong.any() and not scores["ts_f10"].strong.any()
+
+
+# (b_y, b_w, q_y, q_c, q_w) at crit 1 -> the geometry solve_quadratic_set gives
+_GEOMETRY_CASES = [
+    ((1.0, 1.0, 0.1, 0.01, 0.05), "interval"),
+    ((0.0, 1.0, 0.1, 0.0, 0.05), "interval"),  # b == 0: symmetric roots
+    ((1.0, 0.1, 0.1, 0.0, 0.05), "two_rays"),
+    ((0.1, 0.1, 1.0, 0.0, 1.0), "whole_line"),
+    ((1.0, 0.5, 0.5, 0.0, 0.25), "right_ray"),  # a == 0 exactly
+    ((-1.0, 0.5, 0.5, 0.0, 0.25), "left_ray"),
+    ((1.0, 0.5, 2.0, 0.5, 0.25), "whole_line"),  # a == b == 0, c < 0
+    ((1.0, 1.0, 0.1, 0.5, 0.1), "point"),  # negative discriminant: roundoff
+    ((1.0, 0.5, 0.5, 0.5, 0.25), "point"),  # a == b == 0, c > 0
+    ((1.0, 0.0, 0.5, 0.0, -1.0), "empty"),  # b_w == 0 and an empty set
+    ((1.0, 0.0, 0.5, 0.0, 0.0), "empty"),
+]
+
+
+def test_vectorized_inverter_matches_scalar_geometry():
+    b_y, b_w, q_y, q_c, q_w = np.array([case for case, _ in _GEOMETRY_CASES]).T
+    sets = solve_quadratic_sets(b_y, b_w, 1.0, q_y, q_c, q_w)
+    for j, ((cb_y, cb_w, *q), expected) in enumerate(_GEOMETRY_CASES):
+        if expected == "empty":
+            with pytest.raises(NoIdentificationError):
+                solve_quadratic_set(cb_y, cb_w, 1.0, *q)
+            assert isinstance(sets.errors[j], NoIdentificationError)
+            continue
+        cs = solve_quadratic_set(cb_y, cb_w, 1.0, *q)
+        assert cs.kind == expected
+        assert j not in sets.errors
+        assert KINDS[sets.kind[j]] == cs.kind
+        assert (sets.lo[j], sets.hi[j]) == _endpoints(cs)
+        assert sets.degenerate[j] == cs.degenerate
+        assert sets.length[j] == cs.length
+        for t in (-10.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0):
+            assert sets.contains(t)[j] == cs.contains(t)
