@@ -15,13 +15,12 @@ import numpy as np
 from . import __version__
 from .data_model import DesignSpec, center_covariates
 from .design import draw_assignment, mahalanobis
-from .exceptions import AcceptanceRegionError
+from .exceptions import AcceptanceRegionError, LatekitError
 from .io import ALL_METHODS, analyze_file, plot_data_rows, read_covariates, write_plot_data
 from .mixture import MixtureParams, quantile_table, threshold_from_pa
 from .simulation import StudyConfig, run_study
 
-_CONFIG_KEYS = {"n", "tau_w", "design", "p_a", "adjustment", "reps", "seed",
-                "gamma", "p_plus", "alpha", "k", "threads"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(StudyConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,17 +89,13 @@ def _cmd_simulate(args) -> int:
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"invalid config keys: {', '.join(unknown)}")
-    if "tau_w" in raw:
-        raw["tau_w"] = tuple(raw["tau_w"])
-    if "gamma" in raw:
-        raw["gamma"] = tuple(raw["gamma"])
+    for key in ("tau_w", "gamma"):
+        if key in raw:
+            raw[key] = tuple(raw[key])
+    for key in ("reps", "seed", "threads"):  # command-line overrides
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     cfg = StudyConfig(**raw)
-    if args.reps is not None:
-        cfg = dataclasses.replace(cfg, reps=args.reps)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     start = time.time()
     table = run_study(cfg)
     out = Path(args.out)
@@ -169,7 +164,7 @@ def main(argv=None) -> int:
     except AcceptanceRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (LatekitError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,14 +23,14 @@ import numpy as np
 from .data_model import AnalysisConfig
 from .estimation import (
     Estimates,
-    VarianceComponents,
+    Regime,
     combined_variance,
     r2_of_tau,
     r2_star,
+    regime_spec,
 )
 from .exceptions import NoIdentificationError
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
-from .stats_core import SandwichCov
 
 _INF = math.inf
 
@@ -323,9 +323,15 @@ def fieller_endpoints(b_y: float, b_w: float, crit: float,
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
-def _rem_params(components: VarianceComponents, config: AnalysisConfig,
-                tail: float) -> MixtureParams:
-    return MixtureParams(k=components.k, a=config.design.a, alpha=tail)
+def _critical(spec: Regime, components, config: AnalysisConfig, r2) -> float:
+    """Two-sided critical value at level alpha: the normal quantile, or for
+    a mixture regime the ReM mixture quantile at the squared correlation
+    ``r2(components)``."""
+    tail = config.alpha / 2.0
+    if not spec.mixture:
+        return normal_quantile(1.0 - tail)
+    params = MixtureParams(k=components.k, a=config.design.a, alpha=tail)
+    return lambda_quantile(params, r2(components).value)
 
 
 def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfig
@@ -336,24 +342,14 @@ def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfi
     A zero first-stage estimate yields the whole line (the infinite-interval
     signal) rather than an error.
     """
-    est = estimates.wald("adjusted" if regime == "adjusted" else "plain")
+    spec = regime_spec(regime)
+    est = estimates.wald()
     method = f"wald[{regime}]"
     if not est.defined:
         return ConfidenceSet.whole_line(method=method, degenerate=True)
     tau = est.tau_hat
-    if regime == "cre":
-        crit = normal_quantile(1.0 - config.alpha / 2.0)
-        vhat = combined_variance(components, tau, "plain")
-    elif regime == "rem":
-        rho = r2_of_tau(components, tau)
-        crit = lambda_quantile(_rem_params(components, config, config.alpha / 2.0),
-                               rho.value)
-        vhat = combined_variance(components, tau, "rem")
-    elif regime == "adjusted":
-        crit = normal_quantile(1.0 - config.alpha / 2.0)
-        vhat = combined_variance(components, tau, "sandwich")
-    else:
-        raise ValueError(f"unknown regime: {regime!r}")
+    vhat = combined_variance(components, tau, spec.family)
+    crit = _critical(spec, components, config, lambda c: r2_of_tau(c, tau))
     radius = crit * math.sqrt(vhat.value) / abs(est.tau_w_hat)
     ci = ConfidenceSet.interval(tau - radius, tau + radius, method=method,
                                 degenerate=vhat.floored)
@@ -368,24 +364,11 @@ def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfi
     rerandomized regime, where the mixture quantile at the minimized
     squared correlation applies.
     """
+    spec = regime_spec(regime)
     b_y, b_w = estimates.tau_y, estimates.tau_w
-    method = f"far[{regime}]"
-    if regime == "cre":
-        crit = normal_quantile(1.0 - config.alpha / 2.0)
-        q_y, q_c, q_w = components.family("plain")
-    elif regime == "rem":
-        rho = r2_star(components)
-        crit = lambda_quantile(_rem_params(components, config, config.alpha / 2.0),
-                               rho.value)
-        q_y, q_c, q_w = components.family("rem")
-    elif regime == "adjusted":
-        crit = normal_quantile(1.0 - config.alpha / 2.0)
-        if not isinstance(components, SandwichCov):
-            raise TypeError("adjusted regime needs a SandwichCov")
-        q_y, q_c, q_w = components.as_triple()
-    else:
-        raise ValueError(f"unknown regime: {regime!r}")
-    cs = solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=method)
+    q_y, q_c, q_w = components.family(spec.family)
+    crit = _critical(spec, components, config, r2_star)
+    cs = solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")
     if b_w != 0.0:
         cs = cs.with_flags(contains_wald=cs.contains(b_y / b_w))
     return cs

@@ -250,12 +250,8 @@ class AnalysisConfig:
             raise ValueError(f"unknown adjustment: {self.adjustment!r}")
 
     @property
-    def adjusted(self) -> bool:
-        return self.adjustment != "none"
-
-    @property
     def regime(self) -> str:
         """Which inferential regime applies: 'cre', 'rem', or 'adjusted'."""
-        if self.adjusted:
+        if self.adjustment != "none":
             return "adjusted"
-        return "rem" if self.design.kind == "rem" else "cre"
+        return self.design.kind

@@ -19,6 +19,31 @@ from typing import NamedTuple
 from .stats_core import MomentSummary
 
 
+class Regime(NamedTuple):
+    """What sets one inferential regime apart from the others; the families
+    are 'plain' or 'rem' of a VarianceComponents, or 'sandwich' of a
+    SandwichCov."""
+
+    family: str  # variance triple the Wald, FAR and first-stage steps read
+    screen_family: str  # variance triple the F>10 screen reads
+    mixture: bool  # critical values from the ReM mixture, not the normal
+    statistic: str  # label of the first-stage statistic
+
+
+REGIMES = {
+    "cre": Regime("plain", "plain", False, "t"),
+    "rem": Regime("rem", "plain", True, "t_rem"),
+    "adjusted": Regime("sandwich", "sandwich", False, "t_adj"),
+}
+
+
+def regime_spec(regime: str) -> Regime:
+    """The table entry of 'cre', 'rem' or 'adjusted'."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime: {regime!r}")
+    return REGIMES[regime]
+
+
 @dataclass(frozen=True)
 class WaldEstimate:
     """Ratio estimate of the complier effect; undefined when the first-stage
@@ -26,18 +51,17 @@ class WaldEstimate:
 
     tau_hat: float
     tau_w_hat: float
-    method: str = "plain"
 
     @property
     def defined(self) -> bool:
         return self.tau_w_hat != 0.0
 
 
-def wald(tau_y_hat: float, tau_w_hat: float, method: str = "plain") -> WaldEstimate:
+def wald(tau_y_hat: float, tau_w_hat: float) -> WaldEstimate:
     """Ratio of the assignment effects on outcome and on receipt."""
     if tau_w_hat == 0.0:
-        return WaldEstimate(tau_hat=math.nan, tau_w_hat=0.0, method=method)
-    return WaldEstimate(tau_hat=tau_y_hat / tau_w_hat, tau_w_hat=tau_w_hat, method=method)
+        return WaldEstimate(tau_hat=math.nan, tau_w_hat=0.0)
+    return WaldEstimate(tau_hat=tau_y_hat / tau_w_hat, tau_w_hat=tau_w_hat)
 
 
 class Estimates(NamedTuple):
@@ -46,8 +70,8 @@ class Estimates(NamedTuple):
     tau_y: float
     tau_w: float
 
-    def wald(self, method: str = "plain") -> WaldEstimate:
-        return wald(self.tau_y, self.tau_w, method=method)
+    def wald(self) -> WaldEstimate:
+        return wald(self.tau_y, self.tau_w)
 
 
 @dataclass(frozen=True)
@@ -77,7 +101,7 @@ class VarianceComponents:
             if self.v_y_rem is None:
                 raise ValueError("rerandomization family needs covariates")
             return self.v_y_rem, self.c_yw_rem, self.v_w_rem
-        raise ValueError(f"unknown family: {name!r}")
+        raise ValueError(f"no {name!r} family in VarianceComponents")
 
     def proj_family(self) -> tuple[float, float, float]:
         if self.v_y_proj is None:
@@ -85,15 +109,23 @@ class VarianceComponents:
         return self.v_y_proj, self.c_yw_proj, self.v_w_proj
 
 
+def plain_components(summary: MomentSummary) -> VarianceComponents:
+    """The plain family alone, which is all complete randomization reads;
+    no covariate matrix is inverted."""
+    a1, a0 = summary.arm1, summary.arm0
+    n1, n0 = summary.n1, summary.n0
+    return VarianceComponents(v_y=a1.s2_y / n1 + a0.s2_y / n0,
+                              v_w=a1.s2_w / n1 + a0.s2_w / n0,
+                              c_yw=a1.s_yw / n1 + a0.s_yw / n0)
+
+
 def variance_components(summary: MomentSummary) -> VarianceComponents:
     """Assemble the plain, rerandomization, and projection families."""
+    plain = plain_components(summary)
+    if summary.k == 0:
+        return plain
     a1, a0 = summary.arm1, summary.arm0
     n1, n0, n = summary.n1, summary.n0, summary.n
-    v_y = a1.s2_y / n1 + a0.s2_y / n0
-    v_w = a1.s2_w / n1 + a0.s2_w / n0
-    c_yw = a1.s_yw / n1 + a0.s_yw / n0
-    if summary.k == 0:
-        return VarianceComponents(v_y=v_y, v_w=v_w, c_yw=c_yw)
     sxx_inv = summary.sxx_full_inv
     dy = a1.s_yx - a0.s_yx
     dw = a1.s_wx - a0.s_wx
@@ -101,10 +133,10 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
     corr_ww = float(dw @ sxx_inv @ dw) / n
     corr_yw = float(dy @ sxx_inv @ dw) / n
     return VarianceComponents(
-        v_y=v_y, v_w=v_w, c_yw=c_yw, k=summary.k,
-        v_y_rem=v_y - corr_yy,
-        v_w_rem=v_w - corr_ww,
-        c_yw_rem=c_yw - corr_yw,
+        v_y=plain.v_y, v_w=plain.v_w, c_yw=plain.c_yw, k=summary.k,
+        v_y_rem=plain.v_y - corr_yy,
+        v_w_rem=plain.v_w - corr_ww,
+        c_yw_rem=plain.c_yw - corr_yw,
         v_y_proj=a1.s2_y_proj / n1 + a0.s2_y_proj / n0 - corr_yy,
         v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
         c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
@@ -221,6 +253,9 @@ def r2_star(components: VarianceComponents) -> R2Value:
     return R2Value(best)
 
 
+FLOORED_FAMILIES = frozenset({"rem"})  # can go negative in finite samples
+
+
 class VarianceAt(NamedTuple):
     value: float
     floored: bool = False
@@ -239,12 +274,9 @@ def combined_variance(components, tau_hat: float, family: str = "plain") -> Vari
     """
     if not math.isfinite(tau_hat):
         raise ValueError("tau_hat must be finite")
-    if family == "sandwich":
-        triple = components.as_triple()
-    else:
-        triple = components.family(family)
+    triple = components.family(family)
     value = _quad(triple, tau_hat)
-    if family == "rem":
+    if family in FLOORED_FAMILIES:
         if value < 0.0:
             return VarianceAt(0.0, floored=True)
         return VarianceAt(value)

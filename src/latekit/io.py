@@ -9,6 +9,7 @@ independently.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .confidence_sets import far_set, wald_ci
 from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, validate
-from .estimation import Estimates, variance_components, wald
+from .estimation import Estimates, plain_components, regime_spec, variance_components
 from .exceptions import LatekitError
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 from .two_stage import f_screen, first_stage_test
@@ -125,58 +126,45 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
     if problems:
         return {"skipped": "; ".join(problems)}
     regime = config.regime
+    family = regime_spec(regime).family
     try:
-        if regime == "adjusted":
+        if family == "sandwich":
             fit_y, fit_w = fit_interacted_pair(ds, ds.z)
             estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
             components = sandwich_cov(fit_y, fit_w, config.adjustment)
-            point = wald(estimates.tau_y, estimates.tau_w, "adjusted")
         else:
             summary = summarize(ds, ds.z)
             estimates = Estimates(summary.tau_y, summary.tau_w)
-            components = variance_components(summary)
-            point = wald(estimates.tau_y, estimates.tau_w)
+            components = (variance_components(summary) if family == "rem"
+                          else plain_components(summary))
     except LatekitError as exc:
         # a stratum with degenerate covariates must not take down the run
         return {"skipped": str(exc)}
 
-    wald_set = None
-    far = None
+    # each step runs at most once, however many methods read it
+    steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
+             "far": lambda: far_set(regime, estimates, components, config),
+             "ts": lambda: first_stage_test(regime, estimates, components, config),
+             "ts_f10": lambda: f_screen(regime, estimates, components)}
+    get = functools.cache(lambda step: steps[step]())
+
     out: dict = {}
-
-    def get_wald():
-        nonlocal wald_set
-        if wald_set is None:
-            wald_set = wald_ci(regime, estimates, components, config)
-        return wald_set
-
-    def get_far():
-        nonlocal far
-        if far is None:
-            far = far_set(regime, estimates, components, config)
-        return far
-
     for m in methods:
         if m == "wald":
-            out[m] = {"estimate": _num(point.tau_hat),
-                      "set": get_wald().to_json_dict()}
+            out[m] = {"estimate": _num(estimates.wald().tau_hat),
+                      "set": get("wald").to_json_dict()}
         elif m == "far":
-            out[m] = {"set": get_far().to_json_dict()}
-        elif m == "ts":
-            fs = first_stage_test(regime, estimates, components, config)
-            chosen = get_wald() if fs.strong else get_far()
-            out[m] = {"first_stage": _fs_dict(fs), "branch": "wald" if fs.strong else "far",
-                      "set": chosen.to_json_dict()}
-        elif m == "ts_f10":
-            fs = f_screen(regime, estimates, components)
-            chosen = get_wald() if fs.strong else get_far()
-            out[m] = {"first_stage": _fs_dict(fs), "branch": "wald" if fs.strong else "far",
-                      "set": chosen.to_json_dict()}
+            out[m] = {"set": get("far").to_json_dict()}
+        elif m in ("ts", "ts_f10"):
+            fs = get(m)
+            branch = "wald" if fs.strong else "far"
+            out[m] = {"first_stage": _fs_dict(fs), "branch": branch,
+                      "set": get(branch).to_json_dict()}
         elif m == "wald_f10":
-            fs = f_screen(regime, estimates, components)
+            fs = get("ts_f10")
             entry = {"first_stage": _fs_dict(fs)}
             if fs.strong:
-                entry["set"] = get_wald().to_json_dict()
+                entry["set"] = get("wald").to_json_dict()
             else:
                 entry["skipped"] = "first-stage F <= 10"
             out[m] = entry

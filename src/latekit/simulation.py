@@ -32,7 +32,7 @@ from .confidence_sets import (
 )
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import draw_assignment
-from .estimation import Estimates, variance_components, wald
+from .estimation import Estimates, plain_components, regime_spec, variance_components
 from .exceptions import InfeasibleTargetError
 from .mixture import normal_quantile
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
@@ -191,6 +191,10 @@ class StudyConfig:
     k: int = 5
     threads: int = 1
 
+    def __post_init__(self):
+        if self.design not in ("cre", "rem"):
+            raise ValueError(f"unknown design {self.design!r}; choose 'cre' or 'rem'")
+
     def methods(self) -> list[str]:
         return _method_names(self.gamma)
 
@@ -274,20 +278,20 @@ def median_extended(values: np.ndarray) -> float:
                              method="inverted_cdf"))
 
 
-def _evaluate_draw(ds, z, truth, base_config: AnalysisConfig,
+def _evaluate_draw(ds, z, base_config: AnalysisConfig,
                    gammas: tuple[float, ...]) -> dict[str, ReplicationResult]:
     regime = base_config.regime
-    if regime == "adjusted":
+    family = regime_spec(regime).family
+    if family == "sandwich":
         fit_y, fit_w = fit_interacted_pair(ds, z)
         estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
         components = sandwich_cov(fit_y, fit_w, base_config.adjustment)
-        point = wald(estimates.tau_y, estimates.tau_w, "adjusted")
     else:
         summary = summarize(ds, z)
         estimates = Estimates(summary.tau_y, summary.tau_w)
-        components = variance_components(summary)
-        point = wald(estimates.tau_y, estimates.tau_w)
-    est = point.tau_hat if point.defined else math.nan
+        components = (variance_components(summary) if family == "rem"
+                      else plain_components(summary))
+    est = estimates.wald().tau_hat
 
     wald_set = wald_ci(regime, estimates, components, base_config)
     far = far_set(regime, estimates, components, base_config)
@@ -325,12 +329,11 @@ class MethodScores(NamedTuple):
     included: np.ndarray
 
 
-def _score_draws(pop: PotentialDataset, zs: np.ndarray, truth: float,
-                 base: AnalysisConfig, gammas: tuple[float, ...]
-                 ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+def _score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+                 gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw estimates and every method's scores, one _evaluate_draw call
     per assignment row of ``zs``."""
-    draws = [_evaluate_draw(pop.reveal(z), z, truth, base, gammas) for z in zs]
+    draws = [_evaluate_draw(pop.reveal(z), z, base, gammas) for z in zs]
     estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
     scores = {}
     for m in _method_names(gammas):
@@ -374,9 +377,8 @@ def _cre_moments(pop: PotentialDataset, zs: np.ndarray, n1: int
             s2w1 / n1 + s2w0 / n0)
 
 
-def _score_cre(pop: PotentialDataset, zs: np.ndarray, truth: float,
-               base: AnalysisConfig, gammas: tuple[float, ...]
-               ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+               gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """What _score_draws returns for an unadjusted CRE cell, computed for
     all assignment rows of ``zs`` at once."""
     tau_y, tau_w, v_y, c_yw, v_w = _cre_moments(pop, zs, base.design.n1)
@@ -450,7 +452,7 @@ def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
 def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
     pop, base, truth, zs = _cell_draws(cfg, cell, tau_w)
     score = _score_cre if base.regime == "cre" else _score_draws
-    return _rows(cfg, tau_w, truth, *score(pop, zs, truth, base, cfg.gamma))
+    return _rows(cfg, tau_w, truth, *score(pop, zs, base, cfg.gamma))
 
 
 def _rows(cfg: StudyConfig, tau_w: float, truth: float, estimates: np.ndarray,

@@ -209,7 +209,10 @@ class SandwichCov:
     v_w: float
     flavor: str
 
-    def as_triple(self) -> tuple[float, float, float]:
+    def family(self, name: str) -> tuple[float, float, float]:
+        """(v_y, c_yw, v_w); a sandwich holds the 'sandwich' family only."""
+        if name != "sandwich":
+            raise ValueError(f"no {name!r} family in SandwichCov")
         return self.v_y, self.c_yw, self.v_w
 
 

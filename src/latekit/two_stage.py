@@ -15,9 +15,9 @@ import numpy as np
 
 from .confidence_sets import ConfidenceSet, far_set, wald_ci
 from .data_model import AnalysisConfig, Dataset
-from .estimation import Estimates, variance_components
+from .estimation import Estimates, plain_components, regime_spec, variance_components
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
-from .stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
+from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 
 F_THRESHOLD = 10.0
 
@@ -56,39 +56,27 @@ def first_stage_test(regime: str, estimates: Estimates, components,
     A nonpositive variance estimate cannot be standardized; the instrument
     is then conservatively declared weak.
     """
-    if regime == "cre":
-        var, kind = components.family("plain")[2], "t"
-        crit = normal_quantile(1.0 - config.gamma)
-    elif regime == "rem":
-        var, kind = components.family("rem")[2], "t_rem"
+    spec = regime_spec(regime)
+    var = components.family(spec.family)[2]
+    if spec.mixture:
         rho = 0.0
         if var > 0 and components.v_w_proj is not None:
             rho = min(max(components.v_w_proj / var, 0.0), 1.0)
         crit = lambda_quantile(
             MixtureParams(k=components.k, a=config.design.a, alpha=config.gamma), rho)
-    elif regime == "adjusted":
-        if not isinstance(components, SandwichCov):
-            raise TypeError("adjusted regime needs a SandwichCov")
-        var, kind = components.v_w, "t_adj"
-        crit = normal_quantile(1.0 - config.gamma)
     else:
-        raise ValueError(f"unknown regime: {regime!r}")
+        crit = normal_quantile(1.0 - config.gamma)
     if var <= 0.0:
         return FirstStageResult(statistic=math.nan, critical=crit, strong=False,
-                                statistic_kind=kind, degenerate=True)
+                                statistic_kind=spec.statistic, degenerate=True)
     stat = (estimates.tau_w - config.p_plus) / math.sqrt(var)
     return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
-                            statistic_kind=kind)
+                            statistic_kind=spec.statistic)
 
 
 def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
     """Squared first-stage t-ratio against the conventional threshold of 10."""
-    if regime == "adjusted":
-        if not isinstance(components, SandwichCov):
-            raise TypeError("adjusted regime needs a SandwichCov")
-        var = components.v_w
-    else:
-        var = components.family("plain")[2]
+    var = components.family(regime_spec(regime).screen_family)[2]
     if var <= 0.0:
         return FirstStageResult(statistic=math.nan, critical=F_THRESHOLD,
                                 strong=False, statistic_kind="f", degenerate=True)
@@ -104,19 +92,17 @@ def two_stage_set(regime: str, dataset: Dataset, z: np.ndarray,
     Strong first stage: the regime's Wald interval. Weak (including ties):
     the regime's robust set.
     """
-    if regime == "adjusted":
+    family = regime_spec(regime).family
+    if family == "sandwich":
         fit_y, fit_w = fit_interacted_pair(dataset, z)
         estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
         components = sandwich_cov(fit_y, fit_w, config.adjustment)
     else:
         summary = summarize(dataset, z)
         estimates = Estimates(summary.tau_y, summary.tau_w)
-        components = variance_components(summary)
+        components = (variance_components(summary) if family == "rem"
+                      else plain_components(summary))
     fs = first_stage_test(regime, estimates, components, config)
-    if fs.strong:
-        return TwoStageOutput(first_stage=fs,
-                              set=wald_ci(regime, estimates, components, config),
-                              branch="wald")
-    return TwoStageOutput(first_stage=fs,
-                          set=far_set(regime, estimates, components, config),
-                          branch="far")
+    procedure = wald_ci if fs.strong else far_set
+    return TwoStageOutput(first_stage=fs, set=procedure(regime, estimates, components, config),
+                          branch="wald" if fs.strong else "far")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latekit.cli import main
-from latekit.io import analyze_file, plot_data_rows, read_records
+from latekit.io import ALL_METHODS, analyze_file, plot_data_rows, read_records
 
 
 def write_basic_csv(path, rows, header="z,w,y"):
@@ -142,6 +142,63 @@ def test_simulate_rejects_unknown_keys(tmp_path):
     cfg_file.write_text(json.dumps({"n": 40, "bogus_key": 1}))
     rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_simulate_rejects_unknown_design(tmp_path, capsys):
+    # the design is not case-folded, and it is not silently run as CRE
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 40, "design": "ReM", "k": 2, "reps": 2}))
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "unknown design 'ReM'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_package_error_exits_2(tmp_path, capsys):
+    # 10 units cannot carry the 12-column interacted design of 5 covariates
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 10, "k": 5, "adjustment": "hc2"}))
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x"),
+               "--reps", "3"])
+    assert rc == 2
+    assert "error: need n > 12 rows for 12 columns; got 10" in capsys.readouterr().err
+
+
+def _small_stratum_files(tmp_path):
+    """One 10-unit stratum with 5 covariates, written with and without the
+    covariate columns: each arm of 5 units has a singular covariance."""
+    rng = np.random.default_rng(5)
+    z = np.repeat([1, 0], 5)
+    w = np.array([1, 1, 1, 0, 1, 0, 1, 0, 0, 0])
+    y = 1.5 * w + rng.standard_normal(10)
+    x = rng.standard_normal((10, 5))
+    with_x, without_x = tmp_path / "with_x.csv", tmp_path / "without_x.csv"
+    write_basic_csv(with_x, [f"{z[i]},{w[i]},{y[i]:.6f}," + ",".join(f"{v:.6f}" for v in x[i])
+                             for i in range(10)], header="z,w,y,x1,x2,x3,x4,x5")
+    write_basic_csv(without_x, [f"{z[i]},{w[i]},{y[i]:.6f}" for i in range(10)])
+    return with_x, without_x
+
+
+def test_analyze_cre_small_stratum_ignores_covariates(tmp_path):
+    # unadjusted CRE reads no covariates, so singular ones do not skip it
+    with_x, without_x = _small_stratum_files(tmp_path)
+    entry = analyze_file(str(with_x))["strata"][0]
+    assert "skipped" not in entry
+    assert set(entry["methods"]) == set(ALL_METHODS)
+    del entry["covariate_means"]
+    assert entry == analyze_file(str(without_x))["strata"][0]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--design", "rem", "--pa", "0.1"],
+     "within-arm covariate covariance is numerically singular"),
+    (["--adjust", "hc2"], "need n > 12 rows for 12 columns; got 10"),
+])
+def test_analyze_small_stratum_skipped_when_covariates_are_read(tmp_path, flags, message):
+    with_x, _ = _small_stratum_files(tmp_path)
+    out = tmp_path / "o.json"
+    assert main(["analyze", "--input", str(with_x), "--out", str(out), *flags]) == 0
+    assert json.loads(out.read_text())["strata"][0]["skipped"] == message
 
 
 def test_design_rejects_pa_one(covariate_file, tmp_path):

@@ -231,11 +231,11 @@ def _endpoints(cs):
 def _assert_batched_matches_scalar(pop, base, truth, zs, gammas):
     """Compare _score_cre with _evaluate_draw draw by draw and method by
     method; return the number of draws with a zero first stage."""
-    estimates, scores = simulation._score_cre(pop, zs, truth, base, gammas)
+    estimates, scores = simulation._score_cre(pop, zs, base, gammas)
     assert list(scores) == simulation._method_names(gammas)
     zero_first_stage = 0
     for i, z in enumerate(zs):
-        scalar = simulation._evaluate_draw(pop.reveal(z), z, truth, base, gammas)
+        scalar = simulation._evaluate_draw(pop.reveal(z), z, base, gammas)
         est = scalar["wald"].estimate
         assert (math.isnan(est) and math.isnan(estimates[i])) or est == estimates[i]
         zero_first_stage += math.isnan(est)
@@ -255,7 +255,8 @@ def _assert_batched_matches_scalar(pop, base, truth, zs, gammas):
 
 
 @pytest.mark.parametrize("n,k,tau_w", [(60, 2, 1 / 60), (60, 2, 0.5),
-                                       (200, 5, 0.005), (200, 5, 0.5)])
+                                       (200, 5, 0.005), (200, 5, 0.5),
+                                       (10, 5, 0.5)])  # each arm's covariance singular
 @pytest.mark.parametrize("seed", [20240901, 777])
 @pytest.mark.parametrize("reps", [0, 1, 40])
 def test_batched_cre_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
@@ -266,9 +267,9 @@ def test_batched_cre_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
     if tau_w == 0.005 and reps == 40:
         assert zero_first_stage > 0  # the undefined-ratio Wald branch is exercised
     batched = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, *simulation._score_cre(pop, zs, truth, base, cfg.gamma)))
+        cfg, tau_w, truth, *simulation._score_cre(pop, zs, base, cfg.gamma)))
     scalar = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, *simulation._score_draws(pop, zs, truth, base, cfg.gamma)))
+        cfg, tau_w, truth, *simulation._score_draws(pop, zs, base, cfg.gamma)))
     assert batched.to_csv() == scalar.to_csv()
     assert batched.to_json_dict() == scalar.to_json_dict()
     if reps == 0:
@@ -286,7 +287,7 @@ def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
     base = AnalysisConfig(design=DesignSpec.cre(n // 2))
     zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(5)])
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025))
-    _, scores = simulation._score_cre(pop, zs, true_sample_late(pop), base, (0.075,))
+    _, scores = simulation._score_cre(pop, zs, base, (0.075,))
     assert not scores["ts_gamma_0.075"].strong.any() and not scores["ts_f10"].strong.any()
 
 

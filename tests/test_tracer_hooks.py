@@ -1,0 +1,32 @@
+"""The benchmark tracer (``perfbench/tracing.py``) rebinds latekit functions
+by name where ``io``, ``simulation`` and the other calling modules import
+them. A refactor that drops one of those names would break the traced
+benchmark, so entering its rebinding is checked here with the main suite.
+"""
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from latekit import io
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
+from latekit.io import ALL_METHODS
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_binds_and_restores_every_hook(monkeypatch, rng):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    original = io.summarize
+    x = rng.standard_normal((20, 2))
+    ds = Dataset(z=np.repeat([1, 0], 10), w=(rng.random(20) < 0.5).astype(int),
+                 y=rng.standard_normal(20), x=x - x.mean(axis=0))
+    tracer = tracing.Tracer()
+    with tracing.bound(tracer):
+        assert io.summarize is not original
+        io.analyze_stratum(ds, ALL_METHODS, AnalysisConfig(design=DesignSpec.cre(10)))
+    assert io.summarize is original
+    names = {span.name for span in tracer.spans}
+    assert {"stats_core.summarize", "confidence_sets.wald", "confidence_sets.far",
+            "two_stage.first_stage", "two_stage.f_screen"} <= names

@@ -1,12 +1,15 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from conftest import random_dataset
 from latekit.confidence_sets import far_set, wald_ci
-from latekit.data_model import AnalysisConfig, DesignSpec
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
 from latekit.estimation import Estimates, VarianceComponents, variance_components
-from latekit.stats_core import fit_interacted_pair, sandwich_cov, summarize
+from latekit.exceptions import DegenerateCovariatesError
+from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 
 
@@ -114,3 +117,40 @@ def test_output_serialization(rng):
     assert d["branch"] in ("wald", "far")
     assert d["strong"] == (d["branch"] == "wald")
     assert "set" in d and "type" in d["set"]
+
+
+def test_cre_two_stage_reads_no_covariates(rng):
+    # 5 units per arm and 5 covariates: the within-arm covariances are
+    # singular, which only the rerandomization families would invert
+    x = rng.standard_normal((10, 5))
+    ds = Dataset(z=np.repeat([1, 0], 5), w=np.array([1, 1, 1, 0, 1, 0, 1, 0, 0, 0]),
+                 y=rng.standard_normal(10), x=x - x.mean(axis=0))
+    out = two_stage_set("cre", ds, ds.z, cre_config())
+    assert out.branch in ("wald", "far") and out.set.kind
+    no_x = Dataset(z=ds.z, w=ds.w, y=ds.y, x=np.zeros((10, 0)))
+    assert out == two_stage_set("cre", no_x, no_x.z, cre_config())
+    with pytest.raises(DegenerateCovariatesError):
+        variance_components(summarize(ds, ds.z))
+
+
+_EST = Estimates(tau_y=1.0, tau_w=0.5)
+_PLAIN = VarianceComponents(v_y=1.0, v_w=0.04, c_yw=0.1)
+_SANDWICH = SandwichCov(v_y=1.0, c_yw=0.1, v_w=0.04, flavor="ehw")
+_PROCEDURES = {
+    "wald_ci": lambda regime, comp: wald_ci(regime, _EST, comp, cre_config()),
+    "far_set": lambda regime, comp: far_set(regime, _EST, comp, cre_config()),
+    "first_stage_test": lambda regime, comp: first_stage_test(regime, _EST, comp,
+                                                              cre_config()),
+    "f_screen": lambda regime, comp: f_screen(regime, _EST, comp),
+}
+
+
+@pytest.mark.parametrize("procedure", list(_PROCEDURES))
+@pytest.mark.parametrize("regime,components,message", [
+    ("bogus", _PLAIN, "unknown regime: 'bogus'"),
+    ("cre", _SANDWICH, "no 'plain' family in SandwichCov"),
+    ("adjusted", _PLAIN, "no 'sandwich' family in VarianceComponents"),
+], ids=["unknown_regime", "sandwich_under_cre", "plain_under_adjusted"])
+def test_unknown_regime_and_wrong_components_raise(procedure, regime, components, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _PROCEDURES[procedure](regime, components)
