@@ -22,7 +22,7 @@ from .data_model import (
     true_sample_late,
     validate,
 )
-from .design import AssignmentVector, draw_assignment, mahalanobis
+from .design import AssignmentVector, Covariates, draw_assignment, mahalanobis
 from .estimation import (
     Estimates,
     VarianceComponents,

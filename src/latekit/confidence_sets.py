@@ -7,7 +7,7 @@ or (as a roundoff guard) a single point. Whenever the first-stage estimate
 is nonzero the ratio point estimate belongs to the set, so a truly empty
 solution is impossible.
 
-``wald_intervals`` and ``solve_quadratic_sets`` compute the CRE Wald and
+``wald_intervals`` and ``solve_quadratic_sets`` compute the Wald and
 inversion sets of many draws at once, as arrays, with the same arithmetic
 as the scalar functions.
 """
@@ -236,37 +236,46 @@ def _entry(cs: ConfidenceSet) -> tuple[int, float, float, bool]:
     return KINDS.index(cs.kind), cs.lo, cs.hi, cs.degenerate
 
 
-def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit: float, q_y: np.ndarray,
-                   q_c: np.ndarray, q_w: np.ndarray) -> SetArrays:
-    """wald_ci of the CRE regime for every draw: effect estimates (b_y, b_w)
-    and the plain variance family (q_y, q_c, q_w), one entry per draw."""
+def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
+                   q_c: np.ndarray, q_w: np.ndarray, floored: bool = False) -> SetArrays:
+    """wald_ci for every draw: effect estimates (b_y, b_w), a critical value
+    (one, or one per draw) and a variance family (q_y, q_c, q_w), one entry
+    per draw. A ``floored`` family's negative variance is taken as zero and
+    flags the set degenerate, as combined_variance does for it; otherwise
+    it is an error."""
     defined = b_w != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = b_y / b_w
         value = q_y - 2.0 * tau * q_c + tau * tau * q_w
-        scale = (np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w))
-                 * np.maximum(1.0, tau * tau))
-        negative = defined & (value < -1e-9 * np.maximum(scale, 1e-300))
+        if floored:
+            negative = defined & (value < 0.0)
+        else:
+            scale = (np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w))
+                     * np.maximum(1.0, tau * tau))
+            negative = defined & (value < -1e-9 * np.maximum(scale, 1e-300))
         radius = crit * np.sqrt(np.maximum(value, 0.0)) / np.abs(b_w)
         lo = np.where(defined, tau - radius, -_INF)
         hi = np.where(defined, tau + radius, _INF)
-    errors = {int(i): ArithmeticError(
+    errors = {} if floored else {int(i): ArithmeticError(
         f"plain variance quadratic is negative: {float(value[i])}")
         for i in np.flatnonzero(negative)}
+    degenerate = (~defined | negative) if floored else ~defined
     return SetArrays(kind=np.where(defined, _INTERVAL, _WHOLE_LINE).astype(np.int8),
-                     lo=lo, hi=hi, degenerate=~defined, errors=errors)
+                     lo=lo, hi=hi, degenerate=degenerate, errors=errors)
 
 
-def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit: float,
+def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
                          q_y: np.ndarray, q_c: np.ndarray, q_w: np.ndarray
                          ) -> SetArrays:
-    """solve_quadratic_set for every draw, one entry per draw.
+    """solve_quadratic_set for every draw, one entry per draw; ``crit`` is
+    one critical value or one per draw.
 
     Intervals, two rays and whole lines are computed as arrays. The rare
     rest (|a| within tolerance, a negative discriminant, roots that do not
     order) goes through solve_quadratic_set one draw at a time, and what it
     raises is kept in ``errors``.
     """
+    crit = np.broadcast_to(crit, np.shape(b_y))
     crit2 = crit * crit
     a = b_w * b_w - crit2 * q_w
     b = -2.0 * (b_y * b_w - crit2 * q_c)
@@ -292,7 +301,7 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit: float,
     errors: dict[int, Exception] = {}
     for i in np.flatnonzero(rest):
         try:
-            cs = solve_quadratic_set(float(b_y[i]), float(b_w[i]), crit,
+            cs = solve_quadratic_set(float(b_y[i]), float(b_w[i]), float(crit[i]),
                                      float(q_y[i]), float(q_c[i]), float(q_w[i]))
         except (NoIdentificationError, ValueError) as exc:
             errors[int(i)] = exc

@@ -397,3 +397,15 @@ def lambda_quantile(params: MixtureParams, rho: float) -> float:
     if math.isinf(params.a):
         return normal_quantile(1.0 - params.alpha)
     return quantile_table(params).lookup(rho)
+
+
+def lambda_quantiles(params: MixtureParams, rho: np.ndarray) -> np.ndarray:
+    """lambda_quantile at every entry of ``rho``, by one interpolation over
+    the same table, so each entry equals the scalar lookup."""
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((0.0 <= rho) & (rho <= 1.0)):
+        raise ValueError("rho must be in [0, 1]")
+    if math.isinf(params.a):
+        return np.full(rho.shape, normal_quantile(1.0 - params.alpha))
+    table = quantile_table(params)
+    return np.interp(rho, table.rho_grid, table.lambda_values)

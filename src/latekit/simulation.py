@@ -6,15 +6,16 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-Unadjusted CRE cells are scored in one array pass over all of a cell's
-draws (``_score_cre``); the other regimes score each draw with the scalar
-``_evaluate_draw``, which stays the reference the batched pass reproduces
-bit for bit.
+Unadjusted CRE and ReM cells are scored in one array pass over all of a
+cell's draws (``_score_cre``, ``_score_rem``); the adjusted regime scores
+each draw with the scalar ``_evaluate_draw``, which stays the reference the
+batched passes reproduce bit for bit.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,11 +32,26 @@ from .confidence_sets import (
     wald_intervals,
 )
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
-from .design import draw_assignment
-from .estimation import Estimates, plain_components, regime_spec, variance_components
+from .design import Covariates, draw_assignment
+from .estimation import (
+    Estimates,
+    VarianceComponents,
+    _quad,
+    plain_components,
+    r2_star,
+    regime_spec,
+    variance_components,
+)
 from .exceptions import InfeasibleTargetError
-from .mixture import normal_quantile
-from .stats_core import fit_interacted_pair, sandwich_cov, summarize
+from .mixture import MixtureParams, lambda_quantiles, normal_quantile
+from .stats_core import (
+    _spd_inverse,
+    covariate_covariance,
+    fit_interacted_pair,
+    sandwich_cov,
+    spd_inverses,
+    summarize,
+)
 from .two_stage import F_THRESHOLD, f_screen, first_stage_test
 
 _POP_RETRIES = 1000
@@ -194,6 +210,12 @@ class StudyConfig:
     def __post_init__(self):
         if self.design not in ("cre", "rem"):
             raise ValueError(f"unknown design {self.design!r}; choose 'cre' or 'rem'")
+        if (isinstance(self.reps, bool) or not isinstance(self.reps, numbers.Integral)
+                or self.reps < 1):
+            raise ValueError(f"reps must be a positive integer; got {self.reps!r}")
+        for key in ("tau_w", "gamma"):
+            if not len(getattr(self, key)):
+                raise ValueError(f"{key} must list at least one value")
 
     def methods(self) -> list[str]:
         return _method_names(self.gamma)
@@ -223,6 +245,7 @@ class PerformanceRow:
     strong_prop: float | None
     set_kinds: dict[str, int]  # table.json only: geometry counts over included reps
     degenerate: int
+    attempts_mean: float  # table.json only: mean rejection draws per accepted assignment
 
 
 @dataclass
@@ -350,41 +373,148 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """ArmMoments' y_mean, w_mean, s2_y, s2_w and s_yw for every row of
-    ``idx``, the arm's unit indices of one draw in ascending order."""
+def _row_forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """float(u[i] @ s @ v[i]) for every row i, where ``s`` is one matrix or
+    one per row: a vector-matrix product, then a dot, as for one draw."""
+    return ((u[:, None, :] @ s) @ v[:, :, None])[:, 0, 0]
+
+
+class _ArmArrays(NamedTuple):
+    """ArmMoments of one arm for every draw of a cell, one entry (or row)
+    per draw; the covariate terms are None unless asked for."""
+
+    y_mean: np.ndarray
+    w_mean: np.ndarray
+    s2_y: np.ndarray
+    s2_w: np.ndarray
+    s_yw: np.ndarray
+    s_yx: np.ndarray | None = None
+    s_wx: np.ndarray | None = None
+    sxx: np.ndarray | None = None
+
+
+def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
+                 x: np.ndarray | None = None) -> _ArmArrays:
+    """ArmMoments for every row of ``idx``, the arm's unit indices of one
+    draw in ascending order; with ``x``, also its covariate terms."""
     ys, ws = y[idx], w[idx].astype(float)
     y_mean, w_mean = ys.mean(axis=1), ws.mean(axis=1)
     yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
     d = idx.shape[1] - 1
-    return y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d, _row_dot(yc, wc) / d
+    arm = _ArmArrays(y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d,
+                     _row_dot(yc, wc) / d)
+    if x is None:
+        return arm
+    xs = x[idx]
+    xc = xs - xs.mean(axis=1)[:, None, :]
+    xt = np.swapaxes(xc, 1, 2)
+    return arm._replace(s_yx=(xt @ yc[:, :, None])[:, :, 0] / d,
+                        s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)
 
 
-def _cre_moments(pop: PotentialDataset, zs: np.ndarray, n1: int
-                 ) -> tuple[np.ndarray, ...]:
-    """Effect estimates (tau_y, tau_w) and the plain variance family
-    (v_y, c_yw, v_w) of every assignment row, in the summation order that
-    summarize and variance_components use for one draw, so the bits agree."""
+def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None = None
+          ) -> tuple[_ArmArrays, _ArmArrays]:
+    """The treated and control arms' moments of every assignment row, in the
+    summation order summarize uses for one draw, so the bits agree."""
     reps, n = zs.shape
-    n0 = n - n1
-    if reps and min(n1, n0) < 2:
+    if reps and min(n1, n - n1) < 2:
         raise ValueError("each arm needs at least 2 units")
     # a stable sort puts the treated units first, each arm in index order
     order = np.argsort(1 - zs, axis=1, kind="stable")
-    y1, w1, s2y1, s2w1, syw1 = _arm_moments(order[:, :n1], pop.y1, pop.w1)
-    y0, w0, s2y0, s2w0, syw0 = _arm_moments(order[:, n1:], pop.y0, pop.w0)
-    return (y1 - y0, w1 - w0, s2y1 / n1 + s2y0 / n0, syw1 / n1 + syw0 / n0,
-            s2w1 / n1 + s2w0 / n0)
+    return (_arm_moments(order[:, :n1], pop.y1, pop.w1, x),
+            _arm_moments(order[:, n1:], pop.y0, pop.w0, x))
+
+
+def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """plain_components' (v_y, c_yw, v_w) of every draw."""
+    return (arm1.s2_y / n1 + arm0.s2_y / n0, arm1.s_yw / n1 + arm0.s_yw / n0,
+            arm1.s2_w / n1 + arm0.s2_w / n0)
 
 
 def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """What _score_draws returns for an unadjusted CRE cell, computed for
     all assignment rows of ``zs`` at once."""
-    tau_y, tau_w, v_y, c_yw, v_w = _cre_moments(pop, zs, base.design.n1)
+    n1 = base.design.n1
+    arm1, arm0 = _arms(pop, zs, n1)
+    tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
+    plain = _plain_family(arm1, arm0, n1, zs.shape[1] - n1)
     crit = normal_quantile(1.0 - base.alpha / 2.0)
-    wald_sets = wald_intervals(tau_y, tau_w, crit, v_y, c_yw, v_w)
-    far = solve_quadratic_sets(tau_y, tau_w, crit, v_y, c_yw, v_w)
+    return _method_scores(
+        tau_y, tau_w, wald_intervals(tau_y, tau_w, crit, *plain),
+        solve_quadratic_sets(tau_y, tau_w, crit, *plain),
+        plain[2], {g: normal_quantile(1.0 - g) for g in gammas}, plain[2], base.p_plus)
+
+
+def _rem_families(pop: PotentialDataset, zs: np.ndarray, n1: int):
+    """Effect estimates and the plain, rerandomization and projection
+    families (each a (v_y, c_yw, v_w) triple) of every assignment row, as
+    summarize and variance_components compute them for one draw, and the
+    error each failing draw raises there."""
+    arm1, arm0 = _arms(pop, zs, n1, pop.x)
+    n = zs.shape[1]
+    n0 = n - n1
+    plain = _plain_family(arm1, arm0, n1, n0)
+    k = pop.x.shape[1]
+    # the scalar path inverts the full covariance only when it scores a draw
+    sxx_inv = (_spd_inverse(covariate_covariance(pop.x), "covariate covariance")
+               if len(zs) else np.zeros((k, k)))
+    dy, dw = arm1.s_yx - arm0.s_yx, arm1.s_wx - arm0.s_wx
+    corr = [_row_forms(u, sxx_inv, v) / n for u, v in ((dy, dy), (dy, dw), (dw, dw))]
+    errors = {}
+    arm_proj = []
+    for arm in (arm1, arm0):
+        inv, singular = spd_inverses(arm.sxx, "within-arm covariate covariance")
+        errors.update(singular)
+        arm_proj.append([_row_forms(u, inv, v) for u, v in
+                         ((arm.s_yx, arm.s_yx), (arm.s_yx, arm.s_wx), (arm.s_wx, arm.s_wx))])
+    rem = tuple(p - c for p, c in zip(plain, corr))
+    proj = tuple(p1 / n1 + p0 / n0 - c for p1, p0, c in zip(*arm_proj, corr))
+    return arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean, plain, rem, proj, errors
+
+
+def _r2_stars(plain, rem, proj) -> np.ndarray:
+    """r2_star of every draw, one scalar call each on Python floats."""
+    return np.array([r2_star(VarianceComponents(
+        v_y=v[0], c_yw=v[1], v_w=v[2], v_y_rem=v[3], c_yw_rem=v[4], v_w_rem=v[5],
+        v_y_proj=v[6], c_yw_proj=v[7], v_w_proj=v[8])).value
+        for v in zip(*(t.tolist() for t in (*plain, *rem, *proj)))], dtype=float)
+
+
+def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+               gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """What _score_draws returns for an unadjusted ReM cell, computed for
+    all assignment rows of ``zs`` at once."""
+    tau_y, tau_w, plain, rem, proj, errors = _rem_families(pop, zs, base.design.n1)
+    k = pop.x.shape[1]
+
+    def lam(alpha, rho):
+        return lambda_quantiles(MixtureParams(k=k, a=base.design.a, alpha=alpha), rho)
+
+    tail = base.alpha / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # wald_ci: the mixture quantile at r2_of_tau at the ratio
+        tau = np.where(tau_w != 0.0, tau_y / tau_w, 0.0)
+        num, den = _quad(proj, tau), _quad(rem, tau)
+        r2 = np.where(den > 0.0, np.clip(num / den, 0.0, 1.0), 0.0)
+        # first_stage_test: the mixture quantile at the receipt's own ratio
+        var = rem[2]
+        rho = np.where(var > 0.0, np.clip(proj[2] / var, 0.0, 1.0), 0.0)
+    wald_sets = wald_intervals(tau_y, tau_w, lam(tail, r2), *rem, floored=True)
+    far = solve_quadratic_sets(tau_y, tau_w, lam(tail, _r2_stars(plain, rem, proj)), *rem)
+    return _method_scores(tau_y, tau_w, wald_sets, far, var,
+                          {g: lam(g, rho) for g in gammas}, plain[2], base.p_plus, errors)
+
+
+def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
+                   far: SetArrays, fs_var: np.ndarray, fs_crit: dict, screen_var: np.ndarray,
+                   p_plus: float, errors: dict[int, Exception] | None = None
+                   ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """The Wald-vs-FAR check, the first-stage tests (variance ``fs_var`` and
+    a critical value per gamma), the F>10 screen (``screen_var``) and the
+    selections, as _evaluate_draw makes them; ``errors`` holds what a draw
+    raises before its sets are built."""
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
@@ -394,6 +524,7 @@ def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
               for i in np.flatnonzero(longer)}
     failed.update(far.errors)
     failed.update(wald_sets.errors)
+    failed.update(errors or {})
     if failed:
         raise failed[min(failed)]
 
@@ -403,22 +534,25 @@ def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
         return SetArrays(*(np.where(strong, u, v) for u, v in zip(wald_sets[:4], far[:4])),
                          errors={})
 
-    positive = v_w > 0.0  # a nonpositive variance makes the first stage weak
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = (tau_w - base.p_plus) / np.sqrt(v_w)
-        f_stat = tau_w ** 2 / v_w
-    every = np.ones(len(zs), dtype=bool)
+        t_stat = (tau_w - p_plus) / np.sqrt(fs_var)
+        f_stat = tau_w ** 2 / screen_var
+    every = np.ones(len(tau_y), dtype=bool)
     scores = {"wald": MethodScores(wald_sets, None, every),
               "far": MethodScores(far, None, every)}
-    for g in gammas:
-        strong = positive & (t_stat > normal_quantile(1.0 - g))
+    for g, crit in fs_crit.items():
+        # a nonpositive variance makes the first stage weak
+        strong = (fs_var > 0.0) & (t_stat > crit)
         scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
-    f_strong = positive & (f_stat > F_THRESHOLD)
+    f_strong = (screen_var > 0.0) & (f_stat > F_THRESHOLD)
     scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
     scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
     with np.errstate(divide="ignore", invalid="ignore"):
         estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
     return estimates, scores
+
+
+_BATCHED = {"cre": _score_cre, "rem": _score_rem}
 
 
 def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> PotentialDataset:
@@ -434,30 +568,35 @@ def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> Potential
 
 
 def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
-                ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray]:
-    """A cell's population, analysis config, true effect and assignment
-    rows, each row drawn from its own seeded stream."""
+                ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray, np.ndarray]:
+    """A cell's population, analysis config, true effect, assignment rows
+    and each row's rejection draw count, each row drawn from its own seeded
+    stream; the covariates' balance metric is worked out once for all."""
     pop = _population_for_cell(cfg, cell, tau_w)
     design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
               if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
     base = AnalysisConfig(alpha=cfg.alpha, gamma=cfg.gamma[0], p_plus=cfg.p_plus,
                           adjustment=cfg.adjustment, design=design)
+    covariates = Covariates(pop.x)
     zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
+    attempts = np.zeros(cfg.reps, dtype=np.int64)
     for rep in range(cfg.reps):
         rng = np.random.default_rng((cfg.seed, cell, 1 + rep))
-        zs[rep] = draw_assignment(design, pop.x, rng).z
-    return pop, base, true_sample_late(pop), zs
+        draw = draw_assignment(design, covariates, rng)
+        zs[rep], attempts[rep] = draw.z, draw.accepted_after
+    return pop, base, true_sample_late(pop), zs, attempts
 
 
 def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
-    pop, base, truth, zs = _cell_draws(cfg, cell, tau_w)
-    score = _score_cre if base.regime == "cre" else _score_draws
-    return _rows(cfg, tau_w, truth, *score(pop, zs, base, cfg.gamma))
+    pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w)
+    score = _BATCHED.get(base.regime, _score_draws)
+    return _rows(cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma))
 
 
-def _rows(cfg: StudyConfig, tau_w: float, truth: float, estimates: np.ndarray,
-          scores: dict[str, MethodScores]) -> list[PerformanceRow]:
+def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
+          estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
     """One performance row per method, reduced over the included draws."""
+    attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
     rows = []
     for m, s in scores.items():
         strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
@@ -480,7 +619,8 @@ def _rows(cfg: StudyConfig, tau_w: float, truth: float, estimates: np.ndarray,
             median_abs_error=med_err, mean_abs_error=mean_err, coverage=cov,
             median_length=med_len, strong_prop=strong_prop,
             set_kinds={k: int(np.count_nonzero(kinds == i)) for i, k in enumerate(KINDS)},
-            degenerate=int(np.count_nonzero(s.sets.degenerate[kept]))))
+            degenerate=int(np.count_nonzero(s.sets.degenerate[kept])),
+            attempts_mean=attempts_mean))
     return rows
 
 

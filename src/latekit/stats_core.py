@@ -32,6 +32,28 @@ def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
     return inv_chol.T @ inv_chol
 
 
+def spd_inverses(mats: np.ndarray, what: str
+                 ) -> tuple[np.ndarray, dict[int, DegenerateCovariatesError]]:
+    """_spd_inverse of every matrix in a (m, k, k) stack, slice by slice
+    with the same LAPACK calls, so the bits agree. The error a singular
+    slice would raise is returned by its index instead; its inverse is
+    meaningless."""
+    eig = np.linalg.eigvalsh(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (eig[:, 0] <= 0) | (eig[:, 0] / eig[:, -1] < _RCOND_MIN)
+    safe = np.where(bad[:, None, None], np.eye(mats.shape[-1]), mats)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(safe))
+    errors = {int(i): DegenerateCovariatesError(f"{what} is numerically singular")
+              for i in np.flatnonzero(bad)}
+    return np.swapaxes(inv_chol, 1, 2) @ inv_chol, errors
+
+
+def covariate_covariance(x: np.ndarray) -> np.ndarray:
+    """Full-sample covariate covariance, divisor n - 1."""
+    xc = x - x.mean(axis=0)
+    return xc.T @ xc / (len(x) - 1)
+
+
 class ArmMoments:
     """Means, variances, and covariate covariances within one arm."""
 
@@ -87,8 +109,7 @@ class MomentSummary:
         self.arm0 = ArmMoments(dataset.y[~treated], dataset.w[~treated], dataset.x[~treated])
         self.n1 = self.arm1.nz
         self.n0 = self.arm0.nz
-        xc = dataset.x - dataset.x.mean(axis=0)
-        self.sxx_full = xc.T @ xc / (self.n - 1)
+        self.sxx_full = covariate_covariance(dataset.x)
 
     @cached_property
     def sxx_full_inv(self) -> np.ndarray:

@@ -154,6 +154,19 @@ def test_simulate_rejects_unknown_design(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("bad,key", [({"gamma": []}, "gamma"), ({"tau_w": []}, "tau_w"),
+                                     ({"reps": 0}, "reps"), ({"reps": -1}, "reps"),
+                                     ({"reps": 2.5}, "reps")])
+def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
+    # each would crash, or write a table of nothing, if it reached the study
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 40, "k": 2, "reps": 2, **bad}))
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_package_error_exits_2(tmp_path, capsys):
     # 10 units cannot carry the 12-column interacted design of 5 covariates
     cfg_file = tmp_path / "cfg.json"

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from latekit import design as design_mod
+from latekit import simulation
 from latekit.data_model import Dataset, DesignSpec
-from latekit.design import AssignmentVector, draw_assignment, mahalanobis
+from latekit.design import AssignmentVector, Covariates, draw_assignment, mahalanobis
 from latekit.exceptions import DegenerateCovariatesError
 from latekit.mixture import threshold_from_pa
 
@@ -156,3 +158,140 @@ def test_draw_accepts_dataset_argument(rng):
     draw = draw_assignment(DesignSpec.cre(2), ds, rng)
     assert isinstance(draw, AssignmentVector)
     assert draw.z.sum() == 2
+
+
+def _reference_distances(x, chol, treated):
+    """Mahalanobis imbalance of each row of treated indices by gathering the
+    treated rows and solving with the factor, batch by batch."""
+    n, n1 = len(x), treated.shape[1]
+    n0 = n - n1
+    s1 = x[treated].sum(axis=1)
+    diff = s1 / n1 - (x.sum(axis=0) - s1) / n0
+    w = np.linalg.solve(chol, diff.T)
+    return n1 * n0 / n * np.einsum("ij,ij->j", w, w)
+
+
+def reference_draw(spec, x, rng):
+    """Rejection sampling one candidate batch at a time, each candidate's
+    distance by gathering its treated rows: the draw the mask path must
+    reproduce exactly."""
+    x = np.asarray(x, dtype=float)
+    n, n1 = len(x), spec.n1
+    xc = x - x.mean(axis=0)
+    chol = np.linalg.cholesky(xc.T @ xc / (n - 1))
+    attempts = 0
+    while True:
+        keys = rng.random((128, n))
+        treated = np.argpartition(keys, n1 - 1, axis=1)[:, :n1]
+        hits = np.nonzero(_reference_distances(x, chol, treated) <= spec.a)[0]
+        if hits.size:
+            z = np.zeros(n, dtype=np.int64)
+            z[treated[hits[0]]] = 1
+            return z, attempts + int(hits[0]) + 1
+        attempts += 128
+
+
+def _assert_same_draw(spec, x, make_rng, covariates=None):
+    draw = draw_assignment(spec, x if covariates is None else covariates, make_rng())
+    z, accepted_after = reference_draw(spec, x, make_rng())
+    assert np.array_equal(draw.z, z)
+    assert draw.accepted_after == accepted_after
+    assert draw.z.sum() == spec.n1
+    return draw
+
+
+@pytest.mark.parametrize("seed", [20240901, 777])
+def test_rem_draws_match_reference_on_acceptance_cells(seed):
+    # the six acceptance ReM cells, every draw of 200 reps, one shared
+    # Covariates per cell as the study passes it
+    cfg = simulation.StudyConfig(n=200, tau_w=(0.05, 0.1, 0.15, 0.2, 0.3, 0.5), design="rem",
+                                 p_a=0.01, reps=200, seed=seed)
+    spec = DesignSpec.rem(100, p_a=0.01, k=5)
+    for cell, tau_w in enumerate(cfg.tau_w):
+        pop = simulation._population_for_cell(cfg, cell, tau_w)
+        covariates = Covariates(pop.x)
+        for rep in range(cfg.reps):
+            _assert_same_draw(spec, pop.x, lambda: np.random.default_rng((seed, cell, 1 + rep)),
+                              covariates)
+
+
+@pytest.mark.parametrize("n,n1,k", [(40, 20, 1), (60, 30, 2), (100, 50, 5), (60, 20, 2),
+                                    (60, 20, 5), (60, 45, 1)])
+def test_rem_draws_match_reference_for_covariate_counts_and_arm_sizes(n, n1, k):
+    x = np.random.default_rng(n + n1 + k).standard_normal((n, k))
+    spec = DesignSpec.rem(n1, p_a=0.02, k=k)
+    for rep in range(60):
+        _assert_same_draw(spec, x, lambda: np.random.default_rng((k, rep)))
+
+
+def _first_batch_distances(spec, x, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.random((128, len(x)))
+    treated = np.argpartition(keys, spec.n1 - 1, axis=1)[:, :spec.n1]
+    return _reference_distances(x, Covariates(x).chol, treated)
+
+
+@pytest.fixture
+def gathered_batches(monkeypatch):
+    """Counts the batches the draw decides by the gathered arithmetic."""
+    calls = []
+    gathered = design_mod._gathered_distances
+
+    def counted(cov, treated):
+        calls.append(len(treated))
+        return gathered(cov, treated)
+
+    monkeypatch.setattr(design_mod, "_gathered_distances", counted)
+    return calls
+
+
+def _covariates_of_kind(kind):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((60, 3))
+    if kind == "centred":
+        return x - x.mean(axis=0)
+    if kind == "offset":  # far from zero: the gathered sums lose digits
+        return x + np.array([1e6, -3e4, 50.0])
+    # nearly collinear: reciprocal condition about 1e-10
+    return np.column_stack([x[:, :2], x[:, 0] - x[:, 1] + 1e-5 * x[:, 2]])
+
+
+@pytest.mark.parametrize("kind", ["centred", "offset", "collinear"])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_rem_draw_decides_a_threshold_candidate_as_the_reference(gathered_batches, kind,
+                                                                 seed):
+    # the threshold set to a candidate's exact reference distance accepts it,
+    # and the next float below rejects it; the mask distance cannot tell
+    # these apart, so the gathered arithmetic decides
+    x = _covariates_of_kind(kind)
+    m = _first_batch_distances(DesignSpec(kind="rem", n1=30, a=1.0), x, seed)
+    j = int(np.argmin(m))
+    for a, accepted in ((m[j], True), (np.nextafter(m[j], 0.0), False)):
+        draw = _assert_same_draw(DesignSpec(kind="rem", n1=30, a=float(a)), x,
+                                 lambda: np.random.default_rng(seed))
+        assert (draw.accepted_after == j + 1) == accepted
+    assert len(gathered_batches) >= 2
+
+
+class TiedKeys:
+    """A generator whose uniform keys tie at the n1-th smallest of every
+    row, so the n1 smallest are not one set; argpartition picks one."""
+
+    def __init__(self, seed, n1):
+        self.rng = np.random.default_rng(seed)
+        self.n1 = n1
+
+    def random(self, shape):
+        keys = self.rng.random(shape)
+        order = np.argsort(keys, axis=1)
+        rows = np.arange(shape[0])
+        keys[rows, order[:, self.n1]] = keys[rows, order[:, self.n1 - 1]]
+        return keys
+
+
+def test_rem_draw_with_tied_keys_matches_reference(gathered_batches):
+    x = np.random.default_rng(3).standard_normal((40, 2))
+    spec = DesignSpec.rem(20, p_a=0.05, k=2)
+    for seed in range(20):
+        _assert_same_draw(spec, x, lambda: TiedKeys(seed, spec.n1))
+    assert len(gathered_batches) >= 20

@@ -13,7 +13,12 @@ from latekit.confidence_sets import (
 )
 from latekit.data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from latekit.design import draw_assignment
-from latekit.exceptions import InfeasibleTargetError, NoIdentificationError
+from latekit.estimation import r2_star, variance_components
+from latekit.exceptions import (
+    DegenerateCovariatesError,
+    InfeasibleTargetError,
+    NoIdentificationError,
+)
 from latekit.simulation import (
     DgpConfig,
     PerformanceTable,
@@ -23,6 +28,7 @@ from latekit.simulation import (
     population_oracle,
     run_study,
 )
+from latekit.stats_core import summarize
 
 
 def test_population_basic_invariants(rng):
@@ -169,6 +175,22 @@ def test_run_study_parallel_matches_serial():
     assert serial.to_csv() == parallel.to_csv()
 
 
+def test_table_json_reports_mean_rejection_draws():
+    cfg = StudyConfig(n=60, tau_w=(0.3, 0.5), design="rem", p_a=0.05, reps=6, seed=3, k=2)
+    table = run_study(cfg)
+    spec = DesignSpec.rem(30, p_a=0.05, k=2)
+    for cell, tau_w in enumerate(cfg.tau_w):
+        pop = simulation._population_for_cell(cfg, cell, tau_w)
+        attempts = [draw_assignment(spec, pop.x, np.random.default_rng((cfg.seed, cell, 1 + rep))
+                                    ).accepted_after for rep in range(cfg.reps)]
+        assert np.mean(attempts) > 1.0
+        rows = [r for r in table.to_json_dict()["rows"] if r["tau_w"] == tau_w]
+        assert [r["attempts_mean"] for r in rows] == [np.mean(attempts)] * len(cfg.methods())
+    assert table.to_csv().splitlines()[0] == PerformanceTable.CSV_HEADER
+    cre = run_study(StudyConfig(n=60, tau_w=(0.5,), reps=3, seed=3, k=2))
+    assert {r.attempts_mean for r in cre.rows} == {1.0}
+
+
 def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
     # the efficiency ordering is checked explicitly, so it holds under -O too
     monkeypatch.setattr(simulation, "far_set",
@@ -228,10 +250,10 @@ def _endpoints(cs):
     return cs.lo, cs.hi
 
 
-def _assert_batched_matches_scalar(pop, base, truth, zs, gammas):
-    """Compare _score_cre with _evaluate_draw draw by draw and method by
+def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre):
+    """Compare a batched pass with _evaluate_draw draw by draw and method by
     method; return the number of draws with a zero first stage."""
-    estimates, scores = simulation._score_cre(pop, zs, base, gammas)
+    estimates, scores = score(pop, zs, base, gammas)
     assert list(scores) == simulation._method_names(gammas)
     zero_first_stage = 0
     for i, z in enumerate(zs):
@@ -254,26 +276,105 @@ def _assert_batched_matches_scalar(pop, base, truth, zs, gammas):
     return zero_first_stage
 
 
+def _check_batched_cell(design, n, k, tau_w, seed, reps):
+    """Score one study cell by its batched pass and by the scalar loop, draw
+    for draw and as rows; return the number of zero first stages."""
+    cfg = StudyConfig(n=n, tau_w=(tau_w,), design=design, reps=max(reps, 1), seed=seed, k=k)
+    pop, base, truth, zs, attempts = simulation._cell_draws(cfg, 0, tau_w)
+    # a study has at least one rep; the passes are also checked on none
+    zs, attempts = zs[:reps], attempts[:reps]
+    assert zs.shape == (reps, n)
+    score = simulation._BATCHED[design]
+    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma, score)
+    batched = PerformanceTable(simulation._rows(
+        cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma)))
+    scalar = PerformanceTable(simulation._rows(
+        cfg, tau_w, truth, attempts, *simulation._score_draws(pop, zs, base, cfg.gamma)))
+    assert batched.to_csv() == scalar.to_csv()
+    assert batched.to_json_dict() == scalar.to_json_dict()
+    if reps == 0:
+        assert all(r.n_included == 0 and math.isnan(r.coverage) for r in batched.rows)
+    return zero_first_stage
+
+
 @pytest.mark.parametrize("n,k,tau_w", [(60, 2, 1 / 60), (60, 2, 0.5),
                                        (200, 5, 0.005), (200, 5, 0.5),
                                        (10, 5, 0.5)])  # each arm's covariance singular
 @pytest.mark.parametrize("seed", [20240901, 777])
 @pytest.mark.parametrize("reps", [0, 1, 40])
 def test_batched_cre_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
-    cfg = StudyConfig(n=n, tau_w=(tau_w,), design="cre", reps=reps, seed=seed, k=k)
-    pop, base, truth, zs = simulation._cell_draws(cfg, 0, tau_w)
-    assert zs.shape == (reps, n)
-    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma)
+    zero_first_stage = _check_batched_cell("cre", n, k, tau_w, seed, reps)
     if tau_w == 0.005 and reps == 40:
         assert zero_first_stage > 0  # the undefined-ratio Wald branch is exercised
-    batched = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, *simulation._score_cre(pop, zs, base, cfg.gamma)))
-    scalar = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, *simulation._score_draws(pop, zs, base, cfg.gamma)))
-    assert batched.to_csv() == scalar.to_csv()
-    assert batched.to_json_dict() == scalar.to_json_dict()
-    if reps == 0:
-        assert all(r.n_included == 0 and math.isnan(r.coverage) for r in batched.rows)
+
+
+@pytest.mark.parametrize("n,k,tau_w", [(60, 2, 1 / 60), (60, 2, 0.5),
+                                       (200, 5, 1 / 60), (200, 5, 0.5),
+                                       (200, 5, 0.2)])  # first stages on both sides
+@pytest.mark.parametrize("seed", [20240901, 777])
+@pytest.mark.parametrize("reps", [0, 1, 40])
+def test_batched_rem_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
+    _check_batched_cell("rem", n, k, tau_w, seed, reps)
+
+
+def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
+    # outcomes exactly linear in the covariates with opposite slopes in the
+    # two arms, and every unit a complier: the rerandomization family of the
+    # outcome is a small difference that goes negative (a floored Wald
+    # variance), and that of receipt is exactly zero, so r2_star is degenerate
+    n, k = 40, 2
+    x = rng.standard_normal((n, k))
+    x -= x.mean(axis=0)
+    slope = np.array([1.0, -0.5])
+    pop = PotentialDataset(w0=np.zeros(n, dtype=int), w1=np.ones(n, dtype=int),
+                           y0=-(x @ slope), y1=x @ slope, x=x)
+    base = AnalysisConfig(design=DesignSpec.rem(n // 2, p_a=0.2, k=k))
+    zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(30)])
+    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025),
+                                   simulation._score_rem)
+    _, scores = simulation._score_rem(pop, zs, base, (0.075,))
+    assert scores["wald"].sets.degenerate.any()  # a floored variance
+    assert (scores["far"].sets.kind == KINDS.index("point")).any()  # roundoff points
+    comps = [variance_components(summarize(pop.reveal(z), z)) for z in zs]
+    assert all(r2_star(c).degenerate for c in comps)
+    assert any(c.v_y_rem < 0.0 for c in comps)
+    assert not scores["ts_gamma_0.075"].strong.any()  # zero receipt variance: weak
+
+
+def test_batched_rem_raises_the_scalar_paths_error():
+    # arms of 5 units cannot carry 5 covariates: both paths fail alike
+    cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), design="rem", p_a=0.5, reps=3)
+    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
+    with pytest.raises(DegenerateCovariatesError) as scalar:
+        simulation._score_draws(pop, zs, base, cfg.gamma)
+    with pytest.raises(DegenerateCovariatesError) as batched:
+        simulation._score_rem(pop, zs, base, cfg.gamma)
+    assert str(batched.value) == str(scalar.value) == (
+        "within-arm covariate covariance is numerically singular")
+
+
+def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
+    # a draw's singular arm covariance comes before its FAR set, and an
+    # earlier draw's FAR failure before a later draw's singular covariance
+    cfg = StudyConfig(n=60, k=2, tau_w=(0.4,), design="rem", p_a=0.1, reps=4, seed=99)
+    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
+    spd_inverses = simulation.spd_inverses
+
+    def singular_at(*draws):
+        def inverses(mats, what):
+            inv, _ = spd_inverses(mats, what)
+            return inv, {i: DegenerateCovariatesError(f"singular at {i}") for i in draws}
+        return inverses
+
+    far = _interval_arrays(-1e9, 1e9, {1: NoIdentificationError("far at 1"),
+                                       2: NoIdentificationError("far at 2")})
+    monkeypatch.setattr(simulation, "solve_quadratic_sets", far)
+    monkeypatch.setattr(simulation, "spd_inverses", singular_at(2, 3))
+    with pytest.raises(NoIdentificationError, match="far at 1"):
+        simulation._score_rem(pop, zs, base, cfg.gamma)
+    monkeypatch.setattr(simulation, "spd_inverses", singular_at(1))
+    with pytest.raises(DegenerateCovariatesError, match="singular at 1"):
+        simulation._score_rem(pop, zs, base, cfg.gamma)
 
 
 def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
