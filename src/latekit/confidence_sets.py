@@ -22,6 +22,7 @@ import numpy as np
 
 from .data_model import AnalysisConfig
 from .estimation import (
+    FLOORED_FAMILIES,
     Estimates,
     Regime,
     combined_variance,
@@ -237,12 +238,13 @@ def _entry(cs: ConfidenceSet) -> tuple[int, float, float, bool]:
 
 
 def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
-                   q_c: np.ndarray, q_w: np.ndarray, floored: bool = False) -> SetArrays:
+                   q_c: np.ndarray, q_w: np.ndarray, family: str = "plain") -> SetArrays:
     """wald_ci for every draw: effect estimates (b_y, b_w), a critical value
-    (one, or one per draw) and a variance family (q_y, q_c, q_w), one entry
-    per draw. A ``floored`` family's negative variance is taken as zero and
-    flags the set degenerate, as combined_variance does for it; otherwise
-    it is an error."""
+    (one, or one per draw) and the named variance family (q_y, q_c, q_w),
+    one entry per draw. A negative variance of a floored family is taken as
+    zero and flags the set degenerate, as combined_variance does for it;
+    otherwise it is an error with combined_variance's message."""
+    floored = family in FLOORED_FAMILIES
     defined = b_w != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = b_y / b_w
@@ -257,7 +259,7 @@ def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
         lo = np.where(defined, tau - radius, -_INF)
         hi = np.where(defined, tau + radius, _INF)
     errors = {} if floored else {int(i): ArithmeticError(
-        f"plain variance quadratic is negative: {float(value[i])}")
+        f"{family} variance quadratic is negative: {float(value[i])}")
         for i in np.flatnonzero(negative)}
     degenerate = (~defined | negative) if floored else ~defined
     return SetArrays(kind=np.where(defined, _INTERVAL, _WHOLE_LINE).astype(np.int8),

@@ -6,10 +6,11 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-Unadjusted CRE and ReM cells are scored in one array pass over all of a
-cell's draws (``_score_cre``, ``_score_rem``); the adjusted regime scores
-each draw with the scalar ``_evaluate_draw``, which stays the reference the
-batched passes reproduce bit for bit.
+Every regime scores a cell in one array pass over all of its draws
+(``_score_cre``, ``_score_rem``, ``_score_adjusted``). The scalar
+``_evaluate_draw`` stays the draw-for-draw reference: the unadjusted passes
+reproduce it bit for bit, the regression-adjusted pass (per-arm OLS fits
+instead of one interacted fit) to roundoff.
 """
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ from .estimation import (
     regime_spec,
     variance_components,
 )
-from .exceptions import InfeasibleTargetError
+from .exceptions import InfeasibleTargetError, LatekitError
 from .mixture import MixtureParams, lambda_quantiles, normal_quantile
 from .stats_core import (
+    _FLAVOR_EXPONENT,
     _spd_inverse,
     covariate_covariance,
     fit_interacted_pair,
@@ -210,15 +212,37 @@ class StudyConfig:
     def __post_init__(self):
         if self.design not in ("cre", "rem"):
             raise ValueError(f"unknown design {self.design!r}; choose 'cre' or 'rem'")
-        if (isinstance(self.reps, bool) or not isinstance(self.reps, numbers.Integral)
-                or self.reps < 1):
-            raise ValueError(f"reps must be a positive integer; got {self.reps!r}")
-        for key in ("tau_w", "gamma"):
-            if not len(getattr(self, key)):
+        for key, low, rule in (("n", 2, "a positive even integer"),
+                               ("reps", 1, "a positive integer"),
+                               ("seed", 0, "a non-negative integer"),
+                               ("k", 1, "an integer >= 1")):
+            v = getattr(self, key)
+            if not _is_integer(v) or v < low or (key == "n" and v % 2):
+                raise ValueError(f"{key} must be {rule}; got {v!r}")
+        for key in ("alpha", "p_a", "p_plus"):
+            v = getattr(self, key)
+            if not _in_range(v, 1.0):
+                raise ValueError(f"{key} must be in (0, 1); got {v!r}")
+        for key, high, interval in (("tau_w", 0.5, "(0, 0.5]"), ("gamma", 1.0, "(0, 1)")):
+            values = getattr(self, key)
+            if not len(values):
                 raise ValueError(f"{key} must list at least one value")
+            bad = [v for v in values if not _in_range(v, high, closed=key == "tau_w")]
+            if bad:
+                raise ValueError(f"{key} must list numbers in {interval}; got {bad[0]!r}")
 
     def methods(self) -> list[str]:
         return _method_names(self.gamma)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _in_range(v, high: float, closed: bool = False) -> bool:
+    """Whether ``v`` is a real number in (0, high), or (0, high] if closed."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and 0.0 < v and (v <= high if closed else v < high))
 
 
 def _method_names(gammas: tuple[float, ...]) -> list[str]:
@@ -294,11 +318,16 @@ class PerformanceTable:
 
 def median_extended(values: np.ndarray) -> float:
     """Lower median, so the result is infinite exactly when more than half
-    of the values are."""
-    if len(values) == 0:
+    of the values are; nan for no values. A nan value is an error: _rows
+    passes absolute errors (inf where the estimate is not finite) and set
+    lengths (inf for an unbounded set), neither of which is ever nan."""
+    v = np.asarray(values, dtype=float)
+    if len(v) == 0:
         return math.nan
-    return float(np.quantile(np.asarray(values, dtype=float), 0.5,
-                             method="inverted_cdf"))
+    if np.isnan(v).any():
+        raise ValueError("median_extended got a nan value")
+    mid = (len(v) + 1) // 2 - 1
+    return float(np.partition(v, mid)[mid])
 
 
 def _evaluate_draw(ds, z, base_config: AnalysisConfig,
@@ -355,7 +384,8 @@ class MethodScores(NamedTuple):
 def _score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                  gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw estimates and every method's scores, one _evaluate_draw call
-    per assignment row of ``zs``."""
+    per assignment row of ``zs``: the reference the batched passes in
+    _BATCHED are tested against."""
     draws = [_evaluate_draw(pop.reveal(z), z, base, gammas) for z in zs]
     estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
     scores = {}
@@ -412,6 +442,14 @@ def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
                         s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)
 
 
+def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The treated and the control unit indices of every assignment row,
+    each arm in index order."""
+    # a stable sort puts the treated units first, each arm in index order
+    order = np.argsort(1 - zs, axis=1, kind="stable")
+    return order[:, :n1], order[:, n1:]
+
+
 def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None = None
           ) -> tuple[_ArmArrays, _ArmArrays]:
     """The treated and control arms' moments of every assignment row, in the
@@ -419,10 +457,8 @@ def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None =
     reps, n = zs.shape
     if reps and min(n1, n - n1) < 2:
         raise ValueError("each arm needs at least 2 units")
-    # a stable sort puts the treated units first, each arm in index order
-    order = np.argsort(1 - zs, axis=1, kind="stable")
-    return (_arm_moments(order[:, :n1], pop.y1, pop.w1, x),
-            _arm_moments(order[:, n1:], pop.y0, pop.w0, x))
+    idx1, idx0 = _arm_indices(zs, n1)
+    return _arm_moments(idx1, pop.y1, pop.w1, x), _arm_moments(idx0, pop.y0, pop.w0, x)
 
 
 def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int
@@ -440,11 +476,99 @@ def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     arm1, arm0 = _arms(pop, zs, n1)
     tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
     plain = _plain_family(arm1, arm0, n1, zs.shape[1] - n1)
+    return _score_normal(tau_y, tau_w, plain, base, gammas)
+
+
+def _score_normal(tau_y: np.ndarray, tau_w: np.ndarray, triple, base: AnalysisConfig,
+                  gammas: tuple[float, ...], errors: dict[int, Exception] | None = None
+                  ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """The scores of a regime with normal critical values whose Wald, FAR,
+    first-stage and F-screen steps all read one variance family, the
+    ``triple`` (v_y, c_yw, v_w) of every draw."""
+    family = regime_spec(base.regime).family
     crit = normal_quantile(1.0 - base.alpha / 2.0)
     return _method_scores(
-        tau_y, tau_w, wald_intervals(tau_y, tau_w, crit, *plain),
-        solve_quadratic_sets(tau_y, tau_w, crit, *plain),
-        plain[2], {g: normal_quantile(1.0 - g) for g in gammas}, plain[2], base.p_plus)
+        tau_y, tau_w, wald_intervals(tau_y, tau_w, crit, *triple, family=family),
+        solve_quadratic_sets(tau_y, tau_w, crit, *triple), triple[2],
+        {g: normal_quantile(1.0 - g) for g in gammas}, triple[2], base.p_plus, errors)
+
+
+# an arm design whose equilibrated R-diagonal ratio, or a leverage's
+# distance from one, falls below this is refit by the scalar path, which
+# raises at 1e-10 and 1e-12
+_ARM_GUARD = 1e-6
+
+
+def _arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OLS of the two columns of ``yw`` (outcome, receipt) on the columns of
+    ``x1`` (ones, covariates) within one arm, for every row of ``idx`` (the
+    arm's unit indices of one draw): the two intercepts, the arm's share of
+    the sandwich triple (v_y, c_yw, v_w) with leverage weights
+    (1 - h)^-expo, and which draws the guard sends to the scalar path."""
+    design = np.take(x1, idx, axis=0)
+    q, r = np.linalg.qr(design)
+    lev = np.einsum("rij,rij->ri", q, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the R-diagonal of the column-equilibrated design (R's column norms
+        # are the design's); a zero column gives nan
+        norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
+        unsure = (~(diag.min(axis=1) >= _ARM_GUARD * diag.max(axis=1))
+                  | (lev.max(axis=1) > 1.0 - _ARM_GUARD))
+    r = np.where(unsure[:, None, None], np.eye(r.shape[-1]), r)
+    # the intercept's row of R^-1, and its influence row e0' R^-1 Q'
+    e0_rinv = np.linalg.inv(r)[:, :1, :]
+    yw_arm = np.take(yw, idx, axis=0)
+    proj = np.swapaxes(q, 1, 2) @ yw_arm
+    # residual times influence, per unit and outcome
+    terms = (yw_arm - q @ proj) * (q @ np.swapaxes(e0_rinv, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in guarded draws
+        # sum over units of weight * term_a * term_b, a 2 x 2 block per draw
+        weights = (1.0 - lev) ** -expo
+        meat = np.swapaxes(terms * weights[:, :, None], 1, 2) @ terms
+    triple = np.stack([meat[:, 0, 0], meat[:, 0, 1], meat[:, 1, 1]], axis=1)
+    return (e0_rinv @ proj)[:, 0, :], triple, unsure
+
+
+def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+                    gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """What _score_draws returns for a regression-adjusted cell, computed for
+    all assignment rows of ``zs`` at once.
+
+    The interacted fit equals separate OLS fits of each arm on [1, x] (Lin
+    2013), so the effect estimates are the gaps between the arms'
+    intercepts, and the sandwich sums each arm's weighted residual products
+    along its intercept's influence row. Draws near a case where the scalar
+    fit raises (an arm of at most k + 1 units, a nearly collinear arm
+    design, a leverage near one) are refit by fit_interacted_pair and
+    sandwich_cov, and what those raise is kept per draw.
+    """
+    reps, n = zs.shape
+    n1, k = base.design.n1, pop.x.shape[1]
+    # per draw: tau_y, tau_w and the sandwich triple (v_y, c_yw, v_w)
+    cols = np.zeros((reps, 5))
+    unsure = np.ones(reps, dtype=bool)
+    if min(n1, n - n1) > k + 1:
+        expo = _FLAVOR_EXPONENT[base.adjustment]
+        x1 = np.column_stack([np.ones(n), pop.x])
+        (int1, sw1, unsure1), (int0, sw0, unsure0) = (
+            _arm_ols(idx, np.column_stack([y, w]).astype(float), x1, expo) for idx, y, w in
+            zip(_arm_indices(zs, n1), (pop.y1, pop.y0), (pop.w1, pop.w0)))
+        cols = np.concatenate([int1 - int0, sw1 + sw0], axis=1)
+        unsure = unsure1 | unsure0
+    errors = {}
+    for i in np.flatnonzero(unsure):
+        try:
+            fit_y, fit_w = fit_interacted_pair(pop.reveal(zs[i]), zs[i])
+            cov = sandwich_cov(fit_y, fit_w, base.adjustment)
+        except LatekitError as exc:  # raised in draw order by _method_scores
+            errors[int(i)] = exc
+            cols[i] = (0.0, 1.0, 0.0, 0.0, 0.0)  # a placeholder that scores quietly
+            continue
+        cols[i] = (fit_y.tau_hat, fit_w.tau_hat, *cov.family("sandwich"))
+    tau_y, tau_w, *triple = cols.T
+    return _score_normal(tau_y, tau_w, tuple(triple), base, gammas, errors)
 
 
 def _rem_families(pop: PotentialDataset, zs: np.ndarray, n1: int):
@@ -501,7 +625,7 @@ def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
         # first_stage_test: the mixture quantile at the receipt's own ratio
         var = rem[2]
         rho = np.where(var > 0.0, np.clip(proj[2] / var, 0.0, 1.0), 0.0)
-    wald_sets = wald_intervals(tau_y, tau_w, lam(tail, r2), *rem, floored=True)
+    wald_sets = wald_intervals(tau_y, tau_w, lam(tail, r2), *rem, family="rem")
     far = solve_quadratic_sets(tau_y, tau_w, lam(tail, _r2_stars(plain, rem, proj)), *rem)
     return _method_scores(tau_y, tau_w, wald_sets, far, var,
                           {g: lam(g, rho) for g in gammas}, plain[2], base.p_plus, errors)
@@ -552,7 +676,7 @@ def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
     return estimates, scores
 
 
-_BATCHED = {"cre": _score_cre, "rem": _score_rem}
+_BATCHED = {"cre": _score_cre, "rem": _score_rem, "adjusted": _score_adjusted}
 
 
 def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> PotentialDataset:
@@ -589,7 +713,7 @@ def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
 
 def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
     pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w)
-    score = _BATCHED.get(base.regime, _score_draws)
+    score = _BATCHED[base.regime]
     return _rows(cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma))
 
 

@@ -156,7 +156,17 @@ def test_simulate_rejects_unknown_design(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad,key", [({"gamma": []}, "gamma"), ({"tau_w": []}, "tau_w"),
                                      ({"reps": 0}, "reps"), ({"reps": -1}, "reps"),
-                                     ({"reps": 2.5}, "reps")])
+                                     ({"reps": 2.5}, "reps"),
+                                     ({"gamma": [0.075, 1.5]}, "gamma"),
+                                     ({"gamma": [0.075, "0.025"]}, "gamma"),
+                                     ({"n": 40.0}, "n"), ({"n": 41}, "n"), ({"n": 0}, "n"),
+                                     ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+                                     ({"tau_w": ["0.5"]}, "tau_w"), ({"tau_w": [0.6]}, "tau_w"),
+                                     ({"tau_w": [0.5, 0.0]}, "tau_w"),
+                                     ({"tau_w": [True]}, "tau_w"),
+                                     ({"alpha": 1.0}, "alpha"), ({"p_a": 0.0}, "p_a"),
+                                     ({"p_plus": 1.5}, "p_plus"),
+                                     ({"k": 0}, "k"), ({"k": 2.0}, "k")])
 def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
     # each would crash, or write a table of nothing, if it reached the study
     cfg_file = tmp_path / "cfg.json"

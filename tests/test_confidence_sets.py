@@ -10,12 +10,13 @@ from latekit.confidence_sets import (
     fieller_endpoints,
     solve_quadratic_set,
     wald_ci,
+    wald_intervals,
 )
 from latekit.data_model import AnalysisConfig, DesignSpec
-from latekit.estimation import Estimates, variance_components
+from latekit.estimation import Estimates, combined_variance, variance_components
 from latekit.exceptions import NoIdentificationError
 from latekit.mixture import normal_quantile
-from latekit.stats_core import fit_interacted_pair, sandwich_cov, summarize
+from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 
 Z = normal_quantile(0.975)
 
@@ -275,3 +276,20 @@ def test_lengths():
     assert ConfidenceSet.point(2.0).length == 0.0
     assert math.isinf(ConfidenceSet.two_rays(0.0, 1.0).length)
     assert math.isinf(ConfidenceSet.whole_line().length)
+
+
+@pytest.mark.parametrize("family", ["plain", "sandwich"])
+def test_wald_intervals_names_the_negative_family_as_combined_variance_does(family):
+    # a covariance beyond the Cauchy-Schwarz bound makes the quadratic
+    # negative at the ratio 1; draw 0 is fine, draw 1 is not
+    b_y, b_w = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+    q_y, q_c, q_w = np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])
+    sets = wald_intervals(b_y, b_w, Z, q_y, q_c, q_w, family=family)
+    assert list(sets.errors) == [1]
+    with pytest.raises(ArithmeticError) as scalar:
+        combined_variance(SandwichCov(v_y=1.0, c_yw=2.0, v_w=1.0, flavor="hc2"), 1.0,
+                          "sandwich")
+    assert str(scalar.value) == "sandwich variance quadratic is negative: -2.0"
+    assert str(sets.errors[1]) == f"{family} variance quadratic is negative: -2.0"
+    floored = wald_intervals(b_y, b_w, Z, q_y, q_c, q_w, family="rem")
+    assert not floored.errors and list(floored.degenerate) == [False, True]

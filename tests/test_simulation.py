@@ -13,11 +13,13 @@ from latekit.confidence_sets import (
 )
 from latekit.data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from latekit.design import draw_assignment
-from latekit.estimation import r2_star, variance_components
+from latekit.estimation import REGIMES, r2_star, variance_components
 from latekit.exceptions import (
     DegenerateCovariatesError,
     InfeasibleTargetError,
+    LeverageOnePointError,
     NoIdentificationError,
+    RankDeficientDesignError,
 )
 from latekit.simulation import (
     DgpConfig,
@@ -145,6 +147,16 @@ def test_median_extended_boundary():
     assert math.isnan(median_extended(np.array([])))
 
 
+def test_median_extended_is_the_inverted_cdf_median(rng):
+    for m in range(1, 60):
+        v = rng.standard_normal(m)
+        v[rng.random(m) < 0.3] = math.inf
+        v[rng.random(m) < 0.1] = -math.inf
+        assert median_extended(v) == np.quantile(v, 0.5, method="inverted_cdf")
+    with pytest.raises(ValueError, match="nan"):
+        median_extended(np.array([1.0, math.nan, 2.0]))
+
+
 def test_run_study_smoke_and_determinism():
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=3, seed=99, k=2)
     t1 = run_study(cfg)
@@ -199,14 +211,15 @@ def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
                         lambda *args: ConfidenceSet.interval(-1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment="ehw", reps=1,
                       seed=99, k=2)
+    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
-        run_study(cfg)
+        simulation._score_draws(pop, zs, base, cfg.gamma)
 
 
 def _interval_arrays(lo, hi, errors=None):
     """Stand-in for a batched set function: every draw gets [lo, hi]."""
-    def sets(b_y, *args):
+    def sets(b_y, *args, **kwargs):
         return SetArrays(kind=np.zeros(len(b_y), dtype=np.int8), lo=np.full(len(b_y), lo),
                          hi=np.full(len(b_y), hi), degenerate=np.zeros(len(b_y), dtype=bool),
                          errors=dict(errors or {}))
@@ -221,6 +234,40 @@ def test_wald_longer_than_far_interval_is_an_error_batched(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
         run_study(cfg)
+
+
+@pytest.mark.parametrize("adjustment", ["ehw", "hc2", "hc3"])
+def test_wald_longer_than_far_interval_is_an_error_batched_adjusted(monkeypatch, adjustment):
+    # so does the batched regression-adjusted pass
+    monkeypatch.setattr(simulation, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
+    monkeypatch.setattr(simulation, "wald_intervals", _interval_arrays(-1.0, 1.0))
+    cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment=adjustment, reps=1,
+                      seed=99, k=2)
+    with pytest.raises(ArithmeticError,
+                       match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
+        run_study(cfg)
+
+
+def test_batched_adjusted_names_the_sandwich_family_when_its_variance_is_negative(
+        monkeypatch):
+    # a sandwich quadratic is nonnegative by construction; a covariance
+    # moved past the bound makes it -(v_y + tau^2 v_w) at every ratio tau
+    wald_intervals = simulation.wald_intervals
+
+    def negative(b_y, b_w, crit, q_y, q_c, q_w, **kwargs):
+        tau = b_y / b_w
+        return wald_intervals(b_y, b_w, crit, q_y, (q_y + tau * tau * q_w) / tau, q_w,
+                              **kwargs)
+
+    monkeypatch.setattr(simulation, "wald_intervals", negative)
+    cfg = StudyConfig(n=60, tau_w=(0.4,), adjustment="hc2", reps=3, seed=99, k=2)
+    with pytest.raises(ArithmeticError, match=r"^sandwich variance quadratic is negative: -"):
+        run_study(cfg)
+
+
+def test_every_regime_has_a_batched_pass():
+    # _run_cell looks the regime up without a scalar fallback
+    assert set(simulation._BATCHED) == set(REGIMES)
 
 
 def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
@@ -250,16 +297,19 @@ def _endpoints(cs):
     return cs.lo, cs.hi
 
 
-def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre):
+def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre,
+                                   exact=True):
     """Compare a batched pass with _evaluate_draw draw by draw and method by
-    method; return the number of draws with a zero first stage."""
+    method, with estimates equal (or, unless ``exact``, within 1e-9
+    relative); return the number of draws with a zero first stage."""
     estimates, scores = score(pop, zs, base, gammas)
     assert list(scores) == simulation._method_names(gammas)
     zero_first_stage = 0
     for i, z in enumerate(zs):
         scalar = simulation._evaluate_draw(pop.reveal(z), z, base, gammas)
         est = scalar["wald"].estimate
-        assert (math.isnan(est) and math.isnan(estimates[i])) or est == estimates[i]
+        assert ((math.isnan(est) and math.isnan(estimates[i])) or est == estimates[i]
+                or not exact and _close(est, estimates[i]))
         zero_first_stage += math.isnan(est)
         for m, r in scalar.items():
             s = scores[m]
@@ -276,22 +326,43 @@ def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulatio
     return zero_first_stage
 
 
-def _check_batched_cell(design, n, k, tau_w, seed, reps):
+def _assert_rows_match(batched, scalar):
+    """Rows with the same counts, shares and geometry, and every other
+    number within 1e-9 relative."""
+    assert len(batched.rows) == len(scalar.rows)
+    for b, s in zip(batched.rows, scalar.rows):
+        for f in ("method", "n_included", "coverage", "strong_prop", "set_kinds",
+                  "degenerate", "attempts_mean"):
+            assert (getattr(b, f) == getattr(s, f)
+                    or math.isnan(getattr(b, f)) and math.isnan(getattr(s, f))), (b.method, f)
+        for f in ("median_abs_error", "mean_abs_error", "median_length"):
+            u, v = getattr(b, f), getattr(s, f)
+            assert _close(u, v) or math.isnan(u) and math.isnan(v), (b.method, f)
+
+
+def _check_batched_cell(design, n, k, tau_w, seed, reps, adjustment="none"):
     """Score one study cell by its batched pass and by the scalar loop, draw
-    for draw and as rows; return the number of zero first stages."""
-    cfg = StudyConfig(n=n, tau_w=(tau_w,), design=design, reps=max(reps, 1), seed=seed, k=k)
+    for draw and as rows; return the number of zero first stages. The
+    unadjusted passes agree to the bit, the adjusted pass to 1e-9."""
+    cfg = StudyConfig(n=n, tau_w=(tau_w,), design=design, adjustment=adjustment,
+                      reps=max(reps, 1), seed=seed, k=k)
     pop, base, truth, zs, attempts = simulation._cell_draws(cfg, 0, tau_w)
     # a study has at least one rep; the passes are also checked on none
     zs, attempts = zs[:reps], attempts[:reps]
     assert zs.shape == (reps, n)
-    score = simulation._BATCHED[design]
-    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma, score)
+    exact = adjustment == "none"
+    score = simulation._BATCHED[base.regime]
+    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma, score,
+                                                      exact)
     batched = PerformanceTable(simulation._rows(
         cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma)))
     scalar = PerformanceTable(simulation._rows(
         cfg, tau_w, truth, attempts, *simulation._score_draws(pop, zs, base, cfg.gamma)))
-    assert batched.to_csv() == scalar.to_csv()
-    assert batched.to_json_dict() == scalar.to_json_dict()
+    if exact:
+        assert batched.to_csv() == scalar.to_csv()
+        assert batched.to_json_dict() == scalar.to_json_dict()
+    else:
+        _assert_rows_match(batched, scalar)
     if reps == 0:
         assert all(r.n_included == 0 and math.isnan(r.coverage) for r in batched.rows)
     return zero_first_stage
@@ -315,6 +386,79 @@ def test_batched_cre_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
 @pytest.mark.parametrize("reps", [0, 1, 40])
 def test_batched_rem_matches_scalar_draw_for_draw(n, k, tau_w, seed, reps):
     _check_batched_cell("rem", n, k, tau_w, seed, reps)
+
+
+@pytest.mark.parametrize("n,k,tau_w", [(60, 2, 1 / 60), (60, 2, 0.5),
+                                       (200, 5, 0.005), (200, 5, 0.5)])
+@pytest.mark.parametrize("adjustment", ["ehw", "hc2", "hc3"])
+@pytest.mark.parametrize("seed", [20240901, 777])
+@pytest.mark.parametrize("reps", [0, 1, 40])
+def test_batched_adjusted_matches_scalar_draw_for_draw(n, k, tau_w, adjustment, seed, reps):
+    _check_batched_cell("cre", n, k, tau_w, seed, reps, adjustment)
+
+
+@pytest.mark.parametrize("adjustment", ["ehw", "hc2"])
+def test_batched_adjusted_matches_scalar_under_rerandomization(adjustment):
+    # an adjusted ReM cell is scored by the same pass, normal critical values
+    _check_batched_cell("rem", 60, 2, 0.5, 777, 20, adjustment)
+
+
+def test_batched_adjusted_raises_the_scalar_paths_error():
+    # 10 units cannot carry the 12-column interacted design of 5 covariates
+    cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), adjustment="hc2", reps=3)
+    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
+    with pytest.raises(RankDeficientDesignError) as scalar:
+        simulation._score_draws(pop, zs, base, cfg.gamma)
+    with pytest.raises(RankDeficientDesignError) as batched:
+        simulation._score_adjusted(pop, zs, base, cfg.gamma)
+    assert str(batched.value) == str(scalar.value) == "need n > 12 rows for 12 columns; got 10"
+
+
+def _one_unit_marked(rng, n=20):
+    """A population whose second covariate marks units 0 and n/2, and three
+    draws: the marked units in different arms (each has leverage one in its
+    arm's fit), both treated (the interacted design is rank deficient), and
+    again apart."""
+    x = np.column_stack([rng.standard_normal(n), np.zeros(n)])
+    x[[0, n // 2], 1] = 1.0
+    y0 = rng.standard_normal(n)
+    w1 = (rng.random(n) < 0.6).astype(int)
+    w1[:2] = 1
+    pop = PotentialDataset(w0=np.zeros(n, dtype=int), w1=w1, y0=y0, y1=y0 + w1, x=x)
+    apart = np.repeat([1, 0], n // 2)
+    together = apart.copy()
+    together[[1, n // 2]] = 0, 1
+    return pop, np.array([apart, together, np.roll(apart, 1)])
+
+
+@pytest.mark.parametrize("adjustment", ["hc2", "hc3"])
+def test_batched_adjusted_raises_the_scalar_leverage_error(rng, adjustment):
+    pop, zs = _one_unit_marked(rng)
+    base = AnalysisConfig(adjustment=adjustment, design=DesignSpec.cre(len(zs[0]) // 2))
+    for rows, error in ((zs, LeverageOnePointError), (zs[1:], RankDeficientDesignError)):
+        with pytest.raises(error) as scalar:
+            simulation._score_draws(pop, rows, base, (0.075,))
+        with pytest.raises(error) as batched:
+            simulation._score_adjusted(pop, rows, base, (0.075,))
+        assert str(batched.value) == str(scalar.value)
+    assert str(batched.value) == (
+        "design is rank deficient (column 5 collinear with earlier columns)")
+
+
+def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
+    # EHW weights do not depend on leverage: the guarded draws are refit by
+    # the scalar path and score as it does
+    pop, zs = _one_unit_marked(rng)
+    keep = [0, 2]
+    base = AnalysisConfig(adjustment="ehw", design=DesignSpec.cre(len(zs[0]) // 2))
+    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs[keep], (0.075,),
+                                   simulation._score_adjusted, exact=True)
+    refits = []
+    fit = simulation.fit_interacted_pair
+    monkeypatch.setattr(simulation, "fit_interacted_pair",
+                        lambda ds, z: refits.append(z) or fit(ds, z))
+    simulation._score_adjusted(pop, zs[keep], base, (0.075,))
+    assert len(refits) == len(keep)
 
 
 def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
