@@ -72,9 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
+    if not methods:
+        raise ValueError(f"--methods names no method; choose from {ALL_METHODS}")
+    for i, m in enumerate(methods):
         if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+            raise ValueError(f"--methods: unknown method {m!r}; choose from {ALL_METHODS}")
+        if m in methods[:i]:
+            raise ValueError(f"--methods lists {m!r} twice")
     report = analyze_file(args.input, methods=methods, adjustment=args.adjust,
                           design=args.design, p_a=args.pa, alpha=args.alpha,
                           gamma=args.gamma, p_plus=args.pplus)
@@ -115,6 +119,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     x_raw = read_covariates(args.input)
     x, _ = center_covariates(x_raw)
     n, k = x.shape

@@ -88,8 +88,8 @@ def validate(dataset: Dataset) -> list[str]:
     """
     report = []
     for name, arr in (("z", dataset.z), ("w", dataset.w)):
-        bad = np.setdiff1d(np.unique(arr), [0, 1])
-        if bad.size:
+        if ((arr != 0) & (arr != 1)).any():  # list the values only when some are bad
+            bad = np.setdiff1d(np.unique(arr), [0, 1])
             report.append(f"{name} contains non-binary values: {bad.tolist()}")
     if not np.all(np.isfinite(dataset.y)):
         report.append("y contains non-finite values")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +28,19 @@ ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
 @dataclass
 class StratumRecords:
+    """One stratum's rows, as array slices of the parsed file's columns."""
+
     key: str
-    z: list[int]
-    w: list[int]
-    y: list[float]
-    x: list[list[float]]
+    z: np.ndarray  # int64
+    w: np.ndarray  # int64
+    y: np.ndarray  # float64
+    x: np.ndarray  # float64, (rows, K)
+
+
+# Records parsed per block: each block's columns convert in one call each
+# while only one block of raw rows is held in memory.
+_BLOCK_ROWS = 2048
+_BITS = frozenset(("0", "1"))
 
 
 def _parse_cell(raw: str, row: int, col: str, kind: str):
@@ -79,6 +88,68 @@ def _covariate_count(header: list[str]) -> int:
     return len(numbers)
 
 
+def _fast_block(rows, width, fields, key_col):
+    """A block's columns converted whole, or None if any record is irregular.
+
+    Regular means: every record has ``width`` fields, every binary cell is
+    exactly "0" or "1", and every number parses and is finite.
+    """
+    if set(map(len, rows)) != {width}:
+        return None
+    cols = list(zip(*rows))
+    out = []
+    for i, _, kind in fields:
+        col = cols[i]
+        if kind == "binary":
+            if not _BITS.issuperset(col):
+                return None
+            bits = np.frombuffer("".join(col).encode("ascii"), dtype=np.uint8)
+            out.append((bits == ord("1")).astype(np.int64))
+        else:
+            try:
+                arr = np.fromiter(map(float, col), dtype=np.float64, count=len(col))
+            except ValueError:
+                return None
+            if not np.isfinite(arr).all():
+                return None
+            out.append(arr)
+    keys = None if key_col is None else list(map(str.strip, cols[key_col]))
+    return keys, out
+
+
+def _slow_block(rows, first_row, width, fields, key_col):
+    """A block parsed record by record: skips blank records and raises the
+    first bad record's error, naming its row and column."""
+    keys, values = [], [[] for _ in fields]
+    for rownum, row in enumerate(rows, start=first_row):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise ValueError(f"row {rownum}: expected {width} fields, got {len(row)}")
+        if key_col is not None:
+            keys.append(row[key_col].strip())
+        for (i, name, kind), vals in zip(fields, values):
+            vals.append(_parse_cell(row[i], rownum, name, kind))
+    out = [np.array(vals, dtype=np.int64 if kind == "binary" else np.float64)
+           for (_, _, kind), vals in zip(fields, values)]
+    return (None if key_col is None else keys), out
+
+
+def _column_blocks(reader, width: int, fields, key_col: int | None = None):
+    """Parse the records after the header in blocks of ``_BLOCK_ROWS``.
+
+    ``fields`` lists ``(index, name, kind)`` in the order a record's cells
+    are checked; ``kind`` is "binary" or "number". Yields per block the
+    stripped keys of column ``key_col`` (None without one) and one array
+    per field. Record numbers count the header as row 1.
+    """
+    first_row = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        yield (_fast_block(rows, width, fields, key_col)
+               or _slow_block(rows, first_row, width, fields, key_col))
+        first_row += len(rows)
+
+
 def read_records(path: str) -> list[StratumRecords]:
     """Parse an analysis CSV into per-stratum record groups (input order)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -88,34 +159,38 @@ def read_records(path: str) -> list[StratumRecords]:
             if required not in header:
                 raise ValueError(f"missing required column {required!r}")
         k = _covariate_count(header)
-        idx = {name: header.index(name) for name in header}
-        has_stratum = "stratum" in header
-        groups: dict[str, StratumRecords] = {}
-        order: list[str] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-            key = row[idx["stratum"]].strip() if has_stratum else ""
-            if key not in groups:
-                groups[key] = StratumRecords(key=key, z=[], w=[], y=[], x=[])
-                order.append(key)
-            g = groups[key]
-            g.z.append(_parse_cell(row[idx["z"]], rownum, "z", "binary"))
-            g.w.append(_parse_cell(row[idx["w"]], rownum, "w", "binary"))
-            g.y.append(_parse_cell(row[idx["y"]], rownum, "y", "number"))
-            g.x.append([_parse_cell(row[idx[f"x{j + 1}"]], rownum, f"x{j + 1}", "number")
-                        for j in range(k)])
-    return [groups[key] for key in order]
+        names = ["z", "w", "y", *(f"x{j + 1}" for j in range(k))]
+        fields = [(header.index(name), name, "binary" if name in ("z", "w") else "number")
+                  for name in names]
+        key_col = header.index("stratum") if "stratum" in header else None
+        # a stratum's code is the record count before its first appearance,
+        # so ordering by code groups the strata in input order
+        first: dict[str, int] = {}
+        seen = itertools.count()
+        codes, blocks = [], []
+        for keys, cols in _column_blocks(reader, len(header), fields, key_col):
+            rows = len(cols[0])
+            keys = itertools.repeat("", rows) if keys is None else keys
+            codes.append(np.fromiter(map(first.setdefault, keys, seen),
+                                     dtype=np.int64, count=rows))
+            blocks.append(cols)
+    if not first:
+        return []
+    code = np.concatenate(codes)
+    z, w, y, *xs = (np.concatenate(col) for col in zip(*blocks))
+    x = np.column_stack(xs) if xs else np.empty((len(z), 0))
+    if (code[1:] < code[:-1]).any():  # interleaved strata: gather each one's rows
+        order = np.argsort(code, kind="stable")
+        code, z, w, y, x = code[order], z[order], w[order], y[order], x[order]
+    bounds = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
+    return [StratumRecords(key=key, z=z[lo:hi], w=w[lo:hi], y=y[lo:hi], x=x[lo:hi])
+            for key, lo, hi in zip(first, bounds, bounds[1:])]
 
 
 def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
-    x = np.array(records.x, dtype=float).reshape(len(records.z), -1)
+    x = records.x
     centered, means = center_covariates(x) if x.shape[1] else (x, np.zeros(0))
-    ds = Dataset(z=np.array(records.z), w=np.array(records.w),
-                 y=np.array(records.y), x=centered)
+    ds = Dataset(z=records.z, w=records.w, y=records.y, x=centered)
     return ds, means
 
 
@@ -195,7 +270,7 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     strata = read_records(path)
     if not strata:
         raise ValueError("no data rows in input")
-    k = len(strata[0].x[0]) if strata[0].x else 0
+    k = strata[0].x.shape[1]  # the header's x1..xK count
     if design == "rem" or adjustment != "none":
         if k == 0:
             raise ValueError("covariate columns x1..xK are required for "
@@ -266,12 +341,9 @@ def read_covariates(path: str) -> np.ndarray:
         k = _covariate_count(header)
         if k == 0:
             raise ValueError("no covariate columns x1..xK found")
-        idx = [header.index(f"x{j + 1}") for j in range(k)]
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append([_parse_cell(row[i], rownum, header[i], "number") for i in idx])
-    if not rows:
+        fields = [(header.index(f"x{j + 1}"), f"x{j + 1}", "number") for j in range(k)]
+        blocks = [cols for _, cols in _column_blocks(reader, len(header), fields)]
+    columns = [np.concatenate(col) for col in zip(*blocks)]
+    if not columns or not len(columns[0]):
         raise ValueError("no data rows in input")
-    return np.array(rows, dtype=float)
+    return np.column_stack(columns)

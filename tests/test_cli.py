@@ -331,3 +331,29 @@ def test_design_rejects_ambiguous_header(tmp_path, capsys, header, message):
                "--out", str(tmp_path / "d.txt")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods, message", [
+    (",", "--methods names no method"),
+    (" , ,", "--methods names no method"),
+    ("wald,wald", "--methods lists 'wald' twice"),
+    ("far,ts,far", "--methods lists 'far' twice"),
+    ("wald,bogus", "--methods: unknown method 'bogus'"),
+])
+def test_analyze_rejects_empty_or_repeated_methods(covariate_file, tmp_path, capsys,
+                                                   methods, message):
+    out = tmp_path / "r.json"
+    rc = main(["analyze", "--input", str(covariate_file), "--methods", methods,
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_design_rejects_negative_seed(covariate_file, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    rc = main(["design", "--input", str(covariate_file), "--mode", "cre",
+               "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()

@@ -37,6 +37,20 @@ def test_validate_non_binary():
     assert any("non-binary" in r for r in validate(ds))
 
 
+@pytest.mark.parametrize("name", ["z", "w"])
+def test_validate_lists_non_binary_values_sorted(name):
+    cols = {"z": [1, 1, 0, 0, 1, 0], "w": [1, 0, 0, 0, 1, 0]}
+    cols[name] = [2, 1, -1, 0, 2, 7]
+    ds = Dataset(**cols, y=np.arange(6.0), x=np.zeros((6, 0)))
+    assert f"{name} contains non-binary values: [-1, 2, 7]" in validate(ds)
+
+
+def test_validate_clean_binary_columns_report_nothing():
+    ds = Dataset(z=[1, 1, 0, 0], w=[1, 0, 1, 0], y=[1.0, 2.0, 3.0, 4.0],
+                 x=np.zeros((4, 0)))
+    assert validate(ds) == []
+
+
 def test_validate_idempotent(rng):
     from conftest import random_dataset
 

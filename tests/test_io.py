@@ -1,0 +1,214 @@
+"""The block CSV reader against the record-by-record loop it replaced.
+
+``reference_read_records`` and ``reference_read_covariates`` are the
+readers as they were before parsing moved to column blocks: every cell
+through ``_parse_cell``, one record at a time. The block reader must give
+the same strata, in the same order, with the same values, and raise the
+same first error, on files built so that blocks fall back to the
+record-by-record parse in every way they can.
+"""
+import csv
+
+import numpy as np
+import pytest
+
+from latekit import io
+from latekit.cli import main
+
+
+def reference_read_records(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = io._read_header(reader)
+        for required in ("z", "w", "y"):
+            if required not in header:
+                raise ValueError(f"missing required column {required!r}")
+        k = io._covariate_count(header)
+        idx = {name: header.index(name) for name in header}
+        has_stratum = "stratum" in header
+        groups = {}
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+            key = row[idx["stratum"]].strip() if has_stratum else ""
+            g = groups.setdefault(key, {"z": [], "w": [], "y": [], "x": []})
+            g["z"].append(io._parse_cell(row[idx["z"]], rownum, "z", "binary"))
+            g["w"].append(io._parse_cell(row[idx["w"]], rownum, "w", "binary"))
+            g["y"].append(io._parse_cell(row[idx["y"]], rownum, "y", "number"))
+            g["x"].append([io._parse_cell(row[idx[f"x{j + 1}"]], rownum, f"x{j + 1}",
+                                          "number") for j in range(k)])
+    return [(key, np.array(g["z"]), np.array(g["w"]), np.array(g["y"]),
+             np.array(g["x"], dtype=float).reshape(len(g["z"]), k))
+            for key, g in groups.items()]
+
+
+def reference_read_covariates(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = io._read_header(reader)
+        k = io._covariate_count(header)
+        if k == 0:
+            raise ValueError("no covariate columns x1..xK found")
+        idx = [header.index(f"x{j + 1}") for j in range(k)]
+        rows = []
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            rows.append([io._parse_cell(row[i], rownum, header[i], "number") for i in idx])
+    if not rows:
+        raise ValueError("no data rows in input")
+    return np.array(rows, dtype=float)
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _rows(n, key=lambda i: f"s{i // 4}"):
+    return [f"{key(i)},{i % 2},{(i // 2) % 2},{0.5 * i - 1:.3f},{(-1) ** i * 0.25 * i:.2f},"
+            f"{i * i / 7:.6f}" for i in range(n)]
+
+
+_HEADER = "stratum,z,w,y,x1,x2"
+
+# With blocks of three records, data records 2-4 form the first block,
+# 5-7 the second, 8-10 the third, and so on.
+CASES = {
+    "clean": [_HEADER, *_rows(11)],
+    "blank_records": [_HEADER, *_rows(3), "", "   ", ",,,,,", *_rows(2), "", " \t ,  ,,,,"],
+    "whole_blank_block": [_HEADER, *_rows(3), "", "", "  ", *_rows(4)],
+    "trailing_blank_records": [_HEADER, *_rows(5), "", ""],
+    "padded_cells": [_HEADER, *_rows(2), " s9 , 1 ,0,  2.5 ,\t-1.5\t, 1e-3", *_rows(4)],
+    "binary_as_float": [_HEADER, *_rows(4), "s1,1.0,0.0,1,2,3", "s1, 1 ,0 ,1,2,3", *_rows(2)],
+    "underscore_number": [_HEADER, *_rows(4), "s1,1,0,1_000,2,3", *_rows(2)],
+    "nan": [_HEADER, *_rows(4), "s1,1,0,nan,2,3", *_rows(2)],
+    "inf": [_HEADER, *_rows(4), "s1,1,0,1,inf,3", *_rows(2)],
+    "minus_inf": [_HEADER, *_rows(4), "s1,1,0,1,2,-inf", *_rows(2)],
+    "non_number": [_HEADER, *_rows(4), "s1,1,0,abc,2,3", *_rows(2)],
+    "binary_two": [_HEADER, *_rows(4), "s1,1,2,1,2,3", *_rows(2)],
+    "binary_word": [_HEADER, *_rows(4), "s1,yes,0,1,2,3", *_rows(2)],
+    "ragged_then_bad_cell": [_HEADER, *_rows(3), "s1,1,0,1", "s1,1,0,abc,2,3", *_rows(2)],
+    "bad_cell_then_ragged": [_HEADER, *_rows(3), "s1,1,0,abc,2,3", "s1,1,0,1", *_rows(2)],
+    "long_row": [_HEADER, *_rows(5), "s1,1,0,1,2,3,4"],
+    "bad_cell_first_in_block": [_HEADER, *_rows(3), "s1,1,0,1,2,x", *_rows(5)],
+    "bad_cell_last_in_block": [_HEADER, *_rows(5), "s1,1,0,1,2,x", *_rows(3)],
+    "bad_cell_first_record": [_HEADER, "s0,-1,0,1,2,3", *_rows(5)],
+    "bad_z_and_y_same_record": [_HEADER, *_rows(4), "s1,5,0,abc,2,3"],
+    "quoted_newline": [_HEADER, *_rows(2), '"s\n1",1,0,1,2,3', *_rows(2)],
+    "quoted_newline_then_error": [_HEADER, *_rows(2), '"s\n1",1,0,1,2,3', "s1,1,0,1,2,bad"],
+    "interleaved_strata": [_HEADER, *_rows(13, key=lambda i: "bcab"[i % 4])],
+    "one_record_strata": [_HEADER, *_rows(7, key=lambda i: f"k{i}")],
+    "no_stratum_column": ["z,w,y,x1,x2", *(r.split(",", 1)[1] for r in _rows(8))],
+    "no_covariates": ["y,w,stratum,z",
+                      *(f"{0.1 * i},{i % 2},{'ab'[i % 2]},{(i // 2) % 2}" for i in range(9))],
+    "header_only": [_HEADER],
+    "header_only_with_blanks": [_HEADER, "", ""],
+    "missing_column": ["stratum,z,y,x1", "s1,1,0.5,1"],
+}
+
+
+def _write(tmp_path, lines, name="in.csv"):
+    f = tmp_path / name
+    f.write_text("\n".join(lines) + "\n")
+    return f
+
+
+@pytest.mark.parametrize("block_rows", [3, 2048])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_reader_matches_record_loop(tmp_path, monkeypatch, case, block_rows):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    f = _write(tmp_path, CASES[case])
+    want, want_err = _outcome(reference_read_records, f)
+    got, got_err = _outcome(io.read_records, f)
+    assert got_err == want_err
+    if want_err is not None:
+        return
+    assert [g.key for g in got] == [key for key, *_ in want]
+    for g, (_, z, w, y, x) in zip(got, want):
+        for new, old in ((g.z, z), (g.w, w), (g.y, y), (g.x, x)):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert np.array_equal(new, old)
+
+
+def test_block_reader_error_messages(tmp_path, monkeypatch):
+    # the oracle's messages, spelled out so a shared slip cannot hide
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
+    expected = {
+        "nan": "row 6, column y: non-finite value 'nan'",
+        "minus_inf": "row 6, column x2: non-finite value '-inf'",
+        "binary_two": "row 6, column w: expected 0/1, got '2'",
+        "ragged_then_bad_cell": "row 5: expected 6 fields, got 4",
+        "bad_cell_then_ragged": "row 5, column y: expected a number, got 'abc'",
+        "bad_cell_first_in_block": "row 5, column x2: expected a number, got 'x'",
+        "bad_cell_last_in_block": "row 7, column x2: expected a number, got 'x'",
+        # the quoted record spans lines 4-5; rows count records, not lines
+        "quoted_newline_then_error": "row 5, column x2: expected a number, got 'bad'",
+    }
+    for case, message in expected.items():
+        with pytest.raises(ValueError) as err:
+            io.read_records(str(_write(tmp_path, CASES[case])))
+        assert str(err.value) == message
+
+
+def test_interleaved_strata_keep_first_appearance_order(tmp_path):
+    f = _write(tmp_path, ["stratum,z,w,y", "b,1,0,1", "a,0,0,2", "b,0,1,3",
+                          "c,1,1,4", "a,1,0,5"])
+    groups = io.read_records(str(f))
+    assert [(g.key, g.y.tolist()) for g in groups] == [
+        ("b", [1.0, 3.0]), ("a", [2.0, 5.0]), ("c", [4.0])]
+
+
+def test_blocks_never_hold_the_whole_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
+    seen = []
+    fast = io._fast_block
+
+    def spy(rows, *args):
+        seen.append(len(rows))
+        return fast(rows, *args)
+
+    monkeypatch.setattr(io, "_fast_block", spy)
+    io.read_records(str(_write(tmp_path, CASES["clean"])))
+    assert seen == [3, 3, 3, 2]
+
+
+_COVARIATE_CASES = {
+    "clean": ["x1,x2", *(f"{0.1 * i:.1f},{(-1) ** i}" for i in range(10))],
+    "extra_columns": ["id,x2,note,x1", *(f"u{i},{i},n,{i / 3}" for i in range(8))],
+    "blank_records": ["x1,x2", "1,2", "", "  ", "3,4", ",", "5,6", "7,8"],
+    "padded": ["x1,x2", " 1 , 2", "3,\t4 ", "5,6", "7,8"],
+    "bad_cell": ["x1,x2", "1,2", "3,4", "5,six", "7,8"],
+    "non_finite": ["x1,x2", "1,2", "3,4", "5,6", "inf,8"],
+    "header_only": ["x1,x2"],
+    "no_covariates": ["a,b", "1,2"],
+}
+
+
+@pytest.mark.parametrize("block_rows", [3, 2048])
+@pytest.mark.parametrize("case", sorted(_COVARIATE_CASES))
+def test_covariate_reader_matches_record_loop(tmp_path, monkeypatch, case, block_rows):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    f = _write(tmp_path, _COVARIATE_CASES[case])
+    want, want_err = _outcome(reference_read_covariates, f)
+    got, got_err = _outcome(io.read_covariates, f)
+    assert got_err == want_err
+    if want_err is None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1,2", "3"], "row 3: expected 2 fields, got 1"),
+    (["1,2", "3,4,5"], "row 3: expected 2 fields, got 3"),
+])
+def test_design_rejects_ragged_record(tmp_path, capsys, rows, message):
+    # the record loop indexed past a short record (IndexError) and read a long one
+    f = _write(tmp_path, ["x1,x2", *rows])
+    assert main(["design", "--input", str(f), "--mode", "cre",
+                 "--out", str(tmp_path / "d.txt")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
