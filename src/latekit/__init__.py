@@ -11,13 +11,12 @@ on synthetic populations.
 
 __version__ = "0.1.0"
 
-from .confidence_sets import ConfidenceSet, far_set, fieller_endpoints, solve_quadratic_set, wald_ci
+from .confidence_sets import ConfidenceSet, far_set, solve_quadratic_set, wald_ci
 from .data_model import (
     AnalysisConfig,
     Dataset,
     DesignSpec,
     PotentialDataset,
-    UnitData,
     center_covariates,
     true_sample_late,
     validate,
@@ -55,7 +54,6 @@ from .stats_core import (
     InteractedOlsFit,
     MomentSummary,
     SandwichCov,
-    diff_in_means,
     fit_interacted,
     fit_interacted_pair,
     sandwich_cov,

@@ -90,11 +90,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object; got {type(raw).__name__}")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"invalid config keys: {', '.join(unknown)}")
     for key in ("tau_w", "gamma"):
-        if key in raw:
+        if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
     for key in ("reps", "seed", "threads"):  # command-line overrides
         if getattr(args, key) is not None:

@@ -120,21 +120,6 @@ class ConfidenceSet:
             out["method"] = self.method
         return out
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ConfidenceSet":
-        def dec(v):
-            if v == "inf":
-                return _INF
-            if v == "-inf":
-                return -_INF
-            return v
-
-        return ConfidenceSet(kind=d["type"], lo=dec(d.get("lo", -_INF)),
-                             hi=dec(d.get("hi", _INF)),
-                             hi_left=dec(d.get("hi_left")),
-                             lo_right=dec(d.get("lo_right")),
-                             method=d.get("method", ""))
-
     def with_flags(self, **kw) -> "ConfidenceSet":
         return dataclasses.replace(self, **kw)
 
@@ -310,28 +295,6 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
             continue
         kind[i], lo[i], hi[i], degenerate[i] = _entry(cs)
     return SetArrays(kind=kind, lo=lo, hi=hi, degenerate=degenerate, errors=errors)
-
-
-def fieller_endpoints(b_y: float, b_w: float, crit: float,
-                      q_y: float, q_c: float, q_w: float) -> tuple[float, float]:
-    """Closed-form interval endpoints for the ratio inversion when g < 1,
-    where g = crit^2 * q_w / b_w^2 measures first-stage weakness."""
-    if b_w == 0.0:
-        raise ValueError("g is undefined with a zero first stage")
-    crit2 = crit * crit
-    g = crit2 * q_w / (b_w * b_w)
-    if g >= 1.0:
-        raise ValueError(f"g = {g:.6g} >= 1: the set is not a finite interval")
-    tau = b_y / b_w
-    center = tau - crit2 * q_c / (b_w * b_w)
-    inner = (q_y + tau * tau * q_w - 2.0 * tau * q_c
-             - crit2 * (q_y * q_w - q_c * q_c) / (b_w * b_w))
-    if inner < 0.0:
-        raise ArithmeticError("negative radicand: variance form is not nonnegative")
-    radius = crit * math.sqrt(inner) / abs(b_w)
-    lo = (center - radius) / (1.0 - g)
-    hi = (center + radius) / (1.0 - g)
-    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 def _critical(spec: Regime, components, config: AnalysisConfig, r2) -> float:

@@ -9,21 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 CENTERING_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class UnitData:
-    """One experimental unit: assignment, receipt, outcome, covariates."""
-
-    z: int
-    w: int
-    y: float
-    x: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -64,27 +53,16 @@ class Dataset:
     def k(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def from_units(cls, units: Sequence[UnitData]) -> "Dataset":
-        z = [u.z for u in units]
-        w = [u.w for u in units]
-        y = [u.y for u in units]
-        x = [u.x for u in units]
-        return cls(np.array(z), np.array(w), np.array(y), np.array(x, dtype=float))
 
-    @property
-    def units(self) -> list[UnitData]:
-        return [
-            UnitData(int(z), int(w), float(y), tuple(x))
-            for z, w, y, x in zip(self.z, self.w, self.y, self.x)
-        ]
-
-
-def validate(dataset: Dataset) -> list[str]:
+def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     """Return all invariant violations; an empty list means analyzable.
 
     Checks binary fields, minimum arm sizes (sample variances need at
     least two units per arm), finite outcomes, and covariate centering.
+    ``offsets`` are the column means the caller already subtracted from the
+    covariates, as center_covariates returns them: the roundoff that
+    subtraction leaves in the means grows with them, so they widen the
+    centering tolerance.
     """
     report = []
     for name, arr in (("z", dataset.z), ("w", dataset.w)):
@@ -101,7 +79,7 @@ def validate(dataset: Dataset) -> list[str]:
         report.append("n0 < 2")
     if dataset.k and np.all(np.isfinite(dataset.x)):
         means = dataset.x.mean(axis=0)
-        scale = np.abs(dataset.x).max(initial=1.0)
+        scale = max(np.abs(dataset.x).max(initial=1.0), np.abs(offsets).max(initial=0.0))
         off = np.nonzero(np.abs(means) > CENTERING_TOL * max(1.0, scale))[0]
         if off.size:
             report.append(

@@ -16,7 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .stats_core import MomentSummary
+import numpy as np
+
+from .stats_core import (
+    MomentSummary,
+    _ArmArrays,
+    _row_forms,
+    _spd_inverse,
+    covariate_covariance,
+    spd_inverses,
+)
 
 
 class Regime(NamedTuple):
@@ -103,44 +112,72 @@ class VarianceComponents:
             return self.v_y_rem, self.c_yw_rem, self.v_w_rem
         raise ValueError(f"no {name!r} family in VarianceComponents")
 
+    @classmethod
+    def from_families(cls, plain, rem=(None,) * 3, proj=(None,) * 3, k: int = 0
+                      ) -> "VarianceComponents":
+        """From (v_y, c_yw, v_w) triples, one per family."""
+        (v_y, c_yw, v_w), (y_rem, c_rem, w_rem), (y_proj, c_proj, w_proj) = plain, rem, proj
+        return cls(v_y, v_w, c_yw, k, y_rem, w_rem, c_rem, y_proj, w_proj, c_proj)
+
     def proj_family(self) -> tuple[float, float, float]:
         if self.v_y_proj is None:
             raise ValueError("projection family needs covariates")
         return self.v_y_proj, self.c_yw_proj, self.v_w_proj
 
 
+def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int):
+    """The plain family (v_y, c_yw, v_w) of every row of the two arms."""
+    return (arm1.s2_y / n1 + arm0.s2_y / n0, arm1.s_yw / n1 + arm0.s_yw / n0,
+            arm1.s2_w / n1 + arm0.s2_w / n0)
+
+
+def _forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u s u, u s v, v s v) of every row, a (v_y, c_yw, v_w) triple."""
+    return tuple(_row_forms(a, s, b) for a, b in ((u, u), (u, v), (v, v)))
+
+
+def _arm_projections(arm: _ArmArrays):
+    """The triple of one arm's fitted projections on its covariates, every
+    row, and the error each row with a singular arm covariance raises."""
+    inv, singular = spd_inverses(arm.sxx, "within-arm covariate covariance")
+    return _forms(arm.s_yx, inv, arm.s_wx), singular
+
+
+def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int, x: np.ndarray):
+    """The plain, rerandomization and projection families of every row of
+    arms that carry their covariate terms, and the error each row with a
+    singular arm covariance raises. A singular full covariance of ``x``
+    raises at once, provided there is a row to score."""
+    plain = _plain_family(arm1, arm0, n1, n0)
+    n, k = n1 + n0, x.shape[1]
+    sxx_inv = (_spd_inverse(covariate_covariance(x), "covariate covariance")
+               if len(plain[0]) else np.zeros((k, k)))
+    corr = [c / n for c in _forms(arm1.s_yx - arm0.s_yx, sxx_inv, arm1.s_wx - arm0.s_wx)]
+    (proj1, errors), (proj0, errors0) = _arm_projections(arm1), _arm_projections(arm0)
+    errors.update(errors0)
+    rem = tuple(p - c for p, c in zip(plain, corr))
+    proj = tuple(p1 / n1 + p0 / n0 - c for p1, p0, c in zip(proj1, proj0, corr))
+    return plain, rem, proj, errors
+
+
 def plain_components(summary: MomentSummary) -> VarianceComponents:
     """The plain family alone, which is all complete randomization reads;
-    no covariate matrix is inverted."""
-    a1, a0 = summary.arm1, summary.arm0
-    n1, n0 = summary.n1, summary.n0
-    return VarianceComponents(v_y=a1.s2_y / n1 + a0.s2_y / n0,
-                              v_w=a1.s2_w / n1 + a0.s2_w / n0,
-                              c_yw=a1.s_yw / n1 + a0.s_yw / n0)
+    no covariate matrix is read."""
+    plain = _plain_family(summary.arm1, summary.arm0, summary.n1, summary.n0)
+    return VarianceComponents.from_families([float(v[0]) for v in plain])
 
 
 def variance_components(summary: MomentSummary) -> VarianceComponents:
-    """Assemble the plain, rerandomization, and projection families."""
-    plain = plain_components(summary)
+    """Assemble the plain, rerandomization, and projection families; a
+    singular full, then within-arm, covariate covariance raises."""
     if summary.k == 0:
-        return plain
-    a1, a0 = summary.arm1, summary.arm0
-    n1, n0, n = summary.n1, summary.n0, summary.n
-    sxx_inv = summary.sxx_full_inv
-    dy = a1.s_yx - a0.s_yx
-    dw = a1.s_wx - a0.s_wx
-    corr_yy = float(dy @ sxx_inv @ dy) / n
-    corr_ww = float(dw @ sxx_inv @ dw) / n
-    corr_yw = float(dy @ sxx_inv @ dw) / n
-    return VarianceComponents(
-        v_y=plain.v_y, v_w=plain.v_w, c_yw=plain.c_yw, k=summary.k,
-        v_y_rem=plain.v_y - corr_yy,
-        v_w_rem=plain.v_w - corr_ww,
-        c_yw_rem=plain.c_yw - corr_yw,
-        v_y_proj=a1.s2_y_proj / n1 + a0.s2_y_proj / n0 - corr_yy,
-        v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
-        c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
-    )
+        return plain_components(summary)
+    *families, errors = _rem_families(*summary.covariate_arms, summary.n1, summary.n0,
+                                      summary.dataset.x)
+    if errors:
+        raise errors[0]
+    return VarianceComponents.from_families(
+        *([float(v[0]) for v in triple] for triple in families), k=summary.k)
 
 
 def _quad(triple: tuple[float, float, float], tau: float) -> float:

@@ -195,9 +195,11 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
 
 
 def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
-                    config: AnalysisConfig) -> dict:
-    """Every requested method on one stratum, or an explicit skip reason."""
-    problems = validate(ds)
+                    config: AnalysisConfig, offsets: np.ndarray = ()) -> dict:
+    """Every requested method on one stratum, or an explicit skip reason;
+    ``offsets`` are the covariate means its centering removed (see
+    validate)."""
+    problems = validate(ds, offsets)
     if problems:
         return {"skipped": "; ".join(problems)}
     regime = config.regime
@@ -291,7 +293,7 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
         entry = {"stratum": records.key, "n": ds.n, "n1": ds.n1, "n0": ds.n0}
         if k:
             entry["covariate_means"] = [float(m) for m in means]
-        entry.update(analyze_stratum(ds, methods, config))
+        entry.update(analyze_stratum(ds, methods, config, means))
         return entry
 
     # strata run one after another: the per-stratum work holds the

@@ -385,23 +385,19 @@ def quantile_table(params: MixtureParams) -> MixtureQuantileTable:
 
 
 def lambda_quantile(params: MixtureParams, rho: float) -> float:
-    """Upper 1-alpha quantile of sqrt(1-rho)*normal + sqrt(rho)*component.
+    """lambda_quantiles at the one point ``rho``."""
+    return float(lambda_quantiles(params, rho))
+
+
+def lambda_quantiles(params: MixtureParams, rho: np.ndarray) -> np.ndarray:
+    """Upper 1-alpha quantile of sqrt(1-rho)*normal + sqrt(rho)*component at
+    every entry of ``rho``, by one interpolation over the cached table.
 
     With an infinite threshold the component is exactly standard normal
     (a chi radius times an independent coordinate projection), so the
     mixture collapses to N(0,1) for every rho and the normal quantile is
     returned directly.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must be in [0, 1]")
-    if math.isinf(params.a):
-        return normal_quantile(1.0 - params.alpha)
-    return quantile_table(params).lookup(rho)
-
-
-def lambda_quantiles(params: MixtureParams, rho: np.ndarray) -> np.ndarray:
-    """lambda_quantile at every entry of ``rho``, by one interpolation over
-    the same table, so each entry equals the scalar lookup."""
     rho = np.asarray(rho, dtype=float)
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rho must be in [0, 1]")

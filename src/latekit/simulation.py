@@ -37,7 +37,9 @@ from .design import Covariates, draw_assignment
 from .estimation import (
     Estimates,
     VarianceComponents,
+    _plain_family,
     _quad,
+    _rem_families,
     plain_components,
     r2_star,
     regime_spec,
@@ -47,11 +49,11 @@ from .exceptions import InfeasibleTargetError, LatekitError
 from .mixture import MixtureParams, lambda_quantiles, normal_quantile
 from .stats_core import (
     _FLAVOR_EXPONENT,
-    _spd_inverse,
-    covariate_covariance,
+    _ArmArrays,
+    _arm_indices,
+    _arm_moments,
     fit_interacted_pair,
     sandwich_cov,
-    spd_inverses,
     summarize,
 )
 from .two_stage import F_THRESHOLD, f_screen, first_stage_test
@@ -215,7 +217,8 @@ class StudyConfig:
         for key, low, rule in (("n", 2, "a positive even integer"),
                                ("reps", 1, "a positive integer"),
                                ("seed", 0, "a non-negative integer"),
-                               ("k", 1, "an integer >= 1")):
+                               ("k", 1, "an integer >= 1"),
+                               ("threads", 1, "a positive integer")):
             v = getattr(self, key)
             if not _is_integer(v) or v < low or (key == "n" and v % 2):
                 raise ValueError(f"{key} must be {rule}; got {v!r}")
@@ -225,6 +228,8 @@ class StudyConfig:
                 raise ValueError(f"{key} must be in (0, 1); got {v!r}")
         for key, high, interval in (("tau_w", 0.5, "(0, 0.5]"), ("gamma", 1.0, "(0, 1)")):
             values = getattr(self, key)
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{key} must be a list of numbers in {interval}; got {values!r}")
             if not len(values):
                 raise ValueError(f"{key} must list at least one value")
             bad = [v for v in values if not _in_range(v, high, closed=key == "tau_w")]
@@ -398,74 +403,12 @@ def _score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     return estimates, scores
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[i] @ v[i] for every row i, one BLAS dot per row as for one draw."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _row_forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """float(u[i] @ s @ v[i]) for every row i, where ``s`` is one matrix or
-    one per row: a vector-matrix product, then a dot, as for one draw."""
-    return ((u[:, None, :] @ s) @ v[:, :, None])[:, 0, 0]
-
-
-class _ArmArrays(NamedTuple):
-    """ArmMoments of one arm for every draw of a cell, one entry (or row)
-    per draw; the covariate terms are None unless asked for."""
-
-    y_mean: np.ndarray
-    w_mean: np.ndarray
-    s2_y: np.ndarray
-    s2_w: np.ndarray
-    s_yw: np.ndarray
-    s_yx: np.ndarray | None = None
-    s_wx: np.ndarray | None = None
-    sxx: np.ndarray | None = None
-
-
-def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
-                 x: np.ndarray | None = None) -> _ArmArrays:
-    """ArmMoments for every row of ``idx``, the arm's unit indices of one
-    draw in ascending order; with ``x``, also its covariate terms."""
-    ys, ws = y[idx], w[idx].astype(float)
-    y_mean, w_mean = ys.mean(axis=1), ws.mean(axis=1)
-    yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
-    d = idx.shape[1] - 1
-    arm = _ArmArrays(y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d,
-                     _row_dot(yc, wc) / d)
-    if x is None:
-        return arm
-    xs = x[idx]
-    xc = xs - xs.mean(axis=1)[:, None, :]
-    xt = np.swapaxes(xc, 1, 2)
-    return arm._replace(s_yx=(xt @ yc[:, :, None])[:, :, 0] / d,
-                        s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)
-
-
-def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The treated and the control unit indices of every assignment row,
-    each arm in index order."""
-    # a stable sort puts the treated units first, each arm in index order
-    order = np.argsort(1 - zs, axis=1, kind="stable")
-    return order[:, :n1], order[:, n1:]
-
-
 def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None = None
           ) -> tuple[_ArmArrays, _ArmArrays]:
-    """The treated and control arms' moments of every assignment row, in the
-    summation order summarize uses for one draw, so the bits agree."""
-    reps, n = zs.shape
-    if reps and min(n1, n - n1) < 2:
-        raise ValueError("each arm needs at least 2 units")
+    """The treated and control arms' moments of every assignment row, by the
+    kernel summarize calls for one draw, so the bits agree."""
     idx1, idx0 = _arm_indices(zs, n1)
     return _arm_moments(idx1, pop.y1, pop.w1, x), _arm_moments(idx0, pop.y0, pop.w0, x)
-
-
-def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """plain_components' (v_y, c_yw, v_w) of every draw."""
-    return (arm1.s2_y / n1 + arm0.s2_y / n0, arm1.s_yw / n1 + arm0.s_yw / n0,
-            arm1.s2_w / n1 + arm0.s2_w / n0)
 
 
 def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
@@ -571,47 +514,20 @@ def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     return _score_normal(tau_y, tau_w, tuple(triple), base, gammas, errors)
 
 
-def _rem_families(pop: PotentialDataset, zs: np.ndarray, n1: int):
-    """Effect estimates and the plain, rerandomization and projection
-    families (each a (v_y, c_yw, v_w) triple) of every assignment row, as
-    summarize and variance_components compute them for one draw, and the
-    error each failing draw raises there."""
-    arm1, arm0 = _arms(pop, zs, n1, pop.x)
-    n = zs.shape[1]
-    n0 = n - n1
-    plain = _plain_family(arm1, arm0, n1, n0)
-    k = pop.x.shape[1]
-    # the scalar path inverts the full covariance only when it scores a draw
-    sxx_inv = (_spd_inverse(covariate_covariance(pop.x), "covariate covariance")
-               if len(zs) else np.zeros((k, k)))
-    dy, dw = arm1.s_yx - arm0.s_yx, arm1.s_wx - arm0.s_wx
-    corr = [_row_forms(u, sxx_inv, v) / n for u, v in ((dy, dy), (dy, dw), (dw, dw))]
-    errors = {}
-    arm_proj = []
-    for arm in (arm1, arm0):
-        inv, singular = spd_inverses(arm.sxx, "within-arm covariate covariance")
-        errors.update(singular)
-        arm_proj.append([_row_forms(u, inv, v) for u, v in
-                         ((arm.s_yx, arm.s_yx), (arm.s_yx, arm.s_wx), (arm.s_wx, arm.s_wx))])
-    rem = tuple(p - c for p, c in zip(plain, corr))
-    proj = tuple(p1 / n1 + p0 / n0 - c for p1, p0, c in zip(*arm_proj, corr))
-    return arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean, plain, rem, proj, errors
-
-
 def _r2_stars(plain, rem, proj) -> np.ndarray:
     """r2_star of every draw, one scalar call each on Python floats."""
-    return np.array([r2_star(VarianceComponents(
-        v_y=v[0], c_yw=v[1], v_w=v[2], v_y_rem=v[3], c_yw_rem=v[4], v_w_rem=v[5],
-        v_y_proj=v[6], c_yw_proj=v[7], v_w_proj=v[8])).value
-        for v in zip(*(t.tolist() for t in (*plain, *rem, *proj)))], dtype=float)
+    return np.array([r2_star(VarianceComponents.from_families(v[:3], v[3:6], v[6:])).value
+                     for v in zip(*(t.tolist() for t in (*plain, *rem, *proj)))], dtype=float)
 
 
 def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """What _score_draws returns for an unadjusted ReM cell, computed for
     all assignment rows of ``zs`` at once."""
-    tau_y, tau_w, plain, rem, proj, errors = _rem_families(pop, zs, base.design.n1)
-    k = pop.x.shape[1]
+    n1, k = base.design.n1, pop.x.shape[1]
+    arm1, arm0 = _arms(pop, zs, n1, pop.x)
+    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, zs.shape[1] - n1, pop.x)
+    tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
 
     def lam(alpha, rho):
         return lambda_quantiles(MixtureParams(k=k, a=base.design.a, alpha=alpha), rho)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,88 +55,85 @@ def covariate_covariance(x: np.ndarray) -> np.ndarray:
     return xc.T @ xc / (len(x) - 1)
 
 
-class ArmMoments:
-    """Means, variances, and covariate covariances within one arm."""
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row i, one BLAS dot per row."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    def __init__(self, q_y: np.ndarray, q_w: np.ndarray, x: np.ndarray):
-        nz = len(q_y)
-        if nz < 2:
-            raise ValueError("each arm needs at least 2 units")
-        self.nz = nz
-        self.y_mean = float(q_y.mean())
-        self.w_mean = float(q_w.mean())
-        yc = q_y - self.y_mean
-        wc = q_w - self.w_mean
-        xc = x - x.mean(axis=0)
-        d = nz - 1
-        self.s2_y = float(yc @ yc) / d
-        self.s2_w = float(wc @ wc) / d
-        self.s_yw = float(yc @ wc) / d
-        self.s_yx = xc.T @ yc / d
-        self.s_wx = xc.T @ wc / d
-        self.sxx = xc.T @ xc / d
 
-    @cached_property
-    def sxx_inv(self) -> np.ndarray:
-        return _spd_inverse(self.sxx, "within-arm covariate covariance")
+def _row_forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ s @ v[i] for every row i, where ``s`` is one matrix or one per
+    row: a vector-matrix product, then a dot."""
+    return ((u[:, None, :] @ s) @ v[:, :, None])[:, 0, 0]
 
-    @cached_property
-    def s2_y_proj(self) -> float:
-        return float(self.s_yx @ self.sxx_inv @ self.s_yx)
 
-    @cached_property
-    def s2_w_proj(self) -> float:
-        return float(self.s_wx @ self.sxx_inv @ self.s_wx)
+class _ArmArrays(NamedTuple):
+    """Means, variances and covariate covariances within one arm, one entry
+    (or row) per assignment; the covariate terms are None unless asked for."""
 
-    @cached_property
-    def s_yw_proj(self) -> float:
-        return float(self.s_yx @ self.sxx_inv @ self.s_wx)
+    y_mean: np.ndarray
+    w_mean: np.ndarray
+    s2_y: np.ndarray
+    s2_w: np.ndarray
+    s_yw: np.ndarray
+    s_yx: np.ndarray | None = None
+    s_wx: np.ndarray | None = None
+    sxx: np.ndarray | None = None
+
+
+def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
+                 x: np.ndarray | None = None) -> _ArmArrays:
+    """The arm's moments for every row of ``idx``, its unit indices under
+    one assignment in ascending order; with ``x``, also its covariate terms.
+    This is the one place arm moments are computed: ``summarize`` is its
+    one-row call, and the study passes call it for all of a cell's draws."""
+    if len(idx) and idx.shape[1] < 2:
+        raise ValueError("each arm needs at least 2 units")
+    ys, ws = y[idx], w[idx].astype(float)
+    y_mean, w_mean = ys.mean(axis=1), ws.mean(axis=1)
+    yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
+    d = idx.shape[1] - 1
+    arm = _ArmArrays(y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d,
+                     _row_dot(yc, wc) / d)
+    if x is None:
+        return arm
+    xs = x[idx]
+    xc = xs - xs.mean(axis=1)[:, None, :]
+    xt = np.swapaxes(xc, 1, 2)
+    return arm._replace(s_yx=(xt @ yc[:, :, None])[:, :, 0] / d,
+                        s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)
+
+
+def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The treated and the control unit indices of every assignment row,
+    each arm in index order."""
+    order = np.argsort(1 - zs, axis=1, kind="stable")
+    return order[:, :n1], order[:, n1:]
 
 
 class MomentSummary:
-    """All arm-wise moments an analysis needs, computed once per assignment.
-
-    Projection quantities (variances of fitted linear projections on the
-    covariates) are evaluated lazily so covariate-free analyses never touch
-    a covariate matrix.
-    """
+    """The arm moments of one assignment, as one-row ``_ArmArrays``. The
+    covariate terms are computed on first use, so an analysis that reads no
+    covariates never touches the covariate matrix."""
 
     def __init__(self, dataset: Dataset, z: np.ndarray):
-        z = np.asarray(z, dtype=np.int64)
-        self.n = dataset.n
-        self.k = dataset.k
-        treated = z == 1
-        self.arm1 = ArmMoments(dataset.y[treated], dataset.w[treated], dataset.x[treated])
-        self.arm0 = ArmMoments(dataset.y[~treated], dataset.w[~treated], dataset.x[~treated])
-        self.n1 = self.arm1.nz
-        self.n0 = self.arm0.nz
-        self.sxx_full = covariate_covariance(dataset.x)
+        treated = np.asarray(z, dtype=np.int64) == 1
+        self.dataset, self.n, self.k = dataset, dataset.n, dataset.k
+        self._idx = np.flatnonzero(treated)[None, :], np.flatnonzero(~treated)[None, :]
+        self.n1, self.n0 = (idx.shape[1] for idx in self._idx)
+        self.arm1, self.arm0 = (_arm_moments(idx, dataset.y, dataset.w) for idx in self._idx)
+        self.tau_y = float(self.arm1.y_mean[0] - self.arm0.y_mean[0])
+        self.tau_w = float(self.arm1.w_mean[0] - self.arm0.w_mean[0])
 
     @cached_property
-    def sxx_full_inv(self) -> np.ndarray:
-        return _spd_inverse(self.sxx_full, "covariate covariance")
-
-    @property
-    def tau_y(self) -> float:
-        return self.arm1.y_mean - self.arm0.y_mean
-
-    @property
-    def tau_w(self) -> float:
-        return self.arm1.w_mean - self.arm0.w_mean
+    def covariate_arms(self) -> tuple[_ArmArrays, _ArmArrays]:
+        """The treated and control arms with their covariate terms."""
+        ds = self.dataset
+        return tuple(_arm_moments(idx, ds.y, ds.w, ds.x) for idx in self._idx)
 
 
 def summarize(dataset: Dataset, z: np.ndarray) -> MomentSummary:
     """Compute every arm-wise moment for the given assignment."""
     return MomentSummary(dataset, z)
-
-
-def diff_in_means(dataset: Dataset, z: np.ndarray, q: np.ndarray) -> float:
-    """Treated-minus-control mean of a column."""
-    z = np.asarray(z)
-    q = np.asarray(q, dtype=float)
-    if not (z == 1).any() or not (z == 0).any():
-        raise ValueError("both arms must be nonempty")
-    return float(q[z == 1].mean() - q[z == 0].mean())
 
 
 @dataclass

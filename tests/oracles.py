@@ -1,0 +1,197 @@
+"""Reference code the tests check the package against.
+
+``reference_summarize``, ``reference_plain_components`` and
+``reference_variance_components`` are the scalar arm-moment and
+variance-family arithmetic as it was before ``summarize`` became the
+one-row call of the array kernel in ``stats_core``: the kernel must give
+the same bits. The rest are small helpers the package no longer exports.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+
+from latekit.confidence_sets import ConfidenceSet
+from latekit.data_model import Dataset
+from latekit.estimation import VarianceComponents
+from latekit.stats_core import _spd_inverse, covariate_covariance
+
+_INF = math.inf
+
+
+# ------------------------------------------------ scalar moments and families
+
+class ReferenceArm:
+    """Means, variances, and covariate covariances within one arm."""
+
+    def __init__(self, q_y: np.ndarray, q_w: np.ndarray, x: np.ndarray):
+        nz = len(q_y)
+        if nz < 2:
+            raise ValueError("each arm needs at least 2 units")
+        self.nz = nz
+        self.y_mean = float(q_y.mean())
+        self.w_mean = float(q_w.mean())
+        yc = q_y - self.y_mean
+        wc = q_w - self.w_mean
+        xc = x - x.mean(axis=0)
+        d = nz - 1
+        self.s2_y = float(yc @ yc) / d
+        self.s2_w = float(wc @ wc) / d
+        self.s_yw = float(yc @ wc) / d
+        self.s_yx = xc.T @ yc / d
+        self.s_wx = xc.T @ wc / d
+        self.sxx = xc.T @ xc / d
+
+    @cached_property
+    def sxx_inv(self) -> np.ndarray:
+        return _spd_inverse(self.sxx, "within-arm covariate covariance")
+
+    @cached_property
+    def s2_y_proj(self) -> float:
+        return float(self.s_yx @ self.sxx_inv @ self.s_yx)
+
+    @cached_property
+    def s2_w_proj(self) -> float:
+        return float(self.s_wx @ self.sxx_inv @ self.s_wx)
+
+    @cached_property
+    def s_yw_proj(self) -> float:
+        return float(self.s_yx @ self.sxx_inv @ self.s_wx)
+
+
+class ReferenceSummary:
+    """Both arms' moments of one assignment, and the full covariance."""
+
+    def __init__(self, dataset: Dataset, z: np.ndarray):
+        z = np.asarray(z, dtype=np.int64)
+        self.n = dataset.n
+        self.k = dataset.k
+        treated = z == 1
+        self.arm1 = ReferenceArm(dataset.y[treated], dataset.w[treated], dataset.x[treated])
+        self.arm0 = ReferenceArm(dataset.y[~treated], dataset.w[~treated], dataset.x[~treated])
+        self.n1 = self.arm1.nz
+        self.n0 = self.arm0.nz
+        self.sxx_full = covariate_covariance(dataset.x)
+
+    @cached_property
+    def sxx_full_inv(self) -> np.ndarray:
+        return _spd_inverse(self.sxx_full, "covariate covariance")
+
+    @property
+    def tau_y(self) -> float:
+        return self.arm1.y_mean - self.arm0.y_mean
+
+    @property
+    def tau_w(self) -> float:
+        return self.arm1.w_mean - self.arm0.w_mean
+
+
+def reference_summarize(dataset: Dataset, z: np.ndarray) -> ReferenceSummary:
+    return ReferenceSummary(dataset, z)
+
+
+def reference_plain_components(summary: ReferenceSummary) -> VarianceComponents:
+    a1, a0 = summary.arm1, summary.arm0
+    n1, n0 = summary.n1, summary.n0
+    return VarianceComponents(v_y=a1.s2_y / n1 + a0.s2_y / n0,
+                              v_w=a1.s2_w / n1 + a0.s2_w / n0,
+                              c_yw=a1.s_yw / n1 + a0.s_yw / n0)
+
+
+def reference_variance_components(summary: ReferenceSummary) -> VarianceComponents:
+    plain = reference_plain_components(summary)
+    if summary.k == 0:
+        return plain
+    a1, a0 = summary.arm1, summary.arm0
+    n1, n0, n = summary.n1, summary.n0, summary.n
+    sxx_inv = summary.sxx_full_inv
+    dy = a1.s_yx - a0.s_yx
+    dw = a1.s_wx - a0.s_wx
+    corr_yy = float(dy @ sxx_inv @ dy) / n
+    corr_ww = float(dw @ sxx_inv @ dw) / n
+    corr_yw = float(dy @ sxx_inv @ dw) / n
+    return VarianceComponents(
+        v_y=plain.v_y, v_w=plain.v_w, c_yw=plain.c_yw, k=summary.k,
+        v_y_rem=plain.v_y - corr_yy,
+        v_w_rem=plain.v_w - corr_ww,
+        c_yw_rem=plain.c_yw - corr_yw,
+        v_y_proj=a1.s2_y_proj / n1 + a0.s2_y_proj / n0 - corr_yy,
+        v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
+        c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
+    )
+
+
+# ------------------------------------------------------------- small helpers
+
+def diff_in_means(dataset: Dataset, z: np.ndarray, q: np.ndarray) -> float:
+    """Treated-minus-control mean of a column."""
+    z = np.asarray(z)
+    q = np.asarray(q, dtype=float)
+    if not (z == 1).any() or not (z == 0).any():
+        raise ValueError("both arms must be nonempty")
+    return float(q[z == 1].mean() - q[z == 0].mean())
+
+
+def fieller_endpoints(b_y: float, b_w: float, crit: float,
+                      q_y: float, q_c: float, q_w: float) -> tuple[float, float]:
+    """Closed-form interval endpoints for the ratio inversion when g < 1,
+    where g = crit^2 * q_w / b_w^2 measures first-stage weakness."""
+    if b_w == 0.0:
+        raise ValueError("g is undefined with a zero first stage")
+    crit2 = crit * crit
+    g = crit2 * q_w / (b_w * b_w)
+    if g >= 1.0:
+        raise ValueError(f"g = {g:.6g} >= 1: the set is not a finite interval")
+    tau = b_y / b_w
+    center = tau - crit2 * q_c / (b_w * b_w)
+    inner = (q_y + tau * tau * q_w - 2.0 * tau * q_c
+             - crit2 * (q_y * q_w - q_c * q_c) / (b_w * b_w))
+    if inner < 0.0:
+        raise ArithmeticError("negative radicand: variance form is not nonnegative")
+    radius = crit * math.sqrt(inner) / abs(b_w)
+    lo = (center - radius) / (1.0 - g)
+    hi = (center + radius) / (1.0 - g)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def confidence_set_from_json(d: dict) -> ConfidenceSet:
+    """The ConfidenceSet a ``to_json_dict`` encoding describes."""
+    def dec(v):
+        if v == "inf":
+            return _INF
+        if v == "-inf":
+            return -_INF
+        return v
+
+    return ConfidenceSet(kind=d["type"], lo=dec(d.get("lo", -_INF)),
+                         hi=dec(d.get("hi", _INF)),
+                         hi_left=dec(d.get("hi_left")),
+                         lo_right=dec(d.get("lo_right")),
+                         method=d.get("method", ""))
+
+
+@dataclass(frozen=True)
+class UnitData:
+    """One experimental unit: assignment, receipt, outcome, covariates."""
+
+    z: int
+    w: int
+    y: float
+    x: tuple[float, ...] = ()
+
+
+def dataset_from_units(units: Sequence[UnitData]) -> Dataset:
+    z = [u.z for u in units]
+    w = [u.w for u in units]
+    y = [u.y for u in units]
+    x = [u.x for u in units]
+    return Dataset(np.array(z), np.array(w), np.array(y), np.array(x, dtype=float))
+
+
+def dataset_units(ds: Dataset) -> list[UnitData]:
+    return [UnitData(int(z), int(w), float(y), tuple(x))
+            for z, w, y, x in zip(ds.z, ds.w, ds.y, ds.x)]

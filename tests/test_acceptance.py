@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from latekit.confidence_sets import far_set, fieller_endpoints, solve_quadratic_set, wald_ci
+from latekit.confidence_sets import far_set, solve_quadratic_set, wald_ci
 from latekit.data_model import AnalysisConfig, DesignSpec
 from latekit.design import draw_assignment
 from latekit.estimation import Estimates, r2_star, variance_components
@@ -26,6 +26,7 @@ from latekit.mixture import (
 from latekit.simulation import DgpConfig, StudyConfig, generate_population, run_study
 from latekit.stats_core import fit_interacted, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import two_stage_set
+from oracles import fieller_endpoints
 
 ACCEPTANCE_SEED = 20240901
 REPS = 2000
@@ -154,13 +155,13 @@ def test_criterion_7_oracle_equivalence(rng):
     for trial in range(10):
         ds = random_dataset(rng, n=int(rng.integers(16, 30)), k=int(rng.integers(1, 4)))
         s = summarize(ds, ds.z)
-        for zval, arm in ((1, s.arm1), (0, s.arm0)):
+        for zval, arm in zip((1, 0), s.covariate_arms):
             mask = ds.z == zval
-            if abs(arm.s2_y - pairwise_variance(ds.y[mask])) > 1e-8 * max(arm.s2_y, 1):
+            if abs(arm.s2_y[0] - pairwise_variance(ds.y[mask])) > 1e-8 * max(arm.s2_y[0], 1):
                 failures.append("moments")
             col = int(rng.integers(0, ds.k))
             oracle_cov = pairwise_covariance(ds.y[mask], ds.x[mask][:, col])
-            if abs(arm.s_yx[col] - oracle_cov) > 1e-8 * max(abs(oracle_cov), 1):
+            if abs(arm.s_yx[0, col] - oracle_cov) > 1e-8 * max(abs(oracle_cov), 1):
                 failures.append("moment covariance")
         fit = fit_interacted(ds, ds.z, ds.y)
         omega = build_design(ds)

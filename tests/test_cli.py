@@ -166,7 +166,11 @@ def test_simulate_rejects_unknown_design(tmp_path, capsys):
                                      ({"tau_w": [True]}, "tau_w"),
                                      ({"alpha": 1.0}, "alpha"), ({"p_a": 0.0}, "p_a"),
                                      ({"p_plus": 1.5}, "p_plus"),
-                                     ({"k": 0}, "k"), ({"k": 2.0}, "k")])
+                                     ({"k": 0}, "k"), ({"k": 2.0}, "k"),
+                                     ({"threads": "2"}, "threads"), ({"threads": 1.5}, "threads"),
+                                     ({"threads": 0}, "threads"), ({"threads": -3}, "threads"),
+                                     ({"threads": True}, "threads"),
+                                     ({"tau_w": 0.5}, "tau_w"), ({"gamma": 0.075}, "gamma")])
 def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
     # each would crash, or write a table of nothing, if it reached the study
     cfg_file = tmp_path / "cfg.json"
@@ -174,6 +178,15 @@ def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
     rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text("[1, 2]")
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object; got list\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -222,6 +235,30 @@ def test_analyze_small_stratum_skipped_when_covariates_are_read(tmp_path, flags,
     out = tmp_path / "o.json"
     assert main(["analyze", "--input", str(with_x), "--out", str(out), *flags]) == 0
     assert json.loads(out.read_text())["strata"][0]["skipped"] == message
+
+
+@pytest.mark.parametrize("flags", [[], ["--design", "rem", "--pa", "0.1"], ["--adjust", "hc2"]])
+def test_analyze_keeps_strata_it_centered_from_a_large_offset(tmp_path, flags):
+    # centering x1 = 1e8 + N(0, 1) leaves means of order 1e-8, roundoff of
+    # the offset subtracted, not an off-centre covariate
+    rng = np.random.default_rng(11)
+    lines = []
+    for s in range(6):
+        z = rng.permutation(np.repeat([1, 0], 15))
+        w = np.where(z == 1, (rng.random(30) < 0.7).astype(int), 0)
+        x1 = 1e8 + rng.standard_normal(30)
+        x2 = rng.standard_normal(30)
+        y = 2.0 * w + x2 + rng.standard_normal(30)
+        lines += [f"s{s},{z[i]},{w[i]},{y[i]:.17g},{x1[i]:.17g},{x2[i]:.17g}"
+                  for i in range(30)]
+    f = tmp_path / "offset.csv"
+    write_basic_csv(f, lines, header="stratum,z,w,y,x1,x2")
+    out = tmp_path / "o.json"
+    assert main(["analyze", "--input", str(f), "--out", str(out), *flags]) == 0
+    strata = json.loads(out.read_text())["strata"]
+    assert len(strata) == 6
+    assert [e.get("skipped") for e in strata] == [None] * 6
+    assert all(set(e["methods"]) == set(ALL_METHODS) for e in strata)
 
 
 def test_design_rejects_pa_one(covariate_file, tmp_path):

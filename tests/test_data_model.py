@@ -4,11 +4,11 @@ import pytest
 from latekit.data_model import (
     Dataset,
     PotentialDataset,
-    UnitData,
     center_covariates,
     true_sample_late,
     validate,
 )
+from oracles import UnitData, dataset_from_units, dataset_units
 
 
 def test_validate_clean_dataset():
@@ -29,6 +29,17 @@ def test_validate_uncentered_covariates():
                  x=[[0.5], [0.5], [0.5], [0.5]])
     report = validate(ds)
     assert any("not centered" in r for r in report)
+
+
+def test_validate_widens_the_centering_tolerance_only_by_the_removed_offsets(rng):
+    x, means = center_covariates(1e8 + rng.standard_normal((40, 1)))
+    ds = Dataset(z=np.repeat([1, 0], 20), w=np.zeros(40, dtype=int),
+                 y=rng.standard_normal(40), x=x)
+    assert validate(ds, means) == []
+    # a dataset that really is off-centre is still reported
+    off = Dataset(z=ds.z, w=ds.w, y=ds.y, x=x + 0.5)
+    assert any("not centered" in r for r in validate(off, means))
+    assert any("not centered" in r for r in validate(off))
 
 
 def test_validate_non_binary():
@@ -131,6 +142,6 @@ def test_true_sample_late_matches_ratio_identity(rng):
 def test_dataset_from_units_roundtrip():
     units = [UnitData(1, 1, 2.0, (0.5,)), UnitData(1, 0, 1.0, (-0.5,)),
              UnitData(0, 0, 0.0, (0.25,)), UnitData(0, 1, 3.0, (-0.25,))]
-    ds = Dataset.from_units(units)
+    ds = dataset_from_units(units)
     assert ds.n == 4 and ds.n1 == 2 and ds.k == 1
-    assert ds.units == units
+    assert dataset_units(ds) == units

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latekit import simulation
+from latekit import estimation, simulation
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -502,7 +502,7 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
     # earlier draw's FAR failure before a later draw's singular covariance
     cfg = StudyConfig(n=60, k=2, tau_w=(0.4,), design="rem", p_a=0.1, reps=4, seed=99)
     pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
-    spd_inverses = simulation.spd_inverses
+    spd_inverses = estimation.spd_inverses
 
     def singular_at(*draws):
         def inverses(mats, what):
@@ -513,10 +513,10 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
     far = _interval_arrays(-1e9, 1e9, {1: NoIdentificationError("far at 1"),
                                        2: NoIdentificationError("far at 2")})
     monkeypatch.setattr(simulation, "solve_quadratic_sets", far)
-    monkeypatch.setattr(simulation, "spd_inverses", singular_at(2, 3))
+    monkeypatch.setattr(estimation, "spd_inverses", singular_at(2, 3))
     with pytest.raises(NoIdentificationError, match="far at 1"):
         simulation._score_rem(pop, zs, base, cfg.gamma)
-    monkeypatch.setattr(simulation, "spd_inverses", singular_at(1))
+    monkeypatch.setattr(estimation, "spd_inverses", singular_at(1))
     with pytest.raises(DegenerateCovariatesError, match="singular at 1"):
         simulation._score_rem(pop, zs, base, cfg.gamma)
 

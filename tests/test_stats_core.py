@@ -3,13 +3,23 @@ import pytest
 
 from conftest import random_dataset
 from latekit.data_model import Dataset
-from latekit.exceptions import LeverageOnePointError, RankDeficientDesignError
+from latekit.estimation import _arm_projections, plain_components, variance_components
+from latekit.exceptions import (
+    DegenerateCovariatesError,
+    LeverageOnePointError,
+    RankDeficientDesignError,
+)
 from latekit.stats_core import (
-    diff_in_means,
     fit_interacted,
     fit_interacted_pair,
     sandwich_cov,
     summarize,
+)
+from oracles import (
+    diff_in_means,
+    reference_plain_components,
+    reference_summarize,
+    reference_variance_components,
 )
 
 
@@ -60,9 +70,9 @@ def build_design(ds):
 def test_constant_within_arm_gives_zero_moments(rng):
     ds = random_dataset(rng, n=12, k=2)
     ds = Dataset(z=ds.z, w=ds.w, y=np.where(ds.z == 1, 3.0, -1.0), x=ds.x)
-    s = summarize(ds, ds.z)
-    assert s.arm1.s2_y == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(s.arm1.s_yx, 0.0, atol=1e-14)
+    arm1, _ = summarize(ds, ds.z).covariate_arms
+    assert arm1.s2_y[0] == pytest.approx(0.0, abs=1e-14)
+    assert np.allclose(arm1.s_yx[0], 0.0, atol=1e-14)
 
 
 def test_perfect_projection_attains_total_variance(rng):
@@ -70,49 +80,119 @@ def test_perfect_projection_attains_total_variance(rng):
     beta = np.array([1.5, -2.0])
     y = ds.x @ beta
     ds = Dataset(z=ds.z, w=ds.w, y=y, x=ds.x)
-    s = summarize(ds, ds.z)
-    for arm in (s.arm1, s.arm0):
-        assert arm.s2_y_proj == pytest.approx(arm.s2_y, abs=1e-10)
+    for arm in summarize(ds, ds.z).covariate_arms:
+        (s2_y_proj, _, _), _ = _arm_projections(arm)
+        assert s2_y_proj[0] == pytest.approx(arm.s2_y[0], abs=1e-10)
 
 
 def test_moments_match_pairwise_oracle(rng):
     ds = random_dataset(rng, n=10, k=2)
-    s = summarize(ds, ds.z)
-    for zval, arm in ((1, s.arm1), (0, s.arm0)):
+    for zval, arm in zip((1, 0), summarize(ds, ds.z).covariate_arms):
         mask = ds.z == zval
         y, w, x = ds.y[mask], ds.w[mask].astype(float), ds.x[mask]
-        assert arm.s2_y == pytest.approx(pairwise_variance(y), rel=1e-8)
-        assert arm.s2_w == pytest.approx(pairwise_variance(w), rel=1e-8, abs=1e-12)
-        assert arm.s_yw == pytest.approx(pairwise_covariance(y, w), rel=1e-8, abs=1e-12)
+        assert arm.s2_y[0] == pytest.approx(pairwise_variance(y), rel=1e-8)
+        assert arm.s2_w[0] == pytest.approx(pairwise_variance(w), rel=1e-8, abs=1e-12)
+        assert arm.s_yw[0] == pytest.approx(pairwise_covariance(y, w), rel=1e-8, abs=1e-12)
         for col in range(2):
-            assert arm.s_yx[col] == pytest.approx(
+            assert arm.s_yx[0, col] == pytest.approx(
                 pairwise_covariance(y, x[:, col]), rel=1e-8, abs=1e-12)
             for col2 in range(2):
-                assert arm.sxx[col, col2] == pytest.approx(
+                assert arm.sxx[0, col, col2] == pytest.approx(
                     pairwise_covariance(x[:, col], x[:, col2]), rel=1e-8, abs=1e-12)
 
 
 def test_projection_bounded_by_total(rng):
     for _ in range(10):
         ds = random_dataset(rng, n=24, k=3)
-        s = summarize(ds, ds.z)
-        for arm in (s.arm1, s.arm0):
-            assert arm.s2_y_proj <= arm.s2_y + 1e-10
-            assert arm.s2_w_proj <= arm.s2_w + 1e-10
+        for arm in summarize(ds, ds.z).covariate_arms:
+            (s2_y_proj, _, s2_w_proj), _ = _arm_projections(arm)
+            assert s2_y_proj[0] <= arm.s2_y[0] + 1e-10
+            assert s2_w_proj[0] <= arm.s2_w[0] + 1e-10
 
 
 def test_covariate_covariance_centering_invariance(rng):
     # the cross-covariance is the same whether the arm mean or the
     # full-sample mean centers the non-covariate variable
     ds = random_dataset(rng, n=14, k=2)
-    s = summarize(ds, ds.z)
-    for zval, arm in ((1, s.arm1), (0, s.arm0)):
+    for zval, arm in zip((1, 0), summarize(ds, ds.z).covariate_arms):
         mask = ds.z == zval
         y, x = ds.y[mask], ds.x[mask]
         xc = x - x.mean(axis=0)
         nz = mask.sum()
         with_full_mean = xc.T @ (y - ds.y.mean()) / (nz - 1)
-        assert np.allclose(arm.s_yx, with_full_mean, atol=1e-12)
+        assert np.allclose(arm.s_yx[0], with_full_mean, atol=1e-12)
+
+
+# ----------------------------------------- the kernel against the scalar code
+
+def _kernel_datasets(rng, count):
+    """Datasets of 12 to 139 units with unequal arms and 0 to 4 covariates,
+    some offset far from zero or scaled far apart, some with a constant
+    receipt; covariates are centered only sometimes, as summarize allows."""
+    for i in range(count):
+        n = int(rng.integers(12, 140))
+        k = int(rng.integers(0, 5))
+        n1 = int(rng.integers(2, n - 1))
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:n1]] = 1
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-2.5, 2.5, k)
+        if i % 3 == 0:
+            x += 10.0 ** rng.uniform(0, 8, k) * rng.choice([-1, 1], k)
+        elif i % 3 == 1:
+            x -= x.mean(axis=0)
+        if i % 5 == 0:
+            w = z.copy() if i % 2 else np.ones(n, dtype=int)
+        else:
+            w = (rng.random(n) < 0.2 + 0.5 * z).astype(int)
+        noise = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        y = x @ rng.standard_normal(k) + 2.0 * w + noise
+        yield Dataset(z=z, w=w, y=y, x=x)
+
+
+def _components_or_error(components, summary):
+    try:
+        return components(summary)
+    except DegenerateCovariatesError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_one_row_is_reference(ds):
+    s, ref = summarize(ds, ds.z), reference_summarize(ds, ds.z)
+    assert (s.n1, s.n0, s.tau_y, s.tau_w) == (ref.n1, ref.n0, ref.tau_y, ref.tau_w)
+    for arm, ref_arm in zip((s.arm1, s.arm0, *s.covariate_arms), (ref.arm1, ref.arm0) * 2):
+        for name in ("y_mean", "w_mean", "s2_y", "s2_w", "s_yw"):
+            assert getattr(arm, name)[0] == getattr(ref_arm, name), name
+    for arm, ref_arm in zip(s.covariate_arms, (ref.arm1, ref.arm0)):
+        for name in ("s_yx", "s_wx", "sxx"):
+            assert np.array_equal(getattr(arm, name)[0], getattr(ref_arm, name)), name
+    assert plain_components(s) == reference_plain_components(ref)
+    got = _components_or_error(variance_components, s)
+    assert got == _components_or_error(reference_variance_components, ref)
+    return got
+
+
+def test_one_row_kernel_is_the_scalar_arithmetic_bit_for_bit(rng):
+    outcomes = [_assert_one_row_is_reference(ds) for ds in _kernel_datasets(rng, 400)]
+    # most datasets reach the rerandomization and projection families
+    assert sum(getattr(o, "v_y_rem", None) is not None for o in outcomes) > 250
+
+
+@pytest.mark.parametrize("n1,k,duplicate,message", [
+    (3, 4, False, "within-arm covariate covariance is numerically singular"),
+    (14, 4, False, "within-arm covariate covariance is numerically singular"),
+    (10, 2, True, "covariate covariance is numerically singular"),
+])
+def test_one_row_kernel_raises_the_scalar_error(rng, n1, k, duplicate, message):
+    # arms of at most k units; or a repeated covariate column, which makes
+    # the full covariance singular before any arm is looked at
+    n = 17 if n1 > 10 else 20
+    x = rng.standard_normal((n, k))
+    if duplicate:
+        x[:, 1] = x[:, 0]
+    z = np.zeros(n, dtype=int)
+    z[:n1] = 1
+    ds = Dataset(z=z, w=(rng.random(n) < 0.5).astype(int), y=rng.standard_normal(n), x=x)
+    assert _assert_one_row_is_reference(ds) == (DegenerateCovariatesError, message)
 
 
 def test_diff_in_means():
