@@ -317,8 +317,10 @@ class PerformanceTable:
                     return "na"
             return v
 
-        return {"rows": [{k: enc(v) for k, v in dataclasses.asdict(r).items()}
-                         for r in self.rows]}
+        # the fields as they are, but for a copy of the row's set_kinds
+        names = [f.name for f in dataclasses.fields(PerformanceRow)]
+        return {"rows": [{**{k: enc(getattr(r, k)) for k in names},
+                          "set_kinds": dict(r.set_kinds)} for r in self.rows]}
 
 
 def median_extended(values: np.ndarray) -> float:
@@ -620,11 +622,28 @@ def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
     covariates = Covariates(pop.x)
     zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
     attempts = np.zeros(cfg.reps, dtype=np.int64)
-    for rep in range(cfg.reps):
-        rng = np.random.default_rng((cfg.seed, cell, 1 + rep))
-        draw = draw_assignment(design, covariates, rng)
+    for rep, entropy in enumerate(_draw_entropy(cfg.seed, cell, cfg.reps)):
+        draw = draw_assignment(design, covariates, np.random.default_rng(entropy))
         zs[rep], attempts[rep] = draw.z, draw.accepted_after
     return pop, base, true_sample_late(pop), zs, attempts
+
+
+def _seed_words(v: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first, the
+    way numpy's SeedSequence splits an int (0 is one word)."""
+    return [(v >> shift) & 0xFFFFFFFF for shift in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _draw_entropy(seed: int, cell: int, reps: int) -> np.ndarray:
+    """One uint32 entropy row per replication: the words of ``seed``,
+    ``cell`` and ``1 + rep``. A generator seeded from row ``rep`` gives the
+    stream of ``default_rng((seed, cell, 1 + rep))``, without numpy
+    coercing a tuple for every draw."""
+    head = _seed_words(seed) + _seed_words(cell)
+    entropy = np.empty((reps, len(head) + 1), dtype=np.uint32)
+    entropy[:, :-1] = head
+    entropy[:, -1] = np.arange(1, reps + 1)
+    return entropy
 
 
 def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
@@ -637,6 +656,7 @@ def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
           estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
     """One performance row per method, reduced over the included draws."""
     attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
+    abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
     rows = []
     for m, s in scores.items():
         strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
@@ -644,21 +664,20 @@ def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
         kept = s.included
         n_kept = int(np.count_nonzero(kept))
         if n_kept:
-            est = estimates[kept]
-            errors = np.where(np.isfinite(est), np.abs(est - truth), math.inf)
+            errors = abs_errors[kept]
             med_err = median_extended(errors)
             mean_err = float(np.mean(errors))
             cov = float(np.mean(s.sets.contains(truth)[kept]))
             med_len = median_extended(s.sets.length[kept])
         else:
             med_err = mean_err = cov = med_len = math.nan
-        kinds = s.sets.kind[kept]
+        kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))
         rows.append(PerformanceRow(
             method=m, design=cfg.design, adjustment=cfg.adjustment, n=cfg.n,
             tau_w=tau_w, reps=cfg.reps, n_included=n_kept,
             median_abs_error=med_err, mean_abs_error=mean_err, coverage=cov,
             median_length=med_len, strong_prop=strong_prop,
-            set_kinds={k: int(np.count_nonzero(kinds == i)) for i, k in enumerate(KINDS)},
+            set_kinds=dict(zip(KINDS, kinds.tolist())),
             degenerate=int(np.count_nonzero(s.sets.degenerate[kept])),
             attempts_mean=attempts_mean))
     return rows

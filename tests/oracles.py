@@ -4,10 +4,15 @@
 ``reference_variance_components`` are the scalar arm-moment and
 variance-family arithmetic as it was before ``summarize`` became the
 one-row call of the array kernel in ``stats_core``: the kernel must give
-the same bits. The rest are small helpers the package no longer exports.
+the same bits. ``reference_draws``, ``reference_arm_indices`` and
+``reference_table_json`` are the study's per-replication seeding, arm
+split and table encoding as they were before the study passes dropped
+their per-replication overhead. The rest are small helpers the package no
+longer exports.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from latekit.confidence_sets import ConfidenceSet
-from latekit.data_model import Dataset
+from latekit.data_model import Dataset, DesignSpec
+from latekit.design import Covariates, draw_assignment
 from latekit.estimation import VarianceComponents
 from latekit.stats_core import _spd_inverse, covariate_covariance
 
@@ -123,6 +129,43 @@ def reference_variance_components(summary: ReferenceSummary) -> VarianceComponen
         v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
         c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
     )
+
+
+# ------------------------------------------------------ study bookkeeping
+
+def reference_draws(design: DesignSpec, covariates: Covariates, seed: int, cell: int,
+                    reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's assignment rows and rejection draw counts, replication
+    ``rep`` drawn from ``default_rng((seed, cell, 1 + rep))``."""
+    zs = np.zeros((reps, len(covariates.x)), dtype=np.int64)
+    attempts = np.zeros(reps, dtype=np.int64)
+    for rep in range(reps):
+        rng = np.random.default_rng((seed, cell, 1 + rep))
+        draw = draw_assignment(design, covariates, rng)
+        zs[rep], attempts[rep] = draw.z, draw.accepted_after
+    return zs, attempts
+
+
+def reference_arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The treated and the control unit indices of every assignment row,
+    each arm in index order, by a stable sort of the row."""
+    order = np.argsort(1 - zs, axis=1, kind="stable")
+    return order[:, :n1], order[:, n1:]
+
+
+def reference_table_json(table) -> dict:
+    """A PerformanceTable's ``table.json`` content, by deep-copying each row
+    with ``dataclasses.asdict``."""
+    def enc(v):
+        if isinstance(v, float):
+            if math.isinf(v):
+                return "inf"
+            if math.isnan(v):
+                return "na"
+        return v
+
+    return {"rows": [{k: enc(v) for k, v in dataclasses.asdict(r).items()}
+                     for r in table.rows]}
 
 
 # ------------------------------------------------------------- small helpers

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from latekit.confidence_sets import (
     solve_quadratic_sets,
 )
 from latekit.data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
-from latekit.design import draw_assignment
+from latekit.design import Covariates, draw_assignment
 from latekit.estimation import REGIMES, r2_star, variance_components
 from latekit.exceptions import (
     DegenerateCovariatesError,
@@ -31,6 +32,7 @@ from latekit.simulation import (
     run_study,
 )
 from latekit.stats_core import summarize
+from oracles import reference_draws, reference_table_json
 
 
 def test_population_basic_invariants(rng):
@@ -570,3 +572,56 @@ def test_vectorized_inverter_matches_scalar_geometry():
         assert sets.length[j] == cs.length
         for t in (-10.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0):
             assert sets.contains(t)[j] == cs.contains(t)
+
+
+# ------------------------------------------ per-replication bookkeeping
+
+# seeds of one, two and three 32-bit words
+_SEEDS = [0, 20240901, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("design", ["cre", "rem"])
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_cell_draws_keep_the_per_replication_streams(seed, design):
+    cfg = StudyConfig(n=40, tau_w=(0.3, 0.5), design=design, p_a=0.1, reps=4,
+                      seed=seed, k=2)
+    for cell, tau_w in enumerate(cfg.tau_w):
+        pop, base, _, zs, attempts = simulation._cell_draws(cfg, cell, tau_w)
+        ref_zs, ref_attempts = reference_draws(base.design, Covariates(pop.x), seed, cell,
+                                               cfg.reps)
+        assert np.array_equal(zs, ref_zs)
+        assert np.array_equal(attempts, ref_attempts)
+
+
+def test_draw_entropy_rows_split_ints_as_numpy_does():
+    entropy = simulation._draw_entropy(2**64 + 3, 2**32 + 1, 2)
+    assert entropy.dtype == np.uint32
+    assert entropy.tolist() == [[3, 0, 1, 1, 1, 1], [3, 0, 1, 1, 1, 2]]
+    assert simulation._draw_entropy(0, 0, 0).shape == (0, 3)
+
+
+def _performance_row(method, **values):
+    fields = dict(method=method, design="cre", adjustment="none", n=40, tau_w=0.5, reps=3,
+                  n_included=3, median_abs_error=0.25, mean_abs_error=0.5, coverage=1.0,
+                  median_length=2.0, strong_prop=None,
+                  set_kinds={k: int(k == "interval") * 3 for k in KINDS}, degenerate=0,
+                  attempts_mean=1.0)
+    return simulation.PerformanceRow(**{**fields, **values})
+
+
+def test_table_json_is_the_deep_copied_rows():
+    table = run_study(StudyConfig(n=60, tau_w=(0.05, 0.5), reps=3, seed=5, k=2))
+    table.rows += [
+        _performance_row("far", median_abs_error=math.inf, mean_abs_error=math.inf,
+                         median_length=math.inf, strong_prop=0.5),
+        _performance_row("wald_f10", n_included=0, median_abs_error=math.nan,
+                         mean_abs_error=math.nan, coverage=math.nan,
+                         median_length=math.nan, attempts_mean=math.nan),
+    ]
+    got, ref = table.to_json_dict(), reference_table_json(table)
+    assert got == ref
+    assert json.dumps(got) == json.dumps(ref)  # same keys in the same order
+    for row, encoded in zip(table.rows, got["rows"]):
+        before = dict(row.set_kinds)
+        encoded["set_kinds"]["interval"] += 1
+        assert row.set_kinds == before

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from latekit.data_model import Dataset
+from latekit.data_model import Dataset, DesignSpec
+from latekit.design import Covariates, draw_assignment
 from latekit.estimation import _arm_projections, plain_components, variance_components
 from latekit.exceptions import (
     DegenerateCovariatesError,
@@ -10,6 +11,7 @@ from latekit.exceptions import (
     RankDeficientDesignError,
 )
 from latekit.stats_core import (
+    _arm_indices,
     fit_interacted,
     fit_interacted_pair,
     sandwich_cov,
@@ -17,6 +19,7 @@ from latekit.stats_core import (
 )
 from oracles import (
     diff_in_means,
+    reference_arm_indices,
     reference_plain_components,
     reference_summarize,
     reference_variance_components,
@@ -369,3 +372,32 @@ def test_sandwich_requires_shared_design(rng):
     fw = fit_interacted(other, other.z, other.w.astype(float))
     with pytest.raises(ValueError, match="share"):
         sandwich_cov(fy, fw)
+
+
+def _rows_with_n1(rng, reps, n, n1):
+    zs = np.zeros((reps, n), dtype=np.int64)
+    for row in zs:
+        row[rng.permutation(n)[:n1]] = 1
+    return zs
+
+
+def _assert_arm_indices_are_reference(zs, n1):
+    for got, ref in zip(_arm_indices(zs, n1), reference_arm_indices(zs, n1)):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n,n1", [(20, 1), (20, 10), (20, 19), (21, 7), (30, 22)])
+def test_arm_indices_match_the_stable_sort(rng, n, n1):
+    _assert_arm_indices_are_reference(_rows_with_n1(rng, 25, n, n1), n1)
+
+
+def test_arm_indices_of_no_rows():
+    _assert_arm_indices_are_reference(np.zeros((0, 12), dtype=np.int64), 5)
+
+
+@pytest.mark.parametrize("design", [DesignSpec.cre(17), DesignSpec.rem(17, p_a=0.2, k=3)])
+def test_arm_indices_of_drawn_assignments(rng, design):
+    cov = Covariates(rng.standard_normal((40, 3)))
+    zs = np.array([draw_assignment(design, cov, rng).z for _ in range(20)])
+    _assert_arm_indices_are_reference(zs, 17)

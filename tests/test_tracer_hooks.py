@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from latekit import io
+from latekit import io, simulation
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
 from latekit.io import ALL_METHODS
 
@@ -30,3 +30,15 @@ def test_tracer_binds_and_restores_every_hook(monkeypatch, rng):
     names = {span.name for span in tracer.spans}
     assert {"stats_core.summarize", "confidence_sets.wald", "confidence_sets.far",
             "two_stage.first_stage", "two_stage.f_screen"} <= names
+
+
+def test_tracer_counts_one_draw_span_per_study_replication(monkeypatch):
+    # design.draw_calls counts the calls simulation makes to draw_assignment;
+    # a cell that drew its assignments some other way would read 0 draws
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.bound(tracer):
+        simulation.run_study(simulation.StudyConfig(n=40, tau_w=(0.3, 0.5), reps=3,
+                                                    seed=5, k=2))
+    assert [span.name for span in tracer.spans].count("design.draw") == 6
