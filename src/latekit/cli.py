@@ -151,6 +151,14 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.a is not None and not args.a > 0:
+        raise ValueError(f"--a must be > 0, got {args.a}")
+    if args.pa is not None and not 0.0 < args.pa < 1.0:
+        raise ValueError(f"--pa must be strictly between 0 and 1, got {args.pa}")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must be strictly between 0 and 1, got {args.alpha}")
     if args.pa is not None:
         a = threshold_from_pa(args.pa, args.k)
     else:

@@ -133,10 +133,15 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
     b = -2.0 * (b_y * b_w - crit2 * q_c)
     c = b_y * b_y - crit2 * q_y
     tol_a = 1e-12 * max(b_w * b_w, abs(crit2 * q_w))
+    # a, b and c times the power of two that brings the largest into
+    # [0.5, 1): exact, so the roots keep their bits, and b*b - 4ac cannot
+    # overflow or underflow for coefficients near the ends of the float range
+    _, e = math.frexp(max(abs(a), abs(b), abs(c)))
+    a_n, b_n, c_n = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    disc = b_n * b_n - 4.0 * a_n * c_n
     if a > tol_a:
-        disc = b * b - 4.0 * a * c
         if disc >= 0.0:
-            lo, hi = _stable_roots(a, b, c, disc)
+            lo, hi = _stable_roots(a_n, b_n, c_n, disc)
             return ConfidenceSet.interval(lo, hi, method=method)
         if b_w != 0.0:
             # a nonnegative variance form makes disc >= 0 whenever the ratio
@@ -145,9 +150,8 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
             return ConfidenceSet.point(b_y / b_w, method=method, degenerate=True)
         raise NoIdentificationError("empty confidence inversion with zero first stage")
     if a < -tol_a:
-        disc = b * b - 4.0 * a * c
         if disc > 0.0:
-            lo, hi = _stable_roots(a, b, c, disc)
+            lo, hi = _stable_roots(a_n, b_n, c_n, disc)
             return ConfidenceSet.two_rays(lo, hi, method=method)
         return ConfidenceSet.whole_line(method=method)
     # |a| within tolerance: linear classification b*t + c <= 0
@@ -269,10 +273,12 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     c = b_y * b_y - crit2 * q_y
     tol_a = 1e-12 * np.maximum(b_w * b_w, np.abs(crit2 * q_w))
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
+        _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
+        a_n, b_n, c_n = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)  # as above
+        disc = b_n * b_n - 4.0 * a_n * c_n
         sq = np.sqrt(disc)
-        q = -(b + np.copysign(sq, b)) / 2.0
-        r1, r2, r = q / a, c / q, sq / (2.0 * np.abs(a))
+        q = -(b_n + np.copysign(sq, b_n)) / 2.0
+        r1, r2, r = q / a_n, c_n / q, sq / (2.0 * np.abs(a_n))
         swap = ~(r1 <= r2)
         lo = np.where(b == 0.0, -r, np.where(swap, r2, r1))
         hi = np.where(b == 0.0, r, np.where(swap, r1, r2))

@@ -190,104 +190,64 @@ class R2Value(NamedTuple):
     degenerate: bool = False
 
 
+def r2_ratio(num, den):
+    """(num/den clipped to [0, 1], den <= 0) for floats and arrays alike, by
+    the same operations. A nonpositive denominator marks the variance
+    estimate degenerate and gives the conservative value 0 (the mixture
+    quantile is largest there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clipped = np.minimum(np.maximum(np.divide(num, den), 0.0), 1.0)  # np.clip is slower
+    return np.where(den > 0.0, clipped, 0.0), den <= 0.0
+
+
+def r2_at(proj, rem, tau):
+    """r2_ratio of the projection and rerandomization families' quadratics
+    at ``tau``; triples of floats or of arrays."""
+    return r2_ratio(_quad(proj, tau), _quad(rem, tau))
+
+
 def r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:
     """Squared correlation between the effect estimate and covariate
-    imbalance, evaluated at a candidate ratio and clipped to [0, 1].
+    imbalance, evaluated at a candidate ratio and clipped to [0, 1]."""
+    value, degenerate = r2_at(components.proj_family(), components.family("rem"), tau)
+    return R2Value(float(value), bool(degenerate))
 
-    A nonpositive denominator marks the variance estimate degenerate; the
-    conservative value 0 is returned (the mixture quantile is largest
-    there).
+
+def r2_stars(proj, rem) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum over the extended real line of r2_of_tau, P(t)/Q(t) for
+    the projection family P and rerandomization family Q, clipped to [0, 1],
+    and its degenerate flag, for every row of the two triples.
+
+    It is the smaller root of det(P - lambda Q) = 0 for the forms' 2x2
+    matrices. Shifted to Q's vertex t_c = q1/q2, Q = Q_c + q2 s^2 and
+    P = P_c + 2 b s + p2 s^2; the whitened form's lambda_min = det/lambda_max,
+    both multiplied by Q_c so it stays continuous as Q_c goes to 0 (the
+    textbook (A + C)/2 - hypot((A - C)/2, B) loses every digit there).
+    P_c <= 0 gives 0; a P sharing Q's exact double root is p2/q2 times Q.
+    A nonpositive q2, or real roots of Q beyond roundoff (a negative
+    denominator region), gives 0 flagged degenerate.
     """
-    num = _quad(components.proj_family(), tau)
-    den = _quad(components.family("rem"), tau)
-    if den <= 0.0:
-        return R2Value(0.0, degenerate=True)
-    return R2Value(min(max(num / den, 0.0), 1.0))
-
-
-def _real_roots(coeffs: list[float], scale: float) -> list[float]:
-    """Real roots of a polynomial of degree <= 2, highest power first.
-
-    Leading coefficients below 1e-12 * scale are dropped (degree fallback);
-    roots get two Newton polish steps.
-    """
-    tol = 1e-12 * max(scale, 1e-300)
-    c = list(coeffs)
-    while len(c) > 1 and abs(c[0]) <= tol:
-        c = c[1:]
-    deg = len(c) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        roots = [-c[1] / c[0]]
-    else:
-        a, b, cc = c
-        disc = b * b - 4.0 * a * cc
-        if disc < 0:
-            return []
-        sq = math.sqrt(disc)
-        q = -(b + math.copysign(sq, b)) / 2.0
-        roots = [q / a]
-        if q != 0.0:
-            roots.append(cc / q)
-        elif disc > 0:
-            roots.append(-b / a - roots[0])
-
-    def poly(x):
-        return sum(ci * x ** (deg - i) for i, ci in enumerate(c))
-
-    def dpoly(x):
-        return sum((deg - i) * ci * x ** (deg - i - 1) for i, ci in enumerate(c[:-1]))
-
-    polished = []
-    for r in roots:
-        for _ in range(2):
-            d1 = dpoly(r)
-            if d1 != 0.0 and math.isfinite(d1):
-                step = poly(r) / d1
-                if math.isfinite(step):
-                    r -= step
-        polished.append(r)
-    return polished
+    proj, rem = ([np.asarray(v, dtype=float) for v in f] for f in (proj, rem))
+    (p0, p1, p2), (q0, q1, q2) = proj, rem
+    disc_q = q1 * q1 - q0 * q2
+    degenerate = (q2 <= 0.0) | (disc_q > 1e-12 * np.maximum(q1 * q1, np.abs(q0 * q2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_c = q1 / q2
+        p_c, q_c = _quad(proj, t_c), np.maximum(_quad(rem, t_c), 0.0)
+        b = p2 * t_c - p1
+        c = p2 / q2
+        qc_lam_max = 0.5 * (p_c + q_c * c) + np.hypot(0.5 * (p_c - q_c * c),
+                                                      b * np.sqrt(q_c / q2))
+        lam_min = (p_c * p2 - b * b) / q2 / qc_lam_max
+    double_root = (q_c == 0.0) & (p_c == 0.0) & (b == 0.0)
+    value = np.where(double_root, c, np.where(p_c <= 0.0, 0.0, lam_min))
+    return np.where(degenerate, 0.0, np.minimum(np.maximum(value, 0.0), 1.0)), degenerate
 
 
 def r2_star(components: VarianceComponents) -> R2Value:
-    """Global minimum of r2_of_tau over the extended real line.
-
-    Stationary points come from the derivative numerator of the quadratic
-    ratio (a cubic whose leading coefficient in fact cancels); the limits
-    at +-infinity contribute the ratio of the two leading coefficients.
-    Roots of either quadratic are included so the clipped function's zeros
-    are never missed.
-    """
-    p0, p1, p2 = components.proj_family()
-    q0, q1, q2 = components.family("rem")
-    if q2 <= 0.0:
-        return R2Value(0.0, degenerate=True)
-    scale = max(abs(v) for v in (p0, p1, p2, q0, q1, q2))
-    if scale == 0.0:
-        return R2Value(0.0)
-    # a strictly negative denominator region pins the clipped ratio at zero;
-    # a double root is removable and must not
-    disc_q = q1 * q1 - q0 * q2
-    if disc_q > 1e-12 * max(q1 * q1, abs(q0 * q2)):
-        return R2Value(0.0, degenerate=True)
-    # numerator of d/dt [(p0 - 2p1 t + p2 t^2)/(q0 - 2q1 t + q2 t^2)], expanded:
-    # the t^3 terms cancel identically, leaving a quadratic.
-    stationary = [2.0 * (p1 * q2 - p2 * q1),
-                  2.0 * (p2 * q0 - p0 * q2),
-                  2.0 * (p0 * q1 - p1 * q0)]
-    candidates = _real_roots(stationary, scale * scale)
-    candidates += _real_roots([p2, -2.0 * p1, p0], scale)
-    best = min(max(p2 / q2, 0.0), 1.0)  # value at +-infinity
-    for tau in candidates:
-        if not math.isfinite(tau):
-            continue
-        r2 = r2_of_tau(components, tau)
-        if r2.degenerate:
-            continue  # isolated denominator zero, removable
-        best = min(best, r2.value)
-    return R2Value(best)
+    """r2_stars of the one row of ``components``."""
+    value, degenerate = r2_stars(components.proj_family(), components.family("rem"))
+    return R2Value(float(value), bool(degenerate))
 
 
 FLOORED_FAMILIES = frozenset({"rem"})  # can go negative in finite samples

@@ -281,6 +281,8 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
         if p_a is None:
             raise ValueError("--pa is required with --design rem")
         threshold = DesignSpec.rem(n1=1, p_a=p_a, k=k).a
+    elif p_a is not None:
+        raise ValueError("--pa applies only with --design rem")
     else:
         threshold = math.inf
 

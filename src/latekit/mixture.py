@@ -8,6 +8,7 @@ quantiles over a rho grid, and provides the supporting special functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -24,71 +25,93 @@ _DEFAULT_DRAWS = 1_600_000
 
 _EPS = 1e-15
 _MAX_ITER = 400
+# Entries chisq_cdf computes at a time: the loop temporaries of a whole
+# 16,385-point grid grew the heap a process keeps by 2 MB; a block's fit in
+# what it already holds.
+_CDF_BLOCK = 2048
 
 
-def _regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) by series for x < a + 1, continued fraction otherwise."""
-    if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
-    if x == 0:
-        return 0.0
+def _prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x + a log x - lgamma(a)) of every entry, by math's libm calls
+    (numpy's vectorized exp and log may round differently)."""
     lg = math.lgamma(a)
-    if x < a + 1.0:
-        # series expansion of P(a, x)
-        term = 1.0 / a
-        total = term
-        ap = a
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # modified Lentz continued fraction for Q(a, x)
+    return np.array([math.exp(-v + a * math.log(v) - lg) for v in x.tolist()])
+
+
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) over the prefactor by its series, every entry stopped at the
+    term its own loop would stop at."""
+    out, live = np.empty(x.size), np.arange(x.size)
+    term = np.full(x.size, 1.0 / a)
+    total, ap = term.copy(), a
+    for _ in range(_MAX_ITER):
+        ap += 1.0
+        term = term * (x / ap)
+        total = total + term
+        done = np.abs(term) < np.abs(total) * _EPS
+        out[live[done]] = total[done]
+        go = ~done
+        live, x, term, total = live[go], x[go], term[go], total[go]
+        if not live.size:
+            break
+    out[live] = total
+    return out
+
+
+def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) over the prefactor by the modified Lentz continued fraction,
+    every entry stopped at the step its own loop would stop at."""
     tiny = 1e-300
+    out, live = np.empty(x.size), np.arange(x.size)
     b = x + 1.0 - a
-    c = 1.0 / tiny
+    c = np.full(x.size, 1.0 / tiny)
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        out[live[done]] = h[done]
+        go = ~done
+        live, b, c, d, h = live[go], b[go], c[go], d[go], h[go]
+        if not live.size:
             break
-    q = math.exp(-x + a * math.log(x) - lg) * h
-    return 1.0 - q
+    out[live] = h
+    return out
+
+
+def _regularized_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) of every entry: series below a + 1, continued fraction above."""
+    zero, inf = x == 0, np.isinf(x)
+    out = np.where(inf, 1.0, 0.0)
+    series = ~zero & (x < a + 1.0)
+    fraction = ~(series | zero | inf)  # NaN too
+    xs, xf = x[series], x[fraction]
+    out[series] = _lower_gamma_series(a, xs) * _prefactor(a, xs)
+    out[fraction] = 1.0 - _prefactor(a, xf) * _upper_gamma_fraction(a, xf)
+    return out
 
 
 def chisq_cdf(x, k: int):
-    """Chi-square CDF with k degrees of freedom (series / continued fraction)."""
+    """Chi-square CDF with k degrees of freedom, P(k/2, x/2) by series below
+    k/2 + 1 and by continued fraction above, for a number or every entry of
+    an array; an entry's bits do not depend on the others."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if np.ndim(x) == 0:
-        xv = float(x)
-        if xv < 0:
-            raise ValueError("x must be >= 0")
-        if xv == 0:
-            return 0.0
-        if math.isinf(xv):
-            return 1.0
-        return _regularized_lower_gamma(k / 2.0, xv / 2.0)
     arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i, xi in enumerate(flat):
-        res[i] = chisq_cdf(float(xi), k)
-    return out
+    if (arr < 0).any():
+        raise ValueError("x must be >= 0")
+    half = arr.ravel() / 2.0
+    out = np.concatenate([_regularized_lower_gamma(k / 2.0, half[i:i + _CDF_BLOCK])
+                          for i in range(0, max(half.size, 1), _CDF_BLOCK)])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _norm_cdf(x: float) -> float:
@@ -154,8 +177,10 @@ def chisq_quantile(p: float, k: int) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.cache
 def threshold_from_pa(p_a: float, k: int) -> float:
-    """Acceptance threshold whose asymptotic acceptance probability is p_a."""
+    """Acceptance threshold whose asymptotic acceptance probability is p_a,
+    worked out once per (p_a, k)."""
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must be in (0, 1)")
     if k < 1:

@@ -36,12 +36,12 @@ from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sampl
 from .design import Covariates, draw_assignment
 from .estimation import (
     Estimates,
-    VarianceComponents,
     _plain_family,
-    _quad,
     _rem_families,
     plain_components,
-    r2_star,
+    r2_at,
+    r2_ratio,
+    r2_stars,
     regime_spec,
     variance_components,
 )
@@ -516,12 +516,6 @@ def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     return _score_normal(tau_y, tau_w, tuple(triple), base, gammas, errors)
 
 
-def _r2_stars(plain, rem, proj) -> np.ndarray:
-    """r2_star of every draw, one scalar call each on Python floats."""
-    return np.array([r2_star(VarianceComponents.from_families(v[:3], v[3:6], v[6:])).value
-                     for v in zip(*(t.tolist() for t in (*plain, *rem, *proj)))], dtype=float)
-
-
 def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """What _score_draws returns for an unadjusted ReM cell, computed for
@@ -537,14 +531,12 @@ def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     tail = base.alpha / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # wald_ci: the mixture quantile at r2_of_tau at the ratio
-        tau = np.where(tau_w != 0.0, tau_y / tau_w, 0.0)
-        num, den = _quad(proj, tau), _quad(rem, tau)
-        r2 = np.where(den > 0.0, np.clip(num / den, 0.0, 1.0), 0.0)
-        # first_stage_test: the mixture quantile at the receipt's own ratio
-        var = rem[2]
-        rho = np.where(var > 0.0, np.clip(proj[2] / var, 0.0, 1.0), 0.0)
+        r2, _ = r2_at(proj, rem, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
+    # first_stage_test: the mixture quantile at the receipt's own ratio
+    var = rem[2]
+    rho, _ = r2_ratio(proj[2], var)
     wald_sets = wald_intervals(tau_y, tau_w, lam(tail, r2), *rem, family="rem")
-    far = solve_quadratic_sets(tau_y, tau_w, lam(tail, _r2_stars(plain, rem, proj)), *rem)
+    far = solve_quadratic_sets(tau_y, tau_w, lam(tail, r2_stars(proj, rem)[0]), *rem)
     return _method_scores(tau_y, tau_w, wald_sets, far, var,
                           {g: lam(g, rho) for g in gammas}, plain[2], base.p_plus, errors)
 

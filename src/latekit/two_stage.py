@@ -15,7 +15,8 @@ import numpy as np
 
 from .confidence_sets import ConfidenceSet, far_set, wald_ci
 from .data_model import AnalysisConfig, Dataset
-from .estimation import Estimates, plain_components, regime_spec, variance_components
+from .estimation import (Estimates, plain_components, r2_ratio, regime_spec,
+                         variance_components)
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 
@@ -59,9 +60,7 @@ def first_stage_test(regime: str, estimates: Estimates, components,
     spec = regime_spec(regime)
     var = components.family(spec.family)[2]
     if spec.mixture:
-        rho = 0.0
-        if var > 0 and components.v_w_proj is not None:
-            rho = min(max(components.v_w_proj / var, 0.0), 1.0)
+        rho = float(r2_ratio(components.proj_family()[2], var)[0])
         crit = lambda_quantile(
             MixtureParams(k=components.k, a=config.design.a, alpha=config.gamma), rho)
     else:

@@ -7,8 +7,11 @@ one-row call of the array kernel in ``stats_core``: the kernel must give
 the same bits. ``reference_draws``, ``reference_arm_indices`` and
 ``reference_table_json`` are the study's per-replication seeding, arm
 split and table encoding as they were before the study passes dropped
-their per-replication overhead. The rest are small helpers the package no
-longer exports.
+their per-replication overhead. ``reference_r2_star`` is the stationary-point
+search ``r2_star`` ran before its closed form, and ``reference_chisq_cdf``
+the one-number chi-square CDF ``chisq_cdf`` computed before it took arrays.
+The rest are small helpers
+the package no longer exports.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from latekit.confidence_sets import ConfidenceSet
 from latekit.data_model import Dataset, DesignSpec
 from latekit.design import Covariates, draw_assignment
-from latekit.estimation import VarianceComponents
+from latekit.estimation import R2Value, VarianceComponents, r2_of_tau
 from latekit.stats_core import _spd_inverse, covariate_covariance
 
 _INF = math.inf
@@ -129,6 +132,139 @@ def reference_variance_components(summary: ReferenceSummary) -> VarianceComponen
         v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
         c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
     )
+
+
+# ---------------------------------------------------------- r2 search
+
+def _real_roots(coeffs: list[float], scale: float) -> list[float]:
+    """Real roots of a polynomial of degree <= 2, highest power first.
+
+    Leading coefficients below 1e-12 * scale are dropped (degree fallback);
+    roots get two Newton polish steps.
+    """
+    tol = 1e-12 * max(scale, 1e-300)
+    c = list(coeffs)
+    while len(c) > 1 and abs(c[0]) <= tol:
+        c = c[1:]
+    deg = len(c) - 1
+    if deg <= 0:
+        return []
+    if deg == 1:
+        roots = [-c[1] / c[0]]
+    else:
+        a, b, cc = c
+        disc = b * b - 4.0 * a * cc
+        if disc < 0:
+            return []
+        sq = math.sqrt(disc)
+        q = -(b + math.copysign(sq, b)) / 2.0
+        roots = [q / a]
+        if q != 0.0:
+            roots.append(cc / q)
+        elif disc > 0:
+            roots.append(-b / a - roots[0])
+
+    def poly(x):
+        return sum(ci * x ** (deg - i) for i, ci in enumerate(c))
+
+    def dpoly(x):
+        return sum((deg - i) * ci * x ** (deg - i - 1) for i, ci in enumerate(c[:-1]))
+
+    polished = []
+    for r in roots:
+        for _ in range(2):
+            d1 = dpoly(r)
+            if d1 != 0.0 and math.isfinite(d1):
+                step = poly(r) / d1
+                if math.isfinite(step):
+                    r -= step
+        polished.append(r)
+    return polished
+
+
+def reference_r2_star(components: VarianceComponents) -> R2Value:
+    """Global minimum of r2_of_tau over the extended real line.
+
+    Stationary points come from the derivative numerator of the quadratic
+    ratio (a cubic whose leading coefficient in fact cancels); the limits
+    at +-infinity contribute the ratio of the two leading coefficients.
+    Roots of either quadratic are included so the clipped function's zeros
+    are never missed.
+    """
+    p0, p1, p2 = components.proj_family()
+    q0, q1, q2 = components.family("rem")
+    if q2 <= 0.0:
+        return R2Value(0.0, degenerate=True)
+    scale = max(abs(v) for v in (p0, p1, p2, q0, q1, q2))
+    if scale == 0.0:
+        return R2Value(0.0)
+    # a strictly negative denominator region pins the clipped ratio at zero;
+    # a double root is removable and must not
+    disc_q = q1 * q1 - q0 * q2
+    if disc_q > 1e-12 * max(q1 * q1, abs(q0 * q2)):
+        return R2Value(0.0, degenerate=True)
+    # numerator of d/dt [(p0 - 2p1 t + p2 t^2)/(q0 - 2q1 t + q2 t^2)], expanded:
+    # the t^3 terms cancel identically, leaving a quadratic.
+    stationary = [2.0 * (p1 * q2 - p2 * q1),
+                  2.0 * (p2 * q0 - p0 * q2),
+                  2.0 * (p0 * q1 - p1 * q0)]
+    candidates = _real_roots(stationary, scale * scale)
+    candidates += _real_roots([p2, -2.0 * p1, p0], scale)
+    best = min(max(p2 / q2, 0.0), 1.0)  # value at +-infinity
+    for tau in candidates:
+        if not math.isfinite(tau):
+            continue
+        r2 = r2_of_tau(components, tau)
+        if r2.degenerate:
+            continue  # isolated denominator zero, removable
+        best = min(best, r2.value)
+    return R2Value(best)
+
+
+# ------------------------------------------------------ chi-square CDF
+
+def reference_chisq_cdf(x: float, k: int) -> float:
+    """P(k/2, x/2): series for x/2 < k/2 + 1, continued fraction otherwise."""
+    a, x = k / 2.0, x / 2.0
+    if x == 0:
+        return 0.0
+    if math.isinf(x):
+        return 1.0
+    lg = math.lgamma(a)
+    if x < a + 1.0:
+        # series expansion of P(a, x)
+        term = 1.0 / a
+        total = term
+        ap = a
+        for _ in range(400):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * 1e-15:
+                break
+        return total * math.exp(-x + a * math.log(x) - lg)
+    # modified Lentz continued fraction for Q(a, x)
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 400):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    q = math.exp(-x + a * math.log(x) - lg) * h
+    return 1.0 - q
 
 
 # ------------------------------------------------------ study bookkeeping

@@ -304,6 +304,37 @@ def test_lambda_table_dump(tmp_path):
     assert last < first
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "5", "--pa", "0.01", "--alpha", "1.2"],
+     "--alpha must be strictly between 0 and 1, got 1.2"),
+    (["--k", "5", "--pa", "0.01", "--alpha", "0"],
+     "--alpha must be strictly between 0 and 1, got 0.0"),
+    (["--k", "5", "--a", "0"], "--a must be > 0, got 0.0"),
+    (["--k", "5", "--a", "-2.5"], "--a must be > 0, got -2.5"),
+    (["--k", "0", "--a", "1.0"], "--k must be >= 1, got 0"),
+    (["--k", "-1", "--pa", "0.01"], "--k must be >= 1, got -1"),
+    (["--k", "5", "--pa", "1.5"], "--pa must be strictly between 0 and 1, got 1.5"),
+])
+def test_lambda_option_errors_name_the_option(tmp_path, capsys, flags, message):
+    out = tmp_path / "lam.csv"
+    assert main(["lambda", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_analyze_rejects_pa_without_rem_design(tmp_path, capsys):
+    # a CRE analysis has no acceptance threshold; --pa would only be echoed
+    f = tmp_path / "r.csv"
+    write_basic_csv(f, _strata_rows(1), header="stratum,z,w,y,x1")
+    out = tmp_path / "o.json"
+    rc = main(["analyze", "--input", str(f), "--pa", "0.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --pa applies only with --design rem\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="--pa applies only with --design rem"):
+        analyze_file(str(f), p_a=0.5)
+
+
 def test_read_records_row_errors(tmp_path):
     f = tmp_path / "ragged.csv"
     f.write_text("z,w,y\n1,0,1.0\n1,0\n")

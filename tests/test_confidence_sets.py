@@ -5,9 +5,12 @@ import pytest
 
 from conftest import random_dataset
 from latekit.confidence_sets import (
+    KINDS,
     ConfidenceSet,
+    SetArrays,
     far_set,
     solve_quadratic_set,
+    solve_quadratic_sets,
     wald_ci,
     wald_intervals,
 )
@@ -293,3 +296,99 @@ def test_wald_intervals_names_the_negative_family_as_combined_variance_does(fami
     assert str(sets.errors[1]) == f"{family} variance quadratic is negative: -2.0"
     floored = wald_intervals(b_y, b_w, Z, q_y, q_c, q_w, family="rem")
     assert not floored.errors and list(floored.degenerate) == [False, True]
+
+
+# ------------------------------------------- array inversion, property tests
+
+def _random_families(seed=7, n=400):
+    """(b_y, b_w, crit, q_y, q_c, q_w) rows with positive semi-definite
+    variance forms, every tenth with a zero first stage."""
+    gen = np.random.default_rng(seed)
+    b_y, b_w = gen.normal(0.0, 1.0, n), gen.normal(0.0, 0.5, n)
+    b_w[::10] = 0.0
+    m = gen.standard_normal((n, 2, 2))
+    s = m @ m.transpose(0, 2, 1) / 4.0
+    return b_y, b_w, np.full(n, Z), s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+
+
+def _inversion_families():
+    """The random families, then rows whose leading coefficient a sits just
+    inside and just outside its tolerance, zero first stages with a
+    vanishing q_w (rays, the whole line, empty sets) and an indefinite form
+    (the roundoff point)."""
+    edge = []
+    for delta in (0.0, 1e-14, -1e-14, 5e-13, -5e-13, 2e-12, -2e-12, 1e-10, -1e-10):
+        # a = b_w^2 - crit^2 q_w is about -delta b_w^2 against a tolerance
+        # of 1e-12 b_w^2
+        for b_y0, q_c0 in ((1.0, 0.0), (-0.7, 0.3), (0.0, -0.2)):
+            edge.append((b_y0, 0.8, Z, 0.5, q_c0, 0.64 * (1.0 + delta) / Z ** 2))
+    edge += [(1.0, 0.0, Z, 0.3, 0.1, 0.0), (1.0, 0.0, Z, 0.3, -0.1, 0.0),  # rays
+             (0.5, 0.0, Z, 0.1, 0.0, 0.0),  # whole line
+             (1.0, 0.0, Z, 0.0, 0.0, 0.0), (1.0, 0.0, Z, 0.2, 0.0, 0.0),  # empty
+             (1.0, 1.0, Z, 0.1, 0.2, 0.1)]  # indefinite form: a roundoff point
+    return tuple(np.concatenate([np.column_stack(_random_families()), edge]).T.copy())
+
+
+def _assert_paths_agree(args) -> SetArrays:
+    """solve_quadratic_sets against solve_quadratic_set row by row: the same
+    kind, endpoint bits and flag, or the same error."""
+    sets = solve_quadratic_sets(*args)
+    for i in range(len(args[0])):
+        try:
+            cs = solve_quadratic_set(*(float(v[i]) for v in args))
+        except NoIdentificationError as exc:
+            assert type(sets.errors[i]) is NoIdentificationError
+            assert str(sets.errors[i]) == str(exc)
+            continue
+        assert i not in sets.errors
+        one = SetArrays.from_sets([cs])
+        assert (sets.kind[i], sets.degenerate[i]) == (one.kind[0], one.degenerate[0])
+        assert (np.array([sets.lo[i], sets.hi[i]]).tobytes()
+                == np.array([one.lo[0], one.hi[0]]).tobytes())
+    return sets
+
+
+def _scaled(args, s):
+    """Estimates times s and variance forms times s^2: the same set."""
+    b_y, b_w, crit, q_y, q_c, q_w = args
+    return b_y * s, b_w * s, crit, q_y * s * s, q_c * s * s, q_w * s * s
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_array_inversion_matches_scalar_bit_for_bit(scale):
+    sets = _assert_paths_agree(_scaled(_inversion_families(), scale))
+    names = {KINDS[k] for k in sets.kind}
+    # every geometry, the roundoff point and the rays of the array path's
+    # one-draw-at-a-time rest, and an empty set raised, not a whole line
+    assert {"interval", "two_rays", "whole_line", "point", "left_ray", "right_ray"} <= names
+    assert [type(e) for e in sets.errors.values()] == [NoIdentificationError] * 2
+    assert sets.degenerate[sets.kind == KINDS.index("point")].all()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_array_inversion_membership_matches_dense_grid(scale):
+    args = _inversion_families()
+    sets = solve_quadratic_sets(*_scaled(args, scale))
+    for i in range(len(args[0])):
+        if i in sets.errors or sets.degenerate[i]:
+            continue  # an empty set, or a roundoff point of an indefinite form
+        ends = np.array([sets.lo[i], sets.hi[i]])
+        ends = ends[np.isfinite(ends)]
+        reach = 4.0 * max(1.0, np.abs(ends).max(initial=0.0))
+        taus = np.linspace(-reach, reach, 20_001)
+        truth = membership_grid(*(float(v[i]) for v in args), taus)
+        got = SetArrays(*(np.atleast_1d(v[i]) for v in sets[:4]), errors={}).contains(
+            taus[:, None])[:, 0]
+        clear = np.all(np.abs(taus[:, None] - ends) > 1e-6 * np.maximum(1.0, np.abs(ends)),
+                       axis=1)
+        assert (truth == got)[clear].all(), (i, KINDS[sets.kind[i]])
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 498, 2.0 ** -498])
+def test_power_of_two_scaling_keeps_every_bit(scale):
+    # the scaling is exact, so the set is the unscaled one, bit for bit
+    args = _random_families()  # not the edge rows, which sit on tolerances
+    base = solve_quadratic_sets(*args)
+    sets = solve_quadratic_sets(*_scaled(args, scale))
+    for got, want in zip(sets[:4], base[:4]):
+        assert got.tobytes() == want.tobytes()

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from latekit import simulation
 from latekit.data_model import Dataset
 from latekit.estimation import (
     VarianceComponents,
+    _rem_families,
     combined_variance,
     r2_of_tau,
     r2_star,
+    r2_stars,
     variance_components,
     wald,
 )
 from latekit.stats_core import summarize
+from oracles import reference_r2_star
 
 
 # ---------------------------------------------------------------- oracles
@@ -217,6 +221,96 @@ def test_r2_star_w_only_constant():
         if tau != 1.0:
             assert r2_of_tau(comp, tau).value == pytest.approx(expected, rel=1e-10)
     assert r2_star(comp).value == pytest.approx(min(max(expected, 0.0), 1.0), abs=1e-9)
+
+
+def _r2_components(proj, rem) -> VarianceComponents:
+    return VarianceComponents.from_families((1.0, 0.0, 1.0), rem, proj, k=1)
+
+
+def _assert_r2_stars_match_reference(proj, rem, atol=1e-12):
+    """r2_stars of the rows of (proj, rem) against the stationary-point
+    search: the same degenerate flags, values within ``atol``, and the
+    one-row r2_star the same bits as its row."""
+    values, degenerate = r2_stars(proj, rem)
+    for i in range(len(values)):
+        comp = _r2_components(*([float(v[i]) for v in f] for f in (proj, rem)))
+        ref = reference_r2_star(comp)
+        assert bool(degenerate[i]) == ref.degenerate, i
+        assert abs(values[i] - ref.value) <= atol, (i, values[i], ref.value)
+        assert r2_star(comp) == (values[i], degenerate[i])
+
+
+@pytest.mark.parametrize("seed", [20240901, 777])
+def test_r2_stars_match_the_search_on_every_rem_draw(seed):
+    tau_w = (0.05, 0.10, 0.15, 0.2, 0.3, 0.5)
+    cfg = simulation.StudyConfig(n=200, k=5, tau_w=tau_w, design="rem", p_a=0.01,
+                                 reps=40, seed=seed)
+    for cell, target in enumerate(tau_w):
+        pop, base, _, zs, _ = simulation._cell_draws(cfg, cell, target)
+        n1 = base.design.n1
+        arms = simulation._arms(pop, zs, n1, pop.x)
+        _, rem, proj, errors = _rem_families(*arms, n1, zs.shape[1] - n1, pop.x)
+        assert not errors
+        _assert_r2_stars_match_reference(proj, rem)
+
+
+def test_r2_stars_flags_and_limits_match_the_search():
+    # (projection family P, rerandomization family Q) as (p0, p1, p2) for
+    # p0 - 2 p1 t + p2 t^2; the tolerance on Q's discriminant q1^2 - q0 q2 is
+    # 1e-12 max(q1^2, |q0 q2|), here 1e-12
+    rows = [
+        ((0.5, 0.2, 0.3), (1.0, 0.0, 0.0)),  # q2 = 0
+        ((0.5, 0.2, 0.3), (1.0, 0.0, -0.1)),  # q2 < 0
+        ((0.5, 0.2, 0.3), (1.0 - 2e-12, 1.0, 1.0)),  # discriminant just above
+        ((0.5, 0.2, 0.3), (1.0 - 5e-13, 1.0, 1.0)),  # just below: a double root
+        ((0.3, 0.3, 0.3), (1.0 - 5e-13, 1.0, 1.0)),
+        ((0.5, 0.2, 0.3), (1.0, 1.0, 1.0)),  # exact double root of Q
+        ((0.3, 0.3, 0.3), (1.0, 1.0, 1.0)),  # P with Q's double root
+        ((0.0, 0.3, 0.3), (1.0, 1.0, 1.0)),  # P(t_c) = 0, sign change at t_c
+        ((0.0, 0.0, 0.0), (1.0, 0.2, 0.5)),  # P = 0
+        ((0.3, 0.06, 0.15), (1.0, 0.2, 0.5)),  # P = 0.3 Q
+        ((0.1, 0.5, 0.2), (1.0, 0.2, 0.5)),  # indefinite P
+        ((-0.1, 0.0, 0.2), (1.0, 0.2, 0.5)),  # P(t_c) < 0
+        ((3.0, 0.2, 2.0), (1.0, 0.2, 0.5)),  # P > Q: clipped at 1
+    ]
+    proj, rem = (np.array(f).T for f in zip(*rows))
+    _assert_r2_stars_match_reference(proj, rem)
+    values, degenerate = r2_stars(proj, rem)
+    assert degenerate.tolist() == [True] * 3 + [False] * 10
+    assert values[[6, 9]].tolist() == [0.3, 0.3]
+    assert values[[7, 8, 10, 11]].tolist() == [0.0] * 4 and values[12] == 1.0
+    # outcome identical to receipt: P and Q share their exact double root
+    rng = np.random.default_rng(5)
+    ds = random_dataset(rng, n=30, k=2)
+    comp = variance_components(summarize(Dataset(z=ds.z, w=ds.w, y=ds.w.astype(float),
+                                                 x=ds.x), ds.z))
+    assert r2_star(comp) == reference_r2_star(comp)
+    assert r2_star(comp).value == min(max(comp.v_w_proj / comp.v_w_rem, 0.0), 1.0)
+
+
+def test_r2_stars_match_a_high_precision_oracle():
+    # the smaller root of det(P - lambda Q) = 0 at 80 digits, on random
+    # families with Q of reciprocal condition >= 1e-4, their vertex moved
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 80
+    gen = np.random.default_rng(11)
+    rows = []
+    while len(rows) < 500:
+        m, n = gen.standard_normal((2, 2, 2))
+        h = gen.uniform(-10.0, 10.0)  # the form of (1, t - h)
+        p, q = (((f[0, 0] - 2.0 * f[0, 1] * h + f[1, 1] * h * h), f[1, 1] * h - f[0, 1],
+                 f[1, 1]) for f in (n @ n.T if gen.random() < 0.7 else (n + n.T) / 2.0,
+                                    m @ m.T))
+        if 1.0 / np.linalg.cond([[q[0], -q[1]], [-q[1], q[2]]]) >= 1e-4:
+            rows.append((p, q))
+    proj, rem = (np.array(f).T for f in zip(*rows))
+    values, degenerate = r2_stars(proj, rem)
+    assert not degenerate.any()
+    for (p0, p1, p2), (q0, q1, q2), value in zip(proj.T, rem.T, values):
+        p0, p1, p2, q0, q1, q2 = map(mpmath.mpf, (p0, p1, p2, q0, q1, q2))
+        a, b, c = q0 * q2 - q1 * q1, p0 * q2 + p2 * q0 - 2 * p1 * q1, p0 * p2 - p1 * p1
+        lam = (b - mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+        assert abs(value - float(min(max(lam, 0), 1))) <= 1e-11
 
 
 def test_plain_quadratic_nonnegative(rng):

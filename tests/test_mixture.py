@@ -19,6 +19,7 @@ from latekit.mixture import (
     sample_truncated_component,
     threshold_from_pa,
 )
+from oracles import reference_chisq_cdf
 
 Z975 = 1.959963984540054
 
@@ -58,6 +59,23 @@ def test_chisq_cdf_vectorized():
     out = chisq_cdf(xs, 3)
     assert out.shape == xs.shape
     assert np.allclose(out, chi2.cdf(xs, 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_chisq_cdf_has_the_bits_of_the_one_number_loops(k):
+    # the 16,385-point grid a truncated table's draws invert, and a wider
+    # one that takes the continued fraction
+    grids = [np.linspace(0.0, threshold_from_pa(p_a, k), 16385)
+             for p_a in (0.001, 0.01, 0.1, 0.5)]
+    grids.append(np.concatenate([np.linspace(0.0, 80.0, 2001), [np.inf, 1e-300, 1e300]]))
+    for grid in grids:
+        reference = np.array([reference_chisq_cdf(float(x), k) for x in grid])
+        assert chisq_cdf(grid, k).tobytes() == reference.tobytes()
+        assert chisq_cdf(grid[-2], k) == reference[-2]
+    assert np.isnan(chisq_cdf(np.array([np.nan]), k)).all()
+    assert chisq_cdf(grid.reshape(-1, 3)[:4], k).shape == (4, 3)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        chisq_cdf(np.array([1.0, -1e-300]), k)
 
 
 def test_chisq_quantile_roundtrip():
@@ -290,3 +308,20 @@ def test_quantile_table_builds_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(builds) == 1
     assert all(r is results[0] for r in results)
+
+
+def test_table_build_keeps_its_bits_with_the_array_cdf(fresh_draws, monkeypatch):
+    # the truncated draws invert a CDF grid; computed by the one-number
+    # loops entry by entry, the table is the same to the bit
+    params = MixtureParams(k=5, a=threshold_from_pa(0.01, 5), alpha=0.025)
+    build = dict(draw_count=50_000, seed=9, grid_size=21)
+    table = MixtureQuantileTable.build(params, **build)
+
+    def per_entry(x, k):
+        return np.vectorize(reference_chisq_cdf, otypes=[float])(x, k)
+
+    monkeypatch.setattr(mixture, "chisq_cdf", per_entry)
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    reference = MixtureQuantileTable.build(params, **build)
+    assert table.raw_values.tobytes() == reference.raw_values.tobytes()
+    assert table.lambda_values.tobytes() == reference.lambda_values.tobytes()

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from latekit import io, simulation
-from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
+from latekit.design import draw_assignment
 from latekit.io import ALL_METHODS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,3 +43,32 @@ def test_tracer_counts_one_draw_span_per_study_replication(monkeypatch):
         simulation.run_study(simulation.StudyConfig(n=40, tau_w=(0.3, 0.5), reps=3,
                                                     seed=5, k=2))
     assert [span.name for span in tracer.spans].count("design.draw") == 6
+
+
+def test_tracer_notes_r2_star_degeneracy_of_a_rem_stratum(monkeypatch, rng):
+    # estimation.r2_star_calls and r2_degenerate count the far sets' r2_star
+    # spans and their notes; a ReM stratum must record both, with mixture
+    # lookups beside them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    n, k = 40, 2
+    config = AnalysisConfig(design=DesignSpec.rem(n // 2, p_a=0.2, k=k))
+    x = rng.standard_normal((n, k))
+    x -= x.mean(axis=0)
+    slope = np.array([1.0, -0.5])
+    # outcomes exactly linear in the covariates and every unit a complier:
+    # receipt's rerandomization variance is exactly zero, so r2_star is
+    # degenerate; the noisy outcome beside it is not
+    linear = PotentialDataset(w0=np.zeros(n, dtype=int), w1=np.ones(n, dtype=int),
+                              y0=-(x @ slope), y1=x @ slope, x=x)
+    noisy = PotentialDataset(w0=np.zeros(n, dtype=int), w1=(rng.random(n) < 0.6).astype(int),
+                             y0=rng.standard_normal(n), y1=rng.standard_normal(n) + 1.0, x=x)
+    for pop, degenerate in ((linear, True), (noisy, False)):
+        z = draw_assignment(config.design, pop.x, rng).z
+        tracer = tracing.Tracer()
+        with tracing.bound(tracer):
+            assert "skipped" not in io.analyze_stratum(pop.reveal(z), ALL_METHODS, config)
+        notes = [span.note for span in tracer.spans if span.name == "estimation.r2_star"]
+        assert notes and all(type(note) is bool for note in notes)
+        assert all(note is degenerate for note in notes)
+        assert [span.name for span in tracer.spans].count("mixture.lookup") >= 2
