@@ -133,6 +133,8 @@ def _cmd_design(args) -> int:
         if not 0.0 < args.pa < 1.0:
             raise ValueError("--pa must be strictly between 0 and 1")
         spec = DesignSpec.rem(n1, p_a=args.pa, k=k)
+    elif args.pa is not None:
+        raise ValueError("--pa applies only with --mode rem")
     else:
         spec = DesignSpec.cre(n1)
     rng = np.random.default_rng(args.seed)

@@ -5,6 +5,12 @@ asymptotically a two-component mixture: sqrt(1-rho) times a standard normal
 plus sqrt(rho) times the symmetric truncated-chi variable induced by the
 balance criterion. This module samples that mixture, tabulates its upper
 quantiles over a rho grid, and provides the supporting special functions.
+
+A table's draws are sorted once into eps0 bins, each ordered by the
+component, and shared by the tables that differ only in alpha. At each rho
+a sweep mixes only the draws whose bin bounds cannot place them above or
+below a pilot band around the wanted order statistics; the quantiles it
+reads are those of the full sample, bit for bit.
 """
 from __future__ import annotations
 
@@ -208,14 +214,20 @@ class MixtureParams:
 def _truncated_chisq_draws(k: int, a: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws of a chi-square restricted to [0, a], u ~ U(0,1)."""
     fa = chisq_cdf(a, k)
+    # a new array, worked in place from here: the caller's u stays as it is,
+    # and a u only this call holds is freed at once
+    u = u * fa
     if k == 2:
-        return -2.0 * np.log1p(-u * fa)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u *= -2.0
+        return u
     # monotone interpolation through a fine CDF grid; the grid is dense
     # enough that the inversion error is far below Monte Carlo noise
     grid = np.linspace(0.0, a, 16385)
     cdf = chisq_cdf(grid, k)
     cdf[-1] = fa
-    return np.interp(u * fa, cdf, grid)
+    return np.interp(u, cdf, grid)
 
 
 def sample_truncated_component(params: MixtureParams, rng: np.random.Generator,
@@ -225,21 +237,26 @@ def sample_truncated_component(params: MixtureParams, rng: np.random.Generator,
     The radial part is a chi variable truncated so its square stays below
     the acceptance threshold (exact inverse-CDF on the restricted range),
     the sign is a fair coin, and the beta factor projects the radius onto
-    one coordinate (a point mass at 1 when k = 1).
+    one coordinate (a point mass at 1 when k = 1). The product is taken in
+    place, in that order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     k, a = params.k, params.a
-    sign = rng.integers(0, 2, size=count) * 2 - 1
+    sign = rng.integers(0, 2, size=count)
+    sign *= 2
+    sign -= 1
     if math.isinf(a):
-        chi2_draws = rng.chisquare(k, size=count)
+        draws = rng.chisquare(k, size=count)
     else:
-        chi2_draws = _truncated_chisq_draws(k, a, rng.uniform(0.0, 1.0, size=count))
-    if k == 1:
-        beta = np.ones(count)
-    else:
+        draws = _truncated_chisq_draws(k, a, rng.uniform(0.0, 1.0, size=count))
+    np.sqrt(draws, out=draws)
+    draws *= sign
+    del sign
+    if k > 1:
         beta = rng.beta(0.5, (k - 1) / 2.0, size=count)
-    return np.sqrt(chi2_draws) * sign * np.sqrt(beta)
+        draws *= np.sqrt(beta, out=beta)
+    return draws
 
 
 def _isotonic_nonincreasing(values: np.ndarray) -> np.ndarray:
@@ -259,94 +276,166 @@ def _isotonic_nonincreasing(values: np.ndarray) -> np.ndarray:
     return -out
 
 
-# Pilot draws and block size of the tail selection in _upper_quantiles; the
-# block buffers stay in cache, and a band of +-6 pilot standard errors
-# around the target holds both order statistics except with negligible
-# probability (the exact full quantile is the fallback).
+# Pilot draws of the band in _upper_quantiles: a band of +-6 pilot standard
+# errors around the target holds both order statistics except with
+# negligible probability (the exact full quantile is the fallback).
 _PILOT = 1 << 14
 _PILOT_SIGMAS = 6.0
-_BLOCK = 1 << 16
+# Equal-width eps0 bins of the sorted draw layout. A rho's band crosses the
+# comp-sorted run of a bin in one stretch, so a sweep mixes only the draws of
+# those stretches; more bins make the stretches shorter and the per-rho
+# bookkeeping longer.
+_BINS = 128
+
+
+@dataclass(frozen=True)
+class _DrawLayout:
+    """A table's normal and component draws, sorted for the band sweep.
+
+    The draws fall into ``_BINS`` equal-width ``eps0`` bins laid out one after
+    another, each sorted by ``comp``, so ``key = bin * width + comp`` is
+    sorted (``width`` is a power of two above 4 (max|comp| + 1), so a bin's
+    keys never reach the next one's). ``starts`` holds the ``_BINS + 1`` bin
+    offsets, ``e_min``/``e_max`` each bin's ``eps0`` bounds (0 when empty),
+    ``pilot_eps0``/``pilot_comp`` the first ``_PILOT`` draws in draw order,
+    and ``slack`` bounds the rounding of any decision made from the bounds.
+    Every array is read-only.
+    """
+
+    eps0: np.ndarray
+    comp: np.ndarray
+    key: np.ndarray
+    starts: np.ndarray
+    e_min: np.ndarray
+    e_max: np.ndarray
+    pilot_eps0: np.ndarray
+    pilot_comp: np.ndarray
+    width: float
+    comp_bound: float
+    slack: float
+
+
+def _sort_key(eps0: np.ndarray, comp: np.ndarray, lo: float, scale: float,
+              width: float) -> np.ndarray:
+    """bin * width + comp, with bin = floor((eps0 - lo) * scale) below _BINS."""
+    key = eps0 - lo
+    key *= scale
+    np.floor(key, out=key)
+    np.minimum(key, _BINS - 1, out=key)
+    key *= width
+    key += comp
+    return key
+
+
+def _draw_layout(eps0: np.ndarray, comp: np.ndarray) -> _DrawLayout:
+    """Lay a table's draws out sorted for the band sweep. Each array is let go
+    once its sorted copy is gathered, so arrays no caller holds are freed on
+    the way."""
+    m = min(_PILOT, eps0.size)
+    pilot_eps0, pilot_comp = eps0[:m].copy(), comp[:m].copy()
+    lo, hi = float(eps0.min()), float(eps0.max())
+    e_bound = max(-lo, hi)
+    scale = _BINS / (hi - lo) if hi > lo else 0.0
+    comp_bound = float(np.abs(comp).max()) + 1.0
+    width = 2.0 ** math.frexp(4.0 * comp_bound)[1]
+    order = np.argsort(_sort_key(eps0, comp, lo, scale, width))
+    eps0 = eps0[order]
+    comp = comp[order]
+    del order
+    key = _sort_key(eps0, comp, lo, scale, width)
+    starts = np.searchsorted(key, width * (np.arange(_BINS + 1) - 0.5))
+    filled = starts[:-1] < starts[1:]
+    e_min, e_max = np.zeros(_BINS), np.zeros(_BINS)
+    e_min[filled] = np.minimum.reduceat(eps0, starts[:-1][filled])
+    e_max[filled] = np.maximum.reduceat(eps0, starts[:-1][filled])
+    arrays = (eps0, comp, key, starts, e_min, e_max, pilot_eps0, pilot_comp)
+    for array in arrays:
+        array.flags.writeable = False
+    return _DrawLayout(*arrays, width=width, comp_bound=comp_bound,
+                       slack=1e-12 * (e_bound + comp_bound))
+
 
 _draws_lock = threading.Lock()
-_shared_draws: tuple = (None, None, None)
+_shared_draws: tuple = (None, None)
 
 
-def _table_draws(params: MixtureParams, draw_count: int, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The normal and component draws of a table, shared across alpha.
+def _table_draws(params: MixtureParams, draw_count: int, seed: int) -> _DrawLayout:
+    """The laid-out draws of a table, shared across alpha.
 
     Tables with the same (k, a, draw_count, seed) draw identical samples, so
-    the most recent pair is kept (one entry, read-only) for the next table.
+    the most recent layout is kept (one entry, read-only) for the next table.
     """
     global _shared_draws
     key = (params.k, params.a, draw_count, seed)
     with _draws_lock:
         if _shared_draws[0] != key:
-            _shared_draws = (None, None, None)  # release before drawing anew
+            _shared_draws = (None, None)  # release before drawing anew
             rng = np.random.default_rng(seed)
-            eps0 = rng.standard_normal(draw_count)
-            comp = sample_truncated_component(params, rng, draw_count)
-            eps0.flags.writeable = False
-            comp.flags.writeable = False
-            _shared_draws = (key, eps0, comp)
-        return _shared_draws[1], _shared_draws[2]
+            # handed over unheld, so the layout frees them as it sorts
+            _shared_draws = (key, _draw_layout(
+                rng.standard_normal(draw_count),
+                sample_truncated_component(params, rng, draw_count)))
+        return _shared_draws[1]
 
 
 def _mixed_quantile(eps0: np.ndarray, comp: np.ndarray, rho: float,
                     q: float) -> float:
-    """The q-quantile of the mixed draws by a full partition."""
+    """The q-quantile of the mixed draws by a full partition (in any order)."""
     return np.quantile(math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp, q)
 
 
-def _upper_quantiles(eps0: np.ndarray, comp: np.ndarray, rho_grid: np.ndarray,
-                     q: float) -> np.ndarray:
+def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.ndarray:
     """``_mixed_quantile`` at every rho, bit for bit, from a band of values.
 
     numpy's linear method interpolates the order statistics ``lo`` and
-    ``lo + 1`` at weight ``t``. Quantiles of a pilot prefix bracket them by a
-    band; the mixed values are computed block by block with the same
-    arithmetic, only those inside the band are kept, and the two order
-    statistics are read from the kept values once the count above the band
-    shows they lie inside it. Otherwise the full partition is used.
+    ``lo + 1`` at weight ``t``. Quantiles of the pilot draws bracket them by
+    a band. Inside a bin the mixed value rises with ``comp`` between the
+    bin's ``eps0`` bounds, so two searches of the sorted key split the bin
+    into draws certainly below the band (skipped), certainly at or above it
+    (only counted) and the stretch between, which is mixed with the
+    arithmetic of ``_mixed_quantile``. The two order statistics are read from
+    the mixed values inside the band once the counts show they lie inside
+    it; otherwise the full partition is used.
     """
-    n = eps0.size
+    n = draws.eps0.size
     pos = (n - 1) * q
     lo = math.floor(pos)
     t = pos - lo
-    m = min(_PILOT, n)
+    m = draws.pilot_eps0.size
     f = (n - lo) / n
     margin = _PILOT_SIGMAS * math.sqrt(f * (1.0 - f) / m) + 2.0 / m
     j_lo = math.floor((1.0 - f - margin) * (m - 1))
     j_hi = math.ceil((1.0 - f + margin) * (m - 1))
-    mixed = np.empty(min(_BLOCK, n))
-    part = np.empty_like(mixed)
-    in_band = np.empty(mixed.size, dtype=bool)
-    above = np.empty(mixed.size, dtype=bool)
+    offsets = draws.width * np.arange(_BINS)
+    ends = draws.starts[1:]
+    bound, slack = draws.comp_bound, draws.slack
     raw = np.empty(rho_grid.size)
     for i, rho in enumerate(rho_grid):
         s_eps, s_comp = math.sqrt(1.0 - rho), math.sqrt(rho)
-        pilot = np.sort(s_eps * eps0[:m] + s_comp * comp[:m])
+        pilot = np.sort(s_eps * draws.pilot_eps0 + s_comp * draws.pilot_comp)
         band_lo = pilot[j_lo] if j_lo >= 0 else -math.inf
         band_hi = pilot[j_hi] if j_hi < m else math.inf
-        count_above = 0
-        kept = []
-        for start in range(0, n, _BLOCK):
-            size = min(_BLOCK, n - start)
-            x, y = mixed[:size], part[:size]
-            inside, over = in_band[:size], above[:size]
-            np.multiply(s_eps, eps0[start:start + size], out=x)
-            np.multiply(s_comp, comp[start:start + size], out=y)
-            np.add(x, y, out=x)
-            np.greater_equal(x, band_lo, out=inside)
-            np.greater_equal(x, band_hi, out=over)
-            count_above += np.count_nonzero(over)
-            np.greater(inside, over, out=inside)  # at or above band_lo, below band_hi
-            kept.append(x[inside])
-        band = np.concatenate(kept)
+        # the comp at which a bin's draws certainly reach band_hi, and below
+        # which they certainly stay under band_lo
+        if s_comp > 0.0:
+            c_hi = (band_hi + slack - s_eps * draws.e_min) / s_comp
+            c_lo = (band_lo - slack - s_eps * draws.e_max) / s_comp
+        else:  # rho = 0: whole bins by their eps0 bounds
+            c_hi = np.where(s_eps * draws.e_min >= band_hi + slack, -math.inf, math.inf)
+            c_lo = np.where(s_eps * draws.e_max < band_lo - slack, math.inf, -math.inf)
+        first = np.searchsorted(draws.key, offsets + np.clip(c_lo, -bound, bound))
+        last = np.searchsorted(draws.key, offsets + np.clip(c_hi, -bound, bound))
+        count_above = int((ends - last).sum())
+        sizes = np.maximum(last - first, 0)  # an inverted band holds nothing
+        take = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+        x = s_eps * draws.eps0[take] + s_comp * draws.comp[take]
+        over = x >= band_hi
+        count_above += np.count_nonzero(over)
+        band = x[(x >= band_lo) & ~over]
         # sorted position of band[0] in the full sample
         j = lo - (n - count_above - band.size)
         if j < 0 or j + 1 >= band.size:
-            raw[i] = _mixed_quantile(eps0, comp, rho, q)
+            raw[i] = _mixed_quantile(draws.eps0, draws.comp, rho, q)
             continue
         band.partition(j)
         a, b = float(band[j]), float(band[j + 1:].min())
@@ -362,7 +451,9 @@ class MixtureQuantileTable:
     Values are estimated by common-random-number Monte Carlo, projected to
     be non-increasing in rho (the quantile provably is), clipped to the
     normal quantile from above, and linearly interpolated between grid
-    points at lookup time.
+    points at lookup time. ``build`` reads each raw value from the sorted
+    draw layout by a band sweep (see ``_upper_quantiles``); the bytes are
+    those of ``np.quantile`` over all mixed draws.
     """
 
     params: MixtureParams
@@ -376,10 +467,9 @@ class MixtureQuantileTable:
     def build(cls, params: MixtureParams, *, draw_count: int = _DEFAULT_DRAWS,
               seed: int = _TABLE_SEED, grid_size: int = _DEFAULT_RHO_GRID
               ) -> "MixtureQuantileTable":
-        eps0, comp = _table_draws(params, draw_count, seed)
         rho_grid = np.linspace(0.0, 1.0, grid_size)
         q = 1.0 - params.alpha
-        raw = _upper_quantiles(eps0, comp, rho_grid, q)
+        raw = _upper_quantiles(_table_draws(params, draw_count, seed), rho_grid, q)
         z = normal_quantile(q)
         values = np.clip(_isotonic_nonincreasing(raw), 0.0, z)
         return cls(params=params, rho_grid=rho_grid, lambda_values=values,

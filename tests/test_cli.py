@@ -335,6 +335,16 @@ def test_analyze_rejects_pa_without_rem_design(tmp_path, capsys):
         analyze_file(str(f), p_a=0.5)
 
 
+def test_design_rejects_pa_without_rem_mode(covariate_file, tmp_path, capsys):
+    # a CRE draw has no acceptance threshold; --pa would be silently ignored
+    out = tmp_path / "d.csv"
+    rc = main(["design", "--input", str(covariate_file), "--mode", "cre",
+               "--pa", "0.5", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --pa applies only with --mode rem\n"
+    assert not out.exists()
+
+
 def test_read_records_row_errors(tmp_path):
     f = tmp_path / "ragged.csv"
     f.write_text("z,w,y\n1,0,1.0\n1,0\n")

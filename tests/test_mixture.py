@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def reference_build(params, draw_count, seed, grid_size):
 @pytest.fixture
 def fresh_draws(monkeypatch):
     """Isolate the shared-draw entry and count full-partition fallbacks."""
-    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None))
     fallbacks = []
     full = mixture._mixed_quantile
 
@@ -246,6 +247,43 @@ def test_fast_build_matches_full_quantile_sizes(draw_count, grid_size, alpha,
     assert fresh_draws == []
 
 
+@pytest.mark.parametrize("grid_size", [2, 101])
+@pytest.mark.parametrize("alpha", [0.005, 0.49])
+@pytest.mark.parametrize("truncated", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("draw_count", [50, 1000])
+def test_band_sweep_matches_full_quantile_with_empty_bins(draw_count, k, truncated, alpha,
+                                                          grid_size, fresh_draws):
+    # fewer draws than the pilot and than the bins: the pilot is the whole
+    # sample and many bins hold nothing
+    a = threshold_from_pa(0.01, k) if truncated else math.inf
+    assert_matches_reference(MixtureParams(k=k, a=a, alpha=alpha), draw_count, 31,
+                             grid_size)
+    sizes = np.diff(mixture._shared_draws[1].starts)
+    assert (sizes == 0).any() and sizes.sum() == draw_count
+    assert fresh_draws == []
+
+
+@pytest.mark.parametrize("q", [0.975, 0.6, 0.5])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_band_sweep_keeps_its_bits_on_near_ties(seed, q, fresh_draws):
+    # at rho = 1/2 every mixed value lies within ~1e-13 of 1, inside the
+    # slack and the rounding of the sorted key, with eps0 spread over every
+    # bin: a draw may be counted or skipped unmixed only where its bin's
+    # bounds decide it despite that rounding
+    rng = np.random.default_rng(seed)
+    s = math.sqrt(0.5)
+    eps0 = rng.uniform(-3.0, 3.0, 4000)
+    comp = (1.0 - s * eps0) / s + rng.uniform(-1e-13, 1e-13, 4000)
+    rho_grid = np.linspace(0.0, 1.0, 3)
+    raw = mixture._upper_quantiles(mixture._draw_layout(eps0.copy(), comp.copy()),
+                                   rho_grid, q)
+    full = [np.quantile(math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp, q)
+            for rho in rho_grid]
+    assert raw.tobytes() == np.array(full).tobytes()
+    assert fresh_draws == []
+
+
 def test_fast_build_fallback_matches_full_quantile(fresh_draws, monkeypatch):
     # a negative band half-width leaves no value in the band, so every rho
     # takes the full partition
@@ -261,19 +299,36 @@ def test_shared_draws_leave_tables_unchanged(fresh_draws, monkeypatch):
     table_b = MixtureParams(k=5, a=a, alpha=0.075)
     build = dict(draw_count=50_000, seed=9, grid_size=21)
     first = MixtureQuantileTable.build(table_a, **build)
-    key, eps0, comp = mixture._shared_draws
+    key, draws = mixture._shared_draws
     assert key == (5, a, 50_000, 9)
-    assert not eps0.flags.writeable and not comp.flags.writeable
-    eps0_before, comp_before = eps0.copy(), comp.copy()
+    arrays = [v for v in vars(draws).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8 and not any(v.flags.writeable for v in arrays)
+    before = [v.copy() for v in arrays]
     MixtureQuantileTable.build(table_b, **build)
-    assert mixture._shared_draws[1] is eps0 and mixture._shared_draws[2] is comp
-    assert np.array_equal(eps0, eps0_before) and np.array_equal(comp, comp_before)
+    assert mixture._shared_draws[1] is draws
+    assert all(np.array_equal(v, w) for v, w in zip(arrays, before))
     again = MixtureQuantileTable.build(table_a, **build)
-    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None))
     redrawn = MixtureQuantileTable.build(table_a, **build)
     for table in (again, redrawn):
         assert table.raw_values.tobytes() == first.raw_values.tobytes()
         assert table.lambda_values.tobytes() == first.lambda_values.tobytes()
+
+
+def test_table_build_peak_memory(fresh_draws, monkeypatch):
+    # the draws are made in place and the layout lets each unsorted array go
+    # once its sorted copy is gathered
+    n = 200_000
+    params = MixtureParams(k=5, a=threshold_from_pa(0.01, 5), alpha=0.025)
+    MixtureQuantileTable.build(params, draw_count=1000)  # first-call imports
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None))
+    tracemalloc.start()
+    try:
+        MixtureQuantileTable.build(params, draw_count=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n
 
 
 def test_quantile_table_builds_once_under_threads(monkeypatch):
@@ -321,7 +376,7 @@ def test_table_build_keeps_its_bits_with_the_array_cdf(fresh_draws, monkeypatch)
         return np.vectorize(reference_chisq_cdf, otypes=[float])(x, k)
 
     monkeypatch.setattr(mixture, "chisq_cdf", per_entry)
-    monkeypatch.setattr(mixture, "_shared_draws", (None, None, None))
+    monkeypatch.setattr(mixture, "_shared_draws", (None, None))
     reference = MixtureQuantileTable.build(params, **build)
     assert table.raw_values.tobytes() == reference.raw_values.tobytes()
     assert table.lambda_values.tobytes() == reference.lambda_values.tobytes()
