@@ -13,10 +13,9 @@ as the scalar functions.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class ConfidenceSet:
     hi_left: float | None = None
     lo_right: float | None = None
     method: str = ""
-    contains_wald: bool | None = None
     degenerate: bool = False
 
     @staticmethod
@@ -119,9 +117,6 @@ class ConfidenceSet:
         if self.method:
             out["method"] = self.method
         return out
-
-    def with_flags(self, **kw) -> "ConfidenceSet":
-        return dataclasses.replace(self, **kw)
 
 
 def solve_quadratic_set(b_y: float, b_w: float, crit: float,
@@ -199,14 +194,6 @@ class SetArrays(NamedTuple):
     hi: np.ndarray
     degenerate: np.ndarray
     errors: dict[int, Exception]
-
-    @staticmethod
-    def from_sets(sets: Sequence[ConfidenceSet]) -> "SetArrays":
-        entries = [_entry(cs) for cs in sets]
-        kind, lo, hi, degenerate = zip(*entries) if entries else ((),) * 4
-        return SetArrays(kind=np.array(kind, dtype=np.int8), lo=np.array(lo, dtype=float),
-                         hi=np.array(hi, dtype=float),
-                         degenerate=np.array(degenerate, dtype=bool), errors={})
 
     @property
     def length(self) -> np.ndarray:
@@ -331,9 +318,8 @@ def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfi
     vhat = combined_variance(components, tau, spec.family)
     crit = _critical(spec, components, config, lambda c: r2_of_tau(c, tau))
     radius = crit * math.sqrt(vhat.value) / abs(est.tau_w_hat)
-    ci = ConfidenceSet.interval(tau - radius, tau + radius, method=method,
-                                degenerate=vhat.floored)
-    return ci.with_flags(contains_wald=ci.contains(tau))
+    return ConfidenceSet.interval(tau - radius, tau + radius, method=method,
+                                  degenerate=vhat.floored)
 
 
 def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfig
@@ -348,7 +334,4 @@ def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfi
     b_y, b_w = estimates.tau_y, estimates.tau_w
     q_y, q_c, q_w = components.family(spec.family)
     crit = _critical(spec, components, config, r2_star)
-    cs = solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")
-    if b_w != 0.0:
-        cs = cs.with_flags(contains_wald=cs.contains(b_y / b_w))
-    return cs
+    return solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")

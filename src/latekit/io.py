@@ -214,39 +214,41 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
             estimates = Estimates(summary.tau_y, summary.tau_w)
             components = (variance_components(summary) if family == "rem"
                           else plain_components(summary))
-    except LatekitError as exc:
-        # a stratum with degenerate covariates must not take down the run
-        return {"skipped": str(exc)}
 
-    # each step runs at most once, however many methods read it
-    steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
-             "far": lambda: far_set(regime, estimates, components, config),
-             "ts": lambda: first_stage_test(regime, estimates, components, config),
-             "ts_f10": lambda: f_screen(regime, estimates, components)}
-    get = functools.cache(lambda step: steps[step]())
+        # each step runs at most once, however many methods read it
+        steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
+                 "far": lambda: far_set(regime, estimates, components, config),
+                 "ts": lambda: first_stage_test(regime, estimates, components, config),
+                 "ts_f10": lambda: f_screen(regime, estimates, components)}
+        get = functools.cache(lambda step: steps[step]())
 
-    out: dict = {}
-    for m in methods:
-        if m == "wald":
-            out[m] = {"estimate": _num(estimates.wald().tau_hat),
-                      "set": get("wald").to_json_dict()}
-        elif m == "far":
-            out[m] = {"set": get("far").to_json_dict()}
-        elif m in ("ts", "ts_f10"):
-            fs = get(m)
-            branch = "wald" if fs.strong else "far"
-            out[m] = {"first_stage": _fs_dict(fs), "branch": branch,
-                      "set": get(branch).to_json_dict()}
-        elif m == "wald_f10":
-            fs = get("ts_f10")
-            entry = {"first_stage": _fs_dict(fs)}
-            if fs.strong:
-                entry["set"] = get("wald").to_json_dict()
+        out: dict = {}
+        for m in methods:
+            if m == "wald":
+                out[m] = {"estimate": _num(estimates.wald().tau_hat),
+                          "set": get("wald").to_json_dict()}
+            elif m == "far":
+                out[m] = {"set": get("far").to_json_dict()}
+            elif m in ("ts", "ts_f10"):
+                fs = get(m)
+                branch = "wald" if fs.strong else "far"
+                out[m] = {"first_stage": _fs_dict(fs), "branch": branch,
+                          "set": get(branch).to_json_dict()}
+            elif m == "wald_f10":
+                fs = get("ts_f10")
+                entry = {"first_stage": _fs_dict(fs)}
+                if fs.strong:
+                    entry["set"] = get("wald").to_json_dict()
+                else:
+                    entry["skipped"] = "first-stage F <= 10"
+                out[m] = entry
             else:
-                entry["skipped"] = "first-stage F <= 10"
-            out[m] = entry
-        else:
-            raise ValueError(f"unknown method: {m!r}")
+                raise ValueError(f"unknown method: {m!r}")
+    except LatekitError as exc:
+        # a stratum with degenerate covariates, or whose set cannot be
+        # inverted (a zero first stage and a significant outcome gap), must
+        # not take down the run
+        return {"skipped": str(exc)}
     return {"tau_w_hat": _num(estimates.tau_w), "tau_y_hat": _num(estimates.tau_y),
             "est_compliers": _num(ds.n * estimates.tau_w), "methods": out}
 

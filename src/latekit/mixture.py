@@ -449,9 +449,9 @@ class MixtureQuantileTable:
     """Cached upper quantiles of the mixture over a rho grid in [0, 1].
 
     Values are estimated by common-random-number Monte Carlo, projected to
-    be non-increasing in rho (the quantile provably is), clipped to the
-    normal quantile from above, and linearly interpolated between grid
-    points at lookup time. ``build`` reads each raw value from the sorted
+    be non-increasing in rho (the quantile provably is) and clipped to the
+    normal quantile from above. ``lambda_quantiles`` interpolates linearly
+    between grid points. ``build`` reads each raw value from the sorted
     draw layout by a band sweep (see ``_upper_quantiles``); the bytes are
     those of ``np.quantile`` over all mixed draws.
     """
@@ -474,11 +474,6 @@ class MixtureQuantileTable:
         values = np.clip(_isotonic_nonincreasing(raw), 0.0, z)
         return cls(params=params, rho_grid=rho_grid, lambda_values=values,
                    raw_values=raw, draw_count=draw_count, seed=seed)
-
-    def lookup(self, rho: float) -> float:
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        return float(np.interp(rho, self.rho_grid, self.lambda_values))
 
 
 _cache_lock = threading.Lock()

@@ -7,10 +7,11 @@ interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
 Every regime scores a cell in one array pass over all of its draws
-(``_score_cre``, ``_score_rem``, ``_score_adjusted``). The scalar
-``_evaluate_draw`` stays the draw-for-draw reference: the unadjusted passes
-reproduce it bit for bit, the regression-adjusted pass (per-arm OLS fits
-instead of one interacted fit) to roundoff.
+(``_score_cre``, ``_score_rem``, ``_score_adjusted``), and all three pick
+their sets in ``_method_scores``. The unadjusted passes give the bits of
+scoring each draw by the scalar chain (``wald_ci``, ``far_set``,
+``first_stage_test``, ``f_screen``), the regression-adjusted pass (per-arm
+OLS fits instead of one interacted fit) agrees with it to roundoff.
 """
 from __future__ import annotations
 
@@ -23,28 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import (
-    KINDS,
-    ConfidenceSet,
-    SetArrays,
-    far_set,
-    solve_quadratic_sets,
-    wald_ci,
-    wald_intervals,
-)
+from .confidence_sets import KINDS, SetArrays, solve_quadratic_sets, wald_intervals
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
-from .estimation import (
-    Estimates,
-    _plain_family,
-    _rem_families,
-    plain_components,
-    r2_at,
-    r2_ratio,
-    r2_stars,
-    regime_spec,
-    variance_components,
-)
+from .estimation import _plain_family, _rem_families, r2_at, r2_ratio, r2_stars, regime_spec
 from .exceptions import InfeasibleTargetError, LatekitError
 from .mixture import MixtureParams, lambda_quantiles, normal_quantile
 from .stats_core import (
@@ -54,9 +37,15 @@ from .stats_core import (
     _arm_moments,
     fit_interacted_pair,
     sandwich_cov,
-    summarize,
 )
-from .two_stage import F_THRESHOLD, f_screen, first_stage_test
+from .two_stage import F_THRESHOLD
+
+# not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
+# names in this module by name, and fails on a name that is missing
+from .confidence_sets import far_set, wald_ci
+from .estimation import variance_components
+from .stats_core import summarize
+from .two_stage import f_screen, first_stage_test
 
 _POP_RETRIES = 1000
 
@@ -73,7 +62,6 @@ class DgpConfig:
     n: int
     tau_w_target: float
     k: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n % 2:
@@ -183,16 +171,6 @@ def population_oracle(p: PotentialDataset, n1: int) -> PopulationOracle:
                             r2_a=min(max(v_a_x / v_a, 0.0), 1.0))
 
 
-@dataclass
-class ReplicationResult:
-    """Per-method outcome of a single assignment draw."""
-
-    estimate: float
-    set: ConfidenceSet
-    strong: bool | None = None
-    included: bool = True
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """One simulation study: a list of complier fractions crossed with one
@@ -235,6 +213,14 @@ class StudyConfig:
             bad = [v for v in values if not _in_range(v, high, closed=key == "tau_w")]
             if bad:
                 raise ValueError(f"{key} must list numbers in {interval}; got {bad[0]!r}")
+        # a table row is named by its gamma to 6 significant digits
+        named = {}
+        for g in self.gamma:
+            name = _gamma_method(g)
+            if name in named:
+                raise ValueError(f"gamma must list values with distinct method names; "
+                                 f"{named[name]!r} and {g!r} are both {name}")
+            named[name] = g
 
     def methods(self) -> list[str]:
         return _method_names(self.gamma)
@@ -337,43 +323,6 @@ def median_extended(values: np.ndarray) -> float:
     return float(np.partition(v, mid)[mid])
 
 
-def _evaluate_draw(ds, z, base_config: AnalysisConfig,
-                   gammas: tuple[float, ...]) -> dict[str, ReplicationResult]:
-    regime = base_config.regime
-    family = regime_spec(regime).family
-    if family == "sandwich":
-        fit_y, fit_w = fit_interacted_pair(ds, z)
-        estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
-        components = sandwich_cov(fit_y, fit_w, base_config.adjustment)
-    else:
-        summary = summarize(ds, z)
-        estimates = Estimates(summary.tau_y, summary.tau_w)
-        components = (variance_components(summary) if family == "rem"
-                      else plain_components(summary))
-    est = estimates.wald().tau_hat
-
-    wald_set = wald_ci(regime, estimates, components, base_config)
-    far = far_set(regime, estimates, components, base_config)
-    # draw-level efficiency ordering: any two-stage set (being one of the
-    # two) then sits between them in length
-    if (far.kind == "interval" and not far.degenerate
-            and wald_set.length > far.length + 1e-9 * max(far.length, 1.0)):
-        raise ArithmeticError(_longer_wald_message(wald_set.length, far.length))
-
-    def rec(cset, strong=None, included=True):
-        return ReplicationResult(estimate=est, set=cset, strong=strong, included=included)
-
-    out = {"wald": rec(wald_set), "far": rec(far)}
-    for g in gammas:
-        fs = first_stage_test(regime, estimates, components,
-                              dataclasses.replace(base_config, gamma=g))
-        out[_gamma_method(g)] = rec(wald_set if fs.strong else far, strong=fs.strong)
-    fscr = f_screen(regime, estimates, components)
-    out["ts_f10"] = rec(wald_set if fscr.strong else far, strong=fscr.strong)
-    out["wald_f10"] = rec(wald_set, strong=fscr.strong, included=fscr.strong)
-    return out
-
-
 def _longer_wald_message(wald_length: float, far_length: float) -> str:
     return (f"Wald interval length {wald_length!r} exceeds "
             f"the FAR interval length {far_length!r}")
@@ -388,23 +337,6 @@ class MethodScores(NamedTuple):
     included: np.ndarray
 
 
-def _score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-                 gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """Per-draw estimates and every method's scores, one _evaluate_draw call
-    per assignment row of ``zs``: the reference the batched passes in
-    _BATCHED are tested against."""
-    draws = [_evaluate_draw(pop.reveal(z), z, base, gammas) for z in zs]
-    estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
-    scores = {}
-    for m in _method_names(gammas):
-        recs = [d[m] for d in draws]
-        strong = (np.array([r.strong for r in recs], dtype=bool)
-                  if recs and recs[0].strong is not None else None)
-        scores[m] = MethodScores(SetArrays.from_sets([r.set for r in recs]), strong,
-                                 np.array([r.included for r in recs], dtype=bool))
-    return estimates, scores
-
-
 def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None = None
           ) -> tuple[_ArmArrays, _ArmArrays]:
     """The treated and control arms' moments of every assignment row, by the
@@ -415,8 +347,8 @@ def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None =
 
 def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """What _score_draws returns for an unadjusted CRE cell, computed for
-    all assignment rows of ``zs`` at once."""
+    """Per-draw ratio estimates and every method's scores of an unadjusted
+    CRE cell, for all assignment rows of ``zs`` at once."""
     n1 = base.design.n1
     arm1, arm0 = _arms(pop, zs, n1)
     tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
@@ -478,8 +410,8 @@ def _arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
 
 def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                     gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """What _score_draws returns for a regression-adjusted cell, computed for
-    all assignment rows of ``zs`` at once.
+    """Per-draw ratio estimates and every method's scores of a
+    regression-adjusted cell, for all assignment rows of ``zs`` at once.
 
     The interacted fit equals separate OLS fits of each arm on [1, x] (Lin
     2013), so the effect estimates are the gaps between the arms'
@@ -518,8 +450,8 @@ def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
 
 def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """What _score_draws returns for an unadjusted ReM cell, computed for
-    all assignment rows of ``zs`` at once."""
+    """Per-draw ratio estimates and every method's scores of an unadjusted
+    ReM cell, for all assignment rows of ``zs`` at once."""
     n1, k = base.design.n1, pop.x.shape[1]
     arm1, arm0 = _arms(pop, zs, n1, pop.x)
     plain, rem, proj, errors = _rem_families(arm1, arm0, n1, zs.shape[1] - n1, pop.x)
@@ -547,8 +479,9 @@ def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
                    ) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """The Wald-vs-FAR check, the first-stage tests (variance ``fs_var`` and
     a critical value per gamma), the F>10 screen (``screen_var``) and the
-    selections, as _evaluate_draw makes them; ``errors`` holds what a draw
-    raises before its sets are built."""
+    selections of every draw; ``errors`` holds what a draw raises before
+    its sets are built. Returns the ratio estimates (nan where ``tau_w`` is
+    0) and each method's MethodScores, keyed in table order."""
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
@@ -590,7 +523,7 @@ _BATCHED = {"cre": _score_cre, "rem": _score_rem, "adjusted": _score_adjusted}
 
 
 def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> PotentialDataset:
-    dgp = DgpConfig(n=cfg.n, tau_w_target=tau_w, k=cfg.k, seed=cfg.seed)
+    dgp = DgpConfig(n=cfg.n, tau_w_target=tau_w, k=cfg.k)
     for attempt in range(_POP_RETRIES):
         rng = np.random.default_rng((cfg.seed, cell, 0, attempt))
         try:

@@ -10,8 +10,12 @@ split and table encoding as they were before the study passes dropped
 their per-replication overhead. ``reference_r2_star`` is the stationary-point
 search ``r2_star`` ran before its closed form, and ``reference_chisq_cdf``
 the one-number chi-square CDF ``chisq_cdf`` computed before it took arrays.
-The rest are small helpers
-the package no longer exports.
+``reference_evaluate_draw`` scores one study draw by the scalar chain
+(``wald_ci``, ``far_set``, ``first_stage_test``, ``f_screen``) and
+``reference_score_draws`` stacks it over a cell's draws, with
+``set_arrays_from_sets`` packing its sets: the batched study passes in
+``simulation._BATCHED`` are checked against them draw for draw. The rest
+are small helpers the package no longer exports.
 """
 from __future__ import annotations
 
@@ -23,11 +27,32 @@ from typing import Sequence
 
 import numpy as np
 
-from latekit.confidence_sets import ConfidenceSet
-from latekit.data_model import Dataset, DesignSpec
+from latekit.confidence_sets import ConfidenceSet, SetArrays, _entry, far_set, wald_ci
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
 from latekit.design import Covariates, draw_assignment
-from latekit.estimation import R2Value, VarianceComponents, r2_of_tau
-from latekit.stats_core import _spd_inverse, covariate_covariance
+from latekit.estimation import (
+    Estimates,
+    R2Value,
+    VarianceComponents,
+    plain_components,
+    r2_of_tau,
+    regime_spec,
+    variance_components,
+)
+from latekit.simulation import (
+    MethodScores,
+    _gamma_method,
+    _longer_wald_message,
+    _method_names,
+)
+from latekit.stats_core import (
+    _spd_inverse,
+    covariate_covariance,
+    fit_interacted_pair,
+    sandwich_cov,
+    summarize,
+)
+from latekit.two_stage import f_screen, first_stage_test
 
 _INF = math.inf
 
@@ -302,6 +327,85 @@ def reference_table_json(table) -> dict:
 
     return {"rows": [{k: enc(v) for k, v in dataclasses.asdict(r).items()}
                      for r in table.rows]}
+
+
+# ------------------------------------------------------ scalar study scoring
+
+@dataclass
+class ReferenceResult:
+    """Per-method outcome of a single assignment draw."""
+
+    estimate: float
+    set: ConfidenceSet
+    strong: bool | None = None
+    included: bool = True
+
+
+def reference_evaluate_draw(ds, z, base_config: AnalysisConfig,
+                            gammas: tuple[float, ...]) -> dict[str, ReferenceResult]:
+    """Every study method on one draw, by the scalar chain: ``summarize`` or
+    the interacted fit, then ``wald_ci``, ``far_set``, ``first_stage_test``
+    and ``f_screen``."""
+    regime = base_config.regime
+    family = regime_spec(regime).family
+    if family == "sandwich":
+        fit_y, fit_w = fit_interacted_pair(ds, z)
+        estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
+        components = sandwich_cov(fit_y, fit_w, base_config.adjustment)
+    else:
+        summary = summarize(ds, z)
+        estimates = Estimates(summary.tau_y, summary.tau_w)
+        components = (variance_components(summary) if family == "rem"
+                      else plain_components(summary))
+    est = estimates.wald().tau_hat
+
+    wald_set = wald_ci(regime, estimates, components, base_config)
+    far = far_set(regime, estimates, components, base_config)
+    # draw-level efficiency ordering: any two-stage set (being one of the
+    # two) then sits between them in length
+    if (far.kind == "interval" and not far.degenerate
+            and wald_set.length > far.length + 1e-9 * max(far.length, 1.0)):
+        raise ArithmeticError(_longer_wald_message(wald_set.length, far.length))
+
+    def rec(cset, strong=None, included=True):
+        return ReferenceResult(estimate=est, set=cset, strong=strong, included=included)
+
+    out = {"wald": rec(wald_set), "far": rec(far)}
+    for g in gammas:
+        fs = first_stage_test(regime, estimates, components,
+                              dataclasses.replace(base_config, gamma=g))
+        out[_gamma_method(g)] = rec(wald_set if fs.strong else far, strong=fs.strong)
+    fscr = f_screen(regime, estimates, components)
+    out["ts_f10"] = rec(wald_set if fscr.strong else far, strong=fscr.strong)
+    out["wald_f10"] = rec(wald_set, strong=fscr.strong, included=fscr.strong)
+    return out
+
+
+def reference_score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+                          gammas: tuple[float, ...]
+                          ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """Per-draw estimates and every method's scores, one
+    ``reference_evaluate_draw`` call per assignment row of ``zs``: what the
+    batched passes in ``simulation._BATCHED`` must return."""
+    draws = [reference_evaluate_draw(pop.reveal(z), z, base, gammas) for z in zs]
+    estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
+    scores = {}
+    for m in _method_names(gammas):
+        recs = [d[m] for d in draws]
+        strong = (np.array([r.strong for r in recs], dtype=bool)
+                  if recs and recs[0].strong is not None else None)
+        scores[m] = MethodScores(set_arrays_from_sets([r.set for r in recs]), strong,
+                                 np.array([r.included for r in recs], dtype=bool))
+    return estimates, scores
+
+
+def set_arrays_from_sets(sets: Sequence[ConfidenceSet]) -> SetArrays:
+    """The SetArrays entries of the given sets, in order."""
+    entries = [_entry(cs) for cs in sets]
+    kind, lo, hi, degenerate = zip(*entries) if entries else ((),) * 4
+    return SetArrays(kind=np.array(kind, dtype=np.int8), lo=np.array(lo, dtype=float),
+                     hi=np.array(hi, dtype=float),
+                     degenerate=np.array(degenerate, dtype=bool), errors={})
 
 
 # ------------------------------------------------------------- small helpers

@@ -103,6 +103,39 @@ def test_analyze_strata_and_skips(tmp_path):
     assert "methods" in report["strata"][0]
 
 
+def _strata_csv(path, names, zero_take_up=""):
+    """Strata of 60 rows each; in ``zero_take_up`` nobody takes treatment
+    and assignment alone moves the outcome by 3."""
+    rng = np.random.default_rng(21)
+    lines = []
+    for name in names:
+        z = rng.permutation(np.repeat([1, 0], 30))
+        w = np.where(z == 1, (rng.random(60) < 0.6).astype(int), 0)
+        y = 2.0 * w + rng.standard_normal(60)
+        if name == zero_take_up:
+            w = np.zeros(60, dtype=int)
+            y += 3.0 * z
+        lines += [f"{name},{z[i]},{w[i]},{y[i]:.17g}" for i in range(60)]
+    write_basic_csv(path, lines, header="stratum,z,w,y")
+
+
+def test_analyze_skips_a_stratum_whose_set_cannot_be_inverted(tmp_path):
+    # a zero first stage with a significant outcome gap: the FAR inversion
+    # is empty, which skips that stratum and leaves the others as they are
+    with_b, without_b = tmp_path / "abc.csv", tmp_path / "ac.csv"
+    _strata_csv(with_b, "ABC", zero_take_up="B")
+    lines = with_b.read_text().splitlines()
+    without_b.write_text("\n".join(line for line in lines if not line.startswith("B,")) + "\n")
+    out, ref = tmp_path / "abc.json", tmp_path / "ac.json"
+    assert main(["analyze", "--input", str(with_b), "--out", str(out)]) == 0
+    assert main(["analyze", "--input", str(without_b), "--out", str(ref)]) == 0
+    strata = json.loads(out.read_text())["strata"]
+    assert [s["stratum"] for s in strata] == ["A", "B", "C"]
+    assert strata[1] == {"stratum": "B", "n": 60, "n1": 30, "n0": 30,
+                         "skipped": "empty confidence inversion with zero first stage"}
+    assert [strata[0], strata[2]] == json.loads(ref.read_text())["strata"]
+
+
 def test_plot_data_emission(covariate_file, tmp_path):
     out, plot = tmp_path / "o.json", tmp_path / "plot.csv"
     assert main(["analyze", "--input", str(covariate_file), "--out", str(out),
@@ -170,7 +203,9 @@ def test_simulate_rejects_unknown_design(tmp_path, capsys):
                                      ({"threads": "2"}, "threads"), ({"threads": 1.5}, "threads"),
                                      ({"threads": 0}, "threads"), ({"threads": -3}, "threads"),
                                      ({"threads": True}, "threads"),
-                                     ({"tau_w": 0.5}, "tau_w"), ({"gamma": 0.075}, "gamma")])
+                                     ({"tau_w": 0.5}, "tau_w"), ({"gamma": 0.075}, "gamma"),
+                                     ({"gamma": [0.075, 0.075]}, "gamma"),
+                                     ({"gamma": [0.075, 0.0750000001]}, "gamma")])
 def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
     # each would crash, or write a table of nothing, if it reached the study
     cfg_file = tmp_path / "cfg.json"
@@ -178,6 +213,20 @@ def test_simulate_rejects_meaningless_study_values(tmp_path, capsys, bad, key):
     rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("gamma", [[0.075, 0.075], [0.025, 0.075, 0.0750000001]])
+def test_simulate_names_both_gammas_of_one_method_name(tmp_path, capsys, gamma):
+    # a table row is named by its gamma to 6 significant digits, so two
+    # such gammas would give one row and not say which gamma it holds
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 40, "k": 2, "reps": 2, "gamma": gamma}))
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: gamma must list values with distinct method names; "
+        f"0.075 and {gamma[-1]!r} are both ts_gamma_0.075\n")
     assert not (tmp_path / "x").exists()
 
 

@@ -32,7 +32,13 @@ from latekit.simulation import (
     run_study,
 )
 from latekit.stats_core import summarize
-from oracles import reference_draws, reference_table_json
+import oracles
+from oracles import (
+    reference_draws,
+    reference_evaluate_draw,
+    reference_score_draws,
+    reference_table_json,
+)
 
 
 def test_population_basic_invariants(rng):
@@ -207,16 +213,16 @@ def test_table_json_reports_mean_rejection_draws():
 
 def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
     # the efficiency ordering is checked explicitly, so it holds under -O too
-    monkeypatch.setattr(simulation, "far_set",
+    monkeypatch.setattr(oracles, "far_set",
                         lambda *args: ConfidenceSet.interval(0.0, 1.0))
-    monkeypatch.setattr(simulation, "wald_ci",
+    monkeypatch.setattr(oracles, "wald_ci",
                         lambda *args: ConfidenceSet.interval(-1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment="ehw", reps=1,
                       seed=99, k=2)
     pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
-        simulation._score_draws(pop, zs, base, cfg.gamma)
+        reference_score_draws(pop, zs, base, cfg.gamma)
 
 
 def _interval_arrays(lo, hi, errors=None):
@@ -301,14 +307,14 @@ def _endpoints(cs):
 
 def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre,
                                    exact=True):
-    """Compare a batched pass with _evaluate_draw draw by draw and method by
-    method, with estimates equal (or, unless ``exact``, within 1e-9
+    """Compare a batched pass with reference_evaluate_draw draw by draw and
+    method by method, with estimates equal (or, unless ``exact``, within 1e-9
     relative); return the number of draws with a zero first stage."""
     estimates, scores = score(pop, zs, base, gammas)
     assert list(scores) == simulation._method_names(gammas)
     zero_first_stage = 0
     for i, z in enumerate(zs):
-        scalar = simulation._evaluate_draw(pop.reveal(z), z, base, gammas)
+        scalar = reference_evaluate_draw(pop.reveal(z), z, base, gammas)
         est = scalar["wald"].estimate
         assert ((math.isnan(est) and math.isnan(estimates[i])) or est == estimates[i]
                 or not exact and _close(est, estimates[i]))
@@ -359,7 +365,7 @@ def _check_batched_cell(design, n, k, tau_w, seed, reps, adjustment="none"):
     batched = PerformanceTable(simulation._rows(
         cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma)))
     scalar = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, attempts, *simulation._score_draws(pop, zs, base, cfg.gamma)))
+        cfg, tau_w, truth, attempts, *reference_score_draws(pop, zs, base, cfg.gamma)))
     if exact:
         assert batched.to_csv() == scalar.to_csv()
         assert batched.to_json_dict() == scalar.to_json_dict()
@@ -410,7 +416,7 @@ def test_batched_adjusted_raises_the_scalar_paths_error():
     cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), adjustment="hc2", reps=3)
     pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
     with pytest.raises(RankDeficientDesignError) as scalar:
-        simulation._score_draws(pop, zs, base, cfg.gamma)
+        reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(RankDeficientDesignError) as batched:
         simulation._score_adjusted(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == "need n > 12 rows for 12 columns; got 10"
@@ -439,7 +445,7 @@ def test_batched_adjusted_raises_the_scalar_leverage_error(rng, adjustment):
     base = AnalysisConfig(adjustment=adjustment, design=DesignSpec.cre(len(zs[0]) // 2))
     for rows, error in ((zs, LeverageOnePointError), (zs[1:], RankDeficientDesignError)):
         with pytest.raises(error) as scalar:
-            simulation._score_draws(pop, rows, base, (0.075,))
+            reference_score_draws(pop, rows, base, (0.075,))
         with pytest.raises(error) as batched:
             simulation._score_adjusted(pop, rows, base, (0.075,))
         assert str(batched.value) == str(scalar.value)
@@ -492,7 +498,7 @@ def test_batched_rem_raises_the_scalar_paths_error():
     cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), design="rem", p_a=0.5, reps=3)
     pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
     with pytest.raises(DegenerateCovariatesError) as scalar:
-        simulation._score_draws(pop, zs, base, cfg.gamma)
+        reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(DegenerateCovariatesError) as batched:
         simulation._score_rem(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == (
