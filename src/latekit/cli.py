@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .data_model import DesignSpec, center_covariates
 from .design import draw_assignment, mahalanobis
-from .exceptions import AcceptanceRegionError, LatekitError
+from .exceptions import AcceptanceRegionError, DegenerateCovariatesError, LatekitError
 from .io import ALL_METHODS, analyze_file, plot_data_rows, read_covariates, write_plot_data
 from .mixture import MixtureParams, quantile_table, threshold_from_pa
 from .simulation import StudyConfig, run_study
@@ -139,11 +139,14 @@ def _cmd_design(args) -> int:
         spec = DesignSpec.cre(n1)
     rng = np.random.default_rng(args.seed)
     draw = draw_assignment(spec, x, rng)
-    realized = mahalanobis(x, draw.z)
+    try:
+        realized = format(mahalanobis(x, draw.z), ".10g")
+    except DegenerateCovariatesError:  # a CRE draw reads no covariate metric
+        realized = "na"
     lines = [
         f"# mode={args.mode}",
         f"# threshold={'inf' if math.isinf(spec.a) else format(spec.a, '.10g')}",
-        f"# mahalanobis={format(realized, '.10g')}",
+        f"# mahalanobis={realized}",
         f"# attempts={draw.accepted_after}",
         "index,z",
     ]

@@ -35,6 +35,16 @@ from .mixture import MixtureParams, lambda_quantile, normal_quantile
 _INF = math.inf
 
 
+def json_number(v: float | None):
+    """A number as report.json writes it: None or nan as null, an infinity
+    as the string "inf" or "-inf", anything else as a float."""
+    if v is None or math.isnan(v):
+        return None
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """Tagged confidence-set geometry with extended-real length.
@@ -102,18 +112,11 @@ class ConfidenceSet:
         return True  # whole_line
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
-        out = {"type": self.kind, "lo": enc(self.lo), "hi": enc(self.hi),
-               "length": enc(self.length)}
+        out = {"type": self.kind, "lo": json_number(self.lo), "hi": json_number(self.hi),
+               "length": json_number(self.length)}
         if self.kind == "two_rays":
-            out["hi_left"] = enc(self.hi_left)
-            out["lo_right"] = enc(self.lo_right)
+            out["hi_left"] = json_number(self.hi_left)
+            out["lo_right"] = json_number(self.lo_right)
         if self.method:
             out["method"] = self.method
         return out

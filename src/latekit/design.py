@@ -10,13 +10,12 @@ import numpy as np
 from .data_model import Dataset, DesignSpec
 from .exceptions import AcceptanceRegionError, DegenerateCovariatesError
 from .mixture import threshold_from_pa
-from .stats_core import covariate_covariance
+from .stats_core import covariate_covariance, inverse_from_factor, spd_factors
 
 __all__ = ["AssignmentVector", "Covariates", "draw_assignment", "mahalanobis",
            "threshold_from_pa"]
 
 REJECTION_CAP = 1_000_000
-_RCOND_MIN = 1e-12
 # relative distance from the threshold within which a mask distance is
 # re-checked, for centred, well-conditioned covariates; the two arithmetics
 # differ there by a few 1e-15 relative
@@ -31,36 +30,12 @@ class AssignmentVector:
     accepted_after: int
 
 
-def _sxx_and_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-population covariate covariance (divisor n-1) and its Cholesky
-    factor, rejecting numerically singular matrices."""
-    if x.shape[1] < 1:
-        raise DegenerateCovariatesError("balance criterion needs at least one covariate")
-    sxx = covariate_covariance(x)
-    eig = np.linalg.eigvalsh(sxx)
-    if eig[0] <= 0 or eig[0] / eig[-1] < _RCOND_MIN:
-        raise DegenerateCovariatesError(
-            f"degenerate covariates: reciprocal condition {max(eig[0], 0.0) / eig[-1]:.2e}"
-        )
-    return sxx, np.linalg.cholesky(sxx)
-
-
-def _mahalanobis_from_factor(x: np.ndarray, z: np.ndarray, chol: np.ndarray) -> float:
-    n = len(z)
-    n1 = int(z.sum())
-    n0 = n - n1
-    diff = x[z == 1].mean(axis=0) - x[z == 0].mean(axis=0)
-    w = np.linalg.solve(chol, diff)
-    return float(n1 * n0 / n * (w @ w))
-
-
 def mahalanobis(x: np.ndarray, z: np.ndarray) -> float:
     """Mahalanobis imbalance of an assignment: the arm-mean covariate gap
-    scaled by the inverse covariate covariance and the arm sizes."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z)
-    _, chol = _sxx_and_factor(x)
-    return _mahalanobis_from_factor(x, z, chol)
+    scaled by the inverse covariate covariance and the arm sizes, by the
+    arithmetic the sampler decides near-threshold draws with."""
+    treated = np.flatnonzero(np.asarray(z) == 1)
+    return float(_gathered_distances(Covariates(x), treated[None, :])[0])
 
 
 class Covariates:
@@ -69,7 +44,8 @@ class Covariates:
     The metric (a Cholesky factor and the whitened centred covariates) is
     worked out on the first rerandomized draw and reused by every later
     draw on the same object, so a caller drawing many assignments for one
-    matrix passes one Covariates to each draw.
+    matrix passes one Covariates to each draw. The inverse covariance the
+    variance families read comes from the same factor.
     """
 
     def __init__(self, x):
@@ -77,7 +53,19 @@ class Covariates:
 
     @cached_property
     def chol(self) -> np.ndarray:
-        return _sxx_and_factor(self.x)[1]
+        """Cholesky factor of the covariate covariance (divisor n - 1); a
+        numerically singular covariance raises."""
+        if self.x.shape[1] < 1:
+            raise DegenerateCovariatesError("balance criterion needs at least one covariate")
+        chol, errors = spd_factors(covariate_covariance(self.x), "covariate covariance")
+        if errors:
+            raise errors[0]
+        return chol
+
+    @cached_property
+    def sxx_inv(self) -> np.ndarray:
+        """Inverse covariate covariance, from the factor."""
+        return inverse_from_factor(self.chol)
 
     @cached_property
     def whitened(self) -> np.ndarray:

@@ -18,14 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stats_core import (
-    MomentSummary,
-    _ArmArrays,
-    _row_forms,
-    _spd_inverse,
-    covariate_covariance,
-    spd_inverses,
-)
+from .design import Covariates
+from .stats_core import MomentSummary, _ArmArrays, _row_forms, spd_inverses
 
 
 class Regime(NamedTuple):
@@ -143,15 +137,14 @@ def _arm_projections(arm: _ArmArrays):
     return _forms(arm.s_yx, inv, arm.s_wx), singular
 
 
-def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int, x: np.ndarray):
+def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
+                  sxx_inv: np.ndarray):
     """The plain, rerandomization and projection families of every row of
-    arms that carry their covariate terms, and the error each row with a
-    singular arm covariance raises. A singular full covariance of ``x``
-    raises at once, provided there is a row to score."""
+    arms that carry their covariate terms, given the inverse full covariate
+    covariance, and the error each row with a singular arm covariance
+    raises."""
     plain = _plain_family(arm1, arm0, n1, n0)
-    n, k = n1 + n0, x.shape[1]
-    sxx_inv = (_spd_inverse(covariate_covariance(x), "covariate covariance")
-               if len(plain[0]) else np.zeros((k, k)))
+    n = n1 + n0
     corr = [c / n for c in _forms(arm1.s_yx - arm0.s_yx, sxx_inv, arm1.s_wx - arm0.s_wx)]
     (proj1, errors), (proj0, errors0) = _arm_projections(arm1), _arm_projections(arm0)
     errors.update(errors0)
@@ -172,8 +165,9 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
     singular full, then within-arm, covariate covariance raises."""
     if summary.k == 0:
         return plain_components(summary)
+    sxx_inv = Covariates(summary.dataset.x).sxx_inv
     *families, errors = _rem_families(*summary.covariate_arms, summary.n1, summary.n0,
-                                      summary.dataset.x)
+                                      sxx_inv)
     if errors:
         raise errors[0]
     return VarianceComponents.from_families(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence_sets import far_set, wald_ci
+from .confidence_sets import far_set, json_number, wald_ci
 from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, validate
 from .estimation import Estimates, plain_components, regime_spec, variance_components
 from .exceptions import LatekitError
@@ -225,7 +225,7 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
         out: dict = {}
         for m in methods:
             if m == "wald":
-                out[m] = {"estimate": _num(estimates.wald().tau_hat),
+                out[m] = {"estimate": json_number(estimates.wald().tau_hat),
                           "set": get("wald").to_json_dict()}
             elif m == "far":
                 out[m] = {"set": get("far").to_json_dict()}
@@ -249,20 +249,13 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
         # inverted (a zero first stage and a significant outcome gap), must
         # not take down the run
         return {"skipped": str(exc)}
-    return {"tau_w_hat": _num(estimates.tau_w), "tau_y_hat": _num(estimates.tau_y),
-            "est_compliers": _num(ds.n * estimates.tau_w), "methods": out}
-
-
-def _num(v: float):
-    if v is None or math.isnan(v):
-        return None
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
+    return {"tau_w_hat": json_number(estimates.tau_w),
+            "tau_y_hat": json_number(estimates.tau_y),
+            "est_compliers": json_number(ds.n * estimates.tau_w), "methods": out}
 
 
 def _fs_dict(fs) -> dict:
-    return {"statistic": _num(fs.statistic), "critical": _num(fs.critical),
+    return {"statistic": json_number(fs.statistic), "critical": json_number(fs.critical),
             "strong": fs.strong, "kind": fs.statistic_kind}
 
 
@@ -282,18 +275,17 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     if design == "rem":
         if p_a is None:
             raise ValueError("--pa is required with --design rem")
-        threshold = DesignSpec.rem(n1=1, p_a=p_a, k=k).a
+        spec = DesignSpec.rem(n1=1, p_a=p_a, k=k)
     elif p_a is not None:
         raise ValueError("--pa applies only with --design rem")
     else:
-        threshold = math.inf
+        spec = DesignSpec.cre(1)
+    # the analysis reads the design's kind and threshold, not its arm size
+    config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
+                            adjustment=adjustment, design=spec)
 
     def run_one(records: StratumRecords) -> dict:
         ds, means = _stratum_dataset(records)
-        spec = (DesignSpec(kind="rem", n1=max(ds.n1, 1), a=threshold, p_a=p_a)
-                if design == "rem" else DesignSpec.cre(max(ds.n1, 1)))
-        config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
-                                adjustment=adjustment, design=spec)
         entry = {"stratum": records.key, "n": ds.n, "n1": ds.n1, "n0": ds.n0}
         if k:
             entry["covariate_means"] = [float(m) for m in means]

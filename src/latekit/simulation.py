@@ -155,8 +155,7 @@ def population_oracle(p: PotentialDataset, n1: int) -> PopulationOracle:
         proj1 = proj0 = projd = 0.0
     else:
         xc = p.x - p.x.mean(axis=0)
-        sxx = xc.T @ xc / (n - 1)
-        sxx_inv = np.linalg.inv(sxx)
+        sxx_inv = Covariates(p.x).sxx_inv
 
         def proj_var(q):
             s_qx = xc.T @ (q - q.mean()) / (n - 1)
@@ -454,7 +453,8 @@ def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     ReM cell, for all assignment rows of ``zs`` at once."""
     n1, k = base.design.n1, pop.x.shape[1]
     arm1, arm0 = _arms(pop, zs, n1, pop.x)
-    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, zs.shape[1] - n1, pop.x)
+    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, zs.shape[1] - n1,
+                                             Covariates(pop.x).sxx_inv)
     tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
 
     def lam(alpha, rho):

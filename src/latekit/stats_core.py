@@ -24,29 +24,35 @@ _RCOND_MIN = 1e-12
 _RANK_TOL = 1e-10
 
 
-def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    eig = np.linalg.eigvalsh(mat)
-    if eig[0] <= 0 or eig[0] / eig[-1] < _RCOND_MIN:
-        raise DegenerateCovariatesError(f"{what} is numerically singular")
-    chol = np.linalg.cholesky(mat)
+def spd_factors(mats: np.ndarray, what: str
+                ) -> tuple[np.ndarray, dict[int, DegenerateCovariatesError]]:
+    """Cholesky factors of one symmetric (k, k) matrix or of every matrix in
+    a (m, k, k) stack, and the error each numerically singular matrix
+    raises, by its (flat) index; its factor is meaningless. This is the one
+    place a covariate covariance is tested and factored: singular means a
+    nonpositive smallest eigenvalue or a reciprocal condition below 1e-12.
+    A stack gives the bits of factoring its matrices one by one."""
+    eig = np.linalg.eigvalsh(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (eig[..., 0] <= 0) | (eig[..., 0] / eig[..., -1] < _RCOND_MIN)
+    safe = np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
+    errors = {int(i): DegenerateCovariatesError(f"{what} is numerically singular")
+              for i in np.flatnonzero(bad)}
+    return np.linalg.cholesky(safe), errors
+
+
+def inverse_from_factor(chol: np.ndarray) -> np.ndarray:
+    """inv(L)' inv(L), the inverse of L L', for one factor or a stack."""
     inv_chol = np.linalg.inv(chol)
-    return inv_chol.T @ inv_chol
+    return np.swapaxes(inv_chol, -1, -2) @ inv_chol
 
 
 def spd_inverses(mats: np.ndarray, what: str
                  ) -> tuple[np.ndarray, dict[int, DegenerateCovariatesError]]:
-    """_spd_inverse of every matrix in a (m, k, k) stack, slice by slice
-    with the same LAPACK calls, so the bits agree. The error a singular
-    slice would raise is returned by its index instead; its inverse is
-    meaningless."""
-    eig = np.linalg.eigvalsh(mats)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (eig[:, 0] <= 0) | (eig[:, 0] / eig[:, -1] < _RCOND_MIN)
-    safe = np.where(bad[:, None, None], np.eye(mats.shape[-1]), mats)
-    inv_chol = np.linalg.inv(np.linalg.cholesky(safe))
-    errors = {int(i): DegenerateCovariatesError(f"{what} is numerically singular")
-              for i in np.flatnonzero(bad)}
-    return np.swapaxes(inv_chol, 1, 2) @ inv_chol, errors
+    """The inverse of every matrix in a (m, k, k) stack through spd_factors,
+    and the error each singular one raises; its inverse is meaningless."""
+    chol, errors = spd_factors(mats, what)
+    return inverse_from_factor(chol), errors
 
 
 def covariate_covariance(x: np.ndarray) -> np.ndarray:

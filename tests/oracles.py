@@ -4,7 +4,9 @@
 ``reference_variance_components`` are the scalar arm-moment and
 variance-family arithmetic as it was before ``summarize`` became the
 one-row call of the array kernel in ``stats_core``: the kernel must give
-the same bits. ``reference_draws``, ``reference_arm_indices`` and
+the same bits. They invert by ``reference_spd_inverse``, the one-matrix
+test, factor and inverse ``stats_core`` ran before ``spd_factors`` took
+stacks. ``reference_draws``, ``reference_arm_indices`` and
 ``reference_table_json`` are the study's per-replication seeding, arm
 split and table encoding as they were before the study passes dropped
 their per-replication overhead. ``reference_r2_star`` is the stationary-point
@@ -39,25 +41,30 @@ from latekit.estimation import (
     regime_spec,
     variance_components,
 )
+from latekit.exceptions import DegenerateCovariatesError
 from latekit.simulation import (
     MethodScores,
     _gamma_method,
     _longer_wald_message,
     _method_names,
 )
-from latekit.stats_core import (
-    _spd_inverse,
-    covariate_covariance,
-    fit_interacted_pair,
-    sandwich_cov,
-    summarize,
-)
+from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test
 
 _INF = math.inf
 
 
 # ------------------------------------------------ scalar moments and families
+def reference_spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    """One matrix's inverse through its Cholesky factor, after the
+    eigenvalue test for numerical singularity."""
+    eig = np.linalg.eigvalsh(mat)
+    if eig[0] <= 0 or eig[0] / eig[-1] < 1e-12:
+        raise DegenerateCovariatesError(f"{what} is numerically singular")
+    chol = np.linalg.cholesky(mat)
+    inv_chol = np.linalg.inv(chol)
+    return inv_chol.T @ inv_chol
+
 
 class ReferenceArm:
     """Means, variances, and covariate covariances within one arm."""
@@ -82,7 +89,7 @@ class ReferenceArm:
 
     @cached_property
     def sxx_inv(self) -> np.ndarray:
-        return _spd_inverse(self.sxx, "within-arm covariate covariance")
+        return reference_spd_inverse(self.sxx, "within-arm covariate covariance")
 
     @cached_property
     def s2_y_proj(self) -> float:
@@ -113,7 +120,7 @@ class ReferenceSummary:
 
     @cached_property
     def sxx_full_inv(self) -> np.ndarray:
-        return _spd_inverse(self.sxx_full, "covariate covariance")
+        return reference_spd_inverse(self.sxx_full, "covariate covariance")
 
     @property
     def tau_y(self) -> float:

@@ -339,6 +339,21 @@ def test_design_draw_cre(covariate_file, tmp_path):
     assert sum(int(l.split(",")[1]) for l in data) == 13
 
 
+def test_design_cre_on_collinear_covariates_writes_na(tmp_path, capsys):
+    # x2 = 2 x1: no covariate metric, which a CRE draw does not need
+    f = tmp_path / "collinear.csv"
+    write_basic_csv(f, [f"{i},{2 * i}" for i in range(1, 7)], header="x1,x2")
+    out = tmp_path / "d.csv"
+    assert main(["design", "--input", str(f), "--mode", "cre", "--seed", "1",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:4] == ["# mode=cre", "# threshold=inf", "# mahalanobis=na", "# attempts=1"]
+    assert sum(int(l.split(",")[1]) for l in lines[5:]) == 3
+    assert main(["design", "--input", str(f), "--mode", "rem", "--pa", "0.5", "--seed", "1",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: covariate covariance is numerically singular\n"
+
+
 def test_lambda_table_dump(tmp_path):
     out = tmp_path / "lam.csv"
     rc = main(["lambda", "--k", "5", "--pa", "0.01", "--alpha", "0.05",

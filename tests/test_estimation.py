@@ -6,6 +6,7 @@ import pytest
 from conftest import random_dataset
 from latekit import simulation
 from latekit.data_model import Dataset
+from latekit.design import Covariates
 from latekit.estimation import (
     VarianceComponents,
     _rem_families,
@@ -249,7 +250,8 @@ def test_r2_stars_match_the_search_on_every_rem_draw(seed):
         pop, base, _, zs, _ = simulation._cell_draws(cfg, cell, target)
         n1 = base.design.n1
         arms = simulation._arms(pop, zs, n1, pop.x)
-        _, rem, proj, errors = _rem_families(*arms, n1, zs.shape[1] - n1, pop.x)
+        _, rem, proj, errors = _rem_families(*arms, n1, zs.shape[1] - n1,
+                                             Covariates(pop.x).sxx_inv)
         assert not errors
         _assert_r2_stars_match_reference(proj, rem)
 

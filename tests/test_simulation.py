@@ -113,6 +113,17 @@ def test_oracle_perfectly_linear_effect(rng):
     assert orc.r2_a == pytest.approx(1.0, abs=1e-10)
 
 
+def test_oracle_rejects_singular_covariates(rng):
+    n = 20
+    x1 = rng.standard_normal(n)
+    y0 = rng.standard_normal(n)
+    p = PotentialDataset(w0=np.zeros(n, dtype=int), w1=np.ones(n, dtype=int),
+                         y0=y0, y1=y0 + 1.0, x=np.column_stack([x1, 2.0 * x1]))
+    with pytest.raises(DegenerateCovariatesError,
+                       match="^covariate covariance is numerically singular$"):
+        population_oracle(p, n1=10)
+
+
 def test_oracle_matches_definitional_double_loop(rng):
     cfg = DgpConfig(n=60, tau_w_target=0.3, k=2)
     pop = generate_population(cfg, rng)
