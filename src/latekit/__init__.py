@@ -25,12 +25,10 @@ from .design import AssignmentVector, Covariates, draw_assignment, mahalanobis
 from .estimation import (
     Estimates,
     VarianceComponents,
-    WaldEstimate,
     combined_variance,
     r2_of_tau,
     r2_star,
     variance_components,
-    wald,
 )
 from .mixture import (
     MixtureParams,

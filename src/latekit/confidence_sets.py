@@ -47,18 +47,17 @@ def json_number(v: float | None):
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """Tagged confidence-set geometry with extended-real length.
+    """Tagged confidence-set geometry with extended-real length: one entry
+    of a SetArrays.
 
-    ``kind`` is one of interval, point, left_ray, right_ray, two_rays,
-    whole_line. Rays are closed at their finite endpoint; ``two_rays`` is
-    (-inf, hi_left] united with [lo_right, inf).
+    ``kind`` is one of KINDS. ``lo``/``hi`` bound the set and are infinite
+    on an open side; a point has ``lo == hi``, and rays are closed at their
+    finite endpoint. ``two_rays`` is (-inf, lo] united with [hi, inf).
     """
 
     kind: str
     lo: float = -_INF
     hi: float = _INF
-    hi_left: float | None = None
-    lo_right: float | None = None
     method: str = ""
     degenerate: bool = False
 
@@ -66,57 +65,32 @@ class ConfidenceSet:
     def interval(lo: float, hi: float, **kw) -> "ConfidenceSet":
         if lo > hi:
             lo, hi = hi, lo
-        return ConfidenceSet(kind="interval", lo=lo, hi=hi, **kw)
+        return ConfidenceSet("interval", lo, hi, **kw)
 
     @staticmethod
-    def point(v: float, **kw) -> "ConfidenceSet":
-        return ConfidenceSet(kind="point", lo=v, hi=v, **kw)
-
-    @staticmethod
-    def left_ray(hi: float, **kw) -> "ConfidenceSet":
-        return ConfidenceSet(kind="left_ray", hi=hi, **kw)
-
-    @staticmethod
-    def right_ray(lo: float, **kw) -> "ConfidenceSet":
-        return ConfidenceSet(kind="right_ray", lo=lo, **kw)
-
-    @staticmethod
-    def two_rays(hi_left: float, lo_right: float, **kw) -> "ConfidenceSet":
-        if not hi_left < lo_right:
+    def two_rays(lo: float, hi: float, **kw) -> "ConfidenceSet":
+        if not lo < hi:
             raise ValueError("two rays must be disjoint")
-        return ConfidenceSet(kind="two_rays", hi_left=hi_left, lo_right=lo_right, **kw)
-
-    @staticmethod
-    def whole_line(**kw) -> "ConfidenceSet":
-        return ConfidenceSet(kind="whole_line", **kw)
+        return ConfidenceSet("two_rays", lo, hi, **kw)
 
     @property
     def length(self) -> float:
-        if self.kind == "interval":
-            return self.hi - self.lo
-        if self.kind == "point":
-            return 0.0
-        return _INF
+        """SetArrays.length of this entry."""
+        return _INF if self.kind == "two_rays" else self.hi - self.lo
 
     def contains(self, value: float) -> bool:
-        if self.kind == "interval":
-            return self.lo <= value <= self.hi
-        if self.kind == "point":
-            return value == self.lo
-        if self.kind == "left_ray":
-            return value <= self.hi
-        if self.kind == "right_ray":
-            return value >= self.lo
+        """SetArrays.contains(value) of this entry."""
         if self.kind == "two_rays":
-            return value <= self.hi_left or value >= self.lo_right
-        return True  # whole_line
+            return value <= self.lo or value >= self.hi
+        return self.lo <= value <= self.hi
 
     def to_json_dict(self) -> dict:
-        out = {"type": self.kind, "lo": json_number(self.lo), "hi": json_number(self.hi),
+        rays = self.kind == "two_rays"
+        out = {"type": self.kind, "lo": json_number(-_INF if rays else self.lo),
+               "hi": json_number(_INF if rays else self.hi),
                "length": json_number(self.length)}
-        if self.kind == "two_rays":
-            out["hi_left"] = json_number(self.hi_left)
-            out["lo_right"] = json_number(self.lo_right)
+        if rays:
+            out["hi_left"], out["lo_right"] = json_number(self.lo), json_number(self.hi)
         if self.method:
             out["method"] = self.method
         return out
@@ -145,26 +119,26 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
             # a nonnegative variance form makes disc >= 0 whenever the ratio
             # point exists; landing here is roundoff (or a degenerate
             # rerandomization family), absorbed as the ratio point itself
-            return ConfidenceSet.point(b_y / b_w, method=method, degenerate=True)
+            return ConfidenceSet("point", b_y / b_w, b_y / b_w, method, degenerate=True)
         raise NoIdentificationError("empty confidence inversion with zero first stage")
     if a < -tol_a:
         if disc > 0.0:
             lo, hi = _stable_roots(a_n, b_n, c_n, disc)
             return ConfidenceSet.two_rays(lo, hi, method=method)
-        return ConfidenceSet.whole_line(method=method)
+        return ConfidenceSet("whole_line", method=method)
     # |a| within tolerance: linear classification b*t + c <= 0
     tol_b = 1e-12 * 2.0 * max(abs(b_y * b_w), abs(crit2 * q_c))
     if abs(b) > tol_b and b != 0.0:
         bound = -c / b
         if b > 0:
-            return ConfidenceSet.left_ray(bound, method=method)
-        return ConfidenceSet.right_ray(bound, method=method)
+            return ConfidenceSet("left_ray", hi=bound, method=method)
+        return ConfidenceSet("right_ray", lo=bound, method=method)
     tol_c = 1e-12 * max(b_y * b_y, abs(crit2 * q_y))
     if c <= tol_c:
-        return ConfidenceSet.whole_line(method=method)
+        return ConfidenceSet("whole_line", method=method)
     if b_w == 0.0:
         raise NoIdentificationError("empty confidence inversion with zero first stage")
-    return ConfidenceSet.point(b_y / b_w, method=method, degenerate=True)
+    return ConfidenceSet("point", b_y / b_w, b_y / b_w, method, degenerate=True)
 
 
 def _stable_roots(a: float, b: float, c: float, disc: float) -> tuple[float, float]:
@@ -186,9 +160,9 @@ _INTERVAL, _TWO_RAYS, _WHOLE_LINE = (KINDS.index(k) for k in
 class SetArrays(NamedTuple):
     """The confidence sets of many draws, one entry per draw.
 
-    ``kind`` indexes KINDS. ``lo``/``hi`` bound the set and are infinite on
-    an open side; for two_rays they are the inner endpoints hi_left and
-    lo_right. ``errors`` maps each draw whose scalar computation raises to
+    ``kind`` indexes KINDS, and ``lo``/``hi`` are as in ConfidenceSet: the
+    bounds, infinite on an open side, or for two_rays the inner endpoints.
+    ``errors`` maps each draw whose scalar computation raises to
     its exception; the other entries of such a draw mean nothing.
     """
 
@@ -200,20 +174,14 @@ class SetArrays(NamedTuple):
 
     @property
     def length(self) -> np.ndarray:
-        """ConfidenceSet.length of every draw."""
+        """The length of every draw's set: infinite for two rays, else hi - lo."""
         return np.where(self.kind == _TWO_RAYS, _INF, self.hi - self.lo)
 
     def contains(self, value: float) -> np.ndarray:
-        """ConfidenceSet.contains(value) of every draw."""
+        """Whether every draw's set contains ``value``."""
         inside = (self.lo <= value) & (value <= self.hi)
         return np.where(self.kind == _TWO_RAYS, (value <= self.lo) | (value >= self.hi),
                         inside)
-
-
-def _entry(cs: ConfidenceSet) -> tuple[int, float, float, bool]:
-    if cs.kind == "two_rays":
-        return _TWO_RAYS, cs.hi_left, cs.lo_right, cs.degenerate
-    return KINDS.index(cs.kind), cs.lo, cs.hi, cs.degenerate
 
 
 def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
@@ -289,7 +257,8 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
         except (NoIdentificationError, ValueError) as exc:
             errors[int(i)] = exc
             continue
-        kind[i], lo[i], hi[i], degenerate[i] = _entry(cs)
+        kind[i], lo[i], hi[i] = KINDS.index(cs.kind), cs.lo, cs.hi
+        degenerate[i] = cs.degenerate
     return SetArrays(kind=kind, lo=lo, hi=hi, degenerate=degenerate, errors=errors)
 
 
@@ -313,14 +282,13 @@ def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfi
     signal) rather than an error.
     """
     spec = regime_spec(regime)
-    est = estimates.wald()
     method = f"wald[{regime}]"
-    if not est.defined:
-        return ConfidenceSet.whole_line(method=method, degenerate=True)
-    tau = est.tau_hat
+    if estimates.tau_w == 0.0:
+        return ConfidenceSet("whole_line", method=method, degenerate=True)
+    tau = estimates.ratio
     vhat = combined_variance(components, tau, spec.family)
     crit = _critical(spec, components, config, lambda c: r2_of_tau(c, tau))
-    radius = crit * math.sqrt(vhat.value) / abs(est.tau_w_hat)
+    radius = crit * math.sqrt(vhat.value) / abs(estimates.tau_w)
     return ConfidenceSet.interval(tau - radius, tau + radius, method=method,
                                   degenerate=vhat.floored)
 

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CENTERING_TOL = 1e-10
+# largest |y - mean(y)| of an analysable outcome, unless it is 0: within
+# these bounds its second moments and their products stay normal floats
+Y_SPREAD_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     """Return all invariant violations; an empty list means analyzable.
 
     Checks binary fields, minimum arm sizes (sample variances need at
-    least two units per arm), finite outcomes, and covariate centering.
+    least two units per arm), finite outcomes on a workable scale (see
+    Y_SPREAD_RANGE), and covariate centering.
     ``offsets`` are the column means the caller already subtracted from the
     covariates, as center_covariates returns them: the roundoff that
     subtraction leaves in the means grows with them, so they widen the
@@ -71,6 +75,12 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
             report.append(f"{name} contains non-binary values: {bad.tolist()}")
     if not np.all(np.isfinite(dataset.y)):
         report.append("y contains non-finite values")
+    elif len(dataset.y):
+        spread = float(np.abs(dataset.y - dataset.y.mean()).max())
+        lo, hi = Y_SPREAD_RANGE
+        if spread and not lo <= spread <= hi:
+            report.append(f"y varies on a scale ({spread:.3g}) outside [2^-400, 2^400]; "
+                          "rescale y")
     if not np.all(np.isfinite(dataset.x)):
         report.append("x contains non-finite values")
     if dataset.n1 < 2:

@@ -47,76 +47,41 @@ def regime_spec(regime: str) -> Regime:
     return REGIMES[regime]
 
 
-@dataclass(frozen=True)
-class WaldEstimate:
-    """Ratio estimate of the complier effect; undefined when the first-stage
-    difference in means is exactly zero."""
-
-    tau_hat: float
-    tau_w_hat: float
-
-    @property
-    def defined(self) -> bool:
-        return self.tau_w_hat != 0.0
-
-
-def wald(tau_y_hat: float, tau_w_hat: float) -> WaldEstimate:
-    """Ratio of the assignment effects on outcome and on receipt."""
-    if tau_w_hat == 0.0:
-        return WaldEstimate(tau_hat=math.nan, tau_w_hat=0.0)
-    return WaldEstimate(tau_hat=tau_y_hat / tau_w_hat, tau_w_hat=tau_w_hat)
-
-
 class Estimates(NamedTuple):
     """Difference-in-means (or regression-adjusted) effect estimates."""
 
     tau_y: float
     tau_w: float
 
-    def wald(self) -> WaldEstimate:
-        return wald(self.tau_y, self.tau_w)
+    @property
+    def ratio(self) -> float:
+        """The Wald estimate tau_y / tau_w of the complier effect; nan when
+        the first-stage estimate is exactly zero."""
+        return self.tau_y / self.tau_w if self.tau_w != 0.0 else math.nan
 
 
 @dataclass(frozen=True)
 class VarianceComponents:
-    """Every (co)variance entry the confidence procedures consume.
+    """Every (co)variance triple (v_y, c_yw, v_w) the confidence procedures
+    consume: the plain, rerandomization and projection families.
 
     The rerandomization and projection families are None when the dataset
     has no covariates.
     """
 
-    v_y: float
-    v_w: float
-    c_yw: float
+    plain: tuple[float, float, float]
+    rem: tuple[float, float, float] | None = None
+    proj: tuple[float, float, float] | None = None
     k: int = 0
-    v_y_rem: float | None = None
-    v_w_rem: float | None = None
-    c_yw_rem: float | None = None
-    v_y_proj: float | None = None
-    v_w_proj: float | None = None
-    c_yw_proj: float | None = None
 
     def family(self, name: str) -> tuple[float, float, float]:
-        """(v_y, c_yw, v_w) for 'plain' or 'rem'."""
-        if name == "plain":
-            return self.v_y, self.c_yw, self.v_w
-        if name == "rem":
-            if self.v_y_rem is None:
-                raise ValueError("rerandomization family needs covariates")
-            return self.v_y_rem, self.c_yw_rem, self.v_w_rem
-        raise ValueError(f"no {name!r} family in VarianceComponents")
-
-    @classmethod
-    def from_families(cls, plain, rem=(None,) * 3, proj=(None,) * 3, k: int = 0
-                      ) -> "VarianceComponents":
-        """From (v_y, c_yw, v_w) triples, one per family."""
-        (v_y, c_yw, v_w), (y_rem, c_rem, w_rem), (y_proj, c_proj, w_proj) = plain, rem, proj
-        return cls(v_y, v_w, c_yw, k, y_rem, w_rem, c_rem, y_proj, w_proj, c_proj)
-
-    def proj_family(self) -> tuple[float, float, float]:
-        if self.v_y_proj is None:
-            raise ValueError("projection family needs covariates")
-        return self.v_y_proj, self.c_yw_proj, self.v_w_proj
+        """(v_y, c_yw, v_w) for 'plain', 'rem' or 'proj'."""
+        if name not in ("plain", "rem", "proj"):
+            raise ValueError(f"no {name!r} family in VarianceComponents")
+        if getattr(self, name) is None:
+            what = "rerandomization" if name == "rem" else "projection"
+            raise ValueError(f"{what} family needs covariates")
+        return getattr(self, name)
 
 
 def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int):
@@ -157,7 +122,7 @@ def plain_components(summary: MomentSummary) -> VarianceComponents:
     """The plain family alone, which is all complete randomization reads;
     no covariate matrix is read."""
     plain = _plain_family(summary.arm1, summary.arm0, summary.n1, summary.n0)
-    return VarianceComponents.from_families([float(v[0]) for v in plain])
+    return VarianceComponents(tuple(float(v[0]) for v in plain))
 
 
 def variance_components(summary: MomentSummary) -> VarianceComponents:
@@ -170,8 +135,8 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
                                       sxx_inv)
     if errors:
         raise errors[0]
-    return VarianceComponents.from_families(
-        *([float(v[0]) for v in triple] for triple in families), k=summary.k)
+    return VarianceComponents(*(tuple(float(v[0]) for v in triple) for triple in families),
+                              k=summary.k)
 
 
 def _quad(triple: tuple[float, float, float], tau: float) -> float:
@@ -203,7 +168,7 @@ def r2_at(proj, rem, tau):
 def r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:
     """Squared correlation between the effect estimate and covariate
     imbalance, evaluated at a candidate ratio and clipped to [0, 1]."""
-    value, degenerate = r2_at(components.proj_family(), components.family("rem"), tau)
+    value, degenerate = r2_at(components.family("proj"), components.family("rem"), tau)
     return R2Value(float(value), bool(degenerate))
 
 
@@ -240,7 +205,7 @@ def r2_stars(proj, rem) -> tuple[np.ndarray, np.ndarray]:
 
 def r2_star(components: VarianceComponents) -> R2Value:
     """r2_stars of the one row of ``components``."""
-    value, degenerate = r2_stars(components.proj_family(), components.family("rem"))
+    value, degenerate = r2_stars(components.family("proj"), components.family("rem"))
     return R2Value(float(value), bool(degenerate))
 
 

@@ -203,17 +203,22 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
     if problems:
         return {"skipped": "; ".join(problems)}
     regime = config.regime
-    family = regime_spec(regime).family
+    spec = regime_spec(regime)
     try:
-        if family == "sandwich":
+        if spec.family == "sandwich":
             fit_y, fit_w = fit_interacted_pair(ds, ds.z)
             estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
             components = sandwich_cov(fit_y, fit_w, config.adjustment)
         else:
             summary = summarize(ds, ds.z)
             estimates = Estimates(summary.tau_y, summary.tau_w)
-            components = (variance_components(summary) if family == "rem"
+            components = (variance_components(summary) if spec.family == "rem"
                           else plain_components(summary))
+        # the families the steps read: data on an extreme scale can overflow
+        # them, and the sets would then have nan endpoints
+        read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
+        if not all(math.isfinite(v) for name in read for v in components.family(name)):
+            return {"skipped": "variance estimates are not finite"}
 
         # each step runs at most once, however many methods read it
         steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
@@ -225,7 +230,7 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
         out: dict = {}
         for m in methods:
             if m == "wald":
-                out[m] = {"estimate": json_number(estimates.wald().tau_hat),
+                out[m] = {"estimate": json_number(estimates.ratio),
                           "set": get("wald").to_json_dict()}
             elif m == "far":
                 out[m] = {"set": get("far").to_json_dict()}

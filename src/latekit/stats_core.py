@@ -30,11 +30,17 @@ def spd_factors(mats: np.ndarray, what: str
     a (m, k, k) stack, and the error each numerically singular matrix
     raises, by its (flat) index; its factor is meaningless. This is the one
     place a covariate covariance is tested and factored: singular means a
-    nonpositive smallest eigenvalue or a reciprocal condition below 1e-12.
-    A stack gives the bits of factoring its matrices one by one."""
-    eig = np.linalg.eigvalsh(mats)
+    nonpositive variance, or a nonpositive smallest eigenvalue or a
+    reciprocal condition below 1e-12 of the matrix scaled to unit diagonal
+    (the correlation matrix), so rescaling a covariate never changes the
+    decision. The unscaled matrix is factored; a stack gives the bits of
+    factoring its matrices one by one."""
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    eig = np.linalg.eigvalsh(mats * scale[..., :, None] * scale[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (eig[..., 0] <= 0) | (eig[..., 0] / eig[..., -1] < _RCOND_MIN)
+        bad = ((diag <= 0).any(axis=-1) | (eig[..., 0] <= 0)
+               | (eig[..., 0] / eig[..., -1] < _RCOND_MIN))
     safe = np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
     errors = {int(i): DegenerateCovariatesError(f"{what} is numerically singular")
               for i in np.flatnonzero(bad)}

@@ -60,7 +60,7 @@ def first_stage_test(regime: str, estimates: Estimates, components,
     spec = regime_spec(regime)
     var = components.family(spec.family)[2]
     if spec.mixture:
-        rho = float(r2_ratio(components.proj_family()[2], var)[0])
+        rho = float(r2_ratio(components.family("proj")[2], var)[0])
         crit = lambda_quantile(
             MixtureParams(k=components.k, a=config.design.a, alpha=config.gamma), rho)
     else:

@@ -1,22 +1,6 @@
 import numpy as np
 import pytest
 
-from latekit.data_model import Dataset
-
-
-def random_dataset(rng, n=20, k=2, binary_w=True):
-    """Small dataset with both arms populated, covariates centered."""
-    z = np.zeros(n, dtype=int)
-    z[rng.permutation(n)[: n // 2]] = 1
-    x = rng.standard_normal((n, k)) if k else np.zeros((n, 0))
-    x = x - x.mean(axis=0) if k else x
-    if binary_w:
-        w = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
-    else:
-        w = rng.integers(0, 2, n)
-    y = x.sum(axis=1) + w * 1.5 + rng.standard_normal(n) if k else w * 1.5 + rng.standard_normal(n)
-    return Dataset(z=z, w=w, y=y, x=x)
-
 
 @pytest.fixture
 def rng():

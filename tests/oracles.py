@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from latekit.confidence_sets import ConfidenceSet, SetArrays, _entry, far_set, wald_ci
+from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
 from latekit.design import Covariates, draw_assignment
 from latekit.estimation import (
@@ -138,9 +138,9 @@ def reference_summarize(dataset: Dataset, z: np.ndarray) -> ReferenceSummary:
 def reference_plain_components(summary: ReferenceSummary) -> VarianceComponents:
     a1, a0 = summary.arm1, summary.arm0
     n1, n0 = summary.n1, summary.n0
-    return VarianceComponents(v_y=a1.s2_y / n1 + a0.s2_y / n0,
-                              v_w=a1.s2_w / n1 + a0.s2_w / n0,
-                              c_yw=a1.s_yw / n1 + a0.s_yw / n0)
+    return VarianceComponents((a1.s2_y / n1 + a0.s2_y / n0,
+                               a1.s_yw / n1 + a0.s_yw / n0,
+                               a1.s2_w / n1 + a0.s2_w / n0))
 
 
 def reference_variance_components(summary: ReferenceSummary) -> VarianceComponents:
@@ -155,14 +155,14 @@ def reference_variance_components(summary: ReferenceSummary) -> VarianceComponen
     corr_yy = float(dy @ sxx_inv @ dy) / n
     corr_ww = float(dw @ sxx_inv @ dw) / n
     corr_yw = float(dy @ sxx_inv @ dw) / n
+    v_y, c_yw, v_w = plain.plain
     return VarianceComponents(
-        v_y=plain.v_y, v_w=plain.v_w, c_yw=plain.c_yw, k=summary.k,
-        v_y_rem=plain.v_y - corr_yy,
-        v_w_rem=plain.v_w - corr_ww,
-        c_yw_rem=plain.c_yw - corr_yw,
-        v_y_proj=a1.s2_y_proj / n1 + a0.s2_y_proj / n0 - corr_yy,
-        v_w_proj=a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww,
-        c_yw_proj=a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
+        plain.plain,
+        rem=(v_y - corr_yy, c_yw - corr_yw, v_w - corr_ww),
+        proj=(a1.s2_y_proj / n1 + a0.s2_y_proj / n0 - corr_yy,
+              a1.s_yw_proj / n1 + a0.s_yw_proj / n0 - corr_yw,
+              a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww),
+        k=summary.k,
     )
 
 
@@ -223,7 +223,7 @@ def reference_r2_star(components: VarianceComponents) -> R2Value:
     Roots of either quadratic are included so the clipped function's zeros
     are never missed.
     """
-    p0, p1, p2 = components.proj_family()
+    p0, p1, p2 = components.family("proj")
     q0, q1, q2 = components.family("rem")
     if q2 <= 0.0:
         return R2Value(0.0, degenerate=True)
@@ -364,7 +364,7 @@ def reference_evaluate_draw(ds, z, base_config: AnalysisConfig,
         estimates = Estimates(summary.tau_y, summary.tau_w)
         components = (variance_components(summary) if family == "rem"
                       else plain_components(summary))
-    est = estimates.wald().tau_hat
+    est = estimates.ratio
 
     wald_set = wald_ci(regime, estimates, components, base_config)
     far = far_set(regime, estimates, components, base_config)
@@ -408,7 +408,7 @@ def reference_score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisC
 
 def set_arrays_from_sets(sets: Sequence[ConfidenceSet]) -> SetArrays:
     """The SetArrays entries of the given sets, in order."""
-    entries = [_entry(cs) for cs in sets]
+    entries = [(KINDS.index(cs.kind), cs.lo, cs.hi, cs.degenerate) for cs in sets]
     kind, lo, hi, degenerate = zip(*entries) if entries else ((),) * 4
     return SetArrays(kind=np.array(kind, dtype=np.int8), lo=np.array(lo, dtype=float),
                      hi=np.array(hi, dtype=float),
@@ -416,6 +416,20 @@ def set_arrays_from_sets(sets: Sequence[ConfidenceSet]) -> SetArrays:
 
 
 # ------------------------------------------------------------- small helpers
+
+def random_dataset(rng, n=20, k=2, binary_w=True):
+    """Small dataset with both arms populated, covariates centered."""
+    z = np.zeros(n, dtype=int)
+    z[rng.permutation(n)[: n // 2]] = 1
+    x = rng.standard_normal((n, k)) if k else np.zeros((n, 0))
+    x = x - x.mean(axis=0) if k else x
+    if binary_w:
+        w = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    else:
+        w = rng.integers(0, 2, n)
+    y = x.sum(axis=1) + w * 1.5 + rng.standard_normal(n) if k else w * 1.5 + rng.standard_normal(n)
+    return Dataset(z=z, w=w, y=y, x=x)
+
 
 def diff_in_means(dataset: Dataset, z: np.ndarray, q: np.ndarray) -> float:
     """Treated-minus-control mean of a column."""
@@ -457,10 +471,8 @@ def confidence_set_from_json(d: dict) -> ConfidenceSet:
             return -_INF
         return v
 
-    return ConfidenceSet(kind=d["type"], lo=dec(d.get("lo", -_INF)),
-                         hi=dec(d.get("hi", _INF)),
-                         hi_left=dec(d.get("hi_left")),
-                         lo_right=dec(d.get("lo_right")),
+    lo, hi = ("hi_left", "lo_right") if d["type"] == "two_rays" else ("lo", "hi")
+    return ConfidenceSet(kind=d["type"], lo=dec(d.get(lo, -_INF)), hi=dec(d.get(hi, _INF)),
                          method=d.get("method", ""))
 
 

@@ -139,7 +139,7 @@ def test_criterion_6_lambda_quantile():
 
 
 def test_criterion_7_oracle_equivalence(rng):
-    from conftest import random_dataset
+    from oracles import random_dataset
     from test_estimation import grid_minimum_r2
     from test_stats_core import (
         build_design,
@@ -280,9 +280,9 @@ def test_criterion_8_structural_theorems():
         rho_star = r2_star(comp).value
         lam = lambda_quantile(MixtureParams(k=k, a=a, alpha=0.025), rho_star)
         in_rem = (est.tau_y - grid * est.tau_w) ** 2 <= lam ** 2 * (
-            comp.v_y_rem - 2 * grid * comp.c_yw_rem + grid ** 2 * comp.v_w_rem)
+            comp.rem[0] - 2 * grid * comp.rem[1] + grid ** 2 * comp.rem[2])
         in_cre = (est.tau_y - grid * est.tau_w) ** 2 <= z_crit ** 2 * (
-            comp.v_y - 2 * grid * comp.c_yw + grid ** 2 * comp.v_w)
+            comp.plain[0] - 2 * grid * comp.plain[1] + grid ** 2 * comp.plain[2])
         if np.any(in_rem & ~in_cre):
             inclusion = False
     # also exercise the rem-regime two-stage branch identity on a subsample

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +501,137 @@ def test_design_rejects_negative_seed(covariate_file, tmp_path, capsys):
     assert rc == 2
     assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ----------------------------------------- units and scales of the data
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_REGIMES = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"], "hc2": ["--adjust", "hc2"]}
+# report.json numbers on the outcome's scale
+_OUTCOME_KEYS = {"tau_y_hat", "estimate", "lo", "hi", "length", "hi_left", "lo_right"}
+
+
+@pytest.fixture(scope="module")
+def strata_input(tmp_path_factory):
+    """The benchmark's analyze input: 200 strata with covariates x1..x3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    path = tmp_path_factory.mktemp("strata") / "strata.csv"
+    workloads.write_strata_csv(path, 20240901)
+    return path
+
+
+def _rescaled(src, dst, **factors):
+    """``src`` with each named column multiplied by its factor."""
+    with open(src, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    cols = {header.index(name): factor for name, factor in factors.items()}
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *([repr(float(v) * cols[i]) if i in cols else v
+                                              for i, v in enumerate(row)] for row in rows)])
+    return dst
+
+
+def _analyze(path, out, flags=(), plot=None):
+    argv = ["analyze", "--input", str(path), "--out", str(out), *flags]
+    assert main(argv + (["--plot-data", str(plot)] if plot else [])) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def strata_reports(strata_input, tmp_path_factory):
+    """The report of ``strata_input`` under each regime of _REGIMES."""
+    out = tmp_path_factory.mktemp("reports")
+    return {regime: _analyze(strata_input, out / f"{regime}.json", flags)
+            for regime, flags in _REGIMES.items()}
+
+
+def _times(value, factor):
+    """``value`` with every number under one of _OUTCOME_KEYS times ``factor``."""
+    if isinstance(value, dict):
+        return {k: v * factor if k in _OUTCOME_KEYS and isinstance(v, float)
+                else _times(v, factor) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_times(v, factor) for v in value]
+    return value
+
+
+def _assert_close(got, want, rel):
+    """Equal structures whose numbers agree within ``rel`` relative."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for k in want:
+            _assert_close(got[k], want[k], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w, rel)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("regime", _REGIMES)
+def test_analyze_scales_outcome_numbers_with_y(strata_input, strata_reports, tmp_path, regime):
+    # y -> 4y multiplies tau_y, the Wald estimate and every endpoint and
+    # length by exactly 4; first stages, kinds and skips stay as they are
+    base = strata_reports[regime]
+    assert sum("methods" in e for e in base["strata"]) == 196
+    scaled = _analyze(_rescaled(strata_input, tmp_path / "y4.csv", y=4.0),
+                      tmp_path / "y4.json", _REGIMES[regime])
+    assert scaled == _times(base, 4.0)
+
+
+@pytest.mark.parametrize("regime", _REGIMES)
+def test_analyze_ignores_covariate_units(strata_input, strata_reports, tmp_path, regime):
+    # x -> x diag(2^20, 2^-20, 1) changes only the reported covariate means:
+    # bit for bit where the numbers are exact, within roundoff under ReM,
+    # which inverts the covariate covariance; its singularity test must not
+    # depend on units, or ReM skips every stratum here
+    base = strata_reports[regime]
+    scaled = _analyze(_rescaled(strata_input, tmp_path / "x.csv", x1=2.0 ** 20, x2=2.0 ** -20),
+                      tmp_path / "x.json", _REGIMES[regime])
+    for entry in scaled["strata"]:
+        means = entry["covariate_means"]
+        entry["covariate_means"] = [means[0] * 2.0 ** -20, means[1] * 2.0 ** 20, means[2]]
+    if regime == "rem":
+        _assert_close(scaled, base, 1e-12)
+    else:
+        assert scaled == base
+
+
+def test_design_rem_ignores_covariate_units(tmp_path):
+    # covariates a billion-fold apart in scale: the same draw as on the
+    # standardized covariates, not a singular covariance
+    x = np.random.default_rng(80).standard_normal((80, 2))
+    draws = []
+    for name, scale in (("unit", (1.0, 1.0)), ("mixed", (1e6, 1e-3))):
+        f, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out"
+        write_basic_csv(f, [f"{a * scale[0]!r},{b * scale[1]!r}" for a, b in x.tolist()],
+                        header="x1,x2")
+        assert main(["design", "--input", str(f), "--mode", "rem", "--pa", "0.1",
+                     "--seed", "3", "--out", str(out)]) == 0
+        draws.append([l for l in out.read_text().splitlines() if "mahalanobis" not in l])
+    assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("factors,flags,reason,count", [
+    ({"y": 1e200}, [], "y varies on a scale", 200),
+    ({"y": 1e200}, _REGIMES["rem"], "y varies on a scale", 200),
+    ({"y": 1e-170}, [], "y varies on a scale", 200),
+    ({"y": 1e-170}, _REGIMES["rem"], "y varies on a scale", 200),
+    # the 4 strata of 3 rows are skipped for their arm sizes
+    ({"x1": 1e-160, "x2": 1e-160, "x3": 1e-160}, _REGIMES["rem"],
+     "variance estimates are not finite", 196),
+])
+def test_analyze_skips_strata_on_an_unworkable_scale(strata_input, tmp_path, factors, flags,
+                                                     reason, count):
+    # unskipped, these give null endpoints, zero-width Wald intervals from
+    # an underflowed variance, or a run stopped by a nan squared correlation
+    report = _analyze(_rescaled(strata_input, tmp_path / "s.csv", **factors),
+                      tmp_path / "s.json", flags, plot=tmp_path / "lengths.csv")
+    skips = [e["skipped"] for e in report["strata"] if "skipped" in e]
+    assert len(skips) == 200
+    assert sum(reason in s for s in skips) == count

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -19,7 +18,8 @@ from latekit.estimation import Estimates, combined_variance, variance_components
 from latekit.exceptions import NoIdentificationError
 from latekit.mixture import normal_quantile
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
-from oracles import confidence_set_from_json, fieller_endpoints, set_arrays_from_sets
+from oracles import (confidence_set_from_json, fieller_endpoints, random_dataset,
+                     set_arrays_from_sets)
 
 Z = normal_quantile(0.975)
 
@@ -75,11 +75,11 @@ def test_two_rays_against_grid():
     cs = solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w)
     if cs.kind != "two_rays":
         pytest.skip("parameters did not produce two rays")
-    taus = np.linspace(cs.hi_left - 1, cs.lo_right + 1, 500_001)
+    taus = np.linspace(cs.lo - 1, cs.hi + 1, 500_001)
     member = membership_grid(b_y, b_w, crit, q_y, q_c, q_w, taus)
-    inside_gap = (taus > cs.hi_left + 1e-6) & (taus < cs.lo_right - 1e-6)
+    inside_gap = (taus > cs.lo + 1e-6) & (taus < cs.hi - 1e-6)
     assert not member[inside_gap].any()
-    outside = (taus < cs.hi_left - 1e-6) | (taus > cs.lo_right + 1e-6)
+    outside = (taus < cs.lo - 1e-6) | (taus > cs.hi + 1e-6)
     assert member[outside].all()
 
 
@@ -177,12 +177,12 @@ def test_wald_ci_known_arithmetic():
     # center 4, radius 1.96 * 0.2 / 0.5
     from latekit.estimation import VarianceComponents
 
-    comp = VarianceComponents(v_y=0.0, v_w=0.0, c_yw=0.0)
+    comp = VarianceComponents((0.0, 0.0, 0.0))
     est = Estimates(tau_y=2.0, tau_w=0.5)
     cfg = cre_config()
     # plain family evaluated at tau=4 must give 0.04: craft components
     # v_y - 2*4*c + 16*v_w = 0.04 with c = v_w = 0
-    comp = VarianceComponents(v_y=0.04, v_w=0.0, c_yw=0.0)
+    comp = VarianceComponents((0.04, 0.0, 0.0))
     ci = wald_ci("cre", est, comp, cfg)
     assert ci.lo == pytest.approx(4 - 1.96 * 0.2 / 0.5, abs=2e-4)
     assert ci.hi == pytest.approx(4 + 1.96 * 0.2 / 0.5, abs=2e-4)
@@ -191,7 +191,7 @@ def test_wald_ci_known_arithmetic():
 def test_wald_ci_zero_first_stage_is_infinite():
     from latekit.estimation import VarianceComponents
 
-    comp = VarianceComponents(v_y=0.04, v_w=0.01, c_yw=0.0)
+    comp = VarianceComponents((0.04, 0.0, 0.01))
     ci = wald_ci("cre", Estimates(tau_y=1.0, tau_w=0.0), comp, cre_config())
     assert ci.kind == "whole_line"
     assert math.isinf(ci.length)
@@ -210,7 +210,7 @@ def test_far_set_frozen_rhs_equals_wald_ci(rng):
         cfg = cre_config()
         ci = wald_ci("cre", est, comp, cfg)
         tau = est.tau_y / est.tau_w
-        vhat = comp.v_y - 2 * tau * comp.c_yw + tau ** 2 * comp.v_w
+        vhat = comp.plain[0] - 2 * tau * comp.plain[1] + tau ** 2 * comp.plain[2]
         frozen = solve_quadratic_set(est.tau_y, est.tau_w, Z, vhat, 0.0, 0.0)
         assert frozen.kind == "interval"
         assert frozen.lo == pytest.approx(ci.lo, rel=1e-9, abs=1e-12)
@@ -255,11 +255,11 @@ def test_adjusted_far_and_wald(rng):
 
 @pytest.mark.parametrize("cs", [
     ConfidenceSet.interval(-1.5, 2.5),
-    ConfidenceSet.point(3.0),
-    ConfidenceSet.left_ray(1.0),
-    ConfidenceSet.right_ray(-2.0),
+    ConfidenceSet("point", 3.0, 3.0),
+    ConfidenceSet("left_ray", hi=1.0),
+    ConfidenceSet("right_ray", lo=-2.0),
     ConfidenceSet.two_rays(-1.0, 4.0),
-    ConfidenceSet.whole_line(),
+    ConfidenceSet("whole_line"),
 ])
 def test_json_round_trip(cs):
     encoded = cs.to_json_dict()
@@ -276,9 +276,9 @@ def test_json_round_trip(cs):
 
 def test_lengths():
     assert ConfidenceSet.interval(1.0, 3.0).length == 2.0
-    assert ConfidenceSet.point(2.0).length == 0.0
+    assert ConfidenceSet("point", 2.0, 2.0).length == 0.0
     assert math.isinf(ConfidenceSet.two_rays(0.0, 1.0).length)
-    assert math.isinf(ConfidenceSet.whole_line().length)
+    assert math.isinf(ConfidenceSet("whole_line").length)
 
 
 @pytest.mark.parametrize("family", ["plain", "sandwich"])

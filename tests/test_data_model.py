@@ -63,7 +63,7 @@ def test_validate_clean_binary_columns_report_nothing():
 
 
 def test_validate_idempotent(rng):
-    from conftest import random_dataset
+    from oracles import random_dataset
 
     ds = random_dataset(rng)
     first = validate(ds)

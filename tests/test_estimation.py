@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
 from latekit import simulation
 from latekit.data_model import Dataset
 from latekit.design import Covariates
 from latekit.estimation import (
+    Estimates,
     VarianceComponents,
     _rem_families,
     combined_variance,
@@ -15,10 +15,9 @@ from latekit.estimation import (
     r2_star,
     r2_stars,
     variance_components,
-    wald,
 )
 from latekit.stats_core import summarize
-from oracles import reference_r2_star
+from oracles import random_dataset, reference_r2_star
 
 
 # ---------------------------------------------------------------- oracles
@@ -69,12 +68,21 @@ def dense_components(ds):
     return out
 
 
+def component(comp, key):
+    """The entry of ``comp`` that dense_components names ``key``, such as
+    'c_yw_rem'."""
+    for i, base in enumerate(("v_y", "c_yw", "v_w")):
+        if key.startswith(base):
+            return comp.family(key[len(base) + 1:] or "plain")[i]
+    raise KeyError(key)
+
+
 def grid_minimum_r2(components, points=1_000_000):
     """Minimize the clipped ratio over a tan-compactified grid including the
     limits at both infinities."""
     theta = np.linspace(-math.pi / 2, math.pi / 2, points)[1:-1]
     taus = np.tan(theta)
-    p0, p1, p2 = components.proj_family()
+    p0, p1, p2 = components.family("proj")
     q0, q1, q2 = components.family("rem")
     num = p0 - 2 * taus * p1 + taus ** 2 * p2
     den = q0 - 2 * taus * q1 + taus ** 2 * q2
@@ -92,14 +100,14 @@ def random_components(rng, force_negative_den=False):
 # ------------------------------------------------------------------ tests
 
 def test_wald_basic():
-    assert wald(2.0, 0.5).tau_hat == 4.0
-    assert wald(0.0, 0.3).tau_hat == 0.0
+    assert Estimates(2.0, 0.5).ratio == 4.0
+    assert Estimates(0.0, 0.3).ratio == 0.0
 
 
 def test_wald_undefined_signal():
-    est = wald(1.0, 0.0)
-    assert not est.defined
-    assert math.isnan(est.tau_hat)
+    est = Estimates(1.0, 0.0)
+    assert est.tau_w == 0.0
+    assert math.isnan(est.ratio)
 
 
 def test_components_match_dense_oracle(rng):
@@ -108,15 +116,15 @@ def test_components_match_dense_oracle(rng):
         comp = variance_components(summarize(ds, ds.z))
         oracle = dense_components(ds)
         for key, val in oracle.items():
-            assert getattr(comp, key) == pytest.approx(val, rel=1e-10, abs=1e-14), key
+            assert component(comp, key) == pytest.approx(val, rel=1e-10, abs=1e-14), key
 
 
 def test_components_no_covariates(rng):
     ds = random_dataset(rng, n=16, k=0)
     comp = variance_components(summarize(ds, ds.z))
-    assert comp.v_y_rem is None
+    assert comp.rem is None
     oracle = dense_components(ds)
-    assert comp.v_y == pytest.approx(oracle["v_y"], rel=1e-12)
+    assert comp.plain[0] == pytest.approx(oracle["v_y"], rel=1e-12)
 
 
 def test_uncorrelated_covariates_collapse_families():
@@ -128,20 +136,20 @@ def test_uncorrelated_covariates_collapse_families():
     x = np.array([[-1.0], [0.0], [1.0], [-1.0], [0.0], [1.0]])
     ds = Dataset(z=z, w=w, y=y, x=x)
     comp = variance_components(summarize(ds, ds.z))
-    assert comp.v_y_rem == pytest.approx(comp.v_y, abs=1e-14)
-    assert comp.c_yw_rem == pytest.approx(comp.c_yw, abs=1e-14)
-    assert comp.v_y_proj == pytest.approx(0.0, abs=1e-14)
-    assert comp.v_w_proj == pytest.approx(0.0, abs=1e-14)
+    assert comp.rem[0] == pytest.approx(comp.plain[0], abs=1e-14)
+    assert comp.rem[1] == pytest.approx(comp.plain[1], abs=1e-14)
+    assert comp.proj[0] == pytest.approx(0.0, abs=1e-14)
+    assert comp.proj[2] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_identical_outcome_and_receipt(rng):
     ds = random_dataset(rng, n=20, k=2)
     ds = Dataset(z=ds.z, w=ds.w, y=ds.w.astype(float), x=ds.x)
     comp = variance_components(summarize(ds, ds.z))
-    assert comp.v_y == pytest.approx(comp.v_w, rel=1e-12)
-    assert comp.c_yw == pytest.approx(comp.v_w, rel=1e-12)
-    assert comp.v_y_rem == pytest.approx(comp.v_w_rem, rel=1e-12)
-    assert comp.v_y_proj == pytest.approx(comp.v_w_proj, rel=1e-12)
+    assert comp.plain[0] == pytest.approx(comp.plain[2], rel=1e-12)
+    assert comp.plain[1] == pytest.approx(comp.plain[2], rel=1e-12)
+    assert comp.rem[0] == pytest.approx(comp.rem[2], rel=1e-12)
+    assert comp.proj[0] == pytest.approx(comp.proj[2], rel=1e-12)
 
 
 def test_moment_linearity_in_combined_outcome(rng):
@@ -157,9 +165,7 @@ def test_moment_linearity_in_combined_outcome(rng):
 
 
 def test_r2_zero_projection_family():
-    comp = VarianceComponents(v_y=1.0, v_w=1.0, c_yw=0.0, k=1,
-                              v_y_rem=1.0, v_w_rem=1.0, c_yw_rem=0.0,
-                              v_y_proj=0.0, v_w_proj=0.0, c_yw_proj=0.0)
+    comp = VarianceComponents((1.0, 0.0, 1.0), rem=(1.0, 0.0, 1.0), proj=(0.0, 0.0, 0.0), k=1)
     for tau in (-5.0, 0.0, 3.0):
         assert r2_of_tau(comp, tau).value == 0.0
     assert r2_star(comp).value == 0.0
@@ -167,10 +173,8 @@ def test_r2_zero_projection_family():
 
 def test_r2_proportional_quadratics():
     kappa = 0.3
-    comp = VarianceComponents(v_y=2.0, v_w=1.0, c_yw=0.4, k=1,
-                              v_y_rem=2.0, v_w_rem=1.0, c_yw_rem=0.4,
-                              v_y_proj=kappa * 2.0, v_w_proj=kappa * 1.0,
-                              c_yw_proj=kappa * 0.4)
+    comp = VarianceComponents((2.0, 0.4, 1.0), rem=(2.0, 0.4, 1.0),
+                              proj=(kappa * 2.0, kappa * 0.4, kappa * 1.0), k=1)
     for tau in (-2.0, 0.0, 1.7):
         assert r2_of_tau(comp, tau).value == pytest.approx(kappa, abs=1e-12)
     assert r2_star(comp).value == pytest.approx(kappa, abs=1e-10)
@@ -180,16 +184,14 @@ def test_r2_formula_matches_direct_evaluation(rng):
     for _ in range(10):
         comp = random_components(rng)
         tau = float(rng.normal(scale=3))
-        num = comp.v_y_proj - 2 * tau * comp.c_yw_proj + tau ** 2 * comp.v_w_proj
-        den = comp.v_y_rem - 2 * tau * comp.c_yw_rem + tau ** 2 * comp.v_w_rem
+        num = comp.proj[0] - 2 * tau * comp.proj[1] + tau ** 2 * comp.proj[2]
+        den = comp.rem[0] - 2 * tau * comp.rem[1] + tau ** 2 * comp.rem[2]
         expected = min(max(num / den, 0.0), 1.0) if den > 0 else 0.0
         assert r2_of_tau(comp, tau).value == pytest.approx(expected, abs=1e-12)
 
 
 def test_r2_degenerate_denominator_flagged():
-    comp = VarianceComponents(v_y=1.0, v_w=1.0, c_yw=0.0, k=1,
-                              v_y_rem=-0.5, v_w_rem=0.1, c_yw_rem=0.0,
-                              v_y_proj=0.2, v_w_proj=0.05, c_yw_proj=0.0)
+    comp = VarianceComponents((1.0, 0.0, 1.0), rem=(-0.5, 0.0, 0.1), proj=(0.2, 0.0, 0.05), k=1)
     res = r2_of_tau(comp, 0.0)
     assert res.value == 0.0 and res.degenerate
 
@@ -217,7 +219,7 @@ def test_r2_star_w_only_constant():
     ds = random_dataset(rng, n=30, k=2)
     ds = Dataset(z=ds.z, w=ds.w, y=ds.w.astype(float), x=ds.x)
     comp = variance_components(summarize(ds, ds.z))
-    expected = comp.v_w_proj / comp.v_w_rem
+    expected = comp.proj[2] / comp.rem[2]
     for tau in (0.0, -3.0, 0.5, 7.0):
         if tau != 1.0:
             assert r2_of_tau(comp, tau).value == pytest.approx(expected, rel=1e-10)
@@ -225,7 +227,7 @@ def test_r2_star_w_only_constant():
 
 
 def _r2_components(proj, rem) -> VarianceComponents:
-    return VarianceComponents.from_families((1.0, 0.0, 1.0), rem, proj, k=1)
+    return VarianceComponents((1.0, 0.0, 1.0), rem, proj, k=1)
 
 
 def _assert_r2_stars_match_reference(proj, rem, atol=1e-12):
@@ -287,7 +289,7 @@ def test_r2_stars_flags_and_limits_match_the_search():
     comp = variance_components(summarize(Dataset(z=ds.z, w=ds.w, y=ds.w.astype(float),
                                                  x=ds.x), ds.z))
     assert r2_star(comp) == reference_r2_star(comp)
-    assert r2_star(comp).value == min(max(comp.v_w_proj / comp.v_w_rem, 0.0), 1.0)
+    assert r2_star(comp).value == min(max(comp.proj[2] / comp.rem[2], 0.0), 1.0)
 
 
 def test_r2_stars_match_a_high_precision_oracle():
@@ -319,7 +321,7 @@ def test_plain_quadratic_nonnegative(rng):
     for _ in range(10):
         comp = random_components(rng)
         for tau in np.linspace(-20, 20, 101):
-            val = comp.v_y - 2 * tau * comp.c_yw + tau ** 2 * comp.v_w
+            val = comp.plain[0] - 2 * tau * comp.plain[1] + tau ** 2 * comp.plain[2]
             assert val >= -1e-12
 
 
@@ -327,22 +329,20 @@ def test_rem_quadratic_below_plain(rng):
     for _ in range(10):
         comp = random_components(rng)
         for tau in np.linspace(-20, 20, 101):
-            plain = comp.v_y - 2 * tau * comp.c_yw + tau ** 2 * comp.v_w
-            rem = comp.v_y_rem - 2 * tau * comp.c_yw_rem + tau ** 2 * comp.v_w_rem
+            plain = comp.plain[0] - 2 * tau * comp.plain[1] + tau ** 2 * comp.plain[2]
+            rem = comp.rem[0] - 2 * tau * comp.rem[1] + tau ** 2 * comp.rem[2]
             assert rem <= plain + 1e-12
 
 
 def test_combined_variance_at_zero(rng):
     comp = random_components(rng)
-    assert combined_variance(comp, 0.0, "plain").value == pytest.approx(comp.v_y)
+    assert combined_variance(comp, 0.0, "plain").value == pytest.approx(comp.plain[0])
     assert combined_variance(comp, 0.0, "rem").value == pytest.approx(
-        max(comp.v_y_rem, 0.0))
+        max(comp.rem[0], 0.0))
 
 
 def test_combined_variance_floor():
-    comp = VarianceComponents(v_y=1.0, v_w=1.0, c_yw=0.0, k=1,
-                              v_y_rem=-0.01, v_w_rem=0.001, c_yw_rem=0.0,
-                              v_y_proj=0.0, v_w_proj=0.0, c_yw_proj=0.0)
+    comp = VarianceComponents((1.0, 0.0, 1.0), rem=(-0.01, 0.0, 0.001), proj=(0.0, 0.0, 0.0), k=1)
     res = combined_variance(comp, 0.0, "rem")
     assert res.value == 0.0 and res.floored
 
@@ -351,12 +351,12 @@ def test_combined_variance_matches_direct(rng):
     for _ in range(10):
         comp = random_components(rng)
         tau = float(rng.normal(scale=2))
-        expected = comp.v_y - 2 * tau * comp.c_yw + tau ** 2 * comp.v_w
+        expected = comp.plain[0] - 2 * tau * comp.plain[1] + tau ** 2 * comp.plain[2]
         assert combined_variance(comp, tau, "plain").value == pytest.approx(
             expected, rel=1e-12)
 
 
 def test_combined_variance_rejects_nonfinite():
-    comp = VarianceComponents(v_y=1.0, v_w=1.0, c_yw=0.0)
+    comp = VarianceComponents((1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         combined_variance(comp, math.inf, "plain")

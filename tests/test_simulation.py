@@ -310,12 +310,6 @@ def _close(a, b):
     return a == b or abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
 
-def _endpoints(cs):
-    if cs.kind == "two_rays":
-        return cs.hi_left, cs.lo_right
-    return cs.lo, cs.hi
-
-
 def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre,
                                    exact=True):
     """Compare a batched pass with reference_evaluate_draw draw by draw and
@@ -333,8 +327,7 @@ def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulatio
         for m, r in scalar.items():
             s = scores[m]
             assert KINDS[s.sets.kind[i]] == r.set.kind, (i, m)
-            lo, hi = _endpoints(r.set)
-            assert _close(s.sets.lo[i], lo) and _close(s.sets.hi[i], hi), (i, m)
+            assert _close(s.sets.lo[i], r.set.lo) and _close(s.sets.hi[i], r.set.hi), (i, m)
             assert _close(s.sets.length[i], r.set.length), (i, m)
             assert s.sets.contains(truth)[i] == r.set.contains(truth), (i, m)
             assert s.sets.degenerate[i] == r.set.degenerate, (i, m)
@@ -500,7 +493,7 @@ def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
     assert (scores["far"].sets.kind == KINDS.index("point")).any()  # roundoff points
     comps = [variance_components(summarize(pop.reveal(z), z)) for z in zs]
     assert all(r2_star(c).degenerate for c in comps)
-    assert any(c.v_y_rem < 0.0 for c in comps)
+    assert any(c.rem[0] < 0.0 for c in comps)
     assert not scores["ts_gamma_0.075"].strong.any()  # zero receipt variance: weak
 
 
@@ -584,7 +577,7 @@ def test_vectorized_inverter_matches_scalar_geometry():
         assert cs.kind == expected
         assert j not in sets.errors
         assert KINDS[sets.kind[j]] == cs.kind
-        assert (sets.lo[j], sets.hi[j]) == _endpoints(cs)
+        assert (sets.lo[j], sets.hi[j]) == (cs.lo, cs.hi)
         assert sets.degenerate[j] == cs.degenerate
         assert sets.length[j] == cs.length
         for t in (-10.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0):

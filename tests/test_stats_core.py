@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset
 from latekit.data_model import Dataset, DesignSpec
 from latekit.design import Covariates, draw_assignment
 from latekit.estimation import _arm_projections, plain_components, variance_components
@@ -19,6 +18,7 @@ from latekit.stats_core import (
 )
 from oracles import (
     diff_in_means,
+    random_dataset,
     reference_arm_indices,
     reference_plain_components,
     reference_summarize,
@@ -177,7 +177,7 @@ def _assert_one_row_is_reference(ds):
 def test_one_row_kernel_is_the_scalar_arithmetic_bit_for_bit(rng):
     outcomes = [_assert_one_row_is_reference(ds) for ds in _kernel_datasets(rng, 400)]
     # most datasets reach the rerandomization and projection families
-    assert sum(getattr(o, "v_y_rem", None) is not None for o in outcomes) > 250
+    assert sum(getattr(o, "rem", None) is not None for o in outcomes) > 250
 
 
 @pytest.mark.parametrize("n1,k,duplicate,message", [

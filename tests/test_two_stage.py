@@ -4,17 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_dataset
 from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
 from latekit.estimation import Estimates, VarianceComponents, variance_components
 from latekit.exceptions import DegenerateCovariatesError
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
+from oracles import random_dataset
 
 
 def components_with_vw(v_w):
-    return VarianceComponents(v_y=1.0, v_w=v_w, c_yw=0.0)
+    return VarianceComponents((1.0, 0.0, v_w))
 
 
 def cre_config(gamma=0.075, p_plus=0.01):
@@ -134,7 +134,7 @@ def test_cre_two_stage_reads_no_covariates(rng):
 
 
 _EST = Estimates(tau_y=1.0, tau_w=0.5)
-_PLAIN = VarianceComponents(v_y=1.0, v_w=0.04, c_yw=0.1)
+_PLAIN = VarianceComponents((1.0, 0.1, 0.04))
 _SANDWICH = SandwichCov(v_y=1.0, c_yw=0.1, v_w=0.04, flavor="ehw")
 _PROCEDURES = {
     "wald_ci": lambda regime, comp: wald_ci(regime, _EST, comp, cre_config()),
