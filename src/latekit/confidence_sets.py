@@ -100,30 +100,32 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
                         q_y: float, q_c: float, q_w: float,
                         method: str = "") -> ConfidenceSet:
     """Invert (b_y - t*b_w)^2 <= crit^2 * (q_y - 2t*q_c + t^2*q_w) over t."""
+    ratio = b_y / b_w if b_w != 0.0 else None  # the point, where it exists
+    # the estimates times 2^-e and the form times 2^-2e put the largest of
+    # |b_y|, |b_w| and sqrt(max |q|) in [0.5, 1): the same set, exactly, so
+    # the roots keep their bits, and no product below overflows or underflows
+    _, e = math.frexp(max(abs(b_y), abs(b_w), math.sqrt(max(abs(q_y), abs(q_c), abs(q_w)))))
+    b_y, b_w = math.ldexp(b_y, -e), math.ldexp(b_w, -e)
+    q_y, q_c, q_w = (math.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
     crit2 = crit * crit
     a = b_w * b_w - crit2 * q_w
     b = -2.0 * (b_y * b_w - crit2 * q_c)
     c = b_y * b_y - crit2 * q_y
     tol_a = 1e-12 * max(b_w * b_w, abs(crit2 * q_w))
-    # a, b and c times the power of two that brings the largest into
-    # [0.5, 1): exact, so the roots keep their bits, and b*b - 4ac cannot
-    # overflow or underflow for coefficients near the ends of the float range
-    _, e = math.frexp(max(abs(a), abs(b), abs(c)))
-    a_n, b_n, c_n = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
-    disc = b_n * b_n - 4.0 * a_n * c_n
+    disc = b * b - 4.0 * a * c
     if a > tol_a:
         if disc >= 0.0:
-            lo, hi = _stable_roots(a_n, b_n, c_n, disc)
+            lo, hi = _stable_roots(a, b, c, disc)
             return ConfidenceSet.interval(lo, hi, method=method)
-        if b_w != 0.0:
+        if ratio is not None:
             # a nonnegative variance form makes disc >= 0 whenever the ratio
             # point exists; landing here is roundoff (or a degenerate
             # rerandomization family), absorbed as the ratio point itself
-            return ConfidenceSet("point", b_y / b_w, b_y / b_w, method, degenerate=True)
+            return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
         raise NoIdentificationError("empty confidence inversion with zero first stage")
     if a < -tol_a:
         if disc > 0.0:
-            lo, hi = _stable_roots(a_n, b_n, c_n, disc)
+            lo, hi = _stable_roots(a, b, c, disc)
             return ConfidenceSet.two_rays(lo, hi, method=method)
         return ConfidenceSet("whole_line", method=method)
     # |a| within tolerance: linear classification b*t + c <= 0
@@ -136,9 +138,9 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
     tol_c = 1e-12 * max(b_y * b_y, abs(crit2 * q_y))
     if c <= tol_c:
         return ConfidenceSet("whole_line", method=method)
-    if b_w == 0.0:
+    if ratio is None:
         raise NoIdentificationError("empty confidence inversion with zero first stage")
-    return ConfidenceSet("point", b_y / b_w, b_y / b_w, method, degenerate=True)
+    return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
 
 
 def _stable_roots(a: float, b: float, c: float, disc: float) -> tuple[float, float]:
@@ -226,17 +228,20 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     """
     crit = np.broadcast_to(crit, np.shape(b_y))
     crit2 = crit * crit
+    inputs = b_y, b_w, crit, q_y, q_c, q_w
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(b_y), np.abs(b_w)), np.sqrt(
+        np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w)))))
+    b_y, b_w = np.ldexp(b_y, -e), np.ldexp(b_w, -e)  # scaled as above
+    q_y, q_c, q_w = (np.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
     a = b_w * b_w - crit2 * q_w
     b = -2.0 * (b_y * b_w - crit2 * q_c)
     c = b_y * b_y - crit2 * q_y
     tol_a = 1e-12 * np.maximum(b_w * b_w, np.abs(crit2 * q_w))
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
-        a_n, b_n, c_n = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(c, -e)  # as above
-        disc = b_n * b_n - 4.0 * a_n * c_n
+        disc = b * b - 4.0 * a * c
         sq = np.sqrt(disc)
-        q = -(b_n + np.copysign(sq, b_n)) / 2.0
-        r1, r2, r = q / a_n, c_n / q, sq / (2.0 * np.abs(a_n))
+        q = -(b + np.copysign(sq, b)) / 2.0
+        r1, r2, r = q / a, c / q, sq / (2.0 * np.abs(a))
         swap = ~(r1 <= r2)
         lo = np.where(b == 0.0, -r, np.where(swap, r2, r1))
         hi = np.where(b == 0.0, r, np.where(swap, r1, r2))
@@ -252,8 +257,7 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     errors: dict[int, Exception] = {}
     for i in np.flatnonzero(rest):
         try:
-            cs = solve_quadratic_set(float(b_y[i]), float(b_w[i]), float(crit[i]),
-                                     float(q_y[i]), float(q_c[i]), float(q_w[i]))
+            cs = solve_quadratic_set(*(float(v[i]) for v in inputs))
         except (NoIdentificationError, ValueError) as exc:
             errors[int(i)] = exc
             continue

@@ -130,9 +130,10 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
     singular full, then within-arm, covariate covariance raises."""
     if summary.k == 0:
         return plain_components(summary)
-    sxx_inv = Covariates(summary.dataset.x).sxx_inv
-    *families, errors = _rem_families(*summary.covariate_arms, summary.n1, summary.n0,
-                                      sxx_inv)
+    # extreme covariate scales overflow; analyze_stratum skips nonfinite ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        *families, errors = _rem_families(*summary.covariate_arms, summary.n1, summary.n0,
+                                          Covariates(summary.dataset.x).sxx_inv)
     if errors:
         raise errors[0]
     return VarianceComponents(*(tuple(float(v[0]) for v in triple) for triple in families),

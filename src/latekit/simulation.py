@@ -6,12 +6,11 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-Every regime scores a cell in one array pass over all of its draws
-(``_score_cre``, ``_score_rem``, ``_score_adjusted``), and all three pick
-their sets in ``_method_scores``. The unadjusted passes give the bits of
-scoring each draw by the scalar chain (``wald_ci``, ``far_set``,
-``first_stage_test``, ``f_screen``), the regression-adjusted pass (per-arm
-OLS fits instead of one interacted fit) agrees with it to roundoff.
+``_score`` scores a cell in one array pass over all of its draws, by the
+cell's Regime row and its ``_FAMILIES`` entry. Unadjusted cells get the bits
+of scoring each draw by the scalar chain (``wald_ci``, ``far_set``,
+``first_stage_test``, ``f_screen``); adjusted cells (per-arm OLS fits instead
+of one interacted fit) agree with it to roundoff.
 """
 from __future__ import annotations
 
@@ -344,29 +343,17 @@ def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None =
     return _arm_moments(idx1, pop.y1, pop.w1, x), _arm_moments(idx0, pop.y0, pop.w0, x)
 
 
-def _score_cre(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-               gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """Per-draw ratio estimates and every method's scores of an unadjusted
-    CRE cell, for all assignment rows of ``zs`` at once."""
-    n1 = base.design.n1
-    arm1, arm0 = _arms(pop, zs, n1)
+def _moment_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+                     x: np.ndarray | None = None):
+    """The effect estimates and plain family of every assignment row; given
+    covariates ``x``, also the ReM and projection families, with their errors."""
+    n1, n0 = base.design.n1, zs.shape[1] - base.design.n1
+    arm1, arm0 = _arms(pop, zs, n1, x)
     tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
-    plain = _plain_family(arm1, arm0, n1, zs.shape[1] - n1)
-    return _score_normal(tau_y, tau_w, plain, base, gammas)
-
-
-def _score_normal(tau_y: np.ndarray, tau_w: np.ndarray, triple, base: AnalysisConfig,
-                  gammas: tuple[float, ...], errors: dict[int, Exception] | None = None
-                  ) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """The scores of a regime with normal critical values whose Wald, FAR,
-    first-stage and F-screen steps all read one variance family, the
-    ``triple`` (v_y, c_yw, v_w) of every draw."""
-    family = regime_spec(base.regime).family
-    crit = normal_quantile(1.0 - base.alpha / 2.0)
-    return _method_scores(
-        tau_y, tau_w, wald_intervals(tau_y, tau_w, crit, *triple, family=family),
-        solve_quadratic_sets(tau_y, tau_w, crit, *triple), triple[2],
-        {g: normal_quantile(1.0 - g) for g in gammas}, triple[2], base.p_plus, errors)
+    if x is None:
+        return tau_y, tau_w, {"plain": _plain_family(arm1, arm0, n1, n0)}, {}
+    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, n0, Covariates(x).sxx_inv)
+    return tau_y, tau_w, {"plain": plain, "rem": rem, "proj": proj}, errors
 
 
 # an arm design whose equilibrated R-diagonal ratio, or a leverage's
@@ -407,10 +394,9 @@ def _arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
     return (e0_rinv @ proj)[:, 0, :], triple, unsure
 
 
-def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-                    gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """Per-draw ratio estimates and every method's scores of a
-    regression-adjusted cell, for all assignment rows of ``zs`` at once.
+def _sandwich_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig):
+    """The regression-adjusted effect estimates and sandwich family of every
+    assignment row of ``zs``, and the error each row's scalar fit raises.
 
     The interacted fit equals separate OLS fits of each arm on [1, x] (Lin
     2013), so the effect estimates are the gaps between the arms'
@@ -438,50 +424,51 @@ def _score_adjusted(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
         try:
             fit_y, fit_w = fit_interacted_pair(pop.reveal(zs[i]), zs[i])
             cov = sandwich_cov(fit_y, fit_w, base.adjustment)
-        except LatekitError as exc:  # raised in draw order by _method_scores
+        except LatekitError as exc:  # raised in draw order by _score
             errors[int(i)] = exc
             cols[i] = (0.0, 1.0, 0.0, 0.0, 0.0)  # a placeholder that scores quietly
             continue
         cols[i] = (fit_y.tau_hat, fit_w.tau_hat, *cov.family("sandwich"))
     tau_y, tau_w, *triple = cols.T
-    return _score_normal(tau_y, tau_w, tuple(triple), base, gammas, errors)
+    return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
 
 
-def _score_rem(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-               gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """Per-draw ratio estimates and every method's scores of an unadjusted
-    ReM cell, for all assignment rows of ``zs`` at once."""
-    n1, k = base.design.n1, pop.x.shape[1]
-    arm1, arm0 = _arms(pop, zs, n1, pop.x)
-    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, zs.shape[1] - n1,
-                                             Covariates(pop.x).sxx_inv)
-    tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
+# each regime's (tau_y, tau_w, families, errors) of a cell's assignment rows:
+# a per-draw (v_y, c_yw, v_w) triple per family name, and what a draw raises
+_FAMILIES = {"cre": _moment_families, "adjusted": _sandwich_families,
+             "rem": lambda pop, zs, base: _moment_families(pop, zs, base, pop.x)}
 
-    def lam(alpha, rho):
-        return lambda_quantiles(MixtureParams(k=k, a=base.design.a, alpha=alpha), rho)
 
+def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+           gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """Per-draw ratio estimates (nan where tau_w is 0) and each method's
+    MethodScores in table order, for all assignment rows of ``zs`` at once,
+    read from the cell's Regime row as the scalar chain reads it: ``family``
+    for the Wald, FAR and first-stage triple, ``screen_family`` for the F>10
+    screen, and ``mixture`` for the critical values."""
+    spec = regime_spec(base.regime)
+    tau_y, tau_w, families, errors = _FAMILIES[base.regime](pop, zs, base)
+    triple, screen_var = families[spec.family], families[spec.screen_family][2]
+    fs_var = triple[2]
     tail = base.alpha / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # wald_ci: the mixture quantile at r2_of_tau at the ratio
-        r2, _ = r2_at(proj, rem, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
-    # first_stage_test: the mixture quantile at the receipt's own ratio
-    var = rem[2]
-    rho, _ = r2_ratio(proj[2], var)
-    wald_sets = wald_intervals(tau_y, tau_w, lam(tail, r2), *rem, family="rem")
-    far = solve_quadratic_sets(tau_y, tau_w, lam(tail, r2_stars(proj, rem)[0]), *rem)
-    return _method_scores(tau_y, tau_w, wald_sets, far, var,
-                          {g: lam(g, rho) for g in gammas}, plain[2], base.p_plus, errors)
+    if spec.mixture:
+        proj = families["proj"]
 
-
-def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
-                   far: SetArrays, fs_var: np.ndarray, fs_crit: dict, screen_var: np.ndarray,
-                   p_plus: float, errors: dict[int, Exception] | None = None
-                   ) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """The Wald-vs-FAR check, the first-stage tests (variance ``fs_var`` and
-    a critical value per gamma), the F>10 screen (``screen_var``) and the
-    selections of every draw; ``errors`` holds what a draw raises before
-    its sets are built. Returns the ratio estimates (nan where ``tau_w`` is
-    0) and each method's MethodScores, keyed in table order."""
+        def lam(alpha, rho):
+            return lambda_quantiles(
+                MixtureParams(k=pop.x.shape[1], a=base.design.a, alpha=alpha), rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # wald_ci: the mixture quantile at r2_of_tau at the ratio
+            r2, _ = r2_at(proj, triple, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
+        # first_stage_test: the mixture quantile at the receipt's own ratio
+        rho, _ = r2_ratio(proj[2], fs_var)
+        wald_crit, far_crit = lam(tail, r2), lam(tail, r2_stars(proj, triple)[0])
+        fs_crit = {g: lam(g, rho) for g in gammas}
+    else:
+        wald_crit = far_crit = normal_quantile(1.0 - tail)
+        fs_crit = {g: normal_quantile(1.0 - g) for g in gammas}
+    wald_sets = wald_intervals(tau_y, tau_w, wald_crit, *triple, family=spec.family)
+    far = solve_quadratic_sets(tau_y, tau_w, far_crit, *triple)
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
@@ -491,7 +478,7 @@ def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
               for i in np.flatnonzero(longer)}
     failed.update(far.errors)
     failed.update(wald_sets.errors)
-    failed.update(errors or {})
+    failed.update(errors)
     if failed:
         raise failed[min(failed)]
 
@@ -502,8 +489,9 @@ def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
                          errors={})
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = (tau_w - p_plus) / np.sqrt(fs_var)
+        t_stat = (tau_w - base.p_plus) / np.sqrt(fs_var)
         f_stat = tau_w ** 2 / screen_var
+        estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
     every = np.ones(len(tau_y), dtype=bool)
     scores = {"wald": MethodScores(wald_sets, None, every),
               "far": MethodScores(far, None, every)}
@@ -514,12 +502,7 @@ def _method_scores(tau_y: np.ndarray, tau_w: np.ndarray, wald_sets: SetArrays,
     f_strong = (screen_var > 0.0) & (f_stat > F_THRESHOLD)
     scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
     scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
     return estimates, scores
-
-
-_BATCHED = {"cre": _score_cre, "rem": _score_rem, "adjusted": _score_adjusted}
 
 
 def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> PotentialDataset:
@@ -573,8 +556,7 @@ def _draw_entropy(seed: int, cell: int, reps: int) -> np.ndarray:
 
 def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
     pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w)
-    score = _BATCHED[base.regime]
-    return _rows(cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma))
+    return _rows(cfg, tau_w, truth, attempts, *_score(pop, zs, base, cfg.gamma))
 
 
 def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,

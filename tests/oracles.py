@@ -15,13 +15,16 @@ the one-number chi-square CDF ``chisq_cdf`` computed before it took arrays.
 ``reference_evaluate_draw`` scores one study draw by the scalar chain
 (``wald_ci``, ``far_set``, ``first_stage_test``, ``f_screen``) and
 ``reference_score_draws`` stacks it over a cell's draws, with
-``set_arrays_from_sets`` packing its sets: the batched study passes in
-``simulation._BATCHED`` are checked against them draw for draw. The rest
-are small helpers the package no longer exports.
+``set_arrays_from_sets`` packing its sets: ``simulation._score``, the one
+batched study scorer, is checked against them draw for draw.
+``exact_cell`` is a study cell's exact law, every assignment of its
+population scored at once. The rest are small helpers the package no
+longer exports.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +34,7 @@ import numpy as np
 
 from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
-from latekit.design import Covariates, draw_assignment
+from latekit.design import Covariates, _gathered_distances, draw_assignment
 from latekit.estimation import (
     Estimates,
     R2Value,
@@ -42,8 +45,11 @@ from latekit.estimation import (
     variance_components,
 )
 from latekit.exceptions import DegenerateCovariatesError
+from latekit import simulation
 from latekit.simulation import (
     MethodScores,
+    PerformanceRow,
+    StudyConfig,
     _gamma_method,
     _longer_wald_message,
     _method_names,
@@ -336,6 +342,32 @@ def reference_table_json(table) -> dict:
                      for r in table.rows]}
 
 
+# ------------------------------------------------- exact finite-population law
+
+def every_assignment(n: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """All C(n, n1) assignments: the (rows, n) 0/1 matrix, and each row's
+    treated unit indices in ascending order."""
+    treated = np.array(list(itertools.combinations(range(n), n1)), dtype=np.int64)
+    zs = np.zeros((len(treated), n), dtype=np.int64)
+    np.put_along_axis(zs, treated, 1, axis=1)
+    return zs, treated
+
+
+def exact_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
+    """What ``run_study`` estimates for one cell, exactly: every assignment
+    of the cell's population, each equally likely, passed as the rows of
+    one ``simulation._score`` call and reduced by ``simulation._rows``.
+    Under ReM an accepted draw is uniform on the assignments whose
+    Mahalanobis distance is at most ``a``, so only those rows are kept."""
+    pop, base, truth, _, _ = simulation._cell_draws(dataclasses.replace(cfg, reps=1), cell,
+                                                    tau_w)
+    zs, treated = every_assignment(cfg.n, base.design.n1)
+    if base.design.kind == "rem":
+        zs = zs[_gathered_distances(Covariates(pop.x), treated) <= base.design.a]
+    return simulation._rows(cfg, tau_w, truth, np.ones(len(zs)),
+                            *simulation._score(pop, zs, base, cfg.gamma))
+
+
 # ------------------------------------------------------ scalar study scoring
 
 @dataclass
@@ -392,8 +424,8 @@ def reference_score_draws(pop: PotentialDataset, zs: np.ndarray, base: AnalysisC
                           gammas: tuple[float, ...]
                           ) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw estimates and every method's scores, one
-    ``reference_evaluate_draw`` call per assignment row of ``zs``: what the
-    batched passes in ``simulation._BATCHED`` must return."""
+    ``reference_evaluate_draw`` call per assignment row of ``zs``: what
+    ``simulation._score`` must return."""
     draws = [reference_evaluate_draw(pop.reveal(z), z, base, gammas) for z in zs]
     estimates = np.array([d["wald"].estimate for d in draws], dtype=float)
     scores = {}

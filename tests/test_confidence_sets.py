@@ -384,11 +384,34 @@ def test_array_inversion_membership_matches_dense_grid(scale):
         assert (truth == got)[clear].all(), (i, KINDS[sets.kind[i]])
 
 
+# an interval, two rays, the whole line and a left ray whose squared
+# estimates or scaled variance forms overflow at 2^511 and stay normal
+# numbers at 2^-511
+_NEAR_OVERFLOW = tuple(np.array([[3.0, 2.0, 1.959964, 1.0, 0.0, 1.0],
+                                 [2.0, 1.0, 1.959964, 1.0, 0.0, 1.0],
+                                 [1.0, 1.0, 1.959964, 2.0, 0.0, 1.0],
+                                 [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]]).T.copy())
+
+
 @pytest.mark.parametrize("scale", [2.0 ** 498, 2.0 ** -498])
 def test_power_of_two_scaling_keeps_every_bit(scale):
-    # the scaling is exact, so the set is the unscaled one, bit for bit
-    args = _random_families()  # not the edge rows, which sit on tolerances
-    base = solve_quadratic_sets(*args)
-    sets = solve_quadratic_sets(*_scaled(args, scale))
-    for got, want in zip(sets[:4], base[:4]):
-        assert got.tobytes() == want.tobytes()
+    # the scaling is exact, so the set is the unscaled one, bit for bit: the
+    # random rows (not the edge rows, which sit on tolerances) at 2^+-498,
+    # and rows near the ends of the float range at 2^+-511
+    edge = 2.0 ** 511 if scale > 1.0 else 2.0 ** -511
+    for args, s in ((_random_families(), scale), (_NEAR_OVERFLOW, edge)):
+        base = solve_quadratic_sets(*args)
+        sets = _assert_paths_agree(_scaled(args, s))
+        for got, want in zip(sets[:4], base[:4]):
+            assert got.tobytes() == want.tobytes()
+    assert [KINDS[k] for k in base.kind] == ["interval", "two_rays", "whole_line", "left_ray"]
+
+
+def test_inversion_keeps_a_ray_endpoint_near_overflow():
+    # (1e300)^2 <= -2t * 1e300 is t <= -5e299, though the square overflows
+    args = (1e300, 0.0, 1.0, 0.0, 1e300, 0.0)
+    cs = solve_quadratic_set(*args)
+    sets = solve_quadratic_sets(*(np.array([v]) for v in args))
+    assert cs.kind == KINDS[sets.kind[0]] == "left_ray"
+    for hi in (cs.hi, sets.hi[0]):
+        assert abs(hi + 5e299) <= 1e-15 * 5e299

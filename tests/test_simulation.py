@@ -159,6 +159,63 @@ def test_oracle_matches_definitional_double_loop(rng):
     assert orc.r2_a == pytest.approx(min(max(v_ax / v_a, 0.0), 1.0), rel=1e-10)
 
 
+def _every_cre_assignment(pop):
+    """The effect estimates and plain family of every one of the C(n, n/2)
+    assignments of ``pop``, by the study scorer's moment families."""
+    zs, _ = oracles.every_assignment(pop.n, pop.n // 2)
+    base = AnalysisConfig(design=DesignSpec.cre(pop.n // 2))
+    tau_y, tau_w, families, _ = simulation._FAMILIES["cre"](pop, zs, base)
+    return tau_y, tau_w, families["plain"]
+
+
+def test_neyman_variance_is_exact_over_every_assignment(rng):
+    # Neyman's finite-population variance is exact, not asymptotic: over all
+    # C(12, 6) assignments the contrast tau_y - tau * tau_w has mean zero
+    # and variance v_a
+    pop = generate_population(DgpConfig(n=12, tau_w_target=0.25, k=2), rng)
+    orc = population_oracle(pop, 6)
+    tau_y, tau_w, _ = _every_cre_assignment(pop)
+    contrast = tau_y - orc.tau * tau_w
+    assert len(contrast) == 924
+    assert abs(contrast.mean()) <= 1e-12 * math.sqrt(orc.v_a)
+    assert np.var(contrast) == pytest.approx(orc.v_a, rel=1e-12)
+
+
+def test_plain_family_is_unbiased_without_unit_level_effect_variation(rng):
+    # with y1 - y0 = tau (w1 - w0), y - tau w has the same value under both
+    # arms, S_d^2 is zero and the plain family's quadratic at tau is exactly
+    # unbiased for v_a over all C(12, 6) assignments
+    p = generate_population(DgpConfig(n=12, tau_w_target=0.25, k=2), rng)
+    pop = PotentialDataset(w0=p.w0, w1=p.w1, y0=p.y0, y1=p.y0 + 1.5 * (p.w1 - p.w0), x=p.x)
+    orc = population_oracle(pop, 6)
+    assert orc.tau == pytest.approx(1.5)
+    _, _, (v_y, c_yw, v_w) = _every_cre_assignment(pop)
+    quad = v_y - 2.0 * orc.tau * c_yw + orc.tau ** 2 * v_w
+    assert quad.mean() == pytest.approx(orc.v_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("design,adjustment", [("cre", "none"), ("rem", "none"),
+                                               ("cre", "hc2")])
+@pytest.mark.parametrize("seed", [20240901, 777])
+def test_study_agrees_with_the_cells_exact_law(design, adjustment, seed):
+    # the only randomness is the assignment, so a cell's law is a finite sum
+    # over its assignments (exact_cell); each method's coverage and
+    # strong_prop at 2,000 reps lie within 4.5 binomial standard errors of it
+    cfg = StudyConfig(n=16, k=2, tau_w=(0.25,), design=design, p_a=0.1,
+                      adjustment=adjustment, reps=2000, seed=seed)
+    exact = oracles.exact_cell(cfg, 0, 0.25)
+    assert 0 < exact[0].n_included <= 12870
+    rows = run_study(cfg).rows
+    assert [r.method for r in rows] == [r.method for r in exact]
+    for want, got in zip(exact, rows):
+        for field, draws in (("coverage", got.n_included), ("strong_prop", got.reps)):
+            p = getattr(want, field)
+            if p is None or not draws:
+                continue  # no first stage, or no included draw
+            se = math.sqrt(p * (1.0 - p) / draws)
+            assert abs(getattr(got, field) - p) <= 4.5 * se, (got.method, field)
+
+
 def test_median_extended_boundary():
     assert median_extended(np.array([1.0, 2.0, math.inf, math.inf])) == 2.0
     assert math.isinf(median_extended(np.array([1.0, math.inf, math.inf, math.inf])))
@@ -286,7 +343,7 @@ def test_batched_adjusted_names_the_sandwich_family_when_its_variance_is_negativ
 
 def test_every_regime_has_a_batched_pass():
     # _run_cell looks the regime up without a scalar fallback
-    assert set(simulation._BATCHED) == set(REGIMES)
+    assert set(simulation._FAMILIES) == set(REGIMES)
 
 
 def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
@@ -310,7 +367,7 @@ def _close(a, b):
     return a == b or abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
 
-def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score_cre,
+def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score,
                                    exact=True):
     """Compare a batched pass with reference_evaluate_draw draw by draw and
     method by method, with estimates equal (or, unless ``exact``, within 1e-9
@@ -363,7 +420,7 @@ def _check_batched_cell(design, n, k, tau_w, seed, reps, adjustment="none"):
     zs, attempts = zs[:reps], attempts[:reps]
     assert zs.shape == (reps, n)
     exact = adjustment == "none"
-    score = simulation._BATCHED[base.regime]
+    score = simulation._score
     zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma, score,
                                                       exact)
     batched = PerformanceTable(simulation._rows(
@@ -422,7 +479,7 @@ def test_batched_adjusted_raises_the_scalar_paths_error():
     with pytest.raises(RankDeficientDesignError) as scalar:
         reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(RankDeficientDesignError) as batched:
-        simulation._score_adjusted(pop, zs, base, cfg.gamma)
+        simulation._score(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == "need n > 12 rows for 12 columns; got 10"
 
 
@@ -451,7 +508,7 @@ def test_batched_adjusted_raises_the_scalar_leverage_error(rng, adjustment):
         with pytest.raises(error) as scalar:
             reference_score_draws(pop, rows, base, (0.075,))
         with pytest.raises(error) as batched:
-            simulation._score_adjusted(pop, rows, base, (0.075,))
+            simulation._score(pop, rows, base, (0.075,))
         assert str(batched.value) == str(scalar.value)
     assert str(batched.value) == (
         "design is rank deficient (column 5 collinear with earlier columns)")
@@ -464,12 +521,12 @@ def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
     keep = [0, 2]
     base = AnalysisConfig(adjustment="ehw", design=DesignSpec.cre(len(zs[0]) // 2))
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs[keep], (0.075,),
-                                   simulation._score_adjusted, exact=True)
+                                   simulation._score, exact=True)
     refits = []
     fit = simulation.fit_interacted_pair
     monkeypatch.setattr(simulation, "fit_interacted_pair",
                         lambda ds, z: refits.append(z) or fit(ds, z))
-    simulation._score_adjusted(pop, zs[keep], base, (0.075,))
+    simulation._score(pop, zs[keep], base, (0.075,))
     assert len(refits) == len(keep)
 
 
@@ -487,8 +544,8 @@ def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
     base = AnalysisConfig(design=DesignSpec.rem(n // 2, p_a=0.2, k=k))
     zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(30)])
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025),
-                                   simulation._score_rem)
-    _, scores = simulation._score_rem(pop, zs, base, (0.075,))
+                                   simulation._score)
+    _, scores = simulation._score(pop, zs, base, (0.075,))
     assert scores["wald"].sets.degenerate.any()  # a floored variance
     assert (scores["far"].sets.kind == KINDS.index("point")).any()  # roundoff points
     comps = [variance_components(summarize(pop.reveal(z), z)) for z in zs]
@@ -504,7 +561,7 @@ def test_batched_rem_raises_the_scalar_paths_error():
     with pytest.raises(DegenerateCovariatesError) as scalar:
         reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(DegenerateCovariatesError) as batched:
-        simulation._score_rem(pop, zs, base, cfg.gamma)
+        simulation._score(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == (
         "within-arm covariate covariance is numerically singular")
 
@@ -527,10 +584,10 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
     monkeypatch.setattr(simulation, "solve_quadratic_sets", far)
     monkeypatch.setattr(estimation, "spd_inverses", singular_at(2, 3))
     with pytest.raises(NoIdentificationError, match="far at 1"):
-        simulation._score_rem(pop, zs, base, cfg.gamma)
+        simulation._score(pop, zs, base, cfg.gamma)
     monkeypatch.setattr(estimation, "spd_inverses", singular_at(1))
     with pytest.raises(DegenerateCovariatesError, match="singular at 1"):
-        simulation._score_rem(pop, zs, base, cfg.gamma)
+        simulation._score(pop, zs, base, cfg.gamma)
 
 
 def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
@@ -544,7 +601,7 @@ def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
     base = AnalysisConfig(design=DesignSpec.cre(n // 2))
     zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(5)])
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025))
-    _, scores = simulation._score_cre(pop, zs, base, (0.075,))
+    _, scores = simulation._score(pop, zs, base, (0.075,))
     assert not scores["ts_gamma_0.075"].strong.any() and not scores["ts_f10"].strong.any()
 
 
