@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from latekit import simulation
 from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
 from latekit.design import Covariates, _gathered_distances, draw_assignment
@@ -45,7 +46,6 @@ from latekit.estimation import (
     variance_components,
 )
 from latekit.exceptions import DegenerateCovariatesError
-from latekit import simulation
 from latekit.simulation import (
     MethodScores,
     PerformanceRow,
