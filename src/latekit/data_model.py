@@ -81,13 +81,15 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
         if spread and not lo <= spread <= hi:
             report.append(f"y varies on a scale ({spread:.3g}) outside [2^-400, 2^400]; "
                           "rescale y")
-    if not np.all(np.isfinite(dataset.x)):
+    x_finite = bool(np.isfinite(dataset.x).all())
+    if not x_finite:
         report.append("x contains non-finite values")
-    if dataset.n1 < 2:
+    n1 = dataset.n1
+    if n1 < 2:
         report.append("n1 < 2")
-    if dataset.n0 < 2:
+    if dataset.n - n1 < 2:
         report.append("n0 < 2")
-    if dataset.k and np.all(np.isfinite(dataset.x)):
+    if dataset.k and x_finite:
         means = dataset.x.mean(axis=0)
         scale = max(np.abs(dataset.x).max(initial=1.0), np.abs(offsets).max(initial=0.0))
         off = np.nonzero(np.abs(means) > CENTERING_TOL * max(1.0, scale))[0]

@@ -12,6 +12,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +89,16 @@ def _covariate_count(header: list[str]) -> int:
     return len(numbers)
 
 
-def _fast_block(rows, width, fields, key_col):
-    """A block's columns converted whole, or None if any record is irregular.
+def _columns(flat, stride, fields, key_col):
+    """The columns of a block whose cells lie record by record in ``flat``,
+    ``stride`` apart, converted whole, or None if a cell is irregular.
 
-    Regular means: every record has ``width`` fields, every binary cell is
-    exactly "0" or "1", and every number parses and is finite.
+    Regular means: every binary cell is exactly "0" or "1", and every number
+    parses and is finite.
     """
-    if set(map(len, rows)) != {width}:
-        return None
-    cols = list(zip(*rows))
     out = []
     for i, _, kind in fields:
-        col = cols[i]
+        col = flat[i::stride]
         if kind == "binary":
             if not _BITS.issuperset(col):
                 return None
@@ -113,8 +112,42 @@ def _fast_block(rows, width, fields, key_col):
             if not np.isfinite(arr).all():
                 return None
             out.append(arr)
-    keys = None if key_col is None else list(map(str.strip, cols[key_col]))
+    keys = None if key_col is None else list(map(str.strip, flat[key_col::stride]))
     return keys, out
+
+
+def _fast_block(lines, width, fields, key_col):
+    r"""A block of raw lines split on commas and converted whole, or None if
+    a line is not a plain record: one with a quote, other than ``width``
+    fields or an irregular cell, or one ended by a lone ``\r``.
+
+    Every line ends in ``\n`` or ``\r\n`` but the file's last, which may
+    end in neither or in ``\r``. A lone ``\r`` ending an earlier line
+    leaves that line without a ``\n``, so its block fails the field count.
+    """
+    text = "".join(lines)
+    if '"' in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    # every line end becomes a cell of its own: the lines have ``width``
+    # fields each exactly when the line ends fill every (width + 1)-th cell
+    flat = text.replace("\n", ",\n,").split(",")
+    del text, flat[-1]
+    stride = width + 1
+    if flat[width::stride].count("\n") != len(lines):
+        return None
+    return _columns(flat, stride, fields, key_col)
+
+
+def _record_block(rows, width, fields, key_col):
+    """A block of csv records converted whole, or None if a record does not
+    have ``width`` fields or a cell is irregular."""
+    if set(map(len, rows)) != {width}:
+        return None
+    return _columns(list(itertools.chain.from_iterable(rows)), width, fields, key_col)
 
 
 def _slow_block(rows, first_row, width, fields, key_col):
@@ -135,17 +168,30 @@ def _slow_block(rows, first_row, width, fields, key_col):
     return (None if key_col is None else keys), out
 
 
-def _column_blocks(reader, width: int, fields, key_col: int | None = None):
-    """Parse the records after the header in blocks of ``_BLOCK_ROWS``.
+def _column_blocks(lines, width: int, fields, key_col: int | None = None):
+    """Parse the lines after the header in blocks of ``_BLOCK_ROWS``.
 
     ``fields`` lists ``(index, name, kind)`` in the order a record's cells
     are checked; ``kind`` is "binary" or "number". Yields per block the
     stripped keys of column ``key_col`` (None without one) and one array
     per field. Record numbers count the header as row 1.
+
+    Without quotes a line is a record, so blocks of lines are split on
+    commas; a block that is not plain is parsed by ``csv.reader`` record by
+    record. A quote can open a field that spans lines, so the first block
+    with one and every line after it go to one ``csv.reader``, whose
+    records are converted in blocks the same way.
     """
     first_row = 2
-    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-        yield (_fast_block(rows, width, fields, key_col)
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        parsed = _fast_block(block, width, fields, key_col)
+        if parsed is None and any('"' in line for line in block):
+            break
+        yield parsed or _slow_block(csv.reader(block), first_row, width, fields, key_col)
+        first_row += len(block)
+    records = csv.reader(itertools.chain(block, lines))
+    while rows := list(itertools.islice(records, _BLOCK_ROWS)):
+        yield (_record_block(rows, width, fields, key_col)
                or _slow_block(rows, first_row, width, fields, key_col))
         first_row += len(rows)
 
@@ -153,8 +199,7 @@ def _column_blocks(reader, width: int, fields, key_col: int | None = None):
 def read_records(path: str) -> list[StratumRecords]:
     """Parse an analysis CSV into per-stratum record groups (input order)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader)
+        header = _read_header(csv.reader(fh))
         for required in ("z", "w", "y"):
             if required not in header:
                 raise ValueError(f"missing required column {required!r}")
@@ -168,7 +213,7 @@ def read_records(path: str) -> list[StratumRecords]:
         first: dict[str, int] = {}
         seen = itertools.count()
         codes, blocks = [], []
-        for keys, cols in _column_blocks(reader, len(header), fields, key_col):
+        for keys, cols in _column_blocks(fh, len(header), fields, key_col):
             rows = len(cols[0])
             keys = itertools.repeat("", rows) if keys is None else keys
             codes.append(np.fromiter(map(first.setdefault, keys, seen),
@@ -328,24 +373,25 @@ def plot_data_rows(report: dict) -> list[dict]:
     return rows
 
 
+_PLOT_FIELDS = ("stratum", "n", "est_compliers", "method", "length", "strong")
+
+
 def write_plot_data(rows: list[dict], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["stratum", "n", "est_compliers",
-                                                "method", "length", "strong"])
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(_PLOT_FIELDS)
+        writer.writerows(map(operator.itemgetter(*_PLOT_FIELDS), rows))
 
 
 def read_covariates(path: str) -> np.ndarray:
     """Covariate matrix (x1..xK columns) from a CSV, for design draws."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader)
+        header = _read_header(csv.reader(fh))
         k = _covariate_count(header)
         if k == 0:
             raise ValueError("no covariate columns x1..xK found")
         fields = [(header.index(f"x{j + 1}"), f"x{j + 1}", "number") for j in range(k)]
-        blocks = [cols for _, cols in _column_blocks(reader, len(header), fields)]
+        blocks = [cols for _, cols in _column_blocks(fh, len(header), fields)]
     columns = [np.concatenate(col) for col in zip(*blocks)]
     if not columns or not len(columns[0]):
         raise ValueError("no data rows in input")

@@ -125,6 +125,7 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+@functools.cache
 def normal_quantile(p: float) -> float:
     """Standard normal quantile: rational approximation plus one Newton step."""
     if not 0.0 < p < 1.0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -559,11 +558,29 @@ def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]
     return _rows(cfg, tau_w, truth, attempts, *_score(pop, zs, base, cfg.gamma))
 
 
+def _by_branch(method: str, strong: np.ndarray | None,
+               values: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A method's per-draw values, from those of the Wald and the FAR sets:
+    the Wald set's for wald and wald_f10, the FAR set's for far, and for a
+    two-stage method the Wald set's where its first stage is strong."""
+    wald, far = values
+    if method in ("wald", "wald_f10"):
+        return wald
+    if method == "far":
+        return far
+    return np.where(strong, wald, far)
+
+
 def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
           estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
     """One performance row per method, reduced over the included draws."""
     attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
     abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
+    # every method's set is its draw's Wald or FAR set, so coverage and
+    # length are worked out once for each
+    wald, far = scores["wald"].sets, scores["far"].sets
+    covered = wald.contains(truth), far.contains(truth)
+    lengths = wald.length, far.length
     rows = []
     for m, s in scores.items():
         strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
@@ -574,8 +591,8 @@ def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
             errors = abs_errors[kept]
             med_err = median_extended(errors)
             mean_err = float(np.mean(errors))
-            cov = float(np.mean(s.sets.contains(truth)[kept]))
-            med_len = median_extended(s.sets.length[kept])
+            cov = float(np.mean(_by_branch(m, s.strong, covered)[kept]))
+            med_len = median_extended(_by_branch(m, s.strong, lengths)[kept])
         else:
             med_err = mean_err = cov = med_len = math.nan
         kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))
@@ -594,6 +611,9 @@ def run_study(cfg: StudyConfig) -> PerformanceTable:
     """Run every cell of the study; deterministic for a fixed config."""
     cells = list(enumerate(cfg.tau_w))
     if cfg.threads > 1 and len(cells) > 1:
+        # imported here: it brings in multiprocessing, which costs every
+        # process that imports latekit ~20 ms and only threaded studies use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             chunks = list(pool.map(_run_cell_job,
                                    [(cfg, ci, tw) for ci, tw in cells]))

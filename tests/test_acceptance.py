@@ -3,8 +3,9 @@
 Each criterion prints one PASS/FAIL line (run with -s to stream them).
 The simulation seed is fixed a priori and documented; tolerances follow
 the stated budgets. Criteria whose targets conflict with the stated
-data-generating process fail honestly; see the analysis notes shipped
-outside the package.
+data-generating process fail honestly; ROADMAP.md item 5 (the committed
+reproduction grid and the note on criteria 1, 2 and 5) records what is
+known about them.
 """
 import math
 import time

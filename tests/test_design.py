@@ -8,9 +8,16 @@ from scipy.stats import chi2
 from latekit import design as design_mod
 from latekit import simulation
 from latekit.data_model import Dataset, DesignSpec
-from latekit.design import AssignmentVector, Covariates, draw_assignment, mahalanobis
+from latekit.design import (
+    AssignmentVector,
+    Covariates,
+    _gathered_distances,
+    draw_assignment,
+    mahalanobis,
+)
 from latekit.exceptions import DegenerateCovariatesError
 from latekit.mixture import threshold_from_pa
+from oracles import every_assignment
 
 
 def brute_force_mahalanobis(x, z):
@@ -128,6 +135,32 @@ def test_rem_acceptance_rate_smoke(rng):
     attempts = sum(draw_assignment(spec, x, rng).accepted_after for _ in range(300))
     rate = 300 / attempts
     assert 0.05 < rate < 0.2
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_rem_draws_are_uniform_on_the_acceptance_region(n):
+    # an accepted draw is uniform on the assignments within the threshold,
+    # and the draws it took are geometric with the region's share of them
+    rng = np.random.default_rng(20240901)
+    cov = Covariates(rng.standard_normal((n, 2)))
+    spec = DesignSpec.rem(n1=n // 2, p_a=0.2, k=2)
+    zs, treated = every_assignment(n, n // 2)
+    inside = _gathered_distances(cov, treated) <= spec.a
+    region = {zs[i].tobytes(): 0 for i in np.flatnonzero(inside)}
+    assert 10 <= len(region) < len(zs) // 2
+    draws, attempts = 40 * len(region), 0
+    for _ in range(draws):
+        draw = draw_assignment(spec, cov, rng)
+        assert draw.z.tobytes() in region, f"accepted {draw.z} outside the region"
+        region[draw.z.tobytes()] += 1
+        attempts += draw.accepted_after
+    assert len(region) == int(inside.sum())
+    expected = draws / len(region)
+    stat = sum((c - expected) ** 2 / expected for c in region.values())
+    assert stat < chi2.ppf(0.999, len(region) - 1)
+    share = len(region) / len(zs)
+    mean_attempts, sd = 1.0 / share, math.sqrt(1.0 - share) / share
+    assert abs(attempts / draws - mean_attempts) < 4.5 * sd / math.sqrt(draws)
 
 
 def test_draw_reproducible_from_seed():

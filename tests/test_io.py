@@ -8,6 +8,8 @@ same first error, on files built so that blocks fall back to the
 record-by-record parse in every way they can.
 """
 import csv
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,9 @@ def _rows(n, key=lambda i: f"s{i // 4}"):
 
 _HEADER = "stratum,z,w,y,x1,x2"
 
+_NO_COVARIATES = ["y,w,stratum,z",
+                  *(f"{0.1 * i},{i % 2},{'ab'[i % 2]},{(i // 2) % 2}" for i in range(9))]
+
 # With blocks of three records, data records 2-4 form the first block,
 # 5-7 the second, 8-10 the third, and so on.
 CASES = {
@@ -105,17 +110,41 @@ CASES = {
     "interleaved_strata": [_HEADER, *_rows(13, key=lambda i: "bcab"[i % 4])],
     "one_record_strata": [_HEADER, *_rows(7, key=lambda i: f"k{i}")],
     "no_stratum_column": ["z,w,y,x1,x2", *(r.split(",", 1)[1] for r in _rows(8))],
-    "no_covariates": ["y,w,stratum,z",
-                      *(f"{0.1 * i},{i % 2},{'ab'[i % 2]},{(i // 2) % 2}" for i in range(9))],
+    "no_covariates": _NO_COVARIATES,
     "header_only": [_HEADER],
     "header_only_with_blanks": [_HEADER, "", ""],
     "missing_column": ["stratum,z,y,x1", "s1,1,0.5,1"],
+    # a case given as one string is the file's text as it stands
+    "crlf": "\r\n".join([_HEADER, *_rows(8)]) + "\r\n",
+    "crlf_bom": "\ufeff" + "\r\n".join([_HEADER, *_rows(8)]) + "\r\n",
+    "crlf_bad_cell": "\r\n".join([_HEADER, *_rows(4), "s1,1,0,1,2,x", *_rows(2)]) + "\r\n",
+    "crlf_binary_last": "\r\n".join(_NO_COVARIATES) + "\r\n",
+    "crlf_and_lf": "\r\n".join([_HEADER, *_rows(4)]) + "\r\n" + "\n".join(_rows(4)) + "\n",
+    # R's write.csv: every name and key quoted, and a quoted row-name column
+    "r_write_csv": [",".join(f'"{h}"' for h in ["", *_HEADER.split(",")]),
+                    *(f'"{i + 1}","{r.replace(",", chr(34) + ",", 1)}'
+                      for i, r in enumerate(_rows(10)))],
+    "first_quote_in_third_block_then_bad_cell": [
+        _HEADER, *_rows(7), '"s\n7",1,0,1,2,3', *_rows(2), "s9,1,0,1,bad,3", *_rows(2)],
+    "no_final_newline": "\n".join([_HEADER, *_rows(7)]),
+    "no_final_newline_crlf": "\r\n".join([_HEADER, *_rows(7)]),
+    "non_ascii_keys": [_HEADER, *_rows(9, key=lambda i: ["Zürich", "東京", "ø"][i % 3])],
+    "trailing_comma_everywhere": [_HEADER + ",", *(r + "," for r in _rows(8))],
+    "trailing_comma_one_record": [_HEADER, *_rows(4), _rows(5)[4] + ",", *_rows(2)],
+    "lone_cr_line_ends": "\r".join([_HEADER, *_rows(7)]) + "\r",
+    "lone_cr_in_a_line": "\n".join([_HEADER, *_rows(4), "s1,1,0,1,2\r,3", *_rows(2)]) + "\n",
+    "lone_cr_then_lf_blocks": "\r".join([_HEADER, *_rows(4)]) + "\r" + "\n".join(_rows(5)),
+    # too many fields, then too few: the cells would still fill whole records
+    "compensating_ragged_pair": [_HEADER, *_rows(4), "s0,1,0,1,2,3,1", "0,1,2,3,4", *_rows(2)],
+    "exact_block_multiple": [_HEADER, *_rows(9)],
+    "two_blocks_of_2048": [_HEADER, *_rows(4096, key=lambda i: f"s{i // 100}")],
 }
 
 
 def _write(tmp_path, lines, name="in.csv"):
     f = tmp_path / name
-    f.write_text("\n".join(lines) + "\n")
+    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
+    f.write_bytes(text.encode("utf-8"))
     return f
 
 
@@ -176,6 +205,59 @@ def test_blocks_never_hold_the_whole_file(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_fast_block", spy)
     io.read_records(str(_write(tmp_path, CASES["clean"])))
     assert seen == [3, 3, 3, 2]
+
+
+@pytest.mark.parametrize("block_rows", [3, 2048])
+def test_first_quote_hands_the_rest_to_csv_records(tmp_path, monkeypatch, block_rows):
+    # the quoted record spans file lines 9-10; rows still count records
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    f = _write(tmp_path, CASES["first_quote_in_third_block_then_bad_cell"])
+    with pytest.raises(ValueError, match=r"^row 12, column x1: expected a number, got 'bad'$"):
+        io.read_records(str(f))
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("block_rows", [3, 2048])
+def test_plain_files_never_reach_the_record_loop(tmp_path, monkeypatch, line_end,
+                                                 block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+    lf = tmp_path / "lf.csv"
+    workloads.write_strata_csv(lf, 5, strata=12)
+    f = tmp_path / "in.csv"
+    f.write_bytes(lf.read_bytes().replace(b"\n", line_end.encode()))
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    slow = []
+    monkeypatch.setattr(io, "_slow_block", lambda rows, *args: slow.append(rows))
+    strata = io.read_records(str(f))
+    assert slow == [] and len(strata) == 12
+    assert sum(len(g.z) for g in strata) == lf.read_text().count("\n") - 1
+    assert io.read_covariates(str(f)).shape == (sum(len(g.z) for g in strata), 3)
+    # a binary last column keeps no \r
+    io.read_records(str(_write(tmp_path, line_end.join(_NO_COVARIATES) + line_end)))
+    assert slow == []
+
+
+def _ragged(lines):
+    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
+    records = [r for r in csv.reader(text.splitlines(keepends=True)) if any(map(str.strip, r))]
+    return len(set(map(len, records))) > 1
+
+
+# the covariate record loop read a ragged record as far as its cells went
+# (see test_design_rejects_ragged_record): it is an oracle only without one
+@pytest.mark.parametrize("block_rows", [3, 2048])
+@pytest.mark.parametrize("case", sorted(c for c, lines in CASES.items() if not _ragged(lines)))
+def test_covariate_reader_matches_record_loop_on_record_files(tmp_path, monkeypatch, case,
+                                                              block_rows):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    f = _write(tmp_path, CASES[case])
+    want, want_err = _outcome(reference_read_covariates, f)
+    got, got_err = _outcome(io.read_covariates, f)
+    assert got_err == want_err
+    if want_err is None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 _COVARIATE_CASES = {

@@ -1,5 +1,8 @@
 """Checks on the package source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latekit"
@@ -25,3 +28,13 @@ def test_only_stats_core_tests_and_factors_a_covariance():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("eigvalsh", "cholesky")]
     assert calls and all(c.startswith("stats_core.py:") for c in calls), calls
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only threaded studies start a process pool; importing multiprocessing
+    # costs every process ~20 ms
+    probe = "import sys, latekit.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
