@@ -611,8 +611,8 @@ def run_study(cfg: StudyConfig) -> PerformanceTable:
     """Run every cell of the study; deterministic for a fixed config."""
     cells = list(enumerate(cfg.tau_w))
     if cfg.threads > 1 and len(cells) > 1:
-        # imported here: it brings in multiprocessing, which costs every
-        # process that imports latekit ~20 ms and only threaded studies use
+        # imported here: it brings in multiprocessing, which would cost every
+        # process that imports latekit 12-19 ms; only threaded studies use it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             chunks = list(pool.map(_run_cell_job,

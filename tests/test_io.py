@@ -79,9 +79,6 @@ def _rows(n, key=lambda i: f"s{i // 4}"):
 
 _HEADER = "stratum,z,w,y,x1,x2"
 
-_NO_COVARIATES = ["y,w,stratum,z",
-                  *(f"{0.1 * i},{i % 2},{'ab'[i % 2]},{(i // 2) % 2}" for i in range(9))]
-
 # With blocks of three records, data records 2-4 form the first block,
 # 5-7 the second, 8-10 the third, and so on.
 CASES = {
@@ -110,15 +107,14 @@ CASES = {
     "interleaved_strata": [_HEADER, *_rows(13, key=lambda i: "bcab"[i % 4])],
     "one_record_strata": [_HEADER, *_rows(7, key=lambda i: f"k{i}")],
     "no_stratum_column": ["z,w,y,x1,x2", *(r.split(",", 1)[1] for r in _rows(8))],
-    "no_covariates": _NO_COVARIATES,
+    "no_covariates": ["y,w,stratum,z",
+                      *(f"{0.1 * i},{i % 2},{'ab'[i % 2]},{(i // 2) % 2}" for i in range(9))],
     "header_only": [_HEADER],
     "header_only_with_blanks": [_HEADER, "", ""],
     "missing_column": ["stratum,z,y,x1", "s1,1,0.5,1"],
-    # a case given as one string is the file's text as it stands
     "crlf": "\r\n".join([_HEADER, *_rows(8)]) + "\r\n",
     "crlf_bom": "\ufeff" + "\r\n".join([_HEADER, *_rows(8)]) + "\r\n",
     "crlf_bad_cell": "\r\n".join([_HEADER, *_rows(4), "s1,1,0,1,2,x", *_rows(2)]) + "\r\n",
-    "crlf_binary_last": "\r\n".join(_NO_COVARIATES) + "\r\n",
     "crlf_and_lf": "\r\n".join([_HEADER, *_rows(4)]) + "\r\n" + "\n".join(_rows(4)) + "\n",
     # R's write.csv: every name and key quoted, and a quoted row-name column
     "r_write_csv": [",".join(f'"{h}"' for h in ["", *_HEADER.split(",")]),
@@ -139,12 +135,17 @@ CASES = {
     "exact_block_multiple": [_HEADER, *_rows(9)],
     "two_blocks_of_2048": [_HEADER, *_rows(4096, key=lambda i: f"s{i // 100}")],
 }
+CASES["crlf_binary_last"] = "\r\n".join(CASES["no_covariates"]) + "\r\n"
+
+
+def _text(lines):
+    """A case's file text: a string as it stands, lines each ended by \\n."""
+    return lines if isinstance(lines, str) else "\n".join(lines) + "\n"
 
 
 def _write(tmp_path, lines, name="in.csv"):
     f = tmp_path / name
-    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
-    f.write_bytes(text.encode("utf-8"))
+    f.write_bytes(_text(lines).encode("utf-8"))
     return f
 
 
@@ -234,14 +235,14 @@ def test_plain_files_never_reach_the_record_loop(tmp_path, monkeypatch, line_end
     assert slow == [] and len(strata) == 12
     assert sum(len(g.z) for g in strata) == lf.read_text().count("\n") - 1
     assert io.read_covariates(str(f)).shape == (sum(len(g.z) for g in strata), 3)
-    # a binary last column keeps no \r
-    io.read_records(str(_write(tmp_path, line_end.join(_NO_COVARIATES) + line_end)))
+    # no \r is left on a last column of 0/1 cells either
+    io.read_records(str(_write(tmp_path, line_end.join(CASES["no_covariates"]) + line_end)))
     assert slow == []
 
 
 def _ragged(lines):
-    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
-    records = [r for r in csv.reader(text.splitlines(keepends=True)) if any(map(str.strip, r))]
+    records = [r for r in csv.reader(_text(lines).splitlines(keepends=True))
+               if any(map(str.strip, r))]
     return len(set(map(len, records))) > 1
 
 

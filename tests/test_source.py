@@ -32,7 +32,7 @@ def test_only_stats_core_tests_and_factors_a_covariance():
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     # only threaded studies start a process pool; importing multiprocessing
-    # costs every process ~20 ms
+    # costs every process 12-19 ms
     probe = "import sys, latekit.cli; print('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
