@@ -133,11 +133,15 @@ def _fast_block(lines, width, fields, key_col):
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     # every line end becomes a cell of its own: the lines have ``width``
-    # fields each exactly when the line ends fill every (width + 1)-th cell
+    # fields each exactly when there are (width + 1) cells per line and the
+    # line ends fill every (width + 1)-th cell. Either alone is not enough:
+    # a line of 2 * width + 1 fields puts its end in a slot, and a short
+    # line after a long one keeps the total.
     flat = text.replace("\n", ",\n,").split(",")
     del text, flat[-1]
     stride = width + 1
-    if flat[width::stride].count("\n") != len(lines):
+    if (len(flat) != stride * len(lines)
+            or flat[width::stride].count("\n") != len(lines)):
         return None
     return _columns(flat, stride, fields, key_col)
 

@@ -558,29 +558,24 @@ def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]
     return _rows(cfg, tau_w, truth, attempts, *_score(pop, zs, base, cfg.gamma))
 
 
-def _by_branch(method: str, strong: np.ndarray | None,
-               values: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A method's per-draw values, from those of the Wald and the FAR sets:
-    the Wald set's for wald and wald_f10, the FAR set's for far, and for a
-    two-stage method the Wald set's where its first stage is strong."""
-    wald, far = values
-    if method in ("wald", "wald_f10"):
-        return wald
-    if method == "far":
-        return far
-    return np.where(strong, wald, far)
-
-
 def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
           estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
     """One performance row per method, reduced over the included draws."""
     attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
     abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
-    # every method's set is its draw's Wald or FAR set, so coverage and
-    # length are worked out once for each
+    # _score gives each method the Wald sets, the FAR sets or their pick by
+    # its strong flags, so coverage and length are worked out once for each
     wald, far = scores["wald"].sets, scores["far"].sets
     covered = wald.contains(truth), far.contains(truth)
     lengths = wald.length, far.length
+
+    def of_sets(s: MethodScores, values: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        if s.sets is wald:
+            return values[0]
+        if s.sets is far:
+            return values[1]
+        return np.where(s.strong, *values)
+
     rows = []
     for m, s in scores.items():
         strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
@@ -591,8 +586,8 @@ def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
             errors = abs_errors[kept]
             med_err = median_extended(errors)
             mean_err = float(np.mean(errors))
-            cov = float(np.mean(_by_branch(m, s.strong, covered)[kept]))
-            med_len = median_extended(_by_branch(m, s.strong, lengths)[kept])
+            cov = float(np.mean(of_sets(s, covered)[kept]))
+            med_len = median_extended(of_sets(s, lengths)[kept])
         else:
             med_err = mean_err = cov = med_len = math.nan
         kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))

@@ -132,6 +132,9 @@ CASES = {
     "lone_cr_then_lf_blocks": "\r".join([_HEADER, *_rows(4)]) + "\r" + "\n".join(_rows(5)),
     # too many fields, then too few: the cells would still fill whole records
     "compensating_ragged_pair": [_HEADER, *_rows(4), "s0,1,0,1,2,3,1", "0,1,2,3,4", *_rows(2)],
+    # 2 * 6 + 1 fields: the line end still falls on a record boundary
+    "two_records_and_a_cell_on_one_line": [_HEADER, *_rows(4), "s1,1,0,1,2,3,9,s1,0,1,2,3,4",
+                                           *_rows(2)],
     "exact_block_multiple": [_HEADER, *_rows(9)],
     "two_blocks_of_2048": [_HEADER, *_rows(4096, key=lambda i: f"s{i // 100}")],
 }
@@ -288,6 +291,7 @@ def test_covariate_reader_matches_record_loop(tmp_path, monkeypatch, case, block
 @pytest.mark.parametrize("rows, message", [
     (["1,2", "3"], "row 3: expected 2 fields, got 1"),
     (["1,2", "3,4,5"], "row 3: expected 2 fields, got 3"),
+    (["1,2", "3,4,5,6,7"], "row 3: expected 2 fields, got 5"),
 ])
 def test_design_rejects_ragged_record(tmp_path, capsys, rows, message):
     # the record loop indexed past a short record (IndexError) and read a long one

@@ -363,6 +363,27 @@ def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
         run_study(cfg)
 
 
+@pytest.mark.parametrize("design,adjustment", [("cre", "none"), ("rem", "none"),
+                                               ("cre", "hc2")])
+def test_rows_reduce_each_methods_own_sets(design, adjustment):
+    # _rows works coverage and length out once for the Wald and the FAR sets;
+    # every row must still be its own method's sets reduced, for the batched
+    # scores and for the scalar ones, whose sets are all distinct arrays
+    cfg = StudyConfig(n=40, k=2, tau_w=(0.3,), design=design, p_a=0.1,
+                      adjustment=adjustment, reps=60, seed=777)
+    pop, base, truth, zs, attempts = simulation._cell_draws(cfg, 0, 0.3)
+    for estimates, scores in (simulation._score(pop, zs, base, cfg.gamma),
+                              reference_score_draws(pop, zs, base, cfg.gamma)):
+        # every first stage is strong on some draws and weak on others
+        assert all(0 < s.strong.mean() < 1 for s in scores.values() if s.strong is not None)
+        rows = simulation._rows(cfg, 0.3, truth, attempts, estimates, scores)
+        assert [r.method for r in rows] == list(scores)
+        for row, s in zip(rows, scores.values()):
+            kept = s.included
+            assert row.coverage == float(np.mean(s.sets.contains(truth)[kept])), row.method
+            assert row.median_length == median_extended(s.sets.length[kept]), row.method
+
+
 def _close(a, b):
     return a == b or abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
