@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     except AcceptanceRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LatekitError, ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (LatekitError, ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

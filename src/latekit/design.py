@@ -151,6 +151,4 @@ def draw_assignment(design: DesignSpec, dataset,
         attempts += b
     raise AcceptanceRegionError(
         f"acceptance region too small: no draw accepted in {cap} attempts "
-        f"(observed acceptance rate < {1.0 / cap:.1e})",
-        observed_rate=0.0,
-    )
+        f"(observed acceptance rate < {1.0 / cap:.1e})")

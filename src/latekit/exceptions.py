@@ -20,10 +20,6 @@ class LeverageOnePointError(LatekitError):
 class AcceptanceRegionError(LatekitError):
     """Rerandomization failed to accept a draw within the attempt cap."""
 
-    def __init__(self, message, observed_rate=None):
-        super().__init__(message)
-        self.observed_rate = observed_rate
-
 
 class NoIdentificationError(LatekitError):
     """A confidence-set inversion is truly empty with a zero first stage."""

@@ -65,6 +65,19 @@ def _parse_cell(raw: str, row: int, col: str, kind: str):
     return val
 
 
+def _csv_records(lines, first_row: int):
+    """The records ``csv.reader`` reads from ``lines``, row ``first_row``
+    first; its error, such as a cell over its field size limit, becomes a
+    ValueError naming the row."""
+    row = first_row
+    try:
+        for record in csv.reader(lines):
+            yield record
+            row += 1
+    except csv.Error as exc:
+        raise ValueError(f"row {row}: {exc}") from None
+
+
 def _read_header(reader) -> list[str]:
     """The stripped header row; a repeated column name is an error."""
     try:
@@ -191,9 +204,10 @@ def _column_blocks(lines, width: int, fields, key_col: int | None = None):
         parsed = _fast_block(block, width, fields, key_col)
         if parsed is None and any('"' in line for line in block):
             break
-        yield parsed or _slow_block(csv.reader(block), first_row, width, fields, key_col)
+        yield parsed or _slow_block(_csv_records(block, first_row), first_row, width,
+                                     fields, key_col)
         first_row += len(block)
-    records = csv.reader(itertools.chain(block, lines))
+    records = _csv_records(itertools.chain(block, lines), first_row)
     while rows := list(itertools.islice(records, _BLOCK_ROWS)):
         yield (_record_block(rows, width, fields, key_col)
                or _slow_block(rows, first_row, width, fields, key_col))
@@ -203,7 +217,7 @@ def _column_blocks(lines, width: int, fields, key_col: int | None = None):
 def read_records(path: str) -> list[StratumRecords]:
     """Parse an analysis CSV into per-stratum record groups (input order)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _read_header(csv.reader(fh))
+        header = _read_header(_csv_records(fh, 1))
         for required in ("z", "w", "y"):
             if required not in header:
                 raise ValueError(f"missing required column {required!r}")
@@ -390,7 +404,7 @@ def write_plot_data(rows: list[dict], path: str) -> None:
 def read_covariates(path: str) -> np.ndarray:
     """Covariate matrix (x1..xK columns) from a CSV, for design draws."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _read_header(csv.reader(fh))
+        header = _read_header(_csv_records(fh, 1))
         k = _covariate_count(header)
         if k == 0:
             raise ValueError("no covariate columns x1..xK found")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 import threading
 from dataclasses import dataclass, field
 
@@ -120,49 +121,12 @@ def chisq_cdf(x, k: int):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _norm_cdf(x: float) -> float:
-    # erfc keeps full relative precision in the left tail
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 @functools.cache
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile: rational approximation plus one Newton step."""
+    """Standard normal quantile, by the standard library (Wichura's AS 241)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    if p > 0.5:
-        # 1 - p is exact for p >= 0.5, so the reflection loses nothing
-        return -normal_quantile(1.0 - p)
-    if p == 0.5:
-        return 0.0
-    # Acklam's rational approximation, |relative error| < 1.15e-9.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    # one Newton refinement on the erf-based CDF
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    if pdf > 0:
-        x -= (_norm_cdf(x) - p) / pdf
-    return x
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def chisq_quantile(p: float, k: int) -> float:

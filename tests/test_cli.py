@@ -477,6 +477,36 @@ def test_design_rejects_ambiguous_header(tmp_path, capsys, header, message):
     assert message in capsys.readouterr().err
 
 
+# a cell longer than csv's field size limit of 131,072 characters
+_HUGE = "A" * 200_000
+_OVERSIZED = {
+    # the first key is quoted, so the whole file goes to one csv reader
+    "quoted_first_key": (["analyze"], "stratum,z,w,y,x1",
+                         [f'"{_HUGE}",1,1,2.0,0.5', *_strata_rows(3)], 2),
+    # unquoted, in a block the line-block parser refuses for a ragged record
+    "unquoted_in_ragged_block": (["analyze"], "stratum,z,w,y,x1",
+                                 [*_strata_rows(1)[:2], f"{_HUGE},1,1,2.0,0.5",
+                                  *_strata_rows(2), "S9,1,1,2.0,0.5,7"], 4),
+    "header_cell": (["analyze"], f'stratum,z,w,y,x1,"{_HUGE}"',
+                    [r + ",0" for r in _strata_rows(3)], 1),
+    "quoted_design_id": (["design", "--mode", "cre"], "id,x1,x2",
+                         [f'"{_HUGE}",0.5,-0.5', "b,-0.5,0.5", "c,0.25,0.75"], 2),
+}
+
+
+@pytest.mark.parametrize("case", _OVERSIZED)
+def test_cell_over_csv_field_limit_names_its_row(tmp_path, capsys, case):
+    command, header, rows, row = _OVERSIZED[case]
+    f, out = tmp_path / "huge.csv", tmp_path / "out"
+    write_basic_csv(f, rows, header=header)
+    rc = main([*command, "--input", str(f), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: row {row}: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("methods, message", [
     (",", "--methods names no method"),
     (" , ,", "--methods names no method"),
@@ -507,6 +537,7 @@ def test_design_rejects_negative_seed(covariate_file, tmp_path, capsys):
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _REGIMES = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"], "hc2": ["--adjust", "hc2"]}
+_ALL_REGIMES = {**_REGIMES, "rem_ehw": [*_REGIMES["rem"], "--adjust", "ehw"]}
 # report.json numbers on the outcome's scale
 _OUTCOME_KEYS = {"tau_y_hat", "estimate", "lo", "hi", "length", "hi_left", "lo_right"}
 
@@ -522,15 +553,35 @@ def strata_input(tmp_path_factory):
     return path
 
 
-def _rescaled(src, dst, **factors):
-    """``src`` with each named column multiplied by its factor."""
+def _table(src):
+    """The header of a CSV file and its rows."""
     with open(src, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    cols = {header.index(name): factor for name, factor in factors.items()}
+    return header, rows
+
+
+def _numbers(src, *names):
+    """The named columns of ``src`` as floats, one array column each."""
+    header, rows = _table(src)
+    return np.array([[float(row[header.index(name)]) for name in names] for row in rows])
+
+
+def _replaced(src, dst, **columns):
+    """``src`` with each named column replaced by the given numbers."""
+    header, rows = _table(src)
+    for name, values in columns.items():
+        i = header.index(name)
+        for row, value in zip(rows, values):
+            row[i] = repr(float(value))
     with open(dst, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *([repr(float(v) * cols[i]) if i in cols else v
-                                              for i, v in enumerate(row)] for row in rows)])
+        csv.writer(fh).writerows([header, *rows])
     return dst
+
+
+def _rescaled(src, dst, **factors):
+    """``src`` with each named column multiplied by its factor."""
+    return _replaced(src, dst, **{name: _numbers(src, name)[:, 0] * factor
+                                  for name, factor in factors.items()})
 
 
 def _analyze(path, out, flags=(), plot=None):
@@ -541,10 +592,10 @@ def _analyze(path, out, flags=(), plot=None):
 
 @pytest.fixture(scope="module")
 def strata_reports(strata_input, tmp_path_factory):
-    """The report of ``strata_input`` under each regime of _REGIMES."""
+    """The report of ``strata_input`` under each regime of _ALL_REGIMES."""
     out = tmp_path_factory.mktemp("reports")
     return {regime: _analyze(strata_input, out / f"{regime}.json", flags)
-            for regime, flags in _REGIMES.items()}
+            for regime, flags in _ALL_REGIMES.items()}
 
 
 def _times(value, factor):
@@ -600,6 +651,56 @@ def test_analyze_ignores_covariate_units(strata_input, strata_reports, tmp_path,
         _assert_close(scaled, base, 1e-12)
     else:
         assert scaled == base
+
+
+# set endpoints and Wald estimates: each moves with a shift of the effect
+_ENDPOINT_KEYS = {"estimate", "lo", "hi", "hi_left", "lo_right"}
+
+
+def _shifted(value, by):
+    """``value`` with every endpoint and Wald estimate plus ``by``, and each
+    stratum's tau_y_hat plus ``by`` times its tau_w_hat."""
+    if isinstance(value, dict):
+        out = {k: v + by if k in _ENDPOINT_KEYS and isinstance(v, float) else _shifted(v, by)
+               for k, v in value.items()}
+        if "tau_y_hat" in out:
+            out["tau_y_hat"] += by * out["tau_w_hat"]
+        return out
+    if isinstance(value, list):
+        return [_shifted(v, by) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+def test_analyze_shifts_sets_with_y_plus_3w(strata_input, strata_reports, tmp_path, regime):
+    # y -> y + 3w adds 3 to tau_Y / tau_W: every endpoint and Wald estimate
+    # moves by 3 and every length, first stage, kind and skip stays
+    y, w = _numbers(strata_input, "y", "w").T
+    shifted = _analyze(_replaced(strata_input, tmp_path / "y3w.csv", y=y + 3.0 * w),
+                       tmp_path / "y3w.json", _ALL_REGIMES[regime])
+    _assert_close(shifted, _shifted(strata_reports[regime], 3.0), 1e-10)
+
+
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+def test_analyze_sets_ignore_affine_covariate_maps(strata_input, strata_reports, tmp_path,
+                                                    regime):
+    # x -> xA + b: the centered covariates span the same space, so the sets
+    # stay; CRE reads no covariates and keeps every bit
+    a = np.array([[2.0, 0.5, 0.0], [-1.0, 1.0, 0.25], [0.5, 0.0, 3.0]])
+    b = np.array([10.0, -5.0, 100.0])
+    x = _numbers(strata_input, "x1", "x2", "x3") @ a + b
+    mapped = _analyze(_replaced(strata_input, tmp_path / "xab.csv", x1=x[:, 0], x2=x[:, 1],
+                                x3=x[:, 2]), tmp_path / "xab.json", _ALL_REGIMES[regime])
+    base = strata_reports[regime]
+    for entry, want in zip(mapped["strata"], base["strata"]):
+        means = np.array(entry.pop("covariate_means"))
+        assert means == pytest.approx(np.array(want["covariate_means"]) @ a + b, rel=1e-12)
+    base = {**base, "strata": [{k: v for k, v in e.items() if k != "covariate_means"}
+                               for e in base["strata"]]}
+    if regime == "cre":
+        assert mapped == base
+    else:
+        _assert_close(mapped, base, 1e-10)
 
 
 def test_design_rem_ignores_covariate_units(tmp_path):

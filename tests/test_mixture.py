@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import chi2, norm
 
 from latekit import mixture
@@ -38,6 +39,28 @@ def test_normal_quantile_matches_scipy():
 def test_normal_quantile_domain(bad):
     with pytest.raises(ValueError):
         normal_quantile(bad)
+
+
+def _quantile_grid():
+    """~14,000 probabilities over [1e-15, 1 - 1e-15]: log-spaced into both
+    tails, evenly spaced, and within 1e-6 of 0.5."""
+    tail = np.logspace(-15, np.log10(0.5), 5000)
+    return np.unique(np.concatenate([tail, 1.0 - tail, np.linspace(1e-15, 1 - 1e-15, 2000),
+                                     0.5 + np.linspace(-1e-6, 1e-6, 2001)]))
+
+
+def test_normal_quantile_matches_ndtri_to_roundoff():
+    p = _quantile_grid()
+    got = np.array([normal_quantile(v) for v in p.tolist()])
+    want = ndtri(p)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
+def test_normal_quantile_reflects_exactly():
+    # the two-sided sets read z_{1-a/2} as minus z_{a/2}
+    p = _quantile_grid()
+    for v in p[p >= 0.5].tolist():
+        assert normal_quantile(v) == -normal_quantile(1.0 - v)
 
 
 def test_chisq_cdf_at_zero():
