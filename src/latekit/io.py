@@ -132,7 +132,8 @@ def _columns(flat, stride, fields, key_col):
 def _fast_block(lines, width, fields, key_col):
     r"""A block of raw lines split on commas and converted whole, or None if
     a line is not a plain record: one with a quote, other than ``width``
-    fields or an irregular cell, or one ended by a lone ``\r``.
+    fields or an irregular cell, one ended by a lone ``\r``, or one longer
+    than ``csv``'s field size limit (which ``csv.reader`` then judges).
 
     Every line ends in ``\n`` or ``\r\n`` but the file's last, which may
     end in neither or in ``\r``. A lone ``\r`` ending an earlier line
@@ -140,6 +141,9 @@ def _fast_block(lines, width, fields, key_col):
     """
     text = "".join(lines)
     if '"' in text:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
     if not text.endswith("\n"):
         text += "\n"
@@ -208,7 +212,16 @@ def _column_blocks(lines, width: int, fields, key_col: int | None = None):
                                      fields, key_col)
         first_row += len(block)
     records = _csv_records(itertools.chain(block, lines), first_row)
-    while rows := list(itertools.islice(records, _BLOCK_ROWS)):
+    while True:
+        rows = []
+        try:
+            rows.extend(itertools.islice(records, _BLOCK_ROWS))
+        except ValueError:
+            # a bad record before the one csv refused is the first error
+            _slow_block(rows, first_row, width, fields, key_col)
+            raise
+        if not rows:
+            break
         yield (_record_block(rows, width, fields, key_col)
                or _slow_block(rows, first_row, width, fields, key_col))
         first_row += len(rows)

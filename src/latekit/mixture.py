@@ -6,11 +6,15 @@ plus sqrt(rho) times the symmetric truncated-chi variable induced by the
 balance criterion. This module samples that mixture, tabulates its upper
 quantiles over a rho grid, and provides the supporting special functions.
 
-A table's draws are sorted once into eps0 bins, each ordered by the
-component, and shared by the tables that differ only in alpha. At each rho
-a sweep mixes only the draws whose bin bounds cannot place them above or
-below a pilot band around the wanted order statistics; the quantiles it
-reads are those of the full sample, bit for bit.
+A table's draws are laid out once in eps0 bins, each ordered by the
+component, and shared by the tables that differ only in alpha. The normals
+are drawn whole and placed by a stable counting sort on their bin; the
+component is then drawn a chunk at a time straight into the same slots
+(its truncated radius by inverting a CDF grid through a bucket guide
+table), and each bin is sorted by it. At each rho a sweep mixes only the
+draws whose bin bounds cannot place them above or below a pilot band around
+the wanted order statistics; the quantiles it reads are those of the full
+sample, bit for bit, and the draws are those of whole-array numpy calls.
 """
 from __future__ import annotations
 
@@ -176,52 +180,118 @@ class MixtureParams:
             raise ValueError("tail probability must be in (0, 0.5)")
 
 
-def _truncated_chisq_draws(k: int, a: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws of a chi-square restricted to [0, a], u ~ U(0,1)."""
+# Draws a sampler or layout pass handles at a time: chunked numpy calls draw
+# the numbers of one whole-array call, and a chunk's temporaries stay small.
+_CHUNK = 1 << 13
+# Points of the CDF grid a truncated chi-square is inverted through, and
+# buckets of the guide table that finds a value's grid interval (two per
+# point, so most buckets hold at most one).
+_CDF_GRID = 16385
+_CDF_BUCKETS = 1 << 15
+
+
+def _truncated_chisq_inverse(k: int, a: float):
+    """The inverse CDF of a chi-square restricted to [0, a], as a function
+    of an array of uniforms u ~ U(0,1) that returns a new array of draws.
+
+    Beyond the closed form at k = 2 it is ``np.interp(u * F(a), cdf, grid)``
+    through a fine CDF grid, bit for bit: a bucket guide table finds each
+    value's grid interval, and the interpolation is np.interp's own
+    arithmetic. The grid is dense enough that the inversion error is far
+    below Monte Carlo noise.
+    """
     fa = chisq_cdf(a, k)
-    # a new array, worked in place from here: the caller's u stays as it is,
-    # and a u only this call holds is freed at once
-    u = u * fa
     if k == 2:
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u *= -2.0
-        return u
-    # monotone interpolation through a fine CDF grid; the grid is dense
-    # enough that the inversion error is far below Monte Carlo noise
-    grid = np.linspace(0.0, a, 16385)
+        def inverse(u):
+            x = u * fa
+            np.negative(x, out=x)
+            np.log1p(x, out=x)
+            x *= -2.0
+            return x
+        return inverse
+    grid = np.linspace(0.0, a, _CDF_GRID)
     cdf = chisq_cdf(grid, k)
     cdf[-1] = fa
-    return np.interp(u, cdf, grid)
+    # np.interp's slope of each interval; after the last node a 0 slope (and
+    # an infinite node) make F(a) itself read the last grid point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.append(np.diff(grid) / np.diff(cdf), 0.0)
+    cdf = np.append(cdf, np.inf)
+    per = _CDF_BUCKETS / fa
+
+    def bucket(x):
+        return np.minimum(x * per, _CDF_BUCKETS - 1).astype(np.intp)
+
+    # bucket() is monotone: a value's interval j, its last node at or below
+    # it, is the last node of the buckets below its own plus the nodes of its
+    # own bucket at or below it, one test where the bucket holds one node
+    node = bucket(cdf[:-1])
+    before = (np.searchsorted(node, np.arange(_CDF_BUCKETS)) - 1).astype(np.int32)
+    crowded = np.bincount(node, minlength=_CDF_BUCKETS) > 1
+
+    def inverse(u):
+        x = u * fa
+        del u  # a u only this call holds is freed at once
+        b = bucket(x)
+        j = before[b].astype(np.intp)
+        j += cdf[j + 1] <= x
+        many = np.flatnonzero(crowded[b])
+        del b
+        j[many] = np.searchsorted(cdf, x[many], side="right") - 1
+        # slope * (x - cdf[j]) + grid[j], as np.interp computes it
+        x -= cdf[j]
+        x *= slope[j]
+        x += grid[j]
+        return x
+    return inverse
+
+
+def _component_into(params: MixtureParams, rng: np.random.Generator,
+                    out: np.ndarray, slots) -> None:
+    """Draw the balance-induced component into its slots of ``out``:
+    ``slots()`` yields, a chunk of draws at a time in draw order, the
+    positions of their values.
+
+    The component is chi * sign * sqrt(beta): a chi variable truncated so its
+    square stays below the acceptance threshold (exact inverse-CDF on the
+    restricted range), a fair coin, and a beta factor that projects the
+    radius onto one coordinate (a point mass at 1 when k = 1). Every sign is
+    drawn, then every radius, then every beta, a chunk at a time (the
+    numbers of whole-array calls), each multiplied into its slots.
+    """
+    k, a = params.k, params.a
+    for s in slots():
+        sign = rng.integers(0, 2, size=s.size)
+        sign *= 2
+        sign -= 1
+        out[s] = sign
+    if math.isinf(a):
+        radius_sq = functools.partial(rng.chisquare, k)
+    else:
+        inverse = _truncated_chisq_inverse(k, a)
+
+        def radius_sq(size):
+            return inverse(rng.uniform(0.0, 1.0, size=size))
+    for s in slots():
+        radius = radius_sq(size=s.size)
+        out[s] *= np.sqrt(radius, out=radius)
+    if k > 1:
+        for s in slots():
+            beta = rng.beta(0.5, (k - 1) / 2.0, size=s.size)
+            out[s] *= np.sqrt(beta, out=beta)
 
 
 def sample_truncated_component(params: MixtureParams, rng: np.random.Generator,
                                count: int) -> np.ndarray:
-    """Draw the symmetric balance-induced component chi * sign * sqrt(beta).
-
-    The radial part is a chi variable truncated so its square stays below
-    the acceptance threshold (exact inverse-CDF on the restricted range),
-    the sign is a fair coin, and the beta factor projects the radius onto
-    one coordinate (a point mass at 1 when k = 1). The product is taken in
-    place, in that order.
-    """
+    """Draw ``count`` of the symmetric balance-induced component
+    chi * sign * sqrt(beta), in draw order: ``_component_into`` with every
+    draw in its own slot."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    k, a = params.k, params.a
-    sign = rng.integers(0, 2, size=count)
-    sign *= 2
-    sign -= 1
-    if math.isinf(a):
-        draws = rng.chisquare(k, size=count)
-    else:
-        draws = _truncated_chisq_draws(k, a, rng.uniform(0.0, 1.0, size=count))
-    np.sqrt(draws, out=draws)
-    draws *= sign
-    del sign
-    if k > 1:
-        beta = rng.beta(0.5, (k - 1) / 2.0, size=count)
-        draws *= np.sqrt(beta, out=beta)
-    return draws
+    out = np.empty(count)
+    _component_into(params, rng, out, lambda: (
+        np.arange(i, min(i + _CHUNK, count)) for i in range(0, count, _CHUNK)))
+    return out
 
 
 def _isotonic_nonincreasing(values: np.ndarray) -> np.ndarray:
@@ -253,6 +323,11 @@ _PILOT_SIGMAS = 6.0
 _BINS = 128
 
 
+# Every _GUIDE-th sorted key of a layout is kept; a search recomputes the keys
+# of one guide step.
+_GUIDE = 64
+
+
 @dataclass(frozen=True)
 class _DrawLayout:
     """A table's normal and component draws, sorted for the band sweep.
@@ -260,64 +335,127 @@ class _DrawLayout:
     The draws fall into ``_BINS`` equal-width ``eps0`` bins laid out one after
     another, each sorted by ``comp``, so ``key = bin * width + comp`` is
     sorted (``width`` is a power of two above 4 (max|comp| + 1), so a bin's
-    keys never reach the next one's). ``starts`` holds the ``_BINS + 1`` bin
-    offsets, ``e_min``/``e_max`` each bin's ``eps0`` bounds (0 when empty),
-    ``pilot_eps0``/``pilot_comp`` the first ``_PILOT`` draws in draw order,
-    and ``slack`` bounds the rounding of any decision made from the bounds.
-    Every array is read-only.
+    keys never reach the next one's; ``_sort_key`` computes it from ``lo``
+    and ``scale``). Only every ``_GUIDE``-th key is held, in ``guide``;
+    ``_layout_search`` recomputes the rest. ``starts`` holds the
+    ``_BINS + 1`` bin offsets, ``e_min``/``e_max`` each bin's ``eps0`` bounds
+    (0 when empty), ``pilot_eps0``/``pilot_comp`` the first ``_PILOT`` draws
+    in draw order, and ``slack`` bounds the rounding of any decision made
+    from the bounds. Every array is read-only.
     """
 
     eps0: np.ndarray
     comp: np.ndarray
-    key: np.ndarray
+    guide: np.ndarray
     starts: np.ndarray
     e_min: np.ndarray
     e_max: np.ndarray
     pilot_eps0: np.ndarray
     pilot_comp: np.ndarray
+    lo: float
+    scale: float
     width: float
     comp_bound: float
     slack: float
 
 
+def _bin_of(eps0: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    """floor((eps0 - lo) * scale), at most _BINS - 1: each draw's bin, as floats."""
+    b = eps0 - lo
+    b *= scale
+    np.floor(b, out=b)
+    np.minimum(b, _BINS - 1, out=b)
+    return b
+
+
 def _sort_key(eps0: np.ndarray, comp: np.ndarray, lo: float, scale: float,
               width: float) -> np.ndarray:
-    """bin * width + comp, with bin = floor((eps0 - lo) * scale) below _BINS."""
-    key = eps0 - lo
-    key *= scale
-    np.floor(key, out=key)
-    np.minimum(key, _BINS - 1, out=key)
+    """bin * width + comp, with the bin of ``_bin_of``."""
+    key = _bin_of(eps0, lo, scale)
     key *= width
     key += comp
     return key
 
 
-def _draw_layout(eps0: np.ndarray, comp: np.ndarray) -> _DrawLayout:
-    """Lay a table's draws out sorted for the band sweep. Each array is let go
-    once its sorted copy is gathered, so arrays no caller holds are freed on
-    the way."""
-    m = min(_PILOT, eps0.size)
-    pilot_eps0, pilot_comp = eps0[:m].copy(), comp[:m].copy()
+def _bin_slots(bins: np.ndarray, starts: np.ndarray):
+    """A stable counting sort's destinations, a _CHUNK of draws at a time:
+    draw i goes to its bin's start plus the number of earlier draws in its
+    bin. Each pass recomputes them from the uint8 bins, so no full-size
+    index array is held."""
+    filled = starts[:-1].copy()
+    for i in range(0, bins.size, _CHUNK):
+        b = bins[i:i + _CHUNK]
+        counts = np.bincount(b, minlength=_BINS)
+        # in bin order the chunk's draws take their bins' next free slots
+        slot = np.empty(b.size, dtype=np.intp)
+        slot[np.argsort(b, kind="stable")] = (
+            np.repeat(filled - (np.cumsum(counts) - counts), counts) + np.arange(b.size))
+        filled += counts
+        yield slot
+
+
+def _draw_layout(eps0: np.ndarray, draw_comp) -> _DrawLayout:
+    """Lay a table's draws out sorted for the band sweep.
+
+    The normals ``eps0`` are binned, moved into their bins' slots and let
+    go; ``draw_comp(comp, slots)`` then draws the components into the same
+    slots (``slots()`` yields them a chunk of draws at a time, in draw
+    order), and each bin's stretch is sorted by ``comp``. Beyond the two
+    placed arrays only the uint8 bins are full-size.
+    """
+    n = eps0.size
     lo, hi = float(eps0.min()), float(eps0.max())
     e_bound = max(-lo, hi)
     scale = _BINS / (hi - lo) if hi > lo else 0.0
-    comp_bound = float(np.abs(comp).max()) + 1.0
+    bins = np.empty(n, dtype=np.uint8)
+    starts = np.zeros(_BINS + 1, dtype=np.intp)
+    for i in range(0, n, _CHUNK):
+        b = bins[i:i + _CHUNK]
+        b[:] = _bin_of(eps0[i:i + _CHUNK], lo, scale)
+        starts[1:] += np.bincount(b, minlength=_BINS)
+    np.cumsum(starts, out=starts)
+    slots = functools.partial(_bin_slots, bins, starts)
+    placed = np.empty(n)
+    for i, s in zip(range(0, n, _CHUNK), slots()):
+        placed[s] = eps0[i:i + _CHUNK]
+    del eps0
+    comp = np.empty(n)
+    draw_comp(comp, slots)
+    pilot = np.concatenate([s for _, s in zip(range(0, _PILOT, _CHUNK), slots())])[:_PILOT]
+    pilot_eps0, pilot_comp = placed[pilot], comp[pilot]
+    del bins, slots, pilot
+    eps0 = placed
+    for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        order = np.argsort(comp[s:e])
+        comp[s:e] = comp[s:e][order]
+        eps0[s:e] = eps0[s:e][order]
+    comp_bound = max(-float(comp.min()), float(comp.max())) + 1.0
     width = 2.0 ** math.frexp(4.0 * comp_bound)[1]
-    order = np.argsort(_sort_key(eps0, comp, lo, scale, width))
-    eps0 = eps0[order]
-    comp = comp[order]
-    del order
-    key = _sort_key(eps0, comp, lo, scale, width)
-    starts = np.searchsorted(key, width * (np.arange(_BINS + 1) - 0.5))
+    guide = _sort_key(eps0[::_GUIDE], comp[::_GUIDE], lo, scale, width)
     filled = starts[:-1] < starts[1:]
     e_min, e_max = np.zeros(_BINS), np.zeros(_BINS)
     e_min[filled] = np.minimum.reduceat(eps0, starts[:-1][filled])
     e_max[filled] = np.maximum.reduceat(eps0, starts[:-1][filled])
-    arrays = (eps0, comp, key, starts, e_min, e_max, pilot_eps0, pilot_comp)
+    arrays = (eps0, comp, guide, starts, e_min, e_max, pilot_eps0, pilot_comp)
     for array in arrays:
         array.flags.writeable = False
-    return _DrawLayout(*arrays, width=width, comp_bound=comp_bound,
+    return _DrawLayout(*arrays, lo=lo, scale=scale, width=width, comp_bound=comp_bound,
                        slack=1e-12 * (e_bound + comp_bound))
+
+
+def _layout_search(draws: _DrawLayout, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(key, v)`` over the layout's full sorted key: the guide
+    places each value within one guide step, whose keys are recomputed."""
+    flat = v.ravel()
+    n = draws.eps0.size
+    base = np.searchsorted(draws.guide, flat) * _GUIDE - (_GUIDE - 1)
+    np.maximum(base, 0, out=base)
+    at = base[:, None] + np.arange(_GUIDE - 1)
+    inside = at < n
+    np.minimum(at, n - 1, out=at)
+    key = _sort_key(draws.eps0[at], draws.comp[at], draws.lo, draws.scale, draws.width)
+    below = (key < flat[:, None]) & inside
+    return (base + np.count_nonzero(below, axis=1)).reshape(v.shape)
 
 
 _draws_lock = threading.Lock()
@@ -336,10 +474,11 @@ def _table_draws(params: MixtureParams, draw_count: int, seed: int) -> _DrawLayo
         if _shared_draws[0] != key:
             _shared_draws = (None, None)  # release before drawing anew
             rng = np.random.default_rng(seed)
-            # handed over unheld, so the layout frees them as it sorts
+            # the normals are handed over unheld, so the layout frees them
+            # once they are placed
             _shared_draws = (key, _draw_layout(
                 rng.standard_normal(draw_count),
-                sample_truncated_component(params, rng, draw_count)))
+                functools.partial(_component_into, params, rng)))
         return _shared_draws[1]
 
 
@@ -355,8 +494,8 @@ def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.n
     numpy's linear method interpolates the order statistics ``lo`` and
     ``lo + 1`` at weight ``t``. Quantiles of the pilot draws bracket them by
     a band. Inside a bin the mixed value rises with ``comp`` between the
-    bin's ``eps0`` bounds, so two searches of the sorted key split the bin
-    into draws certainly below the band (skipped), certainly at or above it
+    bin's ``eps0`` bounds, so two searches of the sorted key
+    (``_layout_search``) split the bin into draws certainly below the band (skipped), certainly at or above it
     (only counted) and the stretch between, which is mixed with the
     arithmetic of ``_mixed_quantile``. The two order statistics are read from
     the mixed values inside the band once the counts show they lie inside
@@ -388,8 +527,7 @@ def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.n
         else:  # rho = 0: whole bins by their eps0 bounds
             c_hi = np.where(s_eps * draws.e_min >= band_hi + slack, -math.inf, math.inf)
             c_lo = np.where(s_eps * draws.e_max < band_lo - slack, math.inf, -math.inf)
-        first = np.searchsorted(draws.key, offsets + np.clip(c_lo, -bound, bound))
-        last = np.searchsorted(draws.key, offsets + np.clip(c_hi, -bound, bound))
+        first, last = _layout_search(draws, offsets + np.clip([c_lo, c_hi], -bound, bound))
         count_above = int((ends - last).sum())
         sizes = np.maximum(last - first, 0)  # an inverted band holds nothing
         take = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)

@@ -507,6 +507,28 @@ def test_cell_over_csv_field_limit_names_its_row(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ragged, message", [
+    (None, "row 10: field larger than field limit (131072)"),
+    (2, "row 4: expected 5 fields, got 6"),
+    (9, "row 10: field larger than field limit (131072)"),
+])
+def test_oversized_cell_reads_alike_quoted_or_not(tmp_path, capsys, ragged, message):
+    # the line-block parser leaves a line over csv's limit to csv.reader, so an
+    # unquoted file fails as its quoted copy does, at the first bad row
+    rows = [*_strata_rows(2), f"{_HUGE},1,1,2.0,0.5", *_strata_rows(2)]
+    if ragged is not None:
+        rows.insert(ragged, "S9,1,1,2.0,0.5,7")
+    errors = []
+    for quoted in (False, True):
+        f, out = tmp_path / f"huge_{quoted}.csv", tmp_path / f"out_{quoted}"
+        write_basic_csv(f, ['"{}",{}'.format(*r.split(",", 1)) if quoted else r
+                            for r in rows], header="stratum,z,w,y,x1")
+        assert main(["analyze", "--input", str(f), "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("methods, message", [
     (",", "--methods names no method"),
     (" , ,", "--methods names no method"),

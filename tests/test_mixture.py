@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from latekit.mixture import (
 from oracles import reference_chisq_cdf
 
 Z975 = 1.959963984540054
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_normal_quantile_standard_constant():
@@ -133,11 +137,46 @@ def test_truncated_inverse_cdf_matches_scipy(rng):
     # quantile-level agreement between the sampler and an exact oracle
     a = threshold_from_pa(0.01, 5)
     u = rng.uniform(0, 1, 50_000)
-    from latekit.mixture import _truncated_chisq_draws
-
-    mine = _truncated_chisq_draws(5, a, u)
+    mine = mixture._truncated_chisq_inverse(5, a)(u)
     exact = chi2.ppf(u * chi2.cdf(a, 5), 5)
     assert np.max(np.abs(mine - exact)) < 1e-6
+
+
+def _table_uniforms(draw_count=1_600_000, seed=mixture._TABLE_SEED):
+    """The uniforms a table's truncated radii are drawn from."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(draw_count)
+    rng.integers(0, 2, size=draw_count)
+    return rng.uniform(0.0, 1.0, size=draw_count)
+
+
+def _interp_inverse(k, a, u):
+    """The inverse through np.interp, as the table draws were made before the
+    guide table: the oracle of the guide-table inverse."""
+    fa = chisq_cdf(a, k)
+    grid = np.linspace(0.0, a, 16385)
+    cdf = chisq_cdf(grid, k)
+    cdf[-1] = fa
+    return np.interp(u * fa, cdf, grid), cdf, fa
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+def test_guide_table_inverse_is_np_interp_bit_for_bit(k):
+    a = threshold_from_pa(0.01, k)
+    inverse = mixture._truncated_chisq_inverse(k, a)
+    table = _table_uniforms()
+    want, cdf, fa = _interp_inverse(k, a, table)
+    assert inverse(table).tobytes() == want.tobytes()
+    # u = 0, u * F(a) == F(a), and values of u * F(a) on grid nodes (the
+    # exact-node branch of np.interp)
+    on_node = np.concatenate([np.nextafter(cdf / fa, d) for d in (-1.0, 0.0, 2.0)])
+    on_node = on_node[(on_node >= 0.0) & np.isin(on_node * fa, cdf)]
+    assert np.unique(on_node * fa).size > 1000
+    edges = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)], on_node])
+    assert (edges * fa == fa).sum() >= 1
+    got = inverse(edges)
+    assert got.tobytes() == _interp_inverse(k, a, edges)[0].tobytes()
+    assert got[0] == 0.0 and got[1] == a
 
 
 def test_lambda_at_zero_is_normal_quantile():
@@ -299,12 +338,68 @@ def test_band_sweep_keeps_its_bits_on_near_ties(seed, q, fresh_draws):
     eps0 = rng.uniform(-3.0, 3.0, 4000)
     comp = (1.0 - s * eps0) / s + rng.uniform(-1e-13, 1e-13, 4000)
     rho_grid = np.linspace(0.0, 1.0, 3)
-    raw = mixture._upper_quantiles(mixture._draw_layout(eps0.copy(), comp.copy()),
-                                   rho_grid, q)
+    def place(out, slots):
+        out[np.concatenate(list(slots()))] = comp
+
+    raw = mixture._upper_quantiles(mixture._draw_layout(eps0.copy(), place), rho_grid, q)
     full = [np.quantile(math.sqrt(1.0 - rho) * eps0 + math.sqrt(rho) * comp, q)
             for rho in rho_grid]
     assert raw.tobytes() == np.array(full).tobytes()
     assert fresh_draws == []
+
+
+@pytest.mark.parametrize("k, truncated", [(1, True), (2, True), (5, True), (3, False)])
+def test_in_slot_component_is_the_sampler_draw_for_draw(k, truncated, fresh_draws):
+    a = threshold_from_pa(0.01, k) if truncated else math.inf
+    params = MixtureParams(k=k, a=a, alpha=0.025)
+    n = mixture._PILOT + 3 * mixture._CHUNK + 17
+    rng = np.random.default_rng(5)
+    eps0 = rng.standard_normal(n)
+    comp = sample_truncated_component(params, rng, n)
+    # any slots, in chunks of any size
+    rng = np.random.default_rng(5)
+    rng.standard_normal(n)
+    perm = np.random.default_rng(0).permutation(n)
+    out = np.empty(n)
+    mixture._component_into(params, rng, out, lambda: iter(np.array_split(perm, 7)))
+    assert out[perm].tobytes() == comp.tobytes()
+    # the layout holds every (eps0, comp) pair, in eps0 bins each sorted by comp
+    draws = mixture._table_draws(params, n, 5)
+    bins = mixture._bin_of(draws.eps0, draws.lo, draws.scale)
+    assert np.all(np.diff(bins) >= 0)
+    assert np.all(np.diff(draws.comp)[np.diff(bins) == 0] >= 0)
+    got = np.lexsort((draws.eps0, draws.comp, bins))
+    want = np.lexsort((eps0, comp, mixture._bin_of(eps0, draws.lo, draws.scale)))
+    assert draws.eps0[got].tobytes() == eps0[want].tobytes()
+    assert draws.comp[got].tobytes() == comp[want].tobytes()
+    m = mixture._PILOT
+    assert draws.pilot_eps0.tobytes() == eps0[:m].tobytes()
+    assert draws.pilot_comp.tobytes() == comp[:m].tobytes()
+
+
+def test_guide_search_is_searchsorted_of_the_full_key(fresh_draws, monkeypatch):
+    # at every rho of the two rem_study tables (k = 5, p_a = 0.01, alpha
+    # 0.025 and 0.075, which share their draws)
+    search, keys, calls = mixture._layout_search, {}, []
+
+    def checked(draws, v):
+        if id(draws) not in keys:
+            key = mixture._sort_key(draws.eps0, draws.comp, draws.lo, draws.scale,
+                                    draws.width)
+            assert np.all(np.diff(key) >= 0)
+            assert draws.guide.tobytes() == key[::mixture._GUIDE].tobytes()
+            keys[id(draws)] = key
+        got = search(draws, v)
+        assert got.tobytes() == np.searchsorted(keys[id(draws)], v).tobytes()
+        calls.append(v.shape)
+        return got
+
+    monkeypatch.setattr(mixture, "_layout_search", checked)
+    a = threshold_from_pa(0.01, 5)
+    for alpha in (0.025, 0.075):
+        MixtureQuantileTable.build(MixtureParams(k=5, a=a, alpha=alpha))
+    assert calls == [(2, mixture._BINS)] * (2 * mixture._DEFAULT_RHO_GRID)
+    assert len(keys) == 1 and fresh_draws == []
 
 
 def test_fast_build_fallback_matches_full_quantile(fresh_draws, monkeypatch):
@@ -339,8 +434,9 @@ def test_shared_draws_leave_tables_unchanged(fresh_draws, monkeypatch):
 
 
 def test_table_build_peak_memory(fresh_draws, monkeypatch):
-    # the draws are made in place and the layout lets each unsorted array go
-    # once its sorted copy is gathered
+    # the normals are placed into their bins and let go, and the component is
+    # drawn in chunks straight into its slots: beyond the two placed arrays
+    # only the uint8 bins and a chunk's temporaries are held
     n = 200_000
     params = MixtureParams(k=5, a=threshold_from_pa(0.01, 5), alpha=0.025)
     MixtureQuantileTable.build(params, draw_count=1000)  # first-call imports
@@ -351,7 +447,27 @@ def test_table_build_peak_memory(fresh_draws, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n
+    assert peak <= 3 * 8 * n
+
+
+def test_table_build_resident_memory():
+    # in a fresh process, with every array over 4 MB mapped on its own and
+    # the heap trimmed, the two rem_study tables grow the peak resident set
+    # by at most four 1.6M-draw arrays
+    probe = ("import resource\n"
+             "from latekit.mixture import MixtureParams, quantile_table, threshold_from_pa\n"
+             "a = threshold_from_pa(0.01, 5)\n"
+             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "for alpha in (0.025, 0.075):\n"
+             "    quantile_table(MixtureParams(k=5, a=a, alpha=alpha))\n"
+             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(before, after)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "MALLOC_MMAP_THRESHOLD_": "4194304", "MALLOC_TRIM_THRESHOLD_": "33554432"}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    before, after = map(int, out.stdout.split())
+    assert (after - before) * 1024 <= 4 * 8 * mixture._DEFAULT_DRAWS
 
 
 def test_quantile_table_builds_once_under_threads(monkeypatch):
