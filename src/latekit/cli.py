@@ -115,6 +115,7 @@ def _cmd_simulate(args) -> int:
         "versions": {"latekit": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "wall_time_seconds": round(time.time() - start, 3),
+        "stage_seconds": {k: round(v, 6) for k, v in table.stage_seconds.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return 0

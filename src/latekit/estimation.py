@@ -95,11 +95,17 @@ def _forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...
     return tuple(_row_forms(a, s, b) for a, b in ((u, u), (u, v), (v, v)))
 
 
-def _arm_projections(arm: _ArmArrays):
-    """The triple of one arm's fitted projections on its covariates, every
-    row, and the error each row with a singular arm covariance raises."""
-    inv, singular = spd_inverses(arm.sxx, "within-arm covariate covariance")
-    return _forms(arm.s_yx, inv, arm.s_wx), singular
+def _arm_projections(*arms: _ArmArrays):
+    """The triple of the arms' fitted projections on their covariates, the
+    rows of each arm after those of the one before, with every covariance
+    inverted in one stacked call; and the error each row (numbered within
+    its arm) with a singular arm covariance raises."""
+    rows = len(arms[0].sxx)
+    inv, singular = spd_inverses(np.concatenate([arm.sxx for arm in arms]),
+                                 "within-arm covariate covariance")
+    s_yx, s_wx = (np.concatenate([getattr(arm, name) for arm in arms])
+                  for name in ("s_yx", "s_wx"))
+    return _forms(s_yx, inv, s_wx), {i % rows: exc for i, exc in singular.items()}
 
 
 def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
@@ -109,12 +115,11 @@ def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
     covariance, and the error each row with a singular arm covariance
     raises."""
     plain = _plain_family(arm1, arm0, n1, n0)
-    n = n1 + n0
+    n, rows = n1 + n0, len(arm1.sxx)
     corr = [c / n for c in _forms(arm1.s_yx - arm0.s_yx, sxx_inv, arm1.s_wx - arm0.s_wx)]
-    (proj1, errors), (proj0, errors0) = _arm_projections(arm1), _arm_projections(arm0)
-    errors.update(errors0)
+    projs, errors = _arm_projections(arm1, arm0)
     rem = tuple(p - c for p, c in zip(plain, corr))
-    proj = tuple(p1 / n1 + p0 / n0 - c for p1, p0, c in zip(proj1, proj0, corr))
+    proj = tuple(f[:rows] / n1 + f[rows:] / n0 - c for f, c in zip(projs, corr))
     return plain, rem, proj, errors
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -260,9 +262,15 @@ class PerformanceRow:
     attempts_mean: float  # table.json only: mean rejection draws per accepted assignment
 
 
+# the stages of a cell whose wall times run_study sums over its cells
+STAGES = ("population", "draws", "scoring", "rows")
+
+
 @dataclass
 class PerformanceTable:
     rows: list[PerformanceRow] = field(default_factory=list)
+    # seconds per STAGES entry summed over cells, for manifest.json only
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     CSV_HEADER = ("method,design,adjustment,n,tau_w,reps,n_included,"
                   "median_abs_error,mean_abs_error,coverage,median_length,strong_prop")
@@ -367,20 +375,24 @@ def _arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
     ``x1`` (ones, covariates) within one arm, for every row of ``idx`` (the
     arm's unit indices of one draw): the two intercepts, the arm's share of
     the sandwich triple (v_y, c_yw, v_w) with leverage weights
-    (1 - h)^-expo, and which draws the guard sends to the scalar path."""
+    (1 - h)^-expo, and which draws the guard sends to the scalar path.
+
+    Only R of the QR factorization is computed; Q is the design times the
+    one inverse of R, whose first row is also the intercept's row."""
     design = np.take(x1, idx, axis=0)
-    q, r = np.linalg.qr(design)
-    lev = np.einsum("rij,rij->ri", q, q)
+    r = np.linalg.qr(design, mode="r")
     with np.errstate(divide="ignore", invalid="ignore"):
         # the R-diagonal of the column-equilibrated design (R's column norms
         # are the design's); a zero column gives nan
         norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
-        unsure = (~(diag.min(axis=1) >= _ARM_GUARD * diag.max(axis=1))
-                  | (lev.max(axis=1) > 1.0 - _ARM_GUARD))
-    r = np.where(unsure[:, None, None], np.eye(r.shape[-1]), r)
+        unsure = ~(diag.min(axis=1) >= _ARM_GUARD * diag.max(axis=1))
+    r_inv = np.linalg.inv(np.where(unsure[:, None, None], np.eye(r.shape[-1]), r))
+    q = design @ r_inv
+    lev = np.einsum("rij,rij->ri", q, q)
+    unsure |= lev.max(axis=1) > 1.0 - _ARM_GUARD
     # the intercept's row of R^-1, and its influence row e0' R^-1 Q'
-    e0_rinv = np.linalg.inv(r)[:, :1, :]
+    e0_rinv = r_inv[:, :1, :]
     yw_arm = np.take(yw, idx, axis=0)
     proj = np.swapaxes(q, 1, 2) @ yw_arm
     # residual times influence, per unit and outcome
@@ -516,23 +528,50 @@ def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> Potential
         f"no feasible population for tau_w={tau_w} in {_POP_RETRIES} attempts")
 
 
-def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float
+def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float, seconds: dict | None = None
                 ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray, np.ndarray]:
     """A cell's population, analysis config, true effect, assignment rows
-    and each row's rejection draw count, each row drawn from its own seeded
-    stream; the covariates' balance metric is worked out once for all."""
-    pop = _population_for_cell(cfg, cell, tau_w)
-    design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
-              if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
+    and each row's rejection draw count; the covariates' balance metric is
+    worked out once for all. Given ``seconds``, the population's and the
+    draws' wall times are added to its "population" and "draws" entries.
+
+    Row ``rep`` is drawn from the stream of ``default_rng((seed, cell, 1 +
+    rep))``. Rather than seed one generator per row, _stream_states derives
+    every row's PCG64 state in one pass and one generator is set to each in
+    turn; the derived state of row 0 must equal numpy's own seeding of it,
+    or the cell raises."""
+    with _timed(seconds, "population"):
+        pop = _population_for_cell(cfg, cell, tau_w)
+    with _timed(seconds, "draws"):
+        design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
+                  if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
+        covariates = Covariates(pop.x)
+        zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
+        attempts = np.zeros(cfg.reps, dtype=np.int64)
+        entropy = _draw_entropy(cfg.seed, cell, cfg.reps)
+        states = _stream_states(entropy)
+        if states:
+            rng = np.random.default_rng(entropy[0])
+            if rng.bit_generator.state != states[0]:
+                raise RuntimeError(
+                    f"the PCG64 state derived for seed {cfg.seed}, cell {cell}, replication 0 "
+                    f"differs from numpy {np.__version__}'s seeding of that stream")
+            for rep, state in enumerate(states):
+                rng.bit_generator.state = state
+                draw = draw_assignment(design, covariates, rng)
+                zs[rep], attempts[rep] = draw.z, draw.accepted_after
     base = AnalysisConfig(alpha=cfg.alpha, gamma=cfg.gamma[0], p_plus=cfg.p_plus,
                           adjustment=cfg.adjustment, design=design)
-    covariates = Covariates(pop.x)
-    zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
-    attempts = np.zeros(cfg.reps, dtype=np.int64)
-    for rep, entropy in enumerate(_draw_entropy(cfg.seed, cell, cfg.reps)):
-        draw = draw_assignment(design, covariates, np.random.default_rng(entropy))
-        zs[rep], attempts[rep] = draw.z, draw.accepted_after
     return pop, base, true_sample_late(pop), zs, attempts
+
+
+@contextmanager
+def _timed(seconds: dict | None, stage: str):
+    """Add the block's wall time to ``seconds[stage]``, if ``seconds`` is given."""
+    start = time.perf_counter()
+    yield
+    if seconds is not None:
+        seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
 def _seed_words(v: int) -> list[int]:
@@ -553,9 +592,86 @@ def _draw_entropy(seed: int, cell: int, reps: int) -> np.ndarray:
     return entropy
 
 
-def _run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
-    pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w)
-    return _rows(cfg, tau_w, truth, attempts, *_score(pop, zs, base, cfg.gamma))
+# numpy's SeedSequence: a pool of four uint32 words, hashed in with the
+# (initial value, multiplier) pair _HASH_POOL, mixed by _MIX, and read out
+# by generate_state with _HASH_OUT; then PCG64's 128-bit LCG multiplier
+_POOL_WORDS = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)
+_HASH_OUT = (0x8B51F9DD, 0x58F38DED)
+_MIX = (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
+_XSHIFT = np.uint32(16)
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count + 1`` values of a SeedSequence hash constant, as a
+    (count + 1, 1) uint32 column."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _stream_states(entropy: np.ndarray) -> list[dict]:
+    """The ``bit_generator.state`` of ``default_rng(row)`` for every uint32
+    row of ``entropy``: numpy's SeedSequence pool mixing and its
+    generate_state(4, uint64), vectorized over the rows in uint32
+    arithmetic, then PCG64's seeding in Python ints.
+
+    Every hash of the pool mixing multiplies by the next value of one
+    constant sequence, so the hashes of one word into the other pool words
+    take consecutive constants at once."""
+    reps, width = entropy.shape
+    consts = _hash_constants(*_HASH_POOL, _POOL_WORDS * max(width, _POOL_WORDS))
+    used = 0
+
+    def hashmix(value: np.ndarray, count: int) -> np.ndarray:
+        nonlocal used
+        value = (value ^ consts[used:used + count]) * consts[used + 1:used + count + 1]
+        used += count
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = _MIX[0] * x - _MIX[1] * y
+        return value ^ (value >> _XSHIFT)
+
+    words = np.zeros((max(width, _POOL_WORDS), reps), dtype=np.uint32)
+    words[:width] = entropy.T
+    pool = hashmix(words[:_POOL_WORDS], _POOL_WORDS)
+    # every pool word into every other, then each further entropy word
+    # into every pool word
+    for src in range(_POOL_WORDS):
+        dst = np.arange(_POOL_WORDS) != src
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_WORDS - 1))
+    for src in range(_POOL_WORDS, width):
+        pool = mix(pool, hashmix(words[src], _POOL_WORDS))
+    # generate_state: eight words off the cycled pool, paired little-end
+    # first into uint64 (seed high, seed low, inc high, inc low)
+    out = _hash_constants(*_HASH_OUT, 2 * _POOL_WORDS)
+    value = (np.tile(pool, (2, 1)) ^ out[:-1]) * out[1:]
+    value = (value ^ (value >> _XSHIFT)).astype(np.uint64)
+    seeds = (value[0::2] | value[1::2] << np.uint64(32)).T.tolist()
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in seeds:
+        # pcg64_set_seed: inc = 2 * seq + 1; one step from 0, add the seed, step
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _run_cell(cfg: StudyConfig, cell: int, tau_w: float
+              ) -> tuple[list[PerformanceRow], dict[str, float]]:
+    """A cell's performance rows and the wall time of each of its stages."""
+    seconds = dict.fromkeys(STAGES, 0.0)
+    pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w, seconds)
+    with _timed(seconds, "scoring"):
+        scored = _score(pop, zs, base, cfg.gamma)
+    with _timed(seconds, "rows"):
+        rows = _rows(cfg, tau_w, truth, attempts, *scored)
+    return rows, seconds
 
 
 def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
@@ -614,11 +730,13 @@ def run_study(cfg: StudyConfig) -> PerformanceTable:
                                    [(cfg, ci, tw) for ci, tw in cells]))
     else:
         chunks = [_run_cell(cfg, ci, tw) for ci, tw in cells]
-    table = PerformanceTable()
-    for chunk in chunks:
-        table.rows.extend(chunk)
+    table = PerformanceTable(stage_seconds=dict.fromkeys(STAGES, 0.0))
+    for rows, seconds in chunks:
+        table.rows.extend(rows)
+        for stage, value in seconds.items():
+            table.stage_seconds[stage] += value
     return table
 
 
-def _run_cell_job(args) -> list[PerformanceRow]:
+def _run_cell_job(args) -> tuple[list[PerformanceRow], dict[str, float]]:
     return _run_cell(*args)

@@ -18,8 +18,10 @@ the one-number chi-square CDF ``chisq_cdf`` computed before it took arrays.
 ``set_arrays_from_sets`` packing its sets: ``simulation._score``, the one
 batched study scorer, is checked against them draw for draw.
 ``exact_cell`` is a study cell's exact law, every assignment of its
-population scored at once. The rest are small helpers the package no
-longer exports.
+population scored at once. ``reference_arm_ols`` is the per-arm OLS of
+adjusted study cells as it was when it formed Q by a reduced QR, and
+``exact_arm_ols`` one draw of it in 50-digit arithmetic. The rest are
+small helpers the package no longer exports.
 """
 from __future__ import annotations
 
@@ -445,6 +447,61 @@ def set_arrays_from_sets(sets: Sequence[ConfidenceSet]) -> SetArrays:
     return SetArrays(kind=np.array(kind, dtype=np.int8), lo=np.array(lo, dtype=float),
                      hi=np.array(hi, dtype=float),
                      degenerate=np.array(degenerate, dtype=bool), errors={})
+
+
+# ------------------------------------------------------- adjusted arm OLS
+
+def reference_arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``simulation._arm_ols`` as it was before it formed Q from R alone:
+    Q and R of a reduced QR per draw, the diagonal and leverage guards on
+    them, and the intercept row of R^-1."""
+    design = np.take(x1, idx, axis=0)
+    q, r = np.linalg.qr(design)
+    lev = np.einsum("rij,rij->ri", q, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
+        unsure = (~(diag.min(axis=1) >= simulation._ARM_GUARD * diag.max(axis=1))
+                  | (lev.max(axis=1) > 1.0 - simulation._ARM_GUARD))
+    r = np.where(unsure[:, None, None], np.eye(r.shape[-1]), r)
+    e0_rinv = np.linalg.inv(r)[:, :1, :]
+    yw_arm = np.take(yw, idx, axis=0)
+    proj = np.swapaxes(q, 1, 2) @ yw_arm
+    terms = (yw_arm - q @ proj) * (q @ np.swapaxes(e0_rinv, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = (1.0 - lev) ** -expo
+        meat = np.swapaxes(terms * weights[:, :, None], 1, 2) @ terms
+    triple = np.stack([meat[:, 0, 0], meat[:, 0, 1], meat[:, 1, 1]], axis=1)
+    return (e0_rinv @ proj)[:, 0, :], triple, unsure
+
+
+def exact_arm_ols(design: np.ndarray, yw: np.ndarray, digits: int = 50
+                  ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One draw's two intercepts, and its sandwich triple under each
+    leverage exponent 0, 1 and 2 (EHW, HC2, HC3), as ``_arm_ols`` gives
+    them, in ``digits``-digit arithmetic through the normal equations: with
+    G = X'X, the coefficients G^-1 X'Y, the leverages x_i' G^-1 x_i and the
+    intercept's influence row e0' G^-1 X'."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        x, y = mpmath.matrix(design.tolist()), mpmath.matrix(yw.tolist())
+        g_inv = mpmath.inverse(x.T * x)
+        coef = g_inv * (x.T * y)
+        resid = y - x * coef
+        hat = x * g_inv
+        meats = [[[mpmath.mpf(0)] * 2 for _ in range(2)] for _ in range(3)]
+        for i in range(x.rows):
+            lev = sum(hat[i, j] * x[i, j] for j in range(x.cols))
+            terms = [resid[i, a] * hat[i, 0] for a in range(2)]
+            for expo, meat in enumerate(meats):
+                weight = (1 - lev) ** -expo
+                for a in range(2):
+                    for b in range(2):
+                        meat[a][b] += weight * terms[a] * terms[b]
+        return (np.array([float(coef[0, 0]), float(coef[0, 1])]),
+                [np.array([float(m[0][0]), float(m[0][1]), float(m[1][1])]) for m in meats])
 
 
 # ------------------------------------------------------------- small helpers

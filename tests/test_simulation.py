@@ -551,6 +551,47 @@ def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
     assert len(refits) == len(keep)
 
 
+def _collinear_arms(cond: float, seed: int, n: int = 80, draws: int = 30):
+    """An adjusted arm OLS problem whose arm designs [1, a, a + d b, c] have
+    a condition number near ``cond``: the ones-and-covariates matrix,
+    outcome and receipt columns, and ``draws`` rows of half the units."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.standard_normal((3, n))
+    x = np.column_stack([a, a + 2.3 / cond * b, c])
+    x1 = np.column_stack([np.ones(n), x - x.mean(axis=0)])
+    yw = np.column_stack([1.0 + a + 2.0 * b + c + rng.standard_normal(n),
+                          (rng.random(n) < 0.4).astype(float)])
+    idx = np.sort(np.argsort(rng.random((draws, n)), axis=1)[:, :n // 2], axis=1)
+    return idx, yw, x1
+
+
+def _normwise_error(ints, triple, exact_ints, exact_triple) -> float:
+    return max(np.max(np.abs(ints - exact_ints)) / np.max(np.abs(exact_ints)),
+               np.max(np.abs(triple - exact_triple)) / np.max(np.abs(exact_triple)))
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e3, 1e4, 1e5])
+def test_arm_ols_tracks_the_qr_path_on_nearly_collinear_arms(cond):
+    # Q formed as X R^-1 against the reduced QR it replaced, both against
+    # 50-digit arithmetic: the worst normwise relative error of the
+    # intercepts and the triple over every draw, none of them guarded
+    pytest.importorskip("mpmath")
+    worst = {"qr": 0.0, "r_only": 0.0}
+    for seed in (1, 2):
+        idx, yw, x1 = _collinear_arms(cond, seed)
+        assert cond / 3 < np.median(np.linalg.cond(x1[idx])) < 3 * cond
+        paths = {name: [arm_ols(idx, yw, x1, expo) for expo in range(3)] for name, arm_ols
+                 in (("qr", oracles.reference_arm_ols), ("r_only", simulation._arm_ols))}
+        for d in range(len(idx)):
+            exact_ints, exact_triples = oracles.exact_arm_ols(x1[idx[d]], yw[idx[d]])
+            for name, fits in paths.items():
+                for (ints, triple, unsure), exact_triple in zip(fits, exact_triples):
+                    assert not unsure[d]
+                    worst[name] = max(worst[name], _normwise_error(
+                        ints[d], triple[d], exact_ints, exact_triple))
+    assert worst["r_only"] <= max(10.0 * worst["qr"], 1e-12), worst
+
+
 def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
     # outcomes exactly linear in the covariates with opposite slopes in the
     # two arms, and every unit a complier: the rerandomization family of the
@@ -679,6 +720,35 @@ def test_cell_draws_keep_the_per_replication_streams(seed, design):
                                                cfg.reps)
         assert np.array_equal(zs, ref_zs)
         assert np.array_equal(attempts, ref_attempts)
+
+
+@pytest.mark.parametrize("cell", [0, 1, 2**32 + 1])
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_stream_states_are_numpys_seeding(seed, cell):
+    # entropy rows of three to six words: below, at and above the
+    # SeedSequence pool of four
+    states = simulation._stream_states(simulation._draw_entropy(seed, cell, 300))
+    assert states == [np.random.default_rng((seed, cell, 1 + rep)).bit_generator.state
+                      for rep in range(300)]
+
+
+def test_cell_draws_raise_on_a_wrong_stream_state(monkeypatch):
+    derive = simulation._stream_states
+    monkeypatch.setattr(simulation, "_stream_states", lambda entropy: [
+        {**s, "state": {**s["state"], "state": s["state"]["state"] ^ 1}}
+        for s in derive(entropy)])
+    cfg = StudyConfig(n=40, tau_w=(0.5,), reps=3, k=2)
+    with pytest.raises(RuntimeError, match="replication 0 differs from numpy"):
+        simulation._cell_draws(cfg, 0, 0.5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_study_sums_stage_seconds_over_cells(threads):
+    table = run_study(StudyConfig(n=40, tau_w=(0.3, 0.5), reps=3, k=2, threads=threads))
+    # every stage does work in every cell, so each sum is timed, not left at 0
+    assert list(table.stage_seconds) == list(simulation.STAGES)
+    assert all(v > 0.0 for v in table.stage_seconds.values())
+    assert "stage_seconds" not in json.dumps(table.to_json_dict())
 
 
 def test_draw_entropy_rows_split_ints_as_numpy_does():
