@@ -16,6 +16,8 @@ __all__ = ["AssignmentVector", "Covariates", "draw_assignment", "mahalanobis",
            "threshold_from_pa"]
 
 REJECTION_CAP = 1_000_000
+# candidate rows per block of the rejection sampler (see draw_assignment)
+BLOCK_ROWS = 64
 # relative distance from the threshold within which a mask distance is
 # re-checked, for centred, well-conditioned covariates; the two arithmetics
 # differ there by a few 1e-15 relative
@@ -33,9 +35,21 @@ class AssignmentVector:
 def mahalanobis(x: np.ndarray, z: np.ndarray) -> float:
     """Mahalanobis imbalance of an assignment: the arm-mean covariate gap
     scaled by the inverse covariate covariance and the arm sizes, by the
-    arithmetic the sampler decides near-threshold draws with."""
-    treated = np.flatnonzero(np.asarray(z) == 1)
-    return float(_gathered_distances(Covariates(x), treated[None, :])[0])
+    arithmetic the sampler decides near-threshold draws with. ``z`` must
+    hold one 0/1 entry per row of ``x`` with both arms non-empty, or
+    ValueError is raised."""
+    cov = Covariates(x)
+    z = np.asarray(z)
+    n = len(cov.x)
+    if z.shape != (n,):
+        raise ValueError(f"z must hold one entry per row of x: got shape {z.shape} "
+                         f"for {n} rows")
+    if not np.all((z == 0) | (z == 1)):
+        raise ValueError("z must be 0/1")
+    treated = np.flatnonzero(z == 1)
+    if not 0 < treated.size < n:
+        raise ValueError(f"both arms must be non-empty: {treated.size} of {n} units treated")
+    return float(_gathered_distances(cov, treated[None, :])[0])
 
 
 class Covariates:
@@ -106,6 +120,19 @@ def draw_assignment(design: DesignSpec, dataset,
     ``dataset`` may be a Dataset, a bare covariate matrix or a Covariates.
     The injected generator is the only source of randomness, so results
     are reproducible from (seed, call order).
+
+    Under ReM each candidate is one row of n uniform keys, and its n1
+    smallest keys are the treated units. Candidates come in blocks of
+    BLOCK_ROWS rows, ``rng.random((BLOCK_ROWS, n))`` at a time (the last
+    block is cut at REJECTION_CAP), so a draw accepted at candidate j
+    leaves the generator ceil(j / BLOCK_ROWS) * BLOCK_ROWS * n doubles on;
+    the rows themselves, and so the accepted assignment and its attempt
+    count, do not depend on the block size. Each row's n1-th smallest key
+    is found on a float32 copy: rounding keeps the order of any two keys,
+    so the mask of keys at or below it holds the n1 smallest, and it holds
+    more units only where keys tie or round together at the boundary. Such
+    a row, like one within roundoff of the threshold, is decided by
+    gathering its treated rows by ``argpartition`` of the float64 keys.
     """
     cov = dataset if isinstance(dataset, Covariates) else Covariates(
         dataset.x if isinstance(dataset, Dataset) else dataset)
@@ -122,22 +149,25 @@ def draw_assignment(design: DesignSpec, dataset,
     xw, near = cov.whitened, cov.near
     a = design.a
     scale = n / (n1 * (n - n1))
-    # candidates are evaluated in vectorized batches; the n1 smallest of n
+    # candidates are evaluated in vectorized blocks; the n1 smallest of n
     # iid uniform keys is a uniform random treated subset, so the accepted
     # draw has exactly the law of one-at-a-time rejection sampling
     cap = REJECTION_CAP
-    batch = 128
     attempts = 0
     while attempts < cap:
-        b = min(batch, cap - attempts)
+        b = min(BLOCK_ROWS, cap - attempts)
         keys = rng.random((b, n))
-        mask = keys <= np.partition(keys, n1 - 1, axis=1)[:, n1 - 1:n1]
+        # rounding to float32 never reverses the order of two keys, so the
+        # mask holds every unit of the n1 smallest; where keys tie, or round
+        # to one float32 at the boundary, it holds more than n1 units
+        keys32 = keys.astype(np.float32)
+        mask = keys32 <= np.sort(keys32, axis=1)[:, n1 - 1:n1]
         sums = mask.astype(float) @ xw
         s1 = sums[:, :-1]
         m_vals = scale * np.einsum("ij,ij->i", s1, s1)
         # the mask distance differs from the gathered one in the last bits;
-        # a row that close to the threshold, or whose keys tie at the
-        # boundary, is decided by the gathered arithmetic for the batch
+        # a row that close to the threshold, or whose mask does not count n1
+        # units, is decided by the gathered arithmetic for the block
         unsure = (np.abs(m_vals - a) <= near * a) | (sums[:, -1] != n1)
         hits = np.flatnonzero((m_vals <= a) | unsure)
         if hits.size and unsure[hits[0]]:

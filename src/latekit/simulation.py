@@ -29,7 +29,7 @@ from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sampl
 from .design import Covariates, draw_assignment
 from .estimation import _plain_family, _rem_families, r2_at, r2_ratio, r2_stars, regime_spec
 from .exceptions import InfeasibleTargetError, LatekitError
-from .mixture import MixtureParams, lambda_quantiles, normal_quantile
+from .mixture import MixtureParams, lambda_quantiles, normal_quantile, quantile_table
 from .stats_core import (
     _FLAVOR_EXPONENT,
     _ArmArrays,
@@ -262,8 +262,9 @@ class PerformanceRow:
     attempts_mean: float  # table.json only: mean rejection draws per accepted assignment
 
 
-# the stages of a cell whose wall times run_study sums over its cells
-STAGES = ("population", "draws", "scoring", "rows")
+# the stages of a cell whose wall times run_study sums over its cells;
+# "tables" is the mixture quantile-table builds a ReM cell triggers, 0 under CRE
+STAGES = ("population", "draws", "tables", "scoring", "rows")
 
 
 @dataclass
@@ -667,6 +668,12 @@ def _run_cell(cfg: StudyConfig, cell: int, tau_w: float
     """A cell's performance rows and the wall time of each of its stages."""
     seconds = dict.fromkeys(STAGES, 0.0)
     pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w, seconds)
+    if regime_spec(base.regime).mixture:
+        with _timed(seconds, "tables"):
+            # every table _score reads, built here (or found in the cache)
+            # so that a build is not timed as scoring
+            for alpha in (base.alpha / 2.0, *cfg.gamma):
+                quantile_table(MixtureParams(k=pop.x.shape[1], a=base.design.a, alpha=alpha))
     with _timed(seconds, "scoring"):
         scored = _score(pop, zs, base, cfg.gamma)
     with _timed(seconds, "rows"):

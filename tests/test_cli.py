@@ -171,8 +171,9 @@ def test_simulate_smoke_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 3
     stages = manifest["stage_seconds"]
-    assert list(stages) == ["population", "draws", "scoring", "rows"]
+    assert list(stages) == ["population", "draws", "tables", "scoring", "rows"]
     assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+    assert stages["tables"] == 0.0  # a CRE study reads no mixture table
 
 
 def test_simulate_rejects_unknown_keys(tmp_path):

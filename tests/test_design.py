@@ -7,7 +7,8 @@ from scipy.stats import chi2
 
 from latekit import design as design_mod
 from latekit import simulation
-from latekit.data_model import Dataset, DesignSpec
+from latekit.cli import main
+from latekit.data_model import Dataset, DesignSpec, center_covariates
 from latekit.design import (
     AssignmentVector,
     Covariates,
@@ -327,3 +328,156 @@ def test_rem_draw_with_tied_keys_matches_reference(gathered_batches):
     for seed in range(20):
         _assert_same_draw(spec, x, lambda: TiedKeys(seed, spec.n1))
     assert len(gathered_batches) >= 20
+
+
+class RoundedTogether(TiedKeys):
+    """A generator whose n1-th and (n1 + 1)-th smallest keys of every row
+    are distinct doubles that round to one float32, so only the float64
+    keys tell the treated set."""
+
+    def random(self, shape):
+        keys = self.rng.random(shape)
+        order = np.argsort(keys, axis=1)
+        rows = np.arange(shape[0])
+        low = keys[rows, order[:, self.n1 - 1]].astype(np.float32).astype(float)
+        keys[rows, order[:, self.n1 - 1]] = low
+        keys[rows, order[:, self.n1]] = np.nextafter(low, 1.0)
+        sorted_keys = np.sort(keys, axis=1)
+        assert np.all(np.diff(sorted_keys, axis=1) > 0.0)
+        assert np.array_equal(np.argsort(keys, axis=1)[:, :self.n1], order[:, :self.n1])
+        assert np.all(sorted_keys[:, self.n1 - 1].astype(np.float32)
+                      == sorted_keys[:, self.n1].astype(np.float32))
+        return keys
+
+
+def test_rem_draw_with_keys_tied_only_in_float32_matches_reference(gathered_batches):
+    x = np.random.default_rng(3).standard_normal((40, 2))
+    spec = DesignSpec.rem(20, p_a=0.05, k=2)
+    for seed in range(20):
+        _assert_same_draw(spec, x, lambda: RoundedTogether(seed, spec.n1))
+    assert len(gathered_batches) >= 20
+
+
+class ArrangedKeys:
+    """A generator that hands out fixed key rows in order, however many rows
+    each call asks for."""
+
+    def __init__(self, rows):
+        self.flat = rows.ravel()
+        self.used = 0
+
+    def random(self, shape):
+        size = math.prod(shape)
+        keys = self.flat[self.used:self.used + size].reshape(shape)
+        self.used += size
+        return keys.copy()
+
+
+def _arranged_stream(spec, x, position, rows=256, seed=4):
+    """Key rows of a seeded stream, moved so that the candidate with the
+    second smallest reference distance sits at 0-based row ``position`` and
+    the smallest right after it; the three smallest distances, ascending."""
+    keys = np.random.default_rng(seed).random((rows, len(x)))
+    treated = np.argpartition(keys, spec.n1 - 1, axis=1)[:, :spec.n1]
+    m = _reference_distances(x, Covariates(x).chol, treated)
+    order = np.argsort(m)
+    rest = [i for i in range(rows) if i not in order[:2]]
+    arranged = rest[:position] + [order[1], order[0]] + rest[position:]
+    return keys[arranged], m[order[:3]]
+
+
+@pytest.mark.parametrize("position", [63, 64, 127, 128])
+@pytest.mark.parametrize("threshold", ["between_2nd_3rd", "at_2nd", "below_2nd",
+                                       "between_1st_2nd"])
+def test_rem_draw_accepts_at_block_edges_as_the_reference(gathered_batches, position,
+                                                          threshold):
+    # the second smallest distance at candidate position + 1 and the
+    # smallest at position + 2: accepts at 64, 65, 128, 129 and the next,
+    # decided by the mask, or by the gathered arithmetic at a threshold
+    # equal to a candidate's distance, in the first block or a later one
+    x = _covariates_of_kind("centred")
+    spec = DesignSpec(kind="rem", n1=30, a=1.0)
+    rows, (m1, m2, m3) = _arranged_stream(spec, x, position)
+    a, at = {"between_2nd_3rd": ((m2 + m3) / 2, position + 1),
+             "at_2nd": (m2, position + 1),
+             "below_2nd": (np.nextafter(m2, 0.0), position + 2),
+             "between_1st_2nd": ((m1 + m2) / 2, position + 2)}[threshold]
+    spec = DesignSpec(kind="rem", n1=30, a=float(a))
+    draw = _assert_same_draw(spec, x, lambda: ArrangedKeys(rows))
+    assert draw.accepted_after == at
+    if threshold.startswith("between"):
+        assert not gathered_batches  # the mask decided every candidate
+    else:
+        assert len(gathered_batches) == 1
+        assert gathered_batches == [64]  # the candidate's own block
+
+
+@pytest.mark.parametrize("position,accepted", [(99, True), (100, False)])
+def test_rem_draw_honours_a_cap_that_is_not_a_whole_block(monkeypatch, position, accepted):
+    # at a cap of 100 the second block is cut to 36 rows: the 100th
+    # candidate is still drawn, and the 101st is not
+    from latekit.exceptions import AcceptanceRegionError
+
+    monkeypatch.setattr(design_mod, "REJECTION_CAP", 100)
+    x = _covariates_of_kind("centred")
+    spec = DesignSpec(kind="rem", n1=30, a=1.0)
+    rows, (_, m2, m3) = _arranged_stream(spec, x, position)
+    spec = DesignSpec(kind="rem", n1=30, a=float((m2 + m3) / 2))
+    stream = ArrangedKeys(rows)
+    if accepted:
+        draw = draw_assignment(spec, x, stream)
+        z, accepted_after = reference_draw(spec, x, ArrangedKeys(rows))
+        assert np.array_equal(draw.z, z)
+        assert draw.accepted_after == accepted_after == 100
+    else:
+        with pytest.raises(AcceptanceRegionError, match="in 100 attempts"):
+            draw_assignment(spec, x, stream)
+    assert stream.used == 100 * len(x)
+
+
+def test_rem_draw_consumes_whole_blocks_of_the_generator():
+    # a draw accepted at candidate j leaves the generator ceil(j / 64) * 64 * n
+    # doubles into its stream, so a generator shared by later draws gives
+    # them other (equally valid) assignments than at another block size
+    x = np.random.default_rng(9).standard_normal((60, 2))
+    spec = DesignSpec.rem(30, p_a=0.01, k=2)
+    block = 64
+    seen = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        j = draw_assignment(spec, x, rng).accepted_after
+        seen.add(j > block)
+        offset = math.ceil(j / block) * block * len(x)
+        assert rng.random() == np.random.default_rng(seed).random(offset + 1)[offset]
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_design_command_rem_draw_is_the_reference_draw(tmp_path, seed):
+    # one draw from a fresh generator: the block size does not move it
+    x_raw = np.random.default_rng(21).standard_normal((40, 2))
+    f = tmp_path / "x.csv"
+    f.write_text("x1,x2\n" + "".join(f"{a:.6f},{b:.6f}\n" for a, b in x_raw))
+    out = tmp_path / "d.csv"
+    assert main(["design", "--input", str(f), "--mode", "rem", "--pa", "0.01",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    x, _ = center_covariates(np.round(x_raw, 6))
+    z, accepted_after = reference_draw(DesignSpec.rem(20, p_a=0.01, k=2), x,
+                                       np.random.default_rng(seed))
+    assert lines[3] == f"# attempts={accepted_after}"
+    assert [int(line.split(",")[1]) for line in lines[5:]] == z.tolist()
+
+
+@pytest.mark.parametrize("z,message", [
+    (np.zeros(6, dtype=int), "both arms must be non-empty: 0 of 6"),
+    (np.ones(6, dtype=int), "both arms must be non-empty: 6 of 6"),
+    (np.array([2, 2, 2, 0, 0, 0]), "z must be 0/1"),
+    (np.array([1, 1, 1, 0, 0, 0, 1]), r"z must hold one entry per row of x: got shape \(7,\)"),
+    (np.array([1, 1, 0, 0, 0]), r"got shape \(5,\) for 6 rows"),
+    (np.array([[1, 1, 1, 0, 0, 0]]), r"got shape \(1, 6\)"),
+])
+def test_mahalanobis_rejects_a_bad_assignment(z, message):
+    x = np.array([[-3.0], [-1.0], [1.0], [3.0], [0.5], [-0.5]])
+    with pytest.raises(ValueError, match=message):
+        mahalanobis(x, z)

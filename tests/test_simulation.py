@@ -1,10 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from latekit import estimation, simulation
+from latekit import estimation, mixture, simulation
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -745,10 +746,33 @@ def test_cell_draws_raise_on_a_wrong_stream_state(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_study_sums_stage_seconds_over_cells(threads):
     table = run_study(StudyConfig(n=40, tau_w=(0.3, 0.5), reps=3, k=2, threads=threads))
-    # every stage does work in every cell, so each sum is timed, not left at 0
+    # every other stage does work in every cell, so each sum is timed, not
+    # left at 0; a CRE cell reads no mixture table, so "tables" stays 0
     assert list(table.stage_seconds) == list(simulation.STAGES)
-    assert all(v > 0.0 for v in table.stage_seconds.values())
+    assert table.stage_seconds["tables"] == 0.0
+    assert all(v > 0.0 for stage, v in table.stage_seconds.items() if stage != "tables")
     assert "stage_seconds" not in json.dumps(table.to_json_dict())
+
+
+def test_rem_table_builds_are_timed_as_tables_not_scoring(monkeypatch):
+    # a fresh cache and a slow stand-in build: the builds of the first cell
+    # fall in "tables", and scoring (a few ms here) takes none of them
+    built = []
+
+    def build(params):
+        time.sleep(0.2)
+        built.append(params.alpha)
+        grid = np.linspace(0.0, 1.0, 3)
+        return mixture.MixtureQuantileTable(params=params, rho_grid=grid,
+                                            lambda_values=np.full(3, 1.5), raw_values=grid)
+
+    monkeypatch.setattr(mixture, "_table_cache", {})
+    monkeypatch.setattr(mixture.MixtureQuantileTable, "build", build)
+    cfg = StudyConfig(n=40, tau_w=(0.3, 0.5), design="rem", p_a=0.2, reps=3, k=2)
+    seconds = run_study(cfg).stage_seconds
+    assert built == list(dict.fromkeys((cfg.alpha / 2.0, *cfg.gamma)))
+    assert seconds["tables"] >= 0.2 * len(built)
+    assert seconds["scoring"] < 0.2
 
 
 def test_draw_entropy_rows_split_ints_as_numpy_does():
