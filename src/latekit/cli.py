@@ -161,6 +161,8 @@ def _cmd_lambda(args) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.a is not None and not args.a > 0:
         raise ValueError(f"--a must be > 0, got {args.a}")
+    if args.a is not None and math.isinf(args.a):
+        raise ValueError(f"--a must be finite, got {args.a}")
     if args.pa is not None and not 0.0 < args.pa < 1.0:
         raise ValueError(f"--pa must be strictly between 0 and 1, got {args.pa}")
     if not 0.0 < args.alpha < 1.0:

@@ -69,6 +69,8 @@ class Covariates:
     def chol(self) -> np.ndarray:
         """Cholesky factor of the covariate covariance (divisor n - 1); a
         numerically singular covariance raises."""
+        if self.x.ndim != 2:
+            raise ValueError(f"covariates must be an (n, K) matrix, got shape {self.x.shape}")
         if self.x.shape[1] < 1:
             raise DegenerateCovariatesError("balance criterion needs at least one covariate")
         chol, errors = spd_factors(covariate_covariance(self.x), "covariate covariance")

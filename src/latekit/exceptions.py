@@ -27,3 +27,7 @@ class NoIdentificationError(LatekitError):
 
 class InfeasibleTargetError(LatekitError):
     """A simulated population cannot reach the requested complier fraction."""
+
+
+class InvalidDatasetError(LatekitError, ValueError):
+    """Data analyze skips: invalid, or with non-finite variance estimates."""

@@ -20,7 +20,7 @@ import numpy as np
 from .confidence_sets import far_set, json_number, wald_ci
 from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, validate
 from .estimation import Estimates, plain_components, regime_spec, variance_components
-from .exceptions import LatekitError
+from .exceptions import InvalidDatasetError, LatekitError
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 from .two_stage import f_screen, first_stage_test
 
@@ -270,39 +270,43 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
     return ds, means
 
 
+def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ()):
+    """One stratum's estimates and a getter that runs each of its steps
+    ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
+    Invalid data or non-finite variance families raise InvalidDatasetError."""
+    problems = validate(ds, offsets)
+    if problems:
+        raise InvalidDatasetError("; ".join(problems))
+    regime = config.regime
+    spec = regime_spec(regime)
+    if spec.family == "sandwich":
+        fit_y, fit_w = fit_interacted_pair(ds, ds.z)
+        estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
+        components = sandwich_cov(fit_y, fit_w, config.adjustment)
+    else:
+        summary = summarize(ds, ds.z)
+        estimates = Estimates(summary.tau_y, summary.tau_w)
+        components = (variance_components(summary) if spec.family == "rem"
+                      else plain_components(summary))
+    # the families the steps read: data on an extreme scale can overflow
+    # them, and the sets would then have nan endpoints
+    read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
+    if not all(math.isfinite(v) for name in read for v in components.family(name)):
+        raise InvalidDatasetError("variance estimates are not finite")
+    steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
+             "far": lambda: far_set(regime, estimates, components, config),
+             "ts": lambda: first_stage_test(regime, estimates, components, config),
+             "ts_f10": lambda: f_screen(regime, estimates, components)}
+    return estimates, functools.cache(lambda step: steps[step]())
+
+
 def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
                     config: AnalysisConfig, offsets: np.ndarray = ()) -> dict:
     """Every requested method on one stratum, or an explicit skip reason;
     ``offsets`` are the covariate means its centering removed (see
     validate)."""
-    problems = validate(ds, offsets)
-    if problems:
-        return {"skipped": "; ".join(problems)}
-    regime = config.regime
-    spec = regime_spec(regime)
     try:
-        if spec.family == "sandwich":
-            fit_y, fit_w = fit_interacted_pair(ds, ds.z)
-            estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
-            components = sandwich_cov(fit_y, fit_w, config.adjustment)
-        else:
-            summary = summarize(ds, ds.z)
-            estimates = Estimates(summary.tau_y, summary.tau_w)
-            components = (variance_components(summary) if spec.family == "rem"
-                          else plain_components(summary))
-        # the families the steps read: data on an extreme scale can overflow
-        # them, and the sets would then have nan endpoints
-        read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
-        if not all(math.isfinite(v) for name in read for v in components.family(name)):
-            return {"skipped": "variance estimates are not finite"}
-
-        # each step runs at most once, however many methods read it
-        steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
-                 "far": lambda: far_set(regime, estimates, components, config),
-                 "ts": lambda: first_stage_test(regime, estimates, components, config),
-                 "ts_f10": lambda: f_screen(regime, estimates, components)}
-        get = functools.cache(lambda step: steps[step]())
-
+        estimates, get = stratum_steps(ds, config, offsets)
         out: dict = {}
         for m in methods:
             if m == "wald":
@@ -326,9 +330,9 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
             else:
                 raise ValueError(f"unknown method: {m!r}")
     except LatekitError as exc:
-        # a stratum with degenerate covariates, or whose set cannot be
-        # inverted (a zero first stage and a significant outcome gap), must
-        # not take down the run
+        # invalid data, degenerate covariates, or a set that cannot be
+        # inverted (a zero first stage and a significant outcome gap) skips
+        # the stratum and must not take down the run
         return {"skipped": str(exc)}
     return {"tau_w_hat": json_number(estimates.tau_w),
             "tau_y_hat": json_number(estimates.tau_y),

@@ -11,14 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .confidence_sets import ConfidenceSet, far_set, wald_ci
+from .confidence_sets import ConfidenceSet
 from .data_model import AnalysisConfig, Dataset
-from .estimation import (Estimates, plain_components, r2_ratio, regime_spec,
-                         variance_components)
+from .estimation import Estimates, r2_ratio, regime_spec
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
-from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 
 F_THRESHOLD = 10.0
 
@@ -84,24 +80,14 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
                             strong=stat > F_THRESHOLD, statistic_kind="f")
 
 
-def two_stage_set(regime: str, dataset: Dataset, z: np.ndarray,
-                  config: AnalysisConfig) -> TwoStageOutput:
-    """Run the complete two-stage procedure on observed data.
-
+def two_stage_set(dataset: Dataset, config: AnalysisConfig) -> TwoStageOutput:
+    """Run the complete two-stage procedure on observed data by ``analyze``'s
+    stratum steps: data ``analyze`` would skip raises InvalidDatasetError.
     Strong first stage: the regime's Wald interval. Weak (including ties):
     the regime's robust set.
     """
-    family = regime_spec(regime).family
-    if family == "sandwich":
-        fit_y, fit_w = fit_interacted_pair(dataset, z)
-        estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
-        components = sandwich_cov(fit_y, fit_w, config.adjustment)
-    else:
-        summary = summarize(dataset, z)
-        estimates = Estimates(summary.tau_y, summary.tau_w)
-        components = (variance_components(summary) if family == "rem"
-                      else plain_components(summary))
-    fs = first_stage_test(regime, estimates, components, config)
-    procedure = wald_ci if fs.strong else far_set
-    return TwoStageOutput(first_stage=fs, set=procedure(regime, estimates, components, config),
-                          branch="wald" if fs.strong else "far")
+    from .io import stratum_steps  # io imports this module's first-stage tests
+    _, get = stratum_steps(dataset, config)
+    fs = get("ts")
+    branch = "wald" if fs.strong else "far"
+    return TwoStageOutput(first_stage=fs, set=get(branch), branch=branch)

@@ -272,7 +272,7 @@ def test_criterion_8_structural_theorems():
                 wald_cre.length > far_cre.length + 1e-9 * max(far_cre.length, 1):
             wald_shorter = False
         # two-stage output must equal the branch's standalone set
-        out = two_stage_set("cre", ds, z, cfg_cre)
+        out = two_stage_set(ds, cfg_cre)
         standalone = wald_cre if out.branch == "wald" else far_cre
         if out.set != standalone:
             branch_equal = False
@@ -291,7 +291,7 @@ def test_criterion_8_structural_theorems():
     for i in range(200):
         z = draw_assignment(rem_design, pop.x, rng2).z
         ds = pop.reveal(z)
-        out = two_stage_set("rem", ds, z, cfg_rem)
+        out = two_stage_set(ds, cfg_rem)
         s = summarize(ds, z)
         comp = variance_components(s)
         est = Estimates(s.tau_y, s.tau_w)

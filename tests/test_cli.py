@@ -384,6 +384,7 @@ def test_lambda_table_dump(tmp_path):
     (["--k", "0", "--a", "1.0"], "--k must be >= 1, got 0"),
     (["--k", "-1", "--pa", "0.01"], "--k must be >= 1, got -1"),
     (["--k", "5", "--pa", "1.5"], "--pa must be strictly between 0 and 1, got 1.5"),
+    (["--k", "5", "--a", "inf"], "--a must be finite, got inf"),
 ])
 def test_lambda_option_errors_name_the_option(tmp_path, capsys, flags, message):
     out = tmp_path / "lam.csv"

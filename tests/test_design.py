@@ -481,3 +481,14 @@ def test_mahalanobis_rejects_a_bad_assignment(z, message):
     x = np.array([[-3.0], [-1.0], [1.0], [3.0], [0.5], [-0.5]])
     with pytest.raises(ValueError, match=message):
         mahalanobis(x, z)
+
+
+def test_one_dimensional_covariates_raise_naming_the_shape():
+    # the balance metric needs an (n, K) matrix; a CRE draw reads no metric
+    x = np.array([-3.0, -1.0, 1.0, 3.0])
+    message = r"covariates must be an \(n, K\) matrix, got shape \(4,\)"
+    with pytest.raises(ValueError, match=message):
+        mahalanobis(x, np.array([1, 1, 0, 0]))
+    with pytest.raises(ValueError, match=message):
+        draw_assignment(DesignSpec.rem(2, a=1.0), x, np.random.default_rng(0))
+    assert draw_assignment(DesignSpec.cre(2), x, np.random.default_rng(0)).z.sum() == 2

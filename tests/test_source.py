@@ -30,6 +30,24 @@ def test_only_stats_core_tests_and_factors_a_covariance():
     assert calls and all(c.startswith("stats_core.py:") for c in calls), calls
 
 
+
+def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
+    # one path takes a dataset to estimates and variance families: analyze's
+    # stratum steps (io), which two_stage_set also runs; the study passes'
+    # sandwich refit (simulation); and the families themselves (estimation)
+    names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
+             "plain_components"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    callers.add(path.name)
+    assert callers == {"io.py", "simulation.py", "estimation.py"}, callers
+
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     # only threaded studies start a process pool; importing multiprocessing
     # costs every process 12-19 ms

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from latekit.confidence_sets import far_set, wald_ci
+from latekit.confidence_sets import far_set, json_number, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
 from latekit.estimation import Estimates, VarianceComponents, variance_components
-from latekit.exceptions import DegenerateCovariatesError
+from latekit.exceptions import DegenerateCovariatesError, InvalidDatasetError, LatekitError
+from latekit.io import ALL_METHODS, analyze_stratum
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 from oracles import random_dataset
@@ -86,7 +88,7 @@ def test_branch_matches_standalone_sets(rng):
     cfg = cre_config()
     for _ in range(25):
         ds = random_dataset(rng, n=26, k=2)
-        out = two_stage_set("cre", ds, ds.z, cfg)
+        out = two_stage_set(ds, cfg)
         s = summarize(ds, ds.z)
         comp = variance_components(s)
         est = Estimates(s.tau_y, s.tau_w)
@@ -101,7 +103,7 @@ def test_branch_matches_standalone_sets(rng):
 def test_adjusted_two_stage(rng):
     cfg = AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(10))
     ds = random_dataset(rng, n=40, k=2)
-    out = two_stage_set("adjusted", ds, ds.z, cfg)
+    out = two_stage_set(ds, cfg)
     fy, fw = fit_interacted_pair(ds, ds.z)
     cov = sandwich_cov(fy, fw, "hc2")
     est = Estimates(fy.tau_hat, fw.tau_hat)
@@ -112,7 +114,7 @@ def test_adjusted_two_stage(rng):
 
 def test_output_serialization(rng):
     ds = random_dataset(rng, n=24, k=1)
-    out = two_stage_set("cre", ds, ds.z, cre_config())
+    out = two_stage_set(ds, cre_config())
     d = out.to_json_dict()
     assert d["branch"] in ("wald", "far")
     assert d["strong"] == (d["branch"] == "wald")
@@ -125,12 +127,60 @@ def test_cre_two_stage_reads_no_covariates(rng):
     x = rng.standard_normal((10, 5))
     ds = Dataset(z=np.repeat([1, 0], 5), w=np.array([1, 1, 1, 0, 1, 0, 1, 0, 0, 0]),
                  y=rng.standard_normal(10), x=x - x.mean(axis=0))
-    out = two_stage_set("cre", ds, ds.z, cre_config())
+    out = two_stage_set(ds, cre_config())
     assert out.branch in ("wald", "far") and out.set.kind
     no_x = Dataset(z=ds.z, w=ds.w, y=ds.y, x=np.zeros((10, 0)))
-    assert out == two_stage_set("cre", no_x, no_x.z, cre_config())
+    assert out == two_stage_set(no_x, cre_config())
     with pytest.raises(DegenerateCovariatesError):
         variance_components(summarize(ds, ds.z))
+
+
+_CONFIGS = {
+    "cre": AnalysisConfig(design=DesignSpec.cre(15)),
+    "rem": AnalysisConfig(design=DesignSpec.rem(15, p_a=0.1, k=2)),
+    "ehw": AnalysisConfig(adjustment="ehw", design=DesignSpec.cre(15)),
+    "hc2": AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(15)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONFIGS))
+def test_two_stage_set_is_the_ts_entry_of_analyze(rng, name):
+    config = _CONFIGS[name]
+    branches = set()
+    for i in range(30):
+        # a receipt unrelated to assignment on every other dataset: weak
+        # first stages as well as strong ones
+        ds = random_dataset(rng, n=30, k=2, binary_w=i % 2 == 0)
+        entry = analyze_stratum(ds, ("ts",), config)["methods"]["ts"]
+        out = two_stage_set(ds, config)
+        fs = out.first_stage
+        assert entry["branch"] == out.branch
+        assert entry["first_stage"] == {
+            "statistic": json_number(fs.statistic), "critical": json_number(fs.critical),
+            "strong": fs.strong, "kind": fs.statistic_kind}
+        assert entry["set"] == out.set.to_json_dict()
+        branches.add(out.branch)
+    assert branches == {"wald", "far"}
+
+
+@pytest.mark.parametrize("name,change,reason", [
+    ("hc2", lambda ds: {"x": ds.x + 5.0}, "covariates not centered: columns [0, 1] "),
+    ("cre", lambda ds: {"y": ds.y * 1e300}, "outside [2^-400, 2^400]; rescale y"),
+    ("rem", lambda ds: {"x": ds.x * 1e-160}, "variance estimates are not finite"),
+    ("cre", lambda ds: {"y": np.where(np.arange(ds.n) == 3, np.nan, ds.y)},
+     "y contains non-finite values"),
+], ids=["offset_covariates", "huge_y", "tiny_covariates", "nan_y"])
+def test_two_stage_set_raises_analyze_skip_reason(rng, name, change, reason):
+    config = _CONFIGS[name]
+    ds = random_dataset(rng, n=30, k=2)
+    two_stage_set(ds, config)  # the unchanged data is analysable
+    bad = dataclasses.replace(ds, **change(ds))
+    skipped = analyze_stratum(bad, ALL_METHODS, config)["skipped"]
+    assert reason in skipped
+    with pytest.raises(InvalidDatasetError) as info:
+        two_stage_set(bad, config)
+    assert str(info.value) == skipped
+    assert isinstance(info.value, LatekitError) and isinstance(info.value, ValueError)
 
 
 _EST = Estimates(tau_y=1.0, tau_w=0.5)
