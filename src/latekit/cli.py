@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import platform
@@ -21,8 +22,56 @@ from .mixture import MixtureParams, quantile_table, threshold_from_pa
 from .simulation import StudyConfig, run_study
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(StudyConfig)}
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_text(obj, emit, indent: str = "\n") -> None:
+    """Emit ``json.dumps(obj, indent=2)`` piece by piece, ``indent`` being
+    the line break and indentation at ``obj``'s depth. The stdlib's
+    indented encoder is pure Python and makes several calls per value; this
+    one handles the exact types artefacts hold and hands anything else
+    (subclasses such as np.float64, non-str keys, unsupported types) to
+    ``json.dumps``, so output and errors are the stdlib's."""
+    kind = type(obj)
+    if kind is str:
+        emit(_JSON_STR(obj))
+    elif kind is float:
+        text = float.__repr__(obj)
+        emit(_JSON_FLOATS.get(text, text))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        emit("null" if obj is None else "true" if obj else "false")
+    elif obj and (kind is list or kind is tuple):
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            emit(sep)
+            _json_text(value, emit, inner)
+            sep = "," + inner
+        emit(indent + "]")
+    elif obj and kind is dict and all(type(key) is str for key in obj):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            emit(sep + _JSON_STR(key) + ": ")
+            _json_text(value, emit, inner)
+            sep = "," + inner
+        emit(indent + "}")
+    else:  # empty containers too
+        emit(json.dumps(obj, indent=2).replace("\n", indent))
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``."""
+    parts: list[str] = []
+    _json_text(obj, parts.append)
+    parts.append("\n")
+    path.write_text("".join(parts))
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latekit",
@@ -82,7 +131,7 @@ def _cmd_analyze(args) -> int:
     report = analyze_file(args.input, methods=methods, adjustment=args.adjust,
                           design=args.design, p_a=args.pa, alpha=args.alpha,
                           gamma=args.gamma, p_plus=args.pplus)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(Path(args.out), report)
     if args.plot_data:
         write_plot_data(plot_data_rows(report), args.plot_data)
     return 0
@@ -107,7 +156,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "table.csv").write_text(table.to_csv())
-    (out / "table.json").write_text(json.dumps(table.to_json_dict(), indent=2) + "\n")
+    _write_json(out / "table.json", table.to_json_dict())
     manifest = {
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in dataclasses.asdict(cfg).items()},
@@ -117,7 +166,7 @@ def _cmd_simulate(args) -> int:
         "wall_time_seconds": round(time.time() - start, 3),
         "stage_seconds": {k: round(v, 6) for k, v in table.stage_seconds.items()},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return 0
 
 

@@ -76,7 +76,9 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     if not np.all(np.isfinite(dataset.y)):
         report.append("y contains non-finite values")
     elif len(dataset.y):
-        spread = float(np.abs(dataset.y - dataset.y.mean()).max())
+        # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
+        y_mean = np.add.reduce(dataset.y) / len(dataset.y)
+        spread = float(np.abs(dataset.y - y_mean).max())
         lo, hi = Y_SPREAD_RANGE
         if spread and not lo <= spread <= hi:
             report.append(f"y varies on a scale ({spread:.3g}) outside [2^-400, 2^400]; "
@@ -90,7 +92,7 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     if dataset.n - n1 < 2:
         report.append("n0 < 2")
     if dataset.k and x_finite:
-        means = dataset.x.mean(axis=0)
+        means = np.add.reduce(dataset.x, axis=0) / len(dataset.x)
         scale = max(np.abs(dataset.x).max(initial=1.0), np.abs(offsets).max(initial=0.0))
         off = np.nonzero(np.abs(means) > CENTERING_TOL * max(1.0, scale))[0]
         if off.size:
@@ -109,11 +111,11 @@ def center_covariates(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim == 1:
         raw = raw.reshape(len(raw), -1)
-    bad = np.argwhere(~np.isfinite(raw))
-    if bad.size:
-        r, c = bad[0]
+    finite = np.isfinite(raw)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite covariate at row {r}, column {c}")
-    means = raw.mean(axis=0) if raw.size else np.zeros(raw.shape[1])
+    means = np.add.reduce(raw, axis=0) / len(raw) if raw.size else np.zeros(raw.shape[1])
     return raw - means, means
 
 

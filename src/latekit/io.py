@@ -22,7 +22,7 @@ from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, 
 from .estimation import Estimates, plain_components, regime_spec, variance_components
 from .exceptions import InvalidDatasetError, LatekitError
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
-from .two_stage import f_screen, first_stage_test
+from .two_stage import TwoStageOutput, f_screen, first_stage_test
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
@@ -317,11 +317,10 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
             elif m in ("ts", "ts_f10"):
                 fs = get(m)
                 branch = "wald" if fs.strong else "far"
-                out[m] = {"first_stage": _fs_dict(fs), "branch": branch,
-                          "set": get(branch).to_json_dict()}
+                out[m] = TwoStageOutput(fs, get(branch), branch).to_json_dict()
             elif m == "wald_f10":
                 fs = get("ts_f10")
-                entry = {"first_stage": _fs_dict(fs)}
+                entry = {"first_stage": fs.to_json_dict()}
                 if fs.strong:
                     entry["set"] = get("wald").to_json_dict()
                 else:
@@ -337,11 +336,6 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
     return {"tau_w_hat": json_number(estimates.tau_w),
             "tau_y_hat": json_number(estimates.tau_y),
             "est_compliers": json_number(ds.n * estimates.tau_w), "methods": out}
-
-
-def _fs_dict(fs) -> dict:
-    return {"statistic": json_number(fs.statistic), "critical": json_number(fs.critical),
-            "strong": fs.strong, "kind": fs.statistic_kind}
 
 
 def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,

@@ -99,9 +99,11 @@ def _plain_arm(idx: np.ndarray, y: np.ndarray, w: np.ndarray
     if len(idx) and idx.shape[1] < 2:
         raise ValueError("each arm needs at least 2 units")
     ys, ws = y[idx], w[idx].astype(float)
-    y_mean, w_mean = ys.mean(axis=1), ws.mean(axis=1)
+    m = idx.shape[1]
+    # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
+    y_mean, w_mean = np.add.reduce(ys, axis=1) / m, np.add.reduce(ws, axis=1) / m
     yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
-    d = idx.shape[1] - 1
+    d = m - 1
     return (_ArmArrays(y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d,
                        _row_dot(yc, wc) / d), yc, wc)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .confidence_sets import ConfidenceSet
+from .confidence_sets import ConfidenceSet, json_number
 from .data_model import AnalysisConfig, Dataset
 from .estimation import Estimates, r2_ratio, regime_spec
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
@@ -27,6 +27,12 @@ class FirstStageResult:
     statistic_kind: str
     degenerate: bool = False
 
+    def to_json_dict(self) -> dict:
+        """The ``first_stage`` entry of a two-stage method in ``report.json``."""
+        return {"statistic": json_number(self.statistic),
+                "critical": json_number(self.critical),
+                "strong": self.strong, "kind": self.statistic_kind}
+
 
 @dataclass(frozen=True)
 class TwoStageOutput:
@@ -35,15 +41,9 @@ class TwoStageOutput:
     branch: str  # "wald" or "far"
 
     def to_json_dict(self) -> dict:
-        fs = self.first_stage
-        return {
-            "branch": self.branch,
-            "statistic": None if math.isnan(fs.statistic) else fs.statistic,
-            "statistic_kind": fs.statistic_kind,
-            "critical": fs.critical,
-            "strong": fs.strong,
-            "set": self.set.to_json_dict(),
-        }
+        """The ``ts`` entry ``analyze`` writes for the same data."""
+        return {"first_stage": self.first_stage.to_json_dict(), "branch": self.branch,
+                "set": self.set.to_json_dict()}
 
 
 def first_stage_test(regime: str, estimates: Estimates, components,

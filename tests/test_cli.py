@@ -1,13 +1,17 @@
 import csv
 import importlib
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from latekit import cli
 from latekit.cli import main
 from latekit.io import ALL_METHODS, analyze_file, plot_data_rows, read_records
+from latekit.simulation import StudyConfig, run_study
 
 
 def write_basic_csv(path, rows, header="z,w,y"):
@@ -763,3 +767,129 @@ def test_analyze_skips_strata_on_an_unworkable_scale(strata_input, tmp_path, fac
     skips = [e["skipped"] for e in report["strata"] if "skipped" in e]
     assert len(skips) == 200
     assert sum(reason in s for s in skips) == count
+
+
+# ----------------------------------- the artefact writer and the parser
+
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+# leaves the writer encodes itself, and subclasses it hands to json.dumps
+_LEAVES = ["", "plain", "naïve – ünïcödé ☃ \U0001f600",
+           "tab\t new\n line\r nul\x00 us\x1f del\x7f quote\" backslash\\ slash/",
+           math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+           0.1, 1 / 3, 2.0 ** 70, 0, -1, 2 ** 64 + 1, -(2 ** 70), 10 ** 40, True, False,
+           None, np.float64(0.25), np.float64(math.nan), np.float64(-0.0), np.float64(1e308),
+           _Count(7), _Name("subé")]
+_KEYS = ["a", "", "key with space", "über", "ctl\x01", "x1", "methods"]
+_ODD_KEYS = [1, -2, 2.5, math.inf, False, None, 2 ** 65, _Name("s")]
+
+
+def _random_tree(rng, depth):
+    pick = rng.random()
+    if depth == 0 or pick < 0.35:
+        return rng.choice(_LEAVES)
+    size = rng.choice([0, 1, 2, 3, 6])
+    if pick < 0.55:
+        return [_random_tree(rng, depth - 1) for _ in range(size)]
+    if pick < 0.65:
+        return tuple(_random_tree(rng, depth - 1) for _ in range(size))
+    keys = _ODD_KEYS if pick < 0.72 else _KEYS
+    return {rng.choice(keys): _random_tree(rng, depth - 1) for _ in range(size)}
+
+
+def _json_text(obj):
+    parts = []
+    cli._json_text(obj, parts.append)
+    return "".join(parts)
+
+
+def test_json_writer_is_json_dumps_on_random_trees():
+    rng = random.Random(20240901)
+    trees = [[], {}, (), [[]], {"a": {}}, *_LEAVES,
+             *(_random_tree(rng, 5) for _ in range(400))]
+    for tree in trees:
+        assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1, {2, 3}]}, [np.int64(3)],
+                                 {"a": {(1, 2): 0}}, {"b": [np.bool_(True)]}])
+def test_json_writer_raises_the_stdlib_type_error(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_is_json_dumps_on_real_artefacts(covariate_file, tmp_path):
+    config = {"n": 40, "tau_w": [0.05, 0.4], "design": "cre", "reps": 10, "seed": 3,
+              "k": 2, "gamma": [0.075, 0.025]}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "sim")]) == 0
+    config["tau_w"], config["gamma"] = tuple(config["tau_w"]), tuple(config["gamma"])
+    table = run_study(StudyConfig(**config)).to_json_dict()
+    assert (tmp_path / "sim" / "table.json").read_text() == json.dumps(table, indent=2) + "\n"
+    for flags in ([], ["--design", "rem", "--pa", "0.2", "--adjust", "hc2"]):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(covariate_file), "--out", str(out), *flags]) == 0
+        report = analyze_file(str(covariate_file), adjustment="hc2" if flags else "none",
+                              design="rem" if flags else "cre", p_a=0.2 if flags else None)
+        assert out.read_text() == json.dumps(report, indent=2) + "\n"
+    # the manifest holds wall times: it must be its own values, json.dumps'd
+    manifest = (tmp_path / "sim" / "manifest.json").read_text()
+    assert manifest == json.dumps(json.loads(manifest), indent=2) + "\n"
+
+
+def _outputs(outdir):
+    """Every file under ``outdir`` by name; a manifest without its times."""
+    files = {}
+    for path in sorted(outdir.rglob("*.*")):
+        text = path.read_text()
+        if path.name == "manifest.json":
+            text = json.loads(text)
+            del text["wall_time_seconds"], text["stage_seconds"]
+        files[path.relative_to(outdir).as_posix()] = text
+    return files
+
+
+def test_cached_parser_serves_every_command_alike(covariate_file, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 30, "tau_w": [0.3], "reps": 5, "seed": 4, "k": 2}))
+
+    def runs(out):
+        return [["analyze", "--input", str(covariate_file), "--methods", "ts,wald",
+                 "--alpha", "0.1", "--out", str(out / "a1" / "report.json"),
+                 "--plot-data", str(out / "a1" / "lengths.csv")],
+                ["simulate", "--config", str(cfg_file), "--out", str(out / "sim"),
+                 "--reps", "7"],
+                ["analyze", "--input", str(covariate_file),
+                 "--out", str(out / "a2" / "report.json")]]
+
+    assert cli._build_parser() is cli._build_parser()
+    together = tmp_path / "together"
+    analyze, simulate, analyze_again = runs(together)
+    (together / "a1").mkdir(parents=True)
+    (together / "a2").mkdir()
+    assert main(analyze) == 0
+    with pytest.raises(SystemExit) as info:  # argparse exits on a bad value
+        main(["analyze", "--input", str(covariate_file), "--out", "x.json",
+              "--alpha", "half"])
+    assert info.value.code == 2
+    assert "invalid float value: 'half'" in capsys.readouterr().err
+    assert main(simulate) == 0
+    assert main(analyze_again) == 0
+    for argv in runs(tmp_path / "alone"):
+        cli._build_parser.cache_clear()  # each a first call
+        first = tmp_path / "alone"
+        (first / "a1").mkdir(parents=True, exist_ok=True)
+        (first / "a2").mkdir(exist_ok=True)
+        assert main(argv) == 0
+    assert _outputs(tmp_path / "alone") == _outputs(together)
+    assert len(_outputs(together)) == 6

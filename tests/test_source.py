@@ -48,6 +48,23 @@ def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
                     callers.add(path.name)
     assert callers == {"io.py", "simulation.py", "estimation.py"}, callers
 
+
+def test_only_the_cli_writer_indents_json():
+    # artefacts have one writer: cli._json_text, which calls json.dumps only
+    # for the values it does not encode itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert found == ["cli.py:_json_text"], found
+
+
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     # only threaded studies start a process pool; importing multiprocessing
     # costs every process 12-19 ms

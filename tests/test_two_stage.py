@@ -117,7 +117,8 @@ def test_output_serialization(rng):
     out = two_stage_set(ds, cre_config())
     d = out.to_json_dict()
     assert d["branch"] in ("wald", "far")
-    assert d["strong"] == (d["branch"] == "wald")
+    assert d["first_stage"]["strong"] == (d["branch"] == "wald")
+    assert d["first_stage"]["kind"] == "t"
     assert "set" in d and "type" in d["set"]
 
 
@@ -159,6 +160,7 @@ def test_two_stage_set_is_the_ts_entry_of_analyze(rng, name):
             "statistic": json_number(fs.statistic), "critical": json_number(fs.critical),
             "strong": fs.strong, "kind": fs.statistic_kind}
         assert entry["set"] == out.set.to_json_dict()
+        assert out.to_json_dict() == entry
         branches.add(out.branch)
     assert branches == {"wald", "far"}
 
