@@ -836,11 +836,12 @@ def test_json_writer_is_json_dumps_on_real_artefacts(covariate_file, tmp_path):
     config["tau_w"], config["gamma"] = tuple(config["tau_w"]), tuple(config["gamma"])
     table = run_study(StudyConfig(**config)).to_json_dict()
     assert (tmp_path / "sim" / "table.json").read_text() == json.dumps(table, indent=2) + "\n"
-    for flags in ([], ["--design", "rem", "--pa", "0.2", "--adjust", "hc2"]):
+    rem_hc2 = {"design": "rem", "p_a": 0.2, "adjustment": "hc2"}
+    for flags, options in (([], {}), (["--design", "rem", "--pa", "0.2", "--adjust", "hc2"],
+                                      rem_hc2)):
         out = tmp_path / "report.json"
         assert main(["analyze", "--input", str(covariate_file), "--out", str(out), *flags]) == 0
-        report = analyze_file(str(covariate_file), adjustment="hc2" if flags else "none",
-                              design="rem" if flags else "cre", p_a=0.2 if flags else None)
+        report = analyze_file(str(covariate_file), **options)
         assert out.read_text() == json.dumps(report, indent=2) + "\n"
     # the manifest holds wall times: it must be its own values, json.dumps'd
     manifest = (tmp_path / "sim" / "manifest.json").read_text()
@@ -873,10 +874,11 @@ def test_cached_parser_serves_every_command_alike(covariate_file, tmp_path, caps
                  "--out", str(out / "a2" / "report.json")]]
 
     assert cli._build_parser() is cli._build_parser()
-    together = tmp_path / "together"
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    for out in (together, alone):
+        (out / "a1").mkdir(parents=True)
+        (out / "a2").mkdir()
     analyze, simulate, analyze_again = runs(together)
-    (together / "a1").mkdir(parents=True)
-    (together / "a2").mkdir()
     assert main(analyze) == 0
     with pytest.raises(SystemExit) as info:  # argparse exits on a bad value
         main(["analyze", "--input", str(covariate_file), "--out", "x.json",
@@ -885,11 +887,8 @@ def test_cached_parser_serves_every_command_alike(covariate_file, tmp_path, caps
     assert "invalid float value: 'half'" in capsys.readouterr().err
     assert main(simulate) == 0
     assert main(analyze_again) == 0
-    for argv in runs(tmp_path / "alone"):
+    for argv in runs(alone):
         cli._build_parser.cache_clear()  # each a first call
-        first = tmp_path / "alone"
-        (first / "a1").mkdir(parents=True, exist_ok=True)
-        (first / "a2").mkdir(exist_ok=True)
         assert main(argv) == 0
-    assert _outputs(tmp_path / "alone") == _outputs(together)
+    assert _outputs(alone) == _outputs(together)
     assert len(_outputs(together)) == 6
