@@ -5,6 +5,13 @@ Input files carry one experimental record per row with required columns
 ``stratum`` key. Each stratum is treated as its own finite population:
 covariates are centered within it and every requested method runs on it
 independently.
+
+The records are parsed by one ``np.loadtxt`` call fed the file's lines. A
+file it refuses, or whose cells fail the 0/1, finiteness or field-size
+checks, is read again by the record loop over ``csv.reader``: that loop
+also takes Python ``float`` spellings ``loadtxt`` does not, quoted line
+breaks and blank-celled records, and names the row and column of the
+first bad record.
 """
 from __future__ import annotations
 
@@ -13,6 +20,7 @@ import functools
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +44,6 @@ class StratumRecords:
     w: np.ndarray  # int64
     y: np.ndarray  # float64
     x: np.ndarray  # float64, (rows, K)
-
-
-# Records parsed per block: each block's columns convert in one call each
-# while only one block of raw rows is held in memory.
-_BLOCK_ROWS = 2048
-_BITS = frozenset(("0", "1"))
 
 
 def _parse_cell(raw: str, row: int, col: str, kind: str):
@@ -102,80 +104,12 @@ def _covariate_count(header: list[str]) -> int:
     return len(numbers)
 
 
-def _columns(flat, stride, fields, key_col):
-    """The columns of a block whose cells lie record by record in ``flat``,
-    ``stride`` apart, converted whole, or None if a cell is irregular.
-
-    Regular means: every binary cell is exactly "0" or "1", and every number
-    parses and is finite.
-    """
-    out = []
-    for i, _, kind in fields:
-        col = flat[i::stride]
-        if kind == "binary":
-            if not _BITS.issuperset(col):
-                return None
-            bits = np.frombuffer("".join(col).encode("ascii"), dtype=np.uint8)
-            out.append((bits == ord("1")).astype(np.int64))
-        else:
-            try:
-                arr = np.fromiter(map(float, col), dtype=np.float64, count=len(col))
-            except ValueError:
-                return None
-            if not np.isfinite(arr).all():
-                return None
-            out.append(arr)
-    keys = None if key_col is None else list(map(str.strip, flat[key_col::stride]))
-    return keys, out
-
-
-def _fast_block(lines, width, fields, key_col):
-    r"""A block of raw lines split on commas and converted whole, or None if
-    a line is not a plain record: one with a quote, other than ``width``
-    fields or an irregular cell, one ended by a lone ``\r``, or one longer
-    than ``csv``'s field size limit (which ``csv.reader`` then judges).
-
-    Every line ends in ``\n`` or ``\r\n`` but the file's last, which may
-    end in neither or in ``\r``. A lone ``\r`` ending an earlier line
-    leaves that line without a ``\n``, so its block fails the field count.
-    """
-    text = "".join(lines)
-    if '"' in text:
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    if not text.endswith("\n"):
-        text += "\n"
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    # every line end becomes a cell of its own: the lines have ``width``
-    # fields each exactly when there are (width + 1) cells per line and the
-    # line ends fill every (width + 1)-th cell. Either alone is not enough:
-    # a line of 2 * width + 1 fields puts its end in a slot, and a short
-    # line after a long one keeps the total.
-    flat = text.replace("\n", ",\n,").split(",")
-    del text, flat[-1]
-    stride = width + 1
-    if (len(flat) != stride * len(lines)
-            or flat[width::stride].count("\n") != len(lines)):
-        return None
-    return _columns(flat, stride, fields, key_col)
-
-
-def _record_block(rows, width, fields, key_col):
-    """A block of csv records converted whole, or None if a record does not
-    have ``width`` fields or a cell is irregular."""
-    if set(map(len, rows)) != {width}:
-        return None
-    return _columns(list(itertools.chain.from_iterable(rows)), width, fields, key_col)
-
-
-def _slow_block(rows, first_row, width, fields, key_col):
-    """A block parsed record by record: skips blank records and raises the
-    first bad record's error, naming its row and column."""
+def _record_columns(records, width, fields, key_col):
+    """The record loop: parses record by record from row 2, skips blank
+    records and raises the first bad record's error, naming its row and
+    column."""
     keys, values = [], [[] for _ in fields]
-    for rownum, row in enumerate(rows, start=first_row):
+    for rownum, row in enumerate(records, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != width:
@@ -189,42 +123,53 @@ def _slow_block(rows, first_row, width, fields, key_col):
     return (None if key_col is None else keys), out
 
 
-def _column_blocks(lines, width: int, fields, key_col: int | None = None):
-    """Parse the lines after the header in blocks of ``_BLOCK_ROWS``.
+def _read_columns(fh, width: int, fields, key_col: int | None = None):
+    """The records after the header of the open file ``fh``, as the
+    stripped keys of column ``key_col`` (None without one) and one array
+    per field.
 
     ``fields`` lists ``(index, name, kind)`` in the order a record's cells
-    are checked; ``kind`` is "binary" or "number". Yields per block the
-    stripped keys of column ``key_col`` (None without one) and one array
-    per field. Record numbers count the header as row 1.
-
-    Without quotes a line is a record, so blocks of lines are split on
-    commas; a block that is not plain is parsed by ``csv.reader`` record by
-    record. A quote can open a field that spans lines, so the first block
-    with one and every line after it go to one ``csv.reader``, whose
-    records are converted in blocks the same way.
+    are checked; ``kind`` is "binary" (int64 0/1) or "number" (finite
+    float64). ``np.loadtxt`` reads the lines, with float64 for the fields
+    and ``object`` for every other column, so it refuses a record with
+    other than ``width`` fields. Its columns are kept only if every record
+    sat on one line, which keeps each cell within ``csv``'s field size
+    limit once every line is, and every cell passes its field's check.
+    Otherwise the record loop reads the file again from its start, and
+    returns the same columns or raises the error naming the row (counting
+    records, with the header as row 1) and the column.
     """
-    first_row = 2
-    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        parsed = _fast_block(block, width, fields, key_col)
-        if parsed is None and any('"' in line for line in block):
-            break
-        yield parsed or _slow_block(_csv_records(block, first_row), first_row, width,
-                                     fields, key_col)
-        first_row += len(block)
-    records = _csv_records(itertools.chain(block, lines), first_row)
-    while True:
-        rows = []
-        try:
-            rows.extend(itertools.islice(records, _BLOCK_ROWS))
-        except ValueError:
-            # a bad record before the one csv refused is the first error
-            _slow_block(rows, first_row, width, fields, key_col)
-            raise
-        if not rows:
-            break
-        yield (_record_block(rows, width, fields, key_col)
-               or _slow_block(rows, first_row, width, fields, key_col))
-        first_row += len(rows)
+    limit = csv.field_size_limit()
+    count = 0
+
+    def lines():
+        nonlocal count
+        for line in fh:
+            if len(line) > limit:
+                raise ValueError("a line over the field size limit")
+            if line.strip("\r\n"):  # loadtxt skips blank lines
+                count += 1
+                yield line
+
+    numeric = {i for i, _, _ in fields}
+    dtype = [(f"f{i}", np.float64 if i in numeric else object) for i in range(width)]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(lines(), dtype=dtype, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+    except ValueError:  # a record loadtxt refuses, or a line too long
+        table = None
+    if table is not None and len(table) == count:
+        cols = [table[f"f{i}"] for i, _, _ in fields]
+        if all(np.isin(col, (0, 1)).all() if kind == "binary" else np.isfinite(col).all()
+               for col, (_, _, kind) in zip(cols, fields)):
+            keys = None if key_col is None else list(map(str.strip, table[f"f{key_col}"]))
+            return keys, [col.astype(np.int64 if kind == "binary" else np.float64)
+                          for col, (_, _, kind) in zip(cols, fields)]
+    fh.seek(0)
+    records = itertools.islice(_csv_records(fh, 1), 1, None)  # after the header
+    return _record_columns(records, width, fields, key_col)
 
 
 def read_records(path: str) -> list[StratumRecords]:
@@ -239,21 +184,15 @@ def read_records(path: str) -> list[StratumRecords]:
         fields = [(header.index(name), name, "binary" if name in ("z", "w") else "number")
                   for name in names]
         key_col = header.index("stratum") if "stratum" in header else None
-        # a stratum's code is the record count before its first appearance,
-        # so ordering by code groups the strata in input order
-        first: dict[str, int] = {}
-        seen = itertools.count()
-        codes, blocks = [], []
-        for keys, cols in _column_blocks(fh, len(header), fields, key_col):
-            rows = len(cols[0])
-            keys = itertools.repeat("", rows) if keys is None else keys
-            codes.append(np.fromiter(map(first.setdefault, keys, seen),
-                                     dtype=np.int64, count=rows))
-            blocks.append(cols)
-    if not first:
+        keys, (z, w, y, *xs) = _read_columns(fh, len(header), fields, key_col)
+    if not len(z):
         return []
-    code = np.concatenate(codes)
-    z, w, y, *xs = (np.concatenate(col) for col in zip(*blocks))
+    # a stratum's code is the record count before its first appearance,
+    # so ordering by code groups the strata in input order
+    first: dict[str, int] = {}
+    keys = itertools.repeat("", len(z)) if keys is None else keys
+    code = np.fromiter(map(first.setdefault, keys, itertools.count()),
+                       dtype=np.int64, count=len(z))
     x = np.column_stack(xs) if xs else np.empty((len(z), 0))
     if (code[1:] < code[:-1]).any():  # interleaved strata: gather each one's rows
         order = np.argsort(code, kind="stable")
@@ -420,8 +359,7 @@ def read_covariates(path: str) -> np.ndarray:
         if k == 0:
             raise ValueError("no covariate columns x1..xK found")
         fields = [(header.index(f"x{j + 1}"), f"x{j + 1}", "number") for j in range(k)]
-        blocks = [cols for _, cols in _column_blocks(fh, len(header), fields)]
-    columns = [np.concatenate(col) for col in zip(*blocks)]
-    if not columns or not len(columns[0]):
+        _, columns = _read_columns(fh, len(header), fields)
+    if not len(columns[0]):
         raise ValueError("no data rows in input")
     return np.column_stack(columns)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .confidence_sets import ConfidenceSet, json_number
 from .data_model import AnalysisConfig, Dataset
 from .estimation import Estimates, r2_ratio, regime_spec
@@ -80,14 +82,16 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
                             strong=stat > F_THRESHOLD, statistic_kind="f")
 
 
-def two_stage_set(dataset: Dataset, config: AnalysisConfig) -> TwoStageOutput:
+def two_stage_set(dataset: Dataset, config: AnalysisConfig,
+                  offsets: np.ndarray = ()) -> TwoStageOutput:
     """Run the complete two-stage procedure on observed data by ``analyze``'s
     stratum steps: data ``analyze`` would skip raises InvalidDatasetError.
+    ``offsets`` are the covariate means a centering removed (see validate).
     Strong first stage: the regime's Wald interval. Weak (including ties):
     the regime's robust set.
     """
     from .io import stratum_steps  # io imports this module's first-stage tests
-    _, get = stratum_steps(dataset, config)
+    _, get = stratum_steps(dataset, config, offsets)
     fs = get("ts")
     branch = "wald" if fs.strong else "far"
     return TwoStageOutput(first_stage=fs, set=get(branch), branch=branch)

@@ -1,14 +1,19 @@
-"""The block CSV reader against the record-by-record loop it replaced.
+"""The CSV reader against the record-by-record loop it replaced.
 
 ``reference_read_records`` and ``reference_read_covariates`` are the
-readers as they were before parsing moved to column blocks: every cell
-through ``_parse_cell``, one record at a time. The block reader must give
-the same strata, in the same order, with the same values, and raise the
-same first error, on files built so that blocks fall back to the
-record-by-record parse in every way they can.
+readers as they were before parsing moved to column arrays: every cell
+through ``_parse_cell``, one record at a time. ``read_records`` and
+``read_covariates`` read with ``np.loadtxt`` and fall back to their own
+record loop on anything it refuses; they must give the same strata, in the
+same order, with the same values, and raise the same first error, on files
+built to reach the fallback in every way they can.
 """
 import csv
 import importlib
+import random
+import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +84,6 @@ def _rows(n, key=lambda i: f"s{i // 4}"):
 
 _HEADER = "stratum,z,w,y,x1,x2"
 
-# With blocks of three records, data records 2-4 form the first block,
-# 5-7 the second, 8-10 the third, and so on.
 CASES = {
     "clean": [_HEADER, *_rows(11)],
     "blank_records": [_HEADER, *_rows(3), "", "   ", ",,,,,", *_rows(2), "", " \t ,  ,,,,"],
@@ -152,16 +155,21 @@ def _write(tmp_path, lines, name="in.csv"):
     return f
 
 
-@pytest.mark.parametrize("block_rows", [3, 2048])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_block_reader_matches_record_loop(tmp_path, monkeypatch, case, block_rows):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-    f = _write(tmp_path, CASES[case])
-    want, want_err = _outcome(reference_read_records, f)
-    got, got_err = _outcome(io.read_records, f)
-    assert got_err == want_err
-    if want_err is not None:
-        return
+# Blank lines put after a case's header: loadtxt is fed none of them, and
+# the record loop counts each one as a row, so a bad record far down the
+# file is still named by its row.
+LEAD_BLANKS = [3, 2048]
+
+
+def _lead(lines, blanks):
+    """A case's file text with ``blanks`` blank lines after its header
+    line, each ended as the header line is."""
+    text = _text(lines)
+    end = re.search(r"\r\n|\n|\r", text)
+    return text[:end.end()] + end.group() * blanks + text[end.end():]
+
+
+def _assert_same_strata(got, want):
     assert [g.key for g in got] == [key for key, *_ in want]
     for g, (_, z, w, y, x) in zip(got, want):
         for new, old in ((g.z, z), (g.w, w), (g.y, y), (g.x, x)):
@@ -169,9 +177,36 @@ def test_block_reader_matches_record_loop(tmp_path, monkeypatch, case, block_row
             assert np.array_equal(new, old)
 
 
-def test_block_reader_error_messages(tmp_path, monkeypatch):
+@pytest.mark.parametrize("lead", LEAD_BLANKS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_reader_matches_record_loop(tmp_path, case, lead):
+    f = _write(tmp_path, _lead(CASES[case], lead))
+    want, want_err = _outcome(reference_read_records, f)
+    got, got_err = _outcome(io.read_records, f)
+    assert got_err == want_err
+    if want_err is None:
+        _assert_same_strata(got, want)
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_record_loop_alone_matches_reference(tmp_path, monkeypatch, case):
+    # the fallback reads every file loadtxt refuses, so it must give the
+    # oracle's result on files loadtxt would have read too
+    monkeypatch.setattr(io.np, "loadtxt", _no_loadtxt)
+    f = _write(tmp_path, CASES[case])
+    want, want_err = _outcome(reference_read_records, f)
+    got, got_err = _outcome(io.read_records, f)
+    assert got_err == want_err
+    if want_err is None:
+        _assert_same_strata(got, want)
+
+
+def test_block_reader_error_messages(tmp_path):
     # the oracle's messages, spelled out so a shared slip cannot hide
-    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
     expected = {
         "nan": "row 6, column y: non-finite value 'nan'",
         "minus_inf": "row 6, column x2: non-finite value '-inf'",
@@ -197,50 +232,187 @@ def test_interleaved_strata_keep_first_appearance_order(tmp_path):
         ("b", [1.0, 3.0]), ("a", [2.0, 5.0]), ("c", [4.0])]
 
 
-def test_blocks_never_hold_the_whole_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
-    seen = []
-    fast = io._fast_block
-
-    def spy(rows, *args):
-        seen.append(len(rows))
-        return fast(rows, *args)
-
-    monkeypatch.setattr(io, "_fast_block", spy)
-    io.read_records(str(_write(tmp_path, CASES["clean"])))
-    assert seen == [3, 3, 3, 2]
+def _workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("workloads")
 
 
-@pytest.mark.parametrize("block_rows", [3, 2048])
-def test_first_quote_hands_the_rest_to_csv_records(tmp_path, monkeypatch, block_rows):
-    # the quoted record spans file lines 9-10; rows still count records
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-    f = _write(tmp_path, CASES["first_quote_in_third_block_then_bad_cell"])
-    with pytest.raises(ValueError, match=r"^row 12, column x1: expected a number, got 'bad'$"):
+def test_blocks_never_hold_the_whole_file(tmp_path):
+    # the file's lines stream into loadtxt: on the analyze_strata input the
+    # read peaks under four times the bytes of the arrays it returns, which
+    # a read of the whole text into memory first exceeds
+    f = tmp_path / "strata.csv"
+    _workloads().write_strata_csv(f, 20240901)
+    tracemalloc.start()
+    try:
+        strata = io.read_records(str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for g in strata for a in (g.z, g.w, g.y, g.x))
+    assert len(strata) == 200 and peak < 4 * returned
+
+
+@pytest.mark.parametrize("lead", LEAD_BLANKS)
+def test_first_quote_hands_the_rest_to_csv_records(tmp_path, lead):
+    # the quoted record spans two lines; rows still count records
+    f = _write(tmp_path, _lead(CASES["first_quote_in_third_block_then_bad_cell"], lead))
+    with pytest.raises(ValueError, match=rf"^row {12 + lead}, column x1: expected a number, "
+                                         r"got 'bad'$"):
         io.read_records(str(f))
 
 
+def _r_quoted(text):
+    """``text`` with every cell quoted, numbers too (R's write.csv quotes
+    every name and key)."""
+    return "".join(",".join(f'"{c}"' for c in line.split(",")) + end
+                   for line, end in re.findall(r"([^\r\n]*)(\r\n|\n)", text))
+
+
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
-@pytest.mark.parametrize("block_rows", [3, 2048])
-def test_plain_files_never_reach_the_record_loop(tmp_path, monkeypatch, line_end,
-                                                 block_rows):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        workloads = importlib.import_module("workloads")
+@pytest.mark.parametrize("lead", LEAD_BLANKS)
+def test_plain_files_never_reach_the_record_loop(tmp_path, monkeypatch, line_end, lead):
     lf = tmp_path / "lf.csv"
-    workloads.write_strata_csv(lf, 5, strata=12)
-    f = tmp_path / "in.csv"
-    f.write_bytes(lf.read_bytes().replace(b"\n", line_end.encode()))
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-    slow = []
-    monkeypatch.setattr(io, "_slow_block", lambda rows, *args: slow.append(rows))
-    strata = io.read_records(str(f))
-    assert slow == [] and len(strata) == 12
-    assert sum(len(g.z) for g in strata) == lf.read_text().count("\n") - 1
-    assert io.read_covariates(str(f)).shape == (sum(len(g.z) for g in strata), 3)
+    _workloads().write_strata_csv(lf, 5, strata=12)
+    rows = lf.read_text().count("\n") - 1
+    loop = []
+    monkeypatch.setattr(io, "_record_columns", lambda *args: loop.append(args))
+    for text in (lf.read_text(), _r_quoted(lf.read_text())):
+        f = _write(tmp_path, _lead(text.replace("\n", line_end), lead))
+        strata = io.read_records(str(f))
+        assert loop == [] and len(strata) == 12
+        assert sum(len(g.z) for g in strata) == rows
+        assert io.read_covariates(str(f)).shape == (rows, 3)
     # no \r is left on a last column of 0/1 cells either
     io.read_records(str(_write(tmp_path, line_end.join(CASES["no_covariates"]) + line_end)))
-    assert slow == []
+    assert loop == []
+
+
+# Cells of every kind either parser could read differently; a seeded mix
+# of them, in otherwise plain files, goes through both readers.
+_ODD_KEYS = ['a"b', '"a"b', '""', '"a""b"', '" k "', '"x,y"', " s1 ", "Zürich", "\u2003k\xa0",
+             "k\x00", '"k\n2"', "\x1ck", "k\r2"]
+_ODD_BITS = ["1.0", " 0 ", '"1"', "-0", "1e0", "2", "yes", "", "nan", "0x1", "１", "0.5",
+             "1\r"]
+_ODD_NUMBERS = ['"1.5"', ' "2"', '"3" ', "\u2003 2.5\xa0", "１", "٣", "infinity", "-Infinity",
+                "nan", "1_0", "0x1p3", "1e-400", "1e400", "1\x00", "+.5", "5.", ".", "", "abc",
+                "\x1c7", "1\r2", '"1\n"']
+
+
+def _odd_file(rng, odd):
+    """A stratum file of 8 records whose cells, and line ends, are odd with
+    chance ``odd``: an odd line end is a lone \\r, \\r\\n, or one followed
+    by a blank line."""
+    text = "stratum,z,w,y,x1,x2\n"
+    for _ in range(8):
+        cells = [rng.choice(_ODD_KEYS) if rng.random() < odd else rng.choice(["s0", "s1"]),
+                 *(rng.choice(_ODD_BITS) if rng.random() < odd else rng.choice("01")
+                   for _ in range(2)),
+                 *(rng.choice(_ODD_NUMBERS) if rng.random() < odd else f"{rng.gauss(0, 1):.6g}"
+                   for _ in range(3))]
+        text += ",".join(cells) + (rng.choice(["\r", "\r\n", "\n \n", "\n\n"])
+                                   if rng.random() < odd else "\n")
+    return text
+
+
+def test_readers_match_reference_on_odd_cells(tmp_path, monkeypatch):
+    loop = []
+    record_columns = io._record_columns
+    monkeypatch.setattr(io, "_record_columns",
+                        lambda *args: loop.append(args) or record_columns(*args))
+    rng = random.Random(20240901)
+    for i in range(600):
+        text = _odd_file(rng, [0.0, 0.03, 0.3][i % 3])
+        f = _write(tmp_path, text)
+        want, want_err = _outcome(reference_read_records, f)
+        got, got_err = _outcome(io.read_records, f)
+        assert got_err == want_err, text
+        if want_err is None:
+            _assert_same_strata(got, want)
+        if not _ragged(text):
+            want, want_err = _outcome(reference_read_covariates, f)
+            got, got_err = _outcome(io.read_covariates, f)
+            assert got_err == want_err, text
+            if want_err is None:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the plain files, a third of the reads or more, never reach the loop
+    assert 0 < len(loop) < 800
+
+
+_LIMIT = csv.field_size_limit()
+
+
+def _spread(text, n):
+    """``n`` characters of ``text`` repeated, a line break every 1,000."""
+    return ((text * 999 + "\n") * (n // 1000 + 1))[:n]
+
+
+# a record's (key, y) holding a cell of n characters, as csv counts them
+_LONG_CELLS = {
+    # a quoted key, on lines each far under the limit
+    "spread_key": lambda n: (f'"{_spread("k", n)}"', "2.5"),
+    # a number padded with blanks, on one line
+    "padded_number": lambda n: ("s1", " " * (n - 3) + "1.5"),
+    # the same quoted, with the blanks spread over short lines
+    "spread_padded_number": lambda n: ("s1", f'"{_spread(" ", n - 3)}1.5"'),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_CELLS)
+def test_cells_over_the_field_limit_name_their_row(tmp_path, case):
+    def write(n):
+        key, y = _LONG_CELLS[case](n)
+        return _write(tmp_path, [_HEADER, *_rows(2), f"{key},1,0,{y},1,2", *_rows(2)])
+
+    with pytest.raises(ValueError, match=rf"^row 4: field larger than field limit \({_LIMIT}\)$"):
+        io.read_records(str(write(_LIMIT + 1)))
+    f = write(_LIMIT)
+    want, _ = _outcome(reference_read_records, f)
+    _assert_same_strata(io.read_records(str(f)), want)
+
+
+def test_fallback_reads_a_bom_file_from_its_header_again(tmp_path, monkeypatch):
+    # the first name is quoted over two lines: were the byte-order mark
+    # not skipped again after the fallback's seek(0), the quote would not
+    # open the name and the header would end at its first line break
+    loop = []
+    record_columns = io._record_columns
+    monkeypatch.setattr(io, "_record_columns",
+                        lambda *args: loop.append(args) or record_columns(*args))
+    header = '"\n",stratum,z,w,y,x1,x2'
+    for last in ("  ", "9,s1,1,0,abc,2,3"):  # a blank record, a bad one
+        f = _write(tmp_path, "\ufeff" + "\n".join(
+            [header, *(f"{i},{r}" for i, r in enumerate(_rows(4))), last]))
+        want, want_err = _outcome(reference_read_records, f)
+        got, got_err = _outcome(io.read_records, f)
+        assert got_err == want_err
+        if want_err is None:
+            _assert_same_strata(got, want)
+    assert want_err == "row 6, column y: expected a number, got 'abc'"
+    assert len(loop) == 2
+
+
+def _random_doubles(rng, n):
+    """Finite doubles of every exponent, a quarter of them subnormal."""
+    bits = np.array([rng.getrandbits(64) for _ in range(n)], dtype=np.uint64)
+    bits[: n // 4] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # exponent 0: subnormal
+    vals = bits.view(np.float64)
+    return vals[np.isfinite(vals) & (np.abs(vals) < 1e308)]
+
+
+def test_loadtxt_floats_are_bit_equal_to_float(tmp_path, monkeypatch):
+    vals = _random_doubles(random.Random(7), 4000)
+    cells = [[repr(float(v)), "%.17g" % v, "%.3e" % v] for v in vals]
+    f = _write(tmp_path, ["z,w,y,x1,x2", *(f"{i % 2},{i // 2 % 2}," + ",".join(c)
+                                           for i, c in enumerate(cells))])
+    loop = []
+    monkeypatch.setattr(io, "_record_columns", lambda *args: loop.append(args))
+    (g,) = io.read_records(str(f))
+    want = np.array([[float(c) for c in row] for row in cells])
+    got = np.column_stack([g.y, g.x])
+    assert loop == [] and got.tobytes() == want.tobytes()
+    assert io.read_covariates(str(f)).tobytes() == want[:, 1:].tobytes()
 
 
 def _ragged(lines):
@@ -251,12 +423,10 @@ def _ragged(lines):
 
 # the covariate record loop read a ragged record as far as its cells went
 # (see test_design_rejects_ragged_record): it is an oracle only without one
-@pytest.mark.parametrize("block_rows", [3, 2048])
+@pytest.mark.parametrize("lead", LEAD_BLANKS)
 @pytest.mark.parametrize("case", sorted(c for c, lines in CASES.items() if not _ragged(lines)))
-def test_covariate_reader_matches_record_loop_on_record_files(tmp_path, monkeypatch, case,
-                                                              block_rows):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-    f = _write(tmp_path, CASES[case])
+def test_covariate_reader_matches_record_loop_on_record_files(tmp_path, case, lead):
+    f = _write(tmp_path, _lead(CASES[case], lead))
     want, want_err = _outcome(reference_read_covariates, f)
     got, got_err = _outcome(io.read_covariates, f)
     assert got_err == want_err
@@ -276,11 +446,10 @@ _COVARIATE_CASES = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [3, 2048])
+@pytest.mark.parametrize("lead", LEAD_BLANKS)
 @pytest.mark.parametrize("case", sorted(_COVARIATE_CASES))
-def test_covariate_reader_matches_record_loop(tmp_path, monkeypatch, case, block_rows):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-    f = _write(tmp_path, _COVARIATE_CASES[case])
+def test_covariate_reader_matches_record_loop(tmp_path, case, lead):
+    f = _write(tmp_path, _lead(_COVARIATE_CASES[case], lead))
     want, want_err = _outcome(reference_read_covariates, f)
     got, got_err = _outcome(io.read_covariates, f)
     assert got_err == want_err

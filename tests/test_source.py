@@ -73,3 +73,18 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_one_loadtxt_parse_and_one_csv_record_reader():
+    # input files have one parse, np.loadtxt, and csv.reader serves only
+    # io._csv_records, the record loop's source of rows
+    sites = {"loadtxt": [], "reader": []}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in sites
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "csv")):
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                sites[node.attr].append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert sites == {"loadtxt": ["io.py:_read_columns"], "reader": ["io.py:_csv_records"]}, sites

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latekit.confidence_sets import far_set, json_number, wald_ci
-from latekit.data_model import AnalysisConfig, Dataset, DesignSpec
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates, VarianceComponents, variance_components
 from latekit.exceptions import DegenerateCovariatesError, InvalidDatasetError, LatekitError
 from latekit.io import ALL_METHODS, analyze_stratum
@@ -183,6 +183,19 @@ def test_two_stage_set_raises_analyze_skip_reason(rng, name, change, reason):
         two_stage_set(bad, config)
     assert str(info.value) == skipped
     assert isinstance(info.value, LatekitError) and isinstance(info.value, ValueError)
+
+
+def test_two_stage_set_takes_analyze_covariate_offsets(rng):
+    # covariates N(0, 1) + 1e9, centred as the README says: their means are
+    # left at rounding size, which validate allows only given the offsets
+    config = _CONFIGS["hc2"]
+    ds = random_dataset(rng, n=40, k=2)
+    x, means = center_covariates(rng.standard_normal((40, 2)) + 1e9)
+    ds = dataclasses.replace(ds, x=x)
+    with pytest.raises(InvalidDatasetError, match="^covariates not centered: columns"):
+        two_stage_set(ds, config)
+    out = two_stage_set(ds, config, means)
+    assert out.to_json_dict() == analyze_stratum(ds, ("ts",), config, means)["methods"]["ts"]
 
 
 _EST = Estimates(tau_y=1.0, tau_w=0.5)
