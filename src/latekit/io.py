@@ -7,11 +7,10 @@ covariates are centered within it and every requested method runs on it
 independently.
 
 The records are parsed by one ``np.loadtxt`` call fed the file's lines. A
-file it refuses, or whose cells fail the 0/1, finiteness or field-size
-checks, is read again by the record loop over ``csv.reader``: that loop
-also takes Python ``float`` spellings ``loadtxt`` does not, quoted line
-breaks and blank-celled records, and names the row and column of the
-first bad record.
+file it refuses, or whose records fail the 0/1, finiteness or one-line
+checks, is read again by the record loop over ``csv.reader``, which also
+takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
+breaks, and names the row and column of the first bad record.
 """
 from __future__ import annotations
 
@@ -147,7 +146,9 @@ def _read_columns(fh, width: int, fields, key_col: int | None = None):
         for line in fh:
             if len(line) > limit:
                 raise ValueError("a line over the field size limit")
-            if line.strip("\r\n"):  # loadtxt skips blank lines
+            # a line of blanks and commas is a blank record, which the
+            # record loop skips too; loadtxt would refuse its empty cells
+            if line.strip(" \t\r\n,"):
                 count += 1
                 yield line
 

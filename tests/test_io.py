@@ -12,7 +12,6 @@ import csv
 import importlib
 import random
 import re
-import struct
 import tracemalloc
 from pathlib import Path
 
@@ -279,7 +278,9 @@ def test_plain_files_never_reach_the_record_loop(tmp_path, monkeypatch, line_end
     loop = []
     monkeypatch.setattr(io, "_record_columns", lambda *args: loop.append(args))
     for text in (lf.read_text(), _r_quoted(lf.read_text())):
-        f = _write(tmp_path, _lead(text.replace("\n", line_end), lead))
+        # with a blank record of commas and one of blanks at the end
+        f = _write(tmp_path, _lead(text.replace("\n", line_end), lead)
+                   + f" ,,\t,{line_end}   {line_end}")
         strata = io.read_records(str(f))
         assert loop == [] and len(strata) == 12
         assert sum(len(g.z) for g in strata) == rows
@@ -381,7 +382,7 @@ def test_fallback_reads_a_bom_file_from_its_header_again(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_record_columns",
                         lambda *args: loop.append(args) or record_columns(*args))
     header = '"\n",stratum,z,w,y,x1,x2'
-    for last in ("  ", "9,s1,1,0,abc,2,3"):  # a blank record, a bad one
+    for last in ("8,s1,1,0,1_000,2,3", "9,s1,1,0,abc,2,3"):  # a float() number, a bad one
         f = _write(tmp_path, "\ufeff" + "\n".join(
             [header, *(f"{i},{r}" for i, r in enumerate(_rows(4))), last]))
         want, want_err = _outcome(reference_read_records, f)
