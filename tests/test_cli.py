@@ -489,10 +489,10 @@ def test_design_rejects_ambiguous_header(tmp_path, capsys, header, message):
 # a cell longer than csv's field size limit of 131,072 characters
 _HUGE = "A" * 200_000
 _OVERSIZED = {
-    # the first key is quoted, so the whole file goes to one csv reader
+    # a quoted key
     "quoted_first_key": (["analyze"], "stratum,z,w,y,x1",
                          [f'"{_HUGE}",1,1,2.0,0.5', *_strata_rows(3)], 2),
-    # unquoted, in a block the line-block parser refuses for a ragged record
+    # an unquoted key, before a ragged record
     "unquoted_in_ragged_block": (["analyze"], "stratum,z,w,y,x1",
                                  [*_strata_rows(1)[:2], f"{_HUGE},1,1,2.0,0.5",
                                   *_strata_rows(2), "S9,1,1,2.0,0.5,7"], 4),
@@ -522,8 +522,8 @@ def test_cell_over_csv_field_limit_names_its_row(tmp_path, capsys, case):
     (9, "row 10: field larger than field limit (131072)"),
 ])
 def test_oversized_cell_reads_alike_quoted_or_not(tmp_path, capsys, ragged, message):
-    # the line-block parser leaves a line over csv's limit to csv.reader, so an
-    # unquoted file fails as its quoted copy does, at the first bad row
+    # a line over csv's limit goes to the record loop, so an unquoted file
+    # fails as its quoted copy does, at the first bad row
     rows = [*_strata_rows(2), f"{_HUGE},1,1,2.0,0.5", *_strata_rows(2)]
     if ragged is not None:
         rows.insert(ragged, "S9,1,1,2.0,0.5,7")
