@@ -26,9 +26,11 @@ import numpy as np
 
 from .confidence_sets import far_set, json_number, wald_ci
 from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, validate
-from .estimation import Estimates, plain_components, regime_spec, variance_components
+from .estimation import (Estimates, VarianceComponents, _plain_family, _rem_families,
+                         plain_components, regime_spec, variance_components)
 from .exceptions import InvalidDatasetError, LatekitError
-from .stats_core import fit_interacted_pair, sandwich_cov, summarize
+from .stats_core import (_arm_moments, covariate_covariance, fit_interacted_pair,
+                         sandwich_cov, spd_inverses, summarize)
 from .two_stage import TwoStageOutput, f_screen, first_stage_test
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
@@ -210,16 +212,69 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
     return ds, means
 
 
-def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ()):
+def _group_moments(datasets: list[Dataset], n1s: list[int], rem: bool) -> list:
+    """What stratum_steps' one-row path computes for each stratum with 2 or
+    more units per arm: (Estimates, VarianceComponents), with the ReM and
+    projection families if ``rem``, or the error they raise (a singular full
+    covariance before a within-arm one). None for other strata, and for a
+    group whose stacked factoring raises: the one-row path raises as before.
+
+    Strata of one (n, n1) are the rows of one _arm_moments call per arm on
+    the group's concatenated columns. The kernel reduces each row on its
+    own and spd_inverses factors a stack matrix by matrix, so a row has the
+    bits of its one-row call. Warnings are off for the moments: those of a
+    stratum validate accepts are finite, and those of one it rejects are
+    never read.
+    """
+    out = [None] * len(datasets)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (ds, n1) in enumerate(zip(datasets, n1s)):
+        if min(n1, ds.n - n1) >= 2:
+            groups.setdefault((ds.n, n1), []).append(i)
+    for (n, n1), rows in groups.items():
+        group = [datasets[i] for i in rows]
+        z, y, w = (np.concatenate([getattr(ds, a) for ds in group]) for a in "zyw")
+        x = np.concatenate([ds.x for ds in group]) if rem else None
+        idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
+        with np.errstate(all="ignore"):  # see the docstring
+            arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
+            families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
+            tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
+        if rem:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # as variance_components
+                    sxx_inv, full = spd_inverses(
+                        np.stack([covariate_covariance(ds.x) for ds in group]),
+                        "covariate covariance")
+                    *families, within = _rem_families(arm1, arm0, n1, n - n1, sxx_inv)
+            except np.linalg.LinAlgError:
+                continue
+        for r, i in enumerate(rows):
+            out[i] = full.get(r) or within.get(r) or (
+                Estimates(float(tau_y[r]), float(tau_w[r])),
+                VarianceComponents(*(tuple(float(v[r]) for v in f) for f in families),
+                                   k=x.shape[1] if rem else 0))
+    return out
+
+
+def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
+                  moments=None):
     """One stratum's estimates and a getter that runs each of its steps
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
+    ``moments`` is the stratum's (Estimates, VarianceComponents), or the
+    error they raise, from analyze_file's group pass; without it they come
+    from the one-row summarize or the interacted fits.
     Invalid data or non-finite variance families raise InvalidDatasetError."""
     problems = validate(ds, offsets)
     if problems:
         raise InvalidDatasetError("; ".join(problems))
     regime = config.regime
     spec = regime_spec(regime)
-    if spec.family == "sandwich":
+    if isinstance(moments, LatekitError):
+        raise moments
+    if moments is not None:
+        estimates, components = moments
+    elif spec.family == "sandwich":
         fit_y, fit_w = fit_interacted_pair(ds, ds.z)
         estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
         components = sandwich_cov(fit_y, fit_w, config.adjustment)
@@ -240,13 +295,13 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ())
     return estimates, functools.cache(lambda step: steps[step]())
 
 
-def analyze_stratum(ds: Dataset, methods: tuple[str, ...],
-                    config: AnalysisConfig, offsets: np.ndarray = ()) -> dict:
+def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfig,
+                    offsets: np.ndarray = (), moments=None) -> dict:
     """Every requested method on one stratum, or an explicit skip reason;
     ``offsets`` are the covariate means its centering removed (see
-    validate)."""
+    validate), and ``moments`` is passed on to stratum_steps."""
     try:
-        estimates, get = stratum_steps(ds, config, offsets)
+        estimates, get = stratum_steps(ds, config, offsets, moments)
         out: dict = {}
         for m in methods:
             if m == "wald":
@@ -303,17 +358,21 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
                             adjustment=adjustment, design=spec)
 
-    def run_one(records: StratumRecords) -> dict:
-        ds, means = _stratum_dataset(records)
-        entry = {"stratum": records.key, "n": ds.n, "n1": ds.n1, "n0": ds.n0}
+    datasets = [_stratum_dataset(records) for records in strata]
+    n1s = [ds.n1 for ds, _ in datasets]
+    # the group pass computes the moments and families of unadjusted strata
+    # by arm-size group; then each stratum's steps run, one stratum after
+    # another, in analyze_stratum, handed its own (None: it computes them)
+    moments = (_group_moments([ds for ds, _ in datasets], n1s, design == "rem")
+               if adjustment == "none" else [None] * len(strata))
+
+    entries = []
+    for records, (ds, means), n1, stratum_moments in zip(strata, datasets, n1s, moments):
+        entry = {"stratum": records.key, "n": ds.n, "n1": n1, "n0": ds.n - n1}
         if k:
             entry["covariate_means"] = [float(m) for m in means]
-        entry.update(analyze_stratum(ds, methods, config, means))
-        return entry
-
-    # strata run one after another: the per-stratum work holds the
-    # interpreter lock, so threads would only wait on each other
-    entries = [run_one(records) for records in strata]
+        entry.update(analyze_stratum(ds, methods, config, means, stratum_moments))
+        entries.append(entry)
     return {
         "settings": {"methods": list(methods), "adjustment": adjustment,
                      "design": design, "p_a": p_a, "alpha": alpha,

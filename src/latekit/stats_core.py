@@ -125,7 +125,8 @@ def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
     """The arm's moments for every row of ``idx``, its unit indices under
     one assignment in ascending order; with ``x``, also its covariate terms.
     This is the one place arm moments are computed: ``summarize`` is its
-    one-row call, and the study passes call it for all of a cell's draws."""
+    one-row call, the study passes call it for all of a cell's draws, and
+    ``analyze`` for each group of strata of one size and treated count."""
     arm, yc, wc = _plain_arm(idx, y, w)
     return arm if x is None else _with_covariates(arm, idx, yc, wc, x)
 

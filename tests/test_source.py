@@ -49,6 +49,32 @@ def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
     assert callers == {"io.py", "simulation.py", "estimation.py"}, callers
 
 
+
+def _callers(names):
+    """The package files that call each of ``names``, by name."""
+    found = {name: set() for name in names}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in found:
+                    found[name].add(path.name)
+    return found
+
+
+def test_arm_moments_and_families_have_three_callers():
+    # arm moments are computed by one kernel, called by summarize's one-row
+    # path (stats_core), the study cell passes (simulation) and analyze's
+    # group pass (io); the families built on them come from estimation,
+    # simulation and io. A fourth moment path has to change these lists.
+    kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
+    assert set().union(*kernel.values()) == {"stats_core.py", "simulation.py", "io.py"}, kernel
+    assert kernel["_arm_moments"] == {"simulation.py", "io.py"}, kernel
+    families = _callers(["_plain_family", "_rem_families"])
+    assert all(files == {"estimation.py", "simulation.py", "io.py"}
+               for files in families.values()), families
+
 def test_only_the_cli_writer_indents_json():
     # artefacts have one writer: cli._json_text, which calls json.dumps only
     # for the values it does not encode itself
