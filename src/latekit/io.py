@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence_sets import far_set, json_number, wald_ci
-from .data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates, validate
-from .estimation import (Estimates, VarianceComponents, _plain_family, _rem_families,
-                         plain_components, regime_spec, variance_components)
+from .data_model import (AnalysisConfig, Dataset, DesignSpec, center_covariates, check_rows,
+                         validate)
+from .estimation import (Estimates, _plain_family, _rem_families, plain_components,
+                         regime_spec, variance_components)
 from .exceptions import InvalidDatasetError, LatekitError
 from .stats_core import (_arm_moments, covariate_covariance, fit_interacted_pair,
                          sandwich_cov, spd_inverses, summarize)
-from .two_stage import TwoStageOutput, f_screen, first_stage_test
+from .two_stage import TwoStageOutput, f_screen, first_stage_test, score_rows
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
@@ -212,69 +213,102 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
     return ds, means
 
 
-def _group_moments(datasets: list[Dataset], n1s: list[int], rem: bool) -> list:
-    """What stratum_steps' one-row path computes for each stratum with 2 or
-    more units per arm: (Estimates, VarianceComponents), with the ReM and
-    projection families if ``rem``, or the error they raise (a singular full
-    covariance before a within-arm one). None for other strata, and for a
-    group whose stacked factoring raises: the one-row path raises as before.
+def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
+                  config: AnalysisConfig, k: int, gammas: tuple[float, ...]) -> list:
+    """What analyze_file hands analyze_stratum for each unadjusted stratum
+    with 2 or more units per arm that validate accepts: its Estimates with
+    its row of one score_rows call, as ``(estimates, scores, row)``, or the
+    error its families raise (a singular full covariance before a
+    within-arm one). None for other strata, for those whose families are
+    not finite, and for a group whose stacked factoring raises: the
+    one-row path skips or raises as before.
 
-    Strata of one (n, n1) are the rows of one _arm_moments call per arm on
-    the group's concatenated columns. The kernel reduces each row on its
-    own and spd_inverses factors a stack matrix by matrix, so a row has the
-    bits of its one-row call. Warnings are off for the moments: those of a
-    stratum validate accepts are finite, and those of one it rejects are
-    never read.
+    Strata of one (n, n1) are the rows of one check_rows call, then of one
+    _arm_moments call per arm on the rows it passes, each row offset by
+    row * n. The kernels reduce each row on its own and spd_inverses
+    factors a stack matrix by matrix, so a row has the bits of its one-row
+    call. The critical values do not depend on (n, n1), so the rows of
+    every group are scored together.
     """
+    spec = regime_spec(config.regime)
     out = [None] * len(datasets)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (ds, n1) in enumerate(zip(datasets, n1s)):
+    for i, ((ds, _), n1) in enumerate(zip(datasets, n1s)):
         if min(n1, ds.n - n1) >= 2:
             groups.setdefault((ds.n, n1), []).append(i)
+    names = ("plain", "rem", "proj") if spec.mixture else ("plain",)
+    scored = []  # each group's strata, tau_y, tau_w and family columns to score
     for (n, n1), rows in groups.items():
-        group = [datasets[i] for i in rows]
-        z, y, w = (np.concatenate([getattr(ds, a) for ds in group]) for a in "zyw")
-        x = np.concatenate([ds.x for ds in group]) if rem else None
+        z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
+        z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
+        passed = check_rows(z, w, y, x, np.array([datasets[i][1] for i in rows])
+                            .reshape(len(rows), k)).passed
+        if not passed.all():
+            rows = list(itertools.compress(rows, passed))
+            if not rows:
+                continue
+            z, y, w, x = z[passed], y[passed], w[passed], x[passed]
         idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
-        with np.errstate(all="ignore"):  # see the docstring
-            arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
-            families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
-            tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
-        if rem:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # as variance_components
+        y, w, x = y.ravel(), w.ravel(), x.reshape(-1, k) if spec.mixture else None
+        try:
+            # as variance_components: extreme covariate scales overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
+                families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
+                if spec.mixture:
                     sxx_inv, full = spd_inverses(
-                        np.stack([covariate_covariance(ds.x) for ds in group]),
+                        np.stack([covariate_covariance(datasets[i][0].x) for i in rows]),
                         "covariate covariance")
                     *families, within = _rem_families(arm1, arm0, n1, n - n1, sxx_inv)
-            except np.linalg.LinAlgError:
-                continue
-        for r, i in enumerate(rows):
-            out[i] = full.get(r) or within.get(r) or (
-                Estimates(float(tau_y[r]), float(tau_w[r])),
-                VarianceComponents(*(tuple(float(v[r]) for v in f) for f in families),
-                                   k=x.shape[1] if rem else 0))
+        except np.linalg.LinAlgError:
+            continue
+        keep = _finite_rows(dict(zip(names, families)).__getitem__, spec)
+        for r, exc in {**within, **full}.items():
+            out[rows[r]], keep[r] = exc, False
+        columns = (np.array(rows), arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean,
+                   *itertools.chain(*families))
+        scored.append(columns if keep.all() else [col[keep] for col in columns])
+    if scored:
+        strata, tau_y, tau_w, *flat = map(np.concatenate, zip(*scored))
+        scores = score_rows(tau_y, tau_w, {name: tuple(flat[3 * j:3 * j + 3])
+                                           for j, name in enumerate(names)}, config, k, gammas)
+        for row, (i, t_y, t_w) in enumerate(zip(strata.tolist(), tau_y.tolist(),
+                                                tau_w.tolist())):
+            out[i] = (Estimates(t_y, t_w), scores, row)
     return out
+
+
+def _finite_rows(family, spec) -> np.ndarray:
+    """Whether every family the steps read, ``family(name)``, is finite, per
+    row: data on an extreme scale can overflow them, and the sets would then
+    have nan endpoints."""
+    read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
+    return np.isfinite([family(name) for name in read]).all(axis=(0, 1))
 
 
 def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
                   moments=None):
     """One stratum's estimates and a getter that runs each of its steps
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
-    ``moments`` is the stratum's (Estimates, VarianceComponents), or the
-    error they raise, from analyze_file's group pass; without it they come
-    from the one-row summarize or the interacted fits.
+    ``moments`` is what analyze_file's group pass hands the stratum, which
+    has passed validate there: its estimates and its row of a score_rows
+    call, whose getter reads each step's object from the arrays and raises
+    the row's stored error when the step is first requested; or the error
+    its families raise. Without it, validate, the one-row summarize or the
+    interacted fits, and the scalar chain run.
     Invalid data or non-finite variance families raise InvalidDatasetError."""
-    problems = validate(ds, offsets)
-    if problems:
-        raise InvalidDatasetError("; ".join(problems))
     regime = config.regime
-    spec = regime_spec(regime)
     if isinstance(moments, LatekitError):
         raise moments
     if moments is not None:
-        estimates, components = moments
-    elif spec.family == "sandwich":
+        estimates, scores, row = moments
+        return estimates, functools.cache(
+            lambda step: scores.step(row, step, regime, config.gamma))
+    problems = validate(ds, offsets)
+    if problems:
+        raise InvalidDatasetError("; ".join(problems))
+    spec = regime_spec(regime)
+    if spec.family == "sandwich":
         fit_y, fit_w = fit_interacted_pair(ds, ds.z)
         estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
         components = sandwich_cov(fit_y, fit_w, config.adjustment)
@@ -283,10 +317,7 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
         estimates = Estimates(summary.tau_y, summary.tau_w)
         components = (variance_components(summary) if spec.family == "rem"
                       else plain_components(summary))
-    # the families the steps read: data on an extreme scale can overflow
-    # them, and the sets would then have nan endpoints
-    read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
-    if not all(math.isfinite(v) for name in read for v in components.family(name)):
+    if not _finite_rows(components.family, spec):
         raise InvalidDatasetError("variance estimates are not finite")
     steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
              "far": lambda: far_set(regime, estimates, components, config),
@@ -299,7 +330,8 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfi
                     offsets: np.ndarray = (), moments=None) -> dict:
     """Every requested method on one stratum, or an explicit skip reason;
     ``offsets`` are the covariate means its centering removed (see
-    validate), and ``moments`` is passed on to stratum_steps."""
+    validate), and ``moments``, the stratum's scored row from analyze_file's
+    group pass, is passed on to stratum_steps."""
     try:
         estimates, get = stratum_steps(ds, config, offsets, moments)
         out: dict = {}
@@ -360,18 +392,19 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
 
     datasets = [_stratum_dataset(records) for records in strata]
     n1s = [ds.n1 for ds, _ in datasets]
-    # the group pass computes the moments and families of unadjusted strata
-    # by arm-size group; then each stratum's steps run, one stratum after
-    # another, in analyze_stratum, handed its own (None: it computes them)
-    moments = (_group_moments([ds for ds, _ in datasets], n1s, design == "rem")
-               if adjustment == "none" else [None] * len(strata))
+    # the group pass validates and scores unadjusted strata by arm-size
+    # group; then analyze_stratum assembles each stratum's entry, one
+    # stratum after another, handed its own row (None: it runs them itself)
+    gammas = (gamma,) if "ts" in methods else ()
+    handed = (_group_scores(datasets, n1s, config, k, gammas) if adjustment == "none"
+              else [None] * len(strata))
 
     entries = []
-    for records, (ds, means), n1, stratum_moments in zip(strata, datasets, n1s, moments):
+    for records, (ds, means), n1, row in zip(strata, datasets, n1s, handed):
         entry = {"stratum": records.key, "n": ds.n, "n1": n1, "n0": ds.n - n1}
         if k:
             entry["covariate_means"] = [float(m) for m in means]
-        entry.update(analyze_stratum(ds, methods, config, means, stratum_moments))
+        entry.update(analyze_stratum(ds, methods, config, means, row))
         entries.append(entry)
     return {
         "settings": {"methods": list(methods), "adjustment": adjustment,

@@ -24,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import KINDS, SetArrays, solve_quadratic_sets, wald_intervals
+from .confidence_sets import KINDS, SetArrays
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
-from .estimation import _plain_family, _rem_families, r2_at, r2_ratio, r2_stars, regime_spec
+from .estimation import _plain_family, _rem_families, regime_spec
 from .exceptions import InfeasibleTargetError, LatekitError
-from .mixture import MixtureParams, lambda_quantiles, normal_quantile, quantile_table
+from .mixture import MixtureParams, quantile_table
 from .stats_core import (
     _FLAVOR_EXPONENT,
     _ArmArrays,
@@ -38,7 +38,7 @@ from .stats_core import (
     fit_interacted_pair,
     sandwich_cov,
 )
-from .two_stage import F_THRESHOLD
+from .two_stage import F_THRESHOLD, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
@@ -454,33 +454,13 @@ _FAMILIES = {"cre": _moment_families, "adjusted": _sandwich_families,
 def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
            gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw ratio estimates (nan where tau_w is 0) and each method's
-    MethodScores in table order, for all assignment rows of ``zs`` at once,
-    read from the cell's Regime row as the scalar chain reads it: ``family``
-    for the Wald, FAR and first-stage triple, ``screen_family`` for the F>10
-    screen, and ``mixture`` for the critical values."""
-    spec = regime_spec(base.regime)
+    MethodScores in table order, for all assignment rows of ``zs`` at once:
+    the cell's ``_FAMILIES`` entry scored by ``score_rows``. A draw whose
+    families or sets fail, or whose Wald interval is longer than its FAR
+    interval, raises; the first failing draw's first failure is raised."""
     tau_y, tau_w, families, errors = _FAMILIES[base.regime](pop, zs, base)
-    triple, screen_var = families[spec.family], families[spec.screen_family][2]
-    fs_var = triple[2]
-    tail = base.alpha / 2.0
-    if spec.mixture:
-        proj = families["proj"]
-
-        def lam(alpha, rho):
-            return lambda_quantiles(
-                MixtureParams(k=pop.x.shape[1], a=base.design.a, alpha=alpha), rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # wald_ci: the mixture quantile at r2_of_tau at the ratio
-            r2, _ = r2_at(proj, triple, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
-        # first_stage_test: the mixture quantile at the receipt's own ratio
-        rho, _ = r2_ratio(proj[2], fs_var)
-        wald_crit, far_crit = lam(tail, r2), lam(tail, r2_stars(proj, triple)[0])
-        fs_crit = {g: lam(g, rho) for g in gammas}
-    else:
-        wald_crit = far_crit = normal_quantile(1.0 - tail)
-        fs_crit = {g: normal_quantile(1.0 - g) for g in gammas}
-    wald_sets = wald_intervals(tau_y, tau_w, wald_crit, *triple, family=spec.family)
-    far = solve_quadratic_sets(tau_y, tau_w, far_crit, *triple)
+    scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
+    wald_sets, far = scored.wald, scored.far
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
@@ -501,17 +481,14 @@ def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                          errors={})
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = (tau_w - base.p_plus) / np.sqrt(fs_var)
-        f_stat = tau_w ** 2 / screen_var
         estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
     every = np.ones(len(tau_y), dtype=bool)
     scores = {"wald": MethodScores(wald_sets, None, every),
               "far": MethodScores(far, None, every)}
-    for g, crit in fs_crit.items():
-        # a nonpositive variance makes the first stage weak
-        strong = (fs_var > 0.0) & (t_stat > crit)
+    for g, crit in scored.t_crit.items():
+        strong = scored.t_stat > crit
         scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
-    f_strong = (screen_var > 0.0) & (f_stat > F_THRESHOLD)
+    f_strong = scored.f_stat > F_THRESHOLD
     scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
     scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
     return estimates, scores

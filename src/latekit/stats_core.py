@@ -33,13 +33,16 @@ def spd_factors(mats: np.ndarray, what: str
     nonpositive variance, or a nonpositive smallest eigenvalue or a
     reciprocal condition below 1e-12 of the matrix scaled to unit diagonal
     (the correlation matrix), so rescaling a covariate never changes the
-    decision. The unscaled matrix is factored; a stack gives the bits of
-    factoring its matrices one by one."""
+    decision, or a non-finite entry (an overflowed covariance), which
+    hands the identity to the tests in its place. The unscaled matrix is
+    factored; a stack gives the bits of factoring its matrices one by one."""
+    finite = np.isfinite(mats).all(axis=(-2, -1), keepdims=True)
+    mats = np.where(finite, mats, np.eye(mats.shape[-1]))
     diag = np.diagonal(mats, axis1=-2, axis2=-1)
     scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     eig = np.linalg.eigvalsh(mats * scale[..., :, None] * scale[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ((diag <= 0).any(axis=-1) | (eig[..., 0] <= 0)
+        bad = (~finite[..., 0, 0] | (diag <= 0).any(axis=-1) | (eig[..., 0] <= 0)
                | (eig[..., 0] / eig[..., -1] < _RCOND_MIN))
     safe = np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
     errors = {int(i): DegenerateCovariatesError(f"{what} is numerically singular")

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import ConfidenceSet, json_number
+from .confidence_sets import (KINDS, ConfidenceSet, SetArrays, json_number,
+                              solve_quadratic_sets, wald_intervals)
 from .data_model import AnalysisConfig, Dataset
-from .estimation import Estimates, r2_ratio, regime_spec
-from .mixture import MixtureParams, lambda_quantile, normal_quantile
+from .estimation import Estimates, r2_at, r2_ratio, r2_stars, regime_spec
+from .mixture import MixtureParams, lambda_quantile, lambda_quantiles, normal_quantile
 
 F_THRESHOLD = 10.0
 
@@ -80,6 +82,74 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
     stat = estimates.tau_w ** 2 / var
     return FirstStageResult(statistic=stat, critical=F_THRESHOLD,
                             strong=stat > F_THRESHOLD, statistic_kind="f")
+
+
+class RowScores(NamedTuple):
+    """The scalar chain's results for many rows, one entry per row: the
+    Wald and FAR sets, whose ``errors`` hold what wald_ci and far_set raise,
+    the first-stage t statistic with its critical value at each gamma, and
+    the F statistic. A statistic is nan where its variance is not positive,
+    so it is never strong there."""
+
+    wald: SetArrays
+    far: SetArrays
+    t_stat: np.ndarray
+    t_crit: dict[float, np.ndarray]
+    f_stat: np.ndarray
+
+    def step(self, row: int, step: str, regime: str, gamma: float):
+        """The ConfidenceSet or FirstStageResult the scalar chain returns for
+        step "wald", "far", "ts" (at ``gamma``) or "ts_f10" of one row, or
+        the error it raises."""
+        if step in ("wald", "far"):
+            sets = getattr(self, step)
+            if row in sets.errors:
+                raise sets.errors[row]
+            return ConfidenceSet(KINDS[sets.kind[row]], float(sets.lo[row]),
+                                 float(sets.hi[row]), f"{step}[{regime}]",
+                                 bool(sets.degenerate[row]))
+        stat, crit, kind = ((self.t_stat[row], self.t_crit[gamma][row],
+                             regime_spec(regime).statistic) if step == "ts"
+                            else (self.f_stat[row], F_THRESHOLD, "f"))
+        stat, crit = float(stat), float(crit)
+        return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
+                                statistic_kind=kind, degenerate=math.isnan(stat))
+
+
+def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: AnalysisConfig,
+               k: int, gammas: tuple[float, ...]) -> RowScores:
+    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen
+    for every row of the estimates and of ``families`` (a per-row (v_y,
+    c_yw, v_w) triple per family name), with the bits of the scalar chain;
+    it raises nothing. The Regime row of ``config`` is read as that chain
+    reads it: ``family`` for the Wald, FAR and first-stage triple,
+    ``screen_family`` for the F>10 screen, and ``mixture`` for critical
+    values of ``k`` covariates."""
+    spec = regime_spec(config.regime)
+    triple, screen_var = families[spec.family], families[spec.screen_family][2]
+    fs_var = triple[2]
+    tail = config.alpha / 2.0
+    if spec.mixture:
+        proj = families["proj"]
+
+        def lam(alpha, rho):
+            return lambda_quantiles(MixtureParams(k=k, a=config.design.a, alpha=alpha), rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # wald_ci: the mixture quantile at r2_of_tau at the ratio
+            r2, _ = r2_at(proj, triple, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
+        # first_stage_test: the mixture quantile at the receipt's own ratio
+        rho, _ = r2_ratio(proj[2], fs_var)
+        wald_crit, far_crit = lam(tail, r2), lam(tail, r2_stars(proj, triple)[0])
+        t_crit = {g: lam(g, rho) for g in gammas}
+    else:
+        wald_crit = far_crit = normal_quantile(1.0 - tail)
+        t_crit = {g: np.full(len(tau_w), normal_quantile(1.0 - g)) for g in gammas}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = np.where(fs_var > 0.0, (tau_w - config.p_plus) / np.sqrt(fs_var), math.nan)
+        f_stat = np.where(screen_var > 0.0, tau_w ** 2 / screen_var, math.nan)
+    return RowScores(wald_intervals(tau_y, tau_w, wald_crit, *triple, family=spec.family),
+                     solve_quadratic_sets(tau_y, tau_w, far_crit, *triple),
+                     t_stat, t_crit, f_stat)
 
 
 def two_stage_set(dataset: Dataset, config: AnalysisConfig,

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from latekit import estimation, mixture, simulation
+from latekit import estimation, mixture, simulation, two_stage
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -305,8 +305,8 @@ def _interval_arrays(lo, hi, errors=None):
 
 def test_wald_longer_than_far_interval_is_an_error_batched(monkeypatch):
     # the batched CRE pass checks the same ordering with the same message
-    monkeypatch.setattr(simulation, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
-    monkeypatch.setattr(simulation, "wald_intervals", _interval_arrays(-1.0, 1.0))
+    monkeypatch.setattr(two_stage, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
+    monkeypatch.setattr(two_stage, "wald_intervals", _interval_arrays(-1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=1, seed=99, k=2)
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
@@ -316,8 +316,8 @@ def test_wald_longer_than_far_interval_is_an_error_batched(monkeypatch):
 @pytest.mark.parametrize("adjustment", ["ehw", "hc2", "hc3"])
 def test_wald_longer_than_far_interval_is_an_error_batched_adjusted(monkeypatch, adjustment):
     # so does the batched regression-adjusted pass
-    monkeypatch.setattr(simulation, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
-    monkeypatch.setattr(simulation, "wald_intervals", _interval_arrays(-1.0, 1.0))
+    monkeypatch.setattr(two_stage, "solve_quadratic_sets", _interval_arrays(0.0, 1.0))
+    monkeypatch.setattr(two_stage, "wald_intervals", _interval_arrays(-1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment=adjustment, reps=1,
                       seed=99, k=2)
     with pytest.raises(ArithmeticError,
@@ -329,14 +329,14 @@ def test_batched_adjusted_names_the_sandwich_family_when_its_variance_is_negativ
         monkeypatch):
     # a sandwich quadratic is nonnegative by construction; a covariance
     # moved past the bound makes it -(v_y + tau^2 v_w) at every ratio tau
-    wald_intervals = simulation.wald_intervals
+    wald_intervals = two_stage.wald_intervals
 
     def negative(b_y, b_w, crit, q_y, q_c, q_w, **kwargs):
         tau = b_y / b_w
         return wald_intervals(b_y, b_w, crit, q_y, (q_y + tau * tau * q_w) / tau, q_w,
                               **kwargs)
 
-    monkeypatch.setattr(simulation, "wald_intervals", negative)
+    monkeypatch.setattr(two_stage, "wald_intervals", negative)
     cfg = StudyConfig(n=60, tau_w=(0.4,), adjustment="hc2", reps=3, seed=99, k=2)
     with pytest.raises(ArithmeticError, match=r"^sandwich variance quadratic is negative: -"):
         run_study(cfg)
@@ -351,14 +351,14 @@ def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
     # as the scalar loop would: draw 1 fails in FAR before draw 2's Wald
     # interval or draw 3's ordering check, and draw 1's Wald check comes first
     far_errors = {1: NoIdentificationError("far at 1"), 2: NoIdentificationError("far at 2")}
-    monkeypatch.setattr(simulation, "solve_quadratic_sets",
+    monkeypatch.setattr(two_stage, "solve_quadratic_sets",
                         _interval_arrays(0.0, 1.0, far_errors))
-    monkeypatch.setattr(simulation, "wald_intervals",
+    monkeypatch.setattr(two_stage, "wald_intervals",
                         _interval_arrays(0.25, 0.75, {2: ArithmeticError("wald at 2")}))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", reps=4, seed=99, k=2)
     with pytest.raises(NoIdentificationError, match="far at 1"):
         run_study(cfg)
-    monkeypatch.setattr(simulation, "wald_intervals",
+    monkeypatch.setattr(two_stage, "wald_intervals",
                         _interval_arrays(0.25, 0.75, {1: ArithmeticError("wald at 1")}))
     with pytest.raises(ArithmeticError, match="wald at 1"):
         run_study(cfg)
@@ -644,7 +644,7 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
 
     far = _interval_arrays(-1e9, 1e9, {1: NoIdentificationError("far at 1"),
                                        2: NoIdentificationError("far at 2")})
-    monkeypatch.setattr(simulation, "solve_quadratic_sets", far)
+    monkeypatch.setattr(two_stage, "solve_quadratic_sets", far)
     monkeypatch.setattr(estimation, "spd_inverses", singular_at(2, 3))
     with pytest.raises(NoIdentificationError, match="far at 1"):
         simulation._score(pop, zs, base, cfg.gamma)
