@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latekit import io
+from latekit import cli, io
+from latekit.data_model import CENTERING_TOL, Y_SPREAD_RANGE, Dataset, check_rows, validate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -177,3 +178,123 @@ def test_groups_match_one_row_calls_when_every_size_differs(tmp_path, monkeypatc
     _assert_bit_equal(got, want)
     assert not any("skipped" in e for e in got["strata"])
     assert calls == ([0, 24] if design in ("cre", "rem") else [0, 0])
+
+
+# the scalar chain the group pass replaces with one score_rows call
+_CHAIN = ("wald_ci", "far_set", "first_stage_test", "f_screen")
+
+
+def _chain_calls(monkeypatch, path, options):
+    """_reports' two reports, and how many times each call of the scalar
+    chain ran with the group pass and without it."""
+    calls = {name: [0, 0] for name in _CHAIN}
+    grouped = io.analyze_stratum
+    with monkeypatch.context() as mp:
+        for name in _CHAIN:
+            def counted(*args, _name=name, _call=getattr(io, name)):
+                # _reports rebinds analyze_stratum for its one-row pass
+                calls[_name][io.analyze_stratum is not grouped] += 1
+                return _call(*args)
+            mp.setattr(io, name, counted)
+        reports, _ = _reports(monkeypatch, path, options)
+    return reports, calls
+
+
+def _benchmark_input(tmp_path, monkeypatch, seed=20240901):
+    with monkeypatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    path = tmp_path / "strata.csv"
+    workloads.write_strata_csv(path, seed)
+    return path
+
+
+@pytest.mark.parametrize("design", ["cre", "rem"])
+def test_the_group_pass_runs_no_scalar_chain(tmp_path, monkeypatch, design):
+    path = _benchmark_input(tmp_path, monkeypatch)
+    (got, want), calls = _chain_calls(monkeypatch, path, DESIGNS[design])
+    _assert_bit_equal(got, want)
+    assert calls == {name: [0, 196] for name in _CHAIN}
+
+
+_INPUTS = {"benchmark": _benchmark_input,
+           "shared_size": lambda tmp_path, _: _write(
+               tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))}
+
+
+@pytest.mark.parametrize("methods", [("far", "wald_f10"), ("wald_f10",), ("ts_f10", "wald")])
+@pytest.mark.parametrize("design", ["cre", "rem"])
+@pytest.mark.parametrize("data", _INPUTS)
+def test_groups_match_one_row_calls_for_a_subset_of_methods(tmp_path, monkeypatch, data,
+                                                            design, methods):
+    # a stored error is raised at its step only: without "far", the stratum
+    # with no receipt is not skipped, and with it the skip comes at its turn
+    path = _INPUTS[data](tmp_path, monkeypatch)
+    (got, want), _ = _reports(monkeypatch, path, {**DESIGNS[design], "methods": methods})
+    _assert_bit_equal(got, want)
+    assert all(list(e["methods"]) == list(methods) for e in got["strata"] if "methods" in e)
+    if data == "shared_size":
+        zero = next(e for e in got["strata"] if e["stratum"] == "zero_first_stage")
+        assert ("skipped" in zero) == ("far" in methods or "ts_f10" in methods)
+
+
+def test_overflowed_covariances_skip_their_strata(tmp_path, monkeypatch):
+    # x1-x3 times 1e200 overflow every covariate covariance to infinities:
+    # each stratum with two units per arm is skipped as singular, and the
+    # run goes on
+    path = _benchmark_input(tmp_path, monkeypatch)
+    header, *lines = path.read_text().splitlines()
+    assert header == "stratum,z,w,y,x1,x2,x3"
+    lines = [",".join([*cells[:4], *(repr(float(c) * 1e200) for c in cells[4:])])
+             for cells in (line.split(",") for line in lines)]
+    path.write_text("\n".join([header, *lines]) + "\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--input", str(path), "--out", str(out),
+                     "--design", "rem", "--pa", "0.1"]) == 0
+    skips = [e["skipped"] for e in json.loads(out.read_text())["strata"]]
+    assert skips.count("covariate covariance is numerically singular") == 196
+    assert all(s.startswith(("n1 < 2", "n0 < 2")) for s in skips if "covariance" not in s)
+    (got, want), _ = _reports(monkeypatch, path, DESIGNS["rem"])
+    _assert_bit_equal(got, want)
+
+
+def _edge_rows():
+    """Datasets of 4 units whose y spread is exactly each end of
+    Y_SPREAD_RANGE or one ulp outside it, then whose first covariate mean is
+    exactly CENTERING_TOL or one ulp above it."""
+    lo, hi = Y_SPREAD_RANGE
+    z, w = np.array([1, 1, 0, 0]), np.array([0, 1, 0, 1])
+    for s in (lo, np.nextafter(lo, 0.0), hi, np.nextafter(hi, np.inf)):
+        yield Dataset(z=z, w=w, y=np.array([s, -s, 0.0, 0.0]), x=np.zeros((4, 2)))
+    for m in (CENTERING_TOL, np.nextafter(CENTERING_TOL, 1.0)):
+        x = np.zeros((4, 2))
+        x[:, 0] = m
+        yield Dataset(z=z, w=w, y=np.array([1.0, -1.0, 0.0, 0.0]), x=x)
+
+
+def test_check_rows_matches_validate_at_the_edges():
+    rows = list(_edge_rows())
+    checks = check_rows(*(np.stack([getattr(ds, a) for ds in rows]) for a in "zwyx"),
+                        np.zeros((len(rows), 2)))
+    reports = [validate(ds) for ds in rows]
+    assert checks.passed.tolist() == [not r for r in reports]
+    assert checks.passed.tolist() == [True, False, True, False, True, False]
+    assert reports[1][0].startswith("y varies on a scale") and reports[3][0].startswith(
+        "y varies on a scale")
+    assert reports[5] == [f"covariates not centered: columns [0] have means "
+                          f"{[float(np.nextafter(CENTERING_TOL, 1.0))]}"]
+
+
+def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatch):
+    # the spread and covariate means of every group of the benchmark input
+    strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
+    groups: dict = {}
+    for ds, means in map(io._stratum_dataset, strata):
+        groups.setdefault((ds.n, ds.n1), []).append((ds, means))
+    assert len(groups) > 30
+    for group in groups.values():
+        stacked = check_rows(*(np.stack([getattr(ds, a) for ds, _ in group]) for a in "zwyx"),
+                             np.stack([means for _, means in group]))
+        for r, (ds, means) in enumerate(group):
+            one = check_rows(ds.z[None], ds.w[None], ds.y[None], ds.x[None], means[None])
+            assert all(np.array_equal(a[r], b[0]) for a, b in zip(stacked, one))

@@ -50,17 +50,28 @@ def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
 
 
 
-def _callers(names):
-    """The package files that call each of ``names``, by name."""
+def _call_sites(names):
+    """Where the package calls each of ``names``, by name, as
+    ``file:innermost enclosing function``."""
     found = {name: set() for name in names}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in found:
-                    found[name].add(path.name)
+                    owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                    found[name].add(f"{path.name}:{owner}")
     return found
+
+
+def _callers(names):
+    """The package files that call each of ``names``, by name."""
+    return {name: {site.split(":")[0] for site in sites}
+            for name, sites in _call_sites(names).items()}
 
 
 def test_arm_moments_and_families_have_three_callers():
@@ -74,6 +85,17 @@ def test_arm_moments_and_families_have_three_callers():
     families = _callers(["_plain_family", "_rem_families"])
     assert all(files == {"estimation.py", "simulation.py", "io.py"}
                for files in families.values()), families
+
+
+def test_one_array_scorer_serves_simulate_and_analyze():
+    # the Wald and FAR sets of many rows are made in one place, the shared
+    # scorer, which the study cells (simulation) and analyze's grouped strata
+    # (io) call; a third scoring path has to change this test
+    sites = _call_sites(["wald_intervals", "solve_quadratic_sets", "score_rows"])
+    assert sites["wald_intervals"] == {"two_stage.py:score_rows"}, sites
+    assert sites["solve_quadratic_sets"] == {"two_stage.py:score_rows"}, sites
+    assert sites["score_rows"] == {"simulation.py:_score", "io.py:_group_scores"}, sites
+
 
 def test_only_the_cli_writer_indents_json():
     # artefacts have one writer: cli._json_text, which calls json.dumps only

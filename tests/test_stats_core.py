@@ -14,6 +14,7 @@ from latekit.stats_core import (
     fit_interacted,
     fit_interacted_pair,
     sandwich_cov,
+    spd_factors,
     summarize,
 )
 from oracles import (
@@ -124,6 +125,26 @@ def test_covariate_covariance_centering_invariance(rng):
         nz = mask.sum()
         with_full_mean = xc.T @ (y - ds.y.mean()) / (nz - 1)
         assert np.allclose(arm.s_yx[0], with_full_mean, atol=1e-12)
+
+
+@pytest.mark.parametrize("mat", [[[np.inf]], [[2.0, np.inf], [np.inf, 3.0]],
+                                 [[-np.inf, 0.5], [0.5, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
+def test_a_covariance_with_a_non_finite_entry_is_singular(mat):
+    # an overflowed covariance: numpy's eigvalsh may raise on it, or its nan
+    # eigenvalues may pass every comparison
+    _, errors = spd_factors(np.array(mat), "c")
+    assert list(errors) == [0] and str(errors[0]) == "c is numerically singular"
+
+
+def test_a_non_finite_matrix_leaves_the_rest_of_a_stack_unchanged(rng):
+    a = rng.standard_normal((5, 40, 3))
+    mats = np.swapaxes(a, 1, 2) @ a / 39
+    want = [spd_factors(m, "c")[0] for m in mats]
+    mats[2, 0, 1] = mats[2, 1, 0] = np.inf
+    chol, errors = spd_factors(mats, "c")
+    assert list(errors) == [2]
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(chol[i], want[i])
 
 
 # ----------------------------------------- the kernel against the scalar code
