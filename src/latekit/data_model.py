@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,51 +57,31 @@ class Dataset:
         return self.x.shape[1]
 
 
-class RowChecks(NamedTuple):
-    """validate's decisions for each row of a stack of datasets of one size:
-    each is a per-row array, and ``centered`` is per row and column."""
-
-    z_binary: np.ndarray
-    w_binary: np.ndarray
-    y_finite: np.ndarray
-    spread: np.ndarray  # largest |y - mean(y)|; 0 where y is not finite
-    spread_ok: np.ndarray
-    x_finite: np.ndarray
-    n1: np.ndarray
-    n0: np.ndarray
-    means: np.ndarray  # covariate column means; 0 where x is not finite
-    centered: np.ndarray
-
-    @property
-    def passed(self) -> np.ndarray:
-        """The rows validate accepts."""
-        return (self.z_binary & self.w_binary & self.y_finite & self.spread_ok
-                & self.x_finite & (self.n1 >= 2) & (self.n0 >= 2) & self.centered.all(axis=1))
-
-
 def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
-               offsets: np.ndarray) -> RowChecks:
+               offsets: np.ndarray):
     """validate's checks of every row of (rows, n) ``z``, ``w``, ``y`` and
-    (rows, n, K) ``x``, with (rows, K) or (rows, 0) ``offsets``. validate is
-    its one-row call; a row's reductions run along the row, so a row of a
-    stack gets the bits of its one-row call."""
+    (rows, n, K) ``x``, with (rows, K) ``offsets``: which of them each row
+    fails, (rows, 8) in validate's order, and the y spread, covariate means
+    and off-centre columns its messages print. A row's reductions run along
+    the row, so a row of a stack gets the bits of validate, its one-row call."""
     n = z.shape[1]
     y_finite, x_finite = np.isfinite(y).all(axis=1), np.isfinite(x).all(axis=(1, 2))
     # rows that fail a finiteness check are zeroed, so they warn of nothing
     ys = y if y_finite.all() else np.where(y_finite[:, None], y, 0.0)
     xs = x if x_finite.all() else np.where(x_finite[:, None, None], x, 0.0)
     # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
-    y_mean = np.add.reduce(ys, axis=1) / max(n, 1)
-    spread = np.abs(ys - y_mean[:, None]).max(axis=1, initial=0.0)
-    lo, hi = Y_SPREAD_RANGE
+    spread = np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]).max(axis=1,
+                                                                             initial=0.0)
     means = np.add.reduce(xs, axis=1) / max(n, 1)
     scale = np.maximum(np.abs(xs).max(axis=(1, 2), initial=1.0),
                        np.abs(offsets).max(axis=1, initial=0.0))
+    off = np.abs(means) > CENTERING_TOL * np.maximum(1.0, scale)[:, None]
+    lo, hi = Y_SPREAD_RANGE
     n1 = np.add.reduce(z, axis=1)
-    return RowChecks(((z == 0) | (z == 1)).all(axis=1), ((w == 0) | (w == 1)).all(axis=1),
-                     y_finite, spread, (spread == 0) | ((lo <= spread) & (spread <= hi)),
-                     x_finite, n1, n - n1, means,
-                     ~(np.abs(means) > CENTERING_TOL * np.maximum(1.0, scale)[:, None]))
+    fails = np.stack([((z != 0) & (z != 1)).any(axis=1), ((w != 0) & (w != 1)).any(axis=1),
+                      ~y_finite, (spread != 0) & ~((lo <= spread) & (spread <= hi)),
+                      ~x_finite, n1 < 2, n - n1 < 2, off.any(axis=1)], axis=1)
+    return fails, spread, means, off
 
 
 def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
@@ -110,35 +89,25 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
 
     Checks binary fields, minimum arm sizes (sample variances need at
     least two units per arm), finite outcomes on a workable scale (see
-    Y_SPREAD_RANGE), and covariate centering, by the one-row call of
-    check_rows.
+    Y_SPREAD_RANGE), and covariate centering: check_rows of one row.
     ``offsets`` are the column means the caller already subtracted from the
     covariates, as center_covariates returns them: the roundoff that
     subtraction leaves in the means grows with them, so they widen the
     centering tolerance.
     """
-    c = check_rows(dataset.z[None], dataset.w[None], dataset.y[None], dataset.x[None],
-                   np.asarray(offsets, dtype=float).reshape(1, -1))
-    report = []
-    for name, arr, binary in (("z", dataset.z, c.z_binary), ("w", dataset.w, c.w_binary)):
-        if not binary[0]:
-            bad = np.setdiff1d(np.unique(arr), [0, 1])
-            report.append(f"{name} contains non-binary values: {bad.tolist()}")
-    if not c.y_finite[0]:
-        report.append("y contains non-finite values")
-    elif not c.spread_ok[0]:
-        report.append(f"y varies on a scale ({float(c.spread[0]):.3g}) outside "
-                      "[2^-400, 2^400]; rescale y")
-    if not c.x_finite[0]:
-        report.append("x contains non-finite values")
-    if c.n1[0] < 2:
-        report.append("n1 < 2")
-    if c.n0[0] < 2:
-        report.append("n0 < 2")
-    off = np.flatnonzero(~c.centered[0])
-    if off.size:
-        report.append("covariates not centered: columns "
-                      f"{off.tolist()} have means {c.means[0][off].tolist()}")
+    fails, spread, means, off = check_rows(
+        dataset.z[None], dataset.w[None], dataset.y[None], dataset.x[None],
+        np.asarray(offsets, dtype=float).reshape(1, -1))
+    report = [f"{name} contains non-binary values: {np.setdiff1d(np.unique(a), [0, 1]).tolist()}"
+              for name, a, bad in zip("zw", (dataset.z, dataset.w), fails[0]) if bad]
+    report += [text for text, bad in zip(
+        ("y contains non-finite values",
+         f"y varies on a scale ({spread[0]:.3g}) outside [2^-400, 2^400]; rescale y",
+         "x contains non-finite values", "n1 < 2", "n0 < 2"), fails[0, 2:7]) if bad]
+    if fails[0, 7]:
+        cols = np.flatnonzero(off[0])
+        report.append(f"covariates not centered: columns {cols.tolist()} have means "
+                      f"{means[0][cols].tolist()}")
     return report
 
 

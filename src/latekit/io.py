@@ -11,6 +11,10 @@ file it refuses, or whose records fail the 0/1, finiteness or one-line
 checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
+
+Unadjusted strata with two or more units per arm are validated by size
+and scored at once by ``two_stage.score_rows``, as study cells are; the
+rest take the one-row path of ``stratum_steps``, the reference for both.
 """
 from __future__ import annotations
 
@@ -216,20 +220,14 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
 def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
                   config: AnalysisConfig, k: int, gammas: tuple[float, ...]) -> list:
     """What analyze_file hands analyze_stratum for each unadjusted stratum
-    with 2 or more units per arm that validate accepts: its Estimates with
-    its row of one score_rows call, as ``(estimates, scores, row)``, or the
-    error its families raise (a singular full covariance before a
-    within-arm one). None for other strata, for those whose families are
-    not finite, and for a group whose stacked factoring raises: the
-    one-row path skips or raises as before.
-
-    Strata of one (n, n1) are the rows of one check_rows call, then of one
-    _arm_moments call per arm on the rows it passes, each row offset by
-    row * n. The kernels reduce each row on its own and spd_inverses
-    factors a stack matrix by matrix, so a row has the bits of its one-row
-    call. The critical values do not depend on (n, n1), so the rows of
-    every group are scored together.
-    """
+    with 2 or more units per arm that validate accepts: ``(estimates,
+    scores, row)``, its row of one score_rows call, or the error its
+    families raise (a singular full covariance first). None for the rest,
+    non-finite families and a group whose stacked factoring raises: the
+    one-row path skips or raises as before. Strata of one (n, n1) are rows
+    of one check_rows call and one _arm_moments call per arm, which reduce
+    row by row, so a row has its one-row bits; critical values do not
+    depend on (n, n1), so all groups are scored at once."""
     spec = regime_spec(config.regime)
     out = [None] * len(datasets)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -241,13 +239,13 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
     for (n, n1), rows in groups.items():
         z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
         z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
-        passed = check_rows(z, w, y, x, np.array([datasets[i][1] for i in rows])
-                            .reshape(len(rows), k)).passed
-        if not passed.all():
-            rows = list(itertools.compress(rows, passed))
-            if not rows:
-                continue
-            z, y, w, x = z[passed], y[passed], w[passed], x[passed]
+        fails, *_ = check_rows(z, w, y, x, np.array([datasets[i][1] for i in rows])
+                               .reshape(len(rows), k))
+        passed = ~fails.any(axis=1)
+        rows = list(itertools.compress(rows, passed))
+        if not rows:
+            continue
+        z, y, w, x = z[passed], y[passed], w[passed], x[passed]
         idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
         y, w, x = y.ravel(), w.ravel(), x.reshape(-1, k) if spec.mixture else None
         try:
@@ -279,9 +277,8 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
 
 
 def _finite_rows(family, spec) -> np.ndarray:
-    """Whether every family the steps read, ``family(name)``, is finite, per
-    row: data on an extreme scale can overflow them, and the sets would then
-    have nan endpoints."""
+    """Whether each row's families the steps read, ``family(name)``, are
+    finite: extreme data can overflow them, giving sets nan endpoints."""
     read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
     return np.isfinite([family(name) for name in read]).all(axis=(0, 1))
 
@@ -290,12 +287,10 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
                   moments=None):
     """One stratum's estimates and a getter that runs each of its steps
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
-    ``moments`` is what analyze_file's group pass hands the stratum, which
-    has passed validate there: its estimates and its row of a score_rows
-    call, whose getter reads each step's object from the arrays and raises
-    the row's stored error when the step is first requested; or the error
-    its families raise. Without it, validate, the one-row summarize or the
-    interacted fits, and the scalar chain run.
+    ``moments`` is what analyze_file's group pass hands a stratum validate
+    accepts: its error, or its estimates and score_rows row, from which the
+    getter reads each step (raising the row's stored error at that step);
+    without it, validate, the one-row moments or fits and the chain run.
     Invalid data or non-finite variance families raise InvalidDatasetError."""
     regime = config.regime
     if isinstance(moments, LatekitError):
@@ -392,9 +387,8 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
 
     datasets = [_stratum_dataset(records) for records in strata]
     n1s = [ds.n1 for ds, _ in datasets]
-    # the group pass validates and scores unadjusted strata by arm-size
-    # group; then analyze_stratum assembles each stratum's entry, one
-    # stratum after another, handed its own row (None: it runs them itself)
+    # the group pass validates and scores unadjusted strata by size; then
+    # analyze_stratum assembles each entry from its row (None: the one-row path)
     gammas = (gamma,) if "ts" in methods else ()
     handed = (_group_scores(datasets, n1s, config, k, gammas) if adjustment == "none"
               else [None] * len(strata))

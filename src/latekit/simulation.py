@@ -6,11 +6,11 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-``_score`` scores a cell in one array pass over all of its draws, by the
-cell's Regime row and its ``_FAMILIES`` entry. Unadjusted cells get the bits
-of scoring each draw by the scalar chain (``wald_ci``, ``far_set``,
-``first_stage_test``, ``f_screen``); adjusted cells (per-arm OLS fits instead
-of one interacted fit) agree with it to roundoff.
+``_score`` scores a cell in one array pass over all of its draws, its
+``_FAMILIES`` entry then ``two_stage.score_rows`` (as analyze's strata).
+Unadjusted cells get the bits of scoring each draw by the scalar chain
+(``wald_ci``, ``far_set``, ``first_stage_test``, ``f_screen``); adjusted
+cells (per-arm OLS fits instead of one interacted fit) agree to roundoff.
 """
 from __future__ import annotations
 

@@ -33,9 +33,8 @@ def spd_factors(mats: np.ndarray, what: str
     nonpositive variance, or a nonpositive smallest eigenvalue or a
     reciprocal condition below 1e-12 of the matrix scaled to unit diagonal
     (the correlation matrix), so rescaling a covariate never changes the
-    decision, or a non-finite entry (an overflowed covariance), which
-    hands the identity to the tests in its place. The unscaled matrix is
-    factored; a stack gives the bits of factoring its matrices one by one."""
+    decision, or a non-finite entry (the tests then see the identity). The
+    unscaled matrix is factored; a stack gives each matrix's own bits."""
     finite = np.isfinite(mats).all(axis=(-2, -1), keepdims=True)
     mats = np.where(finite, mats, np.eye(mats.shape[-1]))
     diag = np.diagonal(mats, axis1=-2, axis2=-1)

@@ -85,11 +85,10 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
 
 
 class RowScores(NamedTuple):
-    """The scalar chain's results for many rows, one entry per row: the
-    Wald and FAR sets, whose ``errors`` hold what wald_ci and far_set raise,
-    the first-stage t statistic with its critical value at each gamma, and
-    the F statistic. A statistic is nan where its variance is not positive,
-    so it is never strong there."""
+    """The scalar chain's results for many rows: the Wald and FAR sets (with
+    what wald_ci and far_set raise), the first-stage t statistic and its
+    critical value at each gamma, and the F statistic, nan (weak) where the
+    variance is not positive."""
 
     wald: SetArrays
     far: SetArrays
@@ -98,9 +97,8 @@ class RowScores(NamedTuple):
     f_stat: np.ndarray
 
     def step(self, row: int, step: str, regime: str, gamma: float):
-        """The ConfidenceSet or FirstStageResult the scalar chain returns for
-        step "wald", "far", "ts" (at ``gamma``) or "ts_f10" of one row, or
-        the error it raises."""
+        """What the scalar chain returns, or raises, for step "wald", "far",
+        "ts" (at ``gamma``) or "ts_f10" of one row."""
         if step in ("wald", "far"):
             sets = getattr(self, step)
             if row in sets.errors:
@@ -108,23 +106,19 @@ class RowScores(NamedTuple):
             return ConfidenceSet(KINDS[sets.kind[row]], float(sets.lo[row]),
                                  float(sets.hi[row]), f"{step}[{regime}]",
                                  bool(sets.degenerate[row]))
-        stat, crit, kind = ((self.t_stat[row], self.t_crit[gamma][row],
-                             regime_spec(regime).statistic) if step == "ts"
-                            else (self.f_stat[row], F_THRESHOLD, "f"))
-        stat, crit = float(stat), float(crit)
-        return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
-                                statistic_kind=kind, degenerate=math.isnan(stat))
+        ts = step == "ts"
+        stat = float((self.t_stat if ts else self.f_stat)[row])
+        crit = float(self.t_crit[gamma][row]) if ts else F_THRESHOLD
+        return FirstStageResult(stat, crit, stat > crit,
+                                regime_spec(regime).statistic if ts else "f", math.isnan(stat))
 
 
 def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: AnalysisConfig,
                k: int, gammas: tuple[float, ...]) -> RowScores:
-    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen
-    for every row of the estimates and of ``families`` (a per-row (v_y,
-    c_yw, v_w) triple per family name), with the bits of the scalar chain;
-    it raises nothing. The Regime row of ``config`` is read as that chain
-    reads it: ``family`` for the Wald, FAR and first-stage triple,
-    ``screen_family`` for the F>10 screen, and ``mixture`` for critical
-    values of ``k`` covariates."""
+    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen,
+    with their bits and without raising, for every row of the estimates and
+    ``families`` (a per-row (v_y, c_yw, v_w) triple per name), read by the
+    Regime row of ``config`` as the chain reads it."""
     spec = regime_spec(config.regime)
     triple, screen_var = families[spec.family], families[spec.screen_family][2]
     fs_var = triple[2]
