@@ -60,27 +60,28 @@ class Dataset:
 def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
                offsets: np.ndarray):
     """validate's checks of every row of (rows, n) ``z``, ``w``, ``y`` and
-    (rows, n, K) ``x``, with (rows, K) ``offsets``: which of them each row
-    fails, (rows, 8) in validate's order, and the y spread, covariate means
+    (rows, n, K) ``x``, with (rows, K) ``offsets``: which rows fail each, in
+    validate's order (8 arrays), and the y spread, covariate means
     and off-centre columns its messages print. A row's reductions run along
     the row, so a row of a stack gets the bits of validate, its one-row call."""
-    n = z.shape[1]
-    y_finite, x_finite = np.isfinite(y).all(axis=1), np.isfinite(x).all(axis=(1, 2))
+    n, every, largest = z.shape[1], np.logical_and.reduce, np.maximum.reduce
+    # ufunc reductions: the ndarray methods' arithmetic, without their wrappers
+    y_finite, x_finite = every(np.isfinite(y), axis=1), every(np.isfinite(x), axis=(1, 2))
     # rows that fail a finiteness check are zeroed, so they warn of nothing
-    ys = y if y_finite.all() else np.where(y_finite[:, None], y, 0.0)
-    xs = x if x_finite.all() else np.where(x_finite[:, None, None], x, 0.0)
-    # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
-    spread = np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]).max(axis=1,
-                                                                             initial=0.0)
+    ys = y if every(y_finite) else np.where(y_finite[:, None], y, 0.0)
+    xs = x if every(x_finite) else np.where(x_finite[:, None, None], x, 0.0)
+    spread = largest(np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]), axis=1,
+                     initial=0.0)
     means = np.add.reduce(xs, axis=1) / max(n, 1)
-    scale = np.maximum(np.abs(xs).max(axis=(1, 2), initial=1.0),
-                       np.abs(offsets).max(axis=1, initial=0.0))
-    off = np.abs(means) > CENTERING_TOL * np.maximum(1.0, scale)[:, None]
+    scale = np.maximum(largest(np.abs(xs), axis=(1, 2), initial=1.0),  # so at least 1
+                       largest(np.abs(offsets), axis=1, initial=0.0))
+    off = np.abs(means) > CENTERING_TOL * scale[:, None]
     lo, hi = Y_SPREAD_RANGE
     n1 = np.add.reduce(z, axis=1)
-    fails = np.stack([((z != 0) & (z != 1)).any(axis=1), ((w != 0) & (w != 1)).any(axis=1),
-                      ~y_finite, (spread != 0) & ~((lo <= spread) & (spread <= hi)),
-                      ~x_finite, n1 < 2, n - n1 < 2, off.any(axis=1)], axis=1)
+    # a value outside {0, 1} is negative or has a bit above the lowest
+    fails = [np.logical_or.reduce(z >> 1, axis=1), np.logical_or.reduce(w >> 1, axis=1),
+             ~y_finite, ((0 < spread) & (spread < lo)) | (spread > hi), ~x_finite, n1 < 2,
+             n - n1 < 2, np.logical_or.reduce(off, axis=1)]
     return fails, spread, means, off
 
 
@@ -98,13 +99,14 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     fails, spread, means, off = check_rows(
         dataset.z[None], dataset.w[None], dataset.y[None], dataset.x[None],
         np.asarray(offsets, dtype=float).reshape(1, -1))
+    z_bad, w_bad, *rest, uncentered = (f[0] for f in fails)
     report = [f"{name} contains non-binary values: {np.setdiff1d(np.unique(a), [0, 1]).tolist()}"
-              for name, a, bad in zip("zw", (dataset.z, dataset.w), fails[0]) if bad]
+              for name, a, bad in (("z", dataset.z, z_bad), ("w", dataset.w, w_bad)) if bad]
     report += [text for text, bad in zip(
         ("y contains non-finite values",
          f"y varies on a scale ({spread[0]:.3g}) outside [2^-400, 2^400]; rescale y",
-         "x contains non-finite values", "n1 < 2", "n0 < 2"), fails[0, 2:7]) if bad]
-    if fails[0, 7]:
+         "x contains non-finite values", "n1 < 2", "n0 < 2"), rest) if bad]
+    if uncentered:
         cols = np.flatnonzero(off[0])
         report.append(f"covariates not centered: columns {cols.tolist()} have means "
                       f"{means[0][cols].tolist()}")

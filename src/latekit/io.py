@@ -241,7 +241,7 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
         z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
         fails, *_ = check_rows(z, w, y, x, np.array([datasets[i][1] for i in rows])
                                .reshape(len(rows), k))
-        passed = ~fails.any(axis=1)
+        passed = ~np.logical_or.reduce(fails)
         rows = list(itertools.compress(rows, passed))
         if not rows:
             continue

@@ -277,7 +277,7 @@ def test_check_rows_matches_validate_at_the_edges():
     fails, *_ = check_rows(*(np.stack([getattr(ds, a) for ds in rows]) for a in "zwyx"),
                            np.zeros((len(rows), 2)))
     reports = [validate(ds) for ds in rows]
-    passed = (~fails.any(axis=1)).tolist()
+    passed = (~np.logical_or.reduce(fails)).tolist()
     assert passed == [not r for r in reports] == [True, False, True, False, True, False]
     assert reports[1][0].startswith("y varies on a scale") and reports[3][0].startswith(
         "y varies on a scale")
