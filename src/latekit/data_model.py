@@ -61,27 +61,25 @@ def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
                offsets: np.ndarray):
     """validate's checks of every row of (rows, n) ``z``, ``w``, ``y`` and
     (rows, n, K) ``x``, with (rows, K) ``offsets``: which rows fail each, in
-    validate's order (8 arrays), and the y spread, covariate means
-    and off-centre columns its messages print. A row's reductions run along
-    the row, so a row of a stack gets the bits of validate, its one-row call."""
-    n, every, largest = z.shape[1], np.logical_and.reduce, np.maximum.reduce
-    # ufunc reductions: the ndarray methods' arithmetic, without their wrappers
-    y_finite, x_finite = every(np.isfinite(y), axis=1), every(np.isfinite(x), axis=(1, 2))
+    its order, and the y spread, covariate means and off-centre columns its
+    messages print. Reductions run along rows, so validate is its one-row call."""
+    n = z.shape[1]
+    y_finite, x_finite = np.isfinite(y).all(axis=1), np.isfinite(x).all(axis=(1, 2))
     # rows that fail a finiteness check are zeroed, so they warn of nothing
-    ys = y if every(y_finite) else np.where(y_finite[:, None], y, 0.0)
-    xs = x if every(x_finite) else np.where(x_finite[:, None, None], x, 0.0)
-    spread = largest(np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]), axis=1,
-                     initial=0.0)
+    ys = y if y_finite.all() else np.where(y_finite[:, None], y, 0.0)
+    xs = x if x_finite.all() else np.where(x_finite[:, None, None], x, 0.0)
+    # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
+    spread = np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]).max(axis=1,
+                                                                             initial=0.0)
     means = np.add.reduce(xs, axis=1) / max(n, 1)
-    scale = np.maximum(largest(np.abs(xs), axis=(1, 2), initial=1.0),  # so at least 1
-                       largest(np.abs(offsets), axis=1, initial=0.0))
+    scale = np.maximum(np.abs(xs).max(axis=(1, 2), initial=1.0),  # so at least 1
+                       np.abs(offsets).max(axis=1, initial=0.0))
     off = np.abs(means) > CENTERING_TOL * scale[:, None]
     lo, hi = Y_SPREAD_RANGE
     n1 = np.add.reduce(z, axis=1)
-    # a value outside {0, 1} is negative or has a bit above the lowest
-    fails = [np.logical_or.reduce(z >> 1, axis=1), np.logical_or.reduce(w >> 1, axis=1),
-             ~y_finite, ((0 < spread) & (spread < lo)) | (spread > hi), ~x_finite, n1 < 2,
-             n - n1 < 2, np.logical_or.reduce(off, axis=1)]
+    fails = [((z != 0) & (z != 1)).any(axis=1), ((w != 0) & (w != 1)).any(axis=1), ~y_finite,
+             ((0 < spread) & (spread < lo)) | (spread > hi), ~x_finite, n1 < 2, n - n1 < 2,
+             off.any(axis=1)]
     return fails, spread, means, off
 
 

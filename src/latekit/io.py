@@ -12,9 +12,9 @@ checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
-Unadjusted strata with two or more units per arm are validated by size
-and scored at once by ``two_stage.score_rows``, as study cells are; the
-rest take the one-row path of ``stratum_steps``, the reference for both.
+Strata with two or more units per arm are validated by size and scored
+at once by ``two_stage.score_rows``, as study cells are; the rest take the
+one-row path of ``stratum_steps``, the reference for both.
 """
 from __future__ import annotations
 
@@ -219,60 +219,68 @@ def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
 
 def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
                   config: AnalysisConfig, k: int, gammas: tuple[float, ...]) -> list:
-    """What analyze_file hands analyze_stratum for each unadjusted stratum
-    with 2 or more units per arm that validate accepts: ``(estimates,
-    scores, row)``, its row of one score_rows call, or the error its
-    families raise (a singular full covariance first). None for the rest,
-    non-finite families and a group whose stacked factoring raises: the
-    one-row path skips or raises as before. Strata of one (n, n1) are rows
-    of one check_rows call and one _arm_moments call per arm, which reduce
-    row by row, so a row has its one-row bits; critical values do not
-    depend on (n, n1), so all groups are scored at once."""
+    """What analyze_file hands analyze_stratum for each stratum with 2 or
+    more units per arm that validate accepts: ``(estimates, scores, row)``,
+    its row of one score_rows call, or the error its fits or families raise
+    (a singular full covariance first). None for the rest, non-finite
+    families and a group whose stacked factoring raises. Strata of one (n,
+    n1) are rows of one check_rows call and, unadjusted, of one _arm_moments
+    call per arm; these reduce row by row, so a row has its one-row bits."""
     spec = regime_spec(config.regime)
     out = [None] * len(datasets)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, ((ds, _), n1) in enumerate(zip(datasets, n1s)):
         if min(n1, ds.n - n1) >= 2:
             groups.setdefault((ds.n, n1), []).append(i)
-    names = ("plain", "rem", "proj") if spec.mixture else ("plain",)
+    names = ("plain", "rem", "proj") if spec.mixture else (spec.family,)
     scored = []  # each group's strata, tau_y, tau_w and family columns to score
     for (n, n1), rows in groups.items():
         z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
         z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
-        fails, *_ = check_rows(z, w, y, x, np.array([datasets[i][1] for i in rows])
-                               .reshape(len(rows), k))
-        passed = ~np.logical_or.reduce(fails)
+        offsets = np.array([datasets[i][1] for i in rows]).reshape(len(rows), k)
+        passed = ~np.logical_or.reduce(check_rows(z, w, y, x, offsets)[0])
         rows = list(itertools.compress(rows, passed))
         if not rows:
             continue
-        z, y, w, x = z[passed], y[passed], w[passed], x[passed]
-        idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
-        y, w, x = y.ravel(), w.ravel(), x.reshape(-1, k) if spec.mixture else None
-        try:
-            # as variance_components: extreme covariate scales overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
-                families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
-                if spec.mixture:
-                    sxx_inv, full = spd_inverses(
-                        np.stack([covariate_covariance(datasets[i][0].x) for i in rows]),
-                        "covariate covariance")
-                    *families, within = _rem_families(arm1, arm0, n1, n - n1, sxx_inv)
-        except np.linalg.LinAlgError:
-            continue
+        if spec.family == "sandwich":  # the one-row path's interacted fits
+            cols, errors = np.zeros((len(rows), 5)), {}
+            for r, i in enumerate(rows):
+                try:
+                    fit_y, fit_w = fit_interacted_pair(datasets[i][0], datasets[i][0].z)
+                    cols[r] = (fit_y.tau_hat, fit_w.tau_hat,
+                               *sandwich_cov(fit_y, fit_w, config.adjustment).family("sandwich"))
+                except LatekitError as exc:
+                    errors[r] = exc
+            tau_y, tau_w, families = cols[:, 0], cols[:, 1], [tuple(cols.T[2:])]
+        else:
+            z, y, w, x = z[passed], y[passed].ravel(), w[passed].ravel(), x[passed]
+            idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
+            x = x.reshape(-1, k) if spec.mixture else None
+            try:
+                # as variance_components: extreme covariate scales overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
+                    families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
+                    if spec.mixture:
+                        sxx_inv, full = spd_inverses(
+                            np.stack([covariate_covariance(datasets[i][0].x) for i in rows]),
+                            "covariate covariance")
+                        *families, within = _rem_families(arm1, arm0, n1, n - n1, sxx_inv)
+            except np.linalg.LinAlgError:
+                continue
+            tau_y, tau_w, errors = (arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean,
+                                    {**within, **full})
         keep = _finite_rows(dict(zip(names, families)).__getitem__, spec)
-        for r, exc in {**within, **full}.items():
+        for r, exc in errors.items():
             out[rows[r]], keep[r] = exc, False
-        columns = (np.array(rows), arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean,
-                   *itertools.chain(*families))
+        columns = (np.array(rows), tau_y, tau_w, *itertools.chain(*families))
         scored.append(columns if keep.all() else [col[keep] for col in columns])
     if scored:
         strata, tau_y, tau_w, *flat = map(np.concatenate, zip(*scored))
         scores = score_rows(tau_y, tau_w, {name: tuple(flat[3 * j:3 * j + 3])
                                            for j, name in enumerate(names)}, config, k, gammas)
-        for row, (i, t_y, t_w) in enumerate(zip(strata.tolist(), tau_y.tolist(),
-                                                tau_w.tolist())):
-            out[i] = (Estimates(t_y, t_w), scores, row)
+        for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
+            out[i] = (Estimates(*pair), scores, row)
     return out
 
 
@@ -287,10 +295,9 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
                   moments=None):
     """One stratum's estimates and a getter that runs each of its steps
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
-    ``moments`` is what analyze_file's group pass hands a stratum validate
-    accepts: its error, or its estimates and score_rows row, from which the
-    getter reads each step (raising the row's stored error at that step);
-    without it, validate, the one-row moments or fits and the chain run.
+    ``moments``, from analyze_file's group pass, is an error or a row of
+    score_rows, from which the getter reads each step and raises the row's
+    stored error; without it validate, the moments or fits and the chain run.
     Invalid data or non-finite variance families raise InvalidDatasetError."""
     regime = config.regime
     if isinstance(moments, LatekitError):
@@ -387,11 +394,10 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
 
     datasets = [_stratum_dataset(records) for records in strata]
     n1s = [ds.n1 for ds, _ in datasets]
-    # the group pass validates and scores unadjusted strata by size; then
+    # the group pass validates and scores the strata by size; then
     # analyze_stratum assembles each entry from its row (None: the one-row path)
     gammas = (gamma,) if "ts" in methods else ()
-    handed = (_group_scores(datasets, n1s, config, k, gammas) if adjustment == "none"
-              else [None] * len(strata))
+    handed = _group_scores(datasets, n1s, config, k, gammas)
 
     entries = []
     for records, (ds, means), n1, row in zip(strata, datasets, n1s, handed):

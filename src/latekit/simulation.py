@@ -455,9 +455,9 @@ def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
            gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw ratio estimates (nan where tau_w is 0) and each method's
     MethodScores in table order, for all assignment rows of ``zs`` at once:
-    the cell's ``_FAMILIES`` entry scored by ``score_rows``. A draw whose
-    families or sets fail, or whose Wald interval is longer than its FAR
-    interval, raises; the first failing draw's first failure is raised."""
+    the cell's ``_FAMILIES`` entry scored by ``score_rows``. The first
+    failing draw's first failure (its families, its sets, or a Wald interval
+    longer than its FAR interval) is raised."""
     tau_y, tau_w, families, errors = _FAMILIES[base.regime](pop, zs, base)
     scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
     wald_sets, far = scored.wald, scored.far

@@ -86,9 +86,8 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
 
 class RowScores(NamedTuple):
     """The scalar chain's results for many rows: the Wald and FAR sets (with
-    what wald_ci and far_set raise), the first-stage t statistic and its
-    critical value at each gamma, and the F statistic, nan (weak) where the
-    variance is not positive."""
+    what wald_ci and far_set raise), the first-stage t statistic, its critical
+    value at each gamma, and the F statistic, nan (weak) at a variance <= 0."""
 
     wald: SetArrays
     far: SetArrays
@@ -97,15 +96,13 @@ class RowScores(NamedTuple):
     f_stat: np.ndarray
 
     def step(self, row: int, step: str, regime: str, gamma: float):
-        """What the scalar chain returns, or raises, for step "wald", "far",
-        "ts" (at ``gamma``) or "ts_f10" of one row."""
+        """The scalar chain's result or error for one row's step (ts at ``gamma``)."""
         if step in ("wald", "far"):
             sets = getattr(self, step)
             if row in sets.errors:
                 raise sets.errors[row]
-            return ConfidenceSet(KINDS[sets.kind[row]], float(sets.lo[row]),
-                                 float(sets.hi[row]), f"{step}[{regime}]",
-                                 bool(sets.degenerate[row]))
+            return ConfidenceSet(KINDS[sets.kind[row]], float(sets.lo[row]), float(sets.hi[row]),
+                                 f"{step}[{regime}]", bool(sets.degenerate[row]))
         ts = step == "ts"
         stat = float((self.t_stat if ts else self.f_stat)[row])
         crit = float(self.t_crit[gamma][row]) if ts else F_THRESHOLD
@@ -115,14 +112,12 @@ class RowScores(NamedTuple):
 
 def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: AnalysisConfig,
                k: int, gammas: tuple[float, ...]) -> RowScores:
-    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen,
-    with their bits and without raising, for every row of the estimates and
-    ``families`` (a per-row (v_y, c_yw, v_w) triple per name), read by the
-    Regime row of ``config`` as the chain reads it."""
+    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen, with their
+    bits and without raising, for every row of the estimates and ``families`` (a per-row
+    (v_y, c_yw, v_w) triple per name), read by ``config``'s Regime row as the chain does."""
     spec = regime_spec(config.regime)
     triple, screen_var = families[spec.family], families[spec.screen_family][2]
-    fs_var = triple[2]
-    tail = config.alpha / 2.0
+    fs_var, tail = triple[2], config.alpha / 2.0
     if spec.mixture:
         proj = families["proj"]
 

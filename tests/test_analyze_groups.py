@@ -1,10 +1,11 @@
 """analyze_file's group pass against the one-row path, stratum for stratum.
 
-``analyze_file`` computes the moments and variance families of every
-unadjusted stratum by arm-size group and hands each stratum its own to
-``analyze_stratum``. Handed nothing, ``analyze_stratum`` computes them by
-the one-row ``summarize`` and ``*_components`` calls, as it did before the
-group pass. The report must be the same to the bit either way.
+``analyze_file`` validates the strata by arm-size group, computes their
+families (the moments by group, the interacted fits stratum by stratum),
+scores all of them with one ``score_rows`` call and hands each stratum its
+row to ``analyze_stratum``. Handed nothing, ``analyze_stratum`` runs
+``validate``, the one-row ``summarize``/``*_components`` calls or the fits,
+and the scalar chain. The report must be the same to the bit either way.
 """
 import importlib
 import json
@@ -209,7 +210,7 @@ def _benchmark_input(tmp_path, monkeypatch, seed=20240901):
     return path
 
 
-@pytest.mark.parametrize("design", ["cre", "rem"])
+@pytest.mark.parametrize("design", DESIGNS)
 def test_the_group_pass_runs_no_scalar_chain(tmp_path, monkeypatch, design):
     path = _benchmark_input(tmp_path, monkeypatch)
     (got, want), calls = _chain_calls(monkeypatch, path, DESIGNS[design])
@@ -293,8 +294,10 @@ def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatc
         groups.setdefault((ds.n, ds.n1), []).append((ds, means))
     assert len(groups) > 30
     for group in groups.values():
-        stacked = check_rows(*(np.stack([getattr(ds, a) for ds, _ in group]) for a in "zwyx"),
-                             np.stack([means for _, means in group]))
+        fails, *rest = check_rows(*(np.stack([getattr(ds, a) for ds, _ in group])
+                                    for a in "zwyx"), np.stack([means for _, means in group]))
         for r, (ds, means) in enumerate(group):
-            one = check_rows(ds.z[None], ds.w[None], ds.y[None], ds.x[None], means[None])
-            assert all(np.array_equal(a[r], b[0]) for a, b in zip(stacked, one))
+            one_fails, *one_rest = check_rows(ds.z[None], ds.w[None], ds.y[None], ds.x[None],
+                                              means[None])
+            assert all(np.array_equal(a[r], b[0])
+                       for a, b in zip([*fails, *rest], [*one_fails, *one_rest]))
