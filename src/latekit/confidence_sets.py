@@ -8,8 +8,8 @@ is nonzero the ratio point estimate belongs to the set, so a truly empty
 solution is impossible.
 
 ``wald_intervals`` and ``solve_quadratic_sets`` compute the Wald and
-inversion sets of many draws at once, as arrays, with the same arithmetic
-as the scalar functions.
+inversion sets of many draws at once, as arrays; ``wald_ci``, ``far_set``
+and ``solve_quadratic_set`` are their one-row calls.
 """
 from __future__ import annotations
 
@@ -21,13 +21,14 @@ import numpy as np
 
 from .data_model import AnalysisConfig
 from .estimation import (
-    FLOORED_FAMILIES,
     Estimates,
     Regime,
-    combined_variance,
+    _one_row,
+    combined_variance,  # not called here: perfbench/tracing.py rebinds it by name
     r2_of_tau,
     r2_star,
     regime_spec,
+    variance_at,
 )
 from .exceptions import NoIdentificationError
 from .mixture import MixtureParams, lambda_quantile, normal_quantile
@@ -61,18 +62,6 @@ class ConfidenceSet:
     method: str = ""
     degenerate: bool = False
 
-    @staticmethod
-    def interval(lo: float, hi: float, **kw) -> "ConfidenceSet":
-        if lo > hi:
-            lo, hi = hi, lo
-        return ConfidenceSet("interval", lo, hi, **kw)
-
-    @staticmethod
-    def two_rays(lo: float, hi: float, **kw) -> "ConfidenceSet":
-        if not lo < hi:
-            raise ValueError("two rays must be disjoint")
-        return ConfidenceSet("two_rays", lo, hi, **kw)
-
     @property
     def length(self) -> float:
         """SetArrays.length of this entry."""
@@ -96,67 +85,8 @@ class ConfidenceSet:
         return out
 
 
-def solve_quadratic_set(b_y: float, b_w: float, crit: float,
-                        q_y: float, q_c: float, q_w: float,
-                        method: str = "") -> ConfidenceSet:
-    """Invert (b_y - t*b_w)^2 <= crit^2 * (q_y - 2t*q_c + t^2*q_w) over t."""
-    ratio = b_y / b_w if b_w != 0.0 else None  # the point, where it exists
-    # the estimates times 2^-e and the form times 2^-2e put the largest of
-    # |b_y|, |b_w| and sqrt(max |q|) in [0.5, 1): the same set, exactly, so
-    # the roots keep their bits, and no product below overflows or underflows
-    _, e = math.frexp(max(abs(b_y), abs(b_w), math.sqrt(max(abs(q_y), abs(q_c), abs(q_w)))))
-    b_y, b_w = math.ldexp(b_y, -e), math.ldexp(b_w, -e)
-    q_y, q_c, q_w = (math.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
-    crit2 = crit * crit
-    a = b_w * b_w - crit2 * q_w
-    b = -2.0 * (b_y * b_w - crit2 * q_c)
-    c = b_y * b_y - crit2 * q_y
-    tol_a = 1e-12 * max(b_w * b_w, abs(crit2 * q_w))
-    disc = b * b - 4.0 * a * c
-    if a > tol_a:
-        if disc >= 0.0:
-            lo, hi = _stable_roots(a, b, c, disc)
-            return ConfidenceSet.interval(lo, hi, method=method)
-        if ratio is not None:
-            # a nonnegative variance form makes disc >= 0 whenever the ratio
-            # point exists; landing here is roundoff (or a degenerate
-            # rerandomization family), absorbed as the ratio point itself
-            return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
-        raise NoIdentificationError("empty confidence inversion with zero first stage")
-    if a < -tol_a:
-        if disc > 0.0:
-            lo, hi = _stable_roots(a, b, c, disc)
-            return ConfidenceSet.two_rays(lo, hi, method=method)
-        return ConfidenceSet("whole_line", method=method)
-    # |a| within tolerance: linear classification b*t + c <= 0
-    tol_b = 1e-12 * 2.0 * max(abs(b_y * b_w), abs(crit2 * q_c))
-    if abs(b) > tol_b and b != 0.0:
-        bound = -c / b
-        if b > 0:
-            return ConfidenceSet("left_ray", hi=bound, method=method)
-        return ConfidenceSet("right_ray", lo=bound, method=method)
-    tol_c = 1e-12 * max(b_y * b_y, abs(crit2 * q_y))
-    if c <= tol_c:
-        return ConfidenceSet("whole_line", method=method)
-    if ratio is None:
-        raise NoIdentificationError("empty confidence inversion with zero first stage")
-    return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
-
-
-def _stable_roots(a: float, b: float, c: float, disc: float) -> tuple[float, float]:
-    sq = math.sqrt(disc)
-    if b == 0.0:
-        r = sq / (2.0 * abs(a))
-        return (-r, r)
-    q = -(b + math.copysign(sq, b)) / 2.0
-    r1 = q / a
-    r2 = c / q if q != 0.0 else -b / a - r1
-    return (r1, r2) if r1 <= r2 else (r2, r1)
-
-
 KINDS = ("interval", "point", "left_ray", "right_ray", "two_rays", "whole_line")
-_INTERVAL, _TWO_RAYS, _WHOLE_LINE = (KINDS.index(k) for k in
-                                     ("interval", "two_rays", "whole_line"))
+_INTERVAL, _POINT, _LEFT_RAY, _RIGHT_RAY, _TWO_RAYS, _WHOLE_LINE = range(len(KINDS))
 
 
 class SetArrays(NamedTuple):
@@ -164,8 +94,8 @@ class SetArrays(NamedTuple):
 
     ``kind`` indexes KINDS, and ``lo``/``hi`` are as in ConfidenceSet: the
     bounds, infinite on an open side, or for two_rays the inner endpoints.
-    ``errors`` maps each draw whose scalar computation raises to
-    its exception; the other entries of such a draw mean nothing.
+    ``errors`` maps each draw that has no set to the exception its one-row
+    call raises; the other entries of such a draw mean nothing.
     """
 
     kind: np.ndarray
@@ -185,61 +115,67 @@ class SetArrays(NamedTuple):
         return np.where(self.kind == _TWO_RAYS, (value <= self.lo) | (value >= self.hi),
                         inside)
 
+    def entry(self, row: int, method: str = "") -> ConfidenceSet:
+        """Draw ``row``'s set labelled ``method``, or its error raised."""
+        if row in self.errors:
+            raise self.errors[row]
+        return ConfidenceSet(KINDS[self.kind[row]], float(self.lo[row]), float(self.hi[row]),
+                             method, bool(self.degenerate[row]))
+
 
 def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
                    q_c: np.ndarray, q_w: np.ndarray, family: str = "plain") -> SetArrays:
-    """wald_ci for every draw: effect estimates (b_y, b_w), a critical value
-    (one, or one per draw) and the named variance family (q_y, q_c, q_w),
-    one entry per draw. A negative variance of a floored family is taken as
-    zero and flags the set degenerate, as combined_variance does for it;
-    otherwise it is an error with combined_variance's message."""
-    floored = family in FLOORED_FAMILIES
+    """The ratio estimate plus/minus a critical value (one, or one per draw)
+    times the delta-method standard error for every draw: effect estimates
+    (b_y, b_w) and the named variance family (q_y, q_c, q_w), one entry per
+    draw. A zero first-stage estimate gives the whole line, flagged
+    degenerate. The variance at the ratio is variance_at's: a negative one
+    of a floored family is taken as zero and flags the set degenerate; any
+    other is an error."""
     defined = b_w != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = b_y / b_w
-        value = q_y - 2.0 * tau * q_c + tau * tau * q_w
-        if floored:
-            negative = defined & (value < 0.0)
-        else:
-            scale = (np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w))
-                     * np.maximum(1.0, tau * tau))
-            negative = defined & (value < -1e-9 * np.maximum(scale, 1e-300))
-        radius = crit * np.sqrt(np.maximum(value, 0.0)) / np.abs(b_w)
+        value, negative, errors = variance_at((q_y, q_c, q_w), tau, family, defined)
+        radius = crit * np.sqrt(value) / np.abs(b_w)
         lo = np.where(defined, tau - radius, -_INF)
         hi = np.where(defined, tau + radius, _INF)
-    errors = {} if floored else {int(i): ArithmeticError(
-        f"{family} variance quadratic is negative: {float(value[i])}")
-        for i in np.flatnonzero(negative)}
-    degenerate = (~defined | negative) if floored else ~defined
     return SetArrays(kind=np.where(defined, _INTERVAL, _WHOLE_LINE).astype(np.int8),
-                     lo=lo, hi=hi, degenerate=degenerate, errors=errors)
+                     lo=lo, hi=hi, degenerate=~defined | negative, errors=errors)
 
 
 def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
                          q_y: np.ndarray, q_c: np.ndarray, q_w: np.ndarray
                          ) -> SetArrays:
-    """solve_quadratic_set for every draw, one entry per draw; ``crit`` is
-    one critical value or one per draw.
+    """Invert (b_y - t*b_w)^2 <= crit^2 * (q_y - 2t*q_c + t^2*q_w) over t
+    for every draw, one entry per draw; ``crit`` is one critical value or
+    one per draw.
 
-    Intervals, two rays and whole lines are computed as arrays. The rare
-    rest (|a| within tolerance, a negative discriminant, roots that do not
-    order) goes through solve_quadratic_set one draw at a time, and what it
-    raises is kept in ``errors``.
+    As a*t^2 + b*t + c <= 0: a clearly positive gives an interval, a clearly
+    negative two rays or the whole line. The rare rest, decided on its own
+    rows: with |a| within tolerance, b*t + c <= 0 gives a ray, or the whole
+    line with c within tolerance. Any other rest row is empty, which with a
+    nonzero first stage only roundoff (or a degenerate rerandomization
+    family) brings about: it is taken as the ratio point, flagged
+    degenerate. A zero first stage keeps a NoIdentificationError in
+    ``errors`` there, and two rays whose roots do not order a ValueError.
     """
     crit = np.broadcast_to(crit, np.shape(b_y))
     crit2 = crit * crit
-    inputs = b_y, b_w, crit, q_y, q_c, q_w
+    # the estimates times 2^-e and the form times 2^-2e put the largest of
+    # |b_y|, |b_w| and sqrt(max |q|) in [0.5, 1): the same set, exactly, so
+    # the roots keep their bits, and no product below overflows or underflows
     _, e = np.frexp(np.maximum(np.maximum(np.abs(b_y), np.abs(b_w)), np.sqrt(
         np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w)))))
-    b_y, b_w = np.ldexp(b_y, -e), np.ldexp(b_w, -e)  # scaled as above
+    s_y, s_w = np.ldexp(b_y, -e), np.ldexp(b_w, -e)
     q_y, q_c, q_w = (np.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
-    a = b_w * b_w - crit2 * q_w
-    b = -2.0 * (b_y * b_w - crit2 * q_c)
-    c = b_y * b_y - crit2 * q_y
-    tol_a = 1e-12 * np.maximum(b_w * b_w, np.abs(crit2 * q_w))
+    a = s_w * s_w - crit2 * q_w
+    b = -2.0 * (s_y * s_w - crit2 * q_c)
+    c = s_y * s_y - crit2 * q_y
+    tol_a = 1e-12 * np.maximum(s_w * s_w, np.abs(crit2 * q_w))
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(disc)
+        # b is -2 times a double, so |q| >= |b|/2 >= 2^-1074 wherever b != 0
         q = -(b + np.copysign(sq, b)) / 2.0
         r1, r2, r = q / a, c / q, sq / (2.0 * np.abs(a))
         swap = ~(r1 <= r2)
@@ -248,53 +184,71 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
         interval = (a > tol_a) & (disc >= 0.0)
         two_rays = (a < -tol_a) & (disc > 0.0) & (lo < hi)
         whole_line = (a < -tol_a) & ~(disc > 0.0)
-        rest = ~(interval | two_rays | whole_line) | ((b != 0.0) & (q == 0.0))
+        rest = ~(interval | two_rays | whole_line)
     kind = np.where(interval, _INTERVAL,
                     np.where(two_rays, _TWO_RAYS, _WHOLE_LINE)).astype(np.int8)
     lo = np.where(whole_line | rest, -_INF, lo)
     hi = np.where(whole_line | rest, _INF, hi)
     degenerate = np.zeros(len(kind), dtype=bool)
     errors: dict[int, Exception] = {}
-    for i in np.flatnonzero(rest):
-        try:
-            cs = solve_quadratic_set(*(float(v[i]) for v in inputs))
-        except (NoIdentificationError, ValueError) as exc:
-            errors[int(i)] = exc
-            continue
-        kind[i], lo[i], hi[i] = KINDS.index(cs.kind), cs.lo, cs.hi
-        degenerate[i] = cs.degenerate
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w = (
+            v[rest] for v in (a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w))
+        linear = ~((a > tol_a) | (a < -tol_a))
+        ray = linear & (np.abs(b) > 1e-12 * 2.0 * np.maximum(np.abs(s_y * s_w),
+                                                             np.abs(crit2 * q_c)))
+        whole = linear & ~ray & (c <= 1e-12 * np.maximum(s_y * s_y, np.abs(crit2 * q_y)))
+        empty = ~(ray | whole | (a < -tol_a))
+        point = empty & (b_w != 0.0)
+        left = ray & (b > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound, ratio = -c / b, b_y / b_w
+        kind[rest] = np.select([left, ray, point], [_LEFT_RAY, _RIGHT_RAY, _POINT], _WHOLE_LINE)
+        lo[rest] = np.select([ray & ~left, point], [bound, ratio], -_INF)
+        hi[rest] = np.select([left, point], [bound, ratio], _INF)
+        degenerate[rest] = point
+        failed = ~(ray | whole | point)
+        errors = {int(i): NoIdentificationError("empty confidence inversion with zero first "
+                                                "stage") if unidentified
+                  else ValueError("two rays must be disjoint")
+                  for i, unidentified in zip(rest[failed], empty[failed])}
     return SetArrays(kind=kind, lo=lo, hi=hi, degenerate=degenerate, errors=errors)
 
 
-def _critical(spec: Regime, components, config: AnalysisConfig, r2) -> float:
-    """Two-sided critical value at level alpha: the normal quantile, or for
-    a mixture regime the ReM mixture quantile at the squared correlation
-    ``r2(components)``."""
-    tail = config.alpha / 2.0
+def solve_quadratic_set(b_y: float, b_w: float, crit: float,
+                        q_y: float, q_c: float, q_w: float,
+                        method: str = "") -> ConfidenceSet:
+    """Invert (b_y - t*b_w)^2 <= crit^2 * (q_y - 2t*q_c + t^2*q_w) over t:
+    the one row of solve_quadratic_sets, labelled ``method``."""
+    return solve_quadratic_sets(*_one_row(b_y, b_w, crit, q_y, q_c, q_w)).entry(0, method)
+
+
+def _critical(spec: Regime, components, config: AnalysisConfig, tail: float, r2) -> float:
+    """One row's critical value with upper tail ``tail``: the normal quantile,
+    or for a mixture regime the ReM mixture quantile at the squared
+    correlation ``r2(components)[0]``."""
     if not spec.mixture:
         return normal_quantile(1.0 - tail)
     params = MixtureParams(k=components.k, a=config.design.a, alpha=tail)
-    return lambda_quantile(params, r2(components).value)
+    return lambda_quantile(params, float(r2(components)[0]))
 
 
 def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfig
             ) -> ConfidenceSet:
     """Ratio point estimate plus/minus a critical value times the delta-method
-    standard error of the chosen regime's variance family.
+    standard error of the chosen regime's variance family: the one row of
+    wald_intervals.
 
     A zero first-stage estimate yields the whole line (the infinite-interval
     signal) rather than an error.
     """
     spec = regime_spec(regime)
-    method = f"wald[{regime}]"
-    if estimates.tau_w == 0.0:
-        return ConfidenceSet("whole_line", method=method, degenerate=True)
-    tau = estimates.ratio
-    vhat = combined_variance(components, tau, spec.family)
-    crit = _critical(spec, components, config, lambda c: r2_of_tau(c, tau))
-    radius = crit * math.sqrt(vhat.value) / abs(estimates.tau_w)
-    return ConfidenceSet.interval(tau - radius, tau + radius, method=method,
-                                  degenerate=vhat.floored)
+    crit = _critical(spec, components, config, config.alpha / 2.0,
+                     lambda c: r2_of_tau(c, estimates.ratio))
+    b_y, b_w, q_y, q_c, q_w = _one_row(*estimates, *components.family(spec.family))
+    return wald_intervals(b_y, b_w, crit, q_y, q_c, q_w, spec.family).entry(
+        0, f"wald[{regime}]")
 
 
 def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfig
@@ -308,5 +262,5 @@ def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfi
     spec = regime_spec(regime)
     b_y, b_w = estimates.tau_y, estimates.tau_w
     q_y, q_c, q_w = components.family(spec.family)
-    crit = _critical(spec, components, config, r2_star)
+    crit = _critical(spec, components, config, config.alpha / 2.0, r2_star)
     return solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")

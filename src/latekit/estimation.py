@@ -145,6 +145,11 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
                               k=summary.k)
 
 
+def _one_row(*values) -> np.ndarray:
+    """``values`` as the one-element columns of an array kernel's one row."""
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
 def _quad(triple: tuple[float, float, float], tau: float) -> float:
     v_y, c, v_w = triple
     return v_y - 2.0 * tau * c + tau * tau * v_w
@@ -223,9 +228,27 @@ class VarianceAt(NamedTuple):
     floored: bool = False
 
 
+def variance_at(triple, tau, family: str, rows):
+    """The ``family`` quadratic of ``triple`` at the ratio ``tau`` of every
+    row, floored at zero; where among ``rows`` (a mask) it is negative:
+    below zero for a floored family, else below zero beyond roundoff; and
+    for a family that is not floored, the error each of those raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _quad(triple, tau)
+        if family in FLOORED_FAMILIES:
+            return np.maximum(value, 0.0), rows & (value < 0.0), {}
+        scale = (np.maximum(np.maximum(np.abs(triple[0]), np.abs(triple[1])), np.abs(triple[2]))
+                 * np.maximum(1.0, tau * tau))
+        negative = rows & (value < -1e-9 * np.maximum(scale, 1e-300))
+    return np.maximum(value, 0.0), negative, {
+        int(i): ArithmeticError(f"{family} variance quadratic is negative: {float(value[i])}")
+        for i in np.flatnonzero(negative)}
+
+
 def combined_variance(components, tau_hat: float, family: str = "plain") -> VarianceAt:
     """Variance estimate for the outcome-minus-ratio-times-receipt contrast,
-    the chosen family's quadratic evaluated at the ratio estimate.
+    the chosen family's quadratic evaluated at the ratio estimate: the one
+    row of variance_at.
 
     The rerandomization family is floored at zero (it can go negative in
     finite samples); the plain and sandwich families are nonnegative by
@@ -236,13 +259,8 @@ def combined_variance(components, tau_hat: float, family: str = "plain") -> Vari
     """
     if not math.isfinite(tau_hat):
         raise ValueError("tau_hat must be finite")
-    triple = components.family(family)
-    value = _quad(triple, tau_hat)
-    if family in FLOORED_FAMILIES:
-        if value < 0.0:
-            return VarianceAt(0.0, floored=True)
-        return VarianceAt(value)
-    scale = max(abs(t) for t in triple) * max(1.0, tau_hat * tau_hat)
-    if value < -1e-9 * max(scale, 1e-300):
-        raise ArithmeticError(f"{family} variance quadratic is negative: {value}")
-    return VarianceAt(max(value, 0.0))
+    value, negative, errors = variance_at(_one_row(*components.family(family)),
+                                          np.array([tau_hat]), family, True)
+    if errors:
+        raise errors[0]
+    return VarianceAt(float(value[0]), floored=bool(negative[0]))

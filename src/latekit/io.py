@@ -14,7 +14,8 @@ breaks, and names the row and column of the first bad record.
 
 Strata with two or more units per arm are validated by size and scored
 at once by ``two_stage.score_rows``, as study cells are; the rest take the
-one-row path of ``stratum_steps``, the reference for both.
+one-row path of ``stratum_steps``, whose steps are one-row calls of the
+same set and first-stage kernels.
 """
 from __future__ import annotations
 

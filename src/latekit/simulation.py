@@ -8,9 +8,10 @@ first-stage levels, and the F>10 comparators.
 
 ``_score`` scores a cell in one array pass over all of its draws, its
 ``_FAMILIES`` entry then ``two_stage.score_rows`` (as analyze's strata).
-Unadjusted cells get the bits of scoring each draw by the scalar chain
-(``wald_ci``, ``far_set``, ``first_stage_test``, ``f_screen``); adjusted
-cells (per-arm OLS fits instead of one interacted fit) agree to roundoff.
+Unadjusted cells get the bits of scoring each draw alone by ``summarize``
+and the one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and
+``f_screen``; adjusted cells (per-arm OLS fits instead of one interacted
+fit) agree to roundoff.
 """
 from __future__ import annotations
 
@@ -464,7 +465,7 @@ def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
-    # the scalar path raises the first failing draw's first failure
+    # as scoring draw by draw would, raise the first failing draw's first failure
     failed = {int(i): ArithmeticError(_longer_wald_message(float(wald_len[i]),
                                                            float(far_len[i])))
               for i in np.flatnonzero(longer)}

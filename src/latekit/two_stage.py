@@ -14,11 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import (KINDS, ConfidenceSet, SetArrays, json_number,
+from .confidence_sets import (ConfidenceSet, SetArrays, _critical, json_number,
                               solve_quadratic_sets, wald_intervals)
 from .data_model import AnalysisConfig, Dataset
 from .estimation import Estimates, r2_at, r2_ratio, r2_stars, regime_spec
-from .mixture import MixtureParams, lambda_quantile, lambda_quantiles, normal_quantile
+from .mixture import MixtureParams, lambda_quantiles, normal_quantile
+from .mixture import lambda_quantile  # not called here: perfbench/tracing.py rebinds it
 
 F_THRESHOLD = 10.0
 
@@ -50,6 +51,23 @@ class TwoStageOutput:
                 "set": self.set.to_json_dict()}
 
 
+def _statistics(tau_w, t_var, f_var, p_plus: float):
+    """The first-stage t statistic (tau_w - p_plus) / sqrt(t_var) and the F
+    statistic tau_w^2 / f_var of every row, floats or arrays alike; each is
+    nan, so never strong, where its variance is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(t_var > 0.0, (tau_w - p_plus) / np.sqrt(t_var), math.nan),
+                np.where(f_var > 0.0, np.square(tau_w) / f_var, math.nan))
+
+
+def _first_stage(stat, crit, kind: str) -> FirstStageResult:
+    """One row's test: strong when its statistic exceeds the critical value,
+    degenerate when a nonpositive variance left no statistic."""
+    stat, crit = float(stat), float(crit)
+    return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
+                            statistic_kind=kind, degenerate=math.isnan(stat))
+
+
 def first_stage_test(regime: str, estimates: Estimates, components,
                      config: AnalysisConfig) -> FirstStageResult:
     """Test whether the first stage clears the strength threshold.
@@ -59,35 +77,24 @@ def first_stage_test(regime: str, estimates: Estimates, components,
     """
     spec = regime_spec(regime)
     var = components.family(spec.family)[2]
-    if spec.mixture:
-        rho = float(r2_ratio(components.family("proj")[2], var)[0])
-        crit = lambda_quantile(
-            MixtureParams(k=components.k, a=config.design.a, alpha=config.gamma), rho)
-    else:
-        crit = normal_quantile(1.0 - config.gamma)
-    if var <= 0.0:
-        return FirstStageResult(statistic=math.nan, critical=crit, strong=False,
-                                statistic_kind=spec.statistic, degenerate=True)
-    stat = (estimates.tau_w - config.p_plus) / math.sqrt(var)
-    return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
-                            statistic_kind=spec.statistic)
+    # under a mixture regime, at the receipt's own squared correlation
+    crit = _critical(spec, components, config, config.gamma,
+                     lambda c: r2_ratio(c.family("proj")[2], var))
+    return _first_stage(_statistics(estimates.tau_w, var, var, config.p_plus)[0], crit,
+                        spec.statistic)
 
 
 def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
     """Squared first-stage t-ratio against the conventional threshold of 10."""
     var = components.family(regime_spec(regime).screen_family)[2]
-    if var <= 0.0:
-        return FirstStageResult(statistic=math.nan, critical=F_THRESHOLD,
-                                strong=False, statistic_kind="f", degenerate=True)
-    stat = estimates.tau_w ** 2 / var
-    return FirstStageResult(statistic=stat, critical=F_THRESHOLD,
-                            strong=stat > F_THRESHOLD, statistic_kind="f")
+    return _first_stage(_statistics(estimates.tau_w, var, var, 0.0)[1], F_THRESHOLD, "f")
 
 
 class RowScores(NamedTuple):
-    """The scalar chain's results for many rows: the Wald and FAR sets (with
-    what wald_ci and far_set raise), the first-stage t statistic, its critical
-    value at each gamma, and the F statistic, nan (weak) at a variance <= 0."""
+    """The Wald and FAR sets of many rows (with each row's error kept), the
+    first-stage t statistic, its critical value at each gamma, and the F
+    statistic, nan (weak) at a variance <= 0; wald_ci, far_set,
+    first_stage_test and f_screen give what ``step`` reads of one row."""
 
     wald: SetArrays
     far: SetArrays
@@ -96,25 +103,22 @@ class RowScores(NamedTuple):
     f_stat: np.ndarray
 
     def step(self, row: int, step: str, regime: str, gamma: float):
-        """The scalar chain's result or error for one row's step (ts at ``gamma``)."""
+        """One row's set or first-stage result for a step (ts at ``gamma``);
+        a set's kept error is raised."""
         if step in ("wald", "far"):
-            sets = getattr(self, step)
-            if row in sets.errors:
-                raise sets.errors[row]
-            return ConfidenceSet(KINDS[sets.kind[row]], float(sets.lo[row]), float(sets.hi[row]),
-                                 f"{step}[{regime}]", bool(sets.degenerate[row]))
-        ts = step == "ts"
-        stat = float((self.t_stat if ts else self.f_stat)[row])
-        crit = float(self.t_crit[gamma][row]) if ts else F_THRESHOLD
-        return FirstStageResult(stat, crit, stat > crit,
-                                regime_spec(regime).statistic if ts else "f", math.isnan(stat))
+            return getattr(self, step).entry(row, f"{step}[{regime}]")
+        if step == "ts":
+            return _first_stage(self.t_stat[row], self.t_crit[gamma][row],
+                                regime_spec(regime).statistic)
+        return _first_stage(self.f_stat[row], F_THRESHOLD, "f")
 
 
 def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: AnalysisConfig,
                k: int, gammas: tuple[float, ...]) -> RowScores:
-    """wald_ci, far_set, first_stage_test at each of ``gammas`` and f_screen, with their
-    bits and without raising, for every row of the estimates and ``families`` (a per-row
-    (v_y, c_yw, v_w) triple per name), read by ``config``'s Regime row as the chain does."""
+    """The Wald and FAR sets, the first-stage t test at each of ``gammas`` and
+    the F screen, without raising, for every row of the estimates and
+    ``families`` (a per-row (v_y, c_yw, v_w) triple per name), read by
+    ``config``'s Regime row."""
     spec = regime_spec(config.regime)
     triple, screen_var = families[spec.family], families[spec.screen_family][2]
     fs_var, tail = triple[2], config.alpha / 2.0
@@ -124,18 +128,16 @@ def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: Ana
         def lam(alpha, rho):
             return lambda_quantiles(MixtureParams(k=k, a=config.design.a, alpha=alpha), rho)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # wald_ci: the mixture quantile at r2_of_tau at the ratio
+            # the Wald set's: the mixture quantile at r2_of_tau at the ratio
             r2, _ = r2_at(proj, triple, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
-        # first_stage_test: the mixture quantile at the receipt's own ratio
+        # the t test's: the mixture quantile at the receipt's own ratio
         rho, _ = r2_ratio(proj[2], fs_var)
         wald_crit, far_crit = lam(tail, r2), lam(tail, r2_stars(proj, triple)[0])
         t_crit = {g: lam(g, rho) for g in gammas}
     else:
         wald_crit = far_crit = normal_quantile(1.0 - tail)
         t_crit = {g: np.full(len(tau_w), normal_quantile(1.0 - g)) for g in gammas}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = np.where(fs_var > 0.0, (tau_w - config.p_plus) / np.sqrt(fs_var), math.nan)
-        f_stat = np.where(screen_var > 0.0, tau_w ** 2 / screen_var, math.nan)
+    t_stat, f_stat = _statistics(tau_w, fs_var, screen_var, config.p_plus)
     return RowScores(wald_intervals(tau_y, tau_w, wald_crit, *triple, family=spec.family),
                      solve_quadratic_sets(tau_y, tau_w, far_crit, *triple),
                      t_stat, t_crit, f_stat)

@@ -12,8 +12,14 @@ split and table encoding as they were before the study passes dropped
 their per-replication overhead. ``reference_r2_star`` is the stationary-point
 search ``r2_star`` ran before its closed form, and ``reference_chisq_cdf``
 the one-number chi-square CDF ``chisq_cdf`` computed before it took arrays.
-``reference_evaluate_draw`` scores one study draw by the scalar chain
-(``wald_ci``, ``far_set``, ``first_stage_test``, ``f_screen``) and
+``reference_solve_quadratic_set`` (with ``_reference_stable_roots``),
+``reference_wald_ci``, ``reference_far_set``, ``reference_first_stage_test``
+and ``reference_f_screen`` are the scalar set chain as it was before
+``solve_quadratic_set``, ``wald_ci``, ``far_set``, ``first_stage_test`` and
+``f_screen`` became one-row calls of the array kernels, with
+``reference_combined_variance`` the scalar variance at the ratio it read:
+the kernels must give their kinds, bits, flags and errors.
+``reference_evaluate_draw`` scores one study draw by that chain and
 ``reference_score_draws`` stacks it over a cell's draws, with
 ``set_arrays_from_sets`` packing its sets: ``simulation._score``, the one
 batched study scorer, is checked against them draw for draw.
@@ -35,19 +41,24 @@ from typing import Sequence
 import numpy as np
 
 from latekit import simulation
-from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, far_set, wald_ci
+from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, _critical
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
 from latekit.design import Covariates, _gathered_distances, draw_assignment
 from latekit.estimation import (
+    FLOORED_FAMILIES,
     Estimates,
     R2Value,
+    VarianceAt,
     VarianceComponents,
     plain_components,
     r2_of_tau,
+    r2_ratio,
+    r2_star,
     regime_spec,
     variance_components,
 )
-from latekit.exceptions import DegenerateCovariatesError
+from latekit.exceptions import DegenerateCovariatesError, NoIdentificationError
+from latekit.mixture import MixtureParams, lambda_quantile, normal_quantile
 from latekit.simulation import (
     MethodScores,
     PerformanceRow,
@@ -57,7 +68,7 @@ from latekit.simulation import (
     _method_names,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
-from latekit.two_stage import f_screen, first_stage_test
+from latekit.two_stage import F_THRESHOLD, FirstStageResult
 
 _INF = math.inf
 
@@ -370,6 +381,147 @@ def exact_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow
                             *simulation._score(pop, zs, base, cfg.gamma))
 
 
+# ------------------------------------------------------ scalar set chain
+
+def reference_interval(lo: float, hi: float, **kw) -> ConfidenceSet:
+    if lo > hi:
+        lo, hi = hi, lo
+    return ConfidenceSet("interval", lo, hi, **kw)
+
+
+def reference_two_rays(lo: float, hi: float, **kw) -> ConfidenceSet:
+    if not lo < hi:
+        raise ValueError("two rays must be disjoint")
+    return ConfidenceSet("two_rays", lo, hi, **kw)
+
+
+def reference_solve_quadratic_set(b_y: float, b_w: float, crit: float,
+                                  q_y: float, q_c: float, q_w: float,
+                                  method: str = "") -> ConfidenceSet:
+    """Invert (b_y - t*b_w)^2 <= crit^2 * (q_y - 2t*q_c + t^2*q_w) over t."""
+    ratio = b_y / b_w if b_w != 0.0 else None  # the point, where it exists
+    # the estimates times 2^-e and the form times 2^-2e put the largest of
+    # |b_y|, |b_w| and sqrt(max |q|) in [0.5, 1): the same set, exactly, so
+    # the roots keep their bits, and no product below overflows or underflows
+    _, e = math.frexp(max(abs(b_y), abs(b_w), math.sqrt(max(abs(q_y), abs(q_c), abs(q_w)))))
+    b_y, b_w = math.ldexp(b_y, -e), math.ldexp(b_w, -e)
+    q_y, q_c, q_w = (math.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
+    crit2 = crit * crit
+    a = b_w * b_w - crit2 * q_w
+    b = -2.0 * (b_y * b_w - crit2 * q_c)
+    c = b_y * b_y - crit2 * q_y
+    tol_a = 1e-12 * max(b_w * b_w, abs(crit2 * q_w))
+    disc = b * b - 4.0 * a * c
+    if a > tol_a:
+        if disc >= 0.0:
+            lo, hi = _reference_stable_roots(a, b, c, disc)
+            return reference_interval(lo, hi, method=method)
+        if ratio is not None:
+            # a nonnegative variance form makes disc >= 0 whenever the ratio
+            # point exists; landing here is roundoff (or a degenerate
+            # rerandomization family), absorbed as the ratio point itself
+            return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
+        raise NoIdentificationError("empty confidence inversion with zero first stage")
+    if a < -tol_a:
+        if disc > 0.0:
+            lo, hi = _reference_stable_roots(a, b, c, disc)
+            return reference_two_rays(lo, hi, method=method)
+        return ConfidenceSet("whole_line", method=method)
+    # |a| within tolerance: linear classification b*t + c <= 0
+    tol_b = 1e-12 * 2.0 * max(abs(b_y * b_w), abs(crit2 * q_c))
+    if abs(b) > tol_b and b != 0.0:
+        bound = -c / b
+        if b > 0:
+            return ConfidenceSet("left_ray", hi=bound, method=method)
+        return ConfidenceSet("right_ray", lo=bound, method=method)
+    tol_c = 1e-12 * max(b_y * b_y, abs(crit2 * q_y))
+    if c <= tol_c:
+        return ConfidenceSet("whole_line", method=method)
+    if ratio is None:
+        raise NoIdentificationError("empty confidence inversion with zero first stage")
+    return ConfidenceSet("point", ratio, ratio, method, degenerate=True)
+
+
+def _reference_stable_roots(a: float, b: float, c: float, disc: float) -> tuple[float, float]:
+    sq = math.sqrt(disc)
+    if b == 0.0:
+        r = sq / (2.0 * abs(a))
+        return (-r, r)
+    q = -(b + math.copysign(sq, b)) / 2.0
+    r1 = q / a
+    r2 = c / q if q != 0.0 else -b / a - r1
+    return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+def reference_combined_variance(components, tau_hat: float,
+                                family: str = "plain") -> VarianceAt:
+    if not math.isfinite(tau_hat):
+        raise ValueError("tau_hat must be finite")
+    triple = components.family(family)
+    v_y, c, v_w = triple
+    value = v_y - 2.0 * tau_hat * c + tau_hat * tau_hat * v_w
+    if family in FLOORED_FAMILIES:
+        if value < 0.0:
+            return VarianceAt(0.0, floored=True)
+        return VarianceAt(value)
+    scale = max(abs(t) for t in triple) * max(1.0, tau_hat * tau_hat)
+    if value < -1e-9 * max(scale, 1e-300):
+        raise ArithmeticError(f"{family} variance quadratic is negative: {value}")
+    return VarianceAt(max(value, 0.0))
+
+
+def reference_wald_ci(regime: str, estimates: Estimates, components,
+                      config: AnalysisConfig) -> ConfidenceSet:
+    spec = regime_spec(regime)
+    method = f"wald[{regime}]"
+    if estimates.tau_w == 0.0:
+        return ConfidenceSet("whole_line", method=method, degenerate=True)
+    tau = estimates.ratio
+    vhat = reference_combined_variance(components, tau, spec.family)
+    crit = _critical(spec, components, config, config.alpha / 2.0, lambda c: r2_of_tau(c, tau))
+    radius = crit * math.sqrt(vhat.value) / abs(estimates.tau_w)
+    return reference_interval(tau - radius, tau + radius, method=method,
+                              degenerate=vhat.floored)
+
+
+def reference_far_set(regime: str, estimates: Estimates, components,
+                      config: AnalysisConfig) -> ConfidenceSet:
+    spec = regime_spec(regime)
+    b_y, b_w = estimates.tau_y, estimates.tau_w
+    q_y, q_c, q_w = components.family(spec.family)
+    crit = _critical(spec, components, config, config.alpha / 2.0, r2_star)
+    return reference_solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w,
+                                         method=f"far[{regime}]")
+
+
+def reference_first_stage_test(regime: str, estimates: Estimates, components,
+                               config: AnalysisConfig) -> FirstStageResult:
+    spec = regime_spec(regime)
+    var = components.family(spec.family)[2]
+    if spec.mixture:
+        rho = float(r2_ratio(components.family("proj")[2], var)[0])
+        crit = lambda_quantile(
+            MixtureParams(k=components.k, a=config.design.a, alpha=config.gamma), rho)
+    else:
+        crit = normal_quantile(1.0 - config.gamma)
+    if var <= 0.0:
+        return FirstStageResult(statistic=math.nan, critical=crit, strong=False,
+                                statistic_kind=spec.statistic, degenerate=True)
+    stat = (estimates.tau_w - config.p_plus) / math.sqrt(var)
+    return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
+                            statistic_kind=spec.statistic)
+
+
+def reference_f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
+    var = components.family(regime_spec(regime).screen_family)[2]
+    if var <= 0.0:
+        return FirstStageResult(statistic=math.nan, critical=F_THRESHOLD,
+                                strong=False, statistic_kind="f", degenerate=True)
+    stat = estimates.tau_w ** 2 / var
+    return FirstStageResult(statistic=stat, critical=F_THRESHOLD,
+                            strong=stat > F_THRESHOLD, statistic_kind="f")
+
+
 # ------------------------------------------------------ scalar study scoring
 
 @dataclass
@@ -385,8 +537,8 @@ class ReferenceResult:
 def reference_evaluate_draw(ds, z, base_config: AnalysisConfig,
                             gammas: tuple[float, ...]) -> dict[str, ReferenceResult]:
     """Every study method on one draw, by the scalar chain: ``summarize`` or
-    the interacted fit, then ``wald_ci``, ``far_set``, ``first_stage_test``
-    and ``f_screen``."""
+    the interacted fit, then ``reference_wald_ci``, ``reference_far_set``,
+    ``reference_first_stage_test`` and ``reference_f_screen``."""
     regime = base_config.regime
     family = regime_spec(regime).family
     if family == "sandwich":
@@ -400,8 +552,8 @@ def reference_evaluate_draw(ds, z, base_config: AnalysisConfig,
                       else plain_components(summary))
     est = estimates.ratio
 
-    wald_set = wald_ci(regime, estimates, components, base_config)
-    far = far_set(regime, estimates, components, base_config)
+    wald_set = reference_wald_ci(regime, estimates, components, base_config)
+    far = reference_far_set(regime, estimates, components, base_config)
     # draw-level efficiency ordering: any two-stage set (being one of the
     # two) then sits between them in length
     if (far.kind == "interval" and not far.degenerate
@@ -413,10 +565,10 @@ def reference_evaluate_draw(ds, z, base_config: AnalysisConfig,
 
     out = {"wald": rec(wald_set), "far": rec(far)}
     for g in gammas:
-        fs = first_stage_test(regime, estimates, components,
+        fs = reference_first_stage_test(regime, estimates, components,
                               dataclasses.replace(base_config, gamma=g))
         out[_gamma_method(g)] = rec(wald_set if fs.strong else far, strong=fs.strong)
-    fscr = f_screen(regime, estimates, components)
+    fscr = reference_f_screen(regime, estimates, components)
     out["ts_f10"] = rec(wald_set if fscr.strong else far, strong=fscr.strong)
     out["wald_f10"] = rec(wald_set, strong=fscr.strong, included=fscr.strong)
     return out

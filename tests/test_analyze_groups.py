@@ -5,7 +5,9 @@ families (the moments by group, the interacted fits stratum by stratum),
 scores all of them with one ``score_rows`` call and hands each stratum its
 row to ``analyze_stratum``. Handed nothing, ``analyze_stratum`` runs
 ``validate``, the one-row ``summarize``/``*_components`` calls or the fits,
-and the scalar chain. The report must be the same to the bit either way.
+and the one-row ``wald_ci``/``far_set``/``first_stage_test``/``f_screen``
+calls of the same kernels. The report must be the same to the bit either
+way.
 """
 import importlib
 import json
@@ -181,13 +183,13 @@ def test_groups_match_one_row_calls_when_every_size_differs(tmp_path, monkeypatc
     assert calls == ([0, 24] if design in ("cre", "rem") else [0, 0])
 
 
-# the scalar chain the group pass replaces with one score_rows call
+# the one-row steps the group pass replaces with one score_rows call
 _CHAIN = ("wald_ci", "far_set", "first_stage_test", "f_screen")
 
 
 def _chain_calls(monkeypatch, path, options):
-    """_reports' two reports, and how many times each call of the scalar
-    chain ran with the group pass and without it."""
+    """_reports' two reports, and how many times each of the one-row steps
+    ran with the group pass and without it."""
     calls = {name: [0, 0] for name in _CHAIN}
     grouped = io.analyze_stratum
     with monkeypatch.context() as mp:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from latekit.exceptions import NoIdentificationError
 from latekit.mixture import normal_quantile
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from oracles import (confidence_set_from_json, fieller_endpoints, random_dataset,
-                     set_arrays_from_sets)
+                     reference_solve_quadratic_set, set_arrays_from_sets)
 
 Z = normal_quantile(0.975)
 
@@ -254,11 +255,11 @@ def test_adjusted_far_and_wald(rng):
 # ------------------------------------------------------------ serialization
 
 @pytest.mark.parametrize("cs", [
-    ConfidenceSet.interval(-1.5, 2.5),
+    ConfidenceSet("interval", -1.5, 2.5),
     ConfidenceSet("point", 3.0, 3.0),
     ConfidenceSet("left_ray", hi=1.0),
     ConfidenceSet("right_ray", lo=-2.0),
-    ConfidenceSet.two_rays(-1.0, 4.0),
+    ConfidenceSet("two_rays", -1.0, 4.0),
     ConfidenceSet("whole_line"),
 ])
 def test_json_round_trip(cs):
@@ -275,9 +276,9 @@ def test_json_round_trip(cs):
 
 
 def test_lengths():
-    assert ConfidenceSet.interval(1.0, 3.0).length == 2.0
+    assert ConfidenceSet("interval", 1.0, 3.0).length == 2.0
     assert ConfidenceSet("point", 2.0, 2.0).length == 0.0
-    assert math.isinf(ConfidenceSet.two_rays(0.0, 1.0).length)
+    assert math.isinf(ConfidenceSet("two_rays", 0.0, 1.0).length)
     assert math.isinf(ConfidenceSet("whole_line").length)
 
 
@@ -330,12 +331,12 @@ def _inversion_families():
 
 
 def _assert_paths_agree(args) -> SetArrays:
-    """solve_quadratic_sets against solve_quadratic_set row by row: the same
-    kind, endpoint bits and flag, or the same error."""
+    """solve_quadratic_sets against the scalar reference_solve_quadratic_set
+    row by row: the same kind, endpoint bits and flag, or the same error."""
     sets = solve_quadratic_sets(*args)
     for i in range(len(args[0])):
         try:
-            cs = solve_quadratic_set(*(float(v[i]) for v in args))
+            cs = reference_solve_quadratic_set(*(float(v[i]) for v in args))
         except NoIdentificationError as exc:
             assert type(sets.errors[i]) is NoIdentificationError
             assert str(sets.errors[i]) == str(exc)
@@ -384,6 +385,79 @@ def test_array_inversion_membership_matches_dense_grid(scale):
         assert (truth == got)[clear].all(), (i, KINDS[sets.kind[i]])
 
 
+def _property_families(seed=11):
+    """(b_y, b_w, crit, q_y, q_c, q_w) rows: random positive semidefinite
+    forms; rows whose leading coefficient a is within its tolerance (rays);
+    and zero first stages whose q_w is 0 or vanishing, with q_c zero (the
+    whole line or an empty set) or not. Each row's estimates are times its
+    own 2^u and its form times 2^2u, u uniform on [-500, 500]."""
+    gen = np.random.default_rng(seed)
+    n, m = 1200, 200
+    b_y, b_w = gen.normal(0.0, 1.0, n + 2 * m), gen.normal(0.0, 0.5, n + 2 * m)
+    crit = gen.uniform(1.0, 3.0, n + 2 * m)
+    f = gen.standard_normal((n + 2 * m, 2, 2))
+    s = f @ f.transpose(0, 2, 1) / 4.0
+    q_y, q_c, q_w = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+    corr = gen.uniform(-1.0, 1.0, n + 2 * m)
+    # |a| within its tolerance of 1e-12 b_w^2, the form still semidefinite
+    tol = slice(n, n + m)
+    q_w[tol] = b_w[tol] ** 2 * (1.0 + gen.choice([0.0, 1e-14, -1e-14, 5e-13, -5e-13, 9e-13,
+                                                  -9e-13], m)) / crit[tol] ** 2
+    q_c[tol] = corr[tol] * np.sqrt(q_y[tol] * q_w[tol])
+    zero = slice(n + m, n + 2 * m)
+    b_w[zero] = 0.0
+    q_w[zero] = q_y[zero] * gen.choice([0.0, 1e-30], m)
+    q_c[zero] = np.where(gen.random(m) < 0.5, 0.0, gen.normal(0.0, 0.3, m))
+    q_y[zero] *= gen.uniform(0.0, 2.0, m)
+    scale = np.exp2(gen.uniform(-500.0, 500.0, n + 2 * m))
+    return (b_y * scale, b_w * scale, crit, q_y * scale ** 2, q_c * scale ** 2,
+            q_w * scale ** 2)
+
+
+def _exact_member(row, t: Fraction) -> bool:
+    """Whether ``t`` is in the set of one row, in exact rationals of its doubles."""
+    b_y, b_w, crit, q_y, q_c, q_w = row
+    return (b_y - t * b_w) ** 2 <= crit * crit * (q_y - 2 * t * q_c + t * t * q_w)
+
+
+def test_inversion_endpoints_hold_in_exact_arithmetic():
+    # a point 1e-9 relative inside each finite endpoint is in the set, one
+    # 1e-9 relative outside it is not; a degenerate point has only an
+    # outside, and an empty set no member. A ray drops a*t^2 from the
+    # inequality, which moves its endpoint t by about a*t^2/b: rays where
+    # that is not well below the margin are not checked
+    args = _property_families()
+    sets = solve_quadratic_sets(*args)
+    # the side of each endpoint the set lies on: +1 above it, -1 below it
+    sides = {"interval": (1, -1), "two_rays": (-1, 1), "left_ray": (None, -1),
+             "right_ray": (1, None), "point": (-1, 1)}
+    seen = {name: 0 for name in (*KINDS, "empty")}
+    for i in range(len(args[0])):
+        row = [Fraction(float(v[i])) for v in args]
+        if i in sets.errors:
+            assert type(sets.errors[i]) is NoIdentificationError
+            assert not any(_exact_member(row, Fraction(t)) for t in (-1e3, -1.0, 0.0, 1.0, 1e3))
+            seen["empty"] += 1
+            continue
+        kind = KINDS[sets.kind[i]]
+        b_y, b_w, crit, _, q_c, q_w = row
+        a, b = b_w * b_w - crit * crit * q_w, -2 * (b_y * b_w - crit * crit * q_c)
+        for end, side in zip((sets.lo[i], sets.hi[i]), sides.get(kind, ())):
+            if side is None:
+                continue
+            end = Fraction(float(end))
+            if kind.endswith("_ray") and abs(a * end) > abs(b) / 10 ** 10:
+                break
+            delta = abs(end) / 10 ** 9
+            if kind != "point":
+                assert _exact_member(row, end + side * delta), (i, kind, "inside")
+            assert not _exact_member(row, end - side * delta), (i, kind, "outside")
+        else:
+            seen[kind] += 1
+    assert min(seen[k] for k in ("interval", "two_rays", "left_ray", "right_ray",
+                                 "whole_line", "empty")) >= 10, seen
+
+
 # an interval, two rays, the whole line and a left ray whose squared
 # estimates or scaled variance forms overflow at 2^511 and stay normal
 # numbers at 2^-511
@@ -410,8 +484,8 @@ def test_power_of_two_scaling_keeps_every_bit(scale):
 def test_inversion_keeps_a_ray_endpoint_near_overflow():
     # (1e300)^2 <= -2t * 1e300 is t <= -5e299, though the square overflows
     args = (1e300, 0.0, 1.0, 0.0, 1e300, 0.0)
-    cs = solve_quadratic_set(*args)
-    sets = solve_quadratic_sets(*(np.array([v]) for v in args))
-    assert cs.kind == KINDS[sets.kind[0]] == "left_ray"
-    for hi in (cs.hi, sets.hi[0]):
+    cs = reference_solve_quadratic_set(*args)
+    one = solve_quadratic_set(*args)
+    assert cs.kind == one.kind == "left_ray"
+    for hi in (cs.hi, one.hi):
         assert abs(hi + 5e299) <= 1e-15 * 5e299

@@ -10,7 +10,6 @@ from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
     SetArrays,
-    solve_quadratic_set,
     solve_quadratic_sets,
 )
 from latekit.data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
@@ -38,6 +37,7 @@ from oracles import (
     reference_draws,
     reference_evaluate_draw,
     reference_score_draws,
+    reference_solve_quadratic_set,
     reference_table_json,
 )
 
@@ -282,10 +282,10 @@ def test_table_json_reports_mean_rejection_draws():
 
 def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
     # the efficiency ordering is checked explicitly, so it holds under -O too
-    monkeypatch.setattr(oracles, "far_set",
-                        lambda *args: ConfidenceSet.interval(0.0, 1.0))
-    monkeypatch.setattr(oracles, "wald_ci",
-                        lambda *args: ConfidenceSet.interval(-1.0, 1.0))
+    monkeypatch.setattr(oracles, "reference_far_set",
+                        lambda *args: ConfidenceSet("interval", 0.0, 1.0))
+    monkeypatch.setattr(oracles, "reference_wald_ci",
+                        lambda *args: ConfidenceSet("interval", -1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment="ehw", reps=1,
                       seed=99, k=2)
     pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
@@ -668,7 +668,8 @@ def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
     assert not scores["ts_gamma_0.075"].strong.any() and not scores["ts_f10"].strong.any()
 
 
-# (b_y, b_w, q_y, q_c, q_w) at crit 1 -> the geometry solve_quadratic_set gives
+# (b_y, b_w, q_y, q_c, q_w) at crit 1 -> the geometry of the scalar
+# reference_solve_quadratic_set
 _GEOMETRY_CASES = [
     ((1.0, 1.0, 0.1, 0.01, 0.05), "interval"),
     ((0.0, 1.0, 0.1, 0.0, 0.05), "interval"),  # b == 0: symmetric roots
@@ -690,10 +691,10 @@ def test_vectorized_inverter_matches_scalar_geometry():
     for j, ((cb_y, cb_w, *q), expected) in enumerate(_GEOMETRY_CASES):
         if expected == "empty":
             with pytest.raises(NoIdentificationError):
-                solve_quadratic_set(cb_y, cb_w, 1.0, *q)
+                reference_solve_quadratic_set(cb_y, cb_w, 1.0, *q)
             assert isinstance(sets.errors[j], NoIdentificationError)
             continue
-        cs = solve_quadratic_set(cb_y, cb_w, 1.0, *q)
+        cs = reference_solve_quadratic_set(cb_y, cb_w, 1.0, *q)
         assert cs.kind == expected
         assert j not in sets.errors
         assert KINDS[sets.kind[j]] == cs.kind

@@ -90,11 +90,18 @@ def test_arm_moments_and_families_have_three_callers():
 def test_one_array_scorer_serves_simulate_and_analyze():
     # the Wald and FAR sets of many rows are made in one place, the shared
     # scorer, which the study cells (simulation) and analyze's grouped strata
-    # (io) call; a third scoring path has to change this test
-    sites = _call_sites(["wald_intervals", "solve_quadratic_sets", "score_rows"])
-    assert sites["wald_intervals"] == {"two_stage.py:score_rows"}, sites
-    assert sites["solve_quadratic_sets"] == {"two_stage.py:score_rows"}, sites
+    # (io) call; the one-row wald_ci and solve_quadratic_set call the same
+    # kernels. A third scoring path has to change this test
+    sites = _call_sites(["wald_intervals", "solve_quadratic_sets", "solve_quadratic_set",
+                         "score_rows"])
+    assert sites["wald_intervals"] == {"two_stage.py:score_rows",
+                                       "confidence_sets.py:wald_ci"}, sites
+    assert sites["solve_quadratic_sets"] == {"two_stage.py:score_rows",
+                                             "confidence_sets.py:solve_quadratic_set"}, sites
     assert sites["score_rows"] == {"simulation.py:_score", "io.py:_group_scores"}, sites
+    # only far_set makes a one-row inversion, so no array path can hand its
+    # rows to it one at a time
+    assert sites["solve_quadratic_set"] == {"confidence_sets.py:far_set"}, sites
 
 
 def test_only_the_cli_writer_indents_json():
