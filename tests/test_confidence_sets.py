@@ -429,8 +429,9 @@ def test_inversion_endpoints_hold_in_exact_arithmetic():
     args = _property_families()
     sets = solve_quadratic_sets(*args)
     # the side of each endpoint the set lies on: +1 above it, -1 below it
-    sides = {"interval": (1, -1), "two_rays": (-1, 1), "left_ray": (None, -1),
-             "right_ray": (1, None), "point": (-1, 1)}
+    # (a point is checked as the interval [lo, hi], on its outside only)
+    sides = {"interval": (1, -1), "point": (1, -1), "two_rays": (-1, 1),
+             "left_ray": (None, -1), "right_ray": (1, None)}
     seen = {name: 0 for name in (*KINDS, "empty")}
     for i in range(len(args[0])):
         row = [Fraction(float(v[i])) for v in args]
