@@ -19,7 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import Covariates
-from .stats_core import MomentSummary, _ArmArrays, _row_forms, spd_inverses
+from .exceptions import LatekitError
+from .stats_core import (MomentSummary, _ArmArrays, _row_forms, fit_interacted_pair,
+                         sandwich_cov, spd_inverses)
 
 
 class Regime(NamedTuple):
@@ -108,19 +110,39 @@ def _arm_projections(*arms: _ArmArrays):
     return _forms(s_yx, inv, s_wx), {i % rows: exc for i, exc in singular.items()}
 
 
-def _rem_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
-                  sxx_inv: np.ndarray):
-    """The plain, rerandomization and projection families of every row of
-    arms that carry their covariate terms, given the inverse full covariate
-    covariance, and the error each row with a singular arm covariance
-    raises."""
+def moment_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
+                    sxx_inv: np.ndarray | None = None):
+    """The effect estimates, the family triples by name and the errors of
+    every row of the two arms: the plain family; given the inverse full
+    covariate covariance (one, or one per row), also the rerandomization and
+    projection families, and the error of each row with a singular arm one."""
+    tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
     plain = _plain_family(arm1, arm0, n1, n0)
+    if sxx_inv is None:
+        return tau_y, tau_w, {"plain": plain}, {}
     n, rows = n1 + n0, len(arm1.sxx)
     corr = [c / n for c in _forms(arm1.s_yx - arm0.s_yx, sxx_inv, arm1.s_wx - arm0.s_wx)]
     projs, errors = _arm_projections(arm1, arm0)
-    rem = tuple(p - c for p, c in zip(plain, corr))
-    proj = tuple(f[:rows] / n1 + f[rows:] / n0 - c for f, c in zip(projs, corr))
-    return plain, rem, proj, errors
+    return tau_y, tau_w, {
+        "plain": plain, "rem": tuple(p - c for p, c in zip(plain, corr)),
+        "proj": tuple(f[:rows] / n1 + f[rows:] / n0 - c for f, c in zip(projs, corr))}, errors
+
+
+def sandwich_families(datasets, flavor: str):
+    """The regression-adjusted effect estimates and sandwich family of every
+    dataset, by fit_interacted_pair on its own assignment and sandwich_cov of
+    ``flavor``, and the error each one raises; that row keeps the quiet
+    placeholder (0, 1, 0, 0, 0)."""
+    cols, errors = np.tile((0.0, 1.0, 0.0, 0.0, 0.0), (len(datasets), 1)), {}
+    for i, ds in enumerate(datasets):
+        try:
+            fit_y, fit_w = fit_interacted_pair(ds, ds.z)
+            cols[i] = (fit_y.tau_hat, fit_w.tau_hat,
+                       *sandwich_cov(fit_y, fit_w, flavor).family("sandwich"))
+        except LatekitError as exc:
+            errors[i] = exc
+    tau_y, tau_w, *triple = cols.T
+    return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
 
 
 def plain_components(summary: MomentSummary) -> VarianceComponents:
@@ -137,12 +159,12 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
         return plain_components(summary)
     # extreme covariate scales overflow; analyze_stratum skips nonfinite ones
     with np.errstate(over="ignore", invalid="ignore"):
-        *families, errors = _rem_families(*summary.covariate_arms, summary.n1, summary.n0,
-                                          Covariates(summary.dataset.x).sxx_inv)
+        _, _, families, errors = moment_families(*summary.covariate_arms, summary.n1,
+                                                 summary.n0, Covariates(summary.dataset.x).sxx_inv)
     if errors:
         raise errors[0]
-    return VarianceComponents(*(tuple(float(v[0]) for v in triple) for triple in families),
-                              k=summary.k)
+    return VarianceComponents(**{name: tuple(float(v[0]) for v in triple)
+                                 for name, triple in families.items()}, k=summary.k)
 
 
 def _one_row(*values) -> np.ndarray:

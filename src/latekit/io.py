@@ -12,10 +12,11 @@ checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
-Strata with two or more units per arm are validated by size and scored
-at once by ``two_stage.score_rows``, as study cells are; the rest take the
-one-row path of ``stratum_steps``, whose steps are one-row calls of the
-same set and first-stage kernels.
+Strata with two or more units per arm are validated by size, their
+families built by ``estimation``'s builders and scored at once by
+``two_stage.score_rows``, as study cells' are; the rest take the one-row
+path of ``stratum_steps``, whose steps are one-row calls of the same set
+and first-stage kernels.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ import numpy as np
 from .confidence_sets import far_set, json_number, wald_ci
 from .data_model import (AnalysisConfig, Dataset, DesignSpec, center_covariates, check_rows,
                          validate)
-from .estimation import (Estimates, _plain_family, _rem_families, plain_components,
-                         regime_spec, variance_components)
+from .estimation import (Estimates, moment_families, plain_components, regime_spec,
+                         sandwich_families, variance_components)
 from .exceptions import InvalidDatasetError, LatekitError
 from .stats_core import (_arm_moments, covariate_covariance, fit_interacted_pair,
                          sandwich_cov, spd_inverses, summarize)
@@ -233,8 +234,7 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
     for i, ((ds, _), n1) in enumerate(zip(datasets, n1s)):
         if min(n1, ds.n - n1) >= 2:
             groups.setdefault((ds.n, n1), []).append(i)
-    names = ("plain", "rem", "proj") if spec.mixture else (spec.family,)
-    scored = []  # each group's strata, tau_y, tau_w and family columns to score
+    scored = []  # each group's strata, tau_y, tau_w and families to score
     for (n, n1), rows in groups.items():
         z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
         z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
@@ -244,15 +244,8 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
         if not rows:
             continue
         if spec.family == "sandwich":  # the one-row path's interacted fits
-            cols, errors = np.zeros((len(rows), 5)), {}
-            for r, i in enumerate(rows):
-                try:
-                    fit_y, fit_w = fit_interacted_pair(datasets[i][0], datasets[i][0].z)
-                    cols[r] = (fit_y.tau_hat, fit_w.tau_hat,
-                               *sandwich_cov(fit_y, fit_w, config.adjustment).family("sandwich"))
-                except LatekitError as exc:
-                    errors[r] = exc
-            tau_y, tau_w, families = cols[:, 0], cols[:, 1], [tuple(cols.T[2:])]
+            tau_y, tau_w, families, errors = sandwich_families(
+                [datasets[i][0] for i in rows], config.adjustment)
         else:
             z, y, w, x = z[passed], y[passed].ravel(), w[passed].ravel(), x[passed]
             idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
@@ -260,26 +253,27 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
             try:
                 # as variance_components: extreme covariate scales overflow
                 with np.errstate(over="ignore", invalid="ignore"):
-                    arm1, arm0 = _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x)
-                    families, full, within = [_plain_family(arm1, arm0, n1, n - n1)], {}, {}
+                    sxx_inv, full = None, {}
                     if spec.mixture:
                         sxx_inv, full = spd_inverses(
                             np.stack([covariate_covariance(datasets[i][0].x) for i in rows]),
                             "covariate covariance")
-                        *families, within = _rem_families(arm1, arm0, n1, n - n1, sxx_inv)
+                    tau_y, tau_w, families, errors = moment_families(
+                        _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x), n1, n - n1,
+                        sxx_inv)
             except np.linalg.LinAlgError:
                 continue
-            tau_y, tau_w, errors = (arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean,
-                                    {**within, **full})
-        keep = _finite_rows(dict(zip(names, families)).__getitem__, spec)
+            errors.update(full)
+        keep = _finite_rows(families.__getitem__, spec)
         for r, exc in errors.items():
             out[rows[r]], keep[r] = exc, False
-        columns = (np.array(rows), tau_y, tau_w, *itertools.chain(*families))
-        scored.append(columns if keep.all() else [col[keep] for col in columns])
+        scored.append((np.array(rows)[keep], tau_y[keep], tau_w[keep],
+                       {name: tuple(v[keep] for v in f) for name, f in families.items()}))
     if scored:
-        strata, tau_y, tau_w, *flat = map(np.concatenate, zip(*scored))
-        scores = score_rows(tau_y, tau_w, {name: tuple(flat[3 * j:3 * j + 3])
-                                           for j, name in enumerate(names)}, config, k, gammas)
+        strata, tau_y, tau_w, families = zip(*scored)
+        strata, tau_y, tau_w = map(np.concatenate, (strata, tau_y, tau_w))
+        scores = score_rows(tau_y, tau_w, {name: tuple(map(np.concatenate, zip(*(
+            group[name] for group in families)))) for name in families[0]}, config, k, gammas)
         for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
             out[i] = (Estimates(*pair), scores, row)
     return out

@@ -6,12 +6,13 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-``_score`` scores a cell in one array pass over all of its draws, its
-``_FAMILIES`` entry then ``two_stage.score_rows`` (as analyze's strata).
-Unadjusted cells get the bits of scoring each draw alone by ``summarize``
-and the one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and
-``f_screen``; adjusted cells (per-arm OLS fits instead of one interacted
-fit) agree to roundoff.
+``_score`` scores a cell in one array pass over all of its draws: its
+``_FAMILIES`` entry builds the families by ``estimation``'s builders, as
+analyze's groups do, then ``two_stage.score_rows`` scores them. Unadjusted
+cells get the bits of scoring each draw alone by ``summarize`` and the
+one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and ``f_screen``;
+adjusted cells (per-arm OLS fits instead of one interacted fit, but for
+the draws they cannot trust) agree to roundoff.
 """
 from __future__ import annotations
 
@@ -28,24 +29,17 @@ import numpy as np
 from .confidence_sets import KINDS, SetArrays
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
-from .estimation import _plain_family, _rem_families, regime_spec
-from .exceptions import InfeasibleTargetError, LatekitError
+from .estimation import moment_families, regime_spec, sandwich_families
+from .exceptions import InfeasibleTargetError
 from .mixture import MixtureParams, quantile_table
-from .stats_core import (
-    _FLAVOR_EXPONENT,
-    _ArmArrays,
-    _arm_indices,
-    _arm_moments,
-    fit_interacted_pair,
-    sandwich_cov,
-)
+from .stats_core import _FLAVOR_EXPONENT, _arm_indices, _arm_moments
 from .two_stage import F_THRESHOLD, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
 from .confidence_sets import far_set, wald_ci
 from .estimation import variance_components
-from .stats_core import summarize
+from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 from .two_stage import f_screen, first_stage_test
 
 _POP_RETRIES = 1000
@@ -344,25 +338,15 @@ class MethodScores(NamedTuple):
     included: np.ndarray
 
 
-def _arms(pop: PotentialDataset, zs: np.ndarray, n1: int, x: np.ndarray | None = None
-          ) -> tuple[_ArmArrays, _ArmArrays]:
-    """The treated and control arms' moments of every assignment row, by the
-    kernel summarize calls for one draw, so the bits agree."""
-    idx1, idx0 = _arm_indices(zs, n1)
-    return _arm_moments(idx1, pop.y1, pop.w1, x), _arm_moments(idx0, pop.y0, pop.w0, x)
-
-
 def _moment_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                      x: np.ndarray | None = None):
-    """The effect estimates and plain family of every assignment row; given
-    covariates ``x``, also the ReM and projection families, with their errors."""
-    n1, n0 = base.design.n1, zs.shape[1] - base.design.n1
-    arm1, arm0 = _arms(pop, zs, n1, x)
-    tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
-    if x is None:
-        return tau_y, tau_w, {"plain": _plain_family(arm1, arm0, n1, n0)}, {}
-    plain, rem, proj, errors = _rem_families(arm1, arm0, n1, n0, Covariates(x).sxx_inv)
-    return tau_y, tau_w, {"plain": plain, "rem": rem, "proj": proj}, errors
+    """moment_families of every assignment row, by the arm kernel summarize
+    calls for one draw, so the bits agree; all three given covariates ``x``."""
+    n1 = base.design.n1
+    idx1, idx0 = _arm_indices(zs, n1)
+    return moment_families(_arm_moments(idx1, pop.y1, pop.w1, x),
+                           _arm_moments(idx0, pop.y0, pop.w0, x), n1, zs.shape[1] - n1,
+                           None if x is None else Covariates(x).sxx_inv)
 
 
 # an arm design whose equilibrated R-diagonal ratio, or a leverage's
@@ -416,8 +400,8 @@ def _sandwich_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConf
     intercepts, and the sandwich sums each arm's weighted residual products
     along its intercept's influence row. Draws near a case where the scalar
     fit raises (an arm of at most k + 1 units, a nearly collinear arm
-    design, a leverage near one) are refit by fit_interacted_pair and
-    sandwich_cov, and what those raise is kept per draw.
+    design, a leverage near one) are refit by sandwich_families, which keeps
+    what each refit raises.
     """
     reps, n = zs.shape
     n1, k = base.design.n1, pop.x.shape[1]
@@ -432,22 +416,16 @@ def _sandwich_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConf
             zip(_arm_indices(zs, n1), (pop.y1, pop.y0), (pop.w1, pop.w0)))
         cols = np.concatenate([int1 - int0, sw1 + sw0], axis=1)
         unsure = unsure1 | unsure0
-    errors = {}
-    for i in np.flatnonzero(unsure):
-        try:
-            fit_y, fit_w = fit_interacted_pair(pop.reveal(zs[i]), zs[i])
-            cov = sandwich_cov(fit_y, fit_w, base.adjustment)
-        except LatekitError as exc:  # raised in draw order by _score
-            errors[int(i)] = exc
-            cols[i] = (0.0, 1.0, 0.0, 0.0, 0.0)  # a placeholder that scores quietly
-            continue
-        cols[i] = (fit_y.tau_hat, fit_w.tau_hat, *cov.family("sandwich"))
+    refit = np.flatnonzero(unsure)
+    tau_y, tau_w, families, errors = sandwich_families([pop.reveal(zs[i]) for i in refit],
+                                                       base.adjustment)
+    cols[refit] = np.column_stack([tau_y, tau_w, *families["sandwich"]])
     tau_y, tau_w, *triple = cols.T
-    return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
+    return tau_y, tau_w, {"sandwich": tuple(triple)}, {int(refit[r]): exc
+                                                      for r, exc in errors.items()}
 
 
-# each regime's (tau_y, tau_w, families, errors) of a cell's assignment rows:
-# a per-draw (v_y, c_yw, v_w) triple per family name, and what a draw raises
+# each regime's builder result (as moment_families') for a cell's assignment rows
 _FAMILIES = {"cre": _moment_families, "adjusted": _sandwich_families,
              "rem": lambda pop, zs, base: _moment_families(pop, zs, base, pop.x)}
 

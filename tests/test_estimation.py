@@ -5,11 +5,9 @@ import pytest
 
 from latekit import simulation
 from latekit.data_model import Dataset
-from latekit.design import Covariates
 from latekit.estimation import (
     Estimates,
     VarianceComponents,
-    _rem_families,
     combined_variance,
     r2_of_tau,
     r2_star,
@@ -250,12 +248,9 @@ def test_r2_stars_match_the_search_on_every_rem_draw(seed):
                                  reps=40, seed=seed)
     for cell, target in enumerate(tau_w):
         pop, base, _, zs, _ = simulation._cell_draws(cfg, cell, target)
-        n1 = base.design.n1
-        arms = simulation._arms(pop, zs, n1, pop.x)
-        _, rem, proj, errors = _rem_families(*arms, n1, zs.shape[1] - n1,
-                                             Covariates(pop.x).sxx_inv)
+        _, _, families, errors = simulation._moment_families(pop, zs, base, pop.x)
         assert not errors
-        _assert_r2_stars_match_reference(proj, rem)
+        _assert_r2_stars_match_reference(families["proj"], families["rem"])
 
 
 def test_r2_stars_flags_and_limits_match_the_search():

@@ -545,8 +545,8 @@ def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs[keep], (0.075,),
                                    simulation._score, exact=True)
     refits = []
-    fit = simulation.fit_interacted_pair
-    monkeypatch.setattr(simulation, "fit_interacted_pair",
+    fit = estimation.fit_interacted_pair
+    monkeypatch.setattr(estimation, "fit_interacted_pair",
                         lambda ds, z: refits.append(z) or fit(ds, z))
     simulation._score(pop, zs[keep], base, (0.075,))
     assert len(refits) == len(keep)

@@ -31,10 +31,11 @@ def test_only_stats_core_tests_and_factors_a_covariance():
 
 
 
-def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
+def test_only_io_and_estimation_estimate_from_a_dataset():
     # one path takes a dataset to estimates and variance families: analyze's
-    # stratum steps (io), which two_stage_set also runs; the study passes'
-    # sandwich refit (simulation); and the families themselves (estimation)
+    # stratum steps (io), which two_stage_set also runs, and the families
+    # themselves (estimation), whose sandwich_families refits the study
+    # passes' unsure draws and fits analyze's adjusted groups
     names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
              "plain_components"}
     callers = set()
@@ -46,7 +47,7 @@ def test_only_io_simulation_and_estimation_estimate_from_a_dataset():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in names:
                     callers.add(path.name)
-    assert callers == {"io.py", "simulation.py", "estimation.py"}, callers
+    assert callers == {"io.py", "estimation.py"}, callers
 
 
 
@@ -77,14 +78,18 @@ def _callers(names):
 def test_arm_moments_and_families_have_three_callers():
     # arm moments are computed by one kernel, called by summarize's one-row
     # path (stats_core), the study cell passes (simulation) and analyze's
-    # group pass (io); the families built on them come from estimation,
-    # simulation and io. A fourth moment path has to change these lists.
+    # group pass (io); the families built on them come from estimation's two
+    # builders alone, which the study passes and analyze's group pass call.
+    # A fourth moment path or a second family builder has to change these lists.
     kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
     assert set().union(*kernel.values()) == {"stats_core.py", "simulation.py", "io.py"}, kernel
     assert kernel["_arm_moments"] == {"simulation.py", "io.py"}, kernel
-    families = _callers(["_plain_family", "_rem_families"])
-    assert all(files == {"estimation.py", "simulation.py", "io.py"}
-               for files in families.values()), families
+    families = _callers(["_plain_family", "_arm_projections", "moment_families",
+                         "sandwich_families"])
+    assert families == {"_plain_family": {"estimation.py"},
+                        "_arm_projections": {"estimation.py"},
+                        "moment_families": {"estimation.py", "simulation.py", "io.py"},
+                        "sandwich_families": {"simulation.py", "io.py"}}, families
 
 
 def test_one_array_scorer_serves_simulate_and_analyze():
@@ -143,3 +148,4 @@ def test_one_loadtxt_parse_and_one_csv_record_reader():
                 owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 sites[node.attr].append(f"{path.name}:{owners[-1] if owners else '<module>'}")
     assert sites == {"loadtxt": ["io.py:_read_columns"], "reader": ["io.py:_csv_records"]}, sites
+
