@@ -131,9 +131,9 @@ def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
     draw. A zero first-stage estimate gives the whole line, flagged
     degenerate. The variance at the ratio is variance_at's: a negative one
     of a floored family is taken as zero and flags the set degenerate; any
-    other is an error."""
+    other, or a ratio that is not finite, is an error."""
     defined = b_w != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = b_y / b_w
         value, negative, errors = variance_at((q_y, q_c, q_w), tau, family, defined)
         radius = crit * np.sqrt(value) / np.abs(b_w)
@@ -244,8 +244,9 @@ def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfi
     signal) rather than an error.
     """
     spec = regime_spec(regime)
+    ratio = estimates.ratio  # as score_rows: 0 where not finite, whose set is an error
     crit = _critical(spec, components, config, config.alpha / 2.0,
-                     lambda c: r2_of_tau(c, estimates.ratio))
+                     lambda c: r2_of_tau(c, ratio if math.isfinite(ratio) else 0.0))
     b_y, b_w, q_y, q_c, q_w = _one_row(*estimates, *components.family(spec.family))
     return wald_intervals(b_y, b_w, crit, q_y, q_c, q_w, spec.family).entry(
         0, f"wald[{regime}]")

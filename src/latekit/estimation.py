@@ -254,17 +254,20 @@ def variance_at(triple, tau, family: str, rows):
     """The ``family`` quadratic of ``triple`` at the ratio ``tau`` of every
     row, floored at zero; where among ``rows`` (a mask) it is negative:
     below zero for a floored family, else below zero beyond roundoff; and
-    for a family that is not floored, the error each of those raises."""
+    the error each of ``rows`` raises: a ratio that is not finite, or else
+    for a family that is not floored, a negative value."""
+    unbounded = {int(i): ValueError("tau_hat must be finite")
+                 for i in np.flatnonzero(rows & ~np.isfinite(tau))}
     with np.errstate(over="ignore", invalid="ignore"):
         value = _quad(triple, tau)
         if family in FLOORED_FAMILIES:
-            return np.maximum(value, 0.0), rows & (value < 0.0), {}
+            return np.maximum(value, 0.0), rows & (value < 0.0), unbounded
         scale = (np.maximum(np.maximum(np.abs(triple[0]), np.abs(triple[1])), np.abs(triple[2]))
                  * np.maximum(1.0, tau * tau))
         negative = rows & (value < -1e-9 * np.maximum(scale, 1e-300))
     return np.maximum(value, 0.0), negative, {
-        int(i): ArithmeticError(f"{family} variance quadratic is negative: {float(value[i])}")
-        for i in np.flatnonzero(negative)}
+        **{int(i): ArithmeticError(f"{family} variance quadratic is negative: {float(value[i])}")
+           for i in np.flatnonzero(negative)}, **unbounded}
 
 
 def combined_variance(components, tau_hat: float, family: str = "plain") -> VarianceAt:
@@ -279,8 +282,6 @@ def combined_variance(components, tau_hat: float, family: str = "plain") -> Vari
     ``components`` is a VarianceComponents for 'plain'/'rem' or a
     SandwichCov for 'sandwich'.
     """
-    if not math.isfinite(tau_hat):
-        raise ValueError("tau_hat must be finite")
     value, negative, errors = variance_at(_one_row(*components.family(family)),
                                           np.array([tau_hat]), family, True)
     if errors:

@@ -127,9 +127,11 @@ def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: Ana
 
         def lam(alpha, rho):
             return lambda_quantiles(MixtureParams(k=k, a=config.design.a, alpha=alpha), rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the Wald set's: the mixture quantile at r2_of_tau at the ratio
-            r2, _ = r2_at(proj, triple, np.where(tau_w != 0.0, tau_y / tau_w, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the Wald set's: the mixture quantile at r2_of_tau at the ratio,
+            # or at 0 where it is not finite (that Wald set is an error)
+            ratio = tau_y / tau_w
+            r2, _ = r2_at(proj, triple, np.where(np.isfinite(ratio), ratio, 0.0))
         # the t test's: the mixture quantile at the receipt's own ratio
         rho, _ = r2_ratio(proj[2], fs_var)
         wald_crit, far_crit = lam(tail, r2), lam(tail, r2_stars(proj, triple)[0])

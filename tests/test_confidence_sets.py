@@ -189,6 +189,23 @@ def test_wald_ci_known_arithmetic():
     assert ci.hi == pytest.approx(4 + 1.96 * 0.2 / 0.5, abs=2e-4)
 
 
+@pytest.mark.parametrize("regime", ["cre", "rem"])
+@pytest.mark.parametrize("tau_y", [1e300, -1e300])
+def test_wald_ci_rejects_a_ratio_that_overflows(regime, tau_y):
+    # tau_y / tau_w is beyond the float range: an error, as for any
+    # non-finite ratio estimate, not a set with nan endpoints
+    from latekit.estimation import VarianceComponents
+
+    comp = VarianceComponents((1.0, 0.1, 0.5), (0.8, 0.1, 0.4), (0.2, 0.05, 0.1), k=2)
+    cfg = cre_config() if regime == "cre" else AnalysisConfig(
+        design=DesignSpec.rem(10, p_a=0.1, k=2))
+    with pytest.raises(ValueError, match="^tau_hat must be finite$"):
+        wald_ci(regime, Estimates(tau_y, 1e-10), comp, cfg)
+    sets = wald_intervals(np.array([tau_y, 1.0]), np.array([1e-10, 0.5]), Z,
+                          *(np.array([v, v]) for v in comp.plain))
+    assert list(sets.errors) == [0] and sets.entry(1).kind == "interval"
+
+
 def test_wald_ci_zero_first_stage_is_infinite():
     from latekit.estimation import VarianceComponents
 
