@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latekit"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def test_package_has_no_assert_statements():
@@ -149,3 +151,29 @@ def test_one_loadtxt_parse_and_one_csv_record_reader():
                 sites[node.attr].append(f"{path.name}:{owners[-1] if owners else '<module>'}")
     assert sites == {"loadtxt": ["io.py:_read_columns"], "reader": ["io.py:_csv_records"]}, sites
 
+
+def test_sibling_imports_are_used_exported_or_tracer_bound(monkeypatch):
+    # a name a module imports from a sibling (from .x import name) is used
+    # there, listed in its __all__, or rebound in it by the benchmark tracer
+    # (perfbench/tracing.py), which fails on a missing name; any other such
+    # import is dead, such as a tracer-only import the tracer no longer binds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    bound = {(module, name) for module, name, *_ in tracing._BINDINGS}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # the package's own exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                unused += [f"{path.stem}.{name}" for name in
+                           (alias.asname or alias.name for alias in node.names)
+                           if name not in used | exported and (path.stem, name) not in bound]
+    assert unused == [], unused
