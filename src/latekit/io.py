@@ -272,8 +272,9 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
     if scored:
         strata, tau_y, tau_w, families = zip(*scored)
         strata, tau_y, tau_w = map(np.concatenate, (strata, tau_y, tau_w))
-        scores = score_rows(tau_y, tau_w, {name: tuple(map(np.concatenate, zip(*(
-            group[name] for group in families)))) for name in families[0]}, config, k, gammas)
+        families = {name: tuple(map(np.concatenate, zip(*(f[name] for f in families))))
+                    for name in families[0]}
+        scores = score_rows(tau_y, tau_w, families, config, k, gammas)
         for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
             out[i] = (Estimates(*pair), scores, row)
     return out
