@@ -161,18 +161,21 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     """
     crit = np.broadcast_to(crit, np.shape(b_y))
     crit2 = crit * crit
-    # the estimates times 2^-e and the form times 2^-2e put the largest of
-    # |b_y|, |b_w| and sqrt(max |q|) in [0.5, 1): the same set, exactly, so
-    # the roots keep their bits, and no product below overflows or underflows
-    _, e = np.frexp(np.maximum(np.maximum(np.abs(b_y), np.abs(b_w)), np.sqrt(
-        np.maximum(np.maximum(np.abs(q_y), np.abs(q_c)), np.abs(q_w)))))
-    s_y, s_w = np.ldexp(b_y, -e), np.ldexp(b_w, -e)
-    q_y, q_c, q_w = (np.ldexp(v, -2 * e) for v in (q_y, q_c, q_w))
+    # each side on its own scale: b_y times 2^-ey and q_y times 2^-2ey put
+    # the larger of |b_y| and sqrt|q_y| in [0.5, 1), b_w and q_w likewise by
+    # ew, and q_c goes by 2^-(ey+ew). That is the same inequality in
+    # t' = t 2^(ew-ey), exactly, so the roots keep their bits and are scaled
+    # back by 2^(ey-ew); no product below overflows or underflows, however
+    # far apart the two sides' scales are
+    _, ey = np.frexp(np.maximum(np.abs(b_y), np.sqrt(np.abs(q_y))))
+    _, ew = np.frexp(np.maximum(np.abs(b_w), np.sqrt(np.abs(q_w))))
+    s_y, s_w = np.ldexp(b_y, -ey), np.ldexp(b_w, -ew)
+    q_y, q_c, q_w = np.ldexp(q_y, -2 * ey), np.ldexp(q_c, -(ey + ew)), np.ldexp(q_w, -2 * ew)
     a = s_w * s_w - crit2 * q_w
     b = -2.0 * (s_y * s_w - crit2 * q_c)
     c = s_y * s_y - crit2 * q_y
     tol_a = 1e-12 * np.maximum(s_w * s_w, np.abs(crit2 * q_w))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(disc)
         # b is -2 times a double, so |q| >= |b|/2 >= 2^-1074 wherever b != 0
@@ -185,16 +188,18 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
         two_rays = (a < -tol_a) & (disc > 0.0) & (lo < hi)
         whole_line = (a < -tol_a) & ~(disc > 0.0)
         rest = ~(interval | two_rays | whole_line)
+        # back to t: an endpoint beyond the float range is infinite
+        back = ey - ew
+        lo = np.where(whole_line | rest, -_INF, np.ldexp(lo, back))
+        hi = np.where(whole_line | rest, _INF, np.ldexp(hi, back))
     kind = np.where(interval, _INTERVAL,
                     np.where(two_rays, _TWO_RAYS, _WHOLE_LINE)).astype(np.int8)
-    lo = np.where(whole_line | rest, -_INF, lo)
-    hi = np.where(whole_line | rest, _INF, hi)
     degenerate = np.zeros(len(kind), dtype=bool)
     errors: dict[int, Exception] = {}
     rest = np.flatnonzero(rest)
     if rest.size:
-        a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w = (
-            v[rest] for v in (a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w))
+        a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w, back = (
+            v[rest] for v in (a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w, back))
         linear = ~((a > tol_a) | (a < -tol_a))
         ray = linear & (np.abs(b) > 1e-12 * 2.0 * np.maximum(np.abs(s_y * s_w),
                                                              np.abs(crit2 * q_c)))
@@ -202,8 +207,8 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
         empty = ~(ray | whole | (a < -tol_a))
         point = empty & (b_w != 0.0)
         left = ray & (b > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound, ratio = -c / b, b_y / b_w
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound, ratio = np.ldexp(-c / b, back), b_y / b_w
         kind[rest] = np.select([left, ray, point], [_LEFT_RAY, _RIGHT_RAY, _POINT], _WHOLE_LINE)
         lo[rest] = np.select([ray & ~left, point], [bound, ratio], -_INF)
         hi[rest] = np.select([left, point], [bound, ratio], _INF)

@@ -6,19 +6,24 @@ potential outcomes are constants. Six procedures are scored: the Wald
 interval, the robust quadratic-inversion set, two-stage selections at two
 first-stage levels, and the F>10 comparators.
 
-``_score`` scores a cell in one array pass over all of its draws: its
-``_FAMILIES`` entry builds the families by ``estimation``'s builders, as
-analyze's groups do, then ``two_stage.score_rows`` scores them. Unadjusted
-cells get the bits of scoring each draw alone by ``summarize`` and the
-one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and ``f_screen``;
-adjusted cells (per-arm OLS fits instead of one interacted fit, but for
-the draws they cannot trust) agree to roundoff.
+A study is scored in stacks of consecutive cells, at most ``STACK_ROWS``
+rows each (a cell of more is a stack of its own). Each cell draws its
+assignments and builds its families by its ``_FAMILIES`` entry
+(``estimation``'s builders) on its own; then ``_score`` scores all of the
+stack's rows by one ``two_stage.score_rows`` call, as analyze's group pass
+scores its groups, and ``_rows`` reduces them to every cell's table rows
+at once. Unadjusted cells get the bits of scoring each draw alone by
+``summarize`` and the one-row ``wald_ci``, ``far_set``,
+``first_stage_test`` and ``f_screen``; adjusted cells (per-arm OLS fits
+instead of one interacted fit, but for the draws they cannot trust) agree
+to roundoff.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import numbers
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,6 +48,12 @@ from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 from .two_stage import f_screen, first_stage_test
 
 _POP_RETRIES = 1000
+
+# the most assignments (reps * n) a study may draw for one cell: the cell's
+# int64 assignment matrix is its largest allocation, 80 MB at this limit,
+# and its pass peaks at about 35 (CRE) to 100 (ReM, HC2) bytes per
+# assignment with k = 5
+MAX_CELL_ASSIGNMENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,9 @@ class StudyConfig:
             v = getattr(self, key)
             if not _is_integer(v) or v < low or (key == "n" and v % 2):
                 raise ValueError(f"{key} must be {rule}; got {v!r}")
+        if self.reps * self.n > MAX_CELL_ASSIGNMENTS:
+            raise ValueError(f"reps * n must be at most {MAX_CELL_ASSIGNMENTS:,}, the "
+                             f"assignments one cell may draw; got reps={self.reps}, n={self.n}")
         for key in ("alpha", "p_a", "p_plus"):
             v = getattr(self, key)
             if not _in_range(v, 1.0):
@@ -261,6 +275,11 @@ class PerformanceRow:
 # "tables" is the mixture quantile-table builds a ReM cell triggers, 0 under CRE
 STAGES = ("population", "draws", "tables", "scoring", "rows")
 
+# a stack of consecutive cells is scored by one score_rows call and reduced
+# at once; it holds at most this many rows, and a cell of more is a stack
+# of its own. The per-row kernels (arm moments, arm OLS) run per cell
+STACK_ROWS = 1024
+
 
 @dataclass
 class PerformanceTable:
@@ -314,14 +333,33 @@ def median_extended(values: np.ndarray) -> float:
     """Lower median, so the result is infinite exactly when more than half
     of the values are; nan for no values. A nan value is an error: _rows
     passes absolute errors (inf where the estimate is not finite) and set
-    lengths (inf for an unbounded set), neither of which is ever nan."""
-    v = np.asarray(values, dtype=float)
-    if len(v) == 0:
-        return math.nan
-    if np.isnan(v).any():
+    lengths (inf for an unbounded set), neither of which is ever nan. The
+    one-row call of _medians."""
+    v = np.asarray(values, dtype=float)[None]
+    return float(_medians(v, np.ones(v.shape, dtype=bool))[0])
+
+
+def _medians(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """median_extended of the kept values of each row of ``values``: the
+    order statistic read off the row sorted with its other values as nan,
+    which sorts last."""
+    if np.isnan(values[kept]).any():
         raise ValueError("median_extended got a nan value")
-    mid = (len(v) + 1) // 2 - 1
-    return float(np.partition(v, mid)[mid])
+    counts = kept.sum(axis=1)
+    if not values.shape[1]:
+        return np.full(len(values), math.nan)
+    ordered = np.sort(np.where(kept, values, math.nan), axis=1)
+    mid = ordered[np.arange(len(values)), np.maximum((counts + 1) // 2 - 1, 0)]
+    return np.where(counts > 0, mid, math.nan)
+
+
+def _means(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The mean of the kept values of each row of ``values``, nan for none,
+    bit for bit np.mean of them alone: a row mean where all are kept, else
+    one np.mean per row, as a masked sum would add in another order."""
+    if kept.all():
+        return values.mean(axis=1) if values.shape[1] else np.full(len(values), math.nan)
+    return np.array([np.mean(v[k]) if k.any() else math.nan for v, k in zip(values, kept)])
 
 
 def _longer_wald_message(wald_length: float, far_length: float) -> str:
@@ -430,15 +468,16 @@ _FAMILIES = {"cre": _moment_families, "adjusted": _sandwich_families,
              "rem": lambda pop, zs, base: _moment_families(pop, zs, base, pop.x)}
 
 
-def _score(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-           gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
-    """Per-draw ratio estimates (nan where tau_w is 0) and each method's
-    MethodScores in table order, for all assignment rows of ``zs`` at once:
-    the cell's ``_FAMILIES`` entry scored by ``score_rows``. The first
-    failing draw's first failure (its families, its sets, or a Wald interval
-    longer than its FAR interval) is raised."""
-    tau_y, tau_w, families, errors = _FAMILIES[base.regime](pop, zs, base)
-    scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
+def _score(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, errors: dict,
+           base: AnalysisConfig, k: int, gammas: tuple[float, ...]
+           ) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """Per-row ratio estimates (nan where tau_w is 0) and each method's
+    MethodScores in table order, for every row of a stack's ``_FAMILIES``
+    results at once (``errors`` is what each row's families raised), by one
+    ``score_rows`` call. The first failing row's first failure (its
+    families, its sets, or a Wald interval longer than its FAR interval)
+    is raised."""
+    scored = score_rows(tau_y, tau_w, families, base, k, gammas)
     wald_sets, far = scored.wald, scored.far
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
@@ -485,41 +524,52 @@ def _population_for_cell(cfg: StudyConfig, cell: int, tau_w: float) -> Potential
         f"no feasible population for tau_w={tau_w} in {_POP_RETRIES} attempts")
 
 
-def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float, seconds: dict | None = None
-                ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray, np.ndarray]:
-    """A cell's population, analysis config, true effect, assignment rows
-    and each row's rejection draw count; the covariates' balance metric is
-    worked out once for all. Given ``seconds``, the population's and the
-    draws' wall times are added to its "population" and "draws" entries.
+def _analysis_config(cfg: StudyConfig) -> AnalysisConfig:
+    """The analysis config every cell of the study is scored under."""
+    design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
+              if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
+    return AnalysisConfig(alpha=cfg.alpha, gamma=cfg.gamma[0], p_plus=cfg.p_plus,
+                          adjustment=cfg.adjustment, design=design)
 
-    Row ``rep`` is drawn from the stream of ``default_rng((seed, cell, 1 +
-    rep))``. Rather than seed one generator per row, _stream_states derives
-    every row's PCG64 state in one pass and one generator is set to each in
-    turn; the derived state of row 0 must equal numpy's own seeding of it,
-    or the cell raises."""
+
+def _stack_streams(cfg: StudyConfig, cells: list[tuple[int, float]]
+                   ) -> tuple[np.random.Generator, list[dict]]:
+    """A generator and the PCG64 state of every replication of ``cells``,
+    cell by cell: replication ``rep`` of cell ``c`` draws from the stream of
+    ``default_rng((seed, c, 1 + rep))``. Rather than seed one generator per
+    replication, _stream_states derives every state in one pass, and the
+    generator is set to each in turn. The generator is numpy's own seeding
+    of the first replication, whose derived state must equal it, or the
+    study raises."""
+    entropy = np.concatenate([_draw_entropy(cfg.seed, cell, cfg.reps) for cell, _ in cells])
+    states = _stream_states(entropy)
+    rng = np.random.default_rng(entropy[0])
+    if rng.bit_generator.state != states[0]:
+        raise RuntimeError(
+            f"the PCG64 state derived for seed {cfg.seed}, cell {cells[0][0]}, replication 0 "
+            f"differs from numpy {np.__version__}'s seeding of that stream")
+    return rng, states
+
+
+def _cell_draws(cfg: StudyConfig, cell: int, tau_w: float, design: DesignSpec,
+                rng: np.random.Generator, states: list[dict], seconds: dict | None = None
+                ) -> tuple[PotentialDataset, np.ndarray, np.ndarray]:
+    """A cell's population, one assignment row per entry of ``states`` (the
+    cell's replication streams, which ``rng`` is set to in turn) and each
+    row's rejection draw count; the covariates' balance metric is worked
+    out once for all. Given ``seconds``, the population's and the draws'
+    wall times are added to its "population" and "draws" entries."""
     with _timed(seconds, "population"):
         pop = _population_for_cell(cfg, cell, tau_w)
     with _timed(seconds, "draws"):
-        design = (DesignSpec.rem(cfg.n // 2, p_a=cfg.p_a, k=cfg.k)
-                  if cfg.design == "rem" else DesignSpec.cre(cfg.n // 2))
         covariates = Covariates(pop.x)
-        zs = np.zeros((cfg.reps, cfg.n), dtype=np.int64)
-        attempts = np.zeros(cfg.reps, dtype=np.int64)
-        entropy = _draw_entropy(cfg.seed, cell, cfg.reps)
-        states = _stream_states(entropy)
-        if states:
-            rng = np.random.default_rng(entropy[0])
-            if rng.bit_generator.state != states[0]:
-                raise RuntimeError(
-                    f"the PCG64 state derived for seed {cfg.seed}, cell {cell}, replication 0 "
-                    f"differs from numpy {np.__version__}'s seeding of that stream")
-            for rep, state in enumerate(states):
-                rng.bit_generator.state = state
-                draw = draw_assignment(design, covariates, rng)
-                zs[rep], attempts[rep] = draw.z, draw.accepted_after
-    base = AnalysisConfig(alpha=cfg.alpha, gamma=cfg.gamma[0], p_plus=cfg.p_plus,
-                          adjustment=cfg.adjustment, design=design)
-    return pop, base, true_sample_late(pop), zs, attempts
+        zs = np.zeros((len(states), cfg.n), dtype=np.int64)
+        attempts = np.zeros(len(states), dtype=np.int64)
+        for rep, state in enumerate(states):
+            rng.bit_generator.state = state
+            draw = draw_assignment(design, covariates, rng)
+            zs[rep], attempts[rep] = draw.z, draw.accepted_after
+    return pop, zs, attempts
 
 
 @contextmanager
@@ -619,87 +669,153 @@ def _stream_states(entropy: np.ndarray) -> list[dict]:
     return states
 
 
-def _run_cell(cfg: StudyConfig, cell: int, tau_w: float
-              ) -> tuple[list[PerformanceRow], dict[str, float]]:
-    """A cell's performance rows and the wall time of each of its stages."""
+def _run_cells(cfg: StudyConfig, cells: list[tuple[int, float]]
+               ) -> tuple[list[PerformanceRow], dict[str, float]]:
+    """The performance rows of consecutive ``cells`` ((number, tau_w)
+    pairs), stack by stack, and the wall time of each stage summed over
+    them. The lowest-numbered failing cell's error is raised, whatever
+    stage it fails in."""
     seconds = dict.fromkeys(STAGES, 0.0)
-    pop, base, truth, zs, attempts = _cell_draws(cfg, cell, tau_w, seconds)
-    if regime_spec(base.regime).mixture:
-        with _timed(seconds, "tables"):
-            # every table _score reads, built here (or found in the cache)
-            # so that a build is not timed as scoring
-            for alpha in (base.alpha / 2.0, *cfg.gamma):
-                quantile_table(MixtureParams(k=pop.x.shape[1], a=base.design.a, alpha=alpha))
-    with _timed(seconds, "scoring"):
-        scored = _score(pop, zs, base, cfg.gamma)
-    with _timed(seconds, "rows"):
-        rows = _rows(cfg, tau_w, truth, attempts, *scored)
+    base = _analysis_config(cfg)
+    per_stack = max(STACK_ROWS // cfg.reps, 1)
+    rows = []
+    for start in range(0, len(cells), per_stack):
+        rows += _run_stack(cfg, base, cells[start:start + per_stack], seconds)
     return rows, seconds
 
 
-def _rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
-          estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
-    """One performance row per method, reduced over the included draws."""
-    attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
-    abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
+def _run_stack(cfg: StudyConfig, base: AnalysisConfig, stack: list[tuple[int, float]],
+               seconds: dict) -> list[PerformanceRow]:
+    """A stack's performance rows: each cell's families, built one cell at
+    a time, then one ``_score`` call and one ``_rows`` reduction over all
+    of the stack's rows. A cell that fails before scoring ends the stack:
+    the cells before it are scored first, and raise their own failure."""
+    with _timed(seconds, "draws"):
+        rng, states = _stack_streams(cfg, stack)
+    built, failure = [], None
+    for j, (cell, tau_w) in enumerate(stack):
+        try:
+            built.append(_cell_families(cfg, cell, tau_w, base, rng,
+                                        states[j * cfg.reps:(j + 1) * cfg.reps], seconds))
+        except Exception as exc:  # raised once the cells before it are scored
+            failure = exc
+            break
+    if built:
+        families, truths, attempts = zip(*built)
+        if regime_spec(base.regime).mixture:
+            with _timed(seconds, "tables"):
+                # every table _score reads, built here (or found in the
+                # cache) so that a build is not timed as scoring
+                for alpha in (base.alpha / 2.0, *cfg.gamma):
+                    quantile_table(MixtureParams(k=cfg.k, a=base.design.a, alpha=alpha))
+        with _timed(seconds, "scoring"):
+            scored = _score(*_stacked(families), base, cfg.k, cfg.gamma)
+        with _timed(seconds, "rows"):
+            rows = _rows(cfg, [tau_w for _, tau_w in stack[:len(built)]], truths,
+                         np.concatenate(attempts), *scored)
+    if failure is not None:
+        raise failure
+    return rows
+
+
+def _cell_families(cfg: StudyConfig, cell: int, tau_w: float, base: AnalysisConfig,
+                   rng: np.random.Generator, states: list[dict], seconds: dict):
+    """A cell's ``_FAMILIES`` result over its draws, its true effect and its
+    rejection draw counts; its assignments are dropped on return. Building
+    the families is timed as scoring."""
+    pop, zs, attempts = _cell_draws(cfg, cell, tau_w, base.design, rng, states, seconds)
+    with _timed(seconds, "scoring"):
+        families = _FAMILIES[base.regime](pop, zs, base)
+    return families, true_sample_late(pop), attempts
+
+
+def _stacked(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """Cells' ``_FAMILIES`` results as one stack's: the estimates and each
+    family's triple concatenated in cell order, and each error at its row."""
+    tau_y, tau_w, families, errors = zip(*built)
+    starts = np.cumsum([0, *map(len, tau_y)]).tolist()
+    return (np.concatenate(tau_y), np.concatenate(tau_w),
+            {name: tuple(np.concatenate(parts) for parts in zip(*(f[name] for f in families)))
+             for name in families[0]},
+            {start + row: exc for start, cell_errors in zip(starts, errors)
+             for row, exc in cell_errors.items()})
+
+
+def _rows(cfg: StudyConfig, tau_ws, truths, attempts: np.ndarray, estimates: np.ndarray,
+          scores: dict[str, MethodScores]) -> list[PerformanceRow]:
+    """One performance row per cell and method, cell by cell: the rows of
+    the stack split evenly into the cells of ``tau_ws`` (true effects
+    ``truths``), and every method reduced over each cell's included draws
+    at once."""
+    cells = len(tau_ws)
+    per_cell = len(estimates) // cells
+
+    def by_cell(v: np.ndarray) -> np.ndarray:
+        return v.reshape(cells, per_cell)
+
+    truth = np.repeat(np.asarray(truths, dtype=float), per_cell)
+    attempts_mean = (by_cell(attempts).mean(axis=1) if per_cell
+                     else np.full(cells, math.nan)).tolist()
+    abs_errors = by_cell(np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf))
     # _score gives each method the Wald sets, the FAR sets or their pick by
     # its strong flags, so coverage and length are worked out once for each
     wald, far = scores["wald"].sets, scores["far"].sets
     covered = wald.contains(truth), far.contains(truth)
     lengths = wald.length, far.length
+    kind_codes = np.arange(cells)[:, None] * len(KINDS)
 
     def of_sets(s: MethodScores, values: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         if s.sets is wald:
-            return values[0]
+            return by_cell(values[0])
         if s.sets is far:
-            return values[1]
-        return np.where(s.strong, *values)
+            return by_cell(values[1])
+        return by_cell(np.where(s.strong, *values))
 
-    rows = []
+    per_method = {}
     for m, s in scores.items():
-        strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
-                       if s.strong is not None and len(s.strong) else None)
-        kept = s.included
-        n_kept = int(np.count_nonzero(kept))
-        if n_kept:
-            errors = abs_errors[kept]
-            med_err = median_extended(errors)
-            mean_err = float(np.mean(errors))
-            cov = float(np.mean(of_sets(s, covered)[kept]))
-            med_len = median_extended(of_sets(s, lengths)[kept])
-        else:
-            med_err = mean_err = cov = med_len = math.nan
-        kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))
-        rows.append(PerformanceRow(
-            method=m, design=cfg.design, adjustment=cfg.adjustment, n=cfg.n,
-            tau_w=tau_w, reps=cfg.reps, n_included=n_kept,
-            median_abs_error=med_err, mean_abs_error=mean_err, coverage=cov,
-            median_length=med_len, strong_prop=strong_prop,
-            set_kinds=dict(zip(KINDS, kinds.tolist())),
-            degenerate=int(np.count_nonzero(s.sets.degenerate[kept])),
-            attempts_mean=attempts_mean))
-    return rows
-
+        kept = by_cell(s.included)
+        n_kept = kept.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coverage = np.where(n_kept > 0, (of_sets(s, covered) & kept).sum(axis=1) / n_kept,
+                                math.nan)
+        kinds = np.bincount((kind_codes + by_cell(s.sets.kind))[kept],
+                            minlength=cells * len(KINDS)).reshape(cells, len(KINDS))
+        # each PerformanceRow field but the study's own, one entry per cell
+        per_method[m] = {
+            "n_included": n_kept.tolist(),
+            "median_abs_error": _medians(abs_errors, kept).tolist(),
+            "mean_abs_error": _means(abs_errors, kept).tolist(),
+            "coverage": coverage.tolist(),
+            "median_length": _medians(of_sets(s, lengths), kept).tolist(),
+            "strong_prop": ((by_cell(s.strong).sum(axis=1) / per_cell).tolist()
+                            if s.strong is not None and per_cell else [None] * cells),
+            "set_kinds": [dict(zip(KINDS, counts)) for counts in kinds.tolist()],
+            "degenerate": (by_cell(s.sets.degenerate) & kept).sum(axis=1).tolist(),
+            "attempts_mean": attempts_mean}
+    return [PerformanceRow(method=m, design=cfg.design, adjustment=cfg.adjustment, n=cfg.n,
+                           tau_w=tau_w, reps=cfg.reps, **{k: v[c] for k, v in fields.items()})
+            for c, tau_w in enumerate(tau_ws) for m, fields in per_method.items()]
 
 def run_study(cfg: StudyConfig) -> PerformanceTable:
-    """Run every cell of the study; deterministic for a fixed config."""
+    """Run every cell of the study; deterministic for a fixed config. The
+    cells run in stacks of consecutive cells, in this process or split into
+    contiguous chunks over at most ``threads`` worker processes (no more
+    than there are cells or CPUs)."""
     cells = list(enumerate(cfg.tau_w))
-    if cfg.threads > 1 and len(cells) > 1:
+    workers = min(cfg.threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it brings in multiprocessing, which would cost every
         # process that imports latekit 12-19 ms; only threaded studies use it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(_run_cell_job,
-                                   [(cfg, ci, tw) for ci, tw in cells]))
+        bounds = [len(cells) * w // workers for w in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_cells, [cfg] * workers,
+                                  [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
     else:
-        chunks = [_run_cell(cfg, ci, tw) for ci, tw in cells]
+        parts = [_run_cells(cfg, cells)]
     table = PerformanceTable(stage_seconds=dict.fromkeys(STAGES, 0.0))
-    for rows, seconds in chunks:
+    for rows, seconds in parts:
         table.rows.extend(rows)
         for stage, value in seconds.items():
             table.stage_seconds[stage] += value
     return table
-
-
-def _run_cell_job(args) -> tuple[list[PerformanceRow], dict[str, float]]:
-    return _run_cell(*args)

@@ -23,8 +23,12 @@ the kernels must give their kinds, bits, flags and errors.
 ``reference_score_draws`` stacks it over a cell's draws, with
 ``set_arrays_from_sets`` packing its sets: ``simulation._score``, the one
 batched study scorer, is checked against them draw for draw.
+``run_cell`` is the study pass as it was before it stacked cells, one cell
+at a time: ``cell_draws``, then ``score_cell`` (the cell's families and
+one ``score_rows`` call) and ``cell_rows`` (one median and mean per
+method); the stacked pass must give its rows field for field.
 ``exact_cell`` is a study cell's exact law, every assignment of its
-population scored at once. ``reference_arm_ols`` is the per-arm OLS of
+population scored at once by ``score_cell`` and ``cell_rows``. ``reference_arm_ols`` is the per-arm OLS of
 adjusted study cells as it was when it formed Q by a reduced QR, and
 ``exact_arm_ols`` one draw of it in 50-digit arithmetic. The rest are
 small helpers the package no longer exports.
@@ -42,7 +46,13 @@ import numpy as np
 
 from latekit import simulation
 from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, _critical
-from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
+from latekit.data_model import (
+    AnalysisConfig,
+    Dataset,
+    DesignSpec,
+    PotentialDataset,
+    true_sample_late,
+)
 from latekit.design import Covariates, _gathered_distances, draw_assignment
 from latekit.estimation import (
     FLOORED_FAMILIES,
@@ -66,9 +76,10 @@ from latekit.simulation import (
     _gamma_method,
     _longer_wald_message,
     _method_names,
+    median_extended,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
-from latekit.two_stage import F_THRESHOLD, FirstStageResult
+from latekit.two_stage import F_THRESHOLD, FirstStageResult, score_rows
 
 _INF = math.inf
 
@@ -369,16 +380,106 @@ def every_assignment(n: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
 def exact_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
     """What ``run_study`` estimates for one cell, exactly: every assignment
     of the cell's population, each equally likely, passed as the rows of
-    one ``simulation._score`` call and reduced by ``simulation._rows``.
-    Under ReM an accepted draw is uniform on the assignments whose
-    Mahalanobis distance is at most ``a``, so only those rows are kept."""
-    pop, base, truth, _, _ = simulation._cell_draws(dataclasses.replace(cfg, reps=1), cell,
-                                                    tau_w)
+    one ``score_cell`` call and reduced by ``cell_rows``. Under ReM an
+    accepted draw is uniform on the assignments whose Mahalanobis distance
+    is at most ``a``, so only those rows are kept."""
+    pop, base, truth, _, _ = cell_draws(dataclasses.replace(cfg, reps=1), cell, tau_w)
     zs, treated = every_assignment(cfg.n, base.design.n1)
     if base.design.kind == "rem":
         zs = zs[_gathered_distances(Covariates(pop.x), treated) <= base.design.a]
-    return simulation._rows(cfg, tau_w, truth, np.ones(len(zs)),
-                            *simulation._score(pop, zs, base, cfg.gamma))
+    return cell_rows(cfg, tau_w, truth, np.ones(len(zs)), *score_cell(pop, zs, base, cfg.gamma))
+
+
+# ------------------------------------------------------ one cell at a time
+
+def cell_draws(cfg: StudyConfig, cell: int, tau_w: float
+               ) -> tuple[PotentialDataset, AnalysisConfig, float, np.ndarray, np.ndarray]:
+    """One cell's population, analysis config, true effect, assignment rows
+    and rejection draw counts, by the study's draws for a stack of that
+    cell alone."""
+    base = simulation._analysis_config(cfg)
+    rng, states = simulation._stack_streams(cfg, [(cell, tau_w)])
+    pop, zs, attempts = simulation._cell_draws(cfg, cell, tau_w, base.design, rng, states)
+    return pop, base, true_sample_late(pop), zs, attempts
+
+
+def run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
+    """One cell's performance rows as ``run_study`` made them before it
+    stacked cells: the cell's draws, one ``score_cell`` call and
+    ``cell_rows``."""
+    pop, base, truth, zs, attempts = cell_draws(cfg, cell, tau_w)
+    return cell_rows(cfg, tau_w, truth, attempts, *score_cell(pop, zs, base, cfg.gamma))
+
+
+def score_cell(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
+               gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
+    """Per-draw ratio estimates and each method's MethodScores for one
+    cell's assignment rows, as the study scored a cell before it stacked
+    cells: the cell's ``_FAMILIES`` entry scored by ``score_rows``, and the
+    first failing draw's first failure raised."""
+    tau_y, tau_w, families, errors = simulation._FAMILIES[base.regime](pop, zs, base)
+    scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
+    wald_sets, far = scored.wald, scored.far
+    wald_len, far_len = wald_sets.length, far.length
+    longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
+              & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
+    failed = {int(i): ArithmeticError(_longer_wald_message(float(wald_len[i]),
+                                                           float(far_len[i])))
+              for i in np.flatnonzero(longer)}
+    failed.update(far.errors)
+    failed.update(wald_sets.errors)
+    failed.update(errors)
+    if failed:
+        raise failed[min(failed)]
+
+    def pick(strong: np.ndarray) -> SetArrays:
+        return SetArrays(*(np.where(strong, u, v) for u, v in zip(wald_sets[:4], far[:4])),
+                         errors={})
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
+    every = np.ones(len(tau_y), dtype=bool)
+    scores = {"wald": MethodScores(wald_sets, None, every),
+              "far": MethodScores(far, None, every)}
+    for g, crit in scored.t_crit.items():
+        strong = scored.t_stat > crit
+        scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
+    f_strong = scored.f_stat > F_THRESHOLD
+    scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
+    scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
+    return estimates, scores
+
+
+def cell_rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
+              estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
+    """One cell's performance rows, any number of draws: each method's own
+    sets reduced over its included draws by median_extended and np.mean."""
+    attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
+    abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
+    rows = []
+    for m, s in scores.items():
+        strong_prop = (int(np.count_nonzero(s.strong)) / len(s.strong)
+                       if s.strong is not None and len(s.strong) else None)
+        kept = s.included
+        n_kept = int(np.count_nonzero(kept))
+        if n_kept:
+            errors = abs_errors[kept]
+            med_err = median_extended(errors)
+            mean_err = float(np.mean(errors))
+            cov = float(np.mean(s.sets.contains(truth)[kept]))
+            med_len = median_extended(s.sets.length[kept])
+        else:
+            med_err = mean_err = cov = med_len = math.nan
+        kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))
+        rows.append(PerformanceRow(
+            method=m, design=cfg.design, adjustment=cfg.adjustment, n=cfg.n,
+            tau_w=tau_w, reps=cfg.reps, n_included=n_kept,
+            median_abs_error=med_err, mean_abs_error=mean_err, coverage=cov,
+            median_length=med_len, strong_prop=strong_prop,
+            set_kinds=dict(zip(KINDS, kinds.tolist())),
+            degenerate=int(np.count_nonzero(s.sets.degenerate[kept])),
+            attempts_mean=attempts_mean))
+    return rows
 
 
 # ------------------------------------------------------ scalar set chain

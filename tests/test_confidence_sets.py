@@ -15,7 +15,12 @@ from latekit.confidence_sets import (
     wald_intervals,
 )
 from latekit.data_model import AnalysisConfig, DesignSpec
-from latekit.estimation import Estimates, combined_variance, variance_components
+from latekit.estimation import (
+    Estimates,
+    VarianceComponents,
+    combined_variance,
+    variance_components,
+)
 from latekit.exceptions import NoIdentificationError
 from latekit.mixture import normal_quantile
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
@@ -507,3 +512,48 @@ def test_inversion_keeps_a_ray_endpoint_near_overflow():
     assert cs.kind == one.kind == "left_ray"
     for hi in (cs.hi, one.hi):
         assert abs(hi + 5e299) <= 1e-15 * 5e299
+
+
+def test_inversion_is_equivariant_in_each_sides_scale():
+    # the y side (b_y, q_y) times 2^u, the w side (b_w, q_w) times 2^v and
+    # q_c times 2^(u+v) is the same inequality in t 2^(v-u): the set is the
+    # unscaled one times 2^(u-v), exactly, for u and v apart by up to 960
+    gen = np.random.default_rng(31)
+    rows = 3000
+    b_y, b_w = gen.normal(0.0, 1.0, rows), gen.normal(0.0, 0.5, rows)
+    crit = gen.uniform(1.0, 3.0, rows)
+    f = gen.standard_normal((rows, 2, 2))
+    s = f @ f.transpose(0, 2, 1) / 4.0
+    q_y, q_c, q_w = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+    u, v = gen.integers(-480, 481, rows), gen.integers(-480, 481, rows)
+    base = solve_quadratic_sets(b_y, b_w, crit, q_y, q_c, q_w)
+    sets = solve_quadratic_sets(np.ldexp(b_y, u), np.ldexp(b_w, v), crit, np.ldexp(q_y, 2 * u),
+                                np.ldexp(q_c, u + v), np.ldexp(q_w, 2 * v))
+    assert {KINDS[k] for k in base.kind} >= {"interval", "two_rays", "whole_line"}
+    assert base.errors == sets.errors == {}
+    wrong_kind = np.flatnonzero((sets.kind != base.kind) | (sets.degenerate != base.degenerate))
+    assert wrong_kind.size == 0, (wrong_kind.size, wrong_kind[:5])
+    for got, want in ((sets.lo, base.lo), (sets.hi, base.hi)):
+        assert got.tobytes() == np.ldexp(want, u - v).tobytes()
+
+
+def test_far_set_of_far_apart_sides_matches_a_50_digit_solve():
+    # a y side near 1e300 and a w side near 1e-10: one shared scale pushed
+    # the w side's form below the subnormals and gave a right ray; the set
+    # is two rays at about -+7.2155e299
+    mpmath = pytest.importorskip("mpmath")
+    cs = far_set("cre", Estimates(1e300, 1e-10), VarianceComponents((1.0, 0.1, 0.5)),
+                 cre_config())
+    mpmath.mp.dps = 50
+    b_y, b_w, crit = mpmath.mpf(1e300), mpmath.mpf(1e-10), mpmath.mpf(Z)
+    q_y, q_c, q_w = mpmath.mpf(1.0), mpmath.mpf(0.1), mpmath.mpf(0.5)
+    a = b_w ** 2 - crit ** 2 * q_w
+    b = -2 * (b_y * b_w - crit ** 2 * q_c)
+    c = b_y ** 2 - crit ** 2 * q_y
+    root = mpmath.sqrt(b * b - 4 * a * c)
+    lo, hi = sorted(((-b + root) / (2 * a), (-b - root) / (2 * a)))
+    assert a < 0 and cs.kind == "two_rays"
+    for got, want in ((cs.lo, lo), (cs.hi, hi)):
+        assert abs(mpmath.mpf(got) - want) <= 1e-13 * abs(want), (got, want)
+    assert float(lo) == pytest.approx(-7.2155e299, rel=1e-4)
+    assert float(hi) == pytest.approx(7.2155e299, rel=1e-4)

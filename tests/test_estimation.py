@@ -15,7 +15,7 @@ from latekit.estimation import (
     variance_components,
 )
 from latekit.stats_core import summarize
-from oracles import random_dataset, reference_r2_star
+from oracles import cell_draws, random_dataset, reference_r2_star
 
 
 # ---------------------------------------------------------------- oracles
@@ -247,7 +247,7 @@ def test_r2_stars_match_the_search_on_every_rem_draw(seed):
     cfg = simulation.StudyConfig(n=200, k=5, tau_w=tau_w, design="rem", p_a=0.01,
                                  reps=40, seed=seed)
     for cell, target in enumerate(tau_w):
-        pop, base, _, zs, _ = simulation._cell_draws(cfg, cell, target)
+        pop, base, _, zs, _ = cell_draws(cfg, cell, target)
         _, _, families, errors = simulation._moment_families(pop, zs, base, pop.x)
         assert not errors
         _assert_r2_stars_match_reference(families["proj"], families["rem"])

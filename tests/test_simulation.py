@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latekit import estimation, mixture, simulation, two_stage
+from latekit import cli, estimation, mixture, simulation, two_stage
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -160,6 +162,13 @@ def test_oracle_matches_definitional_double_loop(rng):
     assert orc.r2_a == pytest.approx(min(max(v_ax / v_a, 0.0), 1.0), rel=1e-10)
 
 
+def _stacked_score(pop, zs, base, gammas):
+    """The study's scoring pass over the assignment rows of one cell: its
+    ``_FAMILIES`` entry, then ``_score`` as for a stack of that cell alone."""
+    return simulation._score(*simulation._FAMILIES[base.regime](pop, zs, base), base,
+                             pop.x.shape[1], gammas)
+
+
 def _every_cre_assignment(pop):
     """The effect estimates and plain family of every one of the C(n, n/2)
     assignments of ``pop``, by the study scorer's moment families."""
@@ -217,6 +226,121 @@ def test_study_agrees_with_the_cells_exact_law(design, adjustment, seed):
             assert abs(getattr(got, field) - p) <= 4.5 * se, (got.method, field)
 
 
+def _json_rows(rows) -> str:
+    """Rows as table.json writes them: every field, each float by its repr."""
+    return json.dumps(PerformanceTable(list(rows)).to_json_dict())
+
+
+@pytest.mark.parametrize("design,adjustment", [("cre", "none"), ("rem", "none"),
+                                               ("cre", "ehw"), ("cre", "hc2")])
+@pytest.mark.parametrize("stack_rows", [1024, 40, 1])
+def test_stacked_pass_gives_the_cell_oracles_rows(monkeypatch, design, adjustment, stack_rows):
+    # one stack of three cells, a stack of two beside one of one, and a
+    # stack per cell: every row equals run_cell's, field for field (set_kinds,
+    # degenerate and attempts_mean too); at tau_w 0.005 (one complier)
+    # wald_f10 keeps no draw
+    monkeypatch.setattr(simulation, "STACK_ROWS", stack_rows)
+    cfg = StudyConfig(n=200, k=5, tau_w=(0.005, 0.1, 0.5), design=design, p_a=0.1,
+                      adjustment=adjustment, reps=20, seed=777)
+    table = run_study(cfg)
+    oracle = [row for cell, tau_w in enumerate(cfg.tau_w)
+              for row in oracles.run_cell(cfg, cell, tau_w)]
+    assert _json_rows(table.rows) == _json_rows(oracle)
+    assert table.to_csv() == PerformanceTable(oracle).to_csv()
+    empty = table.row("wald_f10", 0.005)
+    assert empty.n_included == 0 and math.isnan(empty.coverage)
+    assert sum(empty.set_kinds.values()) == empty.degenerate == 0
+    assert 0 < table.row("wald_f10", 0.5).n_included
+    if design == "rem":
+        assert all(r.attempts_mean > 1.0 for r in table.rows)
+
+
+def _failing(monkeypatch, population_at=None, far_at=None):
+    """Make the population of the cell with tau_w ``population_at``
+    infeasible, and the FAR set of stack row ``far_at`` an error."""
+    generate = simulation.generate_population
+
+    def rigged(dgp, rng):
+        if dgp.tau_w_target == population_at:
+            raise InfeasibleTargetError("rigged")
+        return generate(dgp, rng)
+
+    monkeypatch.setattr(simulation, "generate_population", rigged)
+    if far_at is not None:
+        solve = two_stage.solve_quadratic_sets
+
+        def far(*args):
+            sets = solve(*args)
+            return sets._replace(errors={**sets.errors,
+                                         far_at: NoIdentificationError(f"far at {far_at}")})
+        monkeypatch.setattr(two_stage, "solve_quadratic_sets", far)
+
+
+@pytest.mark.parametrize("stack_rows,threads", [(1024, 1), (3, 1), (1024, 2)])
+def test_the_lowest_numbered_failing_cells_error_is_raised(monkeypatch, tmp_path, capsys,
+                                                           stack_rows, threads):
+    # a stack builds cell 1's population before it scores cell 0, yet cell
+    # 0's scoring failure is raised; with cell 0's population infeasible,
+    # that is raised before cell 1 fails in scoring. Alike with a stack per
+    # cell and over two (stand-in) workers; the CLI exits 2 with the error
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulation, "STACK_ROWS", stack_rows)
+    cfg = StudyConfig(n=40, tau_w=(0.5, 0.3), reps=3, k=2, threads=threads)
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"n": 40, "tau_w": [0.5, 0.3], "reps": 3, "k": 2,
+                                  "threads": threads}))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    with monkeypatch.context() as m:
+        _failing(m, population_at=0.3, far_at=0)
+        with pytest.raises(NoIdentificationError, match="^far at 0$"):
+            run_study(cfg)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: far at 0\n"
+    with monkeypatch.context() as m:
+        # row 0 of the stack of cell 1 alone, or row 3 of one stack of both
+        _failing(m, population_at=0.5, far_at=0)
+        with pytest.raises(InfeasibleTargetError, match="tau_w=0.5 in 1000 attempts"):
+            run_study(cfg)
+        assert cli.main(argv) == 2
+        assert "tau_w=0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_exact_cell_reduces_a_cell_of_any_row_count(n):
+    # every C(n, n/2) assignment of a 3-rep cell: the oracle's reduction
+    # and the stack's both take the one cell of 252 or 924 rows, alike
+    cfg = StudyConfig(n=n, k=1, tau_w=(0.3,), reps=3, seed=777)
+    exact = oracles.exact_cell(cfg, 0, 0.3)
+    pop, base, truth, _, _ = oracles.cell_draws(cfg, 0, 0.3)
+    zs, _ = oracles.every_assignment(n, n // 2)
+    assert exact[0].n_included == len(zs) == math.comb(n, n // 2)
+    stacked = simulation._rows(cfg, (0.3,), (truth,), np.ones(len(zs)),
+                               *_stacked_score(pop, zs, base, cfg.gamma))
+    assert _json_rows(stacked) == _json_rows(exact)
+
+
+def test_study_peak_allocation_is_bounded():
+    # each stack holds one cell's assignments at a time and at most
+    # STACK_ROWS rows of families: the traced peak of the cre_study
+    # benchmark config stays under 1.5 MB, and three 2,000-rep cells (a
+    # stack each) peak no more than 1.2 times as high as one
+    def peak(cfg):
+        run_study(dataclasses.replace(cfg, reps=2))  # imports and caches
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cre_study = StudyConfig(n=200, k=5, tau_w=(0.005, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5), reps=50)
+    assert peak(cre_study) < 1.5e6
+    one = StudyConfig(n=200, k=5, tau_w=(0.5,), reps=2000)
+    assert peak(dataclasses.replace(one, tau_w=(0.5, 0.3, 0.2))) <= 1.2 * peak(one)
+
+
 def test_median_extended_boundary():
     assert median_extended(np.array([1.0, 2.0, math.inf, math.inf])) == 2.0
     assert math.isinf(median_extended(np.array([1.0, math.inf, math.inf, math.inf])))
@@ -257,11 +381,78 @@ def test_run_study_two_stage_length_between_wald_and_far():
 
 
 def test_run_study_parallel_matches_serial():
-    cfg = StudyConfig(n=60, tau_w=(0.3, 0.5), design="cre", reps=5, seed=7, k=2)
-    serial = run_study(cfg)
-    parallel = run_study(
-        StudyConfig(**{**cfg.__dict__, "threads": 2}))
-    assert serial.to_csv() == parallel.to_csv()
+    # CRE, ReM and HC2 studies over two workers, with chunks of two cells and one
+    for design, adjustment in (("cre", "none"), ("rem", "none"), ("cre", "hc2")):
+        cfg = StudyConfig(n=60, tau_w=(0.3, 0.5, 0.2), design=design, p_a=0.1,
+                          adjustment=adjustment, reps=5, seed=7, k=2)
+        serial = run_study(cfg)
+        parallel = run_study(dataclasses.replace(cfg, threads=2))
+        assert serial.to_csv() == parallel.to_csv(), design
+        assert serial.to_json_dict() == parallel.to_json_dict(), design
+
+
+class _FakePool:
+    """A stand-in for ProcessPoolExecutor that starts no process: it records
+    each pool's max_workers and the chunks of cells it is given, and runs
+    them in this process."""
+
+    pools: list = []
+
+    def __init__(self, max_workers):
+        self.chunks = []
+        _FakePool.pools.append((max_workers, self.chunks))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            self.chunks.append([cell for cell, _ in args[1]])
+            yield fn(*args)
+
+
+@pytest.mark.parametrize("threads,cells,cpus,workers", [
+    (8, 3, 64, 3), (100_000, 3, 64, 3), (8, 5, 2, 2), (2, 5, 64, 2), (2, 1, 64, None),
+    (4, 3, 1, None), (4, 3, None, None)])
+def test_run_study_starts_at_most_one_worker_per_chunk_and_cpu(monkeypatch, threads, cells,
+                                                               cpus, workers):
+    # min(threads, cells, CPUs) workers, each given one contiguous chunk of
+    # the cells; a study that would get one worker runs in this process
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "pools", [])
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    cfg = StudyConfig(n=40, tau_w=(0.5, 0.3, 0.2, 0.4, 0.1)[:cells], reps=2, k=2,
+                      threads=threads)
+    table = run_study(cfg)
+    if workers is None:
+        assert _FakePool.pools == []
+    else:
+        [(max_workers, chunks)] = _FakePool.pools
+        assert max_workers == workers == len(chunks)
+        assert [cell for chunk in chunks for cell in chunk] == list(range(cells))
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+    assert table.to_json_dict() == run_study(dataclasses.replace(cfg, threads=1)).to_json_dict()
+
+
+def test_study_config_bounds_the_assignments_of_a_cell(monkeypatch, tmp_path, capsys):
+    # a cell's reps x n assignment matrix is the largest allocation; past
+    # the limit the config is refused before anything is drawn
+    assert simulation.MAX_CELL_ASSIGNMENTS >= 2000 * 200  # the acceptance cells fit
+    monkeypatch.setattr(simulation, "MAX_CELL_ASSIGNMENTS", 1000)
+    assert StudyConfig(n=40, reps=25, k=2).reps == 25  # exactly at the limit
+    with pytest.raises(ValueError, match=r"^reps \* n must be at most 1,000, the assignments "
+                                         r"one cell may draw; got reps=26, n=40$"):
+        StudyConfig(n=40, reps=26, k=2)
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"n": 40, "reps": 25, "k": 2, "tau_w": [0.5]}))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--reps", "26"]) == 2
+    assert "reps * n must be at most 1,000" in capsys.readouterr().err
 
 
 def test_table_json_reports_mean_rejection_draws():
@@ -288,7 +479,7 @@ def test_wald_longer_than_far_interval_is_an_error(monkeypatch):
                         lambda *args: ConfidenceSet("interval", -1.0, 1.0))
     cfg = StudyConfig(n=60, tau_w=(0.4,), design="cre", adjustment="ehw", reps=1,
                       seed=99, k=2)
-    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
+    pop, base, _, zs, _ = oracles.cell_draws(cfg, 0, 0.4)
     with pytest.raises(ArithmeticError,
                        match=r"Wald interval length 2\.0 exceeds the FAR interval length 1\.0"):
         reference_score_draws(pop, zs, base, cfg.gamma)
@@ -343,7 +534,7 @@ def test_batched_adjusted_names_the_sandwich_family_when_its_variance_is_negativ
 
 
 def test_every_regime_has_a_batched_pass():
-    # _run_cell looks the regime up without a scalar fallback
+    # _cell_families looks the regime up without a scalar fallback
     assert set(simulation._FAMILIES) == set(REGIMES)
 
 
@@ -372,12 +563,12 @@ def test_rows_reduce_each_methods_own_sets(design, adjustment):
     # scores and for the scalar ones, whose sets are all distinct arrays
     cfg = StudyConfig(n=40, k=2, tau_w=(0.3,), design=design, p_a=0.1,
                       adjustment=adjustment, reps=60, seed=777)
-    pop, base, truth, zs, attempts = simulation._cell_draws(cfg, 0, 0.3)
-    for estimates, scores in (simulation._score(pop, zs, base, cfg.gamma),
+    pop, base, truth, zs, attempts = oracles.cell_draws(cfg, 0, 0.3)
+    for estimates, scores in (_stacked_score(pop, zs, base, cfg.gamma),
                               reference_score_draws(pop, zs, base, cfg.gamma)):
         # every first stage is strong on some draws and weak on others
         assert all(0 < s.strong.mean() < 1 for s in scores.values() if s.strong is not None)
-        rows = simulation._rows(cfg, 0.3, truth, attempts, estimates, scores)
+        rows = simulation._rows(cfg, (0.3,), (truth,), attempts, estimates, scores)
         assert [r.method for r in rows] == list(scores)
         for row, s in zip(rows, scores.values()):
             kept = s.included
@@ -389,7 +580,7 @@ def _close(a, b):
     return a == b or abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
 
-def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=simulation._score,
+def _assert_batched_matches_scalar(pop, base, truth, zs, gammas, score=_stacked_score,
                                    exact=True):
     """Compare a batched pass with reference_evaluate_draw draw by draw and
     method by method, with estimates equal (or, unless ``exact``, within 1e-9
@@ -437,17 +628,16 @@ def _check_batched_cell(design, n, k, tau_w, seed, reps, adjustment="none"):
     unadjusted passes agree to the bit, the adjusted pass to 1e-9."""
     cfg = StudyConfig(n=n, tau_w=(tau_w,), design=design, adjustment=adjustment,
                       reps=max(reps, 1), seed=seed, k=k)
-    pop, base, truth, zs, attempts = simulation._cell_draws(cfg, 0, tau_w)
+    pop, base, truth, zs, attempts = oracles.cell_draws(cfg, 0, tau_w)
     # a study has at least one rep; the passes are also checked on none
     zs, attempts = zs[:reps], attempts[:reps]
     assert zs.shape == (reps, n)
     exact = adjustment == "none"
-    score = simulation._score
-    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma, score,
-                                                      exact)
+    zero_first_stage = _assert_batched_matches_scalar(pop, base, truth, zs, cfg.gamma,
+                                                      exact=exact)
     batched = PerformanceTable(simulation._rows(
-        cfg, tau_w, truth, attempts, *score(pop, zs, base, cfg.gamma)))
-    scalar = PerformanceTable(simulation._rows(
+        cfg, (tau_w,), (truth,), attempts, *_stacked_score(pop, zs, base, cfg.gamma)))
+    scalar = PerformanceTable(oracles.cell_rows(
         cfg, tau_w, truth, attempts, *reference_score_draws(pop, zs, base, cfg.gamma)))
     if exact:
         assert batched.to_csv() == scalar.to_csv()
@@ -497,11 +687,11 @@ def test_batched_adjusted_matches_scalar_under_rerandomization(adjustment):
 def test_batched_adjusted_raises_the_scalar_paths_error():
     # 10 units cannot carry the 12-column interacted design of 5 covariates
     cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), adjustment="hc2", reps=3)
-    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
+    pop, base, _, zs, _ = oracles.cell_draws(cfg, 0, 0.5)
     with pytest.raises(RankDeficientDesignError) as scalar:
         reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(RankDeficientDesignError) as batched:
-        simulation._score(pop, zs, base, cfg.gamma)
+        _stacked_score(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == "need n > 12 rows for 12 columns; got 10"
 
 
@@ -530,7 +720,7 @@ def test_batched_adjusted_raises_the_scalar_leverage_error(rng, adjustment):
         with pytest.raises(error) as scalar:
             reference_score_draws(pop, rows, base, (0.075,))
         with pytest.raises(error) as batched:
-            simulation._score(pop, rows, base, (0.075,))
+            _stacked_score(pop, rows, base, (0.075,))
         assert str(batched.value) == str(scalar.value)
     assert str(batched.value) == (
         "design is rank deficient (column 5 collinear with earlier columns)")
@@ -542,13 +732,12 @@ def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
     pop, zs = _one_unit_marked(rng)
     keep = [0, 2]
     base = AnalysisConfig(adjustment="ehw", design=DesignSpec.cre(len(zs[0]) // 2))
-    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs[keep], (0.075,),
-                                   simulation._score, exact=True)
+    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs[keep], (0.075,))
     refits = []
     fit = estimation.fit_interacted_pair
     monkeypatch.setattr(estimation, "fit_interacted_pair",
                         lambda ds, z: refits.append(z) or fit(ds, z))
-    simulation._score(pop, zs[keep], base, (0.075,))
+    _stacked_score(pop, zs[keep], base, (0.075,))
     assert len(refits) == len(keep)
 
 
@@ -606,9 +795,8 @@ def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
                            y0=-(x @ slope), y1=x @ slope, x=x)
     base = AnalysisConfig(design=DesignSpec.rem(n // 2, p_a=0.2, k=k))
     zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(30)])
-    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025),
-                                   simulation._score)
-    _, scores = simulation._score(pop, zs, base, (0.075,))
+    _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025))
+    _, scores = _stacked_score(pop, zs, base, (0.075,))
     assert scores["wald"].sets.degenerate.any()  # a floored variance
     assert (scores["far"].sets.kind == KINDS.index("point")).any()  # roundoff points
     comps = [variance_components(summarize(pop.reveal(z), z)) for z in zs]
@@ -620,11 +808,11 @@ def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
 def test_batched_rem_raises_the_scalar_paths_error():
     # arms of 5 units cannot carry 5 covariates: both paths fail alike
     cfg = StudyConfig(n=10, k=5, tau_w=(0.5,), design="rem", p_a=0.5, reps=3)
-    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.5)
+    pop, base, _, zs, _ = oracles.cell_draws(cfg, 0, 0.5)
     with pytest.raises(DegenerateCovariatesError) as scalar:
         reference_score_draws(pop, zs, base, cfg.gamma)
     with pytest.raises(DegenerateCovariatesError) as batched:
-        simulation._score(pop, zs, base, cfg.gamma)
+        _stacked_score(pop, zs, base, cfg.gamma)
     assert str(batched.value) == str(scalar.value) == (
         "within-arm covariate covariance is numerically singular")
 
@@ -633,7 +821,7 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
     # a draw's singular arm covariance comes before its FAR set, and an
     # earlier draw's FAR failure before a later draw's singular covariance
     cfg = StudyConfig(n=60, k=2, tau_w=(0.4,), design="rem", p_a=0.1, reps=4, seed=99)
-    pop, base, _, zs, _ = simulation._cell_draws(cfg, 0, 0.4)
+    pop, base, _, zs, _ = oracles.cell_draws(cfg, 0, 0.4)
     spd_inverses = estimation.spd_inverses
 
     def singular_at(*draws):
@@ -647,10 +835,10 @@ def test_batched_rem_raises_the_first_failing_draws_first_failure(monkeypatch):
     monkeypatch.setattr(two_stage, "solve_quadratic_sets", far)
     monkeypatch.setattr(estimation, "spd_inverses", singular_at(2, 3))
     with pytest.raises(NoIdentificationError, match="far at 1"):
-        simulation._score(pop, zs, base, cfg.gamma)
+        _stacked_score(pop, zs, base, cfg.gamma)
     monkeypatch.setattr(estimation, "spd_inverses", singular_at(1))
     with pytest.raises(DegenerateCovariatesError, match="singular at 1"):
-        simulation._score(pop, zs, base, cfg.gamma)
+        _stacked_score(pop, zs, base, cfg.gamma)
 
 
 def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
@@ -664,7 +852,7 @@ def test_batched_cre_matches_scalar_with_constant_receipt_in_each_arm(rng):
     base = AnalysisConfig(design=DesignSpec.cre(n // 2))
     zs = np.array([draw_assignment(base.design, pop.x, rng).z for _ in range(5)])
     _assert_batched_matches_scalar(pop, base, true_sample_late(pop), zs, (0.075, 0.025))
-    _, scores = simulation._score(pop, zs, base, (0.075,))
+    _, scores = _stacked_score(pop, zs, base, (0.075,))
     assert not scores["ts_gamma_0.075"].strong.any() and not scores["ts_f10"].strong.any()
 
 
@@ -714,11 +902,17 @@ _SEEDS = [0, 20240901, 2**32 - 1, 2**32, 2**64 + 3]
 @pytest.mark.parametrize("design", ["cre", "rem"])
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_cell_draws_keep_the_per_replication_streams(seed, design):
+    # one stack's streams are derived at once, and each cell draws from its own
     cfg = StudyConfig(n=40, tau_w=(0.3, 0.5), design=design, p_a=0.1, reps=4,
                       seed=seed, k=2)
-    for cell, tau_w in enumerate(cfg.tau_w):
-        pop, base, _, zs, attempts = simulation._cell_draws(cfg, cell, tau_w)
-        ref_zs, ref_attempts = reference_draws(base.design, Covariates(pop.x), seed, cell,
+    cells = list(enumerate(cfg.tau_w))
+    design_spec = simulation._analysis_config(cfg).design
+    rng, states = simulation._stack_streams(cfg, cells)
+    assert len(states) == len(cells) * cfg.reps
+    for cell, tau_w in cells:
+        pop, zs, attempts = simulation._cell_draws(
+            cfg, cell, tau_w, design_spec, rng, states[cell * cfg.reps:(cell + 1) * cfg.reps])
+        ref_zs, ref_attempts = reference_draws(design_spec, Covariates(pop.x), seed, cell,
                                                cfg.reps)
         assert np.array_equal(zs, ref_zs)
         assert np.array_equal(attempts, ref_attempts)
@@ -735,13 +929,18 @@ def test_stream_states_are_numpys_seeding(seed, cell):
 
 
 def test_cell_draws_raise_on_a_wrong_stream_state(monkeypatch):
+    # each stack checks its first derived state against numpy's seeding;
+    # cells 0-1 and 2 are two stacks, and a wrong state in the second stops
+    # the study too
     derive = simulation._stream_states
     monkeypatch.setattr(simulation, "_stream_states", lambda entropy: [
-        {**s, "state": {**s["state"], "state": s["state"]["state"] ^ 1}}
+        {**s, "state": {**s["state"], "state": s["state"]["state"] ^ int(entropy[0, -2] == 2)}}
         for s in derive(entropy)])
-    cfg = StudyConfig(n=40, tau_w=(0.5,), reps=3, k=2)
-    with pytest.raises(RuntimeError, match="replication 0 differs from numpy"):
-        simulation._cell_draws(cfg, 0, 0.5)
+    monkeypatch.setattr(simulation, "STACK_ROWS", 6)
+    cfg = StudyConfig(n=40, tau_w=(0.5, 0.3, 0.2), reps=3, k=2)
+    with pytest.raises(RuntimeError, match="cell 2, replication 0 differs from numpy"):
+        run_study(cfg)
+    assert len(run_study(dataclasses.replace(cfg, tau_w=(0.5, 0.3))).rows) == 12
 
 
 @pytest.mark.parametrize("threads", [1, 2])
