@@ -341,16 +341,16 @@ def median_extended(values: np.ndarray) -> float:
 
 def _medians(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """median_extended of the kept values of each row of ``values``: the
-    order statistic read off the row sorted with its other values as nan,
-    which sorts last."""
+    order statistic read off the row partitioned with its other values as
+    nan, which goes last, at every row's median position."""
     if np.isnan(values[kept]).any():
         raise ValueError("median_extended got a nan value")
-    counts = kept.sum(axis=1)
     if not values.shape[1]:
         return np.full(len(values), math.nan)
-    ordered = np.sort(np.where(kept, values, math.nan), axis=1)
-    mid = ordered[np.arange(len(values)), np.maximum((counts + 1) // 2 - 1, 0)]
-    return np.where(counts > 0, mid, math.nan)
+    counts = kept.sum(axis=1)
+    mids = np.maximum((counts + 1) // 2 - 1, 0)
+    ordered = np.partition(np.where(kept, values, math.nan), sorted(set(mids.tolist())), axis=1)
+    return np.where(counts > 0, ordered[np.arange(len(values)), mids], math.nan)
 
 
 def _means(values: np.ndarray, kept: np.ndarray) -> np.ndarray:

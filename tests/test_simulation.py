@@ -233,15 +233,15 @@ def _json_rows(rows) -> str:
 
 @pytest.mark.parametrize("design,adjustment", [("cre", "none"), ("rem", "none"),
                                                ("cre", "ehw"), ("cre", "hc2")])
-@pytest.mark.parametrize("stack_rows", [1024, 40, 1])
+@pytest.mark.parametrize("stack_rows", [1024, 80, 1])
 def test_stacked_pass_gives_the_cell_oracles_rows(monkeypatch, design, adjustment, stack_rows):
     # one stack of three cells, a stack of two beside one of one, and a
     # stack per cell: every row equals run_cell's, field for field (set_kinds,
     # degenerate and attempts_mean too); at tau_w 0.005 (one complier)
-    # wald_f10 keeps no draw
+    # wald_f10 keeps no draw, and at 0.2 some of its draws but not all
     monkeypatch.setattr(simulation, "STACK_ROWS", stack_rows)
-    cfg = StudyConfig(n=200, k=5, tau_w=(0.005, 0.1, 0.5), design=design, p_a=0.1,
-                      adjustment=adjustment, reps=20, seed=777)
+    cfg = StudyConfig(n=200, k=5, tau_w=(0.005, 0.2, 0.5), design=design, p_a=0.1,
+                      adjustment=adjustment, reps=40, seed=777)
     table = run_study(cfg)
     oracle = [row for cell, tau_w in enumerate(cfg.tau_w)
               for row in oracles.run_cell(cfg, cell, tau_w)]
@@ -250,14 +250,14 @@ def test_stacked_pass_gives_the_cell_oracles_rows(monkeypatch, design, adjustmen
     empty = table.row("wald_f10", 0.005)
     assert empty.n_included == 0 and math.isnan(empty.coverage)
     assert sum(empty.set_kinds.values()) == empty.degenerate == 0
-    assert 0 < table.row("wald_f10", 0.5).n_included
+    assert 8 < table.row("wald_f10", 0.2).n_included < cfg.reps
     if design == "rem":
         assert all(r.attempts_mean > 1.0 for r in table.rows)
 
 
-def _failing(monkeypatch, population_at=None, far_at=None):
+def _failing(monkeypatch, population_at, far_rows):
     """Make the population of the cell with tau_w ``population_at``
-    infeasible, and the FAR set of stack row ``far_at`` an error."""
+    infeasible, and the FAR sets of the stack rows ``far_rows`` errors."""
     generate = simulation.generate_population
 
     def rigged(dgp, rng):
@@ -266,14 +266,13 @@ def _failing(monkeypatch, population_at=None, far_at=None):
         return generate(dgp, rng)
 
     monkeypatch.setattr(simulation, "generate_population", rigged)
-    if far_at is not None:
-        solve = two_stage.solve_quadratic_sets
+    solve = two_stage.solve_quadratic_sets
 
-        def far(*args):
-            sets = solve(*args)
-            return sets._replace(errors={**sets.errors,
-                                         far_at: NoIdentificationError(f"far at {far_at}")})
-        monkeypatch.setattr(two_stage, "solve_quadratic_sets", far)
+    def far(*args):
+        sets = solve(*args)
+        return sets._replace(errors={**sets.errors, **{
+            row: NoIdentificationError(f"far at {row}") for row in far_rows}})
+    monkeypatch.setattr(two_stage, "solve_quadratic_sets", far)
 
 
 @pytest.mark.parametrize("stack_rows,threads", [(1024, 1), (3, 1), (1024, 2)])
@@ -293,14 +292,14 @@ def test_the_lowest_numbered_failing_cells_error_is_raised(monkeypatch, tmp_path
                                   "threads": threads}))
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
     with monkeypatch.context() as m:
-        _failing(m, population_at=0.3, far_at=0)
+        _failing(m, population_at=0.3, far_rows=(0,))
         with pytest.raises(NoIdentificationError, match="^far at 0$"):
             run_study(cfg)
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: far at 0\n"
     with monkeypatch.context() as m:
-        # row 0 of the stack of cell 1 alone, or row 3 of one stack of both
-        _failing(m, population_at=0.5, far_at=0)
+        # cell 1's first draw: row 0 of a stack of its own, or row 3 after cell 0
+        _failing(m, population_at=0.5, far_rows=(0, 3))
         with pytest.raises(InfeasibleTargetError, match="tau_w=0.5 in 1000 attempts"):
             run_study(cfg)
         assert cli.main(argv) == 2
