@@ -49,10 +49,10 @@ from .two_stage import f_screen, first_stage_test
 
 _POP_RETRIES = 1000
 
-# the most assignments (reps * n) a study may draw for one cell: the cell's
-# int64 assignment matrix is its largest allocation, 80 MB at this limit,
-# and its pass peaks at about 35 (CRE) to 100 (ReM, HC2) bytes per
-# assignment with k = 5
+# the most assignments (reps * n) a study may draw for one cell: a cell
+# holds them all at once (80 MB of int64 at this limit), and its pass peaks
+# at about 35 (CRE), 70 (ReM) and 100 (HC2) traced bytes per assignment
+# with k = 5
 MAX_CELL_ASSIGNMENTS = 10_000_000
 
 

@@ -25,8 +25,9 @@ the kernels must give their kinds, bits, flags and errors.
 batched study scorer, is checked against them draw for draw.
 ``run_cell`` is the study pass as it was before it stacked cells, one cell
 at a time: ``cell_draws``, then ``score_cell`` (the cell's families and
-one ``score_rows`` call) and ``cell_rows`` (one median and mean per
-method); the stacked pass must give its rows field for field.
+one ``score_rows`` call) and ``cell_rows`` (one median, by
+``reference_median_extended``, and one mean per method); the stacked pass
+must give its rows field for field.
 ``exact_cell`` is a study cell's exact law, every assignment of its
 population scored at once by ``score_cell`` and ``cell_rows``. ``reference_arm_ols`` is the per-arm OLS of
 adjusted study cells as it was when it formed Q by a reduced QR, and
@@ -76,7 +77,6 @@ from latekit.simulation import (
     _gamma_method,
     _longer_wald_message,
     _method_names,
-    median_extended,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import F_THRESHOLD, FirstStageResult, score_rows
@@ -450,10 +450,24 @@ def score_cell(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     return estimates, scores
 
 
+def reference_median_extended(values: np.ndarray) -> float:
+    """``simulation.median_extended`` as it was before it became the one-row
+    call of the stacked reduction: one partition of the values alone at
+    their lower median."""
+    v = np.asarray(values, dtype=float)
+    if len(v) == 0:
+        return math.nan
+    if np.isnan(v).any():
+        raise ValueError("median_extended got a nan value")
+    mid = (len(v) + 1) // 2 - 1
+    return float(np.partition(v, mid)[mid])
+
+
 def cell_rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray,
               estimates: np.ndarray, scores: dict[str, MethodScores]) -> list[PerformanceRow]:
     """One cell's performance rows, any number of draws: each method's own
-    sets reduced over its included draws by median_extended and np.mean."""
+    sets reduced over its included draws by reference_median_extended and
+    np.mean."""
     attempts_mean = float(np.mean(attempts)) if len(attempts) else math.nan
     abs_errors = np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf)
     rows = []
@@ -464,10 +478,10 @@ def cell_rows(cfg: StudyConfig, tau_w: float, truth: float, attempts: np.ndarray
         n_kept = int(np.count_nonzero(kept))
         if n_kept:
             errors = abs_errors[kept]
-            med_err = median_extended(errors)
+            med_err = reference_median_extended(errors)
             mean_err = float(np.mean(errors))
             cov = float(np.mean(s.sets.contains(truth)[kept]))
-            med_len = median_extended(s.sets.length[kept])
+            med_len = reference_median_extended(s.sets.length[kept])
         else:
             med_err = mean_err = cov = med_len = math.nan
         kinds = np.bincount(s.sets.kind[kept], minlength=len(KINDS))

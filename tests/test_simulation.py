@@ -353,6 +353,7 @@ def test_median_extended_is_the_inverted_cdf_median(rng):
         v[rng.random(m) < 0.3] = math.inf
         v[rng.random(m) < 0.1] = -math.inf
         assert median_extended(v) == np.quantile(v, 0.5, method="inverted_cdf")
+        assert oracles.reference_median_extended(v) == median_extended(v)
     with pytest.raises(ValueError, match="nan"):
         median_extended(np.array([1.0, math.nan, 2.0]))
 
