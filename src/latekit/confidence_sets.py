@@ -28,6 +28,7 @@ from .estimation import (
     r2_of_tau,
     r2_star,
     regime_spec,
+    side_scales,
     variance_at,
 )
 from .exceptions import NoIdentificationError
@@ -131,14 +132,16 @@ def wald_intervals(b_y: np.ndarray, b_w: np.ndarray, crit, q_y: np.ndarray,
     draw. A zero first-stage estimate gives the whole line, flagged
     degenerate. The variance at the ratio is variance_at's: a negative one
     of a floored family is taken as zero and flags the set degenerate; any
-    other, or a ratio that is not finite, is an error."""
+    other, or a ratio that is not finite, is an error. The interval is
+    found on each side's own scale, as variance_at gives them, and scaled
+    back by 2^(ey-ew)."""
     defined = b_w != 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = b_y / b_w
-        value, negative, errors = variance_at((q_y, q_c, q_w), tau, family, defined)
-        radius = crit * np.sqrt(value) / np.abs(b_w)
-        lo = np.where(defined, tau - radius, -_INF)
-        hi = np.where(defined, tau + radius, _INF)
+        tau, value, ey, ew, negative, errors = variance_at(b_y, b_w, (q_y, q_c, q_w), family,
+                                                           defined)
+        radius = crit * np.sqrt(value) / np.abs(np.ldexp(b_w, -ew))
+        lo = np.where(defined, np.ldexp(tau - radius, ey - ew), -_INF)
+        hi = np.where(defined, np.ldexp(tau + radius, ey - ew), _INF)
     return SetArrays(kind=np.where(defined, _INTERVAL, _WHOLE_LINE).astype(np.int8),
                      lo=lo, hi=hi, degenerate=~defined | negative, errors=errors)
 
@@ -161,16 +164,9 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     """
     crit = np.broadcast_to(crit, np.shape(b_y))
     crit2 = crit * crit
-    # each side on its own scale: b_y times 2^-ey and q_y times 2^-2ey put
-    # the larger of |b_y| and sqrt|q_y| in [0.5, 1), b_w and q_w likewise by
-    # ew, and q_c goes by 2^-(ey+ew). That is the same inequality in
-    # t' = t 2^(ew-ey), exactly, so the roots keep their bits and are scaled
-    # back by 2^(ey-ew); no product below overflows or underflows, however
-    # far apart the two sides' scales are
-    _, ey = np.frexp(np.maximum(np.abs(b_y), np.sqrt(np.abs(q_y))))
-    _, ew = np.frexp(np.maximum(np.abs(b_w), np.sqrt(np.abs(q_w))))
-    s_y, s_w = np.ldexp(b_y, -ey), np.ldexp(b_w, -ew)
-    q_y, q_c, q_w = np.ldexp(q_y, -2 * ey), np.ldexp(q_c, -(ey + ew)), np.ldexp(q_w, -2 * ew)
+    # each side on its own scale (side_scales): the same inequality in
+    # t' = t 2^(ew-ey), whose roots are scaled back by 2^(ey-ew)
+    (s_y, s_w, q_y, q_c, q_w), ey, ew = side_scales(b_y, b_w, q_y, q_c, q_w)
     a = s_w * s_w - crit2 * q_w
     b = -2.0 * (s_y * s_w - crit2 * q_c)
     c = s_y * s_y - crit2 * q_y

@@ -128,6 +128,81 @@ def moment_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
         "proj": tuple(f[:rows] / n1 + f[rows:] / n0 - c for f, c in zip(projs, corr))}, errors
 
 
+# a fit is left to the scalar path (which raises at 1e-10 and 1e-12) when its
+# population's equilibrated R-diagonal ratio is below this, its trace(M^-1) is
+# not in (0, 1/this), or a leverage is this close to one
+_ARM_GUARD = 1e-6
+
+
+def _spd_inverses(mats: np.ndarray) -> np.ndarray:
+    """The inverse of every symmetric positive definite matrix of a stack by
+    the sweep operator, pivot by pivot over the stack held last (for 6 x 6,
+    2-3 times as fast as LAPACK per matrix); inf/nan where a pivot is 0."""
+    swept = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    for k in range(len(swept)):
+        pivot = 1.0 / swept[k, k]
+        row = swept[k] * pivot
+        swept -= swept[:, k, None] * row
+        swept[k], swept[:, k], swept[k, k] = row, row, -pivot
+    return np.negative(swept.transpose(2, 0, 1), order="C")  # all pivots swept: -M^-1
+
+
+def arm_fits(x: np.ndarray, treated: np.ndarray, yws: np.ndarray, expo: int):
+    """OLS of an outcome and a receipt on [x, 1] (one population's
+    covariates, then ones) within the arm each 0/1 row of ``treated`` marks,
+    on ``yws[0]`` (outcome and receipt rows), and within its complement, on
+    ``yws[1]``: each arm's two intercepts, its share of the sandwich triple
+    (v_y, c_yw, v_w) with leverage weights (1 - h)^-expo, and whether
+    _ARM_GUARD leaves it to the scalar path, as (2, rows, ...) arrays.
+    With [x, 1] = QR, an arm's Gram matrix is R'MR for M = sum s_i q_i q_i':
+    in Q's coordinates its coefficients are M^-1 b (b = sum s_i q_i y_i),
+    its leverages q_i' M^-1 q_i, and its intercept, the last coefficient,
+    e'M^-1 b / R_pp with influence row e'M^-1 q_i / R_pp. No arm is gathered
+    or factored."""
+    rows, n = treated.shape
+    q, r = np.linalg.qr(np.concatenate([x, np.ones((n, 1))], axis=1))
+    p, q_t = q.shape[1], np.ascontiguousarray(q.T)  # a transposed view halves matmul speed
+    qq = (q[:, :, None] * q[:, None, :]).reshape(n, p * p)
+    masks = np.concatenate([treated, 1 - treated]).astype(float)
+    # M and b' (2 x p) of both arms: the marked ones' by one matmul, the
+    # complements' as the population's less those
+    rhs = np.concatenate([qq, (yws.reshape(-1, n).T[:, :, None] * q[:, None, :]).reshape(n, -1)],
+                         axis=1)
+    moments = masks[:rows] @ rhs
+    moments = np.concatenate([moments, rhs.sum(axis=0) - moments])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only in unsure fits
+        diag = np.abs(np.diagonal(r)) / np.linalg.norm(r, axis=0)  # R's column norms are x's
+        inv = _spd_inverses(moments[:, :p * p].reshape(-1, p, p))
+        gamma = np.concatenate([moments[:rows, p * p:p * p + 2 * p],
+                                moments[rows:, p * p + 2 * p:]]).reshape(-1, 2, p) @ inv
+        trace = np.trace(inv, axis1=1, axis2=2)
+        unsure = ~((diag.min() >= _ARM_GUARD * diag.max()) & (trace > 0.0)
+                   & (trace < 1.0 / _ARM_GUARD))
+        # 1 less the leverages, and the influence rows squared over the
+        # weights, zero off the arm; each (2 * rows, n) array is freed once
+        # read, for a traced peak under 60 bytes per entry of ``treated``
+        lev = inv.reshape(-1, p * p) @ qq.T
+        lev *= masks
+        unsure |= lev.max(axis=1) > 1.0 - _ARM_GUARD
+        np.subtract(1.0, lev, out=lev)
+        infl = inv[:, -1] @ q_t
+        infl *= masks
+        infl *= infl
+        for _ in range(expo):
+            infl /= lev
+        del lev, masks, moments
+        # residuals: outcome rows, then receipt rows
+        resid = (np.swapaxes(gamma, 0, 1).reshape(-1, p) @ q_t).reshape(2, 2, rows, n)
+        np.subtract(np.swapaxes(yws, 0, 1)[:, :, None], resid, out=resid)
+        r_y, r_w = resid.reshape(2, -1, n)
+        v_w = np.einsum("ij,ij,ij->i", infl, r_w, r_w)
+        infl *= r_y
+        triple = np.stack([np.einsum("ij,ij->i", infl, r_y), np.einsum("ij,ij->i", infl, r_w),
+                           v_w], axis=-1) / (r[-1, -1] * r[-1, -1])
+    return ((gamma[:, :, -1] / r[-1, -1]).reshape(2, rows, 2), triple.reshape(2, rows, 3),
+            unsure.reshape(2, rows))
+
+
 def sandwich_families(datasets, flavor: str):
     """The regression-adjusted effect estimates and sandwich family of every
     dataset, by fit_interacted_pair on its own assignment and sandwich_cov of
@@ -250,23 +325,39 @@ class VarianceAt(NamedTuple):
     floored: bool = False
 
 
-def variance_at(triple, tau, family: str, rows):
-    """The ``family`` quadratic of ``triple`` at the ratio ``tau`` of every
-    row, floored at zero; where among ``rows`` (a mask) it is negative:
-    below zero for a floored family, else below zero beyond roundoff; and
-    the error each of ``rows`` raises: a ratio that is not finite, or else
-    for a family that is not floored, a negative value."""
-    unbounded = {int(i): ValueError("tau_hat must be finite")
-                 for i in np.flatnonzero(rows & ~np.isfinite(tau))}
-    with np.errstate(over="ignore", invalid="ignore"):
+def side_scales(b_y, b_w, q_y, q_c, q_w):
+    """The five arrays with each side on its own power-of-two scale, and ey
+    and ew: b_y, q_y times 2^-ey, 2^-2ey put max(|b_y|, sqrt|q_y|) in
+    [0.5, 1), b_w, q_w likewise by ew, and q_c goes by 2^-(ey+ew). Any
+    quadratic in the ratio t is then one in t 2^(ew-ey), exactly."""
+    _, ey = np.frexp(np.maximum(np.abs(b_y), np.sqrt(np.abs(q_y))))
+    _, ew = np.frexp(np.maximum(np.abs(b_w), np.sqrt(np.abs(q_w))))
+    return (np.ldexp(b_y, -ey), np.ldexp(b_w, -ew), np.ldexp(q_y, -2 * ey),
+            np.ldexp(q_c, -(ey + ew)), np.ldexp(q_w, -2 * ew)), ey, ew
+
+
+def variance_at(b_y, b_w, triple, family: str, rows):
+    """The ``family`` quadratic of ``triple`` at the ratio b_y / b_w of every
+    row, on each side's own scale (side_scales): the scaled ratio t', the
+    quadratic there times 2^-2ey, floored at zero, and ey and ew; where
+    among ``rows`` (a mask) it is negative: below zero for a floored family,
+    else by more than 1e-9 of its largest term; and the error each of
+    ``rows`` raises: a ratio b_y / b_w that is not finite, or else for a
+    family that is not floored, a negative value."""
+    (s_y, s_w, *triple), ey, ew = side_scales(b_y, b_w, *triple)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unbounded = {int(i): ValueError("tau_hat must be finite")
+                     for i in np.flatnonzero(rows & ~np.isfinite(b_y / b_w))}
+        tau = s_y / s_w
         value = _quad(triple, tau)
         if family in FLOORED_FAMILIES:
-            return np.maximum(value, 0.0), rows & (value < 0.0), unbounded
-        scale = (np.maximum(np.maximum(np.abs(triple[0]), np.abs(triple[1])), np.abs(triple[2]))
-                 * np.maximum(1.0, tau * tau))
-        negative = rows & (value < -1e-9 * np.maximum(scale, 1e-300))
-    return np.maximum(value, 0.0), negative, {
-        **{int(i): ArithmeticError(f"{family} variance quadratic is negative: {float(value[i])}")
+            return tau, np.maximum(value, 0.0), ey, ew, rows & (value < 0.0), unbounded
+        scale = np.maximum(np.maximum(np.abs(triple[0]), np.abs(2.0 * tau * triple[1])),
+                           np.abs(tau * tau * triple[2]))
+        negative = rows & (value < -1e-9 * scale)
+    return tau, np.maximum(value, 0.0), ey, ew, negative, {
+        **{int(i): ArithmeticError(f"{family} variance quadratic is negative: "
+                                   f"{float(np.ldexp(value[i], 2 * ey[i]))}")
            for i in np.flatnonzero(negative)}, **unbounded}
 
 
@@ -282,8 +373,8 @@ def combined_variance(components, tau_hat: float, family: str = "plain") -> Vari
     ``components`` is a VarianceComponents for 'plain'/'rem' or a
     SandwichCov for 'sandwich'.
     """
-    value, negative, errors = variance_at(_one_row(*components.family(family)),
-                                          np.array([tau_hat]), family, True)
+    _, value, ey, _, negative, errors = variance_at(
+        np.array([tau_hat]), np.ones(1), _one_row(*components.family(family)), family, True)
     if errors:
         raise errors[0]
-    return VarianceAt(float(value[0]), floored=bool(negative[0]))
+    return VarianceAt(float(np.ldexp(value[0], 2 * ey[0])), floored=bool(negative[0]))

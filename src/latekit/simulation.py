@@ -34,7 +34,7 @@ import numpy as np
 from .confidence_sets import KINDS, SetArrays
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
-from .estimation import moment_families, regime_spec, sandwich_families
+from .estimation import arm_fits, moment_families, regime_spec, sandwich_families
 from .exceptions import InfeasibleTargetError
 from .mixture import MixtureParams, quantile_table
 from .stats_core import _FLAVOR_EXPONENT, _arm_indices, _arm_moments
@@ -51,7 +51,7 @@ _POP_RETRIES = 1000
 
 # the most assignments (reps * n) a study may draw for one cell: a cell
 # holds them all at once (80 MB of int64 at this limit), and its pass peaks
-# at about 35 (CRE), 70 (ReM) and 100 (HC2) traced bytes per assignment
+# at about 35 (CRE), 70 (ReM) and 68 (HC2) traced bytes per assignment
 # with k = 5
 MAX_CELL_ASSIGNMENTS = 10_000_000
 
@@ -387,73 +387,23 @@ def _moment_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig
                            None if x is None else Covariates(x).sxx_inv)
 
 
-# an arm design whose equilibrated R-diagonal ratio, or a leverage's
-# distance from one, falls below this is refit by the scalar path, which
-# raises at 1e-10 and 1e-12
-_ARM_GUARD = 1e-6
-
-
-def _arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS of the two columns of ``yw`` (outcome, receipt) on the columns of
-    ``x1`` (ones, covariates) within one arm, for every row of ``idx`` (the
-    arm's unit indices of one draw): the two intercepts, the arm's share of
-    the sandwich triple (v_y, c_yw, v_w) with leverage weights
-    (1 - h)^-expo, and which draws the guard sends to the scalar path.
-
-    Only R of the QR factorization is computed; Q is the design times the
-    one inverse of R, whose first row is also the intercept's row."""
-    design = np.take(x1, idx, axis=0)
-    r = np.linalg.qr(design, mode="r")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the R-diagonal of the column-equilibrated design (R's column norms
-        # are the design's); a zero column gives nan
-        norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
-        unsure = ~(diag.min(axis=1) >= _ARM_GUARD * diag.max(axis=1))
-    r_inv = np.linalg.inv(np.where(unsure[:, None, None], np.eye(r.shape[-1]), r))
-    q = design @ r_inv
-    lev = np.einsum("rij,rij->ri", q, q)
-    unsure |= lev.max(axis=1) > 1.0 - _ARM_GUARD
-    # the intercept's row of R^-1, and its influence row e0' R^-1 Q'
-    e0_rinv = r_inv[:, :1, :]
-    yw_arm = np.take(yw, idx, axis=0)
-    proj = np.swapaxes(q, 1, 2) @ yw_arm
-    # residual times influence, per unit and outcome
-    terms = (yw_arm - q @ proj) * (q @ np.swapaxes(e0_rinv, 1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):  # only in guarded draws
-        # sum over units of weight * term_a * term_b, a 2 x 2 block per draw
-        weights = (1.0 - lev) ** -expo
-        meat = np.swapaxes(terms * weights[:, :, None], 1, 2) @ terms
-    triple = np.stack([meat[:, 0, 0], meat[:, 0, 1], meat[:, 1, 1]], axis=1)
-    return (e0_rinv @ proj)[:, 0, :], triple, unsure
-
-
 def _sandwich_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig):
     """The regression-adjusted effect estimates and sandwich family of every
     assignment row of ``zs``, and the error each row's scalar fit raises.
-
-    The interacted fit equals separate OLS fits of each arm on [1, x] (Lin
-    2013), so the effect estimates are the gaps between the arms'
-    intercepts, and the sandwich sums each arm's weighted residual products
-    along its intercept's influence row. Draws near a case where the scalar
-    fit raises (an arm of at most k + 1 units, a nearly collinear arm
-    design, a leverage near one) are refit by sandwich_families, which keeps
-    what each refit raises.
-    """
+    The interacted fit is the two arms' fits (Lin 2013), which arm_fits
+    gives: the effect estimates are the gaps between the arms' intercepts,
+    and the triple sums the arms' shares. The fits it cannot trust, and
+    every draw when an arm has at most k + 1 units, are refit by
+    sandwich_families, which keeps what each refit raises."""
     reps, n = zs.shape
-    n1, k = base.design.n1, pop.x.shape[1]
     # per draw: tau_y, tau_w and the sandwich triple (v_y, c_yw, v_w)
-    cols = np.zeros((reps, 5))
-    unsure = np.ones(reps, dtype=bool)
-    if min(n1, n - n1) > k + 1:
-        expo = _FLAVOR_EXPONENT[base.adjustment]
-        x1 = np.column_stack([np.ones(n), pop.x])
-        (int1, sw1, unsure1), (int0, sw0, unsure0) = (
-            _arm_ols(idx, np.column_stack([y, w]).astype(float), x1, expo) for idx, y, w in
-            zip(_arm_indices(zs, n1), (pop.y1, pop.y0), (pop.w1, pop.w0)))
-        cols = np.concatenate([int1 - int0, sw1 + sw0], axis=1)
-        unsure = unsure1 | unsure0
+    cols, unsure = np.zeros((reps, 5)), np.ones(reps, dtype=bool)
+    if min(base.design.n1, n - base.design.n1) > pop.x.shape[1] + 1:
+        ints, triples, arm_unsure = arm_fits(
+            pop.x, zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float),
+            _FLAVOR_EXPONENT[base.adjustment])
+        cols = np.concatenate([ints[0] - ints[1], triples[0] + triples[1]], axis=1)
+        unsure = arm_unsure[0] | arm_unsure[1]
     refit = np.flatnonzero(unsure)
     tau_y, tau_w, families, errors = sandwich_families([pop.reveal(zs[i]) for i in refit],
                                                        base.adjustment)

@@ -29,10 +29,13 @@ one ``score_rows`` call) and ``cell_rows`` (one median, by
 ``reference_median_extended``, and one mean per method); the stacked pass
 must give its rows field for field.
 ``exact_cell`` is a study cell's exact law, every assignment of its
-population scored at once by ``score_cell`` and ``cell_rows``. ``reference_arm_ols`` is the per-arm OLS of
-adjusted study cells as it was when it formed Q by a reduced QR, and
-``exact_arm_ols`` one draw of it in 50-digit arithmetic. The rest are
-small helpers the package no longer exports.
+population scored at once by ``score_cell`` and ``cell_rows``.
+``reference_arm_ols`` is the per-arm OLS of adjusted study cells as it
+was when it formed Q by a reduced QR of every draw's arm design,
+``r_only_arm_ols`` as it was next, from that design's R factor alone,
+before ``estimation.arm_fits`` fitted every arm in the population's QR
+coordinates; and ``exact_arm_ols`` one draw of it in 50-digit arithmetic.
+The rest are small helpers the package no longer exports.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from latekit import simulation
+from latekit import estimation, simulation
 from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, _critical
 from latekit.data_model import (
     AnalysisConfig,
@@ -720,7 +723,7 @@ def set_arrays_from_sets(sets: Sequence[ConfidenceSet]) -> SetArrays:
 
 def reference_arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``simulation._arm_ols`` as it was before it formed Q from R alone:
+    """The study's per-arm OLS as it was before it formed Q from R alone:
     Q and R of a reduced QR per draw, the diagonal and leverage guards on
     them, and the intercept row of R^-1."""
     design = np.take(x1, idx, axis=0)
@@ -729,8 +732,8 @@ def reference_arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
     with np.errstate(divide="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
-        unsure = (~(diag.min(axis=1) >= simulation._ARM_GUARD * diag.max(axis=1))
-                  | (lev.max(axis=1) > 1.0 - simulation._ARM_GUARD))
+        unsure = (~(diag.min(axis=1) >= estimation._ARM_GUARD * diag.max(axis=1))
+                  | (lev.max(axis=1) > 1.0 - estimation._ARM_GUARD))
     r = np.where(unsure[:, None, None], np.eye(r.shape[-1]), r)
     e0_rinv = np.linalg.inv(r)[:, :1, :]
     yw_arm = np.take(yw, idx, axis=0)
@@ -743,10 +746,39 @@ def reference_arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
     return (e0_rinv @ proj)[:, 0, :], triple, unsure
 
 
+def r_only_arm_ols(idx: np.ndarray, yw: np.ndarray, x1: np.ndarray, expo: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``reference_arm_ols`` from R of each draw's arm design alone: Q is
+    the design times the one inverse of R, whose first row is also the
+    intercept's row; the diagonal guard on R, and the leverage guard on Q."""
+    design = np.take(x1, idx, axis=0)
+    r = np.linalg.qr(design, mode="r")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the R-diagonal of the column-equilibrated design (R's column norms
+        # are the design's); a zero column gives nan
+        norms = np.sqrt(np.einsum("rij,rij->rj", r, r))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2)) / norms
+        unsure = ~(diag.min(axis=1) >= estimation._ARM_GUARD * diag.max(axis=1))
+    r_inv = np.linalg.inv(np.where(unsure[:, None, None], np.eye(r.shape[-1]), r))
+    q = design @ r_inv
+    lev = np.einsum("rij,rij->ri", q, q)
+    unsure |= lev.max(axis=1) > 1.0 - estimation._ARM_GUARD
+    e0_rinv = r_inv[:, :1, :]
+    yw_arm = np.take(yw, idx, axis=0)
+    proj = np.swapaxes(q, 1, 2) @ yw_arm
+    # residual times influence, per unit and outcome
+    terms = (yw_arm - q @ proj) * (q @ np.swapaxes(e0_rinv, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in guarded draws
+        weights = (1.0 - lev) ** -expo
+        meat = np.swapaxes(terms * weights[:, :, None], 1, 2) @ terms
+    triple = np.stack([meat[:, 0, 0], meat[:, 0, 1], meat[:, 1, 1]], axis=1)
+    return (e0_rinv @ proj)[:, 0, :], triple, unsure
+
+
 def exact_arm_ols(design: np.ndarray, yw: np.ndarray, digits: int = 50
                   ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One draw's two intercepts, and its sandwich triple under each
-    leverage exponent 0, 1 and 2 (EHW, HC2, HC3), as ``_arm_ols`` gives
+    leverage exponent 0, 1 and 2 (EHW, HC2, HC3), as ``arm_fits`` gives
     them, in ``digits``-digit arithmetic through the normal equations: with
     G = X'X, the coefficients G^-1 X'Y, the leverages x_i' G^-1 x_i and the
     intercept's influence row e0' G^-1 X'."""

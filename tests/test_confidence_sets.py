@@ -537,6 +537,59 @@ def test_inversion_is_equivariant_in_each_sides_scale():
         assert got.tobytes() == np.ldexp(want, u - v).tobytes()
 
 
+def _psd_rows(seed: int, rows: int = 3000):
+    """(b_y, b_w, crit, q_y, q_c, q_w) rows with positive semi-definite
+    variance forms and critical values in [1, 3)."""
+    gen = np.random.default_rng(seed)
+    b_y, b_w = gen.normal(0.0, 1.0, rows), gen.normal(0.0, 0.5, rows)
+    crit = gen.uniform(1.0, 3.0, rows)
+    f = gen.standard_normal((rows, 2, 2))
+    s = f @ f.transpose(0, 2, 1) / 4.0
+    return b_y, b_w, crit, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+
+
+def test_wald_intervals_are_equivariant_in_each_sides_scale():
+    # the y side times 2^u and the w side times 2^v scale the ratio and its
+    # standard error, so the interval, by 2^(u-v), exactly, for u and v
+    # apart by up to 960: the variance at the ratio is taken on each side's
+    # own scale, not as the square of a ratio that may overflow
+    b_y, b_w, crit, q_y, q_c, q_w = _psd_rows(32)
+    gen = np.random.default_rng(33)
+    u, v = gen.integers(-480, 481, len(b_y)), gen.integers(-480, 481, len(b_y))
+    base = wald_intervals(b_y, b_w, crit, q_y, q_c, q_w)
+    sets = wald_intervals(np.ldexp(b_y, u), np.ldexp(b_w, v), crit, np.ldexp(q_y, 2 * u),
+                          np.ldexp(q_c, u + v), np.ldexp(q_w, 2 * v))
+    assert base.errors == sets.errors == {}
+    assert (base.kind == KINDS.index("interval")).all()
+    wrong = np.flatnonzero((sets.kind != base.kind) | (sets.degenerate != base.degenerate))
+    assert wrong.size == 0, (wrong.size, wrong[:5])
+    for got, want in ((sets.lo, base.lo), (sets.hi, base.hi)):
+        off = np.flatnonzero(got != np.ldexp(want, u - v))
+        assert off.size == 0, (off.size, off[:5])
+
+
+def test_wald_ci_of_far_apart_sides_matches_a_50_digit_solve():
+    # a y side near 2^300 beside a w side near 2^-300: the ratio, 1.25 2^600,
+    # squared overflowed and the interval came out as (-inf, inf). It is the
+    # interval of the sides at 2^0 times 2^600, and the 50-digit one
+    mpmath = pytest.importorskip("mpmath")
+    comp = VarianceComponents((0.5 * 2.0 ** 600, 0.1, 0.3 * 2.0 ** -600))
+    cs = wald_ci("cre", Estimates(2.0 ** 300, 0.8 * 2.0 ** -300), comp, cre_config())
+    unit = wald_ci("cre", Estimates(1.0, 0.8), VarianceComponents((0.5, 0.1, 0.3)),
+                   cre_config())
+    assert cs.kind == unit.kind == "interval"
+    assert (cs.lo, cs.hi) == (math.ldexp(unit.lo, 600), math.ldexp(unit.hi, 600))
+    assert (cs.lo, cs.hi) == (math.ldexp(-0.8270503903424489, 600),
+                              math.ldexp(3.327050390342449, 600))
+    mpmath.mp.dps = 50
+    b_y, b_w = mpmath.mpf(2.0 ** 300), mpmath.mpf(0.8 * 2.0 ** -300)
+    q_y, q_c, q_w = (mpmath.mpf(v) for v in comp.plain)
+    tau = b_y / b_w
+    radius = mpmath.mpf(Z) * mpmath.sqrt(q_y - 2 * tau * q_c + tau * tau * q_w) / b_w
+    for got, want in ((cs.lo, tau - radius), (cs.hi, tau + radius)):
+        assert abs(mpmath.mpf(got) - want) <= 1e-15 * abs(want), (got, want)
+
+
 def test_far_set_of_far_apart_sides_matches_a_50_digit_solve():
     # a y side near 1e300 and a w side near 1e-10: one shared scale pushed
     # the w side's form below the subnormals and gave a right ray; the set

@@ -338,6 +338,10 @@ def test_study_peak_allocation_is_bounded():
     assert peak(cre_study) < 1.5e6
     one = StudyConfig(n=200, k=5, tau_w=(0.5,), reps=2000)
     assert peak(dataclasses.replace(one, tau_w=(0.5, 0.3, 0.2))) <= 1.2 * peak(one)
+    # a 2,000-rep HC2 cell fits its arms without gathering their rows: no
+    # higher than the 41,183,488 bytes (103 per assignment) of the per-draw
+    # arm QR fits before it; 27.1 MB (68 per assignment) when this was written
+    assert peak(dataclasses.replace(one, adjustment="hc2")) <= 41_183_488
 
 
 def test_median_extended_boundary():
@@ -741,6 +745,64 @@ def test_batched_adjusted_refits_leverage_one_draws_under_ehw(rng, monkeypatch):
     assert len(refits) == len(keep)
 
 
+def _four_units_marked(rng, n=20):
+    """_one_unit_marked with the marker first and on units 0, 1, n/2 and
+    n/2 + 1, and six draws: four good ones, whose arms hold two marked units
+    each; after the first two, one whose treated arm holds one marked unit
+    (leverage one), and after the next one, one whose treated arm holds all
+    four. The marker's reflector is the first of the population's QR, so Q's
+    first column is exactly zero off the marked units, and the control arm
+    of that draw has an exactly singular M."""
+    pop, _ = _one_unit_marked(rng, n)
+    x = np.zeros((n, 2))
+    x[[0, 1, n // 2, n // 2 + 1], 0] = 1.0
+    x[:, 1] = pop.x[:, 0]
+    pop = dataclasses.replace(pop, x=x)
+    good = np.repeat([1, 0], n // 2)
+    lone, four = good.copy(), good.copy()
+    lone[[1, n // 2 + 2]] = 0, 1
+    four[[2, 3, n // 2, n // 2 + 1]] = 0, 0, 1, 1
+    return pop, np.array([good, np.roll(good, -2), lone, np.roll(good, 3), four,
+                          np.roll(good, -3)])
+
+
+@pytest.mark.parametrize("adjustment,error", [("ehw", RankDeficientDesignError),
+                                              ("hc2", LeverageOnePointError)])
+def test_only_the_guarded_draws_of_a_cell_are_refit(rng, monkeypatch, adjustment, error):
+    # one exactly singular arm (a batched np.linalg.inv raises for the whole
+    # stack) and one leverage-one arm send their two draws to the scalar
+    # path; the four good draws keep the array fit's values
+    pop, zs = _four_units_marked(rng)
+    n = len(zs[0])
+    base = AnalysisConfig(adjustment=adjustment, design=DesignSpec.cre(n // 2))
+    q = np.linalg.qr(np.column_stack([pop.x, np.ones(n)]))[0]
+    singular = (q * (1.0 - zs[4])[:, None]).T @ q
+    assert not singular[0].any()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.stack([np.eye(3), singular]))
+    ints, triples, unsure = estimation.arm_fits(
+        pop.x, zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float),
+        simulation._FLAVOR_EXPONENT[adjustment])
+    bad = [2, 4]
+    assert np.flatnonzero(unsure[0] | unsure[1]).tolist() == bad
+    refits = []
+    fit = estimation.fit_interacted_pair
+    monkeypatch.setattr(estimation, "fit_interacted_pair",
+                        lambda ds, z: refits.append(z) or fit(ds, z))
+    tau_y, tau_w, families, errors = simulation._sandwich_families(pop, zs, base)
+    assert [list(z) for z in refits] == [list(zs[i]) for i in bad]
+    good = [0, 1, 3, 5]
+    array = np.column_stack([ints[0] - ints[1], triples[0] + triples[1]])[good]
+    assert np.column_stack([tau_y, tau_w, *families["sandwich"]])[good].tobytes() == (
+        array.tobytes())
+    with pytest.raises(error) as scalar:
+        reference_score_draws(pop, zs, base, (0.075,))
+    with pytest.raises(error) as batched:
+        _stacked_score(pop, zs, base, (0.075,))
+    assert str(batched.value) == str(scalar.value)
+    assert sorted(errors) == ([4] if adjustment == "ehw" else bad)
+
+
 def _collinear_arms(cond: float, seed: int, n: int = 80, draws: int = 30):
     """An adjusted arm OLS problem whose arm designs [1, a, a + d b, c] have
     a condition number near ``cond``: the ones-and-covariates matrix,
@@ -760,18 +822,28 @@ def _normwise_error(ints, triple, exact_ints, exact_triple) -> float:
                np.max(np.abs(triple - exact_triple)) / np.max(np.abs(exact_triple)))
 
 
+def _arm_fits(idx, yw, x1, expo):
+    """estimation.arm_fits of the arm of each row of ``idx`` (its unit
+    indices in ``x1``, whose first column is ones), in the oracles' form."""
+    marked = np.zeros((len(idx), len(x1)))
+    np.put_along_axis(marked, idx, 1.0, axis=1)
+    ints, triple, unsure = estimation.arm_fits(x1[:, 1:], marked, np.stack([yw.T, yw.T]), expo)
+    return ints[0], triple[0], unsure[0]
+
+
 @pytest.mark.parametrize("cond", [1e1, 1e3, 1e4, 1e5])
 def test_arm_ols_tracks_the_qr_path_on_nearly_collinear_arms(cond):
-    # Q formed as X R^-1 against the reduced QR it replaced, both against
-    # 50-digit arithmetic: the worst normwise relative error of the
-    # intercepts and the triple over every draw, none of them guarded
+    # the fit in the population's QR coordinates against a reduced QR of
+    # every draw's arm design, both against 50-digit arithmetic: the worst
+    # normwise relative error of the intercepts and the triple over every
+    # draw, none of them guarded
     pytest.importorskip("mpmath")
-    worst = {"qr": 0.0, "r_only": 0.0}
+    worst = {"qr": 0.0, "population_qr": 0.0}
     for seed in (1, 2):
         idx, yw, x1 = _collinear_arms(cond, seed)
         assert cond / 3 < np.median(np.linalg.cond(x1[idx])) < 3 * cond
         paths = {name: [arm_ols(idx, yw, x1, expo) for expo in range(3)] for name, arm_ols
-                 in (("qr", oracles.reference_arm_ols), ("r_only", simulation._arm_ols))}
+                 in (("qr", oracles.reference_arm_ols), ("population_qr", _arm_fits))}
         for d in range(len(idx)):
             exact_ints, exact_triples = oracles.exact_arm_ols(x1[idx[d]], yw[idx[d]])
             for name, fits in paths.items():
@@ -779,7 +851,27 @@ def test_arm_ols_tracks_the_qr_path_on_nearly_collinear_arms(cond):
                     assert not unsure[d]
                     worst[name] = max(worst[name], _normwise_error(
                         ints[d], triple[d], exact_ints, exact_triple))
-    assert worst["r_only"] <= max(10.0 * worst["qr"], 1e-12), worst
+    assert worst["population_qr"] <= max(10.0 * worst["qr"], 1e-12), worst
+
+
+@pytest.mark.parametrize("n,k,tau_w", [(60, 2, 0.5), (200, 5, 0.05), (200, 5, 0.5)])
+@pytest.mark.parametrize("seed", [20240901, 777])
+def test_arm_fits_match_the_r_only_fits_draw_for_draw(n, k, tau_w, seed):
+    # both arms of every draw of a study cell, fitted in the population's
+    # QR coordinates and from R of each arm's own design: the intercepts
+    # and every triple entry agree to 1e-12 normwise, and no draw is guarded
+    cfg = StudyConfig(n=n, k=k, tau_w=(tau_w,), adjustment="hc2", reps=40, seed=seed)
+    pop, _, _, zs, _ = oracles.cell_draws(cfg, 0, tau_w)
+    x1 = np.column_stack([np.ones(n), pop.x])
+    for idx, y, w in zip(simulation._arm_indices(zs, n // 2), (pop.y1, pop.y0), (pop.w1, pop.w0)):
+        yw = np.column_stack([y, w]).astype(float)
+        for expo in range(3):
+            fits = _arm_fits(idx, yw, x1, expo), oracles.r_only_arm_ols(idx, yw, x1, expo)
+            for (ints, triple, unsure), (ref_ints, ref_triple, ref_unsure) in [fits]:
+                assert not unsure.any() and not ref_unsure.any()
+                for d in range(len(zs)):
+                    assert _normwise_error(ints[d], triple[d], ref_ints[d],
+                                           ref_triple[d]) < 1e-12
 
 
 def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):

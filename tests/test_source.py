@@ -33,6 +33,19 @@ def test_only_stats_core_tests_and_factors_a_covariance():
 
 
 
+def test_only_estimation_and_stats_core_factor_a_design():
+    # one array fitter serves the study's adjusted cells (estimation.arm_fits,
+    # one QR per population) beside the one-row interacted fit (stats_core);
+    # a second QR of arm designs would be a second array fitter
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "qr"]
+    assert {c.split(":")[0] for c in calls} == {"estimation.py", "stats_core.py"}, calls
+
+
 def test_only_io_and_estimation_estimate_from_a_dataset():
     # one path takes a dataset to estimates and variance families: analyze's
     # stratum steps (io), which two_stage_set also runs, and the families
@@ -80,18 +93,20 @@ def _callers(names):
 def test_arm_moments_and_families_have_three_callers():
     # arm moments are computed by one kernel, called by summarize's one-row
     # path (stats_core), the study cell passes (simulation) and analyze's
-    # group pass (io); the families built on them come from estimation's two
-    # builders alone, which the study passes and analyze's group pass call.
-    # A fourth moment path or a second family builder has to change these lists.
+    # group pass (io); the families built on them come from estimation's
+    # builders alone: the two that the study passes and analyze's group pass
+    # call, and the array fit of the study's adjusted cells. A fourth moment
+    # path or another family builder has to change these lists.
     kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
     assert set().union(*kernel.values()) == {"stats_core.py", "simulation.py", "io.py"}, kernel
     assert kernel["_arm_moments"] == {"simulation.py", "io.py"}, kernel
     families = _callers(["_plain_family", "_arm_projections", "moment_families",
-                         "sandwich_families"])
+                         "sandwich_families", "arm_fits"])
     assert families == {"_plain_family": {"estimation.py"},
                         "_arm_projections": {"estimation.py"},
                         "moment_families": {"estimation.py", "simulation.py", "io.py"},
-                        "sandwich_families": {"simulation.py", "io.py"}}, families
+                        "sandwich_families": {"simulation.py", "io.py"},
+                        "arm_fits": {"simulation.py"}}, families
 
 
 def test_one_array_scorer_serves_simulate_and_analyze():
