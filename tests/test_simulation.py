@@ -866,12 +866,11 @@ def test_arm_fits_match_the_r_only_fits_draw_for_draw(n, k, tau_w, seed):
     for idx, y, w in zip(simulation._arm_indices(zs, n // 2), (pop.y1, pop.y0), (pop.w1, pop.w0)):
         yw = np.column_stack([y, w]).astype(float)
         for expo in range(3):
-            fits = _arm_fits(idx, yw, x1, expo), oracles.r_only_arm_ols(idx, yw, x1, expo)
-            for (ints, triple, unsure), (ref_ints, ref_triple, ref_unsure) in [fits]:
-                assert not unsure.any() and not ref_unsure.any()
-                for d in range(len(zs)):
-                    assert _normwise_error(ints[d], triple[d], ref_ints[d],
-                                           ref_triple[d]) < 1e-12
+            (ints, triple, unsure), (ref_ints, ref_triple, ref_unsure) = (
+                _arm_fits(idx, yw, x1, expo), oracles.r_only_arm_ols(idx, yw, x1, expo))
+            assert not unsure.any() and not ref_unsure.any()
+            for d in range(len(zs)):
+                assert _normwise_error(ints[d], triple[d], ref_ints[d], ref_triple[d]) < 1e-12
 
 
 def test_batched_rem_matches_scalar_with_floored_and_degenerate_families(rng):
