@@ -18,10 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data_model import AnalysisConfig, Dataset
 from .design import Covariates
 from .exceptions import LatekitError
-from .stats_core import (MomentSummary, _ArmArrays, _row_forms, fit_interacted_pair,
-                         sandwich_cov, spd_inverses)
+from .stats_core import (_FLAVOR_EXPONENT, MomentSummary, _ArmArrays, _arm_indices, _arm_moments,
+                         _row_forms, covariate_covariance, fit_interacted_pair, sandwich_cov,
+                         spd_inverses)
 
 
 class Regime(NamedTuple):
@@ -147,77 +149,127 @@ def _spd_inverses(mats: np.ndarray) -> np.ndarray:
     return np.negative(swept.transpose(2, 0, 1), order="C")  # all pivots swept: -M^-1
 
 
+def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for the (m, p) rows of ``a``: one 2-D product for one
+    population's (p, n) ``b``, else row j by entry j % rows of a stack."""
+    if b.ndim == 2:
+        return a @ b
+    return (a.reshape(-1, len(b), 1, a.shape[-1]) @ b).reshape(len(a), -1)
+
+
 def arm_fits(x: np.ndarray, treated: np.ndarray, yws: np.ndarray, expo: int):
-    """OLS of an outcome and a receipt on [x, 1] (one population's
-    covariates, then ones) within the arm each 0/1 row of ``treated`` marks,
-    on ``yws[0]`` (outcome and receipt rows), and within its complement, on
-    ``yws[1]``: each arm's two intercepts, its share of the sandwich triple
+    """OLS of an outcome and a receipt on [x, 1] (covariates, then ones)
+    within the arm each 0/1 row of ``treated`` marks, on ``yws[0]``
+    (outcome and receipt rows), and within its complement, on ``yws[1]``:
+    each arm's two intercepts, its share of the sandwich triple
     (v_y, c_yw, v_w) with leverage weights (1 - h)^-expo, and whether
-    _ARM_GUARD leaves it to the scalar path, as (2, rows, ...) arrays.
+    _ARM_GUARD leaves it to the scalar path, as (2, rows, ...) arrays. ``x``
+    is one population's (n, K) and ``yws`` (2, 2, n), or one per row:
+    (rows, n, K) and (2, 2, rows, n), factored in one stacked QR call.
     With [x, 1] = QR, an arm's Gram matrix is R'MR for M = sum s_i q_i q_i':
     in Q's coordinates its coefficients are M^-1 b (b = sum s_i q_i y_i),
     its leverages q_i' M^-1 q_i, and its intercept, the last coefficient,
     e'M^-1 b / R_pp with influence row e'M^-1 q_i / R_pp. No arm is gathered
     or factored."""
     rows, n = treated.shape
-    q, r = np.linalg.qr(np.concatenate([x, np.ones((n, 1))], axis=1))
-    p, q_t = q.shape[1], np.ascontiguousarray(q.T)  # matmuls on a transposed view: ~1.5x slower
-    qq = (q[:, :, None] * q[:, None, :]).reshape(n, p * p)
+    q, r = np.linalg.qr(np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1))
+    p, pop = q.shape[-1], q.shape[:-1]  # pop: (n,) or (rows, n)
+    q_t = np.ascontiguousarray(np.swapaxes(q, -1, -2))  # matmuls on a transposed view: ~1.5x slower
+    qq = (q[..., :, None] * q[..., None, :]).reshape(*pop, p * p)
     masks = np.concatenate([treated, 1 - treated]).astype(float)
     # M and b' (2 x p) of both arms: the marked ones' by one matmul, the
     # complements' as the population's less those
-    rhs = np.concatenate([qq, (yws.reshape(-1, n).T[:, :, None] * q[:, None, :]).reshape(n, -1)],
-                         axis=1)
-    moments = masks[:rows] @ rhs
-    moments = np.concatenate([moments, rhs.sum(axis=0) - moments])
+    ywq = np.moveaxis(yws.reshape(4, *pop), 0, -1)[..., None] * q[..., None, :]
+    rhs = np.concatenate([qq, ywq.reshape(*pop, -1)], axis=-1)
+    moments = _per_row(masks[:rows], rhs)
+    moments = np.concatenate([moments, rhs.sum(axis=-2) - moments])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only in unsure fits
-        diag = np.abs(np.diagonal(r)) / np.linalg.norm(r, axis=0)  # R's column norms are x's
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) / np.linalg.norm(r, axis=-2)
         inv = _spd_inverses(moments[:, :p * p].reshape(-1, p, p))
         gamma = np.concatenate([moments[:rows, p * p:p * p + 2 * p],
                                 moments[rows:, p * p + 2 * p:]]).reshape(-1, 2, p) @ inv
-        trace = np.trace(inv, axis1=1, axis2=2)
-        unsure = ~((diag.min() >= _ARM_GUARD * diag.max()) & (trace > 0.0)
-                   & (trace < 1.0 / _ARM_GUARD))
+        trace = np.trace(inv, axis1=1, axis2=2).reshape(2, rows)
+        unsure = ~((diag.min(axis=-1) >= _ARM_GUARD * diag.max(axis=-1)) & (trace > 0.0)
+                   & (trace < 1.0 / _ARM_GUARD)).ravel()
         # 1 less the leverages, and the influence rows squared over the
         # weights, zero off the arm; each (2 * rows, n) array is freed once
         # read, for a traced peak under 60 bytes per entry of ``treated``
-        lev = inv.reshape(-1, p * p) @ qq.T
+        lev = _per_row(inv.reshape(-1, p * p), np.swapaxes(qq, -1, -2))
         lev *= masks
         unsure |= lev.max(axis=1) > 1.0 - _ARM_GUARD
         np.subtract(1.0, lev, out=lev)
-        infl = inv[:, -1] @ q_t
+        infl = _per_row(inv[:, -1], q_t)
         infl *= masks
         infl *= infl
         for _ in range(expo):
             infl /= lev
         del lev, masks, moments
         # residuals: outcome rows, then receipt rows
-        resid = (np.swapaxes(gamma, 0, 1).reshape(-1, p) @ q_t).reshape(2, 2, rows, n)
-        np.subtract(np.swapaxes(yws, 0, 1)[:, :, None], resid, out=resid)
+        resid = _per_row(np.swapaxes(gamma, 0, 1).reshape(-1, p), q_t).reshape(2, 2, rows, n)
+        np.subtract(np.swapaxes(yws, 0, 1).reshape(2, 2, -1, n), resid, out=resid)
         r_y, r_w = resid.reshape(2, -1, n)
         v_w = np.einsum("ij,ij,ij->i", infl, r_w, r_w)
         infl *= r_y
+        r_pp = r[..., -1, -1].reshape(-1, 1)
         triple = np.stack([np.einsum("ij,ij->i", infl, r_y), np.einsum("ij,ij->i", infl, r_w),
-                           v_w], axis=-1) / (r[-1, -1] * r[-1, -1])
-    return ((gamma[:, :, -1] / r[-1, -1]).reshape(2, rows, 2), triple.reshape(2, rows, 3),
-            unsure.reshape(2, rows))
+                           v_w], axis=-1).reshape(2, rows, 3) / (r_pp * r_pp)
+    return gamma[:, :, -1].reshape(2, rows, 2) / r_pp, triple, unsure.reshape(2, rows)
 
 
-def sandwich_families(datasets, flavor: str):
-    """The regression-adjusted effect estimates and sandwich family of every
-    dataset, by fit_interacted_pair on its own assignment and sandwich_cov of
-    ``flavor``, and the error each one raises; that row keeps the quiet
-    placeholder (0, 1, 0, 0, 0)."""
-    cols, errors = np.tile((0.0, 1.0, 0.0, 0.0, 0.0), (len(datasets), 1)), {}
-    for i, ds in enumerate(datasets):
-        try:
-            fit_y, fit_w = fit_interacted_pair(ds, ds.z)
-            cols[i] = (fit_y.tau_hat, fit_w.tau_hat,
-                       *sandwich_cov(fit_y, fit_w, flavor).family("sandwich"))
-        except LatekitError as exc:
-            errors[i] = exc
-    tau_y, tau_w, *triple = cols.T
-    return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
+def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: AnalysisConfig):
+    """The effect estimates, the family triples by name and the error each
+    row raises, for every 0/1 assignment row of ``zs``, as ``config``'s
+    REGIMES entry reads them. With (n, K) ``x`` the rows share one
+    population (a study cell), whose treated and control outcome and receipt
+    are the (2, 2, n) ``yws``; with (rows, n, K) ``x`` each has its own
+    (analyze's strata), whose observed outcome and receipt are the (2, rows,
+    n) ``yws``. Moments come from one _arm_moments call per arm and, under
+    ReM, each population's inverse full covariance; the sandwich family from
+    arm_fits (the interacted fit is the two arms' fits, Lin 2013), whose
+    unsure rows, and all when an arm has at most K + 1 units, are refit one
+    at a time by fit_interacted_pair and sandwich_cov, or keep what that
+    raises and the placeholder (0, 1, 0, 0, 0)."""
+    spec, (rows, n), one = regime_spec(config.regime), zs.shape, x.ndim == 2
+    n1, yws = int(zs[:1].sum()), yws if one else np.broadcast_to(yws, (2, *yws.shape))
+    sxx_inv, errors = None, {}
+    if spec.family == "sandwich":
+        cols, unsure = np.zeros((rows, 5)), np.ones(rows, dtype=bool)
+        if min(n1, n - n1) > x.shape[-1] + 1:
+            ints, triples, arm_unsure = arm_fits(x, zs, yws, _FLAVOR_EXPONENT[config.adjustment])
+            cols = np.concatenate([ints[0] - ints[1], triples[0] + triples[1]], axis=1)
+            unsure = arm_unsure[0] | arm_unsure[1]
+        for i in np.flatnonzero(unsure).tolist():
+            z, (treated, control) = zs[i], (yws if one else yws[:, :, i])
+            y, w = np.where(z == 1, treated, control)
+            try:
+                fit_y, fit_w = fit_interacted_pair(Dataset(z, w, y, x if one else x[i]), z)
+                cols[i] = (fit_y.tau_hat, fit_w.tau_hat,
+                           *sandwich_cov(fit_y, fit_w, config.adjustment).family("sandwich"))
+            except LatekitError as exc:
+                cols[i], errors[i] = (0.0, 1.0, 0.0, 0.0, 0.0), exc
+        tau_y, tau_w, *triple = cols.T
+        return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
+    starts = 0 if one else np.arange(0, rows * n, n)[:, None]  # rows of the flattened stack
+    xs = x.reshape(-1, x.shape[-1]) if spec.mixture else None
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme covariate scales overflow
+        arms = [_arm_moments(i + starts, *yw, xs)
+                for i, yw in zip(_arm_indices(zs, n1), yws.reshape(2, 2, -1))]
+        if spec.mixture:  # one population's singular covariance raises, as its draws do
+            sxx_inv, errors = ((Covariates(x).sxx_inv, {}) if one else spd_inverses(
+                np.stack(list(map(covariate_covariance, x))), "covariate covariance"))
+        tau_y, tau_w, families, arm_errors = moment_families(*arms, n1, n - n1, sxx_inv)
+    return tau_y, tau_w, families, {**arm_errors, **errors}
+
+
+def stack_families(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """row_families results of consecutive blocks of rows as one block's,
+    each error at its row of the whole."""
+    tau_y, tau_w, families, errors = zip(*built)
+    starts = np.cumsum([0, *map(len, tau_y)]).tolist()
+    return (np.concatenate(tau_y), np.concatenate(tau_w),
+            {name: tuple(map(np.concatenate, zip(*(f[name] for f in families))))
+             for name in families[0]},
+            {start + row: exc for start, part in zip(starts, errors) for row, exc in part.items()})
 
 
 def plain_components(summary: MomentSummary) -> VarianceComponents:
@@ -267,10 +319,21 @@ def r2_ratio(num, den):
     return np.where(den > 0.0, clipped, 0.0), den <= 0.0
 
 
+def _common_scale(proj, rem):
+    """Both triples in side_scales coordinates with one ey and ew (by the
+    larger v_y and v_w), and ew - ey: a ratio t is t 2^(ew-ey) there and
+    each quadratic 2^-2ey times its value at t, so P/Q keeps its bits."""
+    _, ey = np.frexp(np.sqrt(np.maximum(np.abs(proj[0]), np.abs(rem[0]))))
+    _, ew = np.frexp(np.sqrt(np.maximum(np.abs(proj[2]), np.abs(rem[2]))))
+    shifts = (-2 * ey, -(ey + ew), -2 * ew)
+    return [[np.ldexp(v, e) for v, e in zip(f, shifts)] for f in (proj, rem)], ew - ey
+
+
 def r2_at(proj, rem, tau):
     """r2_ratio of the projection and rerandomization families' quadratics
-    at ``tau``; triples of floats or of arrays."""
-    return r2_ratio(_quad(proj, tau), _quad(rem, tau))
+    at ``tau``, on their common scale; triples of floats or of arrays."""
+    (proj, rem), shift = _common_scale(proj, rem)
+    return r2_ratio(_quad(proj, np.ldexp(tau, shift)), _quad(rem, np.ldexp(tau, shift)))
 
 
 def r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:
@@ -294,7 +357,7 @@ def r2_stars(proj, rem) -> tuple[np.ndarray, np.ndarray]:
     A nonpositive q2, or real roots of Q beyond roundoff (a negative
     denominator region), gives 0 flagged degenerate.
     """
-    proj, rem = ([np.asarray(v, dtype=float) for v in f] for f in (proj, rem))
+    (proj, rem), _ = _common_scale(*([np.asarray(v, dtype=float) for v in f] for f in (proj, rem)))
     (p0, p1, p2), (q0, q1, q2) = proj, rem
     disc_q = q1 * q1 - q0 * q2
     degenerate = (q2 <= 0.0) | (disc_q > 1e-12 * np.maximum(q1 * q1, np.abs(q0 * q2)))

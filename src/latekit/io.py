@@ -13,10 +13,10 @@ takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
 Strata with two or more units per arm are validated by size, their
-families built by ``estimation``'s builders and scored at once by
-``two_stage.score_rows``, as study cells' are; the rest take the one-row
-path of ``stratum_steps``, whose steps are one-row calls of the same set
-and first-stage kernels.
+families built by one ``estimation.row_families`` call per size and
+scored at once by ``two_stage.score_rows``, as study cells' are; the rest
+take the one-row path of ``stratum_steps``, whose steps are one-row calls
+of the same set and first-stage kernels (and, adjusted, of the builder).
 """
 from __future__ import annotations
 
@@ -33,12 +33,15 @@ import numpy as np
 from .confidence_sets import far_set, json_number, wald_ci
 from .data_model import (AnalysisConfig, Dataset, DesignSpec, center_covariates, check_rows,
                          validate)
-from .estimation import (Estimates, moment_families, plain_components, regime_spec,
-                         sandwich_families, variance_components)
+from .estimation import (Estimates, plain_components, regime_spec, row_families,
+                         stack_families, variance_components)
 from .exceptions import InvalidDatasetError, LatekitError
-from .stats_core import (_arm_moments, covariate_covariance, fit_interacted_pair,
-                         sandwich_cov, spd_inverses, summarize)
+from .stats_core import SandwichCov, summarize
 from .two_stage import TwoStageOutput, f_screen, first_stage_test, score_rows
+
+# not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
+# names in this module by name, and fails on a name that is missing
+from .stats_core import fit_interacted_pair, sandwich_cov
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
@@ -226,15 +229,15 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
     its row of one score_rows call, or the error its fits or families raise
     (a singular full covariance first). None for the rest, non-finite
     families and a group whose stacked factoring raises. Strata of one (n,
-    n1) are rows of one check_rows call and, unadjusted, of one _arm_moments
-    call per arm; these reduce row by row, so a row has its one-row bits."""
+    n1) are rows of one check_rows call and one row_families call, which
+    reduce row by row, so a row has its one-row bits."""
     spec = regime_spec(config.regime)
     out = [None] * len(datasets)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, ((ds, _), n1) in enumerate(zip(datasets, n1s)):
         if min(n1, ds.n - n1) >= 2:
             groups.setdefault((ds.n, n1), []).append(i)
-    scored = []  # each group's strata, tau_y, tau_w and families to score
+    strata, built = [], []  # the strata of every group, and its row_families result
     for (n, n1), rows in groups.items():
         z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
         z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
@@ -243,40 +246,23 @@ def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
         rows = list(itertools.compress(rows, passed))
         if not rows:
             continue
-        if spec.family == "sandwich":  # the one-row path's interacted fits
-            tau_y, tau_w, families, errors = sandwich_families(
-                [datasets[i][0] for i in rows], config.adjustment)
-        else:
-            z, y, w, x = z[passed], y[passed].ravel(), w[passed].ravel(), x[passed]
-            idx1, idx0 = (np.flatnonzero(arm).reshape(len(rows), -1) for arm in (z == 1, z != 1))
-            x = x.reshape(-1, k) if spec.mixture else None
-            try:
-                # as variance_components: extreme covariate scales overflow
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sxx_inv, full = None, {}
-                    if spec.mixture:
-                        sxx_inv, full = spd_inverses(
-                            np.stack([covariate_covariance(datasets[i][0].x) for i in rows]),
-                            "covariate covariance")
-                    tau_y, tau_w, families, errors = moment_families(
-                        _arm_moments(idx1, y, w, x), _arm_moments(idx0, y, w, x), n1, n - n1,
-                        sxx_inv)
-            except np.linalg.LinAlgError:
-                continue
-            errors.update(full)
-        keep = _finite_rows(families.__getitem__, spec)
-        for r, exc in errors.items():
-            out[rows[r]], keep[r] = exc, False
-        scored.append((np.array(rows)[keep], tau_y[keep], tau_w[keep],
-                       {name: tuple(v[keep] for v in f) for name, f in families.items()}))
-    if scored:
-        strata, tau_y, tau_w, families = zip(*scored)
-        strata, tau_y, tau_w = map(np.concatenate, (strata, tau_y, tau_w))
-        families = {name: tuple(map(np.concatenate, zip(*(f[name] for f in families))))
-                    for name in families[0]}
-        scores = score_rows(tau_y, tau_w, families, config, k, gammas)
-        for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
-            out[i] = (Estimates(*pair), scores, row)
+        try:
+            built.append(row_families(z[passed], np.stack([y[passed], w[passed]]), x[passed],
+                                      config))
+        except np.linalg.LinAlgError:
+            continue
+        strata += rows
+    if not built:
+        return out
+    tau_y, tau_w, families, errors = stack_families(built)
+    keep = _finite_rows(families.__getitem__, spec)
+    for r, exc in errors.items():
+        out[strata[r]], keep[r] = exc, False
+    strata, tau_y, tau_w = np.array(strata)[keep], tau_y[keep], tau_w[keep]
+    scores = score_rows(tau_y, tau_w, {name: tuple(v[keep] for v in f)
+                                       for name, f in families.items()}, config, k, gammas)
+    for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
+        out[i] = (Estimates(*pair), scores, row)
     return out
 
 
@@ -293,7 +279,7 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
     ``moments``, from analyze_file's group pass, is an error or a row of
     score_rows, from which the getter reads each step and raises the row's
-    stored error; without it validate, the moments or fits and the chain run.
+    stored error; without it validate, the moments or builder and the chain run.
     Invalid data or non-finite variance families raise InvalidDatasetError."""
     regime = config.regime
     if isinstance(moments, LatekitError):
@@ -306,10 +292,14 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
     if problems:
         raise InvalidDatasetError("; ".join(problems))
     spec = regime_spec(regime)
-    if spec.family == "sandwich":
-        fit_y, fit_w = fit_interacted_pair(ds, ds.z)
-        estimates = Estimates(fit_y.tau_hat, fit_w.tau_hat)
-        components = sandwich_cov(fit_y, fit_w, config.adjustment)
+    if spec.family == "sandwich":  # a one-row call of the group pass's builder
+        tau_y, tau_w, families, errors = row_families(
+            ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
+        if errors:
+            raise errors[0]
+        estimates = Estimates(float(tau_y[0]), float(tau_w[0]))
+        components = SandwichCov(*(float(v[0]) for v in families["sandwich"]),
+                                 config.adjustment)
     else:
         summary = summarize(ds, ds.z)
         estimates = Estimates(summary.tau_y, summary.tau_w)

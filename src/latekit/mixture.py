@@ -36,6 +36,7 @@ _DEFAULT_DRAWS = 1_600_000
 
 _EPS = 1e-15
 _MAX_ITER = 400
+_UNCONVERGED = f"chi-square CDF with k = {{}} did not converge in {_MAX_ITER} steps"
 # Entries chisq_cdf computes at a time: the loop temporaries of a whole
 # 16,385-point grid grew the heap a process keeps by 2 MB; a block's fit in
 # what it already holds.
@@ -64,9 +65,8 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
         go = ~done
         live, x, term, total = live[go], x[go], term[go], total[go]
         if not live.size:
-            break
-    out[live] = total
-    return out
+            return out
+    raise ValueError(_UNCONVERGED.format(round(2 * a)))
 
 
 def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
@@ -93,17 +93,16 @@ def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
         go = ~done
         live, b, c, d, h = live[go], b[go], c[go], d[go], h[go]
         if not live.size:
-            break
-    out[live] = h
-    return out
+            return out
+    raise ValueError(_UNCONVERGED.format(round(2 * a)))
 
 
 def _regularized_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """P(a, x) of every entry: series below a + 1, continued fraction above."""
-    zero, inf = x == 0, np.isinf(x)
-    out = np.where(inf, 1.0, 0.0)
+    zero, inf, nan = x == 0, np.isinf(x), np.isnan(x)
+    out = np.where(inf, 1.0, np.where(nan, np.nan, 0.0))
     series = ~zero & (x < a + 1.0)
-    fraction = ~(series | zero | inf)  # NaN too
+    fraction = ~(series | zero | inf | nan)
     xs, xf = x[series], x[fraction]
     out[series] = _lower_gamma_series(a, xs) * _prefactor(a, xs)
     out[fraction] = 1.0 - _prefactor(a, xf) * _upper_gamma_fraction(a, xf)
@@ -113,7 +112,8 @@ def _regularized_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
 def chisq_cdf(x, k: int):
     """Chi-square CDF with k degrees of freedom, P(k/2, x/2) by series below
     k/2 + 1 and by continued fraction above, for a number or every entry of
-    an array; an entry's bits do not depend on the others."""
+    an array; an entry's bits do not depend on the others. An entry not
+    converged in _MAX_ITER steps (from k = 6,000 on) raises ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
     arr = np.asarray(x, dtype=float)
@@ -141,7 +141,7 @@ def chisq_quantile(p: float, k: int) -> float:
     while chisq_cdf(hi, k) < p:
         hi *= 2.0
         if hi > 1e12:
-            raise ArithmeticError("chi-square quantile bracket failed")
+            raise ValueError("chi-square quantile bracket failed")
     lo = 0.0
     while hi - lo > 1e-10 * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)

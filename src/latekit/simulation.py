@@ -8,15 +8,15 @@ first-stage levels, and the F>10 comparators.
 
 A study is scored in stacks of consecutive cells, at most ``STACK_ROWS``
 rows each (a cell of more is a stack of its own). Each cell draws its
-assignments and builds its families by its ``_FAMILIES`` entry
-(``estimation``'s builders) on its own; then ``_score`` scores all of the
-stack's rows by one ``two_stage.score_rows`` call, as analyze's group pass
-scores its groups, and ``_rows`` reduces them to every cell's table rows
-at once. Unadjusted cells get the bits of scoring each draw alone by
-``summarize`` and the one-row ``wald_ci``, ``far_set``,
-``first_stage_test`` and ``f_screen``; adjusted cells (per-arm OLS fits
-instead of one interacted fit, but for the draws they cannot trust) agree
-to roundoff.
+assignments and builds its families on its own, every draw a row of one
+``estimation.row_families`` call; then ``_score`` scores all of the stack's
+rows by one ``two_stage.score_rows`` call, as analyze's group pass builds
+and scores its groups, and ``_rows`` reduces them to every cell's table
+rows at once.
+Unadjusted cells get the bits of scoring each draw alone by ``summarize``
+and the one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and
+``f_screen``; adjusted cells (per-arm OLS fits instead of one interacted
+fit, but for the draws they cannot trust) agree to roundoff.
 """
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ import numpy as np
 from .confidence_sets import KINDS, SetArrays
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
-from .estimation import arm_fits, moment_families, regime_spec, sandwich_families
+from .estimation import regime_spec, row_families, stack_families
 from .exceptions import InfeasibleTargetError
 from .mixture import MixtureParams, quantile_table
-from .stats_core import _FLAVOR_EXPONENT, _arm_indices, _arm_moments
 from .two_stage import F_THRESHOLD, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
@@ -277,7 +276,7 @@ STAGES = ("population", "draws", "tables", "scoring", "rows")
 
 # a stack of consecutive cells is scored by one score_rows call and reduced
 # at once; it holds at most this many rows, and a cell of more is a stack
-# of its own. The per-row kernels (arm moments, arm OLS) run per cell
+# of its own. The families (arm moments, arm OLS) are built per cell
 STACK_ROWS = 1024
 
 
@@ -376,53 +375,11 @@ class MethodScores(NamedTuple):
     included: np.ndarray
 
 
-def _moment_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
-                     x: np.ndarray | None = None):
-    """moment_families of every assignment row, by the arm kernel summarize
-    calls for one draw, so the bits agree; all three given covariates ``x``."""
-    n1 = base.design.n1
-    idx1, idx0 = _arm_indices(zs, n1)
-    return moment_families(_arm_moments(idx1, pop.y1, pop.w1, x),
-                           _arm_moments(idx0, pop.y0, pop.w0, x), n1, zs.shape[1] - n1,
-                           None if x is None else Covariates(x).sxx_inv)
-
-
-def _sandwich_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig):
-    """The regression-adjusted effect estimates and sandwich family of every
-    assignment row of ``zs``, and the error each row's scalar fit raises.
-    The interacted fit is the two arms' fits (Lin 2013), which arm_fits
-    gives: the effect estimates are the gaps between the arms' intercepts,
-    and the triple sums the arms' shares. The fits it cannot trust, and
-    every draw when an arm has at most k + 1 units, are refit by
-    sandwich_families, which keeps what each refit raises."""
-    reps, n = zs.shape
-    # per draw: tau_y, tau_w and the sandwich triple (v_y, c_yw, v_w)
-    cols, unsure = np.zeros((reps, 5)), np.ones(reps, dtype=bool)
-    if min(base.design.n1, n - base.design.n1) > pop.x.shape[1] + 1:
-        ints, triples, arm_unsure = arm_fits(
-            pop.x, zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float),
-            _FLAVOR_EXPONENT[base.adjustment])
-        cols = np.concatenate([ints[0] - ints[1], triples[0] + triples[1]], axis=1)
-        unsure = arm_unsure[0] | arm_unsure[1]
-    refit = np.flatnonzero(unsure)
-    tau_y, tau_w, families, errors = sandwich_families([pop.reveal(zs[i]) for i in refit],
-                                                       base.adjustment)
-    cols[refit] = np.column_stack([tau_y, tau_w, *families["sandwich"]])
-    tau_y, tau_w, *triple = cols.T
-    return tau_y, tau_w, {"sandwich": tuple(triple)}, {int(refit[r]): exc
-                                                      for r, exc in errors.items()}
-
-
-# each regime's builder result (as moment_families') for a cell's assignment rows
-_FAMILIES = {"cre": _moment_families, "adjusted": _sandwich_families,
-             "rem": lambda pop, zs, base: _moment_families(pop, zs, base, pop.x)}
-
-
 def _score(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, errors: dict,
            base: AnalysisConfig, k: int, gammas: tuple[float, ...]
            ) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-row ratio estimates (nan where tau_w is 0) and each method's
-    MethodScores in table order, for every row of a stack's ``_FAMILIES``
+    MethodScores in table order, for every row of a stack's ``row_families``
     results at once (``errors`` is what each row's families raised), by one
     ``score_rows`` call. The first failing row's first failure (its
     families, its sets, or a Wald interval longer than its FAR interval)
@@ -659,7 +616,7 @@ def _run_stack(cfg: StudyConfig, base: AnalysisConfig, stack: list[tuple[int, fl
                 for alpha in (base.alpha / 2.0, *cfg.gamma):
                     quantile_table(MixtureParams(k=cfg.k, a=base.design.a, alpha=alpha))
         with _timed(seconds, "scoring"):
-            scored = _score(*_stacked(families), base, cfg.k, cfg.gamma)
+            scored = _score(*stack_families(families), base, cfg.k, cfg.gamma)
         with _timed(seconds, "rows"):
             rows = _rows(cfg, [tau_w for _, tau_w in stack[:len(built)]], truths,
                          np.concatenate(attempts), *scored)
@@ -670,25 +627,14 @@ def _run_stack(cfg: StudyConfig, base: AnalysisConfig, stack: list[tuple[int, fl
 
 def _cell_families(cfg: StudyConfig, cell: int, tau_w: float, base: AnalysisConfig,
                    rng: np.random.Generator, states: list[dict], seconds: dict):
-    """A cell's ``_FAMILIES`` result over its draws, its true effect and its
+    """A cell's ``row_families`` result over its draws, its true effect and its
     rejection draw counts; its assignments are dropped on return. Building
     the families is timed as scoring."""
     pop, zs, attempts = _cell_draws(cfg, cell, tau_w, base.design, rng, states, seconds)
     with _timed(seconds, "scoring"):
-        families = _FAMILIES[base.regime](pop, zs, base)
+        families = row_families(zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float),
+                                pop.x, base)
     return families, true_sample_late(pop), attempts
-
-
-def _stacked(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
-    """Cells' ``_FAMILIES`` results as one stack's: the estimates and each
-    family's triple concatenated in cell order, and each error at its row."""
-    tau_y, tau_w, families, errors = zip(*built)
-    starts = np.cumsum([0, *map(len, tau_y)]).tolist()
-    return (np.concatenate(tau_y), np.concatenate(tau_w),
-            {name: tuple(np.concatenate(parts) for parts in zip(*(f[name] for f in families)))
-             for name in families[0]},
-            {start + row: exc for start, cell_errors in zip(starts, errors)
-             for row, exc in cell_errors.items()})
 
 
 def _rows(cfg: StudyConfig, tau_ws, truths, attempts: np.ndarray, estimates: np.ndarray,

@@ -116,7 +116,7 @@ def _with_covariates(arm: _ArmArrays, idx: np.ndarray, yc: np.ndarray, wc: np.nd
     returned for the same ``idx``."""
     d = idx.shape[1] - 1
     xs = x[idx]
-    xc = xs - xs.mean(axis=1)[:, None, :]
+    xc = xs - (np.add.reduce(xs, axis=1) / (d + 1))[:, None, :]  # xs.mean's bits, never a warning
     xt = np.swapaxes(xc, 1, 2)
     return arm._replace(s_yx=(xt @ yc[:, :, None])[:, :, 0] / d,
                         s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)

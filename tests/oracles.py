@@ -414,13 +414,20 @@ def run_cell(cfg: StudyConfig, cell: int, tau_w: float) -> list[PerformanceRow]:
     return cell_rows(cfg, tau_w, truth, attempts, *score_cell(pop, zs, base, cfg.gamma))
 
 
+def cell_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig):
+    """``estimation.row_families`` of a cell's assignment rows, every row a
+    draw of the one population ``pop``, as the study builds them."""
+    return estimation.row_families(
+        zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float), pop.x, base)
+
+
 def score_cell(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
                gammas: tuple[float, ...]) -> tuple[np.ndarray, dict[str, MethodScores]]:
     """Per-draw ratio estimates and each method's MethodScores for one
     cell's assignment rows, as the study scored a cell before it stacked
-    cells: the cell's ``_FAMILIES`` entry scored by ``score_rows``, and the
-    first failing draw's first failure raised."""
-    tau_y, tau_w, families, errors = simulation._FAMILIES[base.regime](pop, zs, base)
+    cells: the cell's families (``cell_families``) scored by ``score_rows``,
+    and the first failing draw's first failure raised."""
+    tau_y, tau_w, families, errors = cell_families(pop, zs, base)
     scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
     wald_sets, far = scored.wald, scored.far
     wald_len, far_len = wald_sets.length, far.length

@@ -1,13 +1,14 @@
 """analyze_file's group pass against the one-row path, stratum for stratum.
 
 ``analyze_file`` validates the strata by arm-size group, computes their
-families (the moments by group, the interacted fits stratum by stratum),
-scores all of them with one ``score_rows`` call and hands each stratum its
-row to ``analyze_stratum``. Handed nothing, ``analyze_stratum`` runs
-``validate``, the one-row ``summarize``/``*_components`` calls or the fits,
-and the one-row ``wald_ci``/``far_set``/``first_stage_test``/``f_screen``
-calls of the same kernels. The report must be the same to the bit either
-way.
+families by one ``estimation.row_families`` call per group (each stratum a
+population of its own), scores all of them with one ``score_rows`` call
+and hands each stratum its row to ``analyze_stratum``. Handed nothing,
+``analyze_stratum`` runs ``validate``, the one-row
+``summarize``/``*_components`` calls or, adjusted, a one-row
+``row_families`` call, and the one-row
+``wald_ci``/``far_set``/``first_stage_test``/``f_screen`` calls of the
+same kernels. The report must be the same to the bit either way.
 """
 import importlib
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latekit import cli, io
+from latekit import cli, estimation, io
 from latekit.data_model import CENTERING_TOL, Y_SPREAD_RANGE, Dataset, check_rows, validate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -166,7 +167,11 @@ def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeyp
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
-    monkeypatch.setattr(io, "spd_inverses", raises)
+    # the group pass's full covariances, which the one-row path factors by
+    # design.Covariates instead
+    inverses = estimation.spd_inverses
+    monkeypatch.setattr(estimation, "spd_inverses", lambda mats, what: (
+        raises() if what == "covariate covariance" else inverses(mats, what)))
     (got, want), calls = _reports(monkeypatch, path, DESIGNS["rem"])
     _assert_bit_equal(got, want)
     assert calls == [10, 10]

@@ -389,6 +389,9 @@ def test_lambda_table_dump(tmp_path):
     (["--k", "-1", "--pa", "0.01"], "--k must be >= 1, got -1"),
     (["--k", "5", "--pa", "1.5"], "--pa must be strictly between 0 and 1, got 1.5"),
     (["--k", "5", "--a", "inf"], "--a must be finite, got inf"),
+    # the chi-square CDF's 400 steps leave k = 20,000 unconverged
+    (["--k", "20000", "--pa", "0.01"],
+     "chi-square CDF with k = 20000 did not converge in 400 steps"),
 ])
 def test_lambda_option_errors_name_the_option(tmp_path, capsys, flags, message):
     out = tmp_path / "lam.csv"

@@ -590,6 +590,25 @@ def test_wald_ci_of_far_apart_sides_matches_a_50_digit_solve():
         assert abs(mpmath.mpf(got) - want) <= 1e-15 * abs(want), (got, want)
 
 
+@pytest.mark.parametrize("method", [wald_ci, far_set])
+def test_rem_sets_of_far_apart_sides_are_the_unit_sets_scaled(method):
+    # the y side times 2^260 and the w side times 2^-260: the squared
+    # correlation's quadratics at the ratio (2^520 times the unit one)
+    # overflowed and the mixture quantile raised "rho must be in [0, 1]";
+    # on their common scale the sets are the unit sets times 2^520
+    cfg = AnalysisConfig(design=DesignSpec.rem(10, p_a=0.1, k=2))
+
+    def sides(u):
+        triples = ((0.5, 0.1, 0.3), (0.4, 0.08, 0.25), (0.1, 0.02, 0.05))
+        comp = VarianceComponents(*((math.ldexp(v_y, 2 * u), c, math.ldexp(v_w, -2 * u))
+                                    for v_y, c, v_w in triples), k=2)
+        return Estimates(math.ldexp(1.0, u), math.ldexp(0.8, -u)), comp
+
+    unit, scaled = method("rem", *sides(0), cfg), method("rem", *sides(260), cfg)
+    assert unit.kind == scaled.kind == ("interval" if method is wald_ci else "two_rays")
+    assert (scaled.lo, scaled.hi) == (math.ldexp(unit.lo, 520), math.ldexp(unit.hi, 520))
+
+
 def test_far_set_of_far_apart_sides_matches_a_50_digit_solve():
     # a y side near 1e300 and a w side near 1e-10: one shared scale pushed
     # the w side's form below the subnormals and gave a right ray; the set

@@ -15,7 +15,7 @@ from latekit.estimation import (
     variance_components,
 )
 from latekit.stats_core import summarize
-from oracles import cell_draws, random_dataset, reference_r2_star
+from oracles import cell_draws, cell_families, random_dataset, reference_r2_star
 
 
 # ---------------------------------------------------------------- oracles
@@ -248,7 +248,7 @@ def test_r2_stars_match_the_search_on_every_rem_draw(seed):
                                  reps=40, seed=seed)
     for cell, target in enumerate(tau_w):
         pop, base, _, zs, _ = cell_draws(cfg, cell, target)
-        _, _, families, errors = simulation._moment_families(pop, zs, base, pop.x)
+        _, _, families, errors = cell_families(pop, zs, base)
         assert not errors
         _assert_r2_stars_match_reference(families["proj"], families["rem"])
 

@@ -72,6 +72,14 @@ def test_chisq_cdf_at_zero():
         assert chisq_cdf(0.0, k) == 0.0
 
 
+@pytest.mark.parametrize("x", [19000.0, 19500.0, 20000.0])
+def test_chisq_cdf_raises_where_its_steps_do_not_converge(x):
+    # 400 steps of the series just below the mean left k = 20,000 off scipy
+    # by up to 3.4e-5, returned silently
+    with pytest.raises(ValueError, match="^chi-square CDF with k = 20000 did not converge"):
+        chisq_cdf(np.array([1.0, x]), 20000)
+
+
 def test_chisq_cdf_exponential_closed_form():
     assert chisq_cdf(1.386294361119891, 2) == pytest.approx(0.5, abs=1e-9)
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latekit import cli, estimation, mixture, simulation, two_stage
+from latekit import cli, estimation, mixture, simulation, stats_core, two_stage
 from latekit.confidence_sets import (
     KINDS,
     ConfidenceSet,
@@ -20,6 +20,7 @@ from latekit.estimation import REGIMES, r2_star, variance_components
 from latekit.exceptions import (
     DegenerateCovariatesError,
     InfeasibleTargetError,
+    LatekitError,
     LeverageOnePointError,
     NoIdentificationError,
     RankDeficientDesignError,
@@ -164,9 +165,9 @@ def test_oracle_matches_definitional_double_loop(rng):
 
 def _stacked_score(pop, zs, base, gammas):
     """The study's scoring pass over the assignment rows of one cell: its
-    ``_FAMILIES`` entry, then ``_score`` as for a stack of that cell alone."""
-    return simulation._score(*simulation._FAMILIES[base.regime](pop, zs, base), base,
-                             pop.x.shape[1], gammas)
+    families, then ``_score`` as for a stack of that cell alone."""
+    return simulation._score(*oracles.cell_families(pop, zs, base), base, pop.x.shape[1],
+                             gammas)
 
 
 def _every_cre_assignment(pop):
@@ -174,7 +175,7 @@ def _every_cre_assignment(pop):
     assignments of ``pop``, by the study scorer's moment families."""
     zs, _ = oracles.every_assignment(pop.n, pop.n // 2)
     base = AnalysisConfig(design=DesignSpec.cre(pop.n // 2))
-    tau_y, tau_w, families, _ = simulation._FAMILIES["cre"](pop, zs, base)
+    tau_y, tau_w, families, _ = oracles.cell_families(pop, zs, base)
     return tau_y, tau_w, families["plain"]
 
 
@@ -537,9 +538,21 @@ def test_batched_adjusted_names_the_sandwich_family_when_its_variance_is_negativ
         run_study(cfg)
 
 
-def test_every_regime_has_a_batched_pass():
-    # _cell_families looks the regime up without a scalar fallback
-    assert set(simulation._FAMILIES) == set(REGIMES)
+def test_every_regime_has_a_batched_pass(rng):
+    # _cell_families builds every regime's families by the one builder,
+    # without a scalar fallback: each family score_rows reads, for every row
+    pop = generate_population(DgpConfig(n=20, tau_w_target=0.2, k=2), rng)
+    zs = np.array([rng.permutation(np.repeat([1, 0], 10)) for _ in range(5)])
+    designs = {"cre": DesignSpec.cre(10), "rem": DesignSpec.rem(10, p_a=0.5, k=2),
+               "adjusted": DesignSpec.cre(10)}
+    for regime, spec in REGIMES.items():
+        base = AnalysisConfig(adjustment="hc2" if regime == "adjusted" else "none",
+                              design=designs[regime])
+        tau_y, tau_w, families, errors = oracles.cell_families(pop, zs, base)
+        assert base.regime == regime and not errors
+        read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
+        assert read <= set(families)
+        assert all(len(v) == len(zs) for v in (tau_y, tau_w, *families[spec.family]))
 
 
 def test_batched_pass_raises_the_first_failing_draws_first_failure(monkeypatch):
@@ -782,14 +795,14 @@ def test_only_the_guarded_draws_of_a_cell_are_refit(rng, monkeypatch, adjustment
         np.linalg.inv(np.stack([np.eye(3), singular]))
     ints, triples, unsure = estimation.arm_fits(
         pop.x, zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float),
-        simulation._FLAVOR_EXPONENT[adjustment])
+        stats_core._FLAVOR_EXPONENT[adjustment])
     bad = [2, 4]
     assert np.flatnonzero(unsure[0] | unsure[1]).tolist() == bad
     refits = []
     fit = estimation.fit_interacted_pair
     monkeypatch.setattr(estimation, "fit_interacted_pair",
                         lambda ds, z: refits.append(z) or fit(ds, z))
-    tau_y, tau_w, families, errors = simulation._sandwich_families(pop, zs, base)
+    tau_y, tau_w, families, errors = oracles.cell_families(pop, zs, base)
     assert [list(z) for z in refits] == [list(zs[i]) for i in bad]
     good = [0, 1, 3, 5]
     array = np.column_stack([ints[0] - ints[1], triples[0] + triples[1]])[good]
@@ -822,28 +835,35 @@ def _normwise_error(ints, triple, exact_ints, exact_triple) -> float:
                np.max(np.abs(triple - exact_triple)) / np.max(np.abs(exact_triple)))
 
 
-def _arm_fits(idx, yw, x1, expo):
+def _arm_fits(idx, yw, x1, expo, stacked=False):
     """estimation.arm_fits of the arm of each row of ``idx`` (its unit
-    indices in ``x1``, whose first column is ones), in the oracles' form."""
+    indices in ``x1``, whose first column is ones), in the oracles' form;
+    ``stacked``, with every row its own population (the same one), factored
+    by the stacked QR call."""
     marked = np.zeros((len(idx), len(x1)))
     np.put_along_axis(marked, idx, 1.0, axis=1)
-    ints, triple, unsure = estimation.arm_fits(x1[:, 1:], marked, np.stack([yw.T, yw.T]), expo)
+    x, yws = x1[:, 1:], np.stack([yw.T, yw.T])
+    if stacked:
+        x, yws = np.repeat(x[None], len(idx), axis=0), np.repeat(yws[:, :, None], len(idx), axis=2)
+    ints, triple, unsure = estimation.arm_fits(x, marked, yws, expo)
     return ints[0], triple[0], unsure[0]
 
 
 @pytest.mark.parametrize("cond", [1e1, 1e3, 1e4, 1e5])
 def test_arm_ols_tracks_the_qr_path_on_nearly_collinear_arms(cond):
-    # the fit in the population's QR coordinates against a reduced QR of
-    # every draw's arm design, both against 50-digit arithmetic: the worst
+    # the fit in the population's QR coordinates, with one population or
+    # with a stack of them (analyze's groups), against a reduced QR of every
+    # draw's arm design, all against 50-digit arithmetic: the worst
     # normwise relative error of the intercepts and the triple over every
     # draw, none of them guarded
     pytest.importorskip("mpmath")
-    worst = {"qr": 0.0, "population_qr": 0.0}
+    worst = {"qr": 0.0, "population_qr": 0.0, "stacked_qr": 0.0}
     for seed in (1, 2):
         idx, yw, x1 = _collinear_arms(cond, seed)
         assert cond / 3 < np.median(np.linalg.cond(x1[idx])) < 3 * cond
         paths = {name: [arm_ols(idx, yw, x1, expo) for expo in range(3)] for name, arm_ols
-                 in (("qr", oracles.reference_arm_ols), ("population_qr", _arm_fits))}
+                 in (("qr", oracles.reference_arm_ols), ("population_qr", _arm_fits),
+                     ("stacked_qr", lambda *a: _arm_fits(*a, stacked=True)))}
         for d in range(len(idx)):
             exact_ints, exact_triples = oracles.exact_arm_ols(x1[idx[d]], yw[idx[d]])
             for name, fits in paths.items():
@@ -852,6 +872,76 @@ def test_arm_ols_tracks_the_qr_path_on_nearly_collinear_arms(cond):
                     worst[name] = max(worst[name], _normwise_error(
                         ints[d], triple[d], exact_ints, exact_triple))
     assert worst["population_qr"] <= max(10.0 * worst["qr"], 1e-12), worst
+    assert worst["stacked_qr"] <= max(10.0 * worst["qr"], 1e-12), worst
+
+
+def _analyze_shaped_groups(rng, k=5):
+    """Groups of strata of one (n, n1) each, of 10-120 units with k
+    covariates, as analyze stacks them: (z, y, w, x, names) per group. One
+    group of 10 units cannot carry the 12 interacted columns, one has an
+    arm of k + 1 units, and among ordinary strata of 40 units one has
+    covariates collinear within its treated arm and one a unit whose own
+    covariate gives it leverage one in its arm."""
+    groups = []
+    for n, n1, names in ((10, 5, ["small0", "small1"]), (20, 6, ["k_plus_1_arm"]),
+                         (40, 20, ["plain0", "collinear_arm", "plain1", "lone_unit"]),
+                         (120, 55, ["wide0", "wide1", "wide2"])):
+        z = np.array([rng.permutation(np.repeat([1, 0], [n1, n - n1])) for _ in names])
+        x = rng.standard_normal((len(names), n, k))
+        for r, name in enumerate(names):
+            treated = np.flatnonzero(z[r])
+            if name == "collinear_arm":
+                x[r, treated, 1] = 2.0 * x[r, treated, 0]
+            if name == "lone_unit":  # the one treated unit off zero
+                x[r, treated, 2] = 0.0
+                x[r, treated[0], 2] = 1.0
+        x -= x.mean(axis=1, keepdims=True)
+        w = ((rng.random(z.shape) < 0.3) | (z == 1) & (rng.random(z.shape) < 0.6)).astype(float)
+        y = x.sum(axis=2) + 2.0 * w + rng.standard_normal(z.shape)
+        groups.append((z, y, w, x, names))
+    return groups
+
+
+@pytest.mark.parametrize("adjustment", ["ehw", "hc2"])
+def test_stacked_fits_give_each_stratum_its_one_row_fit_or_error(monkeypatch, adjustment):
+    # each group is one row_families call with one population per row; a
+    # row it fits in the QR coordinates agrees with the one-row interacted
+    # fit to roundoff, and a guarded row is that fit, bit for bit, or its
+    # error with the one-row text
+    base = AnalysisConfig(adjustment=adjustment, design=DesignSpec.cre(1))
+    refit = []
+    fit = estimation.fit_interacted_pair
+    monkeypatch.setattr(estimation, "fit_interacted_pair",
+                        lambda ds, z: refit.append(ds) or fit(ds, z))
+    guarded, texts = set(), {}
+    for z, y, w, x, names in _analyze_shaped_groups(np.random.default_rng(3)):
+        refit.clear()
+        tau_y, tau_w, families, errors = estimation.row_families(z, np.stack([y, w]), x, base)
+        got = np.column_stack([tau_y, tau_w, *families["sandwich"]])
+        refit_rows = {int(np.flatnonzero((z == ds.z).all(axis=1))[0]) for ds in refit}
+        guarded |= {names[r] for r in refit_rows}
+        for r, name in enumerate(names):
+            try:
+                fy, fw = fit(stats_core.Dataset(z[r], w[r], y[r], x[r]), z[r])
+                want = np.array([fy.tau_hat, fw.tau_hat, *stats_core.sandwich_cov(
+                    fy, fw, adjustment).family("sandwich")])
+            except LatekitError as exc:
+                texts[name] = str(exc)
+                assert type(errors[r]) is type(exc) and str(errors[r]) == str(exc), name
+                continue
+            assert r not in errors, name
+            if r in refit_rows:
+                assert got[r].tobytes() == want.tobytes(), name
+            else:
+                assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), name
+    assert guarded == {"small0", "small1", "k_plus_1_arm", "collinear_arm", "lone_unit"}
+    assert texts["small0"] == texts["small1"] == "need n > 12 rows for 12 columns; got 10"
+    assert texts["collinear_arm"].startswith("design is rank deficient")
+    if adjustment == "hc2":
+        assert texts["k_plus_1_arm"] == texts["lone_unit"] == (
+            "leverage-one point: HC2/HC3 weights undefined")
+    else:
+        assert set(texts) == {"small0", "small1", "collinear_arm"}
 
 
 @pytest.mark.parametrize("n,k,tau_w", [(60, 2, 0.5), (200, 5, 0.05), (200, 5, 0.5)])
@@ -863,7 +953,7 @@ def test_arm_fits_match_the_r_only_fits_draw_for_draw(n, k, tau_w, seed):
     cfg = StudyConfig(n=n, k=k, tau_w=(tau_w,), adjustment="hc2", reps=40, seed=seed)
     pop, _, _, zs, _ = oracles.cell_draws(cfg, 0, tau_w)
     x1 = np.column_stack([np.ones(n), pop.x])
-    for idx, y, w in zip(simulation._arm_indices(zs, n // 2), (pop.y1, pop.y0), (pop.w1, pop.w0)):
+    for idx, y, w in zip(stats_core._arm_indices(zs, n // 2), (pop.y1, pop.y0), (pop.w1, pop.w0)):
         yw = np.column_stack([y, w]).astype(float)
         for expo in range(3):
             (ints, triple, unsure), (ref_ints, ref_triple, ref_unsure) = (

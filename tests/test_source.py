@@ -49,8 +49,8 @@ def test_only_estimation_and_stats_core_factor_a_design():
 def test_only_io_and_estimation_estimate_from_a_dataset():
     # one path takes a dataset to estimates and variance families: analyze's
     # stratum steps (io), which two_stage_set also runs, and the families
-    # themselves (estimation), whose sandwich_families refits the study
-    # passes' unsure draws and fits analyze's adjusted groups
+    # themselves (estimation), whose row_families refits the rows its arm
+    # fits leave unsure
     names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
              "plain_components"}
     callers = set()
@@ -91,22 +91,26 @@ def _callers(names):
 
 
 def test_arm_moments_and_families_have_three_callers():
-    # arm moments are computed by one kernel, called by summarize's one-row
-    # path (stats_core), the study cell passes (simulation) and analyze's
-    # group pass (io); the families built on them come from estimation's
-    # builders alone: the two that the study passes and analyze's group pass
-    # call, and the array fit of the study's adjusted cells. A fourth moment
-    # path or another family builder has to change these lists.
+    # arm moments are computed by one kernel, which summarize's one-row path
+    # (stats_core) shares; the families of many rows come from one builder,
+    # estimation.row_families, with three callers: the study cells
+    # (simulation), analyze's groups and its one-row adjusted path (io). It
+    # alone calls the arm kernel, the moment families and the arm fits, but
+    # for variance_components' one-row moment families. A second moment path
+    # or family builder has to change these lists.
     kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
-    assert set().union(*kernel.values()) == {"stats_core.py", "simulation.py", "io.py"}, kernel
-    assert kernel["_arm_moments"] == {"simulation.py", "io.py"}, kernel
-    families = _callers(["_plain_family", "_arm_projections", "moment_families",
-                         "sandwich_families", "arm_fits"])
-    assert families == {"_plain_family": {"estimation.py"},
-                        "_arm_projections": {"estimation.py"},
-                        "moment_families": {"estimation.py", "simulation.py", "io.py"},
-                        "sandwich_families": {"simulation.py", "io.py"},
-                        "arm_fits": {"simulation.py"}}, families
+    assert kernel == {"_arm_moments": {"estimation.py"}, "_plain_arm": {"stats_core.py"},
+                      "_with_covariates": {"stats_core.py"}}, kernel
+    sites = _call_sites(["_plain_family", "_arm_projections", "moment_families", "arm_fits",
+                         "row_families"])
+    assert sites == {"_plain_family": {"estimation.py:moment_families",
+                                       "estimation.py:plain_components"},
+                     "_arm_projections": {"estimation.py:moment_families"},
+                     "moment_families": {"estimation.py:row_families",
+                                         "estimation.py:variance_components"},
+                     "arm_fits": {"estimation.py:row_families"},
+                     "row_families": {"simulation.py:_cell_families", "io.py:_group_scores",
+                                      "io.py:stratum_steps"}}, sites
 
 
 def test_one_array_scorer_serves_simulate_and_analyze():

@@ -101,15 +101,20 @@ def test_branch_matches_standalone_sets(rng):
 
 
 def test_adjusted_two_stage(rng):
+    # the one-row path fits the two arms in the stratum's QR coordinates
+    # (estimation.row_families); the interacted fit and its sandwich, the
+    # reference, give the same branch and kind, and the set to roundoff
     cfg = AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(10))
     ds = random_dataset(rng, n=40, k=2)
     out = two_stage_set(ds, cfg)
     fy, fw = fit_interacted_pair(ds, ds.z)
     cov = sandwich_cov(fy, fw, "hc2")
     est = Estimates(fy.tau_hat, fw.tau_hat)
+    assert first_stage_test("adjusted", est, cov, cfg).strong == (out.branch == "wald")
     expected = (wald_ci if out.branch == "wald" else far_set)(
         "adjusted", est, cov, cfg)
-    assert out.set == expected
+    assert out.set.kind == expected.kind and out.set.method == expected.method
+    assert (out.set.lo, out.set.hi) == pytest.approx((expected.lo, expected.hi), rel=1e-12)
 
 
 def test_output_serialization(rng):
