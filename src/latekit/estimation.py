@@ -88,12 +88,6 @@ class VarianceComponents:
         return getattr(self, name)
 
 
-def _plain_family(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int):
-    """The plain family (v_y, c_yw, v_w) of every row of the two arms."""
-    return (arm1.s2_y / n1 + arm0.s2_y / n0, arm1.s_yw / n1 + arm0.s_yw / n0,
-            arm1.s2_w / n1 + arm0.s2_w / n0)
-
-
 def _forms(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """(u s u, u s v, v s v) of every row, a (v_y, c_yw, v_w) triple."""
     return tuple(_row_forms(a, s, b) for a, b in ((u, u), (u, v), (v, v)))
@@ -119,7 +113,8 @@ def moment_families(arm1: _ArmArrays, arm0: _ArmArrays, n1: int, n0: int,
     covariate covariance (one, or one per row), also the rerandomization and
     projection families, and the error of each row with a singular arm one."""
     tau_y, tau_w = arm1.y_mean - arm0.y_mean, arm1.w_mean - arm0.w_mean
-    plain = _plain_family(arm1, arm0, n1, n0)
+    plain = (arm1.s2_y / n1 + arm0.s2_y / n0, arm1.s_yw / n1 + arm0.s_yw / n0,
+             arm1.s2_w / n1 + arm0.s2_w / n0)
     if sxx_inv is None:
         return tau_y, tau_w, {"plain": plain}, {}
     n, rows = n1 + n0, len(arm1.sxx)
@@ -272,22 +267,15 @@ def stack_families(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
             {start + row: exc for start, part in zip(starts, errors) for row, exc in part.items()})
 
 
-def plain_components(summary: MomentSummary) -> VarianceComponents:
-    """The plain family alone, which is all complete randomization reads;
-    no covariate matrix is read."""
-    plain = _plain_family(summary.arm1, summary.arm0, summary.n1, summary.n0)
-    return VarianceComponents(tuple(float(v[0]) for v in plain))
-
-
 def variance_components(summary: MomentSummary) -> VarianceComponents:
-    """Assemble the plain, rerandomization, and projection families; a
-    singular full, then within-arm, covariate covariance raises."""
-    if summary.k == 0:
-        return plain_components(summary)
+    """Assemble the plain and, given covariates, the rerandomization and
+    projection families; a singular full, then within-arm, covariate
+    covariance raises."""
     # extreme covariate scales overflow; analyze_stratum skips nonfinite ones
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, families, errors = moment_families(*summary.covariate_arms, summary.n1,
-                                                 summary.n0, Covariates(summary.dataset.x).sxx_inv)
+        arms, sxx_inv = ((summary.covariate_arms, Covariates(summary.dataset.x).sxx_inv)
+                         if summary.k else ((summary.arm1, summary.arm0), None))
+        _, _, families, errors = moment_families(*arms, summary.n1, summary.n0, sxx_inv)
     if errors:
         raise errors[0]
     return VarianceComponents(**{name: tuple(float(v[0]) for v in triple)

@@ -12,11 +12,15 @@ checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
-Strata with two or more units per arm are validated by size, their
-families built by one ``estimation.row_families`` call per size and
-scored at once by ``two_stage.score_rows``, as study cells' are; the rest
-take the one-row path of ``stratum_steps``, whose steps are one-row calls
-of the same set and first-stage kernels (and, adjusted, of the builder).
+``analyze_file`` groups the strata by size and treated count straight from
+the parsed columns. Each group's columns are stacked once and its
+covariates centred by one reduction; it is validated by one ``check_rows``
+call and its families built by one ``estimation.row_families`` call, and
+every group's rows are scored at once by ``two_stage.score_rows``, as
+study cells' are. A stratum left out of that pass, and ``two_stage_set``'s
+one stratum, take the one-row path of ``stratum_steps``: a one-row
+``row_families`` call under every regime, then one-row calls of the same
+set and first-stage kernels.
 """
 from __future__ import annotations
 
@@ -31,17 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence_sets import far_set, json_number, wald_ci
-from .data_model import (AnalysisConfig, Dataset, DesignSpec, center_covariates, check_rows,
-                         validate)
-from .estimation import (Estimates, plain_components, regime_spec, row_families,
-                         stack_families, variance_components)
+from .data_model import AnalysisConfig, Dataset, DesignSpec, check_rows, validate
+from .estimation import (Estimates, VarianceComponents, regime_spec, row_families,
+                         stack_families)
 from .exceptions import InvalidDatasetError, LatekitError
-from .stats_core import SandwichCov, summarize
+from .stats_core import SandwichCov
 from .two_stage import TwoStageOutput, f_screen, first_stage_test, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
-from .stats_core import fit_interacted_pair, sandwich_cov
+from .estimation import variance_components
+from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
@@ -215,62 +219,57 @@ def read_records(path: str) -> list[StratumRecords]:
             for key, lo, hi in zip(first, bounds, bounds[1:])]
 
 
-def _stratum_dataset(records: StratumRecords) -> tuple[Dataset, np.ndarray]:
-    x = records.x
-    centered, means = center_covariates(x) if x.shape[1] else (x, np.zeros(0))
-    ds = Dataset(z=records.z, w=records.w, y=records.y, x=centered)
-    return ds, means
-
-
-def _group_scores(datasets: list[tuple[Dataset, np.ndarray]], n1s: list[int],
-                  config: AnalysisConfig, k: int, gammas: tuple[float, ...]) -> list:
-    """What analyze_file hands analyze_stratum for each stratum with 2 or
-    more units per arm that validate accepts: ``(estimates, scores, row)``,
-    its row of one score_rows call, or the error its fits or families raise
-    (a singular full covariance first). None for the rest, non-finite
-    families and a group whose stacked factoring raises. Strata of one (n,
-    n1) are rows of one check_rows call and one row_families call, which
-    reduce row by row, so a row has its one-row bits."""
+def _group_scores(strata: list[StratumRecords], config: AnalysisConfig, k: int,
+                  gammas: tuple[float, ...]) -> tuple[list, list]:
+    """Each stratum's Dataset, its covariates centred, and their means; and
+    what analyze_file hands analyze_stratum for it: for a stratum check_rows
+    accepts, ``(estimates, scores, row)``, its row of one score_rows call, or
+    the error its fits or families raise (a singular full covariance first).
+    None for the rest, non-finite families and a group whose stacked
+    factoring raises. Strata of one (n, n1) are stacked once from the file's
+    columns, centred, checked and given families by one check_rows and one
+    row_families call, which reduce row by row, so a row has its one-row
+    bits; each Dataset is a view of its group's rows."""
     spec = regime_spec(config.regime)
-    out = [None] * len(datasets)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, ((ds, _), n1) in enumerate(zip(datasets, n1s)):
-        if min(n1, ds.n - n1) >= 2:
-            groups.setdefault((ds.n, n1), []).append(i)
-    strata, built = [], []  # the strata of every group, and its row_families result
-    for (n, n1), rows in groups.items():
-        z, y, w, x = (np.concatenate([getattr(datasets[i][0], a) for i in rows]) for a in "zywx")
-        z, y, w, x = (c.reshape(len(rows), n, *c.shape[1:]) for c in (z, y, w, x))
-        offsets = np.array([datasets[i][1] for i in rows]).reshape(len(rows), k)
-        passed = ~np.logical_or.reduce(check_rows(z, w, y, x, offsets)[0])
-        rows = list(itertools.compress(rows, passed))
-        if not rows:
+    for i, records in enumerate(strata):
+        groups.setdefault((len(records.z), int(records.z.sum())), []).append(i)
+    datasets, out = [None] * len(strata), [None] * len(strata)
+    scored, built = [], []  # the strata of every group, and its row_families result
+    for (n, _), members in groups.items():
+        z, w, y, x = (np.stack([getattr(strata[i], a) for i in members]) for a in "zwyx")
+        means = np.add.reduce(x, axis=1) / n  # center_covariates' arithmetic, row by row
+        x -= means[:, None]
+        for row, i in enumerate(members):
+            datasets[i] = Dataset(z[row], w[row], y[row], x[row]), means[row]
+        passed = ~np.logical_or.reduce(check_rows(z, w, y, x, means)[0])
+        if not passed.any():
             continue
         try:
             built.append(row_families(z[passed], np.stack([y[passed], w[passed]]), x[passed],
                                       config))
         except np.linalg.LinAlgError:
             continue
-        strata += rows
+        scored += itertools.compress(members, passed)
     if not built:
-        return out
+        return datasets, out
     tau_y, tau_w, families, errors = stack_families(built)
-    keep = _finite_rows(families.__getitem__, spec)
+    keep = _finite_rows(families, spec)
     for r, exc in errors.items():
-        out[strata[r]], keep[r] = exc, False
-    strata, tau_y, tau_w = np.array(strata)[keep], tau_y[keep], tau_w[keep]
+        out[scored[r]], keep[r] = exc, False
+    scored, tau_y, tau_w = np.array(scored)[keep], tau_y[keep], tau_w[keep]
     scores = score_rows(tau_y, tau_w, {name: tuple(v[keep] for v in f)
                                        for name, f in families.items()}, config, k, gammas)
-    for row, (i, *pair) in enumerate(zip(strata.tolist(), tau_y.tolist(), tau_w.tolist())):
+    for row, (i, *pair) in enumerate(zip(scored.tolist(), tau_y.tolist(), tau_w.tolist())):
         out[i] = (Estimates(*pair), scores, row)
-    return out
+    return datasets, out
 
 
-def _finite_rows(family, spec) -> np.ndarray:
-    """Whether each row's families the steps read, ``family(name)``, are
-    finite: extreme data can overflow them, giving sets nan endpoints."""
-    read = {spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())}
-    return np.isfinite([family(name) for name in read]).all(axis=(0, 1))
+def _finite_rows(families: dict, spec) -> np.ndarray:
+    """Whether each row's families the steps read are finite: extreme data
+    can overflow them, giving sets nan endpoints."""
+    read = dict.fromkeys((spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())))
+    return np.isfinite([families[name] for name in read]).all(axis=(0, 1))
 
 
 def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
@@ -279,8 +278,9 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
     ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
     ``moments``, from analyze_file's group pass, is an error or a row of
     score_rows, from which the getter reads each step and raises the row's
-    stored error; without it validate, the moments or builder and the chain run.
-    Invalid data or non-finite variance families raise InvalidDatasetError."""
+    stored error; without it validate, a one-row row_families call and the
+    chain run. Invalid data or non-finite variance families raise
+    InvalidDatasetError; ReM without covariates raises ValueError."""
     regime = config.regime
     if isinstance(moments, LatekitError):
         raise moments
@@ -292,21 +292,18 @@ def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
     if problems:
         raise InvalidDatasetError("; ".join(problems))
     spec = regime_spec(regime)
-    if spec.family == "sandwich":  # a one-row call of the group pass's builder
-        tau_y, tau_w, families, errors = row_families(
-            ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
-        if errors:
-            raise errors[0]
-        estimates = Estimates(float(tau_y[0]), float(tau_w[0]))
-        components = SandwichCov(*(float(v[0]) for v in families["sandwich"]),
-                                 config.adjustment)
-    else:
-        summary = summarize(ds, ds.z)
-        estimates = Estimates(summary.tau_y, summary.tau_w)
-        components = (variance_components(summary) if spec.family == "rem"
-                      else plain_components(summary))
-    if not _finite_rows(components.family, spec):
+    if spec.mixture and not ds.k:
+        raise ValueError("rerandomization family needs covariates")
+    tau_y, tau_w, families, errors = row_families(
+        ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
+    if errors:
+        raise errors[0]
+    if not _finite_rows(families, spec):
         raise InvalidDatasetError("variance estimates are not finite")
+    estimates = Estimates(float(tau_y[0]), float(tau_w[0]))
+    one = {name: tuple(float(v[0]) for v in triple) for name, triple in families.items()}
+    components = (SandwichCov(*one["sandwich"], config.adjustment) if "sandwich" in one
+                  else VarianceComponents(**one, k=ds.k))
     steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
              "far": lambda: far_set(regime, estimates, components, config),
              "ts": lambda: first_stage_test(regime, estimates, components, config),
@@ -378,15 +375,14 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
                             adjustment=adjustment, design=spec)
 
-    datasets = [_stratum_dataset(records) for records in strata]
-    n1s = [ds.n1 for ds, _ in datasets]
-    # the group pass validates and scores the strata by size; then
+    # the group pass centres, validates and scores the strata by size; then
     # analyze_stratum assembles each entry from its row (None: the one-row path)
     gammas = (gamma,) if "ts" in methods else ()
-    handed = _group_scores(datasets, n1s, config, k, gammas)
+    datasets, handed = _group_scores(strata, config, k, gammas)
 
     entries = []
-    for records, (ds, means), n1, row in zip(strata, datasets, n1s, handed):
+    for records, (ds, means), row in zip(strata, datasets, handed):
+        n1 = ds.n1
         entry = {"stratum": records.key, "n": ds.n, "n1": n1, "n0": ds.n - n1}
         if k:
             entry["covariate_means"] = [float(m) for m in means]

@@ -35,12 +35,22 @@ _DEFAULT_RHO_GRID = 101
 _DEFAULT_DRAWS = 1_600_000
 
 _EPS = 1e-15
+# Steps chisq_cdf takes at most: 400, or 10 sqrt(k/2) for large k. Near its
+# mean the series takes about 8 sqrt(k/2) (7.5-8.4 from k = 1,000 to
+# 400,000) and the continued fraction fewer; an entry stops at the same term
+# under any cap it converges within, so a larger cap changes no bits.
 _MAX_ITER = 400
-_UNCONVERGED = f"chi-square CDF with k = {{}} did not converge in {_MAX_ITER} steps"
+_STEPS_PER_ROOT = 10
+_UNCONVERGED = "chi-square CDF with k = {} did not converge in {} steps"
 # Entries chisq_cdf computes at a time: the loop temporaries of a whole
 # 16,385-point grid grew the heap a process keeps by 2 MB; a block's fit in
 # what it already holds.
 _CDF_BLOCK = 2048
+
+
+def _steps(a: float) -> int:
+    """The most steps P(a, x) takes by its series or continued fraction."""
+    return max(_MAX_ITER, math.ceil(_STEPS_PER_ROOT * math.sqrt(a)))
 
 
 def _prefactor(a: float, x: np.ndarray) -> np.ndarray:
@@ -56,7 +66,7 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     out, live = np.empty(x.size), np.arange(x.size)
     term = np.full(x.size, 1.0 / a)
     total, ap = term.copy(), a
-    for _ in range(_MAX_ITER):
+    for _ in range(_steps(a)):
         ap += 1.0
         term = term * (x / ap)
         total = total + term
@@ -66,7 +76,7 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
         live, x, term, total = live[go], x[go], term[go], total[go]
         if not live.size:
             return out
-    raise ValueError(_UNCONVERGED.format(round(2 * a)))
+    raise ValueError(_UNCONVERGED.format(round(2 * a), _steps(a)))
 
 
 def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
@@ -78,7 +88,7 @@ def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
     c = np.full(x.size, 1.0 / tiny)
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _steps(a)):
         an = -i * (i - a)
         b = b + 2.0
         d = an * d + b
@@ -94,7 +104,7 @@ def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
         live, b, c, d, h = live[go], b[go], c[go], d[go], h[go]
         if not live.size:
             return out
-    raise ValueError(_UNCONVERGED.format(round(2 * a)))
+    raise ValueError(_UNCONVERGED.format(round(2 * a), _steps(a)))
 
 
 def _regularized_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -113,7 +123,7 @@ def chisq_cdf(x, k: int):
     """Chi-square CDF with k degrees of freedom, P(k/2, x/2) by series below
     k/2 + 1 and by continued fraction above, for a number or every entry of
     an array; an entry's bits do not depend on the others. An entry not
-    converged in _MAX_ITER steps (from k = 6,000 on) raises ValueError."""
+    converged in _steps(k / 2) steps raises ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
     arr = np.asarray(x, dtype=float)
@@ -214,7 +224,7 @@ def _truncated_chisq_inverse(k: int, a: float):
     cdf[-1] = fa
     # np.interp's slope of each interval; after the last node a 0 slope (and
     # an infinite node) make F(a) itself read the last grid point
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # subnormal steps
         slope = np.append(np.diff(grid) / np.diff(cdf), 0.0)
     cdf = np.append(cdf, np.inf)
     per = _CDF_BUCKETS / fa

@@ -4,7 +4,10 @@
 ``reference_variance_components`` are the scalar arm-moment and
 variance-family arithmetic as it was before ``summarize`` became the
 one-row call of the array kernel in ``stats_core``: the kernel must give
-the same bits. They invert by ``reference_spd_inverse``, the one-matrix
+the same bits. ``one_row_chain`` is a stratum's one-row CRE/ReM path as
+``io.stratum_steps`` ran it before its one ``row_families`` call:
+``summarize``, then ``plain_components`` (kept here) or
+``variance_components``. They invert by ``reference_spd_inverse``, the one-matrix
 test, factor and inverse ``stats_core`` ran before ``spd_factors`` took
 stacks. ``reference_draws``, ``reference_arm_indices`` and
 ``reference_table_json`` are the study's per-replication seeding, arm
@@ -56,6 +59,7 @@ from latekit.data_model import (
     DesignSpec,
     PotentialDataset,
     true_sample_late,
+    validate,
 )
 from latekit.design import Covariates, _gathered_distances, draw_assignment
 from latekit.estimation import (
@@ -64,14 +68,14 @@ from latekit.estimation import (
     R2Value,
     VarianceAt,
     VarianceComponents,
-    plain_components,
     r2_of_tau,
     r2_ratio,
     r2_star,
     regime_spec,
     variance_components,
 )
-from latekit.exceptions import DegenerateCovariatesError, NoIdentificationError
+from latekit.exceptions import (DegenerateCovariatesError, InvalidDatasetError,
+                                NoIdentificationError)
 from latekit.mixture import MixtureParams, lambda_quantile, normal_quantile
 from latekit.simulation import (
     MethodScores,
@@ -197,6 +201,33 @@ def reference_variance_components(summary: ReferenceSummary) -> VarianceComponen
               a1.s2_w_proj / n1 + a0.s2_w_proj / n0 - corr_ww),
         k=summary.k,
     )
+
+
+def plain_components(summary) -> VarianceComponents:
+    """The plain family alone of a ``summarize`` result, as complete
+    randomization's one-row path read it."""
+    a1, a0, n1, n0 = summary.arm1, summary.arm0, summary.n1, summary.n0
+    return VarianceComponents(tuple(float(v[0]) for v in (
+        a1.s2_y / n1 + a0.s2_y / n0, a1.s_yw / n1 + a0.s_yw / n0, a1.s2_w / n1 + a0.s2_w / n0)))
+
+
+def one_row_chain(ds: Dataset, config: AnalysisConfig, offsets=()):
+    """One stratum's estimates and variance components by the CRE/ReM chain
+    ``io.stratum_steps`` ran before its one-row ``row_families`` call:
+    ``validate``, ``summarize``, ``plain_components`` or
+    ``variance_components``, and the check that the families its steps read
+    are finite; it raises what that chain raised."""
+    problems = validate(ds, offsets)
+    if problems:
+        raise InvalidDatasetError("; ".join(problems))
+    spec = regime_spec(config.regime)
+    summary = summarize(ds, ds.z)
+    components = (variance_components(summary) if spec.family == "rem"
+                  else plain_components(summary))
+    read = (spec.family, spec.screen_family, *(("proj",) if spec.mixture else ()))
+    if not np.isfinite([components.family(name) for name in read]).all():
+        raise InvalidDatasetError("variance estimates are not finite")
+    return Estimates(summary.tau_y, summary.tau_w), components
 
 
 # ---------------------------------------------------------- r2 search

@@ -4,9 +4,8 @@
 families by one ``estimation.row_families`` call per group (each stratum a
 population of its own), scores all of them with one ``score_rows`` call
 and hands each stratum its row to ``analyze_stratum``. Handed nothing,
-``analyze_stratum`` runs ``validate``, the one-row
-``summarize``/``*_components`` calls or, adjusted, a one-row
-``row_families`` call, and the one-row
+``analyze_stratum`` runs ``validate``, a one-row ``row_families`` call
+under every regime, and the one-row
 ``wald_ci``/``far_set``/``first_stage_test``/``f_screen`` calls of the
 same kernels. The report must be the same to the bit either way.
 """
@@ -18,7 +17,8 @@ import numpy as np
 import pytest
 
 from latekit import cli, estimation, io
-from latekit.data_model import CENTERING_TOL, Y_SPREAD_RANGE, Dataset, check_rows, validate
+from latekit.data_model import (CENTERING_TOL, Y_SPREAD_RANGE, AnalysisConfig, Dataset,
+                                center_covariates, check_rows, validate)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,17 +28,27 @@ DESIGNS = {"cre": {}, "rem": {"design": "rem", "p_a": 0.1},
 
 def _reports(monkeypatch, path, options):
     """The report with the group pass, the report of one-row calls, and how
-    many times each called summarize."""
-    one_row, summarize = io.analyze_stratum, io.summarize
+    many one-row row_families calls (those analyze_stratum makes) each ran."""
+    one_row, families = io.analyze_stratum, io.row_families
     reports, calls = [], []
     for grouped in (True, False):
-        count = []
+        count, inside = [], []
+
+        def stratum(ds, methods, config, offsets=(), moments=None, _grouped=grouped):
+            inside.append(1)
+            try:
+                return one_row(ds, methods, config, offsets, moments if _grouped else None)
+            finally:
+                inside.pop()
+
+        def counted(*args):
+            if inside:  # a call analyze_stratum makes, not the group pass
+                count.append(1)
+            return families(*args)
+
         with monkeypatch.context() as mp:
-            mp.setattr(io, "summarize", lambda *a: count.append(1) or summarize(*a))
-            if not grouped:
-                mp.setattr(io, "analyze_stratum",
-                           lambda ds, methods, config, offsets=(), moments=None:
-                           one_row(ds, methods, config, offsets))
+            mp.setattr(io, "row_families", counted)
+            mp.setattr(io, "analyze_stratum", stratum)
             reports.append(io.analyze_file(str(path), **options))
         calls.append(len(count))
     return reports, calls
@@ -108,7 +118,7 @@ def test_groups_match_one_row_calls_on_the_benchmark_input(tmp_path, monkeypatch
     (got, want), calls = _reports(monkeypatch, path, DESIGNS[design])
     _assert_bit_equal(got, want)
     # the 196 analysable strata; the 4 of 3 rows are skipped by validate
-    assert calls == ([0, 196] if design in ("cre", "rem") else [0, 0])
+    assert calls == [0, 196]
     assert sum("skipped" in e for e in got["strata"]) == 4
 
 
@@ -150,12 +160,12 @@ def test_groups_match_one_row_calls_on_strata_of_one_size(tmp_path, monkeypatch,
     path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
     (got, want), calls = _reports(monkeypatch, path, DESIGNS[design])
     _assert_bit_equal(got, want)
+    assert calls == [0, 10]  # the strata validate accepts
     skips = {e["stratum"]: e["skipped"] for e in got["strata"] if "skipped" in e}
     if design in _SHARED_REASONS:
         reasons = _SHARED_REASONS[design]
         assert set(skips) == set(reasons)
         assert all(skips[key].startswith(reason) for key, reason in reasons.items())
-        assert calls == [0, 10]  # the strata validate accepts
         constant = next(e for e in got["strata"] if e["stratum"] == "constant_receipt")
         assert constant["tau_w_hat"] == 0.0 and "skipped" not in constant
 
@@ -167,11 +177,12 @@ def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeyp
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
-    # the group pass's full covariances, which the one-row path factors by
-    # design.Covariates instead
+    # the group pass's stack of full covariances; the one-row path factors
+    # a stack of one
     inverses = estimation.spd_inverses
     monkeypatch.setattr(estimation, "spd_inverses", lambda mats, what: (
-        raises() if what == "covariate covariance" else inverses(mats, what)))
+        raises() if what == "covariate covariance" and len(mats) > 1
+        else inverses(mats, what)))
     (got, want), calls = _reports(monkeypatch, path, DESIGNS["rem"])
     _assert_bit_equal(got, want)
     assert calls == [10, 10]
@@ -185,7 +196,7 @@ def test_groups_match_one_row_calls_when_every_size_differs(tmp_path, monkeypatc
     (got, want), calls = _reports(monkeypatch, path, DESIGNS[design])
     _assert_bit_equal(got, want)
     assert not any("skipped" in e for e in got["strata"])
-    assert calls == ([0, 24] if design in ("cre", "rem") else [0, 0])
+    assert calls == [0, 24]
 
 
 # the one-row steps the group pass replaces with one score_rows call
@@ -296,8 +307,9 @@ def test_check_rows_matches_validate_at_the_edges():
 def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatch):
     # the spread and covariate means of every group of the benchmark input
     strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
+    datasets, _ = io._group_scores(strata, AnalysisConfig(), strata[0].x.shape[1], ())
     groups: dict = {}
-    for ds, means in map(io._stratum_dataset, strata):
+    for ds, means in datasets:
         groups.setdefault((ds.n, ds.n1), []).append((ds, means))
     assert len(groups) > 30
     for group in groups.values():
@@ -308,3 +320,19 @@ def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatc
                                               means[None])
             assert all(np.array_equal(a[r], b[0])
                        for a, b in zip([*fails, *rest], [*one_fails, *one_rest]))
+
+
+def test_the_group_pass_centres_each_stratum_as_center_covariates(tmp_path, monkeypatch):
+    # each stratum's Dataset is a view of its group's rows, centred by one
+    # reduction over the stack; its covariates and means keep the bits of
+    # center_covariates on the stratum's own rows
+    strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 5):
+        for records in strata:
+            records.x = rng.standard_normal((len(records.z), k)) * 10.0 ** rng.uniform(-3, 3, k)
+        datasets, _ = io._group_scores(strata, AnalysisConfig(), k, ())
+        for records, (ds, means) in zip(strata, datasets):
+            centred, want = center_covariates(records.x)
+            assert np.array_equal(ds.x, centred) and np.array_equal(means, want)
+            assert all(np.array_equal(getattr(ds, a), getattr(records, a)) for a in "zwy")

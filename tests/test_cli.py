@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latekit import cli
+from latekit import cli, mixture
 from latekit.cli import main
 from latekit.io import ALL_METHODS, analyze_file, plot_data_rows, read_records
 from latekit.simulation import StudyConfig, run_study
@@ -389,15 +389,26 @@ def test_lambda_table_dump(tmp_path):
     (["--k", "-1", "--pa", "0.01"], "--k must be >= 1, got -1"),
     (["--k", "5", "--pa", "1.5"], "--pa must be strictly between 0 and 1, got 1.5"),
     (["--k", "5", "--a", "inf"], "--a must be finite, got inf"),
-    # the chi-square CDF's 400 steps leave k = 20,000 unconverged
+    # held at 400 steps, the chi-square CDF leaves k = 20,000 unconverged
     (["--k", "20000", "--pa", "0.01"],
      "chi-square CDF with k = 20000 did not converge in 400 steps"),
 ])
-def test_lambda_option_errors_name_the_option(tmp_path, capsys, flags, message):
+def test_lambda_option_errors_name_the_option(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(mixture, "_STEPS_PER_ROOT", 0)  # the cap no longer grows with k
     out = tmp_path / "lam.csv"
     assert main(["lambda", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_lambda_takes_thousands_of_degrees_of_freedom(tmp_path):
+    # the threshold's chi-square CDF converges from k = 6,000 on, and the
+    # truncated CDF grid, whose steps are subnormal there, warns of nothing
+    out = tmp_path / "lam.csv"
+    assert main(["lambda", "--k", "6000", "--pa", "0.01", "--out", str(out)]) == 0
+    lams = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert lams[0] == pytest.approx(1.96, abs=0.01)
+    assert all(b <= a for a, b in zip(lams, lams[1:]))
 
 
 def test_analyze_rejects_pa_without_rem_design(tmp_path, capsys):

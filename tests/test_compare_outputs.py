@@ -1,20 +1,30 @@
-"""The artefact comparison of tools/compare_outputs.py on crafted bytes."""
+"""The artefact comparison of tools/compare_outputs.py on crafted bytes, and
+the two_stage_set lines of tools/two_stage_lines.py it compares."""
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
+from latekit.two_stage import two_stage_set
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def compare(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts perfbench on it
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("compare_outputs")
 
 
 def test_identical_bytes_differ_by_nothing(compare):
@@ -42,3 +52,37 @@ def test_a_text_difference_is_none(compare):
 def test_usage_without_two_checkouts(compare, capsys):
     assert compare.main(["only-one"]) == 2
     assert "PARENT CHANGE" in capsys.readouterr().err
+
+
+def test_every_analyze_setting_also_runs_two_stage_set(compare, tmp_path):
+    runs = [(name, argv) for name, argv, artefacts in compare.runs(tmp_path, 777)
+            if artefacts == ("two_stage_set.jsonl",)]
+    assert [name for name, _ in runs] == [f"analyze_strata[{setting}]"
+                                          for setting in compare.ANALYZE_SETTINGS]
+    for (_, argv), extra in zip(runs, compare.ANALYZE_SETTINGS.values()):
+        assert argv[0] == str(compare.TWO_STAGE_LINES) and argv[3:] == extra
+
+
+def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
+    # one JSON line per stratum, in input order: the centred stratum's
+    # two_stage_set entry, or the type and message of what it raised
+    rng = np.random.default_rng(4)
+    rows, strata = ["stratum,z,w,y,x1"], {}
+    for key, n1 in (("a", 10), ("b", 1), ("c", 12)):
+        z = np.repeat([1, 0], [n1, 20 - n1])
+        w = ((rng.random(20) < 0.3) | (z == 1)).astype(int)
+        y, x = rng.standard_normal(20) + w, rng.standard_normal((20, 1)) + 3.0
+        rows += [f"{key},{a},{b},{c!r},{d!r}" for a, b, c, d in
+                 zip(z, w, y.tolist(), x[:, 0].tolist())]
+        strata[key] = Dataset(z=z, w=w, y=y, x=x)
+    path, out = tmp_path / "strata.csv", tmp_path / "lines.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    assert _load("two_stage_lines").main([str(path), str(out), "--adjust", "hc2"]) == 0
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [line.pop("stratum") for line in lines] == list(strata)
+    assert lines[1] == {"error": ["InvalidDatasetError", "n1 < 2"]}
+    config = AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(1))
+    for line, ds in zip(lines[::2], (strata["a"], strata["c"])):
+        x, means = center_covariates(ds.x)
+        want = two_stage_set(Dataset(ds.z, ds.w, ds.y, x), config, means).to_json_dict()
+        assert line == json.loads(json.dumps(want))

@@ -73,11 +73,22 @@ def test_chisq_cdf_at_zero():
 
 
 @pytest.mark.parametrize("x", [19000.0, 19500.0, 20000.0])
-def test_chisq_cdf_raises_where_its_steps_do_not_converge(x):
+def test_chisq_cdf_raises_where_its_steps_do_not_converge(monkeypatch, x):
     # 400 steps of the series just below the mean left k = 20,000 off scipy
-    # by up to 3.4e-5, returned silently
-    with pytest.raises(ValueError, match="^chi-square CDF with k = 20000 did not converge"):
+    # by up to 3.4e-5, returned silently; held at 400 steps, it raises
+    monkeypatch.setattr(mixture, "_STEPS_PER_ROOT", 0)
+    with pytest.raises(ValueError, match="^chi-square CDF with k = 20000 did not converge "
+                                         "in 400 steps"):
         chisq_cdf(np.array([1.0, x]), 20000)
+
+
+@pytest.mark.parametrize("k", [6000, 20000])
+def test_chisq_cdf_and_quantile_match_scipy_for_many_degrees_of_freedom(k):
+    # the step cap grows with k: 400 steps raised from k = 6,000 on
+    xs = k + math.sqrt(2.0 * k) * np.linspace(-6.0, 6.0, 49)
+    assert np.allclose(chisq_cdf(xs, k), chi2.cdf(xs, k), rtol=1e-9, atol=0.0)
+    for p in (0.01, 0.5, 0.99):
+        assert chisq_quantile(p, k) == pytest.approx(chi2.ppf(p, k), rel=1e-9)
 
 
 def test_chisq_cdf_exponential_closed_form():

@@ -47,10 +47,10 @@ def test_only_estimation_and_stats_core_factor_a_design():
 
 
 def test_only_io_and_estimation_estimate_from_a_dataset():
-    # one path takes a dataset to estimates and variance families: analyze's
-    # stratum steps (io), which two_stage_set also runs, and the families
-    # themselves (estimation), whose row_families refits the rows its arm
-    # fits leave unsure
+    # one path takes a dataset to estimates and variance families, the
+    # family builder (estimation), whose row_families refits the rows its
+    # arm fits leave unsure; analyze's stratum steps (io), which
+    # two_stage_set also runs, call it for one row
     names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
              "plain_components"}
     callers = set()
@@ -62,7 +62,7 @@ def test_only_io_and_estimation_estimate_from_a_dataset():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in names:
                     callers.add(path.name)
-    assert callers == {"io.py", "estimation.py"}, callers
+    assert callers == {"estimation.py"}, callers
 
 
 
@@ -94,18 +94,15 @@ def test_arm_moments_and_families_have_three_callers():
     # arm moments are computed by one kernel, which summarize's one-row path
     # (stats_core) shares; the families of many rows come from one builder,
     # estimation.row_families, with three callers: the study cells
-    # (simulation), analyze's groups and its one-row adjusted path (io). It
-    # alone calls the arm kernel, the moment families and the arm fits, but
-    # for variance_components' one-row moment families. A second moment path
-    # or family builder has to change these lists.
+    # (simulation), analyze's groups and its one-row path under every regime
+    # (io). It alone calls the arm kernel, the moment families and the arm
+    # fits, but for variance_components' one-row moment families. A second
+    # moment path or family builder has to change these lists.
     kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
     assert kernel == {"_arm_moments": {"estimation.py"}, "_plain_arm": {"stats_core.py"},
                       "_with_covariates": {"stats_core.py"}}, kernel
-    sites = _call_sites(["_plain_family", "_arm_projections", "moment_families", "arm_fits",
-                         "row_families"])
-    assert sites == {"_plain_family": {"estimation.py:moment_families",
-                                       "estimation.py:plain_components"},
-                     "_arm_projections": {"estimation.py:moment_families"},
+    sites = _call_sites(["_arm_projections", "moment_families", "arm_fits", "row_families"])
+    assert sites == {"_arm_projections": {"estimation.py:moment_families"},
                      "moment_families": {"estimation.py:row_families",
                                          "estimation.py:variance_components"},
                      "arm_fits": {"estimation.py:row_families"},

@@ -3,7 +3,7 @@ import pytest
 
 from latekit.data_model import Dataset, DesignSpec
 from latekit.design import Covariates, draw_assignment
-from latekit.estimation import _arm_projections, plain_components, variance_components
+from latekit.estimation import _arm_projections, variance_components
 from latekit.exceptions import (
     DegenerateCovariatesError,
     LeverageOnePointError,
@@ -19,6 +19,7 @@ from latekit.stats_core import (
 )
 from oracles import (
     diff_in_means,
+    plain_components,
     random_dataset,
     reference_arm_indices,
     reference_plain_components,

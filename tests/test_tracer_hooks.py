@@ -26,6 +26,9 @@ def test_tracer_binds_and_restores_every_hook(monkeypatch, rng):
     tracer = tracing.Tracer()
     with tracing.bound(tracer):
         assert io.summarize is not original
+        # io binds summarize for the tracer alone: its stratum steps make a
+        # one-row row_families call
+        io.summarize(ds, ds.z)
         io.analyze_stratum(ds, ALL_METHODS, AnalysisConfig(design=DesignSpec.cre(10)))
     assert io.summarize is original
     names = {span.name for span in tracer.spans}

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,11 @@ from latekit.confidence_sets import far_set, json_number, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates, VarianceComponents, variance_components
 from latekit.exceptions import DegenerateCovariatesError, InvalidDatasetError, LatekitError
+from latekit import io
 from latekit.io import ALL_METHODS, analyze_stratum
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
-from oracles import random_dataset
+from oracles import one_row_chain, random_dataset
 
 
 def components_with_vw(v_w):
@@ -201,6 +206,83 @@ def test_two_stage_set_takes_analyze_covariate_offsets(rng):
         two_stage_set(ds, config)
     out = two_stage_set(ds, config, means)
     assert out.to_json_dict() == analyze_stratum(ds, ("ts",), config, means)["methods"]["ts"]
+
+
+def test_rem_without_covariates_raises_one_message_under_every_hash_seed():
+    # the families the steps read were once taken from a set, so which
+    # family's message came first depended on the hash seed
+    probe = "\n".join([
+        "import numpy as np",
+        "from latekit.data_model import AnalysisConfig, Dataset, DesignSpec",
+        "from latekit.two_stage import two_stage_set",
+        "rng = np.random.default_rng(1)",
+        "ds = Dataset(z=np.repeat([1, 0], 10), w=(rng.random(20) < 0.5).astype(int),",
+        "             y=rng.standard_normal(20), x=np.zeros((20, 0)))",
+        "try:",
+        "    two_stage_set(ds, AnalysisConfig(design=DesignSpec.rem(10, a=1.0)))",
+        "except ValueError as exc:",
+        "    print(type(exc).__name__, exc)"])
+    src = str(Path(io.__file__).resolve().parents[1])
+    outs = {subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+            for seed in ("0", "2")}
+    assert outs == {"ValueError rerandomization family needs covariates\n"}
+
+
+def _chain_datasets(rng, count):
+    """Centred datasets of 6 to 140 units and 1 to 4 covariates with their
+    covariate means, arms of unequal sizes, outcome and covariates on scales
+    of 1e-3 to 1e3, and every 50th with a collinear covariate."""
+    for i in range(count):
+        n, k = int(rng.integers(6, 141)), int(rng.integers(1, 5))
+        n1 = int(rng.integers(2, n - 1))
+        n1 -= 2 * n1 == n
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:n1]] = 1
+        w = ((rng.random(n) < 0.2) | (z == 1) & (rng.random(n) < 0.6)).astype(int)
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, k) + rng.normal(0, 5, k)
+        if i % 50 == 0:
+            x[:, -1] = 2.0 * x[:, 0] if k > 1 else 1.5
+        y = x @ rng.standard_normal(k) + 2.0 * w + rng.standard_normal(n)
+        x, means = center_covariates(x)
+        yield Dataset(z=z, w=w, y=y * 10.0 ** rng.uniform(-3, 3), x=x), means
+
+
+def _families_or_error(run):
+    """The estimates and family triples ``run()`` gives, or the type and
+    message of what it raises."""
+    try:
+        estimates, components = run()
+    except (LatekitError, ValueError) as exc:
+        return type(exc), str(exc)
+    return estimates, components.plain, components.rem, components.proj
+
+
+def test_one_row_steps_are_the_old_cre_and_rem_chain_bit_for_bit(rng, monkeypatch):
+    # stratum_steps' one row_families call against summarize plus
+    # plain_components or variance_components: its estimates, every family
+    # triple, or the error's type and message, exactly; the components are
+    # those its Wald step is handed
+    seen = []
+    monkeypatch.setattr(io, "wald_ci", lambda regime, estimates, components, config:
+                        seen.append(components))
+
+    def one_row(ds, config, means):
+        estimates, get = io.stratum_steps(ds, config, means)
+        seen.clear()
+        get("wald")
+        return estimates, seen[0]
+
+    configs = [AnalysisConfig(design=DesignSpec.cre(1)),
+               AnalysisConfig(design=DesignSpec.rem(1, a=1.0))]
+    errors = 0
+    for ds, means in _chain_datasets(rng, 2000):
+        for config in configs:
+            got = _families_or_error(lambda: one_row(ds, config, means))
+            assert got == _families_or_error(lambda: one_row_chain(ds, config, means))
+            errors += isinstance(got[0], type)
+    assert errors > 100
 
 
 _EST = Estimates(tau_y=1.0, tau_w=0.5)

@@ -7,8 +7,10 @@ written by ``perfbench/workloads.py`` at seeds 20240901 and 777. In each
 checkout (its ``src`` on ``PYTHONPATH``, no bytecode written) every study
 workload runs ``latekit simulate``, and ``latekit analyze`` runs on the
 strata input under ``cre``, ``--design rem --pa 0.1``, ``--adjust hc2`` and
-``--design rem --pa 0.1 --adjust ehw``. For each artefact (``table.csv``,
-``table.json``; ``report.json``, ``lengths.csv``) one line says
+``--design rem --pa 0.1 --adjust ehw``; under each of these four settings
+``tools/two_stage_lines.py`` also runs ``two_stage_set`` on every stratum.
+For each artefact (``table.csv``, ``table.json``; ``report.json``,
+``lengths.csv``; ``two_stage_set.jsonl``) one line says
 "identical" or gives the largest relative difference of its numbers. The
 exit status is 1 when a command fails, an artefact is missing, the text
 around the numbers differs, or a number moves by more than 1e-9 relative
@@ -23,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TWO_STAGE_LINES = ROOT / "tools" / "two_stage_lines.py"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from check import _NUMBER, REL_TOL  # noqa: E402
@@ -50,25 +53,28 @@ def largest_difference(a: bytes, b: bytes) -> float | None:
 
 
 def runs(workdir: Path, seed: int):
-    """(name, argv, artefact names) of every command at ``seed``, its input
-    written into ``workdir``; each argv's output directory is ``{out}``."""
+    """(name, Python argv, artefact names) of every command at ``seed``, its
+    input written into ``workdir``; each argv's output directory is ``{out}``."""
     for name, workload in WORKLOADS.items():
         inputs = make_inputs(workload, seed, workdir)
-        argv = pass_argv(workload, inputs, Path("{out}"))
+        argv = ["-m", "latekit.cli", *pass_argv(workload, inputs, Path("{out}"))]
         if workload.study is not None:
             yield name, argv, ("table.csv", "table.json")
         else:
             for setting, extra in ANALYZE_SETTINGS.items():
                 yield f"{name}[{setting}]", argv + extra, workload.outputs
+                yield (f"{name}[{setting}]", [str(TWO_STAGE_LINES), str(inputs),
+                                              "{out}/two_stage_set.jsonl", *extra],
+                       ("two_stage_set.jsonl",))
 
 
 def run(checkout: Path, argv: list[str], outdir: Path) -> str | None:
-    """Run ``latekit`` from ``checkout`` writing into ``outdir``; the error
-    text if it fails."""
-    outdir.mkdir(parents=True)
+    """Run Python with ``argv`` and ``checkout``'s ``latekit`` writing into
+    ``outdir``; the error text if it fails."""
+    outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [a.replace("{out}", str(outdir)) for a in argv]
-    done = subprocess.run([sys.executable, "-m", "latekit.cli", *args], env=env,
+    done = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, cwd=outdir)
     return None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
 
