@@ -8,8 +8,9 @@ is nonzero the ratio point estimate belongs to the set, so a truly empty
 solution is impossible.
 
 ``wald_intervals`` and ``solve_quadratic_sets`` compute the Wald and
-inversion sets of many draws at once, as arrays; ``wald_ci``, ``far_set``
-and ``solve_quadratic_set`` are their one-row calls.
+inversion sets of many draws at once, as arrays; ``solve_quadratic_set`` is
+the inverter's one-row call. ``wald_ci`` and ``far_set`` read a row of
+``two_stage.one_row_scores``, so their critical values are score_rows'.
 """
 from __future__ import annotations
 
@@ -20,19 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_model import AnalysisConfig
-from .estimation import (
-    Estimates,
-    Regime,
-    _one_row,
-    combined_variance,  # not called here: perfbench/tracing.py rebinds it by name
-    r2_of_tau,
-    r2_star,
-    regime_spec,
-    side_scales,
-    variance_at,
-)
+from .estimation import Estimates, _one_row, side_scales, variance_at
 from .exceptions import NoIdentificationError
-from .mixture import MixtureParams, lambda_quantile, normal_quantile
+
+# not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
+# names in this module by name, and fails on a name that is missing
+from .estimation import combined_variance, r2_star
+from .mixture import lambda_quantile
 
 _INF = math.inf
 
@@ -225,44 +220,29 @@ def solve_quadratic_set(b_y: float, b_w: float, crit: float,
     return solve_quadratic_sets(*_one_row(b_y, b_w, crit, q_y, q_c, q_w)).entry(0, method)
 
 
-def _critical(spec: Regime, components, config: AnalysisConfig, tail: float, r2) -> float:
-    """One row's critical value with upper tail ``tail``: the normal quantile,
-    or for a mixture regime the ReM mixture quantile at the squared
-    correlation ``r2(components)[0]``."""
-    if not spec.mixture:
-        return normal_quantile(1.0 - tail)
-    params = MixtureParams(k=components.k, a=config.design.a, alpha=tail)
-    return lambda_quantile(params, float(r2(components)[0]))
-
-
 def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfig
             ) -> ConfidenceSet:
     """Ratio point estimate plus/minus a critical value times the delta-method
-    standard error of the chosen regime's variance family: the one row of
-    wald_intervals.
+    standard error of the chosen regime's variance family: the ``wald``
+    step of two_stage.one_row_scores.
 
     A zero first-stage estimate yields the whole line (the infinite-interval
     signal) rather than an error.
     """
-    spec = regime_spec(regime)
-    ratio = estimates.ratio  # as score_rows: 0 where not finite, whose set is an error
-    crit = _critical(spec, components, config, config.alpha / 2.0,
-                     lambda c: r2_of_tau(c, ratio if math.isfinite(ratio) else 0.0))
-    b_y, b_w, q_y, q_c, q_w = _one_row(*estimates, *components.family(spec.family))
-    return wald_intervals(b_y, b_w, crit, q_y, q_c, q_w, spec.family).entry(
-        0, f"wald[{regime}]")
+    from .two_stage import one_row_scores  # two_stage imports this module's kernels
+    return one_row_scores(regime, estimates, components, config).step(0, "wald", regime,
+                                                                       config.gamma)
 
 
 def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfig
             ) -> ConfidenceSet:
-    """Weak-instrument-robust confidence set by quadratic inversion.
+    """Weak-instrument-robust confidence set by quadratic inversion: the
+    ``far`` step of two_stage.one_row_scores.
 
     The critical value is the normal quantile except in the unadjusted
     rerandomized regime, where the mixture quantile at the minimized
     squared correlation applies.
     """
-    spec = regime_spec(regime)
-    b_y, b_w = estimates.tau_y, estimates.tau_w
-    q_y, q_c, q_w = components.family(spec.family)
-    crit = _critical(spec, components, config, config.alpha / 2.0, r2_star)
-    return solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")
+    from .two_stage import one_row_scores  # two_stage imports this module's kernels
+    return one_row_scores(regime, estimates, components, config).step(0, "far", regime,
+                                                                       config.gamma)

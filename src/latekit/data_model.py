@@ -244,6 +244,9 @@ class AnalysisConfig:
             raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must be in (0, 1)")
+        if self.regime == "rem" and not self.gamma < 0.5:  # a mixture quantile's tail
+            raise ValueError(f"gamma must be in (0, 0.5) under rerandomization without "
+                             f"adjustment; got {self.gamma!r}")
         if not 0 < self.p_plus < 1:
             raise ValueError("p_plus must be in (0, 1)")
         if self.adjustment not in ("none", "ehw", "hc2", "hc3"):

@@ -319,9 +319,16 @@ def _common_scale(proj, rem):
 
 def r2_at(proj, rem, tau):
     """r2_ratio of the projection and rerandomization families' quadratics
-    at ``tau``, on their common scale; triples of floats or of arrays."""
+    at ``tau``, on their common scale; triples of floats or of arrays. Where
+    finite triples overflow at the scaled ratio t, both quadratics are
+    divided by t^2 (the reversed triples at 1/t), whose limit is p2/q2."""
     (proj, rem), shift = _common_scale(proj, rem)
-    return r2_ratio(_quad(proj, np.ldexp(tau, shift)), _quad(rem, np.ldexp(tau, shift)))
+    t = np.ldexp(tau, shift)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, q = _quad(proj, t), _quad(rem, t)
+        over = ~(np.isfinite(p) & np.isfinite(q)) & np.isfinite([*proj, *rem]).all(axis=0)
+        p, q = (np.where(over, _quad(f[::-1], 1.0 / t), v) for f, v in ((proj, p), (rem, q)))
+    return r2_ratio(p, q)
 
 
 def r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:

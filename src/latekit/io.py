@@ -19,8 +19,8 @@ call and its families built by one ``estimation.row_families`` call, and
 every group's rows are scored at once by ``two_stage.score_rows``, as
 study cells' are. A stratum left out of that pass, and ``two_stage_set``'s
 one stratum, take the one-row path of ``stratum_steps``: a one-row
-``row_families`` call under every regime, then one-row calls of the same
-set and first-stage kernels.
+``row_families`` call under every regime, then a one-row ``score_rows``
+call, whose row its steps read as they read a group's.
 """
 from __future__ import annotations
 
@@ -34,18 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence_sets import far_set, json_number, wald_ci
+from .confidence_sets import json_number
 from .data_model import AnalysisConfig, Dataset, DesignSpec, check_rows, validate
-from .estimation import (Estimates, VarianceComponents, regime_spec, row_families,
-                         stack_families)
+from .estimation import Estimates, regime_spec, row_families, stack_families
 from .exceptions import InvalidDatasetError, LatekitError
-from .stats_core import SandwichCov
-from .two_stage import TwoStageOutput, f_screen, first_stage_test, score_rows
+from .two_stage import TwoStageOutput, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
+from .confidence_sets import far_set, wald_ci
 from .estimation import variance_components
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
+from .two_stage import f_screen, first_stage_test
 
 ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
 
@@ -258,8 +258,9 @@ def _group_scores(strata: list[StratumRecords], config: AnalysisConfig, k: int,
     for r, exc in errors.items():
         out[scored[r]], keep[r] = exc, False
     scored, tau_y, tau_w = np.array(scored)[keep], tau_y[keep], tau_w[keep]
-    scores = score_rows(tau_y, tau_w, {name: tuple(v[keep] for v in f)
-                                       for name, f in families.items()}, config, k, gammas)
+    scores = score_rows(config.regime, tau_y, tau_w, {name: tuple(v[keep] for v in f)
+                                                      for name, f in families.items()},
+                        config, k, gammas)
     for row, (i, *pair) in enumerate(zip(scored.tolist(), tau_y.tolist(), tau_w.tolist())):
         out[i] = (Estimates(*pair), scores, row)
     return datasets, out
@@ -274,41 +275,33 @@ def _finite_rows(families: dict, spec) -> np.ndarray:
 
 def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
                   moments=None):
-    """One stratum's estimates and a getter that runs each of its steps
-    ("wald", "far", "ts", "ts_f10") at most once; ``offsets`` as in validate.
-    ``moments``, from analyze_file's group pass, is an error or a row of
-    score_rows, from which the getter reads each step and raises the row's
-    stored error; without it validate, a one-row row_families call and the
-    chain run. Invalid data or non-finite variance families raise
+    """One stratum's estimates and a getter that reads each of its steps
+    ("wald", "far", "ts", "ts_f10") at most once from a row of score_rows,
+    raising the row's stored error; ``offsets`` as in validate. ``moments``,
+    from analyze_file's group pass, is an error or that row; without it
+    validate, a one-row row_families call and a one-row score_rows call
+    make it. Invalid data or non-finite variance families raise
     InvalidDatasetError; ReM without covariates raises ValueError."""
     regime = config.regime
     if isinstance(moments, LatekitError):
         raise moments
-    if moments is not None:
-        estimates, scores, row = moments
-        return estimates, functools.cache(
-            lambda step: scores.step(row, step, regime, config.gamma))
-    problems = validate(ds, offsets)
-    if problems:
-        raise InvalidDatasetError("; ".join(problems))
-    spec = regime_spec(regime)
-    if spec.mixture and not ds.k:
-        raise ValueError("rerandomization family needs covariates")
-    tau_y, tau_w, families, errors = row_families(
-        ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
-    if errors:
-        raise errors[0]
-    if not _finite_rows(families, spec):
-        raise InvalidDatasetError("variance estimates are not finite")
-    estimates = Estimates(float(tau_y[0]), float(tau_w[0]))
-    one = {name: tuple(float(v[0]) for v in triple) for name, triple in families.items()}
-    components = (SandwichCov(*one["sandwich"], config.adjustment) if "sandwich" in one
-                  else VarianceComponents(**one, k=ds.k))
-    steps = {"wald": lambda: wald_ci(regime, estimates, components, config),
-             "far": lambda: far_set(regime, estimates, components, config),
-             "ts": lambda: first_stage_test(regime, estimates, components, config),
-             "ts_f10": lambda: f_screen(regime, estimates, components)}
-    return estimates, functools.cache(lambda step: steps[step]())
+    if moments is None:
+        problems = validate(ds, offsets)
+        if problems:
+            raise InvalidDatasetError("; ".join(problems))
+        spec = regime_spec(regime)
+        if spec.mixture and not ds.k:
+            raise ValueError("rerandomization family needs covariates")
+        tau_y, tau_w, families, errors = row_families(
+            ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
+        if errors:
+            raise errors[0]
+        if not _finite_rows(families, spec):
+            raise InvalidDatasetError("variance estimates are not finite")
+        moments = (Estimates(float(tau_y[0]), float(tau_w[0])),
+                   score_rows(regime, tau_y, tau_w, families, config, ds.k, (config.gamma,)), 0)
+    estimates, scores, row = moments
+    return estimates, functools.cache(lambda step: scores.step(row, step, regime, config.gamma))
 
 
 def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfig,

@@ -15,8 +15,9 @@ and scores its groups, and ``_rows`` reduces them to every cell's table
 rows at once.
 Unadjusted cells get the bits of scoring each draw alone by ``summarize``
 and the one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and
-``f_screen``; adjusted cells (per-arm OLS fits instead of one interacted
-fit, but for the draws they cannot trust) agree to roundoff.
+``f_screen``, which read a one-row ``score_rows`` call; adjusted cells
+(per-arm OLS fits instead of one interacted fit, but for the draws they
+cannot trust) agree to roundoff.
 """
 from __future__ import annotations
 
@@ -220,6 +221,10 @@ class StudyConfig:
             bad = [v for v in values if not _in_range(v, high, closed=key == "tau_w")]
             if bad:
                 raise ValueError(f"{key} must list numbers in {interval}; got {bad[0]!r}")
+        if self.design == "rem" and self.adjustment == "none" and max(self.gamma) >= 0.5:
+            # the ReM t test's critical value is a mixture quantile with tail gamma
+            raise ValueError(f"gamma must list numbers in (0, 0.5) under rerandomization "
+                             f"without adjustment; got {max(self.gamma)!r}")
         # a table row is named by its gamma to 6 significant digits
         named = {}
         for g in self.gamma:
@@ -384,7 +389,7 @@ def _score(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, errors: dict,
     ``score_rows`` call. The first failing row's first failure (its
     families, its sets, or a Wald interval longer than its FAR interval)
     is raised."""
-    scored = score_rows(tau_y, tau_w, families, base, k, gammas)
+    scored = score_rows(base.regime, tau_y, tau_w, families, base, k, gammas)
     wald_sets, far = scored.wald, scored.far
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate

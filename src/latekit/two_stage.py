@@ -5,6 +5,12 @@ threshold; a rejection (strict inequality) selects the Wald interval,
 otherwise the robust quadratic-inversion set is reported. The F-screen
 comparators replicate the common practice of trusting the Wald interval
 only when the first-stage F statistic exceeds 10.
+
+``score_rows`` scores many rows at once, study draws or analyze strata: their
+Wald and FAR sets, t tests and F screens, with every critical value the
+package uses. ``one_row_scores`` is its one-row call on a VarianceComponents
+or a SandwichCov, whose row ``wald_ci``, ``far_set`` and ``first_stage_test``
+read.
 """
 from __future__ import annotations
 
@@ -14,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confidence_sets import (ConfidenceSet, SetArrays, _critical, json_number,
-                              solve_quadratic_sets, wald_intervals)
+from .confidence_sets import (ConfidenceSet, SetArrays, json_number, solve_quadratic_sets,
+                              wald_intervals)
 from .data_model import AnalysisConfig, Dataset
-from .estimation import Estimates, r2_at, r2_ratio, r2_stars, regime_spec
+from .estimation import Estimates, _one_row, r2_at, r2_ratio, r2_stars, regime_spec
 from .mixture import MixtureParams, lambda_quantiles, normal_quantile
 from .mixture import lambda_quantile  # not called here: perfbench/tracing.py rebinds it
 
@@ -70,18 +76,14 @@ def _first_stage(stat, crit, kind: str) -> FirstStageResult:
 
 def first_stage_test(regime: str, estimates: Estimates, components,
                      config: AnalysisConfig) -> FirstStageResult:
-    """Test whether the first stage clears the strength threshold.
+    """Test whether the first stage clears the strength threshold: the
+    ``ts`` step of one_row_scores.
 
     A nonpositive variance estimate cannot be standardized; the instrument
     is then conservatively declared weak.
     """
-    spec = regime_spec(regime)
-    var = components.family(spec.family)[2]
-    # under a mixture regime, at the receipt's own squared correlation
-    crit = _critical(spec, components, config, config.gamma,
-                     lambda c: r2_ratio(c.family("proj")[2], var))
-    return _first_stage(_statistics(estimates.tau_w, var, var, config.p_plus)[0], crit,
-                        spec.statistic)
+    return one_row_scores(regime, estimates, components, config).step(0, "ts", regime,
+                                                                       config.gamma)
 
 
 def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
@@ -93,8 +95,9 @@ def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
 class RowScores(NamedTuple):
     """The Wald and FAR sets of many rows (with each row's error kept), the
     first-stage t statistic, its critical value at each gamma, and the F
-    statistic, nan (weak) at a variance <= 0; wald_ci, far_set,
-    first_stage_test and f_screen give what ``step`` reads of one row."""
+    statistic, nan (weak) at a variance <= 0; wald_ci, far_set and
+    first_stage_test read ``step`` of one_row_scores, and f_screen gives
+    what it reads of one row."""
 
     wald: SetArrays
     far: SetArrays
@@ -113,13 +116,14 @@ class RowScores(NamedTuple):
         return _first_stage(self.f_stat[row], F_THRESHOLD, "f")
 
 
-def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: AnalysisConfig,
-               k: int, gammas: tuple[float, ...]) -> RowScores:
+def score_rows(regime: str, tau_y: np.ndarray, tau_w: np.ndarray, families: dict,
+               config: AnalysisConfig, k: int, gammas: tuple[float, ...]) -> RowScores:
     """The Wald and FAR sets, the first-stage t test at each of ``gammas`` and
     the F screen, without raising, for every row of the estimates and
     ``families`` (a per-row (v_y, c_yw, v_w) triple per name), read by
-    ``config``'s Regime row."""
-    spec = regime_spec(config.regime)
+    ``regime``'s Regime row with ``config``'s alpha, p_plus and threshold:
+    every critical value the procedures use."""
+    spec = regime_spec(regime)
     triple, screen_var = families[spec.family], families[spec.screen_family][2]
     fs_var, tail = triple[2], config.alpha / 2.0
     if spec.mixture:
@@ -145,6 +149,19 @@ def score_rows(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, config: Ana
                      t_stat, t_crit, f_stat)
 
 
+def one_row_scores(regime: str, estimates: Estimates, components,
+                   config: AnalysisConfig) -> RowScores:
+    """score_rows of one row at ``config.gamma``: ``estimates`` and the
+    families of ``components`` (a VarianceComponents or a SandwichCov) that
+    ``regime`` reads, in one order, so every step names a missing one alike:
+    its family, its screen family, then under ReM the projection family."""
+    spec = regime_spec(regime)
+    names = (spec.family, spec.screen_family, *(("proj",) if spec.mixture else ()))
+    families = {name: tuple(_one_row(*components.family(name))) for name in dict.fromkeys(names)}
+    return score_rows(regime, *_one_row(*estimates), families, config,
+                      components.k if spec.mixture else 0, (config.gamma,))
+
+
 def two_stage_set(dataset: Dataset, config: AnalysisConfig,
                   offsets: np.ndarray = ()) -> TwoStageOutput:
     """Run the complete two-stage procedure on observed data by ``analyze``'s
@@ -153,7 +170,7 @@ def two_stage_set(dataset: Dataset, config: AnalysisConfig,
     Strong first stage: the regime's Wald interval. Weak (including ties):
     the regime's robust set.
     """
-    from .io import stratum_steps  # io imports this module's first-stage tests
+    from .io import stratum_steps  # io imports this module's scorer
     _, get = stratum_steps(dataset, config, offsets)
     fs = get("ts")
     branch = "wald" if fs.strong else "far"

@@ -22,6 +22,12 @@ and ``reference_f_screen`` are the scalar set chain as it was before
 ``f_screen`` became one-row calls of the array kernels, with
 ``reference_combined_variance`` the scalar variance at the ratio it read:
 the kernels must give their kinds, bits, flags and errors.
+``critical_chain_wald_ci``, ``critical_chain_far_set`` and
+``critical_chain_first_stage_test`` are those one-row calls as they were
+next, each with its own scalar critical value (``_critical``, and for the
+Wald set ``_direct_r2_of_tau``, ``r2_of_tau`` before it reversed an
+overflowing quadratic), before they read a row of ``score_rows``: the calls
+must give their reprs and errors but for the rows the tests declare.
 ``reference_evaluate_draw`` scores one study draw by that chain and
 ``reference_score_draws`` stacks it over a cell's draws, with
 ``set_arrays_from_sets`` packing its sets: ``simulation._score``, the one
@@ -52,7 +58,8 @@ from typing import Sequence
 import numpy as np
 
 from latekit import estimation, simulation
-from latekit.confidence_sets import KINDS, ConfidenceSet, SetArrays, _critical
+from latekit.confidence_sets import (KINDS, ConfidenceSet, SetArrays, solve_quadratic_set,
+                                     wald_intervals)
 from latekit.data_model import (
     AnalysisConfig,
     Dataset,
@@ -66,8 +73,12 @@ from latekit.estimation import (
     FLOORED_FAMILIES,
     Estimates,
     R2Value,
+    Regime,
     VarianceAt,
     VarianceComponents,
+    _common_scale,
+    _one_row,
+    _quad,
     r2_of_tau,
     r2_ratio,
     r2_star,
@@ -86,7 +97,8 @@ from latekit.simulation import (
     _method_names,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
-from latekit.two_stage import F_THRESHOLD, FirstStageResult, score_rows
+from latekit.two_stage import (F_THRESHOLD, FirstStageResult, _first_stage, _statistics,
+                               score_rows)
 
 _INF = math.inf
 
@@ -459,7 +471,7 @@ def score_cell(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,
     cells: the cell's families (``cell_families``) scored by ``score_rows``,
     and the first failing draw's first failure raised."""
     tau_y, tau_w, families, errors = cell_families(pop, zs, base)
-    scored = score_rows(tau_y, tau_w, families, base, pop.x.shape[1], gammas)
+    scored = score_rows(base.regime, tau_y, tau_w, families, base, pop.x.shape[1], gammas)
     wald_sets, far = scored.wald, scored.far
     wald_len, far_len = wald_sets.length, far.length
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
@@ -676,6 +688,62 @@ def reference_f_screen(regime: str, estimates: Estimates, components) -> FirstSt
     stat = estimates.tau_w ** 2 / var
     return FirstStageResult(statistic=stat, critical=F_THRESHOLD,
                             strong=stat > F_THRESHOLD, statistic_kind="f")
+
+
+# ------------------------------------- one-row calls with scalar critical values
+def _critical(spec: Regime, components, config: AnalysisConfig, tail: float, r2) -> float:
+    """One row's critical value with upper tail ``tail``: the normal quantile,
+    or for a mixture regime the ReM mixture quantile at the squared
+    correlation ``r2(components)[0]``."""
+    if not spec.mixture:
+        return normal_quantile(1.0 - tail)
+    params = MixtureParams(k=components.k, a=config.design.a, alpha=tail)
+    return lambda_quantile(params, float(r2(components)[0]))
+
+
+def _direct_r2_of_tau(components: VarianceComponents, tau: float) -> R2Value:
+    """r2_of_tau as it was before r2_at reversed an overflowing quadratic:
+    the direct quotient, nan where both quadratics overflow."""
+    (proj, rem), shift = _common_scale(components.family("proj"), components.family("rem"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, degenerate = r2_ratio(_quad(proj, np.ldexp(tau, shift)),
+                                     _quad(rem, np.ldexp(tau, shift)))
+    return R2Value(float(value), bool(degenerate))
+
+
+def critical_chain_wald_ci(regime: str, estimates: Estimates, components,
+                           config: AnalysisConfig) -> ConfidenceSet:
+    """``wald_ci`` as it was while each one-row procedure took its critical
+    value from its own ``_critical`` call."""
+    spec = regime_spec(regime)
+    ratio = estimates.ratio  # as score_rows: 0 where not finite, whose set is an error
+    crit = _critical(spec, components, config, config.alpha / 2.0,
+                     lambda c: _direct_r2_of_tau(c, ratio if math.isfinite(ratio) else 0.0))
+    b_y, b_w, q_y, q_c, q_w = _one_row(*estimates, *components.family(spec.family))
+    return wald_intervals(b_y, b_w, crit, q_y, q_c, q_w, spec.family).entry(
+        0, f"wald[{regime}]")
+
+
+def critical_chain_far_set(regime: str, estimates: Estimates, components,
+                           config: AnalysisConfig) -> ConfidenceSet:
+    """``far_set`` as it was then."""
+    spec = regime_spec(regime)
+    b_y, b_w = estimates.tau_y, estimates.tau_w
+    q_y, q_c, q_w = components.family(spec.family)
+    crit = _critical(spec, components, config, config.alpha / 2.0, r2_star)
+    return solve_quadratic_set(b_y, b_w, crit, q_y, q_c, q_w, method=f"far[{regime}]")
+
+
+def critical_chain_first_stage_test(regime: str, estimates: Estimates, components,
+                                    config: AnalysisConfig) -> FirstStageResult:
+    """``first_stage_test`` as it was then."""
+    spec = regime_spec(regime)
+    var = components.family(spec.family)[2]
+    # under a mixture regime, at the receipt's own squared correlation
+    crit = _critical(spec, components, config, config.gamma,
+                     lambda c: r2_ratio(c.family("proj")[2], var))
+    return _first_stage(_statistics(estimates.tau_w, var, var, config.p_plus)[0], crit,
+                        spec.statistic)
 
 
 # ------------------------------------------------------ scalar study scoring

@@ -5,9 +5,8 @@ families by one ``estimation.row_families`` call per group (each stratum a
 population of its own), scores all of them with one ``score_rows`` call
 and hands each stratum its row to ``analyze_stratum``. Handed nothing,
 ``analyze_stratum`` runs ``validate``, a one-row ``row_families`` call
-under every regime, and the one-row
-``wald_ci``/``far_set``/``first_stage_test``/``f_screen`` calls of the
-same kernels. The report must be the same to the bit either way.
+under every regime, and a one-row ``score_rows`` call. The report must be
+the same to the bit either way.
 """
 import importlib
 import json
@@ -199,22 +198,17 @@ def test_groups_match_one_row_calls_when_every_size_differs(tmp_path, monkeypatc
     assert calls == [0, 24]
 
 
-# the one-row steps the group pass replaces with one score_rows call
-_CHAIN = ("wald_ci", "far_set", "first_stage_test", "f_screen")
-
-
-def _chain_calls(monkeypatch, path, options):
-    """_reports' two reports, and how many times each of the one-row steps
-    ran with the group pass and without it."""
-    calls = {name: [0, 0] for name in _CHAIN}
+def _one_row_score_calls(monkeypatch, path, options):
+    """_reports' two reports, and how many one-row score_rows calls ran with
+    the group pass and without it."""
+    calls = [0, 0]
     grouped = io.analyze_stratum
     with monkeypatch.context() as mp:
-        for name in _CHAIN:
-            def counted(*args, _name=name, _call=getattr(io, name)):
-                # _reports rebinds analyze_stratum for its one-row pass
-                calls[_name][io.analyze_stratum is not grouped] += 1
-                return _call(*args)
-            mp.setattr(io, name, counted)
+        def counted(regime, tau_y, *args, _call=io.score_rows):
+            # _reports rebinds analyze_stratum for its one-row pass
+            calls[io.analyze_stratum is not grouped] += len(tau_y) == 1
+            return _call(regime, tau_y, *args)
+        mp.setattr(io, "score_rows", counted)
         reports, _ = _reports(monkeypatch, path, options)
     return reports, calls
 
@@ -231,9 +225,9 @@ def _benchmark_input(tmp_path, monkeypatch, seed=20240901):
 @pytest.mark.parametrize("design", DESIGNS)
 def test_the_group_pass_runs_no_scalar_chain(tmp_path, monkeypatch, design):
     path = _benchmark_input(tmp_path, monkeypatch)
-    (got, want), calls = _chain_calls(monkeypatch, path, DESIGNS[design])
+    (got, want), calls = _one_row_score_calls(monkeypatch, path, DESIGNS[design])
     _assert_bit_equal(got, want)
-    assert calls == {name: [0, 196] for name in _CHAIN}
+    assert calls == [0, 196]
 
 
 _INPUTS = {"benchmark": _benchmark_input,

@@ -424,6 +424,54 @@ def test_analyze_rejects_pa_without_rem_design(tmp_path, capsys):
         analyze_file(str(f), p_a=0.5)
 
 
+@pytest.mark.parametrize("flags", [["--design", "rem", "--pa", "0.1"], []], ids=["rem", "cre"])
+def test_analyze_reports_every_stratum_beside_a_huge_outcome_t_statistic(tmp_path, flags):
+    # stratum b's outcome is 1000 z plus noise of size 1e-153: its ratio is
+    # too large to square on the correlation's common scale, which once gave
+    # the ReM group pass a nan correlation, and every stratum was lost (exit 2)
+    rng = np.random.default_rng(3)
+    lines = ["stratum,z,w,y,x1,x2"]
+    for key in "abc":
+        z = np.repeat([1, 0], 20)
+        w = ((rng.random(40) < 0.3) | (z == 1) & (rng.random(40) < 0.6)).astype(int)
+        x = rng.standard_normal((40, 2))
+        y = (1000.0 * z + 1e-153 * rng.standard_normal(40) if key == "b"
+             else x.sum(axis=1) + 2.0 * w + rng.standard_normal(40))
+        lines += [f"{key},{a},{b},{c!r},{d!r},{e!r}" for a, b, c, d, e in
+                  zip(z, w, y.tolist(), x[:, 0].tolist(), x[:, 1].tolist())]
+    f, out = tmp_path / "huge_t.csv", tmp_path / "r.json"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--input", str(f), "--out", str(out), *flags]) == 0
+    strata = json.loads(out.read_text())["strata"]
+    assert [e["stratum"] for e in strata] == list("abc")
+    assert all(list(e["methods"]) == list(ALL_METHODS) for e in strata)
+    assert strata[1]["methods"]["wald"]["set"]["type"] == "interval"
+
+
+def test_rem_gamma_of_one_half_or_more_is_refused(covariate_file, tmp_path, capsys):
+    # the ReM t test's critical value is a mixture quantile with tail gamma,
+    # which is defined below one half; a CRE or adjusted t test takes the
+    # normal quantile at any gamma in (0, 1)
+    out, rem = tmp_path / "r.json", ["--design", "rem", "--pa", "0.1"]
+    rc = main(["analyze", "--input", str(covariate_file), *rem, "--gamma", "0.5",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: gamma must be in (0, 0.5) under "
+                                       "rerandomization without adjustment; got 0.5\n")
+    assert not out.exists()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 40, "k": 2, "reps": 2, "design": "rem",
+                                    "gamma": [0.075, 0.6]}))
+    rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: gamma must list numbers in (0, 0.5) under "
+                                       "rerandomization without adjustment; got 0.6\n")
+    assert not (tmp_path / "x").exists()
+    for flags in ([], [*rem, "--adjust", "ehw"]):
+        assert main(["analyze", "--input", str(covariate_file), *flags, "--gamma", "0.5",
+                     "--out", str(out)]) == 0
+
+
 def test_design_rejects_pa_without_rem_mode(covariate_file, tmp_path, capsys):
     # a CRE draw has no acceptance threshold; --pa would be silently ignored
     out = tmp_path / "d.csv"

@@ -1,5 +1,6 @@
 """The artefact comparison of tools/compare_outputs.py on crafted bytes, and
-the two_stage_set lines of tools/two_stage_lines.py it compares."""
+the one-row lines of tools/two_stage_lines.py it compares."""
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -8,10 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
-from latekit.two_stage import two_stage_set
+from latekit.estimation import Estimates
+from latekit.stats_core import fit_interacted_pair, sandwich_cov
+from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_STEPS = {"wald_ci": wald_ci, "far_set": far_set, "first_stage_test": first_stage_test,
+          "f_screen": lambda regime, est, cov, config: f_screen(regime, est, cov)}
 
 
 def _load(name):
@@ -65,7 +71,8 @@ def test_every_analyze_setting_also_runs_two_stage_set(compare, tmp_path):
 
 def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
     # one JSON line per stratum, in input order: the centred stratum's
-    # two_stage_set entry, or the type and message of what it raised
+    # two_stage_set entry and the one-row procedures' fields from the
+    # interacted fit's sandwich, or the type and message of what each raised
     rng = np.random.default_rng(4)
     rows, strata = ["stratum,z,w,y,x1"], {}
     for key, n1 in (("a", 10), ("b", 1), ("c", 12)):
@@ -80,9 +87,15 @@ def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
     assert _load("two_stage_lines").main([str(path), str(out), "--adjust", "hc2"]) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert [line.pop("stratum") for line in lines] == list(strata)
-    assert lines[1] == {"error": ["InvalidDatasetError", "n1 < 2"]}
+    assert lines[1]["two_stage_set"] == {"error": ["InvalidDatasetError", "n1 < 2"]}
+    assert all("error" in lines[1][name] for name in _STEPS)
     config = AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(1))
     for line, ds in zip(lines[::2], (strata["a"], strata["c"])):
         x, means = center_covariates(ds.x)
-        want = two_stage_set(Dataset(ds.z, ds.w, ds.y, x), config, means).to_json_dict()
+        ds = Dataset(ds.z, ds.w, ds.y, x)
+        want = {"two_stage_set": two_stage_set(ds, config, means).to_json_dict()}
+        fit_y, fit_w = fit_interacted_pair(ds, ds.z)
+        est, cov = Estimates(fit_y.tau_hat, fit_w.tau_hat), sandwich_cov(fit_y, fit_w, "hc2")
+        for name, step in _STEPS.items():
+            want[name] = dataclasses.asdict(step("adjusted", est, cov, config))
         assert line == json.loads(json.dumps(want))

@@ -211,6 +211,20 @@ def test_wald_ci_rejects_a_ratio_that_overflows(regime, tau_y):
     assert list(sets.errors) == [0] and sets.entry(1).kind == "interval"
 
 
+def test_rem_wald_ci_at_a_ratio_too_large_to_square():
+    # 1e300 / 0.3 is finite, but the correlation's quadratics at it overflow
+    # on their common scale; r2_at takes their limit p2/q2 = 0.25 there, so
+    # the mixture quantile has a point to read and the interval is made
+    from latekit.estimation import VarianceComponents, r2_of_tau
+
+    comp = VarianceComponents((1.0, 0.1, 0.5), (0.8, 0.1, 0.4), (0.2, 0.05, 0.1), k=2)
+    cfg = AnalysisConfig(design=DesignSpec.rem(10, p_a=0.1, k=2))
+    ci = wald_ci("rem", Estimates(1e300, 0.3), comp, cfg)
+    assert ci.kind == "interval" and ci.lo < 1e300 / 0.3 < ci.hi
+    # the reversed quotient goes on from the direct one: at 1e150 it is finite
+    assert [r2_of_tau(comp, t).value for t in (1e150, 1e300 / 0.3, math.inf)] == [0.25] * 3
+
+
 def test_wald_ci_zero_first_stage_is_infinite():
     from latekit.estimation import VarianceComponents
 

@@ -112,19 +112,44 @@ def test_arm_moments_and_families_have_three_callers():
 
 def test_one_array_scorer_serves_simulate_and_analyze():
     # the Wald and FAR sets of many rows are made in one place, the shared
-    # scorer, which the study cells (simulation) and analyze's grouped strata
-    # (io) call; the one-row wald_ci and solve_quadratic_set call the same
-    # kernels. A third scoring path has to change this test
+    # scorer, which the study cells (simulation), analyze's grouped strata
+    # and its one-row stratum steps (io) call; the one-row wald_ci, far_set
+    # and first_stage_test read a row of its one-row call, one_row_scores,
+    # and solve_quadratic_set is the inverter's one-row call. A second
+    # scoring path has to change this test
     sites = _call_sites(["wald_intervals", "solve_quadratic_sets", "solve_quadratic_set",
-                         "score_rows"])
-    assert sites["wald_intervals"] == {"two_stage.py:score_rows",
-                                       "confidence_sets.py:wald_ci"}, sites
+                         "score_rows", "one_row_scores"])
+    assert sites["wald_intervals"] == {"two_stage.py:score_rows"}, sites
     assert sites["solve_quadratic_sets"] == {"two_stage.py:score_rows",
                                              "confidence_sets.py:solve_quadratic_set"}, sites
-    assert sites["score_rows"] == {"simulation.py:_score", "io.py:_group_scores"}, sites
-    # only far_set makes a one-row inversion, so no array path can hand its
-    # rows to it one at a time
-    assert sites["solve_quadratic_set"] == {"confidence_sets.py:far_set"}, sites
+    assert sites["score_rows"] == {"simulation.py:_score", "io.py:_group_scores",
+                                   "io.py:stratum_steps", "two_stage.py:one_row_scores"}, sites
+    assert sites["one_row_scores"] == {"confidence_sets.py:wald_ci", "confidence_sets.py:far_set",
+                                       "two_stage.py:first_stage_test"}, sites
+    # no array path hands its rows to a one-row inversion
+    assert sites["solve_quadratic_set"] == set(), sites
+
+
+def test_only_score_rows_computes_critical_values():
+    # one critical-value path: outside the mixture module that defines them,
+    # only two_stage.score_rows calls the normal and mixture quantiles, for
+    # all of its rows at once; no one-row procedure has a chain of its own
+    names = ("normal_quantile", "lambda_quantiles", "lambda_quantile")
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "mixture.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:  # calls in nested functions count for their outermost
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id",
+                                                                                     None)
+                    if name in names:
+                        found.add(f"{path.name}:{getattr(top, 'name', '<module>')}:{name}")
+    assert found == {"two_stage.py:score_rows:normal_quantile",
+                     "two_stage.py:score_rows:lambda_quantiles"}, found
 
 
 def test_only_the_cli_writer_indents_json():

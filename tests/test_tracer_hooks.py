@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from latekit import io, simulation
+from latekit import confidence_sets, io, simulation, two_stage
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, PotentialDataset
 from latekit.design import draw_assignment
+from latekit.estimation import Estimates
 from latekit.io import ALL_METHODS
+from latekit.mixture import MixtureParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -23,13 +25,19 @@ def test_tracer_binds_and_restores_every_hook(monkeypatch, rng):
     x = rng.standard_normal((20, 2))
     ds = Dataset(z=np.repeat([1, 0], 10), w=(rng.random(20) < 0.5).astype(int),
                  y=rng.standard_normal(20), x=x - x.mean(axis=0))
+    config = AnalysisConfig(design=DesignSpec.cre(10))
     tracer = tracing.Tracer()
     with tracing.bound(tracer):
         assert io.summarize is not original
-        # io binds summarize for the tracer alone: its stratum steps make a
-        # one-row row_families call
-        io.summarize(ds, ds.z)
-        io.analyze_stratum(ds, ALL_METHODS, AnalysisConfig(design=DesignSpec.cre(10)))
+        # io binds these names for the tracer alone: its stratum steps make a
+        # one-row row_families call and read a row of one score_rows call
+        summary = io.summarize(ds, ds.z)
+        estimates = Estimates(summary.tau_y, summary.tau_w)
+        components = io.variance_components(summary)
+        for step in (io.wald_ci, io.far_set, io.first_stage_test):
+            step("cre", estimates, components, config)
+        io.f_screen("cre", estimates, components)
+        io.analyze_stratum(ds, ALL_METHODS, config)
     assert io.summarize is original
     names = {span.name for span in tracer.spans}
     assert {"stats_core.summarize", "confidence_sets.wald", "confidence_sets.far",
@@ -49,13 +57,15 @@ def test_tracer_counts_one_draw_span_per_study_replication(monkeypatch):
 
 
 def test_tracer_notes_r2_star_degeneracy_of_a_rem_stratum(monkeypatch, rng):
-    # estimation.r2_star_calls and r2_degenerate count the far sets' r2_star
-    # spans and their notes; a ReM stratum must record both, with mixture
-    # lookups beside them
+    # estimation.r2_star_calls and r2_degenerate count the r2_star spans and
+    # their notes, mixture.lookup_calls the lambda_quantile spans; every
+    # critical value now comes from score_rows, so no stratum calls these
+    # names and they are called here, on a ReM stratum's components
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     n, k = 40, 2
     config = AnalysisConfig(design=DesignSpec.rem(n // 2, p_a=0.2, k=k))
+    params = MixtureParams(k=k, a=config.design.a, alpha=config.alpha / 2.0)
     x = rng.standard_normal((n, k))
     x -= x.mean(axis=0)
     slope = np.array([1.0, -0.5])
@@ -67,11 +77,15 @@ def test_tracer_notes_r2_star_degeneracy_of_a_rem_stratum(monkeypatch, rng):
     noisy = PotentialDataset(w0=np.zeros(n, dtype=int), w1=(rng.random(n) < 0.6).astype(int),
                              y0=rng.standard_normal(n), y1=rng.standard_normal(n) + 1.0, x=x)
     for pop, degenerate in ((linear, True), (noisy, False)):
-        z = draw_assignment(config.design, pop.x, rng).z
+        ds = pop.reveal(draw_assignment(config.design, pop.x, rng).z)
         tracer = tracing.Tracer()
         with tracing.bound(tracer):
-            assert "skipped" not in io.analyze_stratum(pop.reveal(z), ALL_METHODS, config)
+            assert "skipped" not in io.analyze_stratum(ds, ALL_METHODS, config)
+            components = io.variance_components(io.summarize(ds, ds.z))
+            rho = confidence_sets.r2_star(components).value
+            for module in (confidence_sets, two_stage):
+                module.lambda_quantile(params, rho)
         notes = [span.note for span in tracer.spans if span.name == "estimation.r2_star"]
         assert notes and all(type(note) is bool for note in notes)
         assert all(note is degenerate for note in notes)
-        assert [span.name for span in tracer.spans].count("mixture.lookup") >= 2
+        assert [span.name for span in tracer.spans].count("mixture.lookup") == 2

@@ -17,7 +17,8 @@ from latekit import io
 from latekit.io import ALL_METHODS, analyze_stratum
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
-from oracles import one_row_chain, random_dataset
+from oracles import (critical_chain_far_set, critical_chain_first_stage_test,
+                     critical_chain_wald_ci, one_row_chain, random_dataset)
 
 
 def components_with_vw(v_w):
@@ -208,6 +209,19 @@ def test_two_stage_set_takes_analyze_covariate_offsets(rng):
     assert out.to_json_dict() == analyze_stratum(ds, ("ts",), config, means)["methods"]["ts"]
 
 
+def test_rem_config_refuses_gamma_of_one_half_or_more(rng):
+    # the ReM t test reads the mixture quantile with tail gamma, so the
+    # config names gamma before two_stage_set can fail on the tail
+    design = DesignSpec.rem(15, p_a=0.1, k=2)
+    with pytest.raises(ValueError, match=re.escape("gamma must be in (0, 0.5) under "
+                                                   "rerandomization without adjustment")):
+        AnalysisConfig(gamma=0.6, design=design)
+    ds = random_dataset(rng, n=30, k=2)
+    for config in (AnalysisConfig(gamma=0.6), AnalysisConfig(gamma=0.6, adjustment="ehw",
+                                                             design=design)):
+        assert two_stage_set(ds, config).first_stage.critical < 0.0
+
+
 def test_rem_without_covariates_raises_one_message_under_every_hash_seed():
     # the families the steps read were once taken from a set, so which
     # family's message came first depended on the hash seed
@@ -262,17 +276,22 @@ def _families_or_error(run):
 def test_one_row_steps_are_the_old_cre_and_rem_chain_bit_for_bit(rng, monkeypatch):
     # stratum_steps' one row_families call against summarize plus
     # plain_components or variance_components: its estimates, every family
-    # triple, or the error's type and message, exactly; the components are
-    # those its Wald step is handed
+    # triple, or the error's type and message, exactly; the families are
+    # those its one-row row_families call returns, which its one-row
+    # score_rows call reads
     seen = []
-    monkeypatch.setattr(io, "wald_ci", lambda regime, estimates, components, config:
-                        seen.append(components))
+
+    def recorded(*args, _build=io.row_families):
+        seen.append(_build(*args))
+        return seen[-1]
+    monkeypatch.setattr(io, "row_families", recorded)
 
     def one_row(ds, config, means):
-        estimates, get = io.stratum_steps(ds, config, means)
         seen.clear()
-        get("wald")
-        return estimates, seen[0]
+        estimates, _ = io.stratum_steps(ds, config, means)
+        (_, _, families, _), = seen
+        return estimates, VarianceComponents(**{name: tuple(float(v[0]) for v in triple)
+                                                for name, triple in families.items()})
 
     configs = [AnalysisConfig(design=DesignSpec.cre(1)),
                AnalysisConfig(design=DesignSpec.rem(1, a=1.0))]
@@ -283,6 +302,77 @@ def test_one_row_steps_are_the_old_cre_and_rem_chain_bit_for_bit(rng, monkeypatc
             assert got == _families_or_error(lambda: one_row_chain(ds, config, means))
             errors += isinstance(got[0], type)
     assert errors > 100
+
+
+def _spd(rng, scale):
+    """A random positive semi-definite (v_y, c_yw, v_w) triple."""
+    a = rng.standard_normal((2, 2)) * scale
+    m = a @ a.T
+    return m[0, 0], m[0, 1], m[1, 1]
+
+
+def _component_sets(rng, count):
+    """``count`` (k, p_a, gamma, estimates, components) sets, grouped by
+    (k, p_a) so each group's mixture tables serve its rows: projection,
+    rerandomization and plain families nested as forms, each side on a scale
+    of 1e-3 to 1e3, tau_w 0, 1e-12 or random, tau_y 1e300 on every 50th, a
+    negative plain family on 5%, and no covariate families on every 40th."""
+    groups = [(k, p_a) for k in range(1, 6) for p_a in (0.001, 0.01, 0.1, 0.5)]
+    for i in range(count):
+        k, p_a = groups[i * len(groups) // count]
+        s_y, s_w = (10.0 ** rng.uniform(-3, 3, 2)).tolist()
+        proj = _spd(rng, rng.uniform(0.0, 1.0))
+        rem = tuple(map(sum, zip(proj, _spd(rng, 1.0))))
+        plain = tuple(map(sum, zip(rem, _spd(rng, rng.uniform(0.0, 1.0)))))
+        if rng.random() < 0.05:
+            plain = tuple(-v for v in plain)
+        proj, rem, plain = (tuple(float(v) for v in (f[0] * s_y * s_y, f[1] * s_y * s_w,
+                                                   f[2] * s_w * s_w)) for f in (proj, rem, plain))
+        tau_w = (0.0, 1e-12, float(rng.normal(0.0, 4.0)))[int(rng.integers(3))] * s_w
+        tau_y = 1e300 if i % 50 == 0 else float(rng.normal(0.0, 2.0)) * s_y
+        components = (VarianceComponents(plain) if i % 40 == 1
+                      else VarianceComponents(plain, rem, proj, k=k))
+        yield k, p_a, float(rng.choice([0.075, 0.025])), Estimates(tau_y, tau_w), components
+
+
+def _repr_or_error(run):
+    try:
+        return repr(run())
+    except (LatekitError, ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_row_procedures_are_the_scalar_critical_chain_bit_for_bit(rng):
+    # wald_ci, far_set and first_stage_test read a row of one score_rows
+    # call; the one-row calls with each their own scalar critical value, as
+    # they were, give the same repr or error on every set, but for two
+    # declared rows: a ReM ratio too large to square on the correlation's
+    # scale now gets a Wald interval where the direct quotient was nan, and
+    # ReM components without covariate families now name the missing family
+    # in wald_ci as in the other steps
+    pairs = {"wald_ci": (wald_ci, critical_chain_wald_ci),
+             "far_set": (far_set, critical_chain_far_set),
+             "first_stage_test": (first_stage_test, critical_chain_first_stage_test)}
+    declared = {"huge_ratio": 0, "no_covariates": 0}
+    for k, p_a, gamma, estimates, components in _component_sets(rng, 2000):
+        config = AnalysisConfig(gamma=gamma, design=DesignSpec.rem(1, p_a=p_a, k=k))
+        for regime in ("cre", "rem", "adjusted"):
+            comp = SandwichCov(*components.plain, "ehw") if regime == "adjusted" else components
+            for name, (new, old) in pairs.items():
+                got = _repr_or_error(lambda: new(regime, estimates, comp, config))
+                want = _repr_or_error(lambda: old(regime, estimates, comp, config))
+                if got == want:
+                    continue
+                assert (name, regime) == ("wald_ci", "rem"), (name, regime, got, want)
+                if want == (ValueError, "rho must be in [0, 1]"):
+                    assert got.startswith("ConfidenceSet(kind='interval'"), got
+                    declared["huge_ratio"] += 1
+                else:
+                    assert (got, want) == ((ValueError, "rerandomization family needs "
+                                                        "covariates"),
+                                           (ValueError, "k must be >= 1"))
+                    declared["no_covariates"] += 1
+    assert declared["huge_ratio"] >= 5 and declared["no_covariates"] == 50, declared
 
 
 _EST = Estimates(tau_y=1.0, tau_w=0.5)
@@ -297,12 +387,20 @@ _PROCEDURES = {
 }
 
 
-@pytest.mark.parametrize("procedure", list(_PROCEDURES))
-@pytest.mark.parametrize("regime,components,message", [
-    ("bogus", _PLAIN, "unknown regime: 'bogus'"),
-    ("cre", _SANDWICH, "no 'plain' family in SandwichCov"),
-    ("adjusted", _PLAIN, "no 'sandwich' family in VarianceComponents"),
-], ids=["unknown_regime", "sandwich_under_cre", "plain_under_adjusted"])
-def test_unknown_regime_and_wrong_components_raise(procedure, regime, components, message):
+_WRONG = {
+    "unknown_regime": ("bogus", _PLAIN, "unknown regime: 'bogus'"),
+    "sandwich_under_cre": ("cre", _SANDWICH, "no 'plain' family in SandwichCov"),
+    "plain_under_adjusted": ("adjusted", _PLAIN, "no 'sandwich' family in VarianceComponents"),
+    "plain_under_rem": ("rem", _PLAIN, "rerandomization family needs covariates"),
+}
+
+
+@pytest.mark.parametrize("case,procedure", [
+    pytest.param(case, procedure, id=f"{case}-{procedure}")
+    for case in _WRONG for procedure in _PROCEDURES
+    # under ReM the F screen reads the plain family alone
+    if (case, procedure) != ("plain_under_rem", "f_screen")])
+def test_unknown_regime_and_wrong_components_raise(case, procedure):
+    regime, components, message = _WRONG[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         _PROCEDURES[procedure](regime, components)

@@ -8,7 +8,9 @@ checkout (its ``src`` on ``PYTHONPATH``, no bytecode written) every study
 workload runs ``latekit simulate``, and ``latekit analyze`` runs on the
 strata input under ``cre``, ``--design rem --pa 0.1``, ``--adjust hc2`` and
 ``--design rem --pa 0.1 --adjust ehw``; under each of these four settings
-``tools/two_stage_lines.py`` also runs ``two_stage_set`` on every stratum.
+``tools/two_stage_lines.py`` also runs ``two_stage_set`` and the one-row
+``wald_ci``, ``far_set``, ``first_stage_test`` and ``f_screen`` on every
+stratum.
 For each artefact (``table.csv``, ``table.json``; ``report.json``,
 ``lengths.csv``; ``two_stage_set.jsonl``) one line says
 "identical" or gives the largest relative difference of its numbers. The
