@@ -8,9 +8,8 @@ is nonzero the ratio point estimate belongs to the set, so a truly empty
 solution is impossible.
 
 ``wald_intervals`` and ``solve_quadratic_sets`` compute the Wald and
-inversion sets of many draws at once, as arrays; ``solve_quadratic_set`` is
-the inverter's one-row call. ``wald_ci`` and ``far_set`` read a row of
-``two_stage.one_row_scores``, so their critical values are score_rows'.
+inversion sets of many draws at once, as arrays; ``solve_quadratic_set``,
+``wald_ci`` and ``far_set`` are one-row calls (the last two of score_rows).
 """
 from __future__ import annotations
 

@@ -14,10 +14,9 @@ rows by one ``two_stage.score_rows`` call, as analyze's group pass builds
 and scores its groups, and ``_rows`` reduces them to every cell's table
 rows at once.
 Unadjusted cells get the bits of scoring each draw alone by ``summarize``
-and the one-row ``wald_ci``, ``far_set``, ``first_stage_test`` and
-``f_screen``, which read a one-row ``score_rows`` call; adjusted cells
-(per-arm OLS fits instead of one interacted fit, but for the draws they
-cannot trust) agree to roundoff.
+and the one-row procedures, which read a one-row ``score_rows`` call;
+adjusted cells (per-arm OLS fits instead of one interacted fit, but for
+the draws they cannot trust) agree to roundoff.
 """
 from __future__ import annotations
 
@@ -222,7 +221,6 @@ class StudyConfig:
             if bad:
                 raise ValueError(f"{key} must list numbers in {interval}; got {bad[0]!r}")
         if self.design == "rem" and self.adjustment == "none" and max(self.gamma) >= 0.5:
-            # the ReM t test's critical value is a mixture quantile with tail gamma
             raise ValueError(f"gamma must list numbers in (0, 0.5) under rerandomization "
                              f"without adjustment; got {max(self.gamma)!r}")
         # a table row is named by its gamma to 6 significant digits

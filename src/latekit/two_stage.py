@@ -6,11 +6,9 @@ otherwise the robust quadratic-inversion set is reported. The F-screen
 comparators replicate the common practice of trusting the Wald interval
 only when the first-stage F statistic exceeds 10.
 
-``score_rows`` scores many rows at once, study draws or analyze strata: their
-Wald and FAR sets, t tests and F screens, with every critical value the
-package uses. ``one_row_scores`` is its one-row call on a VarianceComponents
-or a SandwichCov, whose row ``wald_ci``, ``far_set`` and ``first_stage_test``
-read.
+``score_rows`` scores many rows at once, with every critical value the
+package uses; ``wald_ci``, ``far_set`` and ``first_stage_test`` read a row
+of its one-row call, ``one_row_scores``.
 """
 from __future__ import annotations
 
@@ -76,8 +74,7 @@ def _first_stage(stat, crit, kind: str) -> FirstStageResult:
 
 def first_stage_test(regime: str, estimates: Estimates, components,
                      config: AnalysisConfig) -> FirstStageResult:
-    """Test whether the first stage clears the strength threshold: the
-    ``ts`` step of one_row_scores.
+    """Test whether the first stage clears the strength threshold.
 
     A nonpositive variance estimate cannot be standardized; the instrument
     is then conservatively declared weak.
@@ -96,8 +93,7 @@ class RowScores(NamedTuple):
     """The Wald and FAR sets of many rows (with each row's error kept), the
     first-stage t statistic, its critical value at each gamma, and the F
     statistic, nan (weak) at a variance <= 0; wald_ci, far_set and
-    first_stage_test read ``step`` of one_row_scores, and f_screen gives
-    what it reads of one row."""
+    first_stage_test read ``step`` of one row, and f_screen gives its F."""
 
     wald: SetArrays
     far: SetArrays
@@ -151,10 +147,9 @@ def score_rows(regime: str, tau_y: np.ndarray, tau_w: np.ndarray, families: dict
 
 def one_row_scores(regime: str, estimates: Estimates, components,
                    config: AnalysisConfig) -> RowScores:
-    """score_rows of one row at ``config.gamma``: ``estimates`` and the
-    families of ``components`` (a VarianceComponents or a SandwichCov) that
-    ``regime`` reads, in one order, so every step names a missing one alike:
-    its family, its screen family, then under ReM the projection family."""
+    """score_rows of one row at ``config.gamma``, from the families of
+    ``components`` (a VarianceComponents or a SandwichCov) ``regime`` reads in
+    one order, so every step names a missing one alike: family, screen, proj."""
     spec = regime_spec(regime)
     names = (spec.family, spec.screen_family, *(("proj",) if spec.mixture else ()))
     families = {name: tuple(_one_row(*components.family(name))) for name in dict.fromkeys(names)}
