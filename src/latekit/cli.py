@@ -232,8 +232,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"analyze": _cmd_analyze, "simulate": _cmd_simulate,
                 "design": _cmd_design, "lambda": _cmd_lambda}
+    out_of_memory = f"error: latekit {args.command} ran out of memory\n"
     try:
         return handlers[args.command](args)
+    except MemoryError:  # the message was built before: allocating can fail now
+        sys.stderr.write(out_of_memory)
+        return 2
     except AcceptanceRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

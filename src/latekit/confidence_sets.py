@@ -223,25 +223,23 @@ def wald_ci(regime: str, estimates: Estimates, components, config: AnalysisConfi
             ) -> ConfidenceSet:
     """Ratio point estimate plus/minus a critical value times the delta-method
     standard error of the chosen regime's variance family: the ``wald``
-    step of two_stage.one_row_scores.
+    step of two_stage.one_row_step.
 
     A zero first-stage estimate yields the whole line (the infinite-interval
     signal) rather than an error.
     """
-    from .two_stage import one_row_scores  # two_stage imports this module's kernels
-    return one_row_scores(regime, estimates, components, config).step(0, "wald", regime,
-                                                                       config.gamma)
+    from .two_stage import one_row_step  # two_stage imports this module's kernels
+    return one_row_step(regime, estimates, components, config, "wald")
 
 
 def far_set(regime: str, estimates: Estimates, components, config: AnalysisConfig
             ) -> ConfidenceSet:
     """Weak-instrument-robust confidence set by quadratic inversion: the
-    ``far`` step of two_stage.one_row_scores.
+    ``far`` step of two_stage.one_row_step.
 
     The critical value is the normal quantile except in the unadjusted
     rerandomized regime, where the mixture quantile at the minimized
     squared correlation applies.
     """
-    from .two_stage import one_row_scores  # two_stage imports this module's kernels
-    return one_row_scores(regime, estimates, components, config).step(0, "far", regime,
-                                                                       config.gamma)
+    from .two_stage import one_row_step  # two_stage imports this module's kernels
+    return one_row_step(regime, estimates, components, config, "far")

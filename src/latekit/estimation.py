@@ -35,12 +35,13 @@ class Regime(NamedTuple):
     screen_family: str  # variance triple the F>10 screen reads
     mixture: bool  # critical values from the ReM mixture, not the normal
     statistic: str  # label of the first-stage statistic
+    reads: tuple[str, ...]  # every family the steps read, in the order a missing one is named
 
 
 REGIMES = {
-    "cre": Regime("plain", "plain", False, "t"),
-    "rem": Regime("rem", "plain", True, "t_rem"),
-    "adjusted": Regime("sandwich", "sandwich", False, "t_adj"),
+    "cre": Regime("plain", "plain", False, "t", ("plain",)),
+    "rem": Regime("rem", "plain", True, "t_rem", ("rem", "plain", "proj")),
+    "adjusted": Regime("sandwich", "sandwich", False, "t_adj", ("sandwich",)),
 }
 
 

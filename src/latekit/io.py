@@ -12,15 +12,13 @@ checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
-``analyze_file`` groups the strata by size and treated count straight from
-the parsed columns. Each group's columns are stacked once and its
-covariates centred by one reduction; it is validated by one ``check_rows``
-call and its families built by one ``estimation.row_families`` call, and
-every group's rows are scored at once by ``two_stage.score_rows``, as
-study cells' are. A stratum left out of that pass, and ``two_stage_set``'s
-one stratum, take the one-row path of ``stratum_steps``: a one-row
-``row_families`` call under every regime, then a one-row ``score_rows``
-call, whose row its steps read as they read a group's.
+``analyze_file`` groups the strata by size and treated count, stacks each
+group's columns once and centres its covariates by one reduction.
+``score_groups``, the one path from stacked strata to their scores,
+validates each group by one ``check_rows`` call, builds its families by one
+``estimation.row_families`` call and scores every group's rows at once by
+``two_stage.score_rows``, as study cells' are. ``two_stage_set``'s dataset,
+and a stratum ``analyze_stratum`` is handed no row for, are a group of one.
 """
 from __future__ import annotations
 
@@ -219,99 +217,99 @@ def read_records(path: str) -> list[StratumRecords]:
             for key, lo, hi in zip(first, bounds, bounds[1:])]
 
 
-def _group_scores(strata: list[StratumRecords], config: AnalysisConfig, k: int,
-                  gammas: tuple[float, ...]) -> tuple[list, list]:
-    """Each stratum's Dataset, its covariates centred, and their means; and
-    what analyze_file hands analyze_stratum for it: for a stratum check_rows
-    accepts, ``(estimates, scores, row)``, its row of one score_rows call, or
-    the error its fits or families raise (a singular full covariance first).
-    None for the rest, non-finite families and a group whose stacked
-    factoring raises. Strata of one (n, n1) are stacked once from the file's
-    columns, centred, checked and given families by one check_rows and one
-    row_families call, which reduce row by row, so a row has its one-row
-    bits; each Dataset is a view of its group's rows."""
-    spec = regime_spec(config.regime)
+def _stack_groups(strata: list[StratumRecords]):
+    """Each stratum's Dataset, a view of its group's row, and its covariate
+    means; the ``(z, w, y, x, means)`` stack of each (n, n1) group, from the
+    file's columns, centred by one reduction with center_covariates' bits
+    on each row; and the strata in the order of the groups' rows."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, records in enumerate(strata):
         groups.setdefault((len(records.z), int(records.z.sum())), []).append(i)
-    datasets, out = [None] * len(strata), [None] * len(strata)
-    scored, built = [], []  # the strata of every group, and its row_families result
+    datasets, stacks = [None] * len(strata), []
     for (n, _), members in groups.items():
         z, w, y, x = (np.stack([getattr(strata[i], a) for i in members]) for a in "zwyx")
         means = np.add.reduce(x, axis=1) / n  # center_covariates' arithmetic, row by row
         x -= means[:, None]
         for row, i in enumerate(members):
             datasets[i] = Dataset(z[row], w[row], y[row], x[row]), means[row]
-        passed = ~np.logical_or.reduce(check_rows(z, w, y, x, means)[0])
-        if not passed.any():
+        stacks.append((z, w, y, x, means))
+    return datasets, stacks, [i for members in groups.values() for i in members]
+
+
+def score_groups(groups, config: AnalysisConfig, gammas: tuple[float, ...]) -> list:
+    """For every row of the ``(z, w, y, x, offsets)`` stacks of datasets of
+    one (n, n1) with covariate means (see validate): its row of one
+    score_rows call at ``gammas`` as ``(estimates, scores, row)``, or else
+    validate's InvalidDatasetError, ValueError under ReM without covariates,
+    its fits' or families' error, or InvalidDatasetError for non-finite
+    families. A group's calls reduce row by row, so a row has its one-row
+    bits; one whose row_families call raises LinAlgError (numpy's eigvalsh
+    on some overflowed covariances) is built again row by row."""
+    spec = regime_spec(config.regime)
+    out, rows, built = [], [], []  # rows: those built, in built's order
+    for z, w, y, x, offsets in groups:
+        start = len(out)
+        failed = np.logical_or.reduce(check_rows(z, w, y, x, offsets)[0])
+        out += [InvalidDatasetError("; ".join(validate(Dataset(z[r], w[r], y[r], x[r]),
+                                                       offsets[r]))) if bad else None
+                for r, bad in enumerate(failed.tolist())]
+        if spec.mixture and not x.shape[-1]:
+            out[start:] = [exc or ValueError("rerandomization family needs covariates")
+                           for exc in out[start:]]
             continue
-        try:
-            built.append(row_families(z[passed], np.stack([y[passed], w[passed]]), x[passed],
-                                      config))
-        except np.linalg.LinAlgError:
-            continue
-        scored += itertools.compress(members, passed)
+        parts = [] if failed.all() else [np.flatnonzero(~failed)]
+        for part in parts:  # grows by the rows of a part whose call raises
+            try:
+                built.append(row_families(z[part], np.stack([y[part], w[part]]), x[part], config))
+                rows += (start + part).tolist()
+            except np.linalg.LinAlgError as exc:
+                if len(part) == 1:
+                    out[start + part[0]] = exc
+                else:
+                    parts += np.split(part, len(part))
     if not built:
-        return datasets, out
+        return out
     tau_y, tau_w, families, errors = stack_families(built)
-    keep = _finite_rows(families, spec)
+    keep = np.isfinite([families[name] for name in spec.reads]).all(axis=(0, 1))
+    for i in itertools.compress(rows, ~keep):
+        out[i] = InvalidDatasetError("variance estimates are not finite")
     for r, exc in errors.items():
-        out[scored[r]], keep[r] = exc, False
-    scored, tau_y, tau_w = np.array(scored)[keep], tau_y[keep], tau_w[keep]
-    scores = score_rows(config.regime, tau_y, tau_w, {name: tuple(v[keep] for v in f)
-                                                      for name, f in families.items()},
-                        config, k, gammas)
-    for row, (i, *pair) in enumerate(zip(scored.tolist(), tau_y.tolist(), tau_w.tolist())):
+        out[rows[r]], keep[r] = exc, False
+    scores = score_rows(config.regime, tau_y[keep], tau_w[keep],
+                        {name: tuple(v[keep] for v in f) for name, f in families.items()},
+                        config, groups[0][3].shape[-1], gammas)
+    for row, (i, *pair) in enumerate(zip(itertools.compress(rows, keep), tau_y[keep].tolist(),
+                                         tau_w[keep].tolist())):
         out[i] = (Estimates(*pair), scores, row)
-    return datasets, out
+    return out
 
 
-def _finite_rows(families: dict, spec) -> np.ndarray:
-    """Whether each row's families the steps read are finite: extreme data
-    can overflow them, giving sets nan endpoints."""
-    read = dict.fromkeys((spec.family, spec.screen_family, *(("proj",) if spec.mixture else ())))
-    return np.isfinite([families[name] for name in read]).all(axis=(0, 1))
+def score_stratum(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ()):
+    """score_groups of ``ds`` alone at config.gamma; ``offsets`` as in validate."""
+    return score_groups([(ds.z[None], ds.w[None], ds.y[None], ds.x[None],
+                          np.asarray(offsets, dtype=float).reshape(1, -1))],
+                        config, (config.gamma,))[0]
 
 
-def stratum_steps(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = (),
-                  moments=None):
+def stratum_steps(scored, config: AnalysisConfig):
     """One stratum's estimates and a getter that reads each of its steps
-    ("wald", "far", "ts", "ts_f10") at most once from a row of score_rows,
-    raising the row's stored error; ``offsets`` as in validate. ``moments``,
-    from analyze_file's group pass, is an error or that row; without it
-    validate, a one-row row_families call and a one-row score_rows call
-    make it. Invalid data or non-finite variance families raise
-    InvalidDatasetError; ReM without covariates raises ValueError."""
-    regime = config.regime
-    if isinstance(moments, LatekitError):
-        raise moments
-    if moments is None:
-        problems = validate(ds, offsets)
-        if problems:
-            raise InvalidDatasetError("; ".join(problems))
-        spec = regime_spec(regime)
-        if spec.mixture and not ds.k:
-            raise ValueError("rerandomization family needs covariates")
-        tau_y, tau_w, families, errors = row_families(
-            ds.z[None], np.stack([ds.y, ds.w])[:, None], ds.x[None], config)
-        if errors:
-            raise errors[0]
-        if not _finite_rows(families, spec):
-            raise InvalidDatasetError("variance estimates are not finite")
-        moments = (Estimates(float(tau_y[0]), float(tau_w[0])),
-                   score_rows(regime, tau_y, tau_w, families, config, ds.k, (config.gamma,)), 0)
-    estimates, scores, row = moments
-    return estimates, functools.cache(lambda step: scores.step(row, step, regime, config.gamma))
+    ("wald", "far", "ts", "ts_f10") at most once from its score_groups row;
+    an error in its place is raised."""
+    if isinstance(scored, Exception):
+        raise scored
+    estimates, scores, row = scored
+    return estimates, functools.cache(lambda step: scores.step(row, step, config.regime,
+                                                               config.gamma))
 
 
 def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfig,
-                    offsets: np.ndarray = (), moments=None) -> dict:
+                    offsets: np.ndarray = (), scored=None) -> dict:
     """Every requested method on one stratum, or an explicit skip reason;
     ``offsets`` are the covariate means its centering removed (see
-    validate), and ``moments``, the stratum's scored row from analyze_file's
-    group pass, is passed on to stratum_steps."""
+    validate), ``scored`` its score_groups row, else it is scored alone."""
     try:
-        estimates, get = stratum_steps(ds, config, offsets, moments)
+        estimates, get = stratum_steps(
+            score_stratum(ds, config, offsets) if scored is None else scored, config)
         out: dict = {}
         for m in methods:
             if m == "wald":
@@ -368,18 +366,17 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
                             adjustment=adjustment, design=spec)
 
-    # the group pass centres, validates and scores the strata by size; then
-    # analyze_stratum assembles each entry from its row (None: the one-row path)
-    gammas = (gamma,) if "ts" in methods else ()
-    datasets, handed = _group_scores(strata, config, k, gammas)
+    # the strata are scored by (n, n1) group; analyze_stratum makes each entry
+    datasets, stacks, order = _stack_groups(strata)
+    handed = dict(zip(order, score_groups(stacks, config, (gamma,) if "ts" in methods else ())))
 
     entries = []
-    for records, (ds, means), row in zip(strata, datasets, handed):
+    for i, (records, (ds, means)) in enumerate(zip(strata, datasets)):
         n1 = ds.n1
         entry = {"stratum": records.key, "n": ds.n, "n1": n1, "n0": ds.n - n1}
         if k:
             entry["covariate_means"] = [float(m) for m in means]
-        entry.update(analyze_stratum(ds, methods, config, means, row))
+        entry.update(analyze_stratum(ds, methods, config, means, handed[i]))
         entries.append(entry)
     return {
         "settings": {"methods": list(methods), "adjustment": adjustment,

@@ -37,7 +37,7 @@ from .design import Covariates, draw_assignment
 from .estimation import regime_spec, row_families, stack_families
 from .exceptions import InfeasibleTargetError
 from .mixture import MixtureParams, quantile_table
-from .two_stage import F_THRESHOLD, score_rows
+from .two_stage import score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
@@ -413,12 +413,10 @@ def _score(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, errors: dict,
     every = np.ones(len(tau_y), dtype=bool)
     scores = {"wald": MethodScores(wald_sets, None, every),
               "far": MethodScores(far, None, every)}
-    for g, crit in scored.t_crit.items():
-        strong = scored.t_stat > crit
+    for g, strong in scored.t_strong.items():
         scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
-    f_strong = scored.f_stat > F_THRESHOLD
-    scores["ts_f10"] = MethodScores(pick(f_strong), f_strong, every)
-    scores["wald_f10"] = MethodScores(wald_sets, f_strong, f_strong)
+    scores["ts_f10"] = MethodScores(pick(scored.f_strong), scored.f_strong, every)
+    scores["wald_f10"] = MethodScores(wald_sets, scored.f_strong, scored.f_strong)
     return estimates, scores
 
 

@@ -7,8 +7,8 @@ comparators replicate the common practice of trusting the Wald interval
 only when the first-stage F statistic exceeds 10.
 
 ``score_rows`` scores many rows at once, with every critical value the
-package uses; ``wald_ci``, ``far_set`` and ``first_stage_test`` read a row
-of its one-row call, ``one_row_scores``.
+package uses; ``wald_ci``, ``far_set`` and ``first_stage_test`` read their
+step of its one row by ``one_row_step``.
 """
 from __future__ import annotations
 
@@ -56,19 +56,19 @@ class TwoStageOutput:
 
 
 def _statistics(tau_w, t_var, f_var, p_plus: float):
-    """The first-stage t statistic (tau_w - p_plus) / sqrt(t_var) and the F
-    statistic tau_w^2 / f_var of every row, floats or arrays alike; each is
-    nan, so never strong, where its variance is not positive."""
+    """The first-stage t statistic (tau_w - p_plus) / sqrt(t_var), the F
+    statistic tau_w^2 / f_var and whether F > 10 (a tie is weak) of every
+    row, floats or arrays alike; a statistic is nan, so weak, at a variance <= 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
+        f_stat = np.where(f_var > 0.0, np.square(tau_w) / f_var, math.nan)
         return (np.where(t_var > 0.0, (tau_w - p_plus) / np.sqrt(t_var), math.nan),
-                np.where(f_var > 0.0, np.square(tau_w) / f_var, math.nan))
+                f_stat, f_stat > F_THRESHOLD)
 
 
-def _first_stage(stat, crit, kind: str) -> FirstStageResult:
-    """One row's test: strong when its statistic exceeds the critical value,
-    degenerate when a nonpositive variance left no statistic."""
-    stat, crit = float(stat), float(crit)
-    return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
+def _first_stage(stat, crit, strong, kind: str) -> FirstStageResult:
+    """One row's test, degenerate where a variance <= 0 left no statistic."""
+    stat = float(stat)
+    return FirstStageResult(statistic=stat, critical=float(crit), strong=bool(strong),
                             statistic_kind=kind, degenerate=math.isnan(stat))
 
 
@@ -79,27 +79,28 @@ def first_stage_test(regime: str, estimates: Estimates, components,
     A nonpositive variance estimate cannot be standardized; the instrument
     is then conservatively declared weak.
     """
-    return one_row_scores(regime, estimates, components, config).step(0, "ts", regime,
-                                                                       config.gamma)
+    return one_row_step(regime, estimates, components, config, "ts")
 
 
 def f_screen(regime: str, estimates: Estimates, components) -> FirstStageResult:
     """Squared first-stage t-ratio against the conventional threshold of 10."""
     var = components.family(regime_spec(regime).screen_family)[2]
-    return _first_stage(_statistics(estimates.tau_w, var, var, 0.0)[1], F_THRESHOLD, "f")
+    _, f_stat, strong = _statistics(estimates.tau_w, var, var, 0.0)
+    return _first_stage(f_stat, F_THRESHOLD, strong, "f")
 
 
 class RowScores(NamedTuple):
     """The Wald and FAR sets of many rows (with each row's error kept), the
-    first-stage t statistic, its critical value at each gamma, and the F
-    statistic, nan (weak) at a variance <= 0; wald_ci, far_set and
-    first_stage_test read ``step`` of one row, and f_screen gives its F."""
+    first-stage t statistic with its critical value and strong mask at each
+    gamma, and the F statistic with its strong mask, nan (weak) at a variance <= 0."""
 
     wald: SetArrays
     far: SetArrays
     t_stat: np.ndarray
     t_crit: dict[float, np.ndarray]
+    t_strong: dict[float, np.ndarray]
     f_stat: np.ndarray
+    f_strong: np.ndarray
 
     def step(self, row: int, step: str, regime: str, gamma: float):
         """One row's set or first-stage result for a step (ts at ``gamma``);
@@ -108,8 +109,8 @@ class RowScores(NamedTuple):
             return getattr(self, step).entry(row, f"{step}[{regime}]")
         if step == "ts":
             return _first_stage(self.t_stat[row], self.t_crit[gamma][row],
-                                regime_spec(regime).statistic)
-        return _first_stage(self.f_stat[row], F_THRESHOLD, "f")
+                                self.t_strong[gamma][row], regime_spec(regime).statistic)
+        return _first_stage(self.f_stat[row], F_THRESHOLD, self.f_strong[row], "f")
 
 
 def score_rows(regime: str, tau_y: np.ndarray, tau_w: np.ndarray, families: dict,
@@ -139,34 +140,34 @@ def score_rows(regime: str, tau_y: np.ndarray, tau_w: np.ndarray, families: dict
     else:
         wald_crit = far_crit = normal_quantile(1.0 - tail)
         t_crit = {g: np.full(len(tau_w), normal_quantile(1.0 - g)) for g in gammas}
-    t_stat, f_stat = _statistics(tau_w, fs_var, screen_var, config.p_plus)
+    t_stat, f_stat, f_strong = _statistics(tau_w, fs_var, screen_var, config.p_plus)
     return RowScores(wald_intervals(tau_y, tau_w, wald_crit, *triple, family=spec.family),
                      solve_quadratic_sets(tau_y, tau_w, far_crit, *triple),
-                     t_stat, t_crit, f_stat)
+                     t_stat, t_crit, {g: t_stat > crit for g, crit in t_crit.items()},
+                     f_stat, f_strong)
 
 
-def one_row_scores(regime: str, estimates: Estimates, components,
-                   config: AnalysisConfig) -> RowScores:
-    """score_rows of one row at ``config.gamma``, from the families of
-    ``components`` (a VarianceComponents or a SandwichCov) ``regime`` reads in
-    one order, so every step names a missing one alike: family, screen, proj."""
+def one_row_step(regime: str, estimates: Estimates, components, config: AnalysisConfig,
+                 step: str):
+    """``step`` of one score_rows row of ``components`` (a VarianceComponents
+    or a SandwichCov) in Regime.reads; only the "ts" step reads gamma."""
     spec = regime_spec(regime)
-    names = (spec.family, spec.screen_family, *(("proj",) if spec.mixture else ()))
-    families = {name: tuple(_one_row(*components.family(name))) for name in dict.fromkeys(names)}
+    families = {name: tuple(_one_row(*components.family(name))) for name in spec.reads}
     return score_rows(regime, *_one_row(*estimates), families, config,
-                      components.k if spec.mixture else 0, (config.gamma,))
+                      components.k if spec.mixture else 0,
+                      (config.gamma,) if step == "ts" else ()).step(0, step, regime, config.gamma)
 
 
 def two_stage_set(dataset: Dataset, config: AnalysisConfig,
                   offsets: np.ndarray = ()) -> TwoStageOutput:
-    """Run the complete two-stage procedure on observed data by ``analyze``'s
-    stratum steps: data ``analyze`` would skip raises InvalidDatasetError.
+    """Run the complete two-stage procedure on observed data as ``analyze``
+    scores a stratum alone: data it would skip raises InvalidDatasetError.
     ``offsets`` are the covariate means a centering removed (see validate).
     Strong first stage: the regime's Wald interval. Weak (including ties):
     the regime's robust set.
     """
-    from .io import stratum_steps  # io imports this module's scorer
-    _, get = stratum_steps(dataset, config, offsets)
+    from .io import score_stratum, stratum_steps  # io imports this module's scorer
+    _, get = stratum_steps(score_stratum(dataset, config, offsets), config)
     fs = get("ts")
     branch = "wald" if fs.strong else "far"
     return TwoStageOutput(first_stage=fs, set=get(branch), branch=branch)

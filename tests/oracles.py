@@ -4,8 +4,9 @@
 ``reference_variance_components`` are the scalar arm-moment and
 variance-family arithmetic as it was before ``summarize`` became the
 one-row call of the array kernel in ``stats_core``: the kernel must give
-the same bits. ``one_row_chain`` is a stratum's one-row CRE/ReM path as
-``io.stratum_steps`` ran it before its one ``row_families`` call:
+the same bits. ``one_row_chain`` is a stratum's CRE/ReM path as it ran
+before a stratum scored alone became a one-row group of
+``io.score_groups``, whose ``row_families`` call builds its families:
 ``summarize``, then ``plain_components`` (kept here) or
 ``variance_components``. They invert by ``reference_spd_inverse``, the one-matrix
 test, factor and inverse ``stats_core`` ran before ``spd_factors`` took
@@ -97,8 +98,7 @@ from latekit.simulation import (
     _method_names,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
-from latekit.two_stage import (F_THRESHOLD, FirstStageResult, _first_stage, _statistics,
-                               score_rows)
+from latekit.two_stage import F_THRESHOLD, FirstStageResult, _statistics, score_rows
 
 _INF = math.inf
 
@@ -225,7 +225,7 @@ def plain_components(summary) -> VarianceComponents:
 
 def one_row_chain(ds: Dataset, config: AnalysisConfig, offsets=()):
     """One stratum's estimates and variance components by the CRE/ReM chain
-    ``io.stratum_steps`` ran before its one-row ``row_families`` call:
+    a stratum scored alone ran before its one-row ``row_families`` call:
     ``validate``, ``summarize``, ``plain_components`` or
     ``variance_components``, and the check that the families its steps read
     are finite; it raises what that chain raised."""
@@ -742,8 +742,9 @@ def critical_chain_first_stage_test(regime: str, estimates: Estimates, component
     # under a mixture regime, at the receipt's own squared correlation
     crit = _critical(spec, components, config, config.gamma,
                      lambda c: r2_ratio(c.family("proj")[2], var))
-    return _first_stage(_statistics(estimates.tau_w, var, var, config.p_plus)[0], crit,
-                        spec.statistic)
+    stat, crit = float(_statistics(estimates.tau_w, var, var, config.p_plus)[0]), float(crit)
+    return FirstStageResult(statistic=stat, critical=crit, strong=stat > crit,
+                            statistic_kind=spec.statistic, degenerate=math.isnan(stat))
 
 
 # ------------------------------------------------------ scalar study scoring

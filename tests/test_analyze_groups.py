@@ -1,11 +1,13 @@
-"""analyze_file's group pass against the one-row path, stratum for stratum.
+"""analyze_file's group pass against each stratum scored alone, stratum for
+stratum.
 
 ``analyze_file`` validates the strata by arm-size group, computes their
 families by one ``estimation.row_families`` call per group (each stratum a
-population of its own), scores all of them with one ``score_rows`` call
-and hands each stratum its row to ``analyze_stratum``. Handed nothing,
-``analyze_stratum`` runs ``validate``, a one-row ``row_families`` call
-under every regime, and a one-row ``score_rows`` call. The report must be
+population of its own), scores all of them with one ``score_rows`` call,
+all by ``io.score_groups``, and hands each stratum its row to
+``analyze_stratum``. Handed nothing, ``analyze_stratum`` scores its stratum
+alone, as a group of one row of ``score_groups``: one ``check_rows``, one
+``row_families`` and one ``score_rows`` call of one row. The report must be
 the same to the bit either way.
 """
 import importlib
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 
 from latekit import cli, estimation, io
-from latekit.data_model import (CENTERING_TOL, Y_SPREAD_RANGE, AnalysisConfig, Dataset,
-                                center_covariates, check_rows, validate)
+from latekit.data_model import (CENTERING_TOL, Y_SPREAD_RANGE, Dataset, center_covariates,
+                                check_rows, validate)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -26,17 +28,17 @@ DESIGNS = {"cre": {}, "rem": {"design": "rem", "p_a": 0.1},
 
 
 def _reports(monkeypatch, path, options):
-    """The report with the group pass, the report of one-row calls, and how
-    many one-row row_families calls (those analyze_stratum makes) each ran."""
+    """The report with the group pass, the report with each stratum scored
+    alone, and how many row_families calls analyze_stratum made in each."""
     one_row, families = io.analyze_stratum, io.row_families
     reports, calls = [], []
     for grouped in (True, False):
         count, inside = [], []
 
-        def stratum(ds, methods, config, offsets=(), moments=None, _grouped=grouped):
+        def stratum(ds, methods, config, offsets=(), scored=None, _grouped=grouped):
             inside.append(1)
             try:
-                return one_row(ds, methods, config, offsets, moments if _grouped else None)
+                return one_row(ds, methods, config, offsets, scored if _grouped else None)
             finally:
                 inside.pop()
 
@@ -171,20 +173,42 @@ def test_groups_match_one_row_calls_on_strata_of_one_size(tmp_path, monkeypatch,
 
 def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeypatch):
     # numpy's eigvalsh raises on some covariances that overflowed to
-    # infinities; the one-row path then raises, or skips, as it always did
+    # infinities; the group's rows are then built one at a time, and each
+    # raises, or skips, as it does scored alone
     def raises(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
-    # the group pass's stack of full covariances; the one-row path factors
-    # a stack of one
+    # the group's stack of full covariances; a row alone factors a stack of one
     inverses = estimation.spd_inverses
     monkeypatch.setattr(estimation, "spd_inverses", lambda mats, what: (
         raises() if what == "covariate covariance" and len(mats) > 1
         else inverses(mats, what)))
+    sizes, families = [], io.row_families
+
+    def sized(zs, *args):
+        sizes.append(len(zs))
+        return families(zs, *args)
+    monkeypatch.setattr(io, "row_families", sized)
     (got, want), calls = _reports(monkeypatch, path, DESIGNS["rem"])
     _assert_bit_equal(got, want)
-    assert calls == [10, 10]
+    # each analyze_file call's group of the 10 strata validate accepts raises
+    # and is built again row by row, before any stratum's steps; scored
+    # alone, each of the 10 makes its own call
+    assert calls == [0, 10]
+    assert sizes == [10, *[1] * 10] * 2 + [1] * 10
+
+
+def test_a_row_whose_factoring_raises_stops_the_run(tmp_path, monkeypatch):
+    # a LinAlgError is no skip reason: one that a row built alone raises is
+    # raised at its stratum and ends analyze_file, as the one-row path did
+    def raises(mats, what):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
+    monkeypatch.setattr(estimation, "spd_inverses", raises)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        io.analyze_file(str(path), **DESIGNS["rem"])
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -301,7 +325,7 @@ def test_check_rows_matches_validate_at_the_edges():
 def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatch):
     # the spread and covariate means of every group of the benchmark input
     strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
-    datasets, _ = io._group_scores(strata, AnalysisConfig(), strata[0].x.shape[1], ())
+    datasets, _, _ = io._stack_groups(strata)
     groups: dict = {}
     for ds, means in datasets:
         groups.setdefault((ds.n, ds.n1), []).append((ds, means))
@@ -325,7 +349,7 @@ def test_the_group_pass_centres_each_stratum_as_center_covariates(tmp_path, monk
     for k in (1, 3, 5):
         for records in strata:
             records.x = rng.standard_normal((len(records.z), k)) * 10.0 ** rng.uniform(-3, 3, k)
-        datasets, _ = io._group_scores(strata, AnalysisConfig(), k, ())
+        datasets, _, _ = io._stack_groups(strata)
         for records, (ds, means) in zip(strata, datasets):
             centred, want = center_covariates(records.x)
             assert np.array_equal(ds.x, centred) and np.array_equal(means, want)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latekit import cli, mixture
+from latekit import cli, io, mixture
 from latekit.cli import main
 from latekit.io import ALL_METHODS, analyze_file, plot_data_rows, read_records
 from latekit.simulation import StudyConfig, run_study
@@ -617,6 +617,18 @@ def test_analyze_rejects_empty_or_repeated_methods(covariate_file, tmp_path, cap
     assert not out.exists()
 
 
+def test_analyze_out_of_memory_exits_2_without_a_traceback(covariate_file, tmp_path, capsys,
+                                                          monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(io, "read_records", exhausted)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--input", str(covariate_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: latekit analyze ran out of memory\n"
+    assert not out.exists()
+
+
 def test_design_rejects_negative_seed(covariate_file, tmp_path, capsys):
     out = tmp_path / "d.csv"
     rc = main(["design", "--input", str(covariate_file), "--mode", "cre",
@@ -794,6 +806,64 @@ def test_analyze_sets_ignore_affine_covariate_maps(strata_input, strata_reports,
         assert mapped == base
     else:
         _assert_close(mapped, base, 1e-10)
+
+
+_SEEDS = (20240901, 777)
+
+
+@pytest.fixture(scope="module")
+def seeded_reports(tmp_path_factory):
+    """For each seed, the benchmark's analyze input written at it, and its
+    report under each regime of _ALL_REGIMES."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    out = {}
+    for seed in _SEEDS:
+        where = tmp_path_factory.mktemp(f"seed{seed}")
+        workloads.write_strata_csv(where / "strata.csv", seed)
+        out[seed] = where / "strata.csv", {
+            regime: _analyze(where / "strata.csv", where / f"{regime}.json", flags)
+            for regime, flags in _ALL_REGIMES.items()}
+    return out
+
+
+def _entries(report):
+    # repr round-trips every double, so equal text is equal bits
+    return [json.dumps(entry) for entry in report["strata"]]
+
+
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_analyze_reports_strata_in_reverse_order_alike(seeded_reports, tmp_path, seed, regime):
+    # each stratum is its own population: the strata in reverse order give
+    # every entry bit for bit, in reverse order
+    path, reports = seeded_reports[seed]
+    header, rows = _table(path)
+    key = header.index("stratum")
+    blocks: dict = {}
+    for row in rows:
+        blocks.setdefault(row[key], []).append(row)
+    with open(tmp_path / "reversed.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *(row for block in reversed(blocks.values())
+                                            for row in block)])
+    got = _analyze(tmp_path / "reversed.csv", tmp_path / "reversed.json", _ALL_REGIMES[regime])
+    assert _entries(got) == _entries(reports[regime])[::-1]
+    assert len(blocks) == 200 and sum("methods" in e for e in got["strata"]) == 196
+
+
+@pytest.mark.parametrize("m", [-300, 40, 300])
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_analyze_scales_outcome_numbers_with_y_by_a_power_of_two(seeded_reports, tmp_path,
+                                                                 seed, regime, m):
+    # y -> y 2^m multiplies tau_y, the Wald estimate and every endpoint and
+    # length by exactly 2^m, as far out as 2^300 either way; everything else
+    # keeps its bits
+    path, reports = seeded_reports[seed]
+    scaled = _analyze(_rescaled(path, tmp_path / "y.csv", y=2.0 ** m), tmp_path / "y.json",
+                      _ALL_REGIMES[regime])
+    assert _entries(scaled) == _entries(_times(reports[regime], 2.0 ** m))
 
 
 def test_design_rem_ignores_covariate_units(tmp_path):

@@ -49,8 +49,8 @@ def test_only_estimation_and_stats_core_factor_a_design():
 def test_only_io_and_estimation_estimate_from_a_dataset():
     # one path takes a dataset to estimates and variance families, the
     # family builder (estimation), whose row_families refits the rows its
-    # arm fits leave unsure; analyze's stratum steps (io), which
-    # two_stage_set also runs, call it for one row
+    # arm fits leave unsure; analyze's scorer (io), which two_stage_set
+    # also runs, calls it for a group of one row
     names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
              "plain_components"}
     callers = set()
@@ -93,11 +93,12 @@ def _callers(names):
 def test_arm_moments_and_families_have_three_callers():
     # arm moments are computed by one kernel, which summarize's one-row path
     # (stats_core) shares; the families of many rows come from one builder,
-    # estimation.row_families, with three callers: the study cells
-    # (simulation), analyze's groups and its one-row path under every regime
-    # (io). It alone calls the arm kernel, the moment families and the arm
-    # fits, but for variance_components' one-row moment families. A second
-    # moment path or family builder has to change these lists.
+    # estimation.row_families, with three callers through two call sites:
+    # the study cells (simulation), and analyze's groups and two_stage_set's
+    # group of one row, both by io.score_groups. It alone calls the arm
+    # kernel, the moment families and the arm fits, but for
+    # variance_components' one-row moment families. A second moment path or
+    # family builder has to change these lists.
     kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
     assert kernel == {"_arm_moments": {"estimation.py"}, "_plain_arm": {"stats_core.py"},
                       "_with_covariates": {"stats_core.py"}}, kernel
@@ -106,28 +107,61 @@ def test_arm_moments_and_families_have_three_callers():
                      "moment_families": {"estimation.py:row_families",
                                          "estimation.py:variance_components"},
                      "arm_fits": {"estimation.py:row_families"},
-                     "row_families": {"simulation.py:_cell_families", "io.py:_group_scores",
-                                      "io.py:stratum_steps"}}, sites
+                     "row_families": {"simulation.py:_cell_families", "io.py:score_groups"}
+                     }, sites
 
 
 def test_one_array_scorer_serves_simulate_and_analyze():
     # the Wald and FAR sets of many rows are made in one place, the shared
-    # scorer, which the study cells (simulation), analyze's grouped strata
-    # and its one-row stratum steps (io) call; the one-row wald_ci, far_set
-    # and first_stage_test read a row of its one-row call, one_row_scores,
+    # scorer, which the study cells (simulation) and analyze's strata, in
+    # groups or alone (io), call; the one-row wald_ci, far_set
+    # and first_stage_test read their step of its one-row call, one_row_step,
     # and solve_quadratic_set is the inverter's one-row call. A second
     # scoring path has to change this test
     sites = _call_sites(["wald_intervals", "solve_quadratic_sets", "solve_quadratic_set",
-                         "score_rows", "one_row_scores"])
+                         "score_rows", "one_row_step"])
     assert sites["wald_intervals"] == {"two_stage.py:score_rows"}, sites
     assert sites["solve_quadratic_sets"] == {"two_stage.py:score_rows",
                                              "confidence_sets.py:solve_quadratic_set"}, sites
-    assert sites["score_rows"] == {"simulation.py:_score", "io.py:_group_scores",
-                                   "io.py:stratum_steps", "two_stage.py:one_row_scores"}, sites
-    assert sites["one_row_scores"] == {"confidence_sets.py:wald_ci", "confidence_sets.py:far_set",
+    assert sites["score_rows"] == {"simulation.py:_score", "io.py:score_groups",
+                                   "two_stage.py:one_row_step"}, sites
+    assert sites["one_row_step"] == {"confidence_sets.py:wald_ci", "confidence_sets.py:far_set",
                                        "two_stage.py:first_stage_test"}, sites
     # no array path hands its rows to a one-row inversion
     assert sites["solve_quadratic_set"] == set(), sites
+
+
+def test_io_scores_every_stratum_by_one_call_of_each_step():
+    # analyze's groups, a stratum handed no row and two_stage_set's dataset
+    # are all checked, given families and scored by io.score_groups, which
+    # makes each call once in its source, a group that raises LinAlgError
+    # rebuilt row by row by the same call; a second stratum path has to
+    # change this test
+    tree = ast.parse((SRC / "io.py").read_text())
+    counts = {name: 0 for name in ("check_rows", "row_families", "score_rows")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in counts:
+            counts[node.func.id] += 1
+    assert counts == {"check_rows": 1, "row_families": 1, "score_rows": 1}, counts
+    sites = _call_sites(["check_rows"])
+    assert sites == {"check_rows": {"io.py:score_groups", "data_model.py:validate"}}, sites
+
+
+def test_f_threshold_is_compared_in_one_place():
+    # one decision per first-stage step: score_rows' strong masks, which
+    # RowScores.step and the study scorer read, and the one-row f_screen all
+    # take the F screen's decision from one comparison with F_THRESHOLD, in
+    # the function that computes the statistic
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Name) and n.id == "F_THRESHOLD" for n in ast.walk(node)):
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert found == ["two_stage.py:_statistics"], found
 
 
 def test_only_score_rows_computes_critical_values():

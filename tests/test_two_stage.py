@@ -222,6 +222,15 @@ def test_rem_config_refuses_gamma_of_one_half_or_more(rng):
         assert two_stage_set(ds, config).first_stage.critical < 0.0
 
 
+def test_wald_and_far_sets_read_no_gamma():
+    # only the first-stage t test reads gamma: the ReM sets, scored under a
+    # CRE-design config that takes gamma 0.6, are those at gamma 0.075
+    comp = VarianceComponents((1.0, 0.1, 0.04), (0.8, 0.08, 0.03), (0.2, 0.02, 0.01), k=2)
+    for step in (wald_ci, far_set):
+        want = step("rem", Estimates(1.0, 0.5), comp, AnalysisConfig(gamma=0.075))
+        assert step("rem", Estimates(1.0, 0.5), comp, AnalysisConfig(gamma=0.6)) == want
+
+
 def test_rem_without_covariates_raises_one_message_under_every_hash_seed():
     # the families the steps read were once taken from a set, so which
     # family's message came first depended on the hash seed
@@ -274,11 +283,11 @@ def _families_or_error(run):
 
 
 def test_one_row_steps_are_the_old_cre_and_rem_chain_bit_for_bit(rng, monkeypatch):
-    # stratum_steps' one row_families call against summarize plus
-    # plain_components or variance_components: its estimates, every family
-    # triple, or the error's type and message, exactly; the families are
-    # those its one-row row_families call returns, which its one-row
-    # score_rows call reads
+    # a stratum scored alone, a one-row group of io.score_groups, against
+    # summarize plus plain_components or variance_components: its
+    # estimates, every family triple, or the error's type and message,
+    # exactly; the families are those its one-row row_families call
+    # returns, which its score_rows call reads
     seen = []
 
     def recorded(*args, _build=io.row_families):
@@ -288,7 +297,7 @@ def test_one_row_steps_are_the_old_cre_and_rem_chain_bit_for_bit(rng, monkeypatc
 
     def one_row(ds, config, means):
         seen.clear()
-        estimates, _ = io.stratum_steps(ds, config, means)
+        estimates, _ = io.stratum_steps(io.score_stratum(ds, config, means), config)
         (_, _, families, _), = seen
         return estimates, VarianceComponents(**{name: tuple(float(v[0]) for v in triple)
                                                 for name, triple in families.items()})
