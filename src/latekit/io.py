@@ -334,7 +334,10 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfi
     except LatekitError as exc:
         # invalid data, degenerate covariates, or a set that cannot be
         # inverted (a zero first stage and a significant outcome gap) skips
-        # the stratum and must not take down the run
+        # the stratum and must not take down the run; the error is a stored
+        # one, whose traceback would tie the pass's frames and arrays into a
+        # cycle with its store until the garbage collector runs
+        exc.__traceback__ = None
         return {"skipped": str(exc)}
     return {"tau_w_hat": json_number(estimates.tau_w),
             "tau_y_hat": json_number(estimates.tau_y),

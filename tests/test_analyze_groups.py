@@ -10,6 +10,7 @@ alone, as a group of one row of ``score_groups``: one ``check_rows``, one
 ``row_families`` and one ``score_rows`` call of one row. The report must be
 the same to the bit either way.
 """
+import gc
 import importlib
 import json
 from pathlib import Path
@@ -201,7 +202,7 @@ def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeyp
 
 def test_a_row_whose_factoring_raises_stops_the_run(tmp_path, monkeypatch):
     # a LinAlgError is no skip reason: one that a row built alone raises is
-    # raised at its stratum and ends analyze_file, as the one-row path did
+    # raised at its stratum and ends analyze_file
     def raises(mats, what):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -273,6 +274,23 @@ def test_groups_match_one_row_calls_for_a_subset_of_methods(tmp_path, monkeypatc
     if data == "shared_size":
         zero = next(e for e in got["strata"] if e["stratum"] == "zero_first_stage")
         assert ("skipped" in zero) == ("far" in methods or "ts_f10" in methods)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_skipped_strata_leave_no_reference_cycle(tmp_path, design):
+    # a skip is a stored error raised once; kept with its traceback, whose
+    # frames reach the store, it would hold a whole pass's arrays in a cycle
+    # until the garbage collector's next full run
+    path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
+    report = io.analyze_file(str(path), **DESIGNS[design])
+    assert sum("skipped" in e for e in report["strata"]) >= 3
+    gc.collect()
+    gc.disable()
+    try:
+        io.analyze_file(str(path), **DESIGNS[design])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_overflowed_covariances_skip_their_strata(tmp_path, monkeypatch):
