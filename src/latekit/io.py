@@ -292,9 +292,8 @@ def score_stratum(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ())
 
 
 def stratum_steps(scored, config: AnalysisConfig):
-    """One stratum's estimates and a getter that reads each of its steps
-    ("wald", "far", "ts", "ts_f10") at most once from its score_groups row;
-    an error in its place is raised."""
+    """One stratum's estimates and a getter that reads each step ("wald", "far",
+    "ts", "ts_f10") at most once from its score_groups row, or its error raised."""
     if isinstance(scored, Exception):
         raise scored
     estimates, scores, row = scored
@@ -334,9 +333,8 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfi
     except LatekitError as exc:
         # invalid data, degenerate covariates, or a set that cannot be
         # inverted (a zero first stage and a significant outcome gap) skips
-        # the stratum and must not take down the run; the error is a stored
-        # one, whose traceback would tie the pass's frames and arrays into a
-        # cycle with its store until the garbage collector runs
+        # the stratum and must not take down the run; its stored error keeps
+        # no traceback, whose frames would hold the pass in a reference cycle
         exc.__traceback__ = None
         return {"skipped": str(exc)}
     return {"tau_w_hat": json_number(estimates.tau_w),

@@ -67,8 +67,7 @@ def _statistics(tau_w, t_var, f_var, p_plus: float):
 
 def _first_stage(stat, crit, strong, kind: str) -> FirstStageResult:
     """One row's test, degenerate where a variance <= 0 left no statistic."""
-    stat = float(stat)
-    return FirstStageResult(statistic=stat, critical=float(crit), strong=bool(strong),
+    return FirstStageResult(statistic=float(stat), critical=float(crit), strong=bool(strong),
                             statistic_kind=kind, degenerate=math.isnan(stat))
 
 
