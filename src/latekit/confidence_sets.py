@@ -21,7 +21,7 @@ import numpy as np
 
 from .data_model import AnalysisConfig
 from .estimation import Estimates, _one_row, side_scales, variance_at
-from .exceptions import NoIdentificationError
+from .exceptions import NoIdentificationError, unstored
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
@@ -111,9 +111,9 @@ class SetArrays(NamedTuple):
                         inside)
 
     def entry(self, row: int, method: str = "") -> ConfidenceSet:
-        """Draw ``row``'s set labelled ``method``, or its error raised."""
+        """Draw ``row``'s set labelled ``method``, or a copy of its error raised."""
         if row in self.errors:
-            raise self.errors[row]
+            raise unstored(self.errors[row])
         return ConfidenceSet(KINDS[self.kind[row]], float(self.lo[row]), float(self.hi[row]),
                              method, bool(self.degenerate[row]))
 

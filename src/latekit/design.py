@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import Dataset, DesignSpec
-from .exceptions import AcceptanceRegionError, DegenerateCovariatesError
+from .exceptions import AcceptanceRegionError, DegenerateCovariatesError, unstored
 from .mixture import threshold_from_pa
 from .stats_core import covariate_covariance, inverse_from_factor, spd_factors
 
@@ -75,7 +75,7 @@ class Covariates:
             raise DegenerateCovariatesError("balance criterion needs at least one covariate")
         chol, errors = spd_factors(covariate_covariance(self.x), "covariate covariance")
         if errors:
-            raise errors[0]
+            raise unstored(errors[0])
         return chol
 
     @cached_property

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data_model import AnalysisConfig, Dataset
 from .design import Covariates
-from .exceptions import LatekitError
+from .exceptions import LatekitError, unstored
 from .stats_core import (_FLAVOR_EXPONENT, MomentSummary, _ArmArrays, _arm_indices, _arm_moments,
                          _row_forms, covariate_covariance, fit_interacted_pair, sandwich_cov,
                          spd_inverses)
@@ -242,7 +242,7 @@ def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: Analysi
                 cols[i] = (fit_y.tau_hat, fit_w.tau_hat,
                            *sandwich_cov(fit_y, fit_w, config.adjustment).family("sandwich"))
             except LatekitError as exc:
-                cols[i], errors[i] = (0.0, 1.0, 0.0, 0.0, 0.0), exc
+                cols[i], errors[i] = (0.0, 1.0, 0.0, 0.0, 0.0), exc.with_traceback(None)
         tau_y, tau_w, *triple = cols.T
         return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
     starts = 0 if one else np.arange(0, rows * n, n)[:, None]  # rows of the flattened stack
@@ -278,7 +278,7 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
                          if summary.k else ((summary.arm1, summary.arm0), None))
         _, _, families, errors = moment_families(*arms, summary.n1, summary.n0, sxx_inv)
     if errors:
-        raise errors[0]
+        raise unstored(errors[0])
     return VarianceComponents(**{name: tuple(float(v[0]) for v in triple)
                                  for name, triple in families.items()}, k=summary.k)
 
@@ -435,5 +435,5 @@ def combined_variance(components, tau_hat: float, family: str = "plain") -> Vari
     _, value, ey, _, negative, errors = variance_at(
         np.array([tau_hat]), np.ones(1), _one_row(*components.family(family)), family, True)
     if errors:
-        raise errors[0]
+        raise unstored(errors[0])
     return VarianceAt(float(np.ldexp(value[0], 2 * ey[0])), floored=bool(negative[0]))

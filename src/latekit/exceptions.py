@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import copy
 
 
 class LatekitError(Exception):
@@ -31,3 +32,9 @@ class InfeasibleTargetError(LatekitError):
 
 class InvalidDatasetError(LatekitError, ValueError):
     """Data analyze skips: invalid, or with non-finite variance estimates."""
+
+
+def unstored(exc: Exception) -> Exception:
+    """A copy of a kept error to raise, as the frames of its traceback may
+    reach what keeps it: kept errors hold no traceback, so leave no cycle."""
+    return copy.copy(exc)

@@ -35,8 +35,8 @@ import numpy as np
 from .confidence_sets import json_number
 from .data_model import AnalysisConfig, Dataset, DesignSpec, check_rows, validate
 from .estimation import Estimates, regime_spec, row_families, stack_families
-from .exceptions import InvalidDatasetError, LatekitError
-from .two_stage import TwoStageOutput, score_rows
+from .exceptions import InvalidDatasetError, LatekitError, unstored
+from .two_stage import METHODS, Method, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
@@ -45,7 +45,7 @@ from .estimation import variance_components
 from .stats_core import fit_interacted_pair, sandwich_cov, summarize
 from .two_stage import f_screen, first_stage_test
 
-ALL_METHODS = ("wald", "far", "ts", "ts_f10", "wald_f10")
+ALL_METHODS = tuple(METHODS)
 
 
 @dataclass
@@ -264,7 +264,7 @@ def score_groups(groups, config: AnalysisConfig, gammas: tuple[float, ...]) -> l
                 rows += (start + part).tolist()
             except np.linalg.LinAlgError as exc:
                 if len(part) == 1:
-                    out[start + part[0]] = exc
+                    out[start + part[0]] = exc.with_traceback(None)
                 else:
                     parts += np.split(part, len(part))
     if not built:
@@ -292,13 +292,30 @@ def score_stratum(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ())
 
 
 def stratum_steps(scored, config: AnalysisConfig):
-    """One stratum's estimates and a getter that reads each step ("wald", "far",
-    "ts", "ts_f10") at most once from its score_groups row, or its error raised."""
+    """One stratum's estimates and a getter that reads each step (see RowScores.step)
+    at most once from its score_groups row, or a copy of its error raised."""
     if isinstance(scored, Exception):
-        raise scored
+        raise unstored(scored)
     estimates, scores, row = scored
     return estimates, functools.cache(lambda step: scores.step(row, step, config.regime,
                                                                config.gamma))
+
+
+def _method_entry(method: Method, estimates: Estimates, get) -> dict:
+    """A METHODS row's report entry from a stratum's steps: the ratio estimate
+    beside a Wald set without a first stage, else the first stage, then the
+    branch between two sets, and the set or a weak first stage's skip."""
+    if method.first_stage is None:
+        estimate = {"estimate": json_number(estimates.ratio)} if method.strong == "wald" else {}
+        return {**estimate, "set": get(method.strong).to_json_dict()}
+    fs = get(method.first_stage)
+    entry = {"first_stage": fs.to_json_dict()}
+    chosen = method.strong if fs.strong else method.weak
+    if chosen is None:  # no weak set: the F > 10 comparator's skip
+        return {**entry, "skipped": "first-stage F <= 10"}
+    if method.weak is not None:
+        entry["branch"] = chosen
+    return {**entry, "set": get(chosen).to_json_dict()}
 
 
 def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfig,
@@ -309,33 +326,11 @@ def analyze_stratum(ds: Dataset, methods: tuple[str, ...], config: AnalysisConfi
     try:
         estimates, get = stratum_steps(
             score_stratum(ds, config, offsets) if scored is None else scored, config)
-        out: dict = {}
-        for m in methods:
-            if m == "wald":
-                out[m] = {"estimate": json_number(estimates.ratio),
-                          "set": get("wald").to_json_dict()}
-            elif m == "far":
-                out[m] = {"set": get("far").to_json_dict()}
-            elif m in ("ts", "ts_f10"):
-                fs = get(m)
-                branch = "wald" if fs.strong else "far"
-                out[m] = TwoStageOutput(fs, get(branch), branch).to_json_dict()
-            elif m == "wald_f10":
-                fs = get("ts_f10")
-                entry = {"first_stage": fs.to_json_dict()}
-                if fs.strong:
-                    entry["set"] = get("wald").to_json_dict()
-                else:
-                    entry["skipped"] = "first-stage F <= 10"
-                out[m] = entry
-            else:
-                raise ValueError(f"unknown method: {m!r}")
+        out = {m: _method_entry(METHODS[m], estimates, get) for m in methods}
     except LatekitError as exc:
         # invalid data, degenerate covariates, or a set that cannot be
         # inverted (a zero first stage and a significant outcome gap) skips
-        # the stratum and must not take down the run; its stored error keeps
-        # no traceback, whose frames would hold the pass in a reference cycle
-        exc.__traceback__ = None
+        # the stratum and must not take down the run
         return {"skipped": str(exc)}
     return {"tau_w_hat": json_number(estimates.tau_w),
             "tau_y_hat": json_number(estimates.tau_y),
@@ -346,15 +341,23 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
                  adjustment: str = "none", design: str = "cre",
                  p_a: float | None = None, alpha: float = 0.05,
                  gamma: float = 0.075, p_plus: float = 0.01) -> dict:
-    """Per-stratum analysis report for a records file."""
+    """Per-stratum analysis report for a records file; ``methods`` names
+    ALL_METHODS entries, at least one and each once, or ValueError says so."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError(f"--methods names no method; choose from {ALL_METHODS}")
+    for i, m in enumerate(methods):
+        if m not in ALL_METHODS:
+            raise ValueError(f"--methods: unknown method {m!r}; choose from {ALL_METHODS}")
+        if m in methods[:i]:
+            raise ValueError(f"--methods lists {m!r} twice")
     strata = read_records(path)
     if not strata:
         raise ValueError("no data rows in input")
     k = strata[0].x.shape[1]  # the header's x1..xK count
-    if design == "rem" or adjustment != "none":
-        if k == 0:
-            raise ValueError("covariate columns x1..xK are required for "
-                             "rerandomization analysis or regression adjustment")
+    if (design == "rem" or adjustment != "none") and k == 0:
+        raise ValueError("covariate columns x1..xK are required for "
+                         "rerandomization analysis or regression adjustment")
     if design == "rem":
         if p_a is None:
             raise ValueError("--pa is required with --design rem")
@@ -396,11 +399,7 @@ def plot_data_rows(report: dict) -> list[dict]:
         for method, res in entry["methods"].items():
             row = {"stratum": entry["stratum"], "n": entry["n"],
                    "est_compliers": entry["est_compliers"], "method": method}
-            if "set" in res:
-                length = res["set"]["length"]
-                row["length"] = length if length == "inf" else float(length)
-            else:
-                row["length"] = ""
+            row["length"] = res["set"]["length"] if "set" in res else ""
             fs = res.get("first_stage")
             row["strong"] = "" if fs is None else str(bool(fs["strong"])).lower()
             rows.append(row)

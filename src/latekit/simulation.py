@@ -35,9 +35,9 @@ from .confidence_sets import KINDS, SetArrays
 from .data_model import AnalysisConfig, DesignSpec, PotentialDataset, true_sample_late
 from .design import Covariates, draw_assignment
 from .estimation import regime_spec, row_families, stack_families
-from .exceptions import InfeasibleTargetError
+from .exceptions import InfeasibleTargetError, unstored
 from .mixture import MixtureParams, quantile_table
-from .two_stage import score_rows
+from .two_stage import METHODS, score_rows
 
 # not called here: the benchmark tracer (perfbench/tracing.py) rebinds these
 # names in this module by name, and fails on a name that is missing
@@ -246,8 +246,15 @@ def _in_range(v, high: float, closed: bool = False) -> bool:
             and 0.0 < v and (v <= high if closed else v < high))
 
 
+def _methods(gammas: tuple[float, ...]) -> list[tuple]:
+    """(table name, METHODS row, gamma) of each method a study reports, in METHODS
+    order: the one whose first stage is the t test once per gamma, the others once."""
+    return [(name if g is None else _gamma_method(g), method, g) for name, method in METHODS.items()
+            for g in (gammas if method.first_stage == "ts" else (None,))]
+
+
 def _method_names(gammas: tuple[float, ...]) -> list[str]:
-    return ["wald", "far", *(_gamma_method(g) for g in gammas), "ts_f10", "wald_f10"]
+    return [name for name, _, _ in _methods(gammas)]
 
 
 def _gamma_method(gamma: float) -> str:
@@ -364,11 +371,6 @@ def _means(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.array([np.mean(v[k]) if k.any() else math.nan for v, k in zip(values, kept)])
 
 
-def _longer_wald_message(wald_length: float, far_length: float) -> str:
-    return (f"Wald interval length {wald_length!r} exceeds "
-            f"the FAR interval length {far_length!r}")
-
-
 class MethodScores(NamedTuple):
     """One method's sets over a cell's draws; ``strong`` is None for methods
     without a first-stage decision."""
@@ -393,30 +395,27 @@ def _score(tau_y: np.ndarray, tau_w: np.ndarray, families: dict, errors: dict,
     longer = ((far.kind == KINDS.index("interval")) & ~far.degenerate
               & (wald_len > far_len + 1e-9 * np.maximum(far_len, 1.0)))
     # as scoring draw by draw would, raise the first failing draw's first failure
-    failed = {int(i): ArithmeticError(_longer_wald_message(float(wald_len[i]),
-                                                           float(far_len[i])))
+    failed = {int(i): ArithmeticError(f"Wald interval length {float(wald_len[i])!r} exceeds "
+                                      f"the FAR interval length {float(far_len[i])!r}")
               for i in np.flatnonzero(longer)}
     failed.update(far.errors)
     failed.update(wald_sets.errors)
     failed.update(errors)
     if failed:
-        raise failed[min(failed)]
-
-    def pick(strong: np.ndarray) -> SetArrays:
-        # the Wald set where the first stage is strong, else the FAR set,
-        # field by field over the four per-draw arrays
-        return SetArrays(*(np.where(strong, u, v) for u, v in zip(wald_sets[:4], far[:4])),
-                         errors={})
+        raise unstored(failed[min(failed)])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         estimates = np.where(tau_w != 0.0, tau_y / tau_w, math.nan)
-    every = np.ones(len(tau_y), dtype=bool)
-    scores = {"wald": MethodScores(wald_sets, None, every),
-              "far": MethodScores(far, None, every)}
-    for g, strong in scored.t_strong.items():
-        scores[_gamma_method(g)] = MethodScores(pick(strong), strong, every)
-    scores["ts_f10"] = MethodScores(pick(scored.f_strong), scored.f_strong, every)
-    scores["wald_f10"] = MethodScores(wald_sets, scored.f_strong, scored.f_strong)
+    sets, every, scores = {"wald": wald_sets, "far": far}, np.ones(len(tau_y), dtype=bool), {}
+    for name, (step, strong_set, weak_set), gamma in _methods(gammas):
+        strong = (None if step is None else scored.t_strong[gamma] if step == "ts"
+                  else scored.f_strong)
+        chosen = sets[strong_set]
+        if strong is not None and weak_set is not None:  # the pick, field by field
+            chosen = SetArrays(*(np.where(strong, u, v)
+                                 for u, v in zip(chosen[:4], sets[weak_set][:4])), errors={})
+        # a draw whose first stage is weak is left out where there is no weak set
+        scores[name] = MethodScores(chosen, strong, every if weak_set else strong)
     return estimates, scores
 
 
@@ -654,27 +653,14 @@ def _rows(cfg: StudyConfig, tau_ws, truths, attempts: np.ndarray, estimates: np.
     attempts_mean = (by_cell(attempts).mean(axis=1) if per_cell
                      else np.full(cells, math.nan)).tolist()
     abs_errors = by_cell(np.where(np.isfinite(estimates), np.abs(estimates - truth), math.inf))
-    # _score gives each method the Wald sets, the FAR sets or their pick by
-    # its strong flags, so coverage and length are worked out once for each
-    wald, far = scores["wald"].sets, scores["far"].sets
-    covered = wald.contains(truth), far.contains(truth)
-    lengths = wald.length, far.length
     kind_codes = np.arange(cells)[:, None] * len(KINDS)
-
-    def of_sets(s: MethodScores, values: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        if s.sets is wald:
-            return by_cell(values[0])
-        if s.sets is far:
-            return by_cell(values[1])
-        return by_cell(np.where(s.strong, *values))
-
     per_method = {}
     for m, s in scores.items():
         kept = by_cell(s.included)
         n_kept = kept.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            coverage = np.where(n_kept > 0, (of_sets(s, covered) & kept).sum(axis=1) / n_kept,
-                                math.nan)
+            covered = (by_cell(s.sets.contains(truth)) & kept).sum(axis=1)
+            coverage = np.where(n_kept > 0, covered / n_kept, math.nan)
         kinds = np.bincount((kind_codes + by_cell(s.sets.kind))[kept],
                             minlength=cells * len(KINDS)).reshape(cells, len(KINDS))
         # each PerformanceRow field but the study's own, one entry per cell
@@ -683,7 +669,7 @@ def _rows(cfg: StudyConfig, tau_ws, truths, attempts: np.ndarray, estimates: np.
             "median_abs_error": _medians(abs_errors, kept).tolist(),
             "mean_abs_error": _means(abs_errors, kept).tolist(),
             "coverage": coverage.tolist(),
-            "median_length": _medians(of_sets(s, lengths), kept).tolist(),
+            "median_length": _medians(by_cell(s.sets.length), kept).tolist(),
             "strong_prop": ((by_cell(s.strong).sum(axis=1) / per_cell).tolist()
                             if s.strong is not None and per_cell else [None] * cells),
             "set_kinds": [dict(zip(KINDS, counts)) for counts in kinds.tolist()],

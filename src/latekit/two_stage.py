@@ -8,7 +8,8 @@ only when the first-stage F statistic exceeds 10.
 
 ``score_rows`` scores many rows at once, with every critical value the
 package uses; ``wald_ci``, ``far_set`` and ``first_stage_test`` read their
-step of its one row by ``one_row_step``.
+step of its one row by ``one_row_step``. ``METHODS`` says how each reported
+method reads those steps; ``analyze`` and ``simulate`` both read it.
 """
 from __future__ import annotations
 
@@ -26,6 +27,19 @@ from .mixture import MixtureParams, lambda_quantiles, normal_quantile
 from .mixture import lambda_quantile  # not called here: perfbench/tracing.py rebinds it
 
 F_THRESHOLD = 10.0
+
+
+class Method(NamedTuple):
+    """A row of METHODS, every reported method in report order."""
+
+    first_stage: str | None  # step whose strong flag picks the set: "ts" (at gamma), "ts_f10" (F)
+    strong: str  # set ("wald" or "far") reported where that step is strong, or without one
+    weak: str | None  # set where it is weak; None: analyze skips, a study leaves the draw out
+
+
+METHODS = {"wald": Method(None, "wald", "wald"), "far": Method(None, "far", "far"),
+           "ts": Method("ts", "wald", "far"), "ts_f10": Method("ts_f10", "wald", "far"),
+           "wald_f10": Method("ts_f10", "wald", None)}
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,6 @@ from latekit.simulation import (
     PerformanceRow,
     StudyConfig,
     _gamma_method,
-    _longer_wald_message,
     _method_names,
 )
 from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
@@ -462,6 +461,12 @@ def cell_families(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig):
     draw of the one population ``pop``, as the study builds them."""
     return estimation.row_families(
         zs, np.array([[pop.y1, pop.w1], [pop.y0, pop.w0]], dtype=float), pop.x, base)
+
+
+def _longer_wald_message(wald_length: float, far_length: float) -> str:
+    """The error a study raises for a Wald interval longer than its FAR interval."""
+    return (f"Wald interval length {wald_length!r} exceeds "
+            f"the FAR interval length {far_length!r}")
 
 
 def score_cell(pop: PotentialDataset, zs: np.ndarray, base: AnalysisConfig,

@@ -617,6 +617,26 @@ def test_analyze_rejects_empty_or_repeated_methods(covariate_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods, message", [
+    ((), "--methods names no method; choose from "),
+    (("wald", "wald"), "--methods lists 'wald' twice"),
+    (["far", "ts", "far"], "--methods lists 'far' twice"),
+    (("wald", "bogus"), "--methods: unknown method 'bogus'; choose from "),
+])
+def test_analyze_file_checks_methods_as_the_cli_does(tmp_path, methods, message):
+    # every stratum is skipped (one treated unit), so no stratum reads a method
+    path = tmp_path / "skipped.csv"
+    path.write_text("stratum,z,w,y\n" + "".join(f"{key},{int(i == 0)},{int(i == 0)},{i}\n"
+                                                for key in "ab" for i in range(4)))
+    report = analyze_file(str(path), methods=["far"])
+    assert report["settings"]["methods"] == ["far"]
+    assert all("skipped" in entry for entry in report["strata"])
+    with pytest.raises(ValueError) as info:
+        analyze_file(str(path), methods=methods)
+    assert str(info.value) == (message + str(ALL_METHODS) if message.endswith("from ")
+                               else message)
+
+
 def test_analyze_out_of_memory_exits_2_without_a_traceback(covariate_file, tmp_path, capsys,
                                                           monkeypatch):
     def exhausted(path):

@@ -69,6 +69,19 @@ def test_every_analyze_setting_also_runs_two_stage_set(compare, tmp_path):
         assert argv[0] == str(compare.TWO_STAGE_LINES) and argv[3:] == extra
 
 
+def test_method_runs_write_analyze_artefacts_only(compare, tmp_path):
+    # analyze with the F screen's skip and branch rows and no t test, under
+    # cre and rem; two_stage_lines.py takes no --methods
+    runs = [(name, argv, artefacts) for name, argv, artefacts in compare.runs(tmp_path, 777)
+            if "--methods" in argv]
+    assert [name for name, _, _ in runs] == [
+        f"analyze_strata[{setting},{methods}]" for setting in ("cre", "rem")
+        for methods in ("wald_f10,far", "ts_f10,wald")]
+    for (_, argv, artefacts), extra in zip(runs, compare.METHOD_SETTINGS.values()):
+        assert argv[:3] == ["-m", "latekit.cli", "analyze"] and argv[-len(extra):] == extra
+        assert artefacts == ("report.json", "lengths.csv")
+
+
 def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
     # one JSON line per stratum, in input order: the centred stratum's
     # two_stage_set entry and the one-row procedures' fields from the

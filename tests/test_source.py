@@ -252,3 +252,25 @@ def test_sibling_imports_are_used_exported_or_tracer_bound(monkeypatch):
                            (alias.asname or alias.name for alias in node.names)
                            if name not in used | exported and (path.stem, name) not in bound]
     assert unused == [], unused
+
+
+def test_analyze_and_simulate_read_the_method_table():
+    # the reported methods are the rows of two_stage.METHODS: the modules
+    # that report them name no F > 10 comparator themselves
+    for name in ("io.py", "simulation.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        named = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and node.value in ("ts_f10", "wald_f10")]
+        assert named == [], name
+    io, simulation, two_stage = (importlib.import_module(f"latekit.{name}")
+                                 for name in ("io", "simulation", "two_stage"))
+    assert io.ALL_METHODS == tuple(two_stage.METHODS)
+    # a study reports them in the table's order, ts once per gamma in its place
+    assert simulation._method_names((0.075, 0.025)) == [
+        "wald", "far", "ts_gamma_0.075", "ts_gamma_0.025", "ts_f10", "wald_f10"]
+    for gammas in ((), (0.025,), (0.1, 0.05, 0.01)):
+        names = iter(simulation._method_names(gammas))
+        assert [[next(names) for _ in gammas] if m == "ts" else next(names)
+                for m in two_stage.METHODS] == [
+            [f"ts_gamma_{g:g}" for g in gammas] if m == "ts" else m for m in two_stage.METHODS]
+        assert next(names, None) is None

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -12,7 +13,8 @@ import pytest
 from latekit.confidence_sets import far_set, json_number, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates, VarianceComponents, variance_components
-from latekit.exceptions import DegenerateCovariatesError, InvalidDatasetError, LatekitError
+from latekit.exceptions import (DegenerateCovariatesError, InvalidDatasetError, LatekitError,
+                                RankDeficientDesignError)
 from latekit import io
 from latekit.io import ALL_METHODS, analyze_stratum
 from latekit.stats_core import SandwichCov, fit_interacted_pair, sandwich_cov, summarize
@@ -207,6 +209,48 @@ def test_two_stage_set_takes_analyze_covariate_offsets(rng):
         two_stage_set(ds, config)
     out = two_stage_set(ds, config, means)
     assert out.to_json_dict() == analyze_stratum(ds, ("ts",), config, means)["methods"]["ts"]
+
+
+def _cycles_after_error(call, error) -> int:
+    """How many objects the garbage collector finds in reference cycles
+    after ``call`` raises ``error``, with it off from just before the call."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            call()
+        except error:  # not bound: a name for it would hold its traceback
+            pass
+        else:
+            raise AssertionError(f"no {error.__name__} raised")
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# a kept error is raised as a copy, and a caught one is kept without its
+# traceback: raised itself, its traceback's frames would reach what keeps
+# it, a cycle holding the call's arrays until the garbage collector runs
+def test_two_stage_set_on_non_finite_y_leaves_no_reference_cycle(rng):
+    ds = random_dataset(rng, n=30, k=2)
+    bad = dataclasses.replace(ds, y=np.where(np.arange(ds.n) == 3, np.inf, ds.y))
+    assert _cycles_after_error(lambda: two_stage_set(bad, _CONFIGS["cre"]),
+                               InvalidDatasetError) == 0
+
+
+def test_hc2_two_stage_set_on_collinear_covariates_leaves_no_reference_cycle(rng):
+    # the interacted fit raises inside row_families, which keeps the error
+    ds = random_dataset(rng, n=30, k=2)
+    bad = dataclasses.replace(ds, x=ds.x[:, [0, 0]])
+    assert _cycles_after_error(lambda: two_stage_set(bad, _CONFIGS["hc2"]),
+                               RankDeficientDesignError) == 0
+
+
+def test_wald_ci_on_an_infinite_estimate_leaves_no_reference_cycle():
+    # the Wald intervals keep the error of a ratio that is not finite
+    assert _cycles_after_error(lambda: wald_ci("cre", Estimates(math.inf, 0.5),
+                                               components_with_vw(0.2), cre_config()),
+                               ValueError) == 0
 
 
 def test_rem_config_refuses_gamma_of_one_half_or_more(rng):

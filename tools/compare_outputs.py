@@ -10,7 +10,10 @@ strata input under ``cre``, ``--design rem --pa 0.1``, ``--adjust hc2`` and
 ``--design rem --pa 0.1 --adjust ehw``; under each of these four settings
 ``tools/two_stage_lines.py`` also runs ``two_stage_set`` and the one-row
 ``wald_ci``, ``far_set``, ``first_stage_test`` and ``f_screen`` on every
-stratum.
+stratum. Under ``cre`` and ``rem``, ``analyze`` also runs with
+``--methods wald_f10,far`` and ``--methods ts_f10,wald``: the F screen's
+skip and branch without the t test, which the default methods never leave
+out (``two_stage_lines.py`` takes no ``--methods``).
 For each artefact (``table.csv``, ``table.json``; ``report.json``,
 ``lengths.csv``; ``two_stage_set.jsonl``) one line says
 "identical" or gives the largest relative difference of its numbers. The
@@ -37,6 +40,9 @@ SEEDS = (20240901, 777)
 ANALYZE_SETTINGS = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"],
                     "hc2": ["--adjust", "hc2"],
                     "rem_ehw": ["--design", "rem", "--pa", "0.1", "--adjust", "ehw"]}
+# analyze alone, with some methods: a setting's name and its methods
+METHOD_SETTINGS = {f"{setting},{methods}": [*ANALYZE_SETTINGS[setting], "--methods", methods]
+                   for setting in ("cre", "rem") for methods in ("wald_f10,far", "ts_f10,wald")}
 
 
 def largest_difference(a: bytes, b: bytes) -> float | None:
@@ -68,6 +74,8 @@ def runs(workdir: Path, seed: int):
                 yield (f"{name}[{setting}]", [str(TWO_STAGE_LINES), str(inputs),
                                               "{out}/two_stage_set.jsonl", *extra],
                        ("two_stage_set.jsonl",))
+            for setting, extra in METHOD_SETTINGS.items():
+                yield f"{name}[{setting}]", argv + extra, workload.outputs
 
 
 def run(checkout: Path, argv: list[str], outdir: Path) -> str | None:
