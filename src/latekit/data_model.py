@@ -57,30 +57,121 @@ class Dataset:
         return self.x.shape[1]
 
 
+def segment_reduce(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   empty=0) -> np.ndarray:
+    """``ufunc`` reduced over each segment of a column, or of each row of a
+    matrix, segment i the ``lengths[i]`` elements from ``starts[i]``, one
+    after another; ``empty`` for an empty segment. Exact for integer sums,
+    any and max; a float sum is another matter (see by_length)."""
+    if lengths.all():
+        return ufunc.reduceat(a, starts, axis=-1)
+    found = ufunc.reduceat(np.concatenate([a, np.full((*a.shape[:-1], 1), empty, dtype=a.dtype)],
+                                          axis=-1), starts, axis=-1)
+    return np.where(lengths > 0, found, empty)
+
+
+def by_length(starts: np.ndarray, lengths: np.ndarray):
+    """For each distinct length m, shortest first: the positions of the
+    segments of m elements and the (segments, m) indices of their elements,
+    segment i's running up from starts[i].
+
+    Floating-point sums over segments are taken on such a stack, never over
+    the segments one after another (np.add.reduceat) nor padded to one
+    length: only the stack reduces each segment in the order its own call
+    does. Stratum s0002 of the analyze benchmark input at seed 20240901 has
+    an F of exactly 10, which its own sums compute as 10.000000000000004 and
+    the padded or reduceat sums as 10.0, deciding its F screen the other way."""
+    # numpy's array methods, not its functions: a one-stratum call makes this
+    # pass too, and each function's wrapper costs more than its work there
+    order = lengths.argsort(kind="stable")
+    ordered = lengths[order]
+    if not len(order) or ordered[0] == ordered[-1]:  # at most one class
+        if len(order):
+            yield order, starts[order, None] + np.arange(ordered[0])
+        return
+    ends = ordered.cumsum()
+    # the elements of every segment in that order, each length's a block
+    units = np.arange(ends[-1]) + (starts[order] - ends + ordered).repeat(ordered)
+    cuts = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), len(order)]
+    ends, ordered = [0, *ends.tolist()], ordered.tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield order[lo:hi], units[ends[lo]:ends[hi]].reshape(hi - lo, ordered[lo])
+
+
+def column_sums(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The column sums of (N, K) ``x`` over the units of each (segments, m)
+    row of ``idx``, each with the bits of np.add.reduce(x[row], axis=0):
+    numpy sums one column pairwise, as a run, and several row after row,
+    which the segments side by side ((m, segments, K)) do in fewer steps."""
+    if x.shape[1] == 1:
+        return np.add.reduce(x[idx], axis=1)
+    return np.add.reduce(x.take(idx.T, axis=0), axis=0)
+
+
 def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
-               offsets: np.ndarray):
-    """validate's checks of every row of (rows, n) ``z``, ``w``, ``y`` and
-    (rows, n, K) ``x``, with (rows, K) ``offsets``: which rows fail each, in
+               offsets: np.ndarray, lengths: np.ndarray):
+    """validate's checks of every stratum of the (N,) columns ``z``, ``w``,
+    ``y`` and (N, K) ``x``, whose strata of ``lengths`` units follow one
+    another, with (strata, K) ``offsets``: which strata fail each check, in
     its order, and the y spread, covariate means and off-centre columns its
-    messages print. Reductions run along rows, so validate is its one-row call."""
-    n = z.shape[1]
-    y_finite, x_finite = np.isfinite(y).all(axis=1), np.isfinite(x).all(axis=(1, 2))
-    # rows that fail a finiteness check are zeroed, so they warn of nothing
-    ys = y if y_finite.all() else np.where(y_finite[:, None], y, 0.0)
-    xs = x if x_finite.all() else np.where(x_finite[:, None, None], x, 0.0)
+    messages print. Counts and extremes are segment_reduce calls, and the y
+    and covariate sums are taken by_length, so validate is its one-stratum
+    call."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = lengths.cumsum() - lengths
+    # each check marks its units, and a stratum fails with any unit marked;
+    # a unit's covariates are checked row by row only when one is not finite
+    x_finite = np.isfinite(x)
+    marked = np.array([(z != 0) & (z != 1), (w != 0) & (w != 1), ~np.isfinite(y),
+                       np.zeros(len(x), dtype=bool) if np.logical_and.reduce(x_finite, axis=None)
+                       else ~np.logical_and.reduce(x_finite, axis=1)])
+    z_bad, w_bad, y_bad, x_bad = segment_reduce(np.logical_or, marked, starts, lengths, False)
+    if np.logical_or.reduce(marked[2:], axis=None):
+        # strata that fail a finiteness check are zeroed, so they warn of nothing
+        y = np.where(y_bad.repeat(lengths), 0.0, y)
+        x = np.where(x_bad.repeat(lengths)[:, None], 0.0, x)
+    y_sums, means = np.empty(len(lengths)), np.empty((len(lengths), x.shape[1]))
+    for rows, idx in by_length(starts, lengths):
+        y_sums[rows] = np.add.reduce(y[idx], axis=1)
+        means[rows] = column_sums(x, idx)
     # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
-    spread = np.abs(ys - (np.add.reduce(ys, axis=1) / max(n, 1))[:, None]).max(axis=1,
-                                                                             initial=0.0)
-    means = np.add.reduce(xs, axis=1) / max(n, 1)
-    scale = np.maximum(np.abs(xs).max(axis=(1, 2), initial=1.0),  # so at least 1
-                       np.abs(offsets).max(axis=1, initial=0.0))
+    count = np.maximum(lengths, 1)
+    y_mean = y_sums / count
+    means /= count[:, None]
+    # the largest |y - mean| is the larger of max y - mean and mean - min y,
+    # as rounding is monotone and symmetric
+    spread = np.maximum(np.maximum(
+        segment_reduce(np.maximum, y, starts, lengths, -np.inf) - y_mean,
+        y_mean - segment_reduce(np.minimum, y, starts, lengths, np.inf)), 0.0)
+    # the largest |x| of a stratum, from its largest and smallest x
+    scale = np.maximum(np.maximum.reduce(np.maximum(
+        segment_reduce(np.maximum, x.T, starts, lengths, -np.inf),
+        -segment_reduce(np.minimum, x.T, starts, lengths, np.inf)), axis=0, initial=1.0),
+        np.maximum.reduce(np.abs(offsets), axis=1, initial=0.0))  # so at least 1
     off = np.abs(means) > CENTERING_TOL * scale[:, None]
     lo, hi = Y_SPREAD_RANGE
-    n1 = np.add.reduce(z, axis=1)
-    fails = [((z != 0) & (z != 1)).any(axis=1), ((w != 0) & (w != 1)).any(axis=1), ~y_finite,
-             ((0 < spread) & (spread < lo)) | (spread > hi), ~x_finite, n1 < 2, n - n1 < 2,
-             off.any(axis=1)]
+    n1 = segment_reduce(np.add, z, starts, lengths)
+    fails = [z_bad, w_bad, y_bad, ((0 < spread) & (spread < lo)) | (spread > hi), x_bad, n1 < 2,
+             lengths - n1 < 2, np.logical_or.reduce(off, axis=1)]
     return fails, spread, means, off
+
+
+def messages(checks, row: int, z: np.ndarray, w: np.ndarray) -> list[str]:
+    """validate's report of stratum ``row`` of a check_rows result ``checks``,
+    whose assignment and receipt columns are ``z`` and ``w``."""
+    fails, spread, means, off = checks
+    z_bad, w_bad, *rest, uncentered = (f[row] for f in fails)
+    report = [f"{name} contains non-binary values: {np.setdiff1d(np.unique(a), [0, 1]).tolist()}"
+              for name, a, bad in (("z", z, z_bad), ("w", w, w_bad)) if bad]
+    report += [text for text, bad in zip(
+        ("y contains non-finite values",
+         f"y varies on a scale ({spread[row]:.3g}) outside [2^-400, 2^400]; rescale y",
+         "x contains non-finite values", "n1 < 2", "n0 < 2"), rest) if bad]
+    if uncentered:
+        cols = np.flatnonzero(off[row])
+        report.append(f"covariates not centered: columns {cols.tolist()} have means "
+                      f"{means[row][cols].tolist()}")
+    return report
 
 
 def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
@@ -88,27 +179,15 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
 
     Checks binary fields, minimum arm sizes (sample variances need at
     least two units per arm), finite outcomes on a workable scale (see
-    Y_SPREAD_RANGE), and covariate centering: check_rows of one row.
-    ``offsets`` are the column means the caller already subtracted from the
-    covariates, as center_covariates returns them: the roundoff that
-    subtraction leaves in the means grows with them, so they widen the
-    centering tolerance.
+    Y_SPREAD_RANGE), and covariate centering: the messages of check_rows of
+    one stratum. ``offsets`` are the column means the caller already
+    subtracted from the covariates, as center_covariates returns them: the
+    roundoff that subtraction leaves in the means grows with them, so they
+    widen the centering tolerance.
     """
-    fails, spread, means, off = check_rows(
-        dataset.z[None], dataset.w[None], dataset.y[None], dataset.x[None],
-        np.asarray(offsets, dtype=float).reshape(1, -1))
-    z_bad, w_bad, *rest, uncentered = (f[0] for f in fails)
-    report = [f"{name} contains non-binary values: {np.setdiff1d(np.unique(a), [0, 1]).tolist()}"
-              for name, a, bad in (("z", dataset.z, z_bad), ("w", dataset.w, w_bad)) if bad]
-    report += [text for text, bad in zip(
-        ("y contains non-finite values",
-         f"y varies on a scale ({spread[0]:.3g}) outside [2^-400, 2^400]; rescale y",
-         "x contains non-finite values", "n1 < 2", "n0 < 2"), rest) if bad]
-    if uncentered:
-        cols = np.flatnonzero(off[0])
-        report.append(f"covariates not centered: columns {cols.tolist()} have means "
-                      f"{means[0][cols].tolist()}")
-    return report
+    return messages(check_rows(dataset.z, dataset.w, dataset.y, dataset.x,
+                               np.asarray(offsets, dtype=float).reshape(1, -1), [dataset.n]),
+                    0, dataset.z, dataset.w)
 
 
 def center_covariates(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,12 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import AnalysisConfig, Dataset
+from .data_model import AnalysisConfig, Dataset, by_length
 from .design import Covariates
 from .exceptions import LatekitError, unstored
 from .stats_core import (_FLAVOR_EXPONENT, MomentSummary, _ArmArrays, _arm_indices, _arm_moments,
-                         _row_forms, covariate_covariance, fit_interacted_pair, sandwich_cov,
-                         spd_inverses)
+                         _row_forms, covariate_covariances, fit_interacted_pair,
+                         sandwich_cov, spd_inverses)
 
 
 class Regime(NamedTuple):
@@ -212,54 +212,111 @@ def arm_fits(x: np.ndarray, treated: np.ndarray, yws: np.ndarray, expo: int):
     return gamma[:, :, -1].reshape(2, rows, 2) / r_pp, triple, unsure.reshape(2, rows)
 
 
-def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: AnalysisConfig):
+def _strata_arms(treated: np.ndarray, yws: np.ndarray, before: np.ndarray, starts: np.ndarray,
+                 n1: np.ndarray, n0: np.ndarray, x: np.ndarray | None
+                 ) -> tuple[_ArmArrays, _ArmArrays]:
+    """The treated and the control arm of every stratum from ``starts``
+    with ``n1`` and ``n0`` units in each, from one _arm_moments call per arm
+    size over the (2, N) observed ``yws``; covariate terms too, given ``x``.
+    ``treated`` marks the treated units of the whole column and ``before``
+    counts them before each unit."""
+    units = (~treated).argsort(kind="stable")  # every treated unit, then every control one
+    sizes = np.concatenate([n1, n0])  # every treated arm, then every control arm
+    first = before[starts]  # each stratum's first treated unit among units
+    parts, order = [], []
+    for arms, idx in by_length(np.concatenate([first, before[-1] + starts - first]), sizes):
+        parts.append(_arm_moments(units[idx], *yws, x))
+        order.append(arms)
+    back = np.concatenate(order).argsort()
+    both = [None if field[0] is None else np.concatenate(field)[back] for field in zip(*parts)]
+    return (_ArmArrays(*(f if f is None else f[:len(n1)] for f in both)),
+            _ArmArrays(*(f if f is None else f[len(n1):] for f in both)))
+
+
+def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: AnalysisConfig,
+                 lengths: np.ndarray | None = None, starts: np.ndarray | None = None):
     """The effect estimates, the family triples by name and the error each
-    row raises, for every 0/1 assignment row of ``zs``, as ``config``'s
-    REGIMES entry reads them. With (n, K) ``x`` the rows share one
-    population (a study cell), whose treated and control outcome and receipt
-    are the (2, 2, n) ``yws``; with (rows, n, K) ``x`` each has its own
-    (analyze's strata), whose observed outcome and receipt are the (2, rows,
-    n) ``yws``. Moments come from one _arm_moments call per arm and, under
-    ReM, each population's inverse full covariance; the sandwich family from
-    arm_fits (the interacted fit is the two arms' fits, Lin 2013), whose
-    unsure rows, and all when an arm has at most K + 1 units, are refit one
-    at a time by fit_interacted_pair and sandwich_cov, or keep what that
-    raises and the placeholder (0, 1, 0, 0, 0)."""
-    spec, (rows, n), one = regime_spec(config.regime), zs.shape, x.ndim == 2
-    n1, yws = int(zs[:1].sum()), yws if one else np.broadcast_to(yws, (2, *yws.shape))
+    row raises, as ``config``'s REGIMES entry reads them. Without
+    ``lengths``, a row is a 0/1 assignment row of (rows, n) ``zs``, and the
+    rows share one population (a study cell): (n, K) ``x``, whose treated
+    and control outcome and receipt are the (2, 2, n) ``yws``. With
+    ``lengths``, a row is a stratum, a population of its own (analyze's
+    strata): the ``lengths`` units from ``starts`` of the (N,) assignment
+    column ``zs``, 0/1 in every such stratum, with their (2, N) observed
+    outcome and receipt ``yws`` and (N, K) covariates ``x``; units outside
+    them are not read. Moments come from one _arm_moments call per arm size
+    (by_length, so each arm keeps its own bits) and, under ReM, the inverse
+    full covariance of each population, all in one spd_inverses call; the
+    sandwich family from one arm_fits call per population size (the
+    interacted fit is the two arms' fits, Lin 2013), whose unsure rows, and
+    all with an arm of at most K + 1 units, are refit one at a time by
+    fit_interacted_pair and sandwich_cov, or keep what that raises and the
+    placeholder (0, 1, 0, 0, 0)."""
+    spec, k = regime_spec(config.regime), x.shape[-1]
+    if lengths is None:
+        rows, n = zs.shape
+        n1 = int(zs[:1].sum())
+        n0 = n - n1
+    else:
+        lengths, starts = np.asarray(lengths, dtype=np.int64), np.asarray(starts)
+        treated = zs != 0
+        before = np.zeros(len(zs) + 1, dtype=np.int64)  # treated units before each unit
+        treated.cumsum(out=before[1:])
+        n1 = before[starts + lengths] - before[starts]
+        rows, n0 = len(lengths), lengths - n1
+
+    def data(i):  # row i's assignment, outcome and receipt rows, and covariates
+        if lengths is None:
+            return zs[i], yws, x
+        part = slice(starts[i], starts[i] + lengths[i])
+        return zs[part], yws[:, part][None].repeat(2, axis=0), x[part]
     sxx_inv, errors = None, {}
     if spec.family == "sandwich":
         cols, unsure = np.zeros((rows, 5)), np.ones(rows, dtype=bool)
-        if min(n1, n - n1) > x.shape[-1] + 1:
-            ints, triples, arm_unsure = arm_fits(x, zs, yws, _FLAVOR_EXPONENT[config.adjustment])
-            cols = np.concatenate([ints[0] - ints[1], triples[0] + triples[1]], axis=1)
-            unsure = arm_unsure[0] | arm_unsure[1]
-        for i in np.flatnonzero(unsure).tolist():
-            z, (treated, control) = zs[i], (yws if one else yws[:, :, i])
+        if lengths is None:
+            fits = [(slice(None), x, zs, yws)] if min(n1, n0) > k + 1 else []
+        else:
+            fit = (np.minimum(n1, n0) > k + 1).nonzero()[0]
+            fits = [(fit[members], x.take(idx, axis=0), zs[idx],
+                     yws[:, idx][None].repeat(2, axis=0))  # the arms' observed outcomes
+                    for members, idx in by_length(starts[fit], lengths[fit])]
+        for members, *args in fits:
+            ints, triples, arm_unsure = arm_fits(*args, _FLAVOR_EXPONENT[config.adjustment])
+            cols[members] = np.concatenate([ints[0] - ints[1], triples[0] + triples[1]], axis=1)
+            unsure[members] = arm_unsure[0] | arm_unsure[1]
+        for i in unsure.nonzero()[0].tolist():
+            z, (treated, control), xi = data(i)
             y, w = np.where(z == 1, treated, control)
             try:
-                fit_y, fit_w = fit_interacted_pair(Dataset(z, w, y, x if one else x[i]), z)
+                fit_y, fit_w = fit_interacted_pair(Dataset(z, w, y, xi), z)
                 cols[i] = (fit_y.tau_hat, fit_w.tau_hat,
                            *sandwich_cov(fit_y, fit_w, config.adjustment).family("sandwich"))
             except LatekitError as exc:
                 cols[i], errors[i] = (0.0, 1.0, 0.0, 0.0, 0.0), exc.with_traceback(None)
         tau_y, tau_w, *triple = cols.T
         return tau_y, tau_w, {"sandwich": tuple(triple)}, errors
-    starts = 0 if one else np.arange(0, rows * n, n)[:, None]  # rows of the flattened stack
-    xs = x.reshape(-1, x.shape[-1]) if spec.mixture else None
+    xs = x if spec.mixture else None
     with np.errstate(over="ignore", invalid="ignore"):  # extreme covariate scales overflow
-        arms = [_arm_moments(i + starts, *yw, xs)
-                for i, yw in zip(_arm_indices(zs, n1), yws.reshape(2, 2, -1))]
-        if spec.mixture:  # one population's singular covariance raises, as its draws do
-            sxx_inv, errors = ((Covariates(x).sxx_inv, {}) if one else spd_inverses(
-                np.stack(list(map(covariate_covariance, x))), "covariate covariance"))
-        tau_y, tau_w, families, arm_errors = moment_families(*arms, n1, n - n1, sxx_inv)
+        if lengths is None:
+            arms = [_arm_moments(i, *yw, xs) for i, yw in zip(_arm_indices(zs, n1), yws)]
+            if spec.mixture:  # the population's singular covariance raises, as its draws do
+                sxx_inv = Covariates(x).sxx_inv
+        else:
+            arms = _strata_arms(treated, yws, before, starts, n1, n0, xs)
+            if spec.mixture:
+                covs = np.empty((rows, k, k))
+                for members, idx in by_length(starts, lengths):
+                    covs[members] = covariate_covariances(x.take(idx, axis=0))
+                sxx_inv, errors = spd_inverses(covs, "covariate covariance")
+        tau_y, tau_w, families, arm_errors = moment_families(*arms, n1, n0, sxx_inv)
     return tau_y, tau_w, families, {**arm_errors, **errors}
 
 
 def stack_families(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
     """row_families results of consecutive blocks of rows as one block's,
-    each error at its row of the whole."""
+    each error at its row of the whole; one block is its own."""
+    if len(built) == 1:
+        return built[0]
     tau_y, tau_w, families, errors = zip(*built)
     starts = np.cumsum([0, *map(len, tau_y)]).tolist()
     return (np.concatenate(tau_y), np.concatenate(tau_w),

@@ -12,13 +12,16 @@ checks, is read again by the record loop over ``csv.reader``, which also
 takes the Python ``float`` spellings ``loadtxt`` does not and quoted line
 breaks, and names the row and column of the first bad record.
 
-``analyze_file`` groups the strata by size and treated count, stacks each
-group's columns once and centres its covariates by one reduction.
-``score_groups``, the one path from stacked strata to their scores,
-validates each group by one ``check_rows`` call, builds its families by one
-``estimation.row_families`` call and scores every group's rows at once by
-``two_stage.score_rows``, as study cells' are. ``two_stage_set``'s dataset,
-and a stratum ``analyze_stratum`` is handed no row for, are a group of one.
+``analyze_file`` scores a file in one pass over its columns, the strata one
+after another (``Strata``), centred by one reduction per stratum size.
+``score_groups``, the one path from strata to their scores, validates them
+by one ``check_rows`` call, builds their families by one
+``estimation.row_families`` call and scores them all by one
+``two_stage.score_rows`` call, as study cells' are. Inside those calls only
+the floating-point reductions are grouped, each by its own length
+(``data_model.by_length``), so every stratum keeps its one-stratum bits.
+``two_stage_set``'s dataset, and a stratum ``analyze_stratum`` is handed no
+row for, are a file of one stratum.
 """
 from __future__ import annotations
 
@@ -29,11 +32,13 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .confidence_sets import json_number
-from .data_model import AnalysisConfig, Dataset, DesignSpec, check_rows, validate
+from .data_model import (AnalysisConfig, Dataset, DesignSpec, by_length, check_rows,
+                         column_sums, messages)
 from .estimation import Estimates, regime_spec, row_families, stack_families
 from .exceptions import InvalidDatasetError, LatekitError, unstored
 from .two_stage import METHODS, Method, score_rows
@@ -217,78 +222,87 @@ def read_records(path: str) -> list[StratumRecords]:
             for key, lo, hi in zip(first, bounds, bounds[1:])]
 
 
-def _stack_groups(strata: list[StratumRecords]):
-    """Each stratum's Dataset, a view of its group's row, and its covariate
-    means; the ``(z, w, y, x, means)`` stack of each (n, n1) group, from the
-    file's columns, centred by one reduction with center_covariates' bits
-    on each row; and the strata in the order of the groups' rows."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, records in enumerate(strata):
-        groups.setdefault((len(records.z), int(records.z.sum())), []).append(i)
-    datasets, stacks = [None] * len(strata), []
-    for (n, _), members in groups.items():
-        z, w, y, x = (np.stack([getattr(strata[i], a) for i in members]) for a in "zwyx")
-        means = np.add.reduce(x, axis=1) / n  # center_covariates' arithmetic, row by row
-        x -= means[:, None]
-        for row, i in enumerate(members):
-            datasets[i] = Dataset(z[row], w[row], y[row], x[row]), means[row]
-        stacks.append((z, w, y, x, means))
-    return datasets, stacks, [i for members in groups.values() for i in members]
+class Strata(NamedTuple):
+    """Strata one after another: their (N,) columns ``z``, ``w``, ``y``,
+    (N, K) covariates ``x`` centred within each, each stratum's (K,)
+    covariate means ``offsets`` (see validate) and its unit count."""
+
+    z: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
 
 
-def score_groups(groups, config: AnalysisConfig, gammas: tuple[float, ...]) -> list:
-    """For every row of the ``(z, w, y, x, offsets)`` stacks of datasets of
-    one (n, n1) with covariate means (see validate): its row of one
-    score_rows call at ``gammas`` as ``(estimates, scores, row)``, or else
-    validate's InvalidDatasetError, ValueError under ReM without covariates,
-    its fits' or families' error, or InvalidDatasetError for non-finite
-    families. A group's calls reduce row by row, so a row has its one-row
-    bits; one whose row_families call raises LinAlgError (numpy's eigvalsh
-    on some overflowed covariances) is built again row by row."""
+def _centred(strata: list[StratumRecords]) -> Strata:
+    """The file's strata with their covariates centred, each with
+    center_covariates' bits: the means of the strata of each size are
+    reduced over a stack of them (see by_length)."""
+    lengths = np.array([len(records.z) for records in strata])
+    z, w, y, x = map(np.concatenate, zip(*((r.z, r.w, r.y, r.x) for r in strata)))
+    means = np.empty((len(strata), x.shape[1]))
+    for rows, idx in by_length(lengths.cumsum() - lengths, lengths):
+        means[rows] = column_sums(x, idx)
+    means /= lengths[:, None]  # center_covariates' arithmetic, stratum by stratum
+    x -= means.repeat(lengths, axis=0)  # x is the file's own copy
+    return Strata(z, w, y, x, means, lengths)
+
+
+def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ...]) -> list:
+    """For every stratum: its row of one score_rows call at ``gammas`` as
+    ``(estimates, scores, row)``, or else validate's InvalidDatasetError,
+    ValueError under ReM without covariates, its fits' or families' error,
+    or InvalidDatasetError for non-finite families. One check_rows and one
+    row_families call cover the strata, whose reductions are grouped by
+    length, so a stratum has its one-stratum bits; when that row_families
+    call raises LinAlgError (numpy's eigvalsh on some overflowed
+    covariances), each stratum is built again alone."""
     spec = regime_spec(config.regime)
-    out, rows, built = [], [], []  # rows: those built, in built's order
-    for z, w, y, x, offsets in groups:
-        start = len(out)
-        failed = np.logical_or.reduce(check_rows(z, w, y, x, offsets)[0])
-        out += [InvalidDatasetError("; ".join(validate(Dataset(z[r], w[r], y[r], x[r]),
-                                                       offsets[r]))) if bad else None
-                for r, bad in enumerate(failed.tolist())]
-        if spec.mixture and not x.shape[-1]:
-            out[start:] = [exc or ValueError("rerandomization family needs covariates")
-                           for exc in out[start:]]
-            continue
-        parts = [] if failed.all() else [np.flatnonzero(~failed)]
-        for part in parts:  # grows by the rows of a part whose call raises
-            try:
-                built.append(row_families(z[part], np.stack([y[part], w[part]]), x[part], config))
-                rows += (start + part).tolist()
-            except np.linalg.LinAlgError as exc:
-                if len(part) == 1:
-                    out[start + part[0]] = exc.with_traceback(None)
-                else:
-                    parts += np.split(part, len(part))
+    z, w, y, x, offsets, lengths = strata
+    bounds = [0, *itertools.accumulate(lengths.tolist())]
+    checks = check_rows(z, w, y, x, offsets, lengths)
+    failed = np.logical_or.reduce(checks[0])
+    out = [InvalidDatasetError("; ".join(messages(checks, r, z[lo:hi], w[lo:hi]))) if bad else None
+           for r, (bad, lo, hi) in enumerate(zip(failed.tolist(), bounds, bounds[1:]))]
+    if spec.mixture and not x.shape[-1]:
+        return [exc or ValueError("rerandomization family needs covariates") for exc in out]
+    rows, built = [], []  # rows: those built, in built's order
+    starts, yws = np.array(bounds[:-1]), np.array([y, w])
+    parts = [] if failed.all() else [(~failed).nonzero()[0]]
+    for part in parts:  # grows by the strata of a part whose call raises
+        try:
+            built.append(row_families(z, yws, x, config, lengths[part], starts[part]))
+            rows += part.tolist()
+        except np.linalg.LinAlgError as exc:
+            if len(part) == 1:
+                out[part[0]] = exc.with_traceback(None)
+            else:
+                parts += np.split(part, len(part))
     if not built:
         return out
     tau_y, tau_w, families, errors = stack_families(built)
-    keep = np.isfinite([families[name] for name in spec.reads]).all(axis=(0, 1))
+    keep = np.logical_and.reduce(np.isfinite([families[name] for name in spec.reads]),
+                                 axis=(0, 1))
     for i in itertools.compress(rows, ~keep):
         out[i] = InvalidDatasetError("variance estimates are not finite")
     for r, exc in errors.items():
         out[rows[r]], keep[r] = exc, False
-    scores = score_rows(config.regime, tau_y[keep], tau_w[keep],
-                        {name: tuple(v[keep] for v in f) for name, f in families.items()},
-                        config, groups[0][3].shape[-1], gammas)
-    for row, (i, *pair) in enumerate(zip(itertools.compress(rows, keep), tau_y[keep].tolist(),
-                                         tau_w[keep].tolist())):
+    if not np.logical_and.reduce(keep):
+        rows = list(itertools.compress(rows, keep))
+        tau_y, tau_w = tau_y[keep], tau_w[keep]
+        families = {name: tuple(v[keep] for v in f) for name, f in families.items()}
+    scores = score_rows(config.regime, tau_y, tau_w, families, config, x.shape[-1], gammas)
+    for row, (i, *pair) in enumerate(zip(rows, tau_y.tolist(), tau_w.tolist())):
         out[i] = (Estimates(*pair), scores, row)
     return out
 
 
 def score_stratum(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ()):
     """score_groups of ``ds`` alone at config.gamma; ``offsets`` as in validate."""
-    return score_groups([(ds.z[None], ds.w[None], ds.y[None], ds.x[None],
-                          np.asarray(offsets, dtype=float).reshape(1, -1))],
-                        config, (config.gamma,))[0]
+    return score_groups(Strata(ds.z, ds.w, ds.y, ds.x,
+                               np.asarray(offsets, dtype=float).reshape(1, -1),
+                               np.array([ds.n])), config, (config.gamma,))[0]
 
 
 def stratum_steps(scored, config: AnalysisConfig):
@@ -370,17 +384,20 @@ def analyze_file(path: str, *, methods: tuple[str, ...] = ALL_METHODS,
     config = AnalysisConfig(alpha=alpha, gamma=gamma, p_plus=p_plus,
                             adjustment=adjustment, design=spec)
 
-    # the strata are scored by (n, n1) group; analyze_stratum makes each entry
-    datasets, stacks, order = _stack_groups(strata)
-    handed = dict(zip(order, score_groups(stacks, config, (gamma,) if "ts" in methods else ())))
+    # every stratum is scored in one pass; analyze_stratum makes each entry
+    centred = _centred(strata)
+    scored = score_groups(centred, config, (gamma,) if "ts" in methods else ())
+    z, w, y, x, offsets, lengths = centred
+    bounds = [0, *itertools.accumulate(lengths.tolist())]
 
     entries = []
-    for i, (records, (ds, means)) in enumerate(zip(strata, datasets)):
+    for records, means, handed, lo, hi in zip(strata, offsets, scored, bounds, bounds[1:]):
+        ds = Dataset(z[lo:hi], w[lo:hi], y[lo:hi], x[lo:hi])
         n1 = ds.n1
         entry = {"stratum": records.key, "n": ds.n, "n1": n1, "n0": ds.n - n1}
         if k:
             entry["covariate_means"] = [float(m) for m in means]
-        entry.update(analyze_stratum(ds, methods, config, means, handed[i]))
+        entry.update(analyze_stratum(ds, methods, config, means, handed))
         entries.append(entry)
     return {
         "settings": {"methods": list(methods), "adjustment": adjustment,

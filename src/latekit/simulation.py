@@ -10,9 +10,8 @@ A study is scored in stacks of consecutive cells, at most ``STACK_ROWS``
 rows each (a cell of more is a stack of its own). Each cell draws its
 assignments and builds its families on its own, every draw a row of one
 ``estimation.row_families`` call; then ``_score`` scores all of the stack's
-rows by one ``two_stage.score_rows`` call, as analyze's group pass builds
-and scores its groups, and ``_rows`` reduces them to every cell's table
-rows at once.
+rows by one ``two_stage.score_rows`` call, as analyze scores the strata of
+a file, and ``_rows`` reduces them to every cell's table rows at once.
 Unadjusted cells get the bits of scoring each draw alone by ``summarize``
 and the one-row procedures, which read a one-row ``score_rows`` call;
 adjusted cells (per-arm OLS fits instead of one interacted fit, but for
@@ -605,7 +604,7 @@ def _run_stack(cfg: StudyConfig, base: AnalysisConfig, stack: list[tuple[int, fl
             built.append(_cell_families(cfg, cell, tau_w, base, rng,
                                         states[j * cfg.reps:(j + 1) * cfg.reps], seconds))
         except Exception as exc:  # raised once the cells before it are scored
-            failure = exc
+            failure = exc.with_traceback(None)
             break
     if built:
         families, truths, attempts = zip(*built)
@@ -621,7 +620,7 @@ def _run_stack(cfg: StudyConfig, base: AnalysisConfig, stack: list[tuple[int, fl
             rows = _rows(cfg, [tau_w for _, tau_w in stack[:len(built)]], truths,
                          np.concatenate(attempts), *scored)
     if failure is not None:
-        raise failure
+        raise unstored(failure)
     return rows
 
 

@@ -63,10 +63,18 @@ def spd_inverses(mats: np.ndarray, what: str
     return inverse_from_factor(chol), errors
 
 
+def covariate_covariances(xs: np.ndarray) -> np.ndarray:
+    """The full-sample covariate covariance (divisor n - 1) of every (n, K)
+    matrix of a stack; each keeps its own bits in any stack."""
+    n = xs.shape[1]
+    xc = xs - (np.add.reduce(xs, axis=1) / n)[:, None, :]  # each x.mean(axis=0)'s bits
+    return np.swapaxes(xc, 1, 2) @ xc / (n - 1)
+
+
 def covariate_covariance(x: np.ndarray) -> np.ndarray:
-    """Full-sample covariate covariance, divisor n - 1."""
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc / (len(x) - 1)
+    """Full-sample covariate covariance, divisor n - 1: covariate_covariances
+    of one matrix."""
+    return covariate_covariances(x[None])[0]
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,7 +136,7 @@ def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
     one assignment in ascending order; with ``x``, also its covariate terms.
     This is the one place arm moments are computed: ``summarize`` is its
     one-row call, the study passes call it for all of a cell's draws, and
-    ``analyze`` for each group of strata of one size and treated count."""
+    ``analyze`` for all arms of one size, treated or control, of a file."""
     arm, yc, wc = _plain_arm(idx, y, w)
     return arm if x is None else _with_covariates(arm, idx, yc, wc, x)
 

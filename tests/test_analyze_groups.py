@@ -1,14 +1,16 @@
-"""analyze_file's group pass against each stratum scored alone, stratum for
-stratum.
+"""analyze_file's one pass over a file against each stratum scored alone,
+stratum for stratum.
 
-``analyze_file`` validates the strata by arm-size group, computes their
-families by one ``estimation.row_families`` call per group (each stratum a
-population of its own), scores all of them with one ``score_rows`` call,
-all by ``io.score_groups``, and hands each stratum its row to
-``analyze_stratum``. Handed nothing, ``analyze_stratum`` scores its stratum
-alone, as a group of one row of ``score_groups``: one ``check_rows``, one
-``row_families`` and one ``score_rows`` call of one row. The report must be
-the same to the bit either way.
+``analyze_file`` scores every stratum of a file by ``io.score_groups``:
+one ``check_rows`` call validates them, one ``estimation.row_families``
+call builds their families (each stratum a population of its own) and one
+``score_rows`` call scores them, and each stratum is handed its row by
+``analyze_stratum``. Inside those calls only the floating-point reductions
+are grouped, each by its own length: the y and covariate sums by stratum
+size, the arm moments by arm size, so that every stratum keeps its one-row
+bits. Handed nothing, ``analyze_stratum`` scores its stratum alone, as a
+file of one stratum of ``score_groups``. The report must be the same to the
+bit either way.
 """
 import gc
 import importlib
@@ -187,15 +189,15 @@ def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeyp
         else inverses(mats, what)))
     sizes, families = [], io.row_families
 
-    def sized(zs, *args):
-        sizes.append(len(zs))
-        return families(zs, *args)
+    def sized(zs, yws, x, config, lengths, starts):
+        sizes.append(len(lengths))
+        return families(zs, yws, x, config, lengths, starts)
     monkeypatch.setattr(io, "row_families", sized)
     (got, want), calls = _reports(monkeypatch, path, DESIGNS["rem"])
     _assert_bit_equal(got, want)
-    # each analyze_file call's group of the 10 strata validate accepts raises
-    # and is built again row by row, before any stratum's steps; scored
-    # alone, each of the 10 makes its own call
+    # each analyze_file call's one call over the 10 strata validate accepts
+    # raises and is made again stratum by stratum, before any stratum's
+    # steps; scored alone, each of the 10 makes its own call
     assert calls == [0, 10]
     assert sizes == [10, *[1] * 10] * 2 + [1] * 10
 
@@ -253,6 +255,28 @@ def test_the_group_pass_runs_no_scalar_chain(tmp_path, monkeypatch, design):
     (got, want), calls = _one_row_score_calls(monkeypatch, path, DESIGNS[design])
     _assert_bit_equal(got, want)
     assert calls == [0, 196]
+
+
+def test_one_arm_moments_call_per_arm_size_and_one_factoring_per_covariance_kind(
+        tmp_path, monkeypatch):
+    # the benchmark input's 196 analysable strata have arms of 21 sizes, 40
+    # to 60 units, a treated arm of one stratum sharing its size with the
+    # control arm of another: one _arm_moments call per size takes every
+    # arm's moments, under ReM with its covariate terms, and under ReM one
+    # spd_inverses call factors every full covariance and one every
+    # within-arm covariance
+    path = _benchmark_input(tmp_path, monkeypatch)
+    calls = {"_arm_moments": 0, "spd_inverses": 0}
+    for name in calls:
+        def counted(*args, _call=getattr(estimation, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(estimation, name, counted)
+    io.analyze_file(str(path))
+    assert calls == {"_arm_moments": 21, "spd_inverses": 0}
+    calls["_arm_moments"] = 0
+    io.analyze_file(str(path), **DESIGNS["rem"])
+    assert calls == {"_arm_moments": 21, "spd_inverses": 2}
 
 
 _INPUTS = {"benchmark": _benchmark_input,
@@ -329,8 +353,8 @@ def _edge_rows():
 
 def test_check_rows_matches_validate_at_the_edges():
     rows = list(_edge_rows())
-    fails, *_ = check_rows(*(np.stack([getattr(ds, a) for ds in rows]) for a in "zwyx"),
-                           np.zeros((len(rows), 2)))
+    fails, *_ = check_rows(*(np.concatenate([getattr(ds, a) for ds in rows]) for a in "zwyx"),
+                           np.zeros((len(rows), 2)), [ds.n for ds in rows])
     reports = [validate(ds) for ds in rows]
     passed = (~np.logical_or.reduce(fails)).tolist()
     assert passed == [not r for r in reports] == [True, False, True, False, True, False]
@@ -340,35 +364,36 @@ def test_check_rows_matches_validate_at_the_edges():
                           f"{[float(np.nextafter(CENTERING_TOL, 1.0))]}"]
 
 
+def _bounds(lengths):
+    bounds = np.cumsum([0, *lengths]).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
 def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatch):
-    # the spread and covariate means of every group of the benchmark input
-    strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
-    datasets, _, _ = io._stack_groups(strata)
-    groups: dict = {}
-    for ds, means in datasets:
-        groups.setdefault((ds.n, ds.n1), []).append((ds, means))
-    assert len(groups) > 30
-    for group in groups.values():
-        fails, *rest = check_rows(*(np.stack([getattr(ds, a) for ds, _ in group])
-                                    for a in "zwyx"), np.stack([means for _, means in group]))
-        for r, (ds, means) in enumerate(group):
-            one_fails, *one_rest = check_rows(ds.z[None], ds.w[None], ds.y[None], ds.x[None],
-                                              means[None])
-            assert all(np.array_equal(a[r], b[0])
-                       for a, b in zip([*fails, *rest], [*one_fails, *one_rest]))
+    # the spread and covariate means of every stratum of the benchmark input,
+    # checked in one call over the file, against each stratum checked alone
+    strata = io._centred(io.read_records(str(_benchmark_input(tmp_path, monkeypatch))))
+    assert 30 < len(set(strata.lengths.tolist())) < len(strata.lengths)
+    fails, *rest = check_rows(*strata)
+    for r, (lo, hi) in enumerate(_bounds(strata.lengths)):
+        one_fails, *one_rest = check_rows(*(a[lo:hi] for a in strata[:4]),
+                                          strata.offsets[r:r + 1], [hi - lo])
+        assert all(np.array_equal(a[r], b[0])
+                   for a, b in zip([*fails, *rest], [*one_fails, *one_rest]))
 
 
 def test_the_group_pass_centres_each_stratum_as_center_covariates(tmp_path, monkeypatch):
-    # each stratum's Dataset is a view of its group's rows, centred by one
-    # reduction over the stack; its covariates and means keep the bits of
-    # center_covariates on the stratum's own rows
+    # the file's covariates are centred by one reduction per stratum size;
+    # each stratum's covariates and means keep the bits of center_covariates
+    # on the stratum's own rows, for one covariate (a pairwise sum) or more
     strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
     rng = np.random.default_rng(3)
-    for k in (1, 3, 5):
+    for k in (1, 2, 3, 5):
         for records in strata:
             records.x = rng.standard_normal((len(records.z), k)) * 10.0 ** rng.uniform(-3, 3, k)
-        datasets, _, _ = io._stack_groups(strata)
-        for records, (ds, means) in zip(strata, datasets):
-            centred, want = center_covariates(records.x)
-            assert np.array_equal(ds.x, centred) and np.array_equal(means, want)
-            assert all(np.array_equal(getattr(ds, a), getattr(records, a)) for a in "zwy")
+        centred = io._centred(strata)
+        for records, means, (lo, hi) in zip(strata, centred.offsets, _bounds(centred.lengths)):
+            x, want = center_covariates(records.x)
+            assert np.array_equal(centred.x[lo:hi], x) and np.array_equal(means, want)
+            assert all(np.array_equal(getattr(centred, a)[lo:hi], getattr(records, a))
+                       for a in "zwy")

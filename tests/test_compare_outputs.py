@@ -12,6 +12,7 @@ import pytest
 from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates
+from latekit.io import read_records
 from latekit.stats_core import fit_interacted_pair, sandwich_cov
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 
@@ -80,6 +81,24 @@ def test_method_runs_write_analyze_artefacts_only(compare, tmp_path):
     for (_, argv, artefacts), extra in zip(runs, compare.METHOD_SETTINGS.values()):
         assert argv[:3] == ["-m", "latekit.cli", "analyze"] and argv[-len(extra):] == extra
         assert artefacts == ("report.json", "lengths.csv")
+
+
+def test_a_file_of_strata_of_every_size_runs_analyze_under_each_setting(compare, tmp_path):
+    # strata of 60 to 259 rows, about half treated: 100 arm sizes are those
+    # of a treated arm of one stratum and a control arm of another
+    runs = [(name, argv, artefacts) for name, argv, artefacts in compare.runs(tmp_path, 777)
+            if name.startswith("analyze_sizes")]
+    assert [name for name, _, _ in runs] == [f"analyze_sizes[{setting}]"
+                                          for setting in compare.ANALYZE_SETTINGS]
+    path = tmp_path / "sized_strata.csv"
+    for (_, argv, artefacts), extra in zip(runs, compare.ANALYZE_SETTINGS.values()):
+        assert argv[:5] == ["-m", "latekit.cli", "analyze", "--input", str(path)]
+        assert argv[len(argv) - len(extra):] == extra
+        assert artefacts == ("report.json", "lengths.csv")
+    strata = read_records(str(path))
+    assert [len(records.z) for records in strata] == list(range(60, 260))
+    treated = {int(records.z.sum()) for records in strata}
+    assert len(treated & {len(records.z) - int(records.z.sum()) for records in strata}) == 100
 
 
 def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):

@@ -50,7 +50,7 @@ def test_only_io_and_estimation_estimate_from_a_dataset():
     # one path takes a dataset to estimates and variance families, the
     # family builder (estimation), whose row_families refits the rows its
     # arm fits leave unsure; analyze's scorer (io), which two_stage_set
-    # also runs, calls it for a group of one row
+    # also runs, calls it for a file of one stratum
     names = {"summarize", "fit_interacted_pair", "sandwich_cov", "variance_components",
              "plain_components"}
     callers = set()
@@ -94,8 +94,8 @@ def test_arm_moments_and_families_have_three_callers():
     # arm moments are computed by one kernel, which summarize's one-row path
     # (stats_core) shares; the families of many rows come from one builder,
     # estimation.row_families, with three callers through two call sites:
-    # the study cells (simulation), and analyze's groups and two_stage_set's
-    # group of one row, both by io.score_groups. It alone calls the arm
+    # the study cells (simulation), and analyze's files and two_stage_set's
+    # file of one stratum, both by io.score_groups. It alone calls the arm
     # kernel, the moment families and the arm fits, but for
     # variance_components' one-row moment families. A second moment path or
     # family builder has to change these lists.
@@ -132,11 +132,11 @@ def test_one_array_scorer_serves_simulate_and_analyze():
 
 
 def test_io_scores_every_stratum_by_one_call_of_each_step():
-    # analyze's groups, a stratum handed no row and two_stage_set's dataset
+    # analyze's files, a stratum handed no row and two_stage_set's dataset
     # are all checked, given families and scored by io.score_groups, which
-    # makes each call once in its source, a group that raises LinAlgError
-    # rebuilt row by row by the same call; a second stratum path has to
-    # change this test
+    # makes each call once in its source, a file whose call raises
+    # LinAlgError rebuilt stratum by stratum by the same call; a second
+    # stratum path has to change this test
     tree = ast.parse((SRC / "io.py").read_text())
     counts = {name: 0 for name in ("check_rows", "row_families", "score_rows")}
     for node in ast.walk(tree):

@@ -13,7 +13,10 @@ strata input under ``cre``, ``--design rem --pa 0.1``, ``--adjust hc2`` and
 stratum. Under ``cre`` and ``rem``, ``analyze`` also runs with
 ``--methods wald_f10,far`` and ``--methods ts_f10,wald``: the F screen's
 skip and branch without the t test, which the default methods never leave
-out (``two_stage_lines.py`` takes no ``--methods``).
+out (``two_stage_lines.py`` takes no ``--methods``). Under all four
+settings ``analyze`` also runs on a file whose strata all differ in size
+(``write_sized_strata_csv``), so that arms of one size come from the
+treated arm of one stratum and the control arm of another.
 For each artefact (``table.csv``, ``table.json``; ``report.json``,
 ``lengths.csv``; ``two_stage_set.jsonl``) one line says
 "identical" or gives the largest relative difference of its numbers. The
@@ -29,12 +32,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 TWO_STAGE_LINES = ROOT / "tools" / "two_stage_lines.py"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from check import _NUMBER, REL_TOL  # noqa: E402
-from workloads import WORKLOADS, make_inputs, pass_argv  # noqa: E402
+from workloads import STRATA, WORKLOADS, make_inputs, pass_argv  # noqa: E402
 
 SEEDS = (20240901, 777)
 ANALYZE_SETTINGS = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"],
@@ -43,6 +48,30 @@ ANALYZE_SETTINGS = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"],
 # analyze alone, with some methods: a setting's name and its methods
 METHOD_SETTINGS = {f"{setting},{methods}": [*ANALYZE_SETTINGS[setting], "--methods", methods]
                    for setting in ("cre", "rem") for methods in ("wald_f10,far", "ts_f10,wald")}
+
+
+def write_sized_strata_csv(path: Path, seed: int, strata: int = STRATA) -> None:
+    """An analyze input from write_strata_csv's generator with 60 + s rows in
+    stratum s, so no two strata share a size and an arm size is shared by
+    the treated arm of one stratum and the control arm of another."""
+    rng = np.random.default_rng(seed)
+    lines = ["stratum,z,w,y,x1,x2,x3"]
+    for s in range(strata):
+        n = 60 + s
+        complier_share = 10.0 ** rng.uniform(-2.0, np.log10(0.6))
+        kind = np.zeros(n, dtype=np.int64)  # 0 never-taker, 1 complier, 2 always-taker
+        n_compliers, n_always = max(1, round(complier_share * n)), max(2, round(0.1 * n))
+        kind[:n_compliers] = 1
+        kind[n_compliers:n_compliers + n_always] = 2
+        kind = rng.permutation(kind)
+        z = np.zeros(n, dtype=np.int64)
+        z[rng.permutation(n)[:n // 2]] = 1
+        w = ((kind == 2) | ((kind == 1) & (z == 1))).astype(np.int64)
+        x = rng.standard_normal((n, 3))
+        y = x @ np.array([1.0, -0.5, 0.25]) + rng.normal(1.0, 0.5) * w + rng.standard_normal(n)
+        lines += [f"s{s:04d},{z[i]},{w[i]},{y[i]:.6f},{x[i, 0]:.6f},{x[i, 1]:.6f},{x[i, 2]:.6f}"
+                  for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def largest_difference(a: bytes, b: bytes) -> float | None:
@@ -76,6 +105,11 @@ def runs(workdir: Path, seed: int):
                        ("two_stage_set.jsonl",))
             for setting, extra in METHOD_SETTINGS.items():
                 yield f"{name}[{setting}]", argv + extra, workload.outputs
+            sized = workdir / "sized_strata.csv"
+            write_sized_strata_csv(sized, seed)
+            for setting, extra in ANALYZE_SETTINGS.items():
+                yield (f"analyze_sizes[{setting}]", ["-m", "latekit.cli", *pass_argv(
+                    workload, sized, Path("{out}")), *extra], workload.outputs)
 
 
 def run(checkout: Path, argv: list[str], outdir: Path) -> str | None:
