@@ -156,8 +156,7 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
     degenerate. A zero first stage keeps a NoIdentificationError in
     ``errors`` there, and two rays whose roots do not order a ValueError.
     """
-    crit = np.broadcast_to(crit, np.shape(b_y))
-    crit2 = crit * crit
+    crit2 = np.full(np.shape(b_y), crit * crit)  # one per draw (np.broadcast_to costs more)
     # each side on its own scale (side_scales): the same inequality in
     # t' = t 2^(ew-ey), whose roots are scaled back by 2^(ey-ew)
     (s_y, s_w, q_y, q_c, q_w), ey, ew = side_scales(b_y, b_w, q_y, q_c, q_w)
@@ -186,7 +185,7 @@ def solve_quadratic_sets(b_y: np.ndarray, b_w: np.ndarray, crit,
                     np.where(two_rays, _TWO_RAYS, _WHOLE_LINE)).astype(np.int8)
     degenerate = np.zeros(len(kind), dtype=bool)
     errors: dict[int, Exception] = {}
-    rest = np.flatnonzero(rest)
+    rest = rest.nonzero()[0]
     if rest.size:
         a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w, back = (
             v[rest] for v in (a, b, c, tol_a, s_y, s_w, q_y, q_c, crit2, b_y, b_w, back))

@@ -63,7 +63,7 @@ def segment_reduce(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray, lengths: 
     matrix, segment i the ``lengths[i]`` elements from ``starts[i]``, one
     after another; ``empty`` for an empty segment. Exact for integer sums,
     any and max; a float sum is another matter (see by_length)."""
-    if lengths.all():
+    if np.count_nonzero(lengths) == len(lengths):  # cheaper than lengths.all() for a few
         return ufunc.reduceat(a, starts, axis=-1)
     found = ufunc.reduceat(np.concatenate([a, np.full((*a.shape[:-1], 1), empty, dtype=a.dtype)],
                                           axis=-1), starts, axis=-1)
@@ -143,11 +143,9 @@ def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
     spread = np.maximum(np.maximum(
         segment_reduce(np.maximum, y, starts, lengths, -np.inf) - y_mean,
         y_mean - segment_reduce(np.minimum, y, starts, lengths, np.inf)), 0.0)
-    # the largest |x| of a stratum, from its largest and smallest x
-    scale = np.maximum(np.maximum.reduce(np.maximum(
-        segment_reduce(np.maximum, x.T, starts, lengths, -np.inf),
-        -segment_reduce(np.minimum, x.T, starts, lengths, np.inf)), axis=0, initial=1.0),
-        np.maximum.reduce(np.abs(offsets), axis=1, initial=0.0))  # so at least 1
+    scale = np.maximum(np.maximum.reduce(  # the largest |x| of a stratum, at least 1
+        segment_reduce(np.maximum, np.abs(x.T), starts, lengths, 0.0), axis=0, initial=1.0),
+        np.maximum.reduce(np.abs(offsets), axis=1, initial=0.0))
     off = np.abs(means) > CENTERING_TOL * scale[:, None]
     lo, hi = Y_SPREAD_RANGE
     n1 = segment_reduce(np.add, z, starts, lengths)

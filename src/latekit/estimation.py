@@ -220,15 +220,18 @@ def _strata_arms(treated: np.ndarray, yws: np.ndarray, before: np.ndarray, start
     size over the (2, N) observed ``yws``; covariate terms too, given ``x``.
     ``treated`` marks the treated units of the whole column and ``before``
     counts them before each unit."""
-    units = (~treated).argsort(kind="stable")  # every treated unit, then every control one
+    units = np.concatenate([treated.nonzero()[0], (~treated).nonzero()[0]])  # treated first
     sizes = np.concatenate([n1, n0])  # every treated arm, then every control arm
     first = before[starts]  # each stratum's first treated unit among units
     parts, order = [], []
     for arms, idx in by_length(np.concatenate([first, before[-1] + starts - first]), sizes):
         parts.append(_arm_moments(units[idx], *yws, x))
         order.append(arms)
-    back = np.concatenate(order).argsort()
-    both = [None if field[0] is None else np.concatenate(field)[back] for field in zip(*parts)]
+    if len(parts) == 1:  # every arm of one size, in order
+        both = parts[0]
+    else:
+        back = np.concatenate(order).argsort()
+        both = [None if field[0] is None else np.concatenate(field)[back] for field in zip(*parts)]
     return (_ArmArrays(*(f if f is None else f[:len(n1)] for f in both)),
             _ArmArrays(*(f if f is None else f[len(n1):] for f in both)))
 
@@ -261,7 +264,7 @@ def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: Analysi
         lengths, starts = np.asarray(lengths, dtype=np.int64), np.asarray(starts)
         treated = zs != 0
         before = np.zeros(len(zs) + 1, dtype=np.int64)  # treated units before each unit
-        treated.cumsum(out=before[1:])
+        np.add.accumulate(treated, dtype=np.int64, out=before[1:])
         n1 = before[starts + lengths] - before[starts]
         rows, n0 = len(lengths), lengths - n1
 
@@ -463,7 +466,7 @@ def variance_at(b_y, b_w, triple, family: str, rows):
     (s_y, s_w, *triple), ey, ew = side_scales(b_y, b_w, *triple)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         unbounded = {int(i): ValueError("tau_hat must be finite")
-                     for i in np.flatnonzero(rows & ~np.isfinite(b_y / b_w))}
+                     for i in (rows & ~np.isfinite(b_y / b_w)).nonzero()[0]}
         tau = s_y / s_w
         value = _quad(triple, tau)
         if family in FLOORED_FAMILIES:
@@ -474,7 +477,7 @@ def variance_at(b_y, b_w, triple, family: str, rows):
     return tau, np.maximum(value, 0.0), ey, ew, negative, {
         **{int(i): ArithmeticError(f"{family} variance quadratic is negative: "
                                    f"{float(np.ldexp(value[i], 2 * ey[i]))}")
-           for i in np.flatnonzero(negative)}, **unbounded}
+           for i in negative.nonzero()[0]}, **unbounded}
 
 
 def combined_variance(components, tau_hat: float, family: str = "plain") -> VarianceAt:
