@@ -178,14 +178,22 @@ def validate(dataset: Dataset, offsets: np.ndarray = ()) -> list[str]:
     Checks binary fields, minimum arm sizes (sample variances need at
     least two units per arm), finite outcomes on a workable scale (see
     Y_SPREAD_RANGE), and covariate centering: the messages of check_rows of
-    one stratum. ``offsets`` are the column means the caller already
-    subtracted from the covariates, as center_covariates returns them: the
-    roundoff that subtraction leaves in the means grows with them, so they
-    widen the centering tolerance.
+    one stratum. ``offsets``, empty or K finite numbers (else ValueError), are
+    the column means the caller already subtracted from the covariates, as
+    center_covariates returns them: the roundoff that subtraction leaves in
+    the means grows with them, so they widen the centering tolerance.
     """
     return messages(check_rows(dataset.z, dataset.w, dataset.y, dataset.x,
-                               np.asarray(offsets, dtype=float).reshape(1, -1), [dataset.n]),
+                               stratum_offsets(offsets, dataset.k), [dataset.n]),
                     0, dataset.z, dataset.w)
+
+
+def stratum_offsets(offsets, k: int) -> np.ndarray:
+    """validate's ``offsets`` as one stratum's (1, K) row of check_rows."""
+    row = np.asarray(offsets, dtype=float).reshape(1, -1)
+    if row.size not in (0, k) or not np.isfinite(row).all():
+        raise ValueError(f"offsets must be empty or {k} finite covariate means: {row[0].tolist()}")
+    return row
 
 
 def center_covariates(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -317,9 +317,7 @@ def row_families(zs: np.ndarray, yws: np.ndarray, x: np.ndarray, config: Analysi
 
 def stack_families(built) -> tuple[np.ndarray, np.ndarray, dict, dict]:
     """row_families results of consecutive blocks of rows as one block's,
-    each error at its row of the whole; one block is its own."""
-    if len(built) == 1:
-        return built[0]
+    each error at its row of the whole."""
     tau_y, tau_w, families, errors = zip(*built)
     starts = np.cumsum([0, *map(len, tau_y)]).tolist()
     return (np.concatenate(tau_y), np.concatenate(tau_w),

@@ -38,8 +38,8 @@ import numpy as np
 
 from .confidence_sets import json_number
 from .data_model import (AnalysisConfig, Dataset, DesignSpec, by_length, check_rows,
-                         column_sums, messages)
-from .estimation import Estimates, regime_spec, row_families, stack_families
+                         column_sums, messages, stratum_offsets)
+from .estimation import Estimates, regime_spec, row_families
 from .exceptions import InvalidDatasetError, LatekitError, unstored
 from .two_stage import METHODS, Method, score_rows
 
@@ -255,9 +255,8 @@ def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ..
     ValueError under ReM without covariates, its fits' or families' error,
     or InvalidDatasetError for non-finite families. One check_rows and one
     row_families call cover the strata, whose reductions are grouped by
-    length, so a stratum has its one-stratum bits; when that row_families
-    call raises LinAlgError (numpy's eigvalsh on some overflowed
-    covariances), each stratum is built again alone."""
+    length, so a stratum has its one-stratum bits and the call raises
+    LinAlgError exactly when a stratum alone would."""
     spec = regime_spec(config.regime)
     z, w, y, x, offsets, lengths = strata
     bounds = [0, *itertools.accumulate(lengths.tolist())]
@@ -267,23 +266,12 @@ def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ..
            for r, (bad, lo, hi) in enumerate(zip(failed.tolist(), bounds, bounds[1:]))]
     if spec.mixture and not x.shape[-1]:
         return [exc or ValueError("rerandomization family needs covariates") for exc in out]
-    rows, built = [], []  # rows: those built, in built's order
-    starts, yws = np.array(bounds[:-1]), np.array([y, w])
-    parts = [] if failed.all() else [(~failed).nonzero()[0]]
-    for part in parts:  # grows by the strata of a part whose call raises
-        try:
-            built.append(row_families(z, yws, x, config, lengths[part], starts[part]))
-            rows += part.tolist()
-        except np.linalg.LinAlgError as exc:
-            if len(part) == 1:
-                out[part[0]] = exc.with_traceback(None)
-            else:
-                parts += np.split(part, len(part))
-    if not built:
+    rows = (~failed).nonzero()[0].tolist()
+    if not rows:
         return out
-    tau_y, tau_w, families, errors = stack_families(built)
-    keep = np.logical_and.reduce(np.isfinite([families[name] for name in spec.reads]),
-                                 axis=(0, 1))
+    tau_y, tau_w, families, errors = row_families(z, np.array([y, w]), x, config, lengths[rows],
+                                                  np.array(bounds)[rows])
+    keep = np.logical_and.reduce(np.isfinite([families[name] for name in spec.reads]), axis=(0, 1))
     for i in itertools.compress(rows, ~keep):
         out[i] = InvalidDatasetError("variance estimates are not finite")
     for r, exc in errors.items():
@@ -300,8 +288,7 @@ def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ..
 
 def score_stratum(ds: Dataset, config: AnalysisConfig, offsets: np.ndarray = ()):
     """score_groups of ``ds`` alone at config.gamma; ``offsets`` as in validate."""
-    return score_groups(Strata(ds.z, ds.w, ds.y, ds.x,
-                               np.asarray(offsets, dtype=float).reshape(1, -1),
+    return score_groups(Strata(ds.z, ds.w, ds.y, ds.x, stratum_offsets(offsets, ds.k),
                                np.array([ds.n])), config, (config.gamma,))[0]
 
 

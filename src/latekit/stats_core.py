@@ -102,34 +102,6 @@ class _ArmArrays(NamedTuple):
     sxx: np.ndarray | None = None
 
 
-def _plain_arm(idx: np.ndarray, y: np.ndarray, w: np.ndarray
-               ) -> tuple[_ArmArrays, np.ndarray, np.ndarray]:
-    """The arm's plain moments for every row of ``idx``, and its centred
-    outcome and receipt rows, which its covariate terms read."""
-    if len(idx) and idx.shape[1] < 2:
-        raise ValueError("each arm needs at least 2 units")
-    ys, ws = y[idx], w[idx].astype(float)
-    m = idx.shape[1]
-    # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
-    y_mean, w_mean = np.add.reduce(ys, axis=1) / m, np.add.reduce(ws, axis=1) / m
-    yc, wc = ys - y_mean[:, None], ws - w_mean[:, None]
-    d = m - 1
-    return (_ArmArrays(y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d,
-                       _row_dot(yc, wc) / d), yc, wc)
-
-
-def _with_covariates(arm: _ArmArrays, idx: np.ndarray, yc: np.ndarray, wc: np.ndarray,
-                     x: np.ndarray) -> _ArmArrays:
-    """``arm`` with its covariate terms, from the centred rows _plain_arm
-    returned for the same ``idx``."""
-    d = idx.shape[1] - 1
-    xs = x[idx]
-    xc = xs - (np.add.reduce(xs, axis=1) / (d + 1))[:, None, :]  # xs.mean's bits, never a warning
-    xt = np.swapaxes(xc, 1, 2)
-    return arm._replace(s_yx=(xt @ yc[:, :, None])[:, :, 0] / d,
-                        s_wx=(xt @ wc[:, :, None])[:, :, 0] / d, sxx=xt @ xc / d)
-
-
 def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
                  x: np.ndarray | None = None) -> _ArmArrays:
     """The arm's moments for every row of ``idx``, its unit indices under
@@ -137,8 +109,20 @@ def _arm_moments(idx: np.ndarray, y: np.ndarray, w: np.ndarray,
     This is the one place arm moments are computed: ``summarize`` is its
     one-row call, the study passes call it for all of a cell's draws, and
     ``analyze`` for all arms of one size, treated or control, of a file."""
-    arm, yc, wc = _plain_arm(idx, y, w)
-    return arm if x is None else _with_covariates(arm, idx, yc, wc, x)
+    if len(idx) and idx.shape[1] < 2:
+        raise ValueError("each arm needs at least 2 units")
+    ys, ws, m = y[idx], w[idx].astype(float), idx.shape[1]
+    # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
+    y_mean, w_mean = np.add.reduce(ys, axis=1) / m, np.add.reduce(ws, axis=1) / m
+    yc, wc, d = ys - y_mean[:, None], ws - w_mean[:, None], m - 1
+    plain = (y_mean, w_mean, _row_dot(yc, yc) / d, _row_dot(wc, wc) / d, _row_dot(yc, wc) / d)
+    if x is None:
+        return _ArmArrays(*plain)
+    xs = x[idx]
+    xc = xs - (np.add.reduce(xs, axis=1) / m)[:, None, :]  # xs.mean's bits, never a warning
+    xt = np.swapaxes(xc, 1, 2)
+    return _ArmArrays(*plain, (xt @ yc[:, :, None])[:, :, 0] / d,
+                      (xt @ wc[:, :, None])[:, :, 0] / d, xt @ xc / d)
 
 
 def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,25 +138,23 @@ def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MomentSummary:
-    """The arm moments of one assignment, as one-row ``_ArmArrays``. The
-    covariate terms are computed on first use, so an analysis that reads no
-    covariates never touches the covariate matrix."""
+    """The arm moments of one assignment as one-row ``_ArmArrays``: ``arm1``
+    and ``arm0``, and ``covariate_arms`` with their covariate terms, computed
+    on first use so that an analysis that reads no covariates skips them."""
 
     def __init__(self, dataset: Dataset, z: np.ndarray):
         treated = np.asarray(z, dtype=np.int64) == 1
         self.dataset, self.n, self.k = dataset, dataset.n, dataset.k
         self._idx = np.flatnonzero(treated)[None, :], np.flatnonzero(~treated)[None, :]
         self.n1, self.n0 = (idx.shape[1] for idx in self._idx)
-        self._plain = [_plain_arm(idx, dataset.y, dataset.w) for idx in self._idx]
-        self.arm1, self.arm0 = (arm for arm, _, _ in self._plain)
+        self.arm1, self.arm0 = (_arm_moments(idx, dataset.y, dataset.w) for idx in self._idx)
         self.tau_y = float(self.arm1.y_mean[0] - self.arm0.y_mean[0])
         self.tau_w = float(self.arm1.w_mean[0] - self.arm0.w_mean[0])
 
     @cached_property
     def covariate_arms(self) -> tuple[_ArmArrays, _ArmArrays]:
-        """The treated and control arms with their covariate terms."""
-        return tuple(_with_covariates(arm, idx, yc, wc, self.dataset.x)
-                     for (arm, yc, wc), idx in zip(self._plain, self._idx))
+        ds = self.dataset
+        return tuple(_arm_moments(idx, ds.y, ds.w, ds.x) for idx in self._idx)
 
 
 def summarize(dataset: Dataset, z: np.ndarray) -> MomentSummary:

@@ -130,8 +130,8 @@ def test_groups_match_one_row_calls_on_the_benchmark_input(tmp_path, monkeypatch
 def test_groups_match_one_row_calls_when_a_rejected_stratum_overflows(tmp_path,
                                                                      monkeypatch):
     # the first stratum's outcome is on a scale validate rejects and its
-    # covariates overflow their covariance; numpy's eigvalsh may raise on
-    # the overflowed matrix, and the group must not take the run down
+    # covariates overflow their covariance; it is skipped by validate, and
+    # the run goes on
     with monkeypatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         workloads = importlib.import_module("workloads")
@@ -174,32 +174,24 @@ def test_groups_match_one_row_calls_on_strata_of_one_size(tmp_path, monkeypatch,
         assert constant["tau_w_hat"] == 0.0 and "skipped" not in constant
 
 
-def test_a_group_whose_factoring_raises_goes_one_row_at_a_time(tmp_path, monkeypatch):
-    # numpy's eigvalsh raises on some covariances that overflowed to
-    # infinities; the group's rows are then built one at a time, and each
-    # raises, or skips, as it does scored alone
-    def raises(*args):
+def test_a_file_whose_factoring_raises_stops_after_one_family_call(tmp_path, monkeypatch):
+    # numpy's stacked factorings run matrix by matrix, so a file's one
+    # row_families call raises LinAlgError exactly when a stratum alone
+    # would; the error ends analyze_file, and no stratum is built again
+    def raises(mats, what):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     path = _write(tmp_path / "shared.csv", _shared_size_strata(np.random.default_rng(5)))
-    # the group's stack of full covariances; a row alone factors a stack of one
-    inverses = estimation.spd_inverses
-    monkeypatch.setattr(estimation, "spd_inverses", lambda mats, what: (
-        raises() if what == "covariate covariance" and len(mats) > 1
-        else inverses(mats, what)))
-    sizes, families = [], io.row_families
+    monkeypatch.setattr(estimation, "spd_inverses", raises)
+    calls, families = [], io.row_families
 
-    def sized(zs, yws, x, config, lengths, starts):
-        sizes.append(len(lengths))
-        return families(zs, yws, x, config, lengths, starts)
-    monkeypatch.setattr(io, "row_families", sized)
-    (got, want), calls = _reports(monkeypatch, path, DESIGNS["rem"])
-    _assert_bit_equal(got, want)
-    # each analyze_file call's one call over the 10 strata validate accepts
-    # raises and is made again stratum by stratum, before any stratum's
-    # steps; scored alone, each of the 10 makes its own call
-    assert calls == [0, 10]
-    assert sizes == [10, *[1] * 10] * 2 + [1] * 10
+    def counted(*args):
+        calls.append(len(args[4]))  # the strata of the call
+        return families(*args)
+    monkeypatch.setattr(io, "row_families", counted)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        io.analyze_file(str(path), design="rem", p_a=0.1)
+    assert calls == [10]  # the strata validate accepts
 
 
 def test_a_row_whose_factoring_raises_stops_the_run(tmp_path, monkeypatch):

@@ -11,9 +11,9 @@ import pytest
 
 from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
-from latekit.estimation import Estimates
+from latekit.estimation import Estimates, variance_components
 from latekit.io import read_records
-from latekit.stats_core import fit_interacted_pair, sandwich_cov
+from latekit.stats_core import fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -101,10 +101,10 @@ def test_a_file_of_strata_of_every_size_runs_analyze_under_each_setting(compare,
     assert len(treated & {len(records.z) - int(records.z.sum()) for records in strata}) == 100
 
 
-def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
-    # one JSON line per stratum, in input order: the centred stratum's
-    # two_stage_set entry and the one-row procedures' fields from the
-    # interacted fit's sandwich, or the type and message of what each raised
+def _lines(tmp_path, *options):
+    """The strata of a small file, centred as two_stage_lines.py centres
+    them, with their means, and the lines it writes for them under
+    ``options``; the second stratum has one treated unit."""
     rng = np.random.default_rng(4)
     rows, strata = ["stratum,z,w,y,x1"], {}
     for key, n1 in (("a", 10), ("b", 1), ("c", 12)):
@@ -113,21 +113,42 @@ def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
         y, x = rng.standard_normal(20) + w, rng.standard_normal((20, 1)) + 3.0
         rows += [f"{key},{a},{b},{c!r},{d!r}" for a, b, c, d in
                  zip(z, w, y.tolist(), x[:, 0].tolist())]
-        strata[key] = Dataset(z=z, w=w, y=y, x=x)
+        x, means = center_covariates(x)
+        strata[key] = Dataset(z=z, w=w, y=y, x=x), means
     path, out = tmp_path / "strata.csv", tmp_path / "lines.jsonl"
     path.write_text("\n".join(rows) + "\n")
-    assert _load("two_stage_lines").main([str(path), str(out), "--adjust", "hc2"]) == 0
+    assert _load("two_stage_lines").main([str(path), str(out), *options]) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert [line.pop("stratum") for line in lines] == list(strata)
     assert lines[1]["two_stage_set"] == {"error": ["InvalidDatasetError", "n1 < 2"]}
-    assert all("error" in lines[1][name] for name in _STEPS)
+    assert all("error" in lines[1][name] for name in ("components", *_STEPS))
+    return [strata["a"], strata["c"]], lines[::2]
+
+
+def test_two_stage_lines_writes_each_stratum_or_its_error(tmp_path):
+    # one JSON line per stratum, in input order: the centred stratum's
+    # two_stage_set entry, the estimates and sandwich triple of the
+    # interacted fit and the one-row procedures' fields from them, or the
+    # type and message of what each raised
     config = AnalysisConfig(adjustment="hc2", design=DesignSpec.cre(1))
-    for line, ds in zip(lines[::2], (strata["a"], strata["c"])):
-        x, means = center_covariates(ds.x)
-        ds = Dataset(ds.z, ds.w, ds.y, x)
+    for (ds, means), line in zip(*_lines(tmp_path, "--adjust", "hc2")):
         want = {"two_stage_set": two_stage_set(ds, config, means).to_json_dict()}
         fit_y, fit_w = fit_interacted_pair(ds, ds.z)
         est, cov = Estimates(fit_y.tau_hat, fit_w.tau_hat), sandwich_cov(fit_y, fit_w, "hc2")
+        want["components"] = {"tau_y": est.tau_y, "tau_w": est.tau_w, "v_y": cov.v_y,
+                              "c_yw": cov.c_yw, "v_w": cov.v_w, "flavor": "hc2"}
         for name, step in _STEPS.items():
             want[name] = dataclasses.asdict(step("adjusted", est, cov, config))
         assert line == json.loads(json.dumps(want))
+
+
+def test_two_stage_lines_writes_every_moment_family_under_rem(tmp_path):
+    # the arm-moment kernel's numbers themselves: summarize's estimates and
+    # each family triple of variance_components, with the covariates
+    for (ds, _), line in zip(*_lines(tmp_path, "--design", "rem", "--pa", "0.1")):
+        summary = summarize(ds, ds.z)
+        comp = variance_components(summary)
+        assert line["components"] == json.loads(json.dumps(
+            {"tau_y": summary.tau_y, "tau_w": summary.tau_w, "plain": comp.plain,
+             "rem": comp.rem, "proj": comp.proj, "k": 1}))
+        assert comp.rem is not None and comp.proj is not None

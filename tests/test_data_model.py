@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from latekit import io
 from latekit.data_model import (
+    AnalysisConfig,
     Dataset,
     PotentialDataset,
     center_covariates,
     true_sample_late,
     validate,
 )
+from latekit.two_stage import two_stage_set
 from oracles import UnitData, dataset_from_units, dataset_units
 
 
@@ -40,6 +43,23 @@ def test_validate_widens_the_centering_tolerance_only_by_the_removed_offsets(rng
     off = Dataset(z=ds.z, w=ds.w, y=ds.y, x=x + 0.5)
     assert any("not centered" in r for r in validate(off, means))
     assert any("not centered" in r for r in validate(off))
+
+
+@pytest.mark.parametrize("offsets", [[np.inf], [np.nan], [0.0, 0.0, 1e12], [[1.0, 2.0]]])
+def test_offsets_are_empty_or_one_finite_mean_per_covariate(offsets):
+    # offsets that are not K finite numbers would turn the centring check
+    # off: a wrong length or a non-finite value is refused, by validate and
+    # by every scorer of one dataset
+    ds = Dataset(z=[1, 1, 1, 0, 0, 0], w=[1, 1, 0, 0, 0, 1],
+                 y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.5], x=[[10.0], [11.0], [12.0], [13.0], [14.0],
+                                                      [15.0]])
+    assert validate(ds) == ["covariates not centered: columns [0] have means [12.5]"]
+    assert validate(ds, []) == validate(ds, np.zeros(1))
+    for score in (lambda: validate(ds, offsets),
+                  lambda: two_stage_set(ds, AnalysisConfig(), offsets),
+                  lambda: io.analyze_stratum(ds, ("wald",), AnalysisConfig(), offsets)):
+        with pytest.raises(ValueError, match="offsets must be empty or 1 finite covariate"):
+            score()
 
 
 def test_validate_non_binary():

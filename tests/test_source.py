@@ -91,17 +91,21 @@ def _callers(names):
 
 
 def test_arm_moments_and_families_have_three_callers():
-    # arm moments are computed by one kernel, which summarize's one-row path
-    # (stats_core) shares; the families of many rows come from one builder,
-    # estimation.row_families, with three callers through two call sites:
-    # the study cells (simulation), and analyze's files and two_stage_set's
-    # file of one stratum, both by io.score_groups. It alone calls the arm
-    # kernel, the moment families and the arm fits, but for
-    # variance_components' one-row moment families. A second moment path or
-    # family builder has to change these lists.
-    kernel = _callers(["_arm_moments", "_plain_arm", "_with_covariates"])
-    assert kernel == {"_arm_moments": {"estimation.py"}, "_plain_arm": {"stats_core.py"},
-                      "_with_covariates": {"stats_core.py"}}, kernel
+    # arm moments are computed by one kernel, _arm_moments, of which
+    # summarize (stats_core) makes the one-row calls; the families of many
+    # rows come from one builder, estimation.row_families, with three
+    # callers through two call sites: the study cells (simulation), and
+    # analyze's files and two_stage_set's file of one stratum, both by
+    # io.score_groups. It alone calls the arm kernel, the moment families
+    # and the arm fits, but for variance_components' one-row moment
+    # families. A second moment path or family builder has to change these
+    # lists.
+    kernel = _callers(["_arm_moments"])
+    assert kernel == {"_arm_moments": {"estimation.py", "stats_core.py"}}, kernel
+    stats_core = importlib.import_module("latekit.stats_core")
+    kernels = [name for name, value in vars(stats_core).items()
+               if callable(value) and name.endswith(("_arm", "_arms", "_moments"))]
+    assert kernels == ["_arm_moments"], kernels
     sites = _call_sites(["_arm_projections", "moment_families", "arm_fits", "row_families"])
     assert sites == {"_arm_projections": {"estimation.py:moment_families"},
                      "moment_families": {"estimation.py:row_families",
@@ -134,8 +138,7 @@ def test_one_array_scorer_serves_simulate_and_analyze():
 def test_io_scores_every_stratum_by_one_call_of_each_step():
     # analyze's files, a stratum handed no row and two_stage_set's dataset
     # are all checked, given families and scored by io.score_groups, which
-    # makes each call once in its source, a file whose call raises
-    # LinAlgError rebuilt stratum by stratum by the same call; a second
+    # makes each call once in its source and once per file; a second
     # stratum path has to change this test
     tree = ast.parse((SRC / "io.py").read_text())
     counts = {name: 0 for name in ("check_rows", "row_families", "score_rows")}
@@ -145,6 +148,23 @@ def test_io_scores_every_stratum_by_one_call_of_each_step():
     assert counts == {"check_rows": 1, "row_families": 1, "score_rows": 1}, counts
     sites = _call_sites(["check_rows"])
     assert sites == {"check_rows": {"io.py:score_groups", "data_model.py:validate"}}, sites
+
+
+def test_no_module_catches_linalg_error():
+    # a LinAlgError is no skip reason and has no fallback: numpy's stacked
+    # factorings run matrix by matrix, so a stack raises exactly when one of
+    # its matrices alone would, and the error ends the run; spd_factors
+    # decides which covariances are singular before any factoring
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and any(getattr(n, "attr", getattr(n, "id", None)) == "LinAlgError"
+                          for n in ast.walk(node.type))]
+    assert found == [], found
+    io = importlib.import_module("latekit.io")
+    assert not hasattr(io, "stack_families")  # one row_families call per file
 
 
 def test_f_threshold_is_compared_in_one_place():

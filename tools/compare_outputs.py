@@ -10,10 +10,12 @@ strata input under ``cre``, ``--design rem --pa 0.1``, ``--adjust hc2`` and
 ``--design rem --pa 0.1 --adjust ehw``; under each of these four settings
 ``tools/two_stage_lines.py`` also runs ``two_stage_set`` and the one-row
 ``wald_ci``, ``far_set``, ``first_stage_test`` and ``f_screen`` on every
-stratum. Under ``cre`` and ``rem``, ``analyze`` also runs with
-``--methods wald_f10,far`` and ``--methods ts_f10,wald``: the F screen's
-skip and branch without the t test, which the default methods never leave
-out (``two_stage_lines.py`` takes no ``--methods``). Under all four
+stratum, and writes the estimates and family triples they read
+(``summarize`` and ``variance_components``, or the sandwich). Under
+``cre`` and ``rem``, ``analyze`` also runs with ``--methods wald_f10,far``
+and ``--methods ts_f10,wald``: the F screen's skip and branch without the
+t test, which the default methods never leave out (``two_stage_lines.py``
+takes no ``--methods``). Under all four
 settings ``analyze`` also runs on a file whose strata all differ in size
 (``write_sized_strata_csv``), so that arms of one size come from the
 treated arm of one stratum and the control arm of another.

@@ -9,9 +9,11 @@ settings ``latekit analyze`` takes from the same options. ``wald_ci``,
 ``far_set``, ``first_stage_test`` and ``f_screen`` then score it from public
 components: ``sandwich_cov`` of ``fit_interacted_pair`` under adjustment, else
 ``variance_components`` of ``summarize`` (without the covariates under CRE,
-which reads none). ``OUT`` gets one JSON line per stratum: its key and, for
-each of the five calls, its result (``two_stage_set``'s ``to_json_dict()``,
-every field of the others) or the type and message of the error it raised.
+which reads none). ``OUT`` gets one JSON line per stratum: its key, the
+estimates and every field of those components (``components``: ``tau_y``,
+``tau_w`` and each family triple), and, for each of the five calls, its
+result (``two_stage_set``'s ``to_json_dict()``, every field of the others),
+or in place of any of these the type and message of the error it raised.
 ``tools/compare_outputs.py`` runs this in two checkouts, since ``analyze``
 sends no analysable stratum down these one-row paths.
 """
@@ -54,15 +56,17 @@ def _components(ds: Dataset, config: AnalysisConfig):
 
 
 def stratum_line(key: str, ds: Dataset, means, config: AnalysisConfig) -> dict:
-    """One stratum's line: its key and each call's result or error."""
+    """One stratum's line: its key, its components and each call's result,
+    or the error of each."""
     regime = config.regime
     line = {"stratum": key,
             "two_stage_set": _result(lambda: two_stage_set(ds, config, means).to_json_dict())}
     steps = ("wald_ci", "far_set", "first_stage_test", "f_screen")
     try:
         est, comp = _components(ds, config)
-    except Exception as exc:  # each procedure's result
-        return {**line, **dict.fromkeys(steps, _error(exc))}
+    except Exception as exc:  # the components' and each procedure's result
+        return {**line, **dict.fromkeys(("components", *steps), _error(exc))}
+    line["components"] = {**est._asdict(), **dataclasses.asdict(comp)}
     calls = (lambda: wald_ci(regime, est, comp, config),
              lambda: far_set(regime, est, comp, config),
              lambda: first_stage_test(regime, est, comp, config),
