@@ -332,9 +332,9 @@ def variance_components(summary: MomentSummary) -> VarianceComponents:
     covariance raises."""
     # extreme covariate scales overflow; analyze_stratum skips nonfinite ones
     with np.errstate(over="ignore", invalid="ignore"):
-        arms, sxx_inv = ((summary.covariate_arms, Covariates(summary.dataset.x).sxx_inv)
-                         if summary.k else ((summary.arm1, summary.arm0), None))
-        _, _, families, errors = moment_families(*arms, summary.n1, summary.n0, sxx_inv)
+        sxx_inv = Covariates(summary.dataset.x).sxx_inv if summary.k else None
+        _, _, families, errors = moment_families(*summary.covariate_arms, summary.n1,
+                                                 summary.n0, sxx_inv)
     if errors:
         raise unstored(errors[0])
     return VarianceComponents(**{name: tuple(float(v[0]) for v in triple)

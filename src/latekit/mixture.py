@@ -11,10 +11,11 @@ component, and shared by the tables that differ only in alpha. The normals
 are drawn whole and placed by a stable counting sort on their bin; the
 component is then drawn a chunk at a time straight into the same slots
 (its truncated radius by inverting a CDF grid through a bucket guide
-table), and each bin is sorted by it. At each rho a sweep mixes only the
-draws whose bin bounds cannot place them above or below a pilot band around
-the wanted order statistics; the quantiles it reads are those of the full
-sample, bit for bit, and the draws are those of whole-array numpy calls.
+table), and each bin is sorted by it. At each rho one search of each bin's
+sorted run finds the draws whose bin bounds cannot place them above or below
+a pilot band around the wanted order statistics, and a sweep mixes only
+those; the quantiles it reads are those of the full sample, bit for bit, and
+the draws are those of whole-array numpy calls.
 """
 from __future__ import annotations
 
@@ -333,58 +334,27 @@ _PILOT_SIGMAS = 6.0
 _BINS = 128
 
 
-# Every _GUIDE-th sorted key of a layout is kept; a search recomputes the keys
-# of one guide step.
-_GUIDE = 64
-
-
 @dataclass(frozen=True)
 class _DrawLayout:
     """A table's normal and component draws, sorted for the band sweep.
 
     The draws fall into ``_BINS`` equal-width ``eps0`` bins laid out one after
-    another, each sorted by ``comp``, so ``key = bin * width + comp`` is
-    sorted (``width`` is a power of two above 4 (max|comp| + 1), so a bin's
-    keys never reach the next one's; ``_sort_key`` computes it from ``lo``
-    and ``scale``). Only every ``_GUIDE``-th key is held, in ``guide``;
-    ``_layout_search`` recomputes the rest. ``starts`` holds the
-    ``_BINS + 1`` bin offsets, ``e_min``/``e_max`` each bin's ``eps0`` bounds
-    (0 when empty), ``pilot_eps0``/``pilot_comp`` the first ``_PILOT`` draws
-    in draw order, and ``slack`` bounds the rounding of any decision made
-    from the bounds. Every array is read-only.
+    another, each sorted by ``comp``: bin b's run is
+    ``comp[starts[b]:starts[b + 1]]``, and a sweep searches each run on its
+    own. ``starts`` holds the ``_BINS + 1`` bin offsets, ``e_min``/``e_max``
+    each bin's ``eps0`` bounds (0 when empty), ``pilot_eps0``/``pilot_comp``
+    the first ``_PILOT`` draws in draw order, and ``slack`` bounds the
+    rounding of any decision made from the bounds. Every array is read-only.
     """
 
     eps0: np.ndarray
     comp: np.ndarray
-    guide: np.ndarray
     starts: np.ndarray
     e_min: np.ndarray
     e_max: np.ndarray
     pilot_eps0: np.ndarray
     pilot_comp: np.ndarray
-    lo: float
-    scale: float
-    width: float
-    comp_bound: float
     slack: float
-
-
-def _bin_of(eps0: np.ndarray, lo: float, scale: float) -> np.ndarray:
-    """floor((eps0 - lo) * scale), at most _BINS - 1: each draw's bin, as floats."""
-    b = eps0 - lo
-    b *= scale
-    np.floor(b, out=b)
-    np.minimum(b, _BINS - 1, out=b)
-    return b
-
-
-def _sort_key(eps0: np.ndarray, comp: np.ndarray, lo: float, scale: float,
-              width: float) -> np.ndarray:
-    """bin * width + comp, with the bin of ``_bin_of``."""
-    key = _bin_of(eps0, lo, scale)
-    key *= width
-    key += comp
-    return key
 
 
 def _bin_slots(bins: np.ndarray, starts: np.ndarray):
@@ -420,9 +390,13 @@ def _draw_layout(eps0: np.ndarray, draw_comp) -> _DrawLayout:
     bins = np.empty(n, dtype=np.uint8)
     starts = np.zeros(_BINS + 1, dtype=np.intp)
     for i in range(0, n, _CHUNK):
-        b = bins[i:i + _CHUNK]
-        b[:] = _bin_of(eps0[i:i + _CHUNK], lo, scale)
-        starts[1:] += np.bincount(b, minlength=_BINS)
+        # floor((eps0 - lo) * scale), at most _BINS - 1
+        b = eps0[i:i + _CHUNK] - lo
+        b *= scale
+        np.floor(b, out=b)
+        np.minimum(b, _BINS - 1, out=b)
+        bins[i:i + _CHUNK] = b
+        starts[1:] += np.bincount(bins[i:i + _CHUNK], minlength=_BINS)
     np.cumsum(starts, out=starts)
     slots = functools.partial(_bin_slots, bins, starts)
     placed = np.empty(n)
@@ -440,32 +414,14 @@ def _draw_layout(eps0: np.ndarray, draw_comp) -> _DrawLayout:
         comp[s:e] = comp[s:e][order]
         eps0[s:e] = eps0[s:e][order]
     comp_bound = max(-float(comp.min()), float(comp.max())) + 1.0
-    width = 2.0 ** math.frexp(4.0 * comp_bound)[1]
-    guide = _sort_key(eps0[::_GUIDE], comp[::_GUIDE], lo, scale, width)
     filled = starts[:-1] < starts[1:]
     e_min, e_max = np.zeros(_BINS), np.zeros(_BINS)
     e_min[filled] = np.minimum.reduceat(eps0, starts[:-1][filled])
     e_max[filled] = np.maximum.reduceat(eps0, starts[:-1][filled])
-    arrays = (eps0, comp, guide, starts, e_min, e_max, pilot_eps0, pilot_comp)
+    arrays = (eps0, comp, starts, e_min, e_max, pilot_eps0, pilot_comp)
     for array in arrays:
         array.flags.writeable = False
-    return _DrawLayout(*arrays, lo=lo, scale=scale, width=width, comp_bound=comp_bound,
-                       slack=1e-12 * (e_bound + comp_bound))
-
-
-def _layout_search(draws: _DrawLayout, v: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(key, v)`` over the layout's full sorted key: the guide
-    places each value within one guide step, whose keys are recomputed."""
-    flat = v.ravel()
-    n = draws.eps0.size
-    base = np.searchsorted(draws.guide, flat) * _GUIDE - (_GUIDE - 1)
-    np.maximum(base, 0, out=base)
-    at = base[:, None] + np.arange(_GUIDE - 1)
-    inside = at < n
-    np.minimum(at, n - 1, out=at)
-    key = _sort_key(draws.eps0[at], draws.comp[at], draws.lo, draws.scale, draws.width)
-    below = (key < flat[:, None]) & inside
-    return (base + np.count_nonzero(below, axis=1)).reshape(v.shape)
+    return _DrawLayout(*arrays, slack=1e-12 * (e_bound + comp_bound))
 
 
 _draws_lock = threading.Lock()
@@ -504,12 +460,12 @@ def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.n
     numpy's linear method interpolates the order statistics ``lo`` and
     ``lo + 1`` at weight ``t``. Quantiles of the pilot draws bracket them by
     a band. Inside a bin the mixed value rises with ``comp`` between the
-    bin's ``eps0`` bounds, so two searches of the sorted key
-    (``_layout_search``) split the bin into draws certainly below the band (skipped), certainly at or above it
-    (only counted) and the stretch between, which is mixed with the
-    arithmetic of ``_mixed_quantile``. The two order statistics are read from
-    the mixed values inside the band once the counts show they lie inside
-    it; otherwise the full partition is used.
+    bin's ``eps0`` bounds, so one search of the bin's comp-sorted run for two
+    thresholds splits it into draws certainly below the band (skipped),
+    certainly at or above it (only counted) and the stretch between, which
+    is mixed with the arithmetic of ``_mixed_quantile``. The two order
+    statistics are read from the mixed values inside the band once the
+    counts show they lie inside it; otherwise the full partition is used.
     """
     n = draws.eps0.size
     pos = (n - 1) * q
@@ -520,9 +476,8 @@ def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.n
     margin = _PILOT_SIGMAS * math.sqrt(f * (1.0 - f) / m) + 2.0 / m
     j_lo = math.floor((1.0 - f - margin) * (m - 1))
     j_hi = math.ceil((1.0 - f + margin) * (m - 1))
-    offsets = draws.width * np.arange(_BINS)
-    ends = draws.starts[1:]
-    bound, slack = draws.comp_bound, draws.slack
+    starts, slack = draws.starts, draws.slack
+    runs = [draws.comp[s:e] for s, e in zip(starts[:-1].tolist(), starts[1:].tolist())]
     raw = np.empty(rho_grid.size)
     for i, rho in enumerate(rho_grid):
         s_eps, s_comp = math.sqrt(1.0 - rho), math.sqrt(rho)
@@ -537,8 +492,9 @@ def _upper_quantiles(draws: _DrawLayout, rho_grid: np.ndarray, q: float) -> np.n
         else:  # rho = 0: whole bins by their eps0 bounds
             c_hi = np.where(s_eps * draws.e_min >= band_hi + slack, -math.inf, math.inf)
             c_lo = np.where(s_eps * draws.e_max < band_lo - slack, math.inf, -math.inf)
-        first, last = _layout_search(draws, offsets + np.clip([c_lo, c_hi], -bound, bound))
-        count_above = int((ends - last).sum())
+        first, last = starts[:-1] + np.array(
+            [run.searchsorted(pair) for run, pair in zip(runs, np.column_stack((c_lo, c_hi)))]).T
+        count_above = int((starts[1:] - last).sum())
         sizes = np.maximum(last - first, 0)  # an inverted band holds nothing
         take = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
         x = s_eps * draws.eps0[take] + s_comp * draws.comp[take]

@@ -678,6 +678,7 @@ def _rows(cfg: StudyConfig, tau_ws, truths, attempts: np.ndarray, estimates: np.
                            tau_w=tau_w, reps=cfg.reps, **{k: v[c] for k, v in fields.items()})
             for c, tau_w in enumerate(tau_ws) for m, fields in per_method.items()]
 
+
 def run_study(cfg: StudyConfig) -> PerformanceTable:
     """Run every cell of the study; deterministic for a fixed config. The
     cells run in stacks of consecutive cells, in this process or split into

@@ -8,7 +8,6 @@ covariates, and their products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -138,23 +137,23 @@ def _arm_indices(zs: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MomentSummary:
-    """The arm moments of one assignment as one-row ``_ArmArrays``: ``arm1``
-    and ``arm0``, and ``covariate_arms`` with their covariate terms, computed
-    on first use so that an analysis that reads no covariates skips them."""
+    """The arm moments of one assignment as one-row ``_ArmArrays``, ``arm1``
+    and ``arm0``, with their covariate terms when the dataset has covariates
+    (None without); ``covariate_arms`` is the pair."""
 
     def __init__(self, dataset: Dataset, z: np.ndarray):
         treated = np.asarray(z, dtype=np.int64) == 1
         self.dataset, self.n, self.k = dataset, dataset.n, dataset.k
-        self._idx = np.flatnonzero(treated)[None, :], np.flatnonzero(~treated)[None, :]
-        self.n1, self.n0 = (idx.shape[1] for idx in self._idx)
-        self.arm1, self.arm0 = (_arm_moments(idx, dataset.y, dataset.w) for idx in self._idx)
+        idx = np.flatnonzero(treated)[None, :], np.flatnonzero(~treated)[None, :]
+        self.n1, self.n0 = (i.shape[1] for i in idx)
+        x = dataset.x if dataset.k else None
+        self.arm1, self.arm0 = (_arm_moments(i, dataset.y, dataset.w, x) for i in idx)
         self.tau_y = float(self.arm1.y_mean[0] - self.arm0.y_mean[0])
         self.tau_w = float(self.arm1.w_mean[0] - self.arm0.w_mean[0])
 
-    @cached_property
+    @property
     def covariate_arms(self) -> tuple[_ArmArrays, _ArmArrays]:
-        ds = self.dataset
-        return tuple(_arm_moments(idx, ds.y, ds.w, ds.x) for idx in self._idx)
+        return self.arm1, self.arm0
 
 
 def summarize(dataset: Dataset, z: np.ndarray) -> MomentSummary:

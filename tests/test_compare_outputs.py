@@ -13,6 +13,7 @@ from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates, variance_components
 from latekit.io import read_records
+from latekit.mixture import MixtureParams, MixtureQuantileTable, threshold_from_pa
 from latekit.stats_core import fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import f_screen, first_stage_test, two_stage_set
 
@@ -68,6 +69,36 @@ def test_every_analyze_setting_also_runs_two_stage_set(compare, tmp_path):
                                           for setting in compare.ANALYZE_SETTINGS]
     for (_, argv), extra in zip(runs, compare.ANALYZE_SETTINGS.values()):
         assert argv[0] == str(compare.TWO_STAGE_LINES) and argv[3:] == extra
+
+
+def test_each_seed_writes_the_quantile_tables_once(compare, tmp_path):
+    runs = [(name, argv) for name, argv, artefacts in compare.runs(tmp_path, 777)
+            if artefacts == ("tables.txt",)]
+    assert runs == [("quantile_tables", [str(compare.QUANTILE_TABLES), "{out}/tables.txt"])]
+
+
+def test_quantile_tables_writes_every_value_by_its_repr(tmp_path, monkeypatch):
+    # small tables stand in for the full builds
+    tool = _load("quantile_tables")
+    built = []
+
+    def small(params):
+        built.append(MixtureQuantileTable.build(params, draw_count=2000, grid_size=5))
+        return built[-1]
+
+    monkeypatch.setattr(tool, "quantile_table", small)
+    out = tmp_path / "tables.txt"
+    assert tool.main([str(out)]) == 0
+    settings = [(k, p_a, alpha) for k, p_a in ((5, 0.01), (3, 0.1)) for alpha in (0.025, 0.075)]
+    assert [table.params for table in built] == [
+        MixtureParams(k=k, a=threshold_from_pa(p_a, k), alpha=alpha) for k, p_a, alpha in settings]
+    want = []
+    for (k, p_a, alpha), table in zip(settings, built):
+        for name in ("raw_values", "lambda_values"):
+            want.append(f"k={k} p_a={p_a} alpha={alpha} {name}")
+            want += map(float.__repr__, getattr(table, name).tolist())
+    assert out.read_text().splitlines() == want
+    assert tool.main([]) == 2
 
 
 def test_method_runs_write_analyze_artefacts_only(compare, tmp_path):

@@ -349,9 +349,9 @@ def test_band_sweep_matches_full_quantile_with_empty_bins(draw_count, k, truncat
 @pytest.mark.parametrize("seed", [3, 4])
 def test_band_sweep_keeps_its_bits_on_near_ties(seed, q, fresh_draws):
     # at rho = 1/2 every mixed value lies within ~1e-13 of 1, inside the
-    # slack and the rounding of the sorted key, with eps0 spread over every
-    # bin: a draw may be counted or skipped unmixed only where its bin's
-    # bounds decide it despite that rounding
+    # slack, with eps0 spread over every bin: a draw may be counted or
+    # skipped unmixed only where its bin's bounds decide it despite the
+    # rounding of the thresholds
     rng = np.random.default_rng(seed)
     s = math.sqrt(0.5)
     eps0 = rng.uniform(-3.0, 3.0, 4000)
@@ -384,11 +384,16 @@ def test_in_slot_component_is_the_sampler_draw_for_draw(k, truncated, fresh_draw
     assert out[perm].tobytes() == comp.tobytes()
     # the layout holds every (eps0, comp) pair, in eps0 bins each sorted by comp
     draws = mixture._table_draws(params, n, 5)
-    bins = mixture._bin_of(draws.eps0, draws.lo, draws.scale)
-    assert np.all(np.diff(bins) >= 0)
+    bins = np.repeat(np.arange(mixture._BINS), np.diff(draws.starts))
+    assert bins.size == n
     assert np.all(np.diff(draws.comp)[np.diff(bins) == 0] >= 0)
-    got = np.lexsort((draws.eps0, draws.comp, bins))
-    want = np.lexsort((eps0, comp, mixture._bin_of(eps0, draws.lo, draws.scale)))
+    # no draw of a bin lies above a draw of a later bin
+    step = np.flatnonzero(np.diff(bins))
+    below = np.maximum.accumulate(draws.eps0)[step]
+    above = np.minimum.accumulate(draws.eps0[::-1])[::-1][step + 1]
+    assert np.all(below <= above)
+    got = np.lexsort((draws.eps0, draws.comp))
+    want = np.lexsort((eps0, comp))
     assert draws.eps0[got].tobytes() == eps0[want].tobytes()
     assert draws.comp[got].tobytes() == comp[want].tobytes()
     m = mixture._PILOT
@@ -396,29 +401,19 @@ def test_in_slot_component_is_the_sampler_draw_for_draw(k, truncated, fresh_draw
     assert draws.pilot_comp.tobytes() == comp[:m].tobytes()
 
 
-def test_guide_search_is_searchsorted_of_the_full_key(fresh_draws, monkeypatch):
-    # at every rho of the two rem_study tables (k = 5, p_a = 0.01, alpha
-    # 0.025 and 0.075, which share their draws)
-    search, keys, calls = mixture._layout_search, {}, []
-
-    def checked(draws, v):
-        if id(draws) not in keys:
-            key = mixture._sort_key(draws.eps0, draws.comp, draws.lo, draws.scale,
-                                    draws.width)
-            assert np.all(np.diff(key) >= 0)
-            assert draws.guide.tobytes() == key[::mixture._GUIDE].tobytes()
-            keys[id(draws)] = key
-        got = search(draws, v)
-        assert got.tobytes() == np.searchsorted(keys[id(draws)], v).tobytes()
-        calls.append(v.shape)
-        return got
-
-    monkeypatch.setattr(mixture, "_layout_search", checked)
-    a = threshold_from_pa(0.01, 5)
+def test_band_sweep_is_the_full_quantile_on_the_rem_study_tables(fresh_draws):
+    # the two rem_study tables (k = 5, p_a = 0.01, alpha 0.025 and 0.075,
+    # which share their draws) at full size, without a fallback
+    params = MixtureParams(k=5, a=threshold_from_pa(0.01, 5), alpha=0.025)
+    draws = mixture._table_draws(params, mixture._DEFAULT_DRAWS, mixture._TABLE_SEED)
+    rho_grid = np.linspace(0.0, 1.0, 5)
     for alpha in (0.025, 0.075):
-        MixtureQuantileTable.build(MixtureParams(k=5, a=a, alpha=alpha))
-    assert calls == [(2, mixture._BINS)] * (2 * mixture._DEFAULT_RHO_GRID)
-    assert len(keys) == 1 and fresh_draws == []
+        q = 1.0 - alpha
+        raw = mixture._upper_quantiles(draws, rho_grid, q)
+        full = [np.quantile(math.sqrt(1.0 - rho) * draws.eps0 + math.sqrt(rho) * draws.comp, q)
+                for rho in rho_grid]
+        assert raw.tobytes() == np.array(full).tobytes()
+    assert fresh_draws == []
 
 
 def test_fast_build_fallback_matches_full_quantile(fresh_draws, monkeypatch):
@@ -439,7 +434,7 @@ def test_shared_draws_leave_tables_unchanged(fresh_draws, monkeypatch):
     key, draws = mixture._shared_draws
     assert key == (5, a, 50_000, 9)
     arrays = [v for v in vars(draws).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8 and not any(v.flags.writeable for v in arrays)
+    assert len(arrays) == 7 and not any(v.flags.writeable for v in arrays)
     before = [v.copy() for v in arrays]
     MixtureQuantileTable.build(table_b, **build)
     assert mixture._shared_draws[1] is draws

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latekit import stats_core
 from latekit.data_model import Dataset, DesignSpec
 from latekit.design import Covariates, draw_assignment
 from latekit.estimation import _arm_projections, variance_components
@@ -184,12 +185,15 @@ def _components_or_error(components, summary):
 def _assert_one_row_is_reference(ds):
     s, ref = summarize(ds, ds.z), reference_summarize(ds, ds.z)
     assert (s.n1, s.n0, s.tau_y, s.tau_w) == (ref.n1, ref.n0, ref.tau_y, ref.tau_w)
-    for arm, ref_arm in zip((s.arm1, s.arm0, *s.covariate_arms), (ref.arm1, ref.arm0) * 2):
+    assert all(a is b for a, b in zip(s.covariate_arms, (s.arm1, s.arm0)))
+    for arm, ref_arm in zip((s.arm1, s.arm0), (ref.arm1, ref.arm0)):
         for name in ("y_mean", "w_mean", "s2_y", "s2_w", "s_yw"):
             assert getattr(arm, name)[0] == getattr(ref_arm, name), name
-    for arm, ref_arm in zip(s.covariate_arms, (ref.arm1, ref.arm0)):
         for name in ("s_yx", "s_wx", "sxx"):
-            assert np.array_equal(getattr(arm, name)[0], getattr(ref_arm, name)), name
+            if ds.k:
+                assert np.array_equal(getattr(arm, name)[0], getattr(ref_arm, name)), name
+            else:  # no covariate terms are taken without covariates
+                assert getattr(arm, name) is None, name
     assert plain_components(s) == reference_plain_components(ref)
     got = _components_or_error(variance_components, s)
     assert got == _components_or_error(reference_variance_components, ref)
@@ -200,6 +204,26 @@ def test_one_row_kernel_is_the_scalar_arithmetic_bit_for_bit(rng):
     outcomes = [_assert_one_row_is_reference(ds) for ds in _kernel_datasets(rng, 400)]
     # most datasets reach the rerandomization and projection families
     assert sum(getattr(o, "rem", None) is not None for o in outcomes) > 250
+
+
+def test_one_row_call_takes_each_arm_moments_once(rng, monkeypatch):
+    # summarize takes each arm's moments with their covariate terms, and
+    # variance_components reads them
+    calls = []
+    kernel = stats_core._arm_moments
+
+    def counted(*args):
+        calls.append(len(args) > 3 and args[3] is not None)  # with covariate terms
+        return kernel(*args)
+
+    monkeypatch.setattr(stats_core, "_arm_moments", counted)
+    n = 60
+    z = np.repeat([1, 0], n // 2)
+    x = rng.standard_normal((n, 2))
+    ds = Dataset(z=z, w=(rng.random(n) < 0.3 + 0.4 * z).astype(int),
+                 y=rng.standard_normal(n), x=x - x.mean(axis=0))
+    variance_components(summarize(ds, z))
+    assert calls == [True, True]
 
 
 @pytest.mark.parametrize("n1,k,duplicate,message", [

@@ -18,9 +18,12 @@ t test, which the default methods never leave out (``two_stage_lines.py``
 takes no ``--methods``). Under all four
 settings ``analyze`` also runs on a file whose strata all differ in size
 (``write_sized_strata_csv``), so that arms of one size come from the
-treated arm of one stratum and the control arm of another.
+treated arm of one stratum and the control arm of another. At each seed
+``tools/quantile_tables.py`` also writes every raw and projected value of
+the quantile tables these runs build (k = 5 at p_a = 0.01 and k = 3 at
+p_a = 0.1, each at alpha 0.025 and 0.075).
 For each artefact (``table.csv``, ``table.json``; ``report.json``,
-``lengths.csv``; ``two_stage_set.jsonl``) one line says
+``lengths.csv``; ``two_stage_set.jsonl``; ``tables.txt``) one line says
 "identical" or gives the largest relative difference of its numbers. The
 exit status is 1 when a command fails, an artefact is missing, the text
 around the numbers differs, or a number moves by more than 1e-9 relative
@@ -38,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_STAGE_LINES = ROOT / "tools" / "two_stage_lines.py"
+QUANTILE_TABLES = ROOT / "tools" / "quantile_tables.py"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from check import _NUMBER, REL_TOL  # noqa: E402
@@ -94,6 +98,7 @@ def largest_difference(a: bytes, b: bytes) -> float | None:
 def runs(workdir: Path, seed: int):
     """(name, Python argv, artefact names) of every command at ``seed``, its
     input written into ``workdir``; each argv's output directory is ``{out}``."""
+    yield "quantile_tables", [str(QUANTILE_TABLES), "{out}/tables.txt"], ("tables.txt",)
     for name, workload in WORKLOADS.items():
         inputs = make_inputs(workload, seed, workdir)
         argv = ["-m", "latekit.cli", *pass_argv(workload, inputs, Path("{out}"))]
