@@ -85,9 +85,7 @@ def by_length(starts: np.ndarray, lengths: np.ndarray):
     # pass too, and each function's wrapper costs more than its work there
     order = lengths.argsort(kind="stable")
     ordered = lengths[order]
-    if not len(order) or ordered[0] == ordered[-1]:  # at most one class
-        if len(order):
-            yield order, starts[order, None] + np.arange(ordered[0])
+    if not len(order):
         return
     ends = ordered.cumsum()
     # the elements of every segment in that order, each length's a block

@@ -10,7 +10,7 @@ import numpy as np
 from .data_model import Dataset, DesignSpec
 from .exceptions import AcceptanceRegionError, DegenerateCovariatesError, unstored
 from .mixture import threshold_from_pa
-from .stats_core import covariate_covariance, inverse_from_factor, spd_factors
+from .stats_core import covariate_covariances, inverse_from_factor, spd_factors
 
 __all__ = ["AssignmentVector", "Covariates", "draw_assignment", "mahalanobis",
            "threshold_from_pa"]
@@ -73,7 +73,8 @@ class Covariates:
             raise ValueError(f"covariates must be an (n, K) matrix, got shape {self.x.shape}")
         if self.x.shape[1] < 1:
             raise DegenerateCovariatesError("balance criterion needs at least one covariate")
-        chol, errors = spd_factors(covariate_covariance(self.x), "covariate covariance")
+        cov = covariate_covariances(self.x[None])[0]
+        chol, errors = spd_factors(cov, "covariate covariance")
         if errors:
             raise unstored(errors[0])
         return chol

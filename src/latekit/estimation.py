@@ -227,11 +227,8 @@ def _strata_arms(treated: np.ndarray, yws: np.ndarray, before: np.ndarray, start
     for arms, idx in by_length(np.concatenate([first, before[-1] + starts - first]), sizes):
         parts.append(_arm_moments(units[idx], *yws, x))
         order.append(arms)
-    if len(parts) == 1:  # every arm of one size, in order
-        both = parts[0]
-    else:
-        back = np.concatenate(order).argsort()
-        both = [None if field[0] is None else np.concatenate(field)[back] for field in zip(*parts)]
+    back = np.concatenate(order).argsort()
+    both = [None if field[0] is None else np.concatenate(field)[back] for field in zip(*parts)]
     return (_ArmArrays(*(f if f is None else f[:len(n1)] for f in both)),
             _ArmArrays(*(f if f is None else f[len(n1):] for f in both)))
 

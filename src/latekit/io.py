@@ -276,10 +276,9 @@ def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ..
         out[i] = InvalidDatasetError("variance estimates are not finite")
     for r, exc in errors.items():
         out[rows[r]], keep[r] = exc, False
-    if not np.logical_and.reduce(keep):
-        rows = list(itertools.compress(rows, keep))
-        tau_y, tau_w = tau_y[keep], tau_w[keep]
-        families = {name: tuple(v[keep] for v in f) for name, f in families.items()}
+    rows = list(itertools.compress(rows, keep))
+    tau_y, tau_w = tau_y[keep], tau_w[keep]
+    families = {name: tuple(v[keep] for v in f) for name, f in families.items()}
     scores = score_rows(config.regime, tau_y, tau_w, families, config, x.shape[-1], gammas)
     for row, (i, *pair) in enumerate(zip(rows, tau_y.tolist(), tau_w.tolist())):
         out[i] = (Estimates(*pair), scores, row)

@@ -70,12 +70,6 @@ def covariate_covariances(xs: np.ndarray) -> np.ndarray:
     return np.swapaxes(xc, 1, 2) @ xc / (n - 1)
 
 
-def covariate_covariance(x: np.ndarray) -> np.ndarray:
-    """Full-sample covariate covariance, divisor n - 1: covariate_covariances
-    of one matrix."""
-    return covariate_covariances(x[None])[0]
-
-
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u[i] @ v[i] for every row i, one BLAS dot per row."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]

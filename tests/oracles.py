@@ -96,7 +96,7 @@ from latekit.simulation import (
     _gamma_method,
     _method_names,
 )
-from latekit.stats_core import covariate_covariance, fit_interacted_pair, sandwich_cov, summarize
+from latekit.stats_core import covariate_covariances, fit_interacted_pair, sandwich_cov, summarize
 from latekit.two_stage import F_THRESHOLD, FirstStageResult, _statistics, score_rows
 
 _INF = math.inf
@@ -164,7 +164,7 @@ class ReferenceSummary:
         self.arm0 = ReferenceArm(dataset.y[~treated], dataset.w[~treated], dataset.x[~treated])
         self.n1 = self.arm1.nz
         self.n0 = self.arm0.nz
-        self.sxx_full = covariate_covariance(dataset.x)
+        self.sxx_full = covariate_covariances(dataset.x[None])[0]
 
     @cached_property
     def sxx_full_inv(self) -> np.ndarray:
