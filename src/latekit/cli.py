@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     cfg = StudyConfig(**raw)
-    start = time.time()
+    start = time.perf_counter()
     table = run_study(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,7 +156,7 @@ def _cmd_simulate(args) -> int:
         "seed": cfg.seed,
         "versions": {"latekit": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
-        "wall_time_seconds": round(time.time() - start, 3),
+        "wall_time_seconds": round(time.perf_counter() - start, 3),
         "stage_seconds": {k: round(v, 6) for k, v in table.stage_seconds.items()},
     }
     _write_json(out / "manifest.json", manifest)

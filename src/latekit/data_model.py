@@ -129,9 +129,10 @@ def check_rows(z: np.ndarray, w: np.ndarray, y: np.ndarray, x: np.ndarray,
         y = np.where(y_bad.repeat(lengths), 0.0, y)
         x = np.where(x_bad.repeat(lengths)[:, None], 0.0, x)
     y_sums, means = np.empty(len(lengths)), np.empty((len(lengths), x.shape[1]))
-    for rows, idx in by_length(starts, lengths):
-        y_sums[rows] = np.add.reduce(y[idx], axis=1)
-        means[rows] = column_sums(x, idx)
+    with np.errstate(over="ignore"):  # a sum past the largest double fails the scale check
+        for rows, idx in by_length(starts, lengths):
+            y_sums[rows] = np.add.reduce(y[idx], axis=1)
+            means[rows] = column_sums(x, idx)
     # np.add.reduce / count is ndarray.mean's arithmetic, without its wrapper
     count = np.maximum(lengths, 1)
     y_mean = y_sums / count

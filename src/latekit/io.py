@@ -2,9 +2,9 @@
 
 Input files carry one experimental record per row with required columns
 ``z``, ``w``, ``y``, optional covariate columns ``x1..xK``, and an optional
-``stratum`` key. Each stratum is treated as its own finite population:
-covariates are centered within it and every requested method runs on it
-independently.
+``stratum`` key. Each stratum is treated as its own finite population: its
+outcome and covariates are centred within it and every requested method runs
+on it independently.
 
 The records are parsed by one ``np.loadtxt`` call fed the file's lines. A
 file it refuses, or whose records fail the 0/1, finiteness or one-line
@@ -236,16 +236,20 @@ class Strata(NamedTuple):
 
 
 def _centred(strata: list[StratumRecords]) -> Strata:
-    """The file's strata with their covariates centred, each with
-    center_covariates' bits: the means of the strata of each size are
-    reduced over a stack of them (see by_length)."""
+    """The file's strata with each one's y and covariates centred, by one
+    reduction per stratum size (by_length), the covariates with center_covariates'
+    bits; a stratum whose centred y is not finite keeps its y, for check_rows to skip."""
     lengths = np.array([len(records.z) for records in strata])
     z, w, y, x = map(np.concatenate, zip(*((r.z, r.w, r.y, r.x) for r in strata)))
     means = np.empty((len(strata), x.shape[1]))
-    for rows, idx in by_length(lengths.cumsum() - lengths, lengths):
-        means[rows] = column_sums(x, idx)
+    with np.errstate(over="ignore", invalid="ignore"):  # a y sum past the largest double
+        for rows, idx in by_length(lengths.cumsum() - lengths, lengths):
+            means[rows] = column_sums(x, idx)
+            centred = y[idx] - np.add.reduce(y[idx], axis=1, keepdims=True) / idx.shape[1]
+            kept = np.logical_and.reduce(np.isfinite(centred), axis=1)
+            y[idx[kept]] = centred[kept]  # y, like x, is the file's own copy
     means /= lengths[:, None]  # center_covariates' arithmetic, stratum by stratum
-    x -= means.repeat(lengths, axis=0)  # x is the file's own copy
+    x -= means.repeat(lengths, axis=0)
     return Strata(z, w, y, x, means, lengths)
 
 

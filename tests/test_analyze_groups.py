@@ -375,9 +375,10 @@ def test_check_rows_gives_each_stacked_row_its_one_row_bits(tmp_path, monkeypatc
 
 
 def test_the_group_pass_centres_each_stratum_as_center_covariates(tmp_path, monkeypatch):
-    # the file's covariates are centred by one reduction per stratum size;
-    # each stratum's covariates and means keep the bits of center_covariates
-    # on the stratum's own rows, for one covariate (a pairwise sum) or more
+    # the file's outcomes and covariates are centred by one reduction per
+    # stratum size; each stratum's covariates and means keep the bits of
+    # center_covariates on the stratum's own rows, for one covariate (a
+    # pairwise sum) or more, and its y less its own mean is its centred y
     strata = io.read_records(str(_benchmark_input(tmp_path, monkeypatch)))
     rng = np.random.default_rng(3)
     for k in (1, 2, 3, 5):
@@ -388,4 +389,5 @@ def test_the_group_pass_centres_each_stratum_as_center_covariates(tmp_path, monk
             x, want = center_covariates(records.x)
             assert np.array_equal(centred.x[lo:hi], x) and np.array_equal(means, want)
             assert all(np.array_equal(getattr(centred, a)[lo:hi], getattr(records, a))
-                       for a in "zwy")
+                       for a in "zw")
+            assert np.array_equal(centred.y[lo:hi], records.y - records.y.sum() / (hi - lo))

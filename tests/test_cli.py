@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,28 @@ def test_simulate_smoke_and_determinism(tmp_path):
     assert list(stages) == ["population", "draws", "tables", "scoring", "rows"]
     assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
     assert stages["tables"] == 0.0  # a CRE study reads no mixture table
+
+
+def test_simulate_wall_time_ignores_a_step_of_the_clock(tmp_path, monkeypatch):
+    # the manifest's wall time is read on the monotonic clock, as the stage
+    # times are: the wall clock stepping back an hour during the run leaves
+    # it the run's few seconds
+    back = [0.0]
+    clock = time.time
+    monkeypatch.setattr(time, "time", lambda: clock() - back[0])
+
+    def stepped(cfg):
+        table = run_study(cfg)
+        back[0] = 3600.0
+        return table
+
+    monkeypatch.setattr(cli, "run_study", stepped)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 40, "tau_w": [0.4], "reps": 10, "seed": 3, "k": 2}))
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "sim")]) == 0
+    assert back == [3600.0]
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert 0.0 <= manifest["wall_time_seconds"] < 60.0
 
 
 def test_simulate_rejects_unknown_keys(tmp_path):
@@ -828,6 +851,33 @@ def test_analyze_sets_ignore_affine_covariate_maps(strata_input, strata_reports,
         _assert_close(mapped, base, 1e-10)
 
 
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+def test_analyze_reads_y_plus_an_offset_as_y(strata_input, tmp_path, regime):
+    # analyze centres each stratum's y where it reads it, so fl(y + c) is
+    # analysed like the same data translated back exactly, fl(y + c) - c:
+    # the same text, every number within 1e-11 relative, up to c = 1e12. A
+    # stratum of y near 1e307, whose sum overflows, keeps its y and its skip
+    # for the scale in both, without an overflow warning
+    header, rows = _table(strata_input)
+    rng = np.random.default_rng(9)
+    for i in range(20):
+        x = rng.standard_normal(3).tolist()
+        rows.append(["huge", i % 2, int(rng.random() < 0.5), repr(1e307 * (1 + rng.random())),
+                     *map(repr, x)])
+    with open(tmp_path / "huge.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    y = _numbers(tmp_path / "huge.csv", "y")[:, 0]
+    for c in (1e3, 1e6, 1e9, 1e12):
+        got, want = (_analyze(_replaced(tmp_path / "huge.csv", tmp_path / f"{name}.csv", y=ys),
+                              tmp_path / f"{name}.json", _ALL_REGIMES[regime])
+                     for name, ys in (("offset", y + c), ("back", (y + c) - c)))
+        _assert_close(got, want, 1e-11)
+        assert want["strata"][-1]["skipped"].startswith("y varies on a scale (inf)")
+        assert sum("methods" in e for e in want["strata"]) == 196
+
+
+# a covariate map that mixes every column (ROADMAP item 17)
+_MIXING = np.array([[2.0, 0.5, -1.0], [0.25, 1.5, 0.5], [-0.75, 0.0, 3.0]])
 _SEEDS = (20240901, 777)
 
 
@@ -884,6 +934,25 @@ def test_analyze_scales_outcome_numbers_with_y_by_a_power_of_two(seeded_reports,
     scaled = _analyze(_rescaled(path, tmp_path / "y.csv", y=2.0 ** m), tmp_path / "y.json",
                       _ALL_REGIMES[regime])
     assert _entries(scaled) == _entries(_times(reports[regime], 2.0 ** m))
+
+
+def _without_means(report):
+    return {**report, "strata": [{k: v for k, v in e.items() if k != "covariate_means"}
+                                 for e in report["strata"]]}
+
+
+@pytest.mark.parametrize("regime", _ALL_REGIMES)
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_analyze_keeps_every_decision_under_an_invertible_covariate_map(
+        seeded_reports, tmp_path, seed, regime):
+    # covariates times an invertible matrix span the same space: every kind,
+    # branch, first-stage flag and skip stays, and every number but the
+    # covariate means moves by at most 1e-11 relative
+    path, reports = seeded_reports[seed]
+    x = _numbers(path, "x1", "x2", "x3") @ _MIXING
+    mapped = _analyze(_replaced(path, tmp_path / "xa.csv", x1=x[:, 0], x2=x[:, 1], x3=x[:, 2]),
+                      tmp_path / "xa.json", _ALL_REGIMES[regime])
+    _assert_close(_without_means(mapped), _without_means(reports[regime]), 1e-11)
 
 
 def test_design_rem_ignores_covariate_units(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latekit.cli import main
 from latekit.confidence_sets import far_set, wald_ci
 from latekit.data_model import AnalysisConfig, Dataset, DesignSpec, center_covariates
 from latekit.estimation import Estimates, variance_components
@@ -112,6 +113,22 @@ def test_method_runs_write_analyze_artefacts_only(compare, tmp_path):
     for (_, argv, artefacts), extra in zip(runs, compare.METHOD_SETTINGS.values()):
         assert argv[:3] == ["-m", "latekit.cli", "analyze"] and argv[-len(extra):] == extra
         assert artefacts == ("report.json", "lengths.csv")
+
+
+def test_each_seed_draws_a_cre_and_a_rem_design_for_the_strata_input(compare, tmp_path):
+    # design.py's draws: one assignment for the strata input's covariates
+    # under each mode, at one draw seed
+    runs = [(name, argv) for name, argv, artefacts in compare.runs(tmp_path, 777)
+            if artefacts == ("design.csv",)]
+    path = str(tmp_path / "strata.csv")
+    assert runs == [(f"design[{mode}]", ["-m", "latekit.cli", "design", "--input", path, *extra,
+                                         "--seed", "1", "--out", "{out}/design.csv"])
+                    for mode, extra in (("cre", ["--mode", "cre"]),
+                                        ("rem", ["--mode", "rem", "--pa", "0.1"]))]
+    units = sum(len(records.z) for records in read_records(path))
+    for _, argv in runs:  # each writes its draw in a fraction of a second
+        assert main([a.replace("{out}", str(tmp_path)) for a in argv[2:]]) == 0
+        assert (tmp_path / "design.csv").read_text().count("\n") == 5 + units
 
 
 def test_a_file_of_strata_of_every_size_runs_analyze_under_each_setting(compare, tmp_path):

@@ -21,11 +21,13 @@ settings ``analyze`` also runs on a file whose strata all differ in size
 treated arm of one stratum and the control arm of another. At each seed
 ``tools/quantile_tables.py`` also writes every raw and projected value of
 the quantile tables these runs build (k = 5 at p_a = 0.01 and k = 3 at
-p_a = 0.1, each at alpha 0.025 and 0.075).
+p_a = 0.1, each at alpha 0.025 and 0.075), and ``latekit design`` draws one
+assignment for the strata input's covariates with ``--mode cre`` and with
+``--mode rem --pa 0.1``, each at ``--seed 1``.
 For each artefact (``table.csv``, ``table.json``; ``report.json``,
-``lengths.csv``; ``two_stage_set.jsonl``; ``tables.txt``) one line says
-"identical" or gives the largest relative difference of its numbers. The
-exit status is 1 when a command fails, an artefact is missing, the text
+``lengths.csv``; ``two_stage_set.jsonl``; ``tables.txt``; ``design.csv``) one
+line says "identical" or gives the largest relative difference of its numbers.
+The exit status is 1 when a command fails, an artefact is missing, the text
 around the numbers differs, or a number moves by more than 1e-9 relative
 (perfbench's definition of the same output); else 0.
 """
@@ -51,6 +53,8 @@ SEEDS = (20240901, 777)
 ANALYZE_SETTINGS = {"cre": [], "rem": ["--design", "rem", "--pa", "0.1"],
                     "hc2": ["--adjust", "hc2"],
                     "rem_ehw": ["--design", "rem", "--pa", "0.1", "--adjust", "ehw"]}
+# one assignment draw for the strata input's covariates under each design
+DESIGN_SETTINGS = {"cre": ["--mode", "cre"], "rem": ["--mode", "rem", "--pa", "0.1"]}
 # analyze alone, with some methods: a setting's name and its methods
 METHOD_SETTINGS = {f"{setting},{methods}": [*ANALYZE_SETTINGS[setting], "--methods", methods]
                    for setting in ("cre", "rem") for methods in ("wald_f10,far", "ts_f10,wald")}
@@ -112,6 +116,10 @@ def runs(workdir: Path, seed: int):
                        ("two_stage_set.jsonl",))
             for setting, extra in METHOD_SETTINGS.items():
                 yield f"{name}[{setting}]", argv + extra, workload.outputs
+            for mode, extra in DESIGN_SETTINGS.items():
+                yield (f"design[{mode}]", ["-m", "latekit.cli", "design", "--input", str(inputs),
+                                           *extra, "--seed", "1", "--out", "{out}/design.csv"],
+                       ("design.csv",))
             sized = workdir / "sized_strata.csv"
             write_sized_strata_csv(sized, seed)
             for setting, extra in ANALYZE_SETTINGS.items():
