@@ -73,8 +73,7 @@ class Covariates:
             raise ValueError(f"covariates must be an (n, K) matrix, got shape {self.x.shape}")
         if self.x.shape[1] < 1:
             raise DegenerateCovariatesError("balance criterion needs at least one covariate")
-        cov = covariate_covariances(self.x[None])[0]
-        chol, errors = spd_factors(cov, "covariate covariance")
+        chol, errors = spd_factors(covariate_covariances(self.x[None])[0], "covariate covariance")
         if errors:
             raise unstored(errors[0])
         return chol

@@ -240,17 +240,18 @@ def _centred(strata: list[StratumRecords]) -> Strata:
     reduction per stratum size (by_length), the covariates with center_covariates'
     bits; a stratum whose centred y is not finite keeps its y, for check_rows to skip."""
     lengths = np.array([len(records.z) for records in strata])
+    starts = lengths.cumsum() - lengths
     z, w, y, x = map(np.concatenate, zip(*((r.z, r.w, r.y, r.x) for r in strata)))
-    means = np.empty((len(strata), x.shape[1]))
+    y_sums, means = np.empty(len(strata)), np.empty((len(strata), x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a y sum past the largest double
-        for rows, idx in by_length(lengths.cumsum() - lengths, lengths):
+        for rows, idx in by_length(starts, lengths):
+            y_sums[rows] = np.add.reduce(y[idx], axis=1)
             means[rows] = column_sums(x, idx)
-            centred = y[idx] - np.add.reduce(y[idx], axis=1, keepdims=True) / idx.shape[1]
-            kept = np.logical_and.reduce(np.isfinite(centred), axis=1)
-            y[idx[kept]] = centred[kept]  # y, like x, is the file's own copy
+        centred = y - (y_sums / lengths).repeat(lengths)
+    kept = np.logical_and.reduceat(np.isfinite(centred), starts).repeat(lengths)
     means /= lengths[:, None]  # center_covariates' arithmetic, stratum by stratum
-    x -= means.repeat(lengths, axis=0)
-    return Strata(z, w, y, x, means, lengths)
+    x -= means.repeat(lengths, axis=0)  # x is the file's own copy
+    return Strata(z, w, np.where(kept, centred, y), x, means, lengths)
 
 
 def score_groups(strata: Strata, config: AnalysisConfig, gammas: tuple[float, ...]) -> list:
