@@ -829,6 +829,12 @@ def test_analyze_shifts_sets_with_y_plus_3w(strata_input, strata_reports, tmp_pa
     _assert_close(shifted, _shifted(strata_reports[regime], 3.0), 1e-10)
 
 
+def _without_means(report):
+    """``report`` without its strata's covariate means."""
+    return {**report, "strata": [{k: v for k, v in e.items() if k != "covariate_means"}
+                                 for e in report["strata"]]}
+
+
 @pytest.mark.parametrize("regime", _ALL_REGIMES)
 def test_analyze_sets_ignore_affine_covariate_maps(strata_input, strata_reports, tmp_path,
                                                     regime):
@@ -843,8 +849,7 @@ def test_analyze_sets_ignore_affine_covariate_maps(strata_input, strata_reports,
     for entry, want in zip(mapped["strata"], base["strata"]):
         means = np.array(entry.pop("covariate_means"))
         assert means == pytest.approx(np.array(want["covariate_means"]) @ a + b, rel=1e-12)
-    base = {**base, "strata": [{k: v for k, v in e.items() if k != "covariate_means"}
-                               for e in base["strata"]]}
+    base = _without_means(base)
     if regime == "cre":
         assert mapped == base
     else:
@@ -876,8 +881,6 @@ def test_analyze_reads_y_plus_an_offset_as_y(strata_input, tmp_path, regime):
         assert sum("methods" in e for e in want["strata"]) == 196
 
 
-# a covariate map that mixes every column (ROADMAP item 17)
-_MIXING = np.array([[2.0, 0.5, -1.0], [0.25, 1.5, 0.5], [-0.75, 0.0, 3.0]])
 _SEEDS = (20240901, 777)
 
 
@@ -936,9 +939,8 @@ def test_analyze_scales_outcome_numbers_with_y_by_a_power_of_two(seeded_reports,
     assert _entries(scaled) == _entries(_times(reports[regime], 2.0 ** m))
 
 
-def _without_means(report):
-    return {**report, "strata": [{k: v for k, v in e.items() if k != "covariate_means"}
-                                 for e in report["strata"]]}
+# a covariate map that mixes every column (ROADMAP item 17)
+_MIXING = np.array([[2.0, 0.5, -1.0], [0.25, 1.5, 0.5], [-0.75, 0.0, 3.0]])
 
 
 @pytest.mark.parametrize("regime", _ALL_REGIMES)
